@@ -1,0 +1,122 @@
+"""Golden trace hashes: byte-identity guard for changes that must not alter
+what a run does.
+
+Each case is a small config whose `ScenarioTrace.trace_hash()` (config,
+status, epoch path, receipts, message metadata, balances and final state
+digest) is pinned. Together they reach the lightweight and heavyweight
+paths, every deviating courier policy except bribery, the strawman
+contract, message loss, a tampered package, refusals, slow epochs and
+availability below 1. A speed-up that changes one byte of any of these
+runs fails here.
+"""
+
+import pytest
+
+from tidsim.scenario import ScenarioConfig, run_scenario
+
+GOLDEN = [
+    (
+        "silent_light",
+        dict(seed=1, pool_size=6, n=4, l=2, t=2),
+        "delivered_light",
+        "c445f4bfb014b4dffe523b1bb117960d98bcfead6b3ac0d88020dec4b72ffd70",
+    ),
+    (
+        "full_depth_light",
+        dict(seed=14, pool_size=4, n=3, l=3, t=2),
+        "delivered_light",
+        "b85ac56e3e0c87a798dda0e87839919367617e945c9608d8d933562d932bc65a",
+    ),
+    (
+        "single_layer_light",
+        dict(seed=16, pool_size=5, n=4, l=1, t=3, fault_policies={2: "absent"}),
+        "delivered_light",
+        "fa3b24f387099f6326cd568ed3b83d3f588cac4d140c3b98bddd9015a400060e",
+    ),
+    (
+        "premature_heavy",
+        dict(seed=2, pool_size=6, n=4, l=2, t=2, fault_policies={0: "premature"}),
+        "delivered_heavy",
+        "621725620f6c3f82782153b736a123d9aaa53728b2de812a182525bd7e4b41e7",
+    ),
+    (
+        "full_depth_heavy",
+        dict(seed=15, pool_size=4, n=3, l=3, t=2, fault_policies={3: "premature"}),
+        "delivered_heavy",
+        "1f38e42263e2c38491a9f06cdbb5871072ba3bf350e7d35e13ee13f86f0bf2a9",
+    ),
+    (
+        "fake_heavy",
+        dict(seed=3, pool_size=5, n=4, l=2, t=2, fault_policies={1: "fake", 4: "premature"}),
+        "delivered_heavy",
+        "69ae72d9673e0816883529519203dca410da036574a0909b3c4395c4ca8dadc3",
+    ),
+    (
+        "fake_failed",
+        dict(seed=3, pool_size=5, n=4, l=2, t=3, fault_policies={1: "fake"}),
+        "failed",
+        "5e336e3b86f9c890409c5ba48e8bd8143e75bbaee0c1a21db77badd32c8c1e28",
+    ),
+    (
+        "absent_heavy",
+        dict(seed=4, pool_size=5, n=4, l=2, t=2, fault_policies={2: "absent", 0: "premature"}),
+        "delivered_heavy",
+        "96cf646a387ac769c97445ae639dd996ea963de0cbf7371f12c3346cdbccba5c",
+    ),
+    (
+        "withhold_light",
+        dict(seed=5, pool_size=5, n=4, l=2, t=3, fault_policies={0: "withhold_light", 3: "withhold_light"}),
+        "delivered_heavy",
+        "c6e03d98e32136bf0b86b61bab6b37dce8780d40874545232a2b596f61d902b8",
+    ),
+    (
+        "strawman",
+        dict(seed=6, pool_size=5, n=4, l=2, t=2, mode="strawman"),
+        "delivered_heavy",
+        "2032e3b5f816a68f9c0852d60ee2d71b2d8ad12da6630f13d1b3a038f462110d",
+    ),
+    (
+        "lossy_light",
+        dict(seed=7, pool_size=6, n=4, l=2, t=2, drop_prob=0.2),
+        "delivered_light",
+        "84725e0c38f6d0609d17b7716a56ad4ce53f95b601bdfc2ed5eebc4826f63020",
+    ),
+    (
+        "lossy_heavy",
+        dict(seed=7, pool_size=6, n=4, l=2, t=2, drop_prob=0.2, fault_policies={0: "premature"}),
+        "delivered_heavy",
+        "f9fc6e92aafe81c3627d236c6ed9eab13c4d37a830e3dcb88fddd2ece5156581",
+    ),
+    (
+        "tamper_package",
+        dict(seed=8, pool_size=5, n=4, l=2, t=2, tamper_package=True),
+        "delivered_light",
+        "0ce2f15618ac0a6c136b95106caf029122ed508921bf61b23f4d20a5455d1785",
+    ),
+    (
+        "refusals",
+        dict(seed=9, pool_size=6, n=4, l=2, t=2, refusals=(0, 3)),
+        "delivered_light",
+        "7d5c4b95e447b5d1f20593f2386510522cc427772b00e142adc22284acf173ab",
+    ),
+    (
+        "slow_epochs_heavy",
+        dict(seed=10, pool_size=5, n=4, l=2, t=2, epoch_ticks=2, fault_policies={1: "premature"}),
+        "delivered_heavy",
+        "9709d4da334707f6442518caa398688b483ca06656262688f8dda20e7204b0cc",
+    ),
+    (
+        "offline",
+        dict(seed=12, pool_size=5, n=4, l=2, t=2, availability=0.8),
+        "delivered_heavy",
+        "e992461035a4c1b5efe67adf5d5b92e3d347a1f71ca1dc0341eb09976365f800",
+    ),
+]
+
+
+@pytest.mark.parametrize("name, config, status, digest", GOLDEN, ids=[case[0] for case in GOLDEN])
+def test_golden_trace_hash(name, config, status, digest):
+    trace = run_scenario(ScenarioConfig(**config))
+    assert trace.status == status
+    assert trace.trace_hash() == digest
+
