@@ -93,21 +93,42 @@ def body_of(payload: bytes) -> list[bytes]:
     return decode_parts(payload[3:])
 
 
-def peel_with_keys(onions: list[Onion], privkeys: list[bytes]) -> dict[int, Share]:
-    """Trial-decrypt onions layer by layer with every key on hand."""
+def peel_with_keys(onions: list[Onion], privkeys: list[bytes], memo: dict) -> dict[int, Share]:
+    """Trial-decrypt onions layer by layer with every key on hand.
+
+    Each layer goes to the first key, in the given order, that opens it.
+    `memo` maps (layer payload, key) to the inner payload, or to None for a
+    key that does not open that layer; pass the same dict to every peel of
+    one service's onions so that no (layer, key) pair is tried twice.
+
+    `onions` must be one service's onions as broadcast, each still wrapped
+    in all l layers. Each timeframe key then wraps one layer in each of
+    exactly l of them (`SenderActor.layer_holders`, and `validate()` keeps
+    l <= n), so a key that has opened l layers can open no other and is
+    retired from the trials.
+    """
+    depth = max((onion.layers_remaining for onion in onions), default=0)
+    opened = dict.fromkeys(privkeys, 0)
+    live = list(opened)
     recovered: dict[int, Share] = {}
     for onion in onions:
         current = onion
-        progress = True
-        while current.layers_remaining and progress:
-            progress = False
-            for key in privkeys:
-                try:
-                    current = onion_peel(current, key)
-                    progress = True
+        while current.layers_remaining:
+            for key in live:
+                slot = (current.payload, key)
+                if slot not in memo:
+                    try:
+                        memo[slot] = onion_peel(current, key).payload
+                    except AuthenticationError:
+                        memo[slot] = None
+                if memo[slot] is not None:
                     break
-                except AuthenticationError:
-                    continue
+            else:
+                break
+            current = Onion(current.layers_remaining - 1, memo[slot], current.layer_addrs[:-1])
+            opened[key] += 1
+            if opened[key] == depth:
+                live.remove(key)
         if current.layers_remaining == 0:
             share = current.share()
             recovered[share.index] = share
@@ -476,10 +497,10 @@ class RecipientActor:
             return
         self.collected_keys[privkey] = scalar
 
-    def try_restore(self, t: int) -> bool:
+    def try_restore(self, t: int, peel_memo: dict) -> bool:
         if self.restored_key is not None:
             return True
-        shares = peel_with_keys(self.onions, list(self.collected_keys))
+        shares = peel_with_keys(self.onions, list(self.collected_keys), peel_memo)
         self.shares_recovered = len(shares)
         if len(shares) < t:
             return False

@@ -112,11 +112,11 @@ def run_bribery(
         limit = max_purchases if max_purchases is not None else len(order)
         for mailman in order[:limit]:
             try_buy(mailman, 0)
-            shares = peel_with_keys(runner.sender.onions, list(keys))
+            shares = peel_with_keys(runner.sender.onions, list(keys), runner.peel_memo)
             if len(shares) >= cfg.t:
                 break
 
-    shares = peel_with_keys(runner.sender.onions, list(keys))
+    shares = peel_with_keys(runner.sender.onions, list(keys), runner.peel_memo)
     recovered = False
     if len(shares) >= cfg.t:
         recovered = ss_restore(list(shares.values()), cfg.t) == runner.sender.key

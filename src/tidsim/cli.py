@@ -18,6 +18,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
+from .actors import ProtocolError
 from .adversary import run_bribery, sybil_capture_trials
 from .analysis import (
     availability,
@@ -308,7 +309,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ProtocolError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

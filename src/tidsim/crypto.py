@@ -14,6 +14,7 @@ real 256-bit cryptographic primitive with detectable tampering.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import hmac as _hmac
 from dataclasses import dataclass
@@ -182,13 +183,41 @@ def _jadd(p, q):
     return (x3, y3, z3)
 
 
-def _jmul(k, p):
-    acc = _INF
+def _wnaf(k):
+    """Width-5 non-adjacent form of k >= 0, least significant digit first.
+
+    Every nonzero digit is odd and lies in [-15, 15], and any two nonzero
+    digits are at least five places apart (Hankerson-Menezes-Vanstone,
+    Guide to ECC, alg. 3.35).
+    """
+    digits = []
     while k:
         if k & 1:
-            acc = _jadd(acc, p)
-        p = _jdouble(p)
+            d = k & 31
+            if d > 16:
+                d -= 32
+            k -= d
+        else:
+            d = 0
+        digits.append(d)
         k >>= 1
+    return digits
+
+
+def _jmul(k, p):
+    """k * p for k >= 0 by width-5 wNAF over the odd multiples p, 3p, .., 15p."""
+    twice = _jdouble(p)
+    odd = [p]
+    for _ in range(7):
+        odd.append(_jadd(odd[-1], twice))
+    neg = [(x, _P - y, z) for x, y, z in odd]
+    acc = _INF
+    for d in reversed(_wnaf(k)):
+        acc = _jdouble(acc)
+        if d > 0:
+            acc = _jadd(acc, odd[d >> 1])
+        elif d < 0:
+            acc = _jadd(acc, neg[-d >> 1])
     return acc
 
 
@@ -333,9 +362,16 @@ def sign(privkey: bytes, digest: bytes) -> Signature:
 
 def recover_signer(digest: bytes, sig: Signature) -> bytes:
     """Recover the 20-byte address that produced `sig` over `digest`."""
-    z = _check_digest(digest)
+    _check_digest(digest)
     if not isinstance(sig, Signature):
         raise VerificationError("not a signature value")
+    return _recover_address(bytes(digest), sig)
+
+
+# Every courier and contract re-recovers the same few signatures of a
+# service; a failed recovery raises and so is never cached.
+@functools.lru_cache(maxsize=1024)
+def _recover_address(digest: bytes, sig: Signature) -> bytes:
     if sig.v not in (0, 1) or not 0 < sig.r < _N or not 0 < sig.s < _N:
         raise VerificationError("malformed signature")
     x = sig.r
@@ -345,11 +381,10 @@ def recover_signer(digest: bytes, sig: Signature) -> bytes:
         raise VerificationError("signature r does not name a curve point")
     if y & 1 != sig.v:
         y = _P - y
-    r_point = (x, y, 1)
     r_inv = pow(sig.r, -1, _N)
-    # Q = r^-1 * (s*R - z*G)
-    q = _jadd(_jmul(sig.s, r_point), _jmul_base((-z) % _N))
-    q = _jmul(r_inv, q)
+    z = int.from_bytes(digest, "big")
+    # Q = r^-1 * (s*R - z*G) = (-z*r^-1)*G + (s*r^-1)*R  (SEC 1 v2.0, 4.1.6)
+    q = _jadd(_jmul_base(-z * r_inv % _N), _jmul(sig.s * r_inv % _N, (x, y, 1)))
     aff = _to_affine(q)
     if aff is None:
         raise VerificationError("recovered point at infinity")

@@ -253,6 +253,7 @@ class ScenarioRunner:
         self.recipient: Optional[RecipientActor] = None
         self.pool: list[MailmanActor] = []
         self.key_pool: dict[int, int] = {}  # scalars seen on public broadcasts
+        self.peel_memo: dict = {}  # trial-peel outcomes, see peel_with_keys
         self.shares_light = 0
         self.shares_heavy = 0
 
@@ -503,7 +504,7 @@ class ScenarioRunner:
         for msg in self.bus.recv(self.recipient.address):
             if tag_of(msg.payload) == TAG_KEY:
                 self.recipient.note_key(int.from_bytes(body_of(msg.payload)[0], "big"))
-        if self.recipient.try_restore(cfg.t):
+        if self.recipient.try_restore(cfg.t, self.peel_memo):
             self.shares_light = self.recipient.shares_recovered
             self._submit_receipt()
         else:
@@ -549,7 +550,7 @@ class ScenarioRunner:
         if deployer is None:
             return
         keys = [s.to_bytes(32, "big") for s in sorted(self.key_pool) if s < 2**256]
-        shares = peel_with_keys(deployer.onions, keys)
+        shares = peel_with_keys(deployer.onions, keys, self.peel_memo)
         self.shares_heavy = len(shares)
         if len(shares) < cfg.t:
             return
@@ -605,7 +606,7 @@ class ScenarioRunner:
             for index, scalar_hex in sup.state["revealed_privkeys"].items():
                 if not sup.state["fake_marks"].get(index):
                     self.recipient.note_key(int(scalar_hex, 16))
-        if self.recipient.try_restore(self.config.t):
+        if self.recipient.try_restore(self.config.t, self.peel_memo):
             self._submit_receipt()
 
     # -- settlement --------------------------------------------------------------
@@ -641,7 +642,7 @@ class ScenarioRunner:
         self._drain_broadcast_keys()
         sample = self._recruited()[0]
         keys = [s.to_bytes(32, "big") for s in sorted(self.key_pool) if s < 2**256]
-        shares = peel_with_keys(sample.onions, keys)
+        shares = peel_with_keys(sample.onions, keys, self.peel_memo)
         if len(shares) < cfg.t:
             return
         key = ss_restore(list(shares.values()), cfg.t)

@@ -1,12 +1,26 @@
 """End-to-end behavior tests: recruitment, the dual-mode epoch driver,
 strawman comparison runs, secrecy, and rationality."""
 
+import gc
+import sys
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tidsim.actors import TAG_REFUSE, tag_of
-from tidsim.crypto import hash256, sign
+from tidsim import crypto
+from tidsim.actors import TAG_REFUSE, peel_with_keys, tag_of
+from tidsim.crypto import (
+    AuthenticationError,
+    Onion,
+    Share,
+    _N,
+    hash256,
+    keypair_gen,
+    onion_peel,
+    onion_wrap,
+    sign,
+)
 from tidsim.contracts import sup_auth_digest
 from tidsim.ledger import EPOCH_GRAPH, SERVICE_FUNCTIONS
 from tidsim.scenario import (
@@ -420,3 +434,122 @@ class TestConservation:
         for cfg in cases:
             trace = run_scenario(cfg)
             assert trace.status in ("delivered_light", "delivered_heavy", "failed")
+
+
+def naive_peel(onions, privkeys):
+    """Every key against every layer, first hit wins: the unmemoized peel."""
+    recovered = {}
+    for onion in onions:
+        current = onion
+        progress = True
+        while current.layers_remaining and progress:
+            progress = False
+            for key in privkeys:
+                try:
+                    current = onion_peel(current, key)
+                    progress = True
+                    break
+                except AuthenticationError:
+                    continue
+        if current.layers_remaining == 0:
+            share = current.share()
+            recovered[share.index] = share
+    return recovered
+
+
+def wire_onions(n, l, seed):
+    """n onions laid out like SenderActor.layer_holders, as broadcast."""
+    rng = Random(seed)
+    keys = [keypair_gen(rng) for _ in range(n)]
+    onions = []
+    for i in range(1, n + 1):
+        holders = [keys[(i - 1 + j) % n] for j in range(l)]
+        onion = onion_wrap(Share(i, 1000 + i), [kp.pubkey for kp in holders], rng)
+        onions.append(Onion.from_wire(onion.wire_bytes()))
+    outsiders = [keypair_gen(rng).privkey for _ in range(2)]
+    fakes = [
+        ((int.from_bytes(kp.privkey, "big") * 2 + 1) % 2**255 + 1).to_bytes(32, "big")
+        for kp in keys[:2]
+    ]
+    too_big = [(_N + 5).to_bytes(32, "big"), (2**256 - 1).to_bytes(32, "big")]
+    return onions, [kp.privkey for kp in keys], outsiders + fakes + too_big
+
+
+LAYOUTS = {(4, 2): wire_onions(4, 2, 11), (3, 3): wire_onions(3, 3, 12), (5, 1): wire_onions(5, 1, 13)}
+
+
+@pytest.fixture
+def decrypt_calls(monkeypatch):
+    """Every ECIES decryption made, as (privkey, blob, opened)."""
+    calls = []
+    real = crypto.ecies_decrypt
+
+    def counted(privkey, blob):
+        try:
+            inner = real(privkey, blob)
+        except AuthenticationError:
+            calls.append((privkey, blob, False))
+            raise
+        calls.append((privkey, blob, True))
+        return inner
+
+    monkeypatch.setattr(crypto, "ecies_decrypt", counted)
+    return calls
+
+
+def refcounts(objs):
+    return [sys.getrefcount(obj) for obj in objs]
+
+
+class TestTrialPeel:
+    @given(
+        layout=st.sampled_from(sorted(LAYOUTS)),
+        keep=st.lists(st.booleans(), min_size=5, max_size=5),
+        order=st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_matches_naive_peel_for_any_key_order(self, layout, keep, order):
+        onions, true_keys, junk = LAYOUTS[layout]
+        keys = [k for k, kept in zip(true_keys, keep) if kept] + junk
+        order.shuffle(keys)
+        assert peel_with_keys(onions, keys, {}) == naive_peel(onions, keys)
+
+    def test_spent_key_is_never_tried_again(self, decrypt_calls):
+        onions, true_keys, junk = LAYOUTS[(4, 2)]
+        keys = junk[:2] + true_keys + junk[2:]
+        assert sorted(peel_with_keys(onions, keys, {})) == [1, 2, 3, 4]
+        opened = dict.fromkeys(keys, 0)
+        for key, _, ok in decrypt_calls:
+            assert opened[key] < 2
+            opened[key] += ok
+        assert [opened[k] for k in true_keys] == [2, 2, 2, 2]
+        retiring = len(decrypt_calls)
+        decrypt_calls.clear()
+        naive_peel(onions, keys)
+        assert retiring < len(decrypt_calls)
+
+    def test_second_call_reuses_memo(self, decrypt_calls):
+        onions, true_keys, junk = LAYOUTS[(4, 2)]
+        partial = true_keys[:2] + junk
+        everything = junk + true_keys
+        calls = [partial, partial[::-1], partial, everything]
+        expected = [naive_peel(onions, keys) for keys in calls]
+        assert sorted(expected[-1]) == [1, 2, 3, 4]
+        memo = {}
+        for keys, shares in zip(calls, expected):
+            known = set(memo)
+            decrypt_calls.clear()
+            assert peel_with_keys(onions, keys, memo) == shares
+            assert not known & {(blob, key) for key, blob, _ in decrypt_calls}
+        assert decrypt_calls  # the keys new to the last call were tried
+
+    def test_finished_runner_leaves_no_payload_behind(self):
+        runner = ScenarioRunner(small_config())
+        assert runner.run().status == "delivered_light"
+        memo = runner.peel_memo
+        payloads = {outer for outer, _ in memo} | {inner for inner in memo.values() if inner}
+        assert len(payloads) >= 8  # four onions of two layers each
+        del runner, memo
+        gc.collect()
+        # a payload nothing else holds has the reference count of a fresh object
+        assert max(refcounts(payloads)) == max(refcounts({bytes(range(40))}))

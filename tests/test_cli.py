@@ -72,6 +72,15 @@ class TestRun:
         assert code != 0
         assert "threshold" in capsys.readouterr().err
 
+    def test_protocol_error_exit_one_without_traceback(self, tmp_path, capsys):
+        # courier 0 refuses and the pool has no spare to replace it
+        cfg = tmp_path / "exhausted.json"
+        cfg.write_text(json.dumps({"pool_size": 4, "n": 4, "refusals": [0]}))
+        assert main(["run", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: pool exhausted")
+        assert "Traceback" not in err
+
     def test_json_syntax_error_carries_line(self, tmp_path, capsys):
         cfg = tmp_path / "syntax.json"
         cfg.write_text("{\n  broken\n}")

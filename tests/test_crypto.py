@@ -9,6 +9,7 @@ import itertools
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tidsim.crypto import (
     AuthenticationError,
@@ -20,6 +21,16 @@ from tidsim.crypto import (
     Signature,
     SMALL_TEST_PRIME,
     VerificationError,
+    _GX,
+    _GY,
+    _N,
+    _P,
+    _jadd,
+    _jdouble,
+    _jmul,
+    _jmul_base,
+    _to_affine,
+    address_of_pubkey,
     ecies_decrypt,
     ecies_encrypt,
     encode_parts,
@@ -156,10 +167,10 @@ class TestSignatures:
 
     def test_malformed_signature_rejected(self):
         digest = hash256(b"m")
-        with pytest.raises(VerificationError):
-            recover_signer(digest, Signature(v=2, r=1, s=1))
-        with pytest.raises(VerificationError):
-            recover_signer(digest, Signature(v=0, r=0, s=1))
+        # twice each: a failed recovery must not be memoized
+        for sig in [Signature(v=2, r=1, s=1), Signature(v=0, r=0, s=1), Signature(v=0, r=1, s=_N)] * 2:
+            with pytest.raises(VerificationError):
+                recover_signer(digest, sig)
         with pytest.raises(VerificationError):
             Signature.from_bytes(b"\x00" * 10)
 
@@ -377,3 +388,86 @@ class TestDeterminism:
 
         assert run(1234) == run(1234)
         assert run(1234) != run(1235)
+
+
+G = (_GX, _GY, 1)
+
+
+def reference_mul(k, point):
+    """Plain right-to-left double-and-add, the multiplication wNAF replaced."""
+    acc = (0, 0, 0)
+    while k:
+        if k & 1:
+            acc = _jadd(acc, point)
+        point = _jdouble(point)
+        k >>= 1
+    return acc
+
+
+def reference_recover(digest, sig):
+    """Recovery as three multiplications: Q = r^-1 * (s*R - z*G)."""
+    x = sig.r
+    y = pow((x * x * x + 7) % _P, (_P + 1) // 4, _P)
+    if y & 1 != sig.v:
+        y = _P - y
+    z = int.from_bytes(digest, "big")
+    q = _jadd(reference_mul(sig.s, (x, y, 1)), reference_mul((-z) % _N, G))
+    qx, qy = _to_affine(reference_mul(pow(sig.r, -1, _N), q))
+    return address_of_pubkey(qx.to_bytes(32, "big") + qy.to_bytes(32, "big"))
+
+
+EDGE_SCALARS = [
+    0,
+    1,
+    2,
+    15,
+    16,
+    17,
+    31,
+    33,
+    _N - 2,
+    _N - 1,
+    _N,
+    2**255,
+    2**256 - 1,  # one long run of ones
+    (2**128 - 1) << 64,
+    int("1" * 40 + "0" * 9 + "1" * 60 + "01" * 20, 2),
+]
+scalars = st.integers(min_value=1, max_value=_N - 1)
+
+
+class TestScalarKernel:
+    @pytest.mark.parametrize("k", EDGE_SCALARS)
+    def test_wnaf_matches_double_and_add_on_edge_scalars(self, k):
+        point = _jmul_base(0xC0FFEE)
+        assert _to_affine(_jmul(k, point)) == _to_affine(reference_mul(k, point))
+
+    @given(k=scalars, base=scalars)
+    @settings(max_examples=40, deadline=None)
+    def test_wnaf_matches_double_and_add(self, k, base):
+        point = (*_to_affine(_jmul_base(base)), 1)
+        assert _to_affine(_jmul(k, point)) == _to_affine(reference_mul(k, point))
+
+    @given(d=scalars, digest=st.binary(min_size=32, max_size=32))
+    @settings(max_examples=30, deadline=None)
+    def test_recovery_matches_three_multiplication_formula(self, d, digest):
+        kp = keypair_from_scalar(d)
+        sig = sign(kp.privkey, digest)
+        assert recover_signer(digest, sig) == reference_recover(digest, sig) == kp.address
+
+    @given(
+        v=st.integers(min_value=0, max_value=1),
+        r=st.integers(min_value=1, max_value=_N - 1),
+        s=st.integers(min_value=1, max_value=_N - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_failed_recovery_is_not_memoized(self, v, r, s):
+        digest = hash256(r.to_bytes(32, "big"))
+        sig = Signature(v, r, s)
+        outcomes = []
+        for _ in range(2):
+            try:
+                outcomes.append(recover_signer(digest, sig))
+            except VerificationError as exc:
+                outcomes.append(type(exc))
+        assert outcomes[0] == outcomes[1]
