@@ -6,8 +6,9 @@ status, epoch path, receipts, message metadata, balances and final state
 digest) is pinned. Together they reach the lightweight and heavyweight
 paths, every deviating courier policy except bribery, the strawman
 contract, message loss, a tampered package, refusals, slow epochs and
-availability below 1. A speed-up that changes one byte of any of these
-runs fails here.
+availability below 1. One case registers a 40-courier pool, so every later
+transaction, through settlement and withdrawals, snapshots a long registry.
+A speed-up that changes one byte of any of these runs fails here.
 """
 
 import pytest
@@ -110,6 +111,12 @@ GOLDEN = [
         dict(seed=12, pool_size=5, n=4, l=2, t=2, availability=0.8),
         "delivered_heavy",
         "e992461035a4c1b5efe67adf5d5b92e3d347a1f71ca1dc0341eb09976365f800",
+    ),
+    (
+        "large_registry_heavy",
+        dict(seed=1, pool_size=40, n=4, l=2, t=2, fault_policies={0: "premature"}),
+        "delivered_heavy",
+        "8460ad81a8570f6a2f8db21edd144b3beb47e745d324d90f23de4aee59443ecf",
     ),
 ]
 
