@@ -148,7 +148,6 @@ class MailmanActor:
     deposit: int
     policy: str = POLICY_HONEST
     refuse_service: bool = False
-    bribe_threshold: Optional[int] = None
     timeframe_keys: dict[int, KeyPair] = field(default_factory=dict)
     # per-service assignment, filled by the handshake
     index: Optional[int] = None
@@ -158,7 +157,6 @@ class MailmanActor:
     vrs_m: Optional[Signature] = None
     bundle: list = field(default_factory=list)
     onions: list = field(default_factory=list)
-    sold_key: bool = False
 
     @property
     def address(self) -> bytes:

@@ -93,13 +93,11 @@ def run_bribery(
     sellers: set[bytes] = set()
 
     def try_buy(mailman, share_index: int) -> bool:
-        threshold = mailman.bribe_threshold if mailman.bribe_threshold is not None else d
-        if mailman.policy != POLICY_BRIBERABLE or bribe_per_key <= threshold:
+        if mailman.policy != POLICY_BRIBERABLE or bribe_per_key <= d:
             return False
         purchases.append((share_index, mailman.address.hex()))
         sellers.add(mailman.address)
         keys[mailman.timeframe_keys[cfg.timeframe_tick].privkey] = True
-        mailman.sold_key = True
         return True
 
     if know_identities:

@@ -131,7 +131,12 @@ def decode_parts(data: bytes) -> list[bytes]:
 
 
 # ---------------------------------------------------------------------------
-# secp256k1 arithmetic (Jacobian coordinates, windowed fixed-base table)
+# secp256k1 arithmetic in Jacobian coordinates. Fixed-base multiplication
+# uses signed 5-bit windows over a table of affine points: 52 windows hold
+# d * 32^w * G for d = 1..16, a digit d > 16 becomes d - 32 with a carry
+# into the next window, and a negative digit negates y. Each table point is
+# added with a mixed Jacobian-affine addition (Hankerson-Menezes-Vanstone,
+# Guide to ECC, 3.2-3.3).
 # ---------------------------------------------------------------------------
 
 _P = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEFFFFFC2F
@@ -183,6 +188,29 @@ def _jadd(p, q):
     return (x3, y3, z3)
 
 
+def _jadd_affine(p, x2, y2):
+    """p + (x2, y2) for Jacobian p and an affine point: _jadd with z2 = 1."""
+    x1, y1, z1 = p
+    if not z1:
+        return (x2, y2, 1)
+    z1z1 = z1 * z1 % _P
+    u2 = x2 * z1z1 % _P
+    s2 = y2 * z1 * z1z1 % _P
+    if x1 == u2:
+        if y1 != s2:
+            return _INF
+        return _jdouble(p)
+    h = (u2 - x1) % _P
+    i = 4 * h * h % _P
+    j = h * i % _P
+    r = 2 * (s2 - y1) % _P
+    v = x1 * i % _P
+    x3 = (r * r - j - 2 * v) % _P
+    y3 = (r * (v - x3) - 2 * y1 * j) % _P
+    z3 = 2 * h * z1 % _P
+    return (x3, y3, z3)
+
+
 def _wnaf(k):
     """Width-5 non-adjacent form of k >= 0, least significant digit first.
 
@@ -231,33 +259,52 @@ def _to_affine(p):
 
 
 def _build_base_table():
-    # 64 windows of 4 bits each: table[w][d] = d * 16^w * G
-    table = []
-    base = (_GX, _GY, 1)
-    for _ in range(64):
-        row = [_INF]
-        cur = _INF
+    # Window w's multiples come from mixed additions of its affine base
+    # B = 32^w * G; the next base is 2 * (16 * B). Montgomery's trick then
+    # makes all 832 points affine with one shared inversion.
+    points = []
+    bx, by = _GX, _GY
+    for _ in range(52):
+        cur = (bx, by, 1)
+        points.append(cur)
         for _ in range(15):
-            cur = _jadd(cur, base)
-            row.append(cur)
-        table.append(row)
-        for _ in range(4):
-            base = _jdouble(base)
-    return table
+            cur = _jadd_affine(cur, bx, by)
+            points.append(cur)
+        bx, by = _to_affine(_jdouble(cur))
+    prefix = []
+    acc = 1
+    for _, _, z in points:
+        prefix.append(acc)
+        acc = acc * z % _P
+    inv = pow(acc, -1, _P)
+    affine = [None] * len(points)
+    for i in range(len(points) - 1, -1, -1):
+        x, y, z = points[i]
+        zi = inv * prefix[i] % _P
+        inv = inv * z % _P
+        zi2 = zi * zi % _P
+        affine[i] = (x * zi2 % _P, y * zi2 * zi % _P)
+    return [affine[w : w + 16] for w in range(0, len(affine), 16)]
 
 
 _BASE_TABLE = _build_base_table()
 
 
 def _jmul_base(k):
+    """k * G for 0 <= k < 2^259 by signed 5-bit windows over _BASE_TABLE."""
     acc = _INF
-    w = 0
-    while k:
-        d = k & 15
-        if d:
-            acc = _jadd(acc, _BASE_TABLE[w][d])
-        k >>= 4
-        w += 1
+    for row in _BASE_TABLE:
+        if not k:
+            break
+        d = k & 31
+        k >>= 5
+        if d > 16:
+            k += 1
+            x, y = row[31 - d]
+            acc = _jadd_affine(acc, x, _P - y)
+        elif d:
+            x, y = row[d - 1]
+            acc = _jadd_affine(acc, x, y)
     return acc
 
 

@@ -14,7 +14,6 @@ headline numbers are quoted from that list rather than recomputed.
 
 from __future__ import annotations
 
-import copy
 import json
 from dataclasses import dataclass, field
 from enum import Enum
@@ -298,7 +297,6 @@ class TxContext:
         self.tick = ledger.tick
         self.events: list[dict] = []
         self._payouts: list[tuple[bytes, int]] = []
-        self._burns = 0
 
     def emit(self, name: str, **fields):
         self.events.append({"event": name, **{k: _jsonable(v) for k, v in fields.items()}})
@@ -307,11 +305,6 @@ class TxContext:
         if amount < 0:
             raise ContractRevert("negative payout")
         self._payouts.append((to, amount))
-
-    def burn(self, amount: int):
-        if amount < 0:
-            raise ContractRevert("negative burn")
-        self._burns += amount
 
     def contract_at(self, address: bytes):
         contract = self.ledger.contracts.get(address)
@@ -334,8 +327,25 @@ def _jsonable(value):
     return value
 
 
+def _copy_state(value):
+    """Copy contract state: new dicts and lists, the immutable leaves shared."""
+    if isinstance(value, dict):
+        return {k: _copy_state(v) if isinstance(v, (dict, list)) else v for k, v in value.items()}
+    if isinstance(value, list):
+        return [_copy_state(v) if isinstance(v, (dict, list)) else v for v in value]
+    return value
+
+
 class Contract:
-    """Base class: state lives in `self.state` (plain data, snapshot-able)."""
+    """Base class: state lives in `self.state`.
+
+    State holds only dict, list, str, int, bool and None, and no container
+    is reachable from two places. `Ledger.submit_tx` snapshots it with
+    `_copy_state`, which copies dicts and lists and shares every other
+    value: a mutable value of another type would be shared with the
+    snapshot, and a container reachable twice would come back as two, so
+    a revert would not restore the state as it was.
+    """
 
     code_id = "contract"
     deploy_fn = FN_DEPLOY_AGENT
@@ -463,7 +473,7 @@ class Ledger:
         account.balance -= value
         self.accounts[target].balance += value
 
-        snapshot = {addr: copy.deepcopy(c.state) for addr, c in self.contracts.items()}
+        snapshot = {addr: _copy_state(c.state) for addr, c in self.contracts.items()}
         ctx = TxContext(self, target, caller, value)
         try:
             contract.handle(function, ctx, args)
@@ -475,7 +485,7 @@ class Ledger:
             return self._record(caller, target, function, units, gas, False, str(exc), [])
 
         contract_account = self.accounts[target]
-        total_out = sum(amount for _, amount in ctx._payouts) + ctx._burns
+        total_out = sum(amount for _, amount in ctx._payouts)
         if total_out > contract_account.balance:
             # treat as a programming error in the contract, not user input
             for addr, state in snapshot.items():
@@ -490,8 +500,6 @@ class Ledger:
                 dest = Account(to, AccountKind.EOA)
                 self.accounts[to] = dest
             dest.balance += amount
-        contract_account.balance -= ctx._burns
-        self.burn_sink += ctx._burns
         return self._record(caller, target, function, units, gas, True, None, ctx.events)
 
     def _record(self, caller, target, function, units, gas, success, error, events) -> TxReceipt:
@@ -512,9 +520,6 @@ class Ledger:
         return receipt
 
     # -- clock -------------------------------------------------------------
-
-    def current_time(self) -> TimeFrame:
-        return TimeFrame.from_tick(self.tick)
 
     def advance_time(self, to: TimeFrame | int):
         target = to.tick if isinstance(to, TimeFrame) else int(to)

@@ -25,7 +25,9 @@ from tidsim.crypto import (
     _GY,
     _N,
     _P,
+    _BASE_TABLE,
     _jadd,
+    _jadd_affine,
     _jdouble,
     _jmul,
     _jmul_base,
@@ -436,6 +438,29 @@ EDGE_SCALARS = [
 scalars = st.integers(min_value=1, max_value=_N - 1)
 
 
+def every_window(d):
+    """The 255-bit scalar whose 5-bit windows all equal d."""
+    return sum(d << 5 * w for w in range(51))
+
+
+# Digits 17..31 become negative and carry into the next window; 16 does not.
+BASE_EDGE_SCALARS = [
+    1,
+    15,
+    16,
+    17,
+    31,
+    32,
+    33,
+    2**255,
+    _N - 16,
+    _N - 1,
+    every_window(16),
+    every_window(17),
+    every_window(31),
+]
+
+
 class TestScalarKernel:
     @pytest.mark.parametrize("k", EDGE_SCALARS)
     def test_wnaf_matches_double_and_add_on_edge_scalars(self, k):
@@ -447,6 +472,27 @@ class TestScalarKernel:
     def test_wnaf_matches_double_and_add(self, k, base):
         point = (*_to_affine(_jmul_base(base)), 1)
         assert _to_affine(_jmul(k, point)) == _to_affine(reference_mul(k, point))
+
+    @pytest.mark.parametrize("k", BASE_EDGE_SCALARS)
+    def test_signed_window_base_mult_on_edge_scalars(self, k):
+        assert _to_affine(_jmul_base(k)) == _to_affine(reference_mul(k, G))
+
+    @given(k=scalars)
+    @settings(max_examples=40, deadline=None)
+    def test_signed_window_base_mult(self, k):
+        assert _to_affine(_jmul_base(k)) == _to_affine(reference_mul(k, G))
+
+    def test_mixed_addition_doubles_and_cancels(self):
+        x, y = _to_affine(_jmul_base(0xC0FFEE))
+        z = 0xBEEF
+        for p in [(x, y, 1), (x * z * z % _P, y * z * z * z % _P, z)]:
+            assert _to_affine(_jadd_affine(p, x, y)) == _to_affine(_jdouble((x, y, 1)))
+            assert _jadd_affine(p, x, _P - y) == (0, 0, 0)
+
+    @pytest.mark.parametrize("w, d", [(0, 1), (0, 16), (1, 2), (17, 9), (50, 15), (51, 1), (51, 16)])
+    def test_base_table_holds_affine_window_multiples(self, w, d):
+        assert len(_BASE_TABLE) == 52 and {len(row) for row in _BASE_TABLE} == {16}
+        assert _BASE_TABLE[w][d - 1] == _to_affine(reference_mul(d << 5 * w, G))
 
     @given(d=scalars, digest=st.binary(min_size=32, max_size=32))
     @settings(max_examples=30, deadline=None)

@@ -1,9 +1,11 @@
-"""Ledger tests: accounts, gas metering, clock, conservation."""
+"""Ledger tests: accounts, gas metering, clock, conservation, rollback."""
 
+import copy
 from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tidsim.ledger import (
     Contract,
@@ -17,6 +19,7 @@ from tidsim.ledger import (
     LedgerError,
     TimeFrame,
     WEI_PER_ETHER,
+    _copy_state,
     fmt_usd,
     round_usd_cents,
 )
@@ -43,6 +46,37 @@ class PingContract(Contract):
 
     def on_tick(self, tick):
         self.state["ticks"].append(tick)
+
+
+class NestedContract(Contract):
+    """Writes deep into its own state, or into another contract's, may pay
+    out, and reverts unless `fail` is false."""
+
+    code_id = "nested"
+    deploy_fn = FN_DEPLOY_SWITCH
+
+    def init_state(self):
+        self.state = {"book": {"alice": {"tags": ["a"], "n": 1}}, "log": [[1, 2], {"k": None}], "on": True}
+
+    def fn_newService(self, ctx, into=None, pay=0, fail=True):
+        target = ctx.contract_at(into) if into is not None else self
+        target.state["book"]["bob"] = {"tags": [], "n": 0}
+        target.state["book"]["alice"]["tags"].append("b")
+        target.state["log"][0].append(3)
+        target.state["log"][1]["k"] = "x"
+        target.state["on"] = False
+        if pay:
+            ctx.pay_out(ctx.caller, pay)
+        if fail:
+            raise ContractRevert("after nested writes")
+
+
+def container_ids(value) -> set[int]:
+    if isinstance(value, dict):
+        return {id(value)}.union(*map(container_ids, value.values()))
+    if isinstance(value, list):
+        return {id(value)}.union(*map(container_ids, value))
+    return set()
 
 
 @pytest.fixture
@@ -157,6 +191,61 @@ class TestTransactions:
         )
         assert ledger.balance(contract.address) == 0
         ledger.audit()
+
+
+class TestRollback:
+    def test_revert_restores_nested_writes(self, ledger, funded):
+        contract = ledger.deploy_contract(funded.address, NestedContract)
+        before = contract.state_dump()
+        receipt = ledger.submit_tx(funded.address, contract.address, FN_NEW_SERVICE)
+        assert receipt.error == "after nested writes"
+        assert contract.state_dump() == before
+
+    def test_revert_restores_writes_through_contract_at(self, ledger, funded):
+        caller = ledger.deploy_contract(funded.address, NestedContract)
+        other = ledger.deploy_contract(funded.address, NestedContract)
+        before = (caller.state_dump(), other.state_dump())
+        receipt = ledger.submit_tx(funded.address, caller.address, FN_NEW_SERVICE, {"into": other.address})
+        assert not receipt.success
+        assert (caller.state_dump(), other.state_dump()) == before
+
+    def test_overdraw_restores_state_and_value(self, ledger, funded):
+        contract = ledger.deploy_contract(funded.address, NestedContract)
+        before = contract.state_dump()
+        receipt = ledger.submit_tx(
+            funded.address, contract.address, FN_NEW_SERVICE, {"pay": 6, "fail": False}, value=5
+        )
+        assert receipt.error == "contract overdraw"
+        assert contract.state_dump() == before
+        assert ledger.balance(contract.address) == 0
+        ledger.audit()
+
+    def test_restored_state_shares_no_container(self, ledger, funded):
+        contract = ledger.deploy_contract(funded.address, NestedContract)
+        live = contract.state  # the object the reverted handler wrote into
+        ledger.submit_tx(funded.address, contract.address, FN_NEW_SERVICE)
+        restored = contract.state
+        assert not container_ids(live) & container_ids(restored)
+        restored["book"]["alice"]["tags"].append("r")
+        assert live["book"]["alice"]["tags"] == ["a", "b"]
+        live["log"][0].append(4)
+        assert restored["log"][0] == [1, 2]
+
+
+json_like = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=5) | st.dictionaries(st.text(max_size=8), children, max_size=5),
+    max_leaves=40,
+)
+
+
+@given(value=json_like)
+@settings(max_examples=200, deadline=None)
+def test_copy_state_matches_deepcopy(value):
+    copied = _copy_state(value)
+    # repr tells True from 1, which == does not
+    assert repr(copied) == repr(copy.deepcopy(value))
+    assert not container_ids(value) & container_ids(copied)
 
 
 class TestClock:
