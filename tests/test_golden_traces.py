@@ -5,7 +5,8 @@ Each case is a small config whose `ScenarioTrace.trace_hash()` (config,
 status, epoch path, receipts, message metadata, balances and final state
 digest) is pinned. Together they reach the lightweight and heavyweight
 paths, every deviating courier policy except bribery, the strawman
-contract, message loss, a tampered package, refusals, slow epochs and
+contract (delivered, failed, premature slashing, faults, offline couriers,
+slow epochs and no withdrawals), message loss, a tampered package, refusals, slow epochs and
 availability below 1. One case registers a 40-courier pool, so every later
 transaction, through settlement and withdrawals, snapshots a long registry.
 A speed-up that changes one byte of any of these runs fails here.
@@ -75,6 +76,41 @@ GOLDEN = [
         dict(seed=6, pool_size=5, n=4, l=2, t=2, mode="strawman"),
         "delivered_heavy",
         "2032e3b5f816a68f9c0852d60ee2d71b2d8ad12da6630f13d1b3a038f462110d",
+    ),
+    (
+        "strawman_premature",
+        dict(seed=15, pool_size=6, n=4, l=1, t=2, selection_override=(0, 1, 2, 3), mode="strawman",
+             fault_policies={0: "premature"}),
+        "delivered_heavy",
+        "d6197365fd702a589f7591fc2c27afd608205fc150d3077703305bb8811e08c0",
+    ),
+    (
+        "strawman_fake_absent",
+        dict(seed=17, pool_size=6, n=4, l=1, t=2, selection_override=(0, 1, 2, 3), mode="strawman",
+             fault_policies={1: "fake", 2: "absent"}),
+        "delivered_heavy",
+        "0fc276088e2888d668d13944d21fa255f76c99acc4967cc9d92ae5576f85b1ef",
+    ),
+    (
+        "strawman_failed",
+        dict(seed=18, pool_size=5, n=4, l=1, t=3, selection_override=(0, 1, 2, 3), mode="strawman",
+             fault_policies={1: "fake", 2: "withhold_light"}),
+        "failed",
+        "da87eb09b3defb663d81cb5896fe710457b9629bb1b83f3bbc3cf03c29d7788c",
+    ),
+    (
+        "strawman_offline_slow",
+        dict(seed=19, pool_size=5, n=4, l=1, t=2, selection_override=(0, 1, 2, 3), mode="strawman",
+             availability=0.8, epoch_ticks=2),
+        "delivered_heavy",
+        "b43b77fe5e6721dfd63a0081bca9206f2e1a421abf718dd444174b51a9f8e2bd",
+    ),
+    (
+        "strawman_no_withdraw",
+        dict(seed=20, pool_size=5, n=4, l=1, t=2, selection_override=(0, 1, 2, 3), mode="strawman",
+             withdraw_at_end=False),
+        "delivered_heavy",
+        "e14062becfc1d60c272957f869db2021e91b14dbaeea624b1771de35795d4d51",
     ),
     (
         "lossy_light",
