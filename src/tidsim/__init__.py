@@ -24,7 +24,6 @@ from .adversary import (
     adversary_view,
     inject_fault,
     run_bribery,
-    run_sybil,
     sybil_capture_trials,
 )
 from .crypto import (
@@ -77,7 +76,6 @@ __all__ = [
     "recover_signer",
     "run_bribery",
     "run_scenario",
-    "run_sybil",
     "sign",
     "ss_restore",
     "ss_split",

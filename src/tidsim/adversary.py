@@ -6,14 +6,13 @@ a key only for strictly more than the deposit it forfeits when the sale is
 reported. Where the group size permits, targets are chosen with disjoint
 holder windows, so a successful run buys exactly t*l keys.
 
-Sybil runs reuse the sender's real selection and layer-assignment logic: a
-share is captured only when all l of its holders are adversary accounts.
+Sybil trials model the sender's uniform selection and cyclic layer windows:
+a share is captured only when all l of its holders are adversary accounts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from random import Random
 from typing import Optional
 
 import numpy as np
@@ -158,29 +157,6 @@ def blind_bribery_trials(
                 break
         counts[trial] = purchases
     return counts
-
-
-def run_sybil(config: ScenarioConfig, x: int, seed: Optional[int] = None) -> AttackOutcome:
-    """Register x sybil couriers next to the configured pool and count how
-    many shares land entirely on adversary accounts."""
-    if x < 0:
-        raise ConfigError("sybil count must be non-negative")
-    v = config.pool_size
-    rng = Random(config.seed if seed is None else seed)
-    pool = v + x
-    selected = rng.sample(range(pool), config.n)
-    adversarial = [i >= v for i in selected]  # sybils occupy indices v..v+x-1
-    captured = 0
-    for i in range(config.n):
-        if all(adversarial[(i + j) % config.n] for j in range(config.l)):
-            captured += 1
-    return AttackOutcome(
-        shares_obtained=captured,
-        key_recovered=captured >= config.t,
-        total_spent=x * config.deposit_wei,
-        deposits_forfeited=0,
-        trace={"x": x, "v": v, "p_m": x / pool if pool else 0.0},
-    )
 
 
 def sybil_capture_trials(

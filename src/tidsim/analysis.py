@@ -168,10 +168,6 @@ class CostBreakdown:
         return out
 
 
-def _empty_rows():
-    return {}
-
-
 def _add_row(rows, fn, units, gas, usd_exact, usd_quoted):
     row = rows.setdefault(
         fn, {"calls": 0, "units": 0, "gas": 0, "usd_exact": Fraction(0), "usd_quoted": Fraction(0)}
@@ -209,7 +205,7 @@ def cost_report(
 def _cost_from_trace(trace, schedule: GasSchedule) -> CostBreakdown:
     receipts = trace.receipts if hasattr(trace, "receipts") else trace
     mode = getattr(trace, "mode", "trace")
-    rows = _empty_rows()
+    rows = {}
     for receipt in receipts:
         fn = receipt["function"]
         units = receipt.get("units", 1)
@@ -240,7 +236,7 @@ def _cost_from_trace(trace, schedule: GasSchedule) -> CostBreakdown:
 
 
 def _cost_from_mode(mode: str, n: int, schedule: GasSchedule) -> CostBreakdown:
-    rows = _empty_rows()
+    rows = {}
 
     def add(fn, units=1, calls=1):
         for _ in range(calls):

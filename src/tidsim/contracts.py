@@ -4,9 +4,10 @@ Three contracts drive a delivery service: the agent (registry, services,
 deposits, settlement), the switch (a single function that deploys the
 supplementary contract at a predictable address), and the supplementary
 contract (reports, identity and key reveals, the heavyweight enforcement
-surface). A fourth, self-contained strawman contract implements the naive
-protocol that names its mailmen on-chain at setup; it exists for cost and
-leakage comparison runs.
+surface). A strawman contract implements the naive protocol that names its
+mailmen on-chain at setup; it exists for cost and leakage comparison runs.
+The agent and the strawman share one courier registry base: registration,
+deposits, claimable balances, remuneration payout and withdrawals.
 
 Epoch state lives in each service record and may only move along
 EPOCH_GRAPH. Transitions come from transactions (a receipt in epoch 1 jumps
@@ -72,7 +73,71 @@ def _scalar_hex(privkey: int) -> str:
     return privkey.to_bytes(32, "big").hex()
 
 
-class AgentContract(Contract):
+class RegistryContract(Contract):
+    """Courier registry, claimable balances, payout and withdrawals.
+
+    A subclass's state holds "min_deposit", "mailmen", "services" and
+    "claimable"; each service record holds "sender", "n", "remuneration",
+    "shares_paid" and "settled".
+    """
+
+    def fn_newMailman(self, ctx: TxContext, channel_pub: bytes, timeframe_pubkeys: Optional[dict] = None) -> dict:
+        """Escrow the deposit and record the courier; the timeframe pubkeys
+        every courier sends are kept only by the agent."""
+        caller = ctx.caller.hex()
+        if caller in self.state["mailmen"]:
+            raise ContractRevert("mailman already registered")
+        if ctx.value < self.state["min_deposit"]:
+            raise ContractRevert("deposit below minimum")
+        record = {"channel_pub": channel_pub.hex(), "deposit": ctx.value, "status": MAILMAN_ACTIVE}
+        self.state["mailmen"][caller] = record
+        return record
+
+    def registered_mailmen(self) -> list[str]:
+        return [a for a, m in self.state["mailmen"].items() if m["status"] == MAILMAN_ACTIVE]
+
+    def _require_mailman(self, caller: bytes) -> dict:
+        record = self.state["mailmen"].get(caller.hex())
+        if record is None:
+            raise ContractRevert("caller is not a registered mailman")
+        return record
+
+    def service(self, sid: str) -> dict:
+        svc = self.state["services"].get(sid)
+        if svc is None:
+            raise ContractRevert("unknown service")
+        return svc
+
+    def _credit(self, address: str, amount: int):
+        if amount:
+            self.state["claimable"][address] = self.state["claimable"].get(address, 0) + amount
+
+    def _pay_shares(self, svc: dict, mailmen):
+        """One remuneration share to each distinct unslashed mailman listed,
+        the rest to the sender; a failed service is `_pay_shares(svc, [])`."""
+        share = svc["remuneration"] // svc["n"]
+        paid = sorted({m for m in mailmen if self.state["mailmen"][m]["status"] != MAILMAN_SLASHED})
+        for mailman in paid:
+            self._credit(mailman, share)
+            svc["shares_paid"].append(mailman)
+        self._credit(svc["sender"], svc["remuneration"] - share * len(paid))
+
+    def fn_withdraw(self, ctx: TxContext) -> int:
+        if any(not svc["settled"] for svc in self.state["services"].values()):
+            raise ContractRevert("withdrawals open after settlement")
+        caller = ctx.caller.hex()
+        payout = self.state["claimable"].pop(caller, 0)
+        record = self.state["mailmen"].get(caller)
+        if record is not None and record["status"] == MAILMAN_ACTIVE:
+            payout += record["deposit"]
+            record["status"] = MAILMAN_WITHDRAWN
+        if payout <= 0:
+            raise ContractRevert("nothing to withdraw")
+        ctx.pay_out(ctx.caller, payout)
+        return payout
+
+
+class AgentContract(RegistryContract):
     """Marketplace registry plus per-service lifecycle and settlement."""
 
     code_id = "agent"
@@ -91,27 +156,9 @@ class AgentContract(Contract):
     # -- registry ------------------------------------------------------------
 
     def fn_newMailman(self, ctx: TxContext, channel_pub: bytes, timeframe_pubkeys: dict):
-        caller = ctx.caller.hex()
-        if caller in self.state["mailmen"]:
-            raise ContractRevert("mailman already registered")
-        if ctx.value < self.state["min_deposit"]:
-            raise ContractRevert("deposit below minimum")
-        self.state["mailmen"][caller] = {
-            "channel_pub": channel_pub.hex(),
-            "timeframe_pubkeys": {str(t): pk.hex() for t, pk in timeframe_pubkeys.items()},
-            "deposit": ctx.value,
-            "status": MAILMAN_ACTIVE,
-        }
+        record = super().fn_newMailman(ctx, channel_pub)
+        record["timeframe_pubkeys"] = {str(t): pk.hex() for t, pk in timeframe_pubkeys.items()}
         ctx.emit("MailmanRegistered", mailman=ctx.caller, deposit=ctx.value)
-
-    def registered_mailmen(self) -> list[str]:
-        return [a for a, m in self.state["mailmen"].items() if m["status"] == MAILMAN_ACTIVE]
-
-    def _require_mailman(self, caller: bytes) -> dict:
-        record = self.state["mailmen"].get(caller.hex())
-        if record is None:
-            raise ContractRevert("caller is not a registered mailman")
-        return record
 
     # -- services --------------------------------------------------------------
 
@@ -173,12 +220,6 @@ class AgentContract(Contract):
         switch.state["service_id"] = sid
         ctx.emit("ServiceCreated", service=sid, l=l, t=t, n=n, timeframe=timeframe_tick)
         return sid
-
-    def service(self, sid: str) -> dict:
-        svc = self.state["services"].get(sid)
-        if svc is None:
-            raise ContractRevert("unknown service")
-        return svc
 
     # -- epoch machine ---------------------------------------------------------
 
@@ -273,20 +314,12 @@ class AgentContract(Contract):
             raise ContractRevert("agreement not countersigned by the service sender")
         return mailman_addr.hex(), record
 
-    def fn_withdraw(self, ctx: TxContext):
-        if any(not svc["settled"] for svc in self.state["services"].values()):
-            raise ContractRevert("withdrawals open after settlement")
+    def fn_withdraw(self, ctx: TxContext) -> int:
+        # shares of lightweight deliveries are claimed lazily, here
         caller = ctx.caller.hex()
-        payout = self.state["claimable"].pop(caller, 0)
-        record = self.state["mailmen"].get(caller)
-        if record is not None and record["status"] == MAILMAN_ACTIVE:
-            payout += record["deposit"]
-            record["status"] = MAILMAN_WITHDRAWN
         for svc in self.state["services"].values():
-            payout += self._claim_remuneration_share(svc, caller)
-        if payout <= 0:
-            raise ContractRevert("nothing to withdraw")
-        ctx.pay_out(ctx.caller, payout)
+            self._credit(caller, self._claim_remuneration_share(svc, caller))
+        payout = super().fn_withdraw(ctx)
         ctx.emit("Withdrawal", who=ctx.caller, amount=payout)
         return payout
 
@@ -353,10 +386,6 @@ class AgentContract(Contract):
             }
         )
 
-    def _credit(self, address: str, amount: int):
-        if amount:
-            self.state["claimable"][address] = self.state["claimable"].get(address, 0) + amount
-
     def _settle(self, svc: dict):
         if svc["settled"]:
             return
@@ -364,24 +393,14 @@ class AgentContract(Contract):
         sup = self.ledger.contracts.get(sup_addr)
         if isinstance(sup, SupplementaryContract):
             sup.finalize_into_agent(self, svc)
-        rem = svc["remuneration"]
         if svc["status"] == STATUS_FAILED:
-            self._credit(svc["sender"], rem)
+            self._pay_shares(svc, [])
         elif svc["status"] == STATUS_DELIVERED_HEAVY:
-            share = rem // svc["n"]
-            eligible = [
-                m
-                for m in svc["identities"].values()
-                if self.state["mailmen"].get(m, {}).get("status") != MAILMAN_SLASHED
-            ]
-            for mailman in sorted(set(eligible)):
-                self._credit(mailman, share)
-                svc["shares_paid"].append(mailman)
-            self._credit(svc["sender"], rem - share * len(set(eligible)))
+            self._pay_shares(svc, svc["identities"].values())
         elif svc["status"] == STATUS_DELIVERED_LIGHT:
             # shares are claimed lazily as agreements are proven; the sender
             # gets the integer-division dust now
-            self._credit(svc["sender"], rem - (rem // svc["n"]) * svc["n"])
+            self._credit(svc["sender"], svc["remuneration"] % svc["n"])
         svc["settled"] = True
 
     def timeframe_pubkey(self, mailman: str, tick: int) -> Optional[str]:
@@ -626,7 +645,7 @@ class SupplementaryContract(Contract):
         self.state["finalized"] = True
 
 
-class StrawmanContract(Contract):
+class StrawmanContract(RegistryContract):
     """The naive protocol: mailman addresses and share hashes go on-chain at
     setup, every mailman reveals its share on-chain at delivery time."""
 
@@ -646,18 +665,6 @@ class StrawmanContract(Contract):
         if fn == FN_STRAWMAN_NEW_SERVICE:
             return max(len(args.get("mailman_commitments", [])), 1)
         return 1
-
-    def fn_newMailman(self, ctx: TxContext, channel_pub: bytes, timeframe_pubkeys: Optional[dict] = None):
-        caller = ctx.caller.hex()
-        if caller in self.state["mailmen"]:
-            raise ContractRevert("mailman already registered")
-        if ctx.value < self.state["min_deposit"]:
-            raise ContractRevert("deposit below minimum")
-        self.state["mailmen"][caller] = {
-            "channel_pub": channel_pub.hex(),
-            "deposit": ctx.value,
-            "status": MAILMAN_ACTIVE,
-        }
 
     def fn_strawmanNewService(
         self,
@@ -698,16 +705,9 @@ class StrawmanContract(Contract):
         }
         return sid
 
-    def _service(self, sid: str) -> dict:
-        svc = self.state["services"].get(sid)
-        if svc is None:
-            raise ContractRevert("unknown service")
-        return svc
-
     def fn_strawmanReportPremature(self, ctx: TxContext, sid: str, share: bytes):
-        svc = self._service(sid)
-        if ctx.caller.hex() not in self.state["mailmen"]:
-            raise ContractRevert("caller is not a registered mailman")
+        svc = self.service(sid)
+        self._require_mailman(ctx.caller)
         if ctx.tick >= svc["timeframe_tick"]:
             raise ContractRevert("premature reports precede the time frame")
         digest = hash256(share).hex()
@@ -742,7 +742,7 @@ class StrawmanContract(Contract):
         ctx.emit("PrematureReported", index=int(accused_index), accused=accused)
 
     def fn_strawmanRevealShare(self, ctx: TxContext, sid: str, share: bytes):
-        svc = self._service(sid)
+        svc = self.service(sid)
         if ctx.tick < svc["timeframe_tick"]:
             raise ContractRevert("shares are revealed during the time frame")
         if svc["status"] != STATUS_PENDING:
@@ -759,7 +759,7 @@ class StrawmanContract(Contract):
         raise ContractRevert("share does not match any commitment")
 
     def fn_strawmanRevealReceipt(self, ctx: TxContext, sid: str, receipt: bytes):
-        svc = self._service(sid)
+        svc = self.service(sid)
         if ctx.caller.hex() != svc["recipient"]:
             raise ContractRevert("only the recipient reveals the receipt")
         if svc["status"] != STATUS_PENDING:
@@ -777,39 +777,9 @@ class StrawmanContract(Contract):
                 self._settle(svc)
 
     def _settle(self, svc: dict):
-        rem = svc["remuneration"]
         if svc["status"] == STATUS_FAILED:
-            self._credit(svc["sender"], rem)
+            self._pay_shares(svc, [])
         else:
-            share = rem // svc["n"]
-            eligible = sorted(
-                {
-                    entry["mailman"]
-                    for index, entry in svc["entries"].items()
-                    if index in svc["revealed_shares"]
-                    and self.state["mailmen"][entry["mailman"]]["status"] != MAILMAN_SLASHED
-                }
-            )
-            for mailman in eligible:
-                self._credit(mailman, share)
-                svc["shares_paid"].append(mailman)
-            self._credit(svc["sender"], rem - share * len(eligible))
+            revealed = svc["revealed_shares"]
+            self._pay_shares(svc, [e["mailman"] for i, e in svc["entries"].items() if i in revealed])
         svc["settled"] = True
-
-    def _credit(self, address: str, amount: int):
-        if amount:
-            self.state["claimable"][address] = self.state["claimable"].get(address, 0) + amount
-
-    def fn_withdraw(self, ctx: TxContext):
-        if any(not svc["settled"] for svc in self.state["services"].values()):
-            raise ContractRevert("withdrawals open after settlement")
-        caller = ctx.caller.hex()
-        payout = self.state["claimable"].pop(caller, 0)
-        record = self.state["mailmen"].get(caller)
-        if record is not None and record["status"] == MAILMAN_ACTIVE:
-            payout += record["deposit"]
-            record["status"] = MAILMAN_WITHDRAWN
-        if payout <= 0:
-            raise ContractRevert("nothing to withdraw")
-        ctx.pay_out(ctx.caller, payout)
-        return payout

@@ -38,6 +38,7 @@ from .channels import BROADCAST, MessageBus
 from .contracts import (
     AgentContract,
     MAILMAN_ACTIVE,
+    RegistryContract,
     STATUS_DELIVERED_LIGHT,
     StrawmanContract,
 )
@@ -248,6 +249,7 @@ class ScenarioRunner:
         self.bus = MessageBus(drop_prob=config.drop_prob, rng=self.rng)
         self.agent: Optional[AgentContract] = None
         self.strawman: Optional[StrawmanContract] = None
+        self.registry: Optional[RegistryContract] = None  # whichever of the two is deployed
         self.operator = None
         self.sender: Optional[SenderActor] = None
         self.recipient: Optional[RecipientActor] = None
@@ -292,7 +294,7 @@ class ScenarioRunner:
             self.ledger.fund(kp.address, fund)
         self.bus.register_channel_key(sender_kp.address, sender_channel.pubkey)
 
-        registry = self.agent if self.agent is not None else self.strawman
+        self.registry = registry = self.agent if self.agent is not None else self.strawman
         for i in range(cfg.pool_size):
             mailman = MailmanActor(
                 keypair=keypair_gen(self.rng),
@@ -343,7 +345,7 @@ class ScenarioRunner:
         return self.rng.random() < self.config.availability
 
     def _service(self) -> dict:
-        return self.agent.state["services"][self.sender.service_id]
+        return self.registry.state["services"][self.sender.service_id]
 
     def _recruited(self) -> list[MailmanActor]:
         return self.sender.selected
@@ -380,14 +382,20 @@ class ScenarioRunner:
     def run(self) -> ScenarioTrace:
         self.build_marketplace()
         if self.config.mode == MODE_STRAWMAN:
-            return self._run_strawman()
-        return self._run_silent()
+            self._run_strawman()
+        else:
+            self._run_silent()
+        pre_state = self.ledger.onchain_state(include_callers=False)
+        pre_digest = self.ledger.state_digest(include_callers=False)
+        if self.config.withdraw_at_end:
+            self._settlement_phase()
+        self.ledger.audit()
+        return self._build_trace(pre_state, pre_digest)
 
-    def _run_silent(self) -> ScenarioTrace:
+    def _run_silent(self):
         cfg = self.config
-        override = list(cfg.selection_override) if cfg.selection_override is not None else None
         self.sender.setup()
-        self.sender.recruit(self.pool, override)
+        self.sender.recruit(self.pool, cfg.selection_override)
         self._deliver_recruitment_messages()
 
         # pending phase: deliberate disclosures, observation, mode switch
@@ -416,13 +424,6 @@ class ScenarioRunner:
             if svc["epoch"] == epoch:
                 self.ledger.advance_time(self.ledger.tick + cfg.epoch_ticks)
             self.ledger.audit()
-
-        pre_state = self.ledger.onchain_state(include_callers=False)
-        pre_digest = self.ledger.state_digest(include_callers=False)
-        if cfg.withdraw_at_end:
-            self._settlement_phase()
-        self.ledger.audit()
-        return self._build_trace(pre_state, pre_digest)
 
     def _deliver_recruitment_messages(self):
         """Bundle/onion/package fan-out, including the resend path."""
@@ -612,17 +613,17 @@ class ScenarioRunner:
     # -- settlement --------------------------------------------------------------
 
     def _settlement_phase(self):
+        registry = self.registry
         svc = self._service()
-        recruited = self._recruited()
         if svc["status"] == STATUS_DELIVERED_LIGHT:
             self._prove_agreements_after_light_delivery()
-        for mailman in recruited:
-            record = self.agent.state["mailmen"][mailman.address.hex()]
-            claim = self.agent.state["claimable"].get(mailman.address.hex(), 0)
+        for mailman in self._recruited():
+            record = registry.state["mailmen"][mailman.address.hex()]
+            claim = registry.state["claimable"].get(mailman.address.hex(), 0)
             if record["status"] == MAILMAN_ACTIVE or claim > 0 or self._light_share_due(svc, mailman):
-                self.ledger.submit_tx(mailman.address, self.agent.address, FN_WITHDRAW)
-        if self.agent.state["claimable"].get(self.sender.address.hex(), 0) > 0:
-            self.ledger.submit_tx(self.sender.address, self.agent.address, FN_WITHDRAW)
+                self.ledger.submit_tx(mailman.address, registry.address, FN_WITHDRAW)
+        if registry.state["claimable"].get(self.sender.address.hex(), 0) > 0:
+            self.ledger.submit_tx(self.sender.address, registry.address, FN_WITHDRAW)
 
     def _light_share_due(self, svc: dict, mailman: MailmanActor) -> bool:
         return (
@@ -668,14 +669,12 @@ class ScenarioRunner:
 
     # -- strawman ------------------------------------------------------------------
 
-    def _run_strawman(self) -> ScenarioTrace:
+    def _run_strawman(self):
         cfg = self.config
         sender = self.sender
         sender.key = new_secret_key(self.rng)
         sender.receipt_secret = new_secret_key(self.rng)
-        drawn = self.rng.sample(range(cfg.pool_size), cfg.n)
-        chosen = list(cfg.selection_override) if cfg.selection_override is not None else drawn
-        sender.selected = [self.pool[i] for i in chosen]
+        sender.selected = sender.select_mailmen(self.pool, cfg.selection_override)
         shares = ss_split(sender.key, cfg.t, cfg.n, self.rng)
         sender.shares = shares
         commitments = [
@@ -695,25 +694,26 @@ class ScenarioRunner:
             },
             value=cfg.remuneration_wei,
         )
-        sid = next(iter(self.strawman.state["services"]))
+        sid = sender.service_id = next(iter(self.strawman.state["services"]))
         for i, mailman in enumerate(sender.selected):
             self.bus.send_private(sender.address, mailman.address, b"SHR" + shares[i].to_bytes())
         ct = sym_encrypt(sender.key, encode_parts(sender.info, sender.receipt_secret), self.rng)
         self.bus.send_private(sender.address, self.recipient.address, TAG_PACKAGE + encode_parts(ct))
         self.bus.deliver_pending(self.ledger.tick)
+        # a courier whose share was lost acts as absent throughout
         held: dict[bytes, Share] = {}
         for mailman in sender.selected:
             for msg in self.bus.recv(mailman.address):
                 if msg.payload[:3] == b"SHR":
                     held[mailman.address] = Share.from_bytes(msg.payload[3:])
-        recipient_ct = b""
+        recipient_ct = None
         for msg in self.bus.recv(self.recipient.address):
             if tag_of(msg.payload) == TAG_PACKAGE:
                 recipient_ct = body_of(msg.payload)[0]
 
         # pending phase: premature shares are broadcast and reported
         self.ledger.advance_time(cfg.timeframe_tick - 2)
-        disclosers = [m for m in sender.selected if m.policy == POLICY_PREMATURE]
+        disclosers = [m for m in sender.selected if m.policy == POLICY_PREMATURE and m.address in held]
         if disclosers:
             for mailman in disclosers:
                 self.bus.broadcast(mailman.address, TOPIC, b"SHR" + held[mailman.address].to_bytes())
@@ -736,21 +736,20 @@ class ScenarioRunner:
         for mailman in sender.selected:
             if mailman.policy in (POLICY_ABSENT, POLICY_PREMATURE, POLICY_WITHHOLD_LIGHT):
                 continue
-            if not self._available():
+            if not self._available() or mailman.address not in held:
                 continue
-            share = held[mailman.address]
             if mailman.policy == POLICY_FAKE:
                 continue  # a fake share fails the hash check; modeled as absence
             self.ledger.submit_tx(
                 mailman.address,
                 self.strawman.address,
                 FN_STRAWMAN_REVEAL_SHARE,
-                {"sid": sid, "share": share.to_bytes()},
+                {"sid": sid, "share": held[mailman.address].to_bytes()},
             )
-        svc = self.strawman.state["services"][sid]
-        revealed = [Share.from_bytes(bytes.fromhex(s)) for s in svc["revealed_shares"].values()]
+        revealed = [Share.from_bytes(bytes.fromhex(s)) for s in self._service()["revealed_shares"].values()]
         self.shares_heavy = len(revealed)
-        if len(revealed) >= cfg.t:
+        # a recipient that never received the package cannot restore
+        if len(revealed) >= cfg.t and recipient_ct is not None:
             key = ss_restore(revealed, cfg.t)
             fields = decode_parts(sym_decrypt(key, recipient_ct))
             self.recipient.info = fields[0]
@@ -765,35 +764,13 @@ class ScenarioRunner:
         self.ledger.advance_time(cfg.timeframe_tick + 2 * cfg.epoch_ticks)
         self.ledger.audit()
 
-        pre_state = self.ledger.onchain_state(include_callers=False)
-        pre_digest = self.ledger.state_digest(include_callers=False)
-        if cfg.withdraw_at_end:
-            for mailman in sender.selected:
-                record = self.strawman.state["mailmen"][mailman.address.hex()]
-                claim = self.strawman.state["claimable"].get(mailman.address.hex(), 0)
-                if record["status"] == MAILMAN_ACTIVE or claim > 0:
-                    self.ledger.submit_tx(mailman.address, self.strawman.address, FN_WITHDRAW)
-            if self.strawman.state["claimable"].get(sender.address.hex(), 0) > 0:
-                self.ledger.submit_tx(sender.address, self.strawman.address, FN_WITHDRAW)
-        self.ledger.audit()
-        return self._build_trace(pre_state, pre_digest, strawman_sid=sid)
-
     # -- trace --------------------------------------------------------------------
 
-    def _build_trace(self, pre_state, pre_digest, strawman_sid=None) -> ScenarioTrace:
+    def _build_trace(self, pre_state, pre_digest) -> ScenarioTrace:
         cfg = self.config
-        if cfg.mode == MODE_SILENT:
-            svc = self._service()
-            status = svc["status"]
-            epochs = [e for _, e in svc["epoch_history"]]
-            slashes = svc["slashes"]
-            service_fns = SERVICE_FUNCTIONS
-        else:
-            svc = self.strawman.state["services"][strawman_sid]
-            status = svc["status"]
-            epochs = []
-            slashes = svc["slashes"]
-            service_fns = STRAWMAN_SERVICE_FUNCTIONS
+        svc = self._service()
+        # a run calls one registry's functions only, so the union counts one set
+        service_fns = SERVICE_FUNCTIONS | STRAWMAN_SERVICE_FUNCTIONS
 
         selected = [self.pool.index(m) for m in self.sender.selected]
         roles = {"sender": self.sender.address.hex(), "recipient": self.recipient.address.hex()}
@@ -813,11 +790,11 @@ class ScenarioRunner:
         return ScenarioTrace(
             config=cfg.to_dict(),
             mode=cfg.mode,
-            status=status,
-            epoch_sequence=epochs,
+            status=svc["status"],
+            epoch_sequence=[e for _, e in svc.get("epoch_history", [])],
             receipts=[r.to_record() for r in self.ledger.receipts],
             messages=self.bus.meta_records(),
-            slashes=slashes,
+            slashes=svc["slashes"],
             selected=selected,
             selected_addresses=[m.address.hex() for m in self.sender.selected],
             balances=balances,

@@ -293,6 +293,19 @@ class TestStrawmanRuns:
         assert slash["compensation"] == cfg.deposit_wei - cfg.deposit_wei // 2
         assert slash["burned"] == 0
 
+    @pytest.mark.parametrize("drop_prob", [0.1, 0.3])
+    def test_lossy_runs_terminate(self, drop_prob):
+        # a courier whose share is lost acts as absent, and a recipient whose
+        # package is lost cannot restore; neither may crash the run
+        for seed in range(40):
+            cfg = ScenarioConfig(seed=seed, pool_size=6, n=4, l=1, t=2, mode=MODE_STRAWMAN, drop_prob=drop_prob)
+            runner = ScenarioRunner(cfg)
+            trace = runner.run()
+            assert trace.status in ("delivered_heavy", "failed")
+            runner.ledger.audit()
+            svc = runner.strawman.state["services"][runner.sender.service_id]
+            assert bool(svc["shares_paid"]) == (trace.status == "delivered_heavy")
+
 
 class TestSecrecy:
     def test_lightweight_onchain_state_selection_independent(self):

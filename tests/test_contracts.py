@@ -6,6 +6,7 @@ from random import Random
 import pytest
 
 from tidsim.contracts import (
+    AgentContract,
     MAILMAN_SLASHED,
     STATUS_DELIVERED_HEAVY,
     STATUS_DELIVERED_LIGHT,
@@ -674,3 +675,68 @@ class TestStrawman:
         withdrawal = world.ledger.submit_tx(world.mailmen[0].address, contract.address, FN_WITHDRAW)
         assert withdrawal.success
         world.ledger.audit()
+
+
+class TestSharedRegistry:
+    """Registration and withdrawal rules both contracts take from one base."""
+
+    @pytest.fixture(params=[AgentContract, StrawmanContract], ids=["agent", "strawman"])
+    def registry(self, request, world):
+        # the world's four mailmen are registered and one service is open
+        if request.param is AgentContract:
+            open_service(world)
+            return world.agent
+        contract, _, _ = TestStrawman()._setup(world)
+        return contract
+
+    def _register(self, world, registry, party, value):
+        pubkey = party.timeframe_keys[world.timeframe_tick].pubkey
+        return world.ledger.submit_tx(
+            party.address,
+            registry.address,
+            FN_NEW_MAILMAN,
+            {"channel_pub": party.channel.pubkey, "timeframe_pubkeys": {world.timeframe_tick: pubkey}},
+            value=value,
+        )
+
+    def _withdraw(self, world, registry, party):
+        return world.ledger.submit_tx(party.address, registry.address, FN_WITHDRAW)
+
+    def test_duplicate_registration_reverts(self, world, registry):
+        receipt = self._register(world, registry, world.mailmen[0], world.deposit)
+        assert not receipt.success
+        assert receipt.error == "mailman already registered"
+
+    def test_deposit_below_minimum_reverts(self, world, registry):
+        receipt = self._register(world, registry, world.recipient, world.deposit - 1)
+        assert not receipt.success
+        assert receipt.error == "deposit below minimum"
+
+    def test_withdrawal_before_settlement_reverts(self, world, registry):
+        receipt = self._withdraw(world, registry, world.mailmen[0])
+        assert not receipt.success
+        assert receipt.error == "withdrawals open after settlement"
+
+    def test_second_withdrawal_reverts(self, world, registry):
+        world.ledger.advance_time(world.timeframe_tick + 3)
+        balance = world.ledger.balance(world.mailmen[0].address)
+        assert self._withdraw(world, registry, world.mailmen[0]).success
+        assert world.ledger.balance(world.mailmen[0].address) > balance
+        second = self._withdraw(world, registry, world.mailmen[0])
+        assert not second.success
+        assert second.error == "nothing to withdraw"
+        world.ledger.audit()
+
+    def test_only_agent_keeps_timeframe_keys_and_emits_events(self, world, registry):
+        is_agent = isinstance(registry, AgentContract)
+        for m in world.mailmen:
+            assert ("timeframe_pubkeys" in registry.state["mailmen"][m.address.hex()]) == is_agent
+        world.ledger.advance_time(world.timeframe_tick + 3)
+        assert self._withdraw(world, registry, world.mailmen[0]).success
+        events = [
+            e["event"]
+            for r in world.ledger.receipts
+            if r.target == registry.address and r.function in (FN_NEW_MAILMAN, FN_WITHDRAW)
+            for e in r.events
+        ]
+        assert events == (["MailmanRegistered"] * 4 + ["Withdrawal"] if is_agent else [])
