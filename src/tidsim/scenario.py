@@ -146,6 +146,11 @@ class ScenarioConfig:
                 raise ConfigError("selection_override names unknown mailmen")
         if self.deposit_wei <= 0 or self.remuneration_wei <= 0:
             raise ConfigError("deposit and remuneration must be positive")
+        if self.min_deposit_wei is not None and self.min_deposit_wei > self.deposit_wei:
+            raise ConfigError(
+                f"min_deposit_wei {self.min_deposit_wei} exceeds deposit_wei {self.deposit_wei}: "
+                "no mailman could register"
+            )
         return self
 
     def to_dict(self) -> dict:

@@ -25,6 +25,7 @@ from tidsim.contracts import sup_auth_digest
 from tidsim.ledger import EPOCH_GRAPH, SERVICE_FUNCTIONS
 from tidsim.scenario import (
     ConfigError,
+    MODE_SILENT,
     MODE_STRAWMAN,
     ScenarioConfig,
     ScenarioRunner,
@@ -71,6 +72,17 @@ class TestSetupAndSelection:
     def test_pool_too_small(self):
         with pytest.raises(ConfigError):
             ScenarioConfig(seed=1, pool_size=3, l=2, t=2, n=4).validate()
+
+    @pytest.mark.parametrize("mode", [MODE_SILENT, MODE_STRAWMAN])
+    def test_minimum_deposit_above_deposit_rejected(self, mode):
+        # every registration would revert, and the run would then crash
+        cfg = ScenarioConfig(seed=1, pool_size=5, n=4, l=2, t=2, min_deposit_wei=2 * 10**18, mode=mode)
+        with pytest.raises(ConfigError, match="min_deposit_wei"):
+            cfg.validate()
+        with pytest.raises(ConfigError, match="min_deposit_wei"):
+            run_scenario(cfg)
+        equal = ScenarioConfig(seed=1, pool_size=5, n=4, l=2, t=2, min_deposit_wei=10**18, mode=mode)
+        assert run_scenario(equal).status.startswith("delivered")
 
 
 class TestRecruitment:

@@ -81,6 +81,16 @@ class TestRun:
         assert err.startswith("error: pool exhausted")
         assert "Traceback" not in err
 
+    def test_unregistrable_pool_exits_without_traceback(self, tmp_path, capsys):
+        cfg = tmp_path / "min_deposit.json"
+        cfg.write_text(
+            json.dumps({"seed": 1, "pool_size": 5, "n": 4, "l": 2, "t": 2, "min_deposit_wei": 2 * 10**18})
+        )
+        assert main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: min_deposit_wei")
+        assert "Traceback" not in err
+
     def test_json_syntax_error_carries_line(self, tmp_path, capsys):
         cfg = tmp_path / "syntax.json"
         cfg.write_text("{\n  broken\n}")

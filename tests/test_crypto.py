@@ -21,16 +21,20 @@ from tidsim.crypto import (
     Signature,
     SMALL_TEST_PRIME,
     VerificationError,
+    _BETA,
     _GX,
     _GY,
+    _LAMBDA,
     _N,
     _P,
     _BASE_TABLE,
+    _glv_split,
     _jadd,
     _jadd_affine,
     _jdouble,
     _jmul,
     _jmul_base,
+    _odd_multiples,
     _to_affine,
     address_of_pubkey,
     ecies_decrypt,
@@ -472,6 +476,49 @@ class TestScalarKernel:
     def test_wnaf_matches_double_and_add(self, k, base):
         point = (*_to_affine(_jmul_base(base)), 1)
         assert _to_affine(_jmul(k, point)) == _to_affine(reference_mul(k, point))
+
+    @given(base=scalars)
+    @settings(max_examples=20, deadline=None)
+    def test_endomorphism_is_multiplication_by_lambda(self, base):
+        x, y = _to_affine(_jmul_base(base))
+        assert _to_affine(reference_mul(_LAMBDA, (x, y, 1))) == (_BETA * x % _P, y)
+
+    @pytest.mark.parametrize("k", EDGE_SCALARS)
+    def test_glv_split_on_edge_scalars(self, k):
+        k1, k2 = _glv_split(k)
+        assert (k1 + k2 * _LAMBDA - k) % _N == 0
+        assert abs(k1) < 2**129 and abs(k2) < 2**129
+
+    @given(k=scalars)
+    @settings(max_examples=200, deadline=None)
+    def test_glv_split(self, k):
+        k1, k2 = _glv_split(k)
+        assert (k1 + k2 * _LAMBDA - k) % _N == 0
+        assert abs(k1) < 2**129 and abs(k2) < 2**129
+
+    @pytest.mark.parametrize(
+        "k", [_LAMBDA, _N - _LAMBDA, 2 * _LAMBDA, 3 * _LAMBDA % _N, _LAMBDA * _LAMBDA % _N, _LAMBDA + 1]
+    )
+    def test_glv_mult_on_multiples_of_lambda(self, k):
+        x, y = _to_affine(_jmul_base(0xC0FFEE))
+        z = 0xBEEF
+        for point in [(x, y, 1), (x * z * z % _P, y * z * z * z % _P, z)]:
+            assert _to_affine(_jmul(k, point)) == _to_affine(reference_mul(k, point))
+
+    @given(k=scalars, base=scalars, z=st.integers(min_value=2, max_value=_P - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_glv_mult_on_jacobian_points(self, k, base, z):
+        x, y = _to_affine(_jmul_base(base))
+        point = (x * z * z % _P, y * z * z * z % _P, z)
+        assert _to_affine(_jmul(k, point)) == _to_affine(reference_mul(k, (x, y, 1)))
+
+    def test_cached_table_gives_the_same_product(self):
+        point = (*_to_affine(_jmul_base(0xFACADE)), 1)
+        first = _to_affine(_jmul(0xD15EA5E, point))
+        hits = _odd_multiples.cache_info().hits
+        assert _to_affine(_jmul(0xD15EA5E, point)) == first
+        assert _odd_multiples.cache_info().hits == hits + 1
+        assert first == _to_affine(reference_mul(0xD15EA5E, point))
 
     @pytest.mark.parametrize("k", BASE_EDGE_SCALARS)
     def test_signed_window_base_mult_on_edge_scalars(self, k):
