@@ -93,42 +93,78 @@ def body_of(payload: bytes) -> list[bytes]:
     return decode_parts(payload[3:])
 
 
-def peel_with_keys(onions: list[Onion], privkeys: list[bytes], memo: dict) -> dict[int, Share]:
+@dataclass
+class PeelMemo:
+    """What the trial peels of one service's onions have learned so far.
+
+    `tried` maps (layer payload, key) to the inner payload, or to None for a
+    key that does not open that layer, so no pair is decrypted twice.
+    `opener` maps a layer payload to the one key that opened it.
+    """
+
+    tried: dict[tuple[bytes, bytes], Optional[bytes]] = field(default_factory=dict)
+    opener: dict[bytes, bytes] = field(default_factory=dict)
+
+
+def peel_with_keys(onions: list[Onion], privkeys: list[bytes], memo: PeelMemo) -> dict[int, Share]:
     """Trial-decrypt onions layer by layer with every key on hand.
 
-    Each layer goes to the first key, in the given order, that opens it.
-    `memo` maps (layer payload, key) to the inner payload, or to None for a
-    key that does not open that layer; pass the same dict to every peel of
-    one service's onions so that no (layer, key) pair is tried twice.
-
     `onions` must be one service's onions as broadcast, each still wrapped
-    in all l layers. Each timeframe key then wraps one layer in each of
-    exactly l of them (`SenderActor.layer_holders`, and `validate()` keeps
-    l <= n), so a key that has opened l layers can open no other and is
+    in all l layers. `SenderActor.layer_holders` fixes a cyclic layout: the
+    layer with r layers left in onion k (0-based, broadcast order) is
+    wrapped by the holder at selection position k + r - 1 (mod n). So each
+    timeframe key wraps one layer in each of exactly l onions (`validate()`
+    keeps l <= n): the key that opened step j of onion k-1 opens step j+1
+    of onion k, and a key that has opened l layers can open no other and is
     retired from the trials.
+
+    For each layer the live keys are tried in this order:
+      1. the key `memo.opener` says opened it in an earlier peel;
+      2. the key that opened a layer at the same layout position in this call;
+      3. keys that have opened nothing yet in this call, in the given order;
+      4. the remaining live keys.
+    Pass the same `PeelMemo` to every peel of one service's onions: a layer
+    opened before then costs no decryption.
+
+    The order only decides how soon the opener is found, never which key
+    it is: a wrong key fails the AES-GCM tag, so exactly one usable scalar
+    opens each layer. A layout that does not hold (absent couriers, partial
+    key sets, reordered onions) only makes the hints miss, and the trial
+    falls through to every live key.
     """
     depth = max((onion.layers_remaining for onion in onions), default=0)
-    opened = dict.fromkeys(privkeys, 0)
-    live = list(opened)
+    opened = dict.fromkeys(privkeys, 0)  # layers opened in this call by each live key
+    at_position: dict[int, bytes] = {}
+
+    def candidates(payload: bytes, position: int):
+        for hint in (memo.opener.get(payload), at_position.get(position)):
+            if hint in opened:
+                yield hint
+        yield from [key for key, count in opened.items() if not count]
+        yield from [key for key, count in opened.items() if count]
+
     recovered: dict[int, Share] = {}
-    for onion in onions:
+    for k, onion in enumerate(onions):
         current = onion
         while current.layers_remaining:
-            for key in live:
+            position = (k + current.layers_remaining - 1) % len(onions)
+            for key in candidates(current.payload, position):
                 slot = (current.payload, key)
-                if slot not in memo:
+                if slot not in memo.tried:
                     try:
-                        memo[slot] = onion_peel(current, key).payload
+                        memo.tried[slot] = onion_peel(current, key).payload
                     except AuthenticationError:
-                        memo[slot] = None
-                if memo[slot] is not None:
+                        memo.tried[slot] = None
+                if memo.tried[slot] is not None:
                     break
             else:
                 break
-            current = Onion(current.layers_remaining - 1, memo[slot], current.layer_addrs[:-1])
+            memo.opener[current.payload] = key
+            at_position[position] = key
+            current = Onion(current.layers_remaining - 1, memo.tried[slot])
             opened[key] += 1
             if opened[key] == depth:
-                live.remove(key)
+                del opened[key]
         if current.layers_remaining == 0:
             share = current.share()
             recovered[share.index] = share
@@ -495,7 +531,7 @@ class RecipientActor:
             return
         self.collected_keys[privkey] = scalar
 
-    def try_restore(self, t: int, peel_memo: dict) -> bool:
+    def try_restore(self, t: int, peel_memo: PeelMemo) -> bool:
         if self.restored_key is not None:
             return True
         shares = peel_with_keys(self.onions, list(self.collected_keys), peel_memo)

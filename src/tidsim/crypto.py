@@ -715,15 +715,13 @@ _SHARE_LEVEL = 0
 class Onion:
     """A share wrapped in successive public-key layers.
 
-    layer_addrs lists, in wrap order (outermost last), the addresses whose
-    public keys wrapped each layer. Only the wrapping party knows this list;
-    the broadcast wire form (`wire_bytes`) carries no holder information, so
-    unwrapping without it means trial decryption.
+    The onion carries no holder information, on the wire (`wire_bytes`) or
+    off it, so whoever unwraps it without knowing the wrapping keys must
+    trial-decrypt each layer.
     """
 
     layers_remaining: int
     payload: bytes
-    layer_addrs: tuple[bytes, ...] = ()
 
     def wire_bytes(self) -> bytes:
         return bytes([self.layers_remaining]) + self.payload
@@ -747,20 +745,11 @@ def onion_wrap(share: Share, layer_pubkeys: Sequence[bytes], rng: Random) -> Oni
     payload = share.to_bytes()
     for pk in layer_pubkeys:
         payload = ecies_encrypt(pk, payload, rng)
-    return Onion(
-        layers_remaining=len(layer_pubkeys),
-        payload=payload,
-        layer_addrs=tuple(address_of_pubkey(pk) for pk in layer_pubkeys),
-    )
+    return Onion(len(layer_pubkeys), payload)
 
 
 def onion_peel(onion: Onion, privkey: bytes) -> Onion:
     """Remove the outermost layer; wrong keys raise AuthenticationError."""
     if onion.layers_remaining == 0:
         raise OnionStateError("no layers left to peel")
-    inner = ecies_decrypt(privkey, onion.payload)
-    return Onion(
-        layers_remaining=onion.layers_remaining - 1,
-        payload=inner,
-        layer_addrs=onion.layer_addrs[:-1],
-    )
+    return Onion(onion.layers_remaining - 1, ecies_decrypt(privkey, onion.payload))

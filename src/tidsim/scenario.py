@@ -23,6 +23,7 @@ from .actors import (
     POLICY_HONEST,
     POLICY_PREMATURE,
     POLICY_WITHHOLD_LIGHT,
+    PeelMemo,
     ProtocolError,
     RecipientActor,
     SenderActor,
@@ -260,7 +261,7 @@ class ScenarioRunner:
         self.recipient: Optional[RecipientActor] = None
         self.pool: list[MailmanActor] = []
         self.key_pool: dict[int, int] = {}  # scalars seen on public broadcasts
-        self.peel_memo: dict = {}  # trial-peel outcomes, see peel_with_keys
+        self.peel_memo = PeelMemo()  # trial-peel outcomes, see peel_with_keys
         self.shares_light = 0
         self.shares_heavy = 0
 

@@ -6,10 +6,10 @@ import sys
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from tidsim import crypto
-from tidsim.actors import TAG_REFUSE, peel_with_keys, tag_of
+from tidsim import actors, crypto, scenario
+from tidsim.actors import TAG_REFUSE, PeelMemo, peel_with_keys, tag_of
 from tidsim.crypto import (
     AuthenticationError,
     Onion,
@@ -533,16 +533,22 @@ class TestTrialPeel:
         order=st.randoms(use_true_random=False),
     )
     @settings(max_examples=12, deadline=None)
+    # shuffles under which a layer's opener has opened another layer, at a
+    # position the layout hint does not name
+    @example(layout=(3, 3), keep=[True] * 5, order=Random(0))
+    @example(layout=(4, 2), keep=[True] * 5, order=Random(0))
     def test_matches_naive_peel_for_any_key_order(self, layout, keep, order):
         onions, true_keys, junk = LAYOUTS[layout]
         keys = [k for k, kept in zip(true_keys, keep) if kept] + junk
         order.shuffle(keys)
-        assert peel_with_keys(onions, keys, {}) == naive_peel(onions, keys)
+        onions = list(onions)
+        order.shuffle(onions)  # the layout hints then miss and fall through
+        assert peel_with_keys(onions, keys, PeelMemo()) == naive_peel(onions, keys)
 
     def test_spent_key_is_never_tried_again(self, decrypt_calls):
         onions, true_keys, junk = LAYOUTS[(4, 2)]
         keys = junk[:2] + true_keys + junk[2:]
-        assert sorted(peel_with_keys(onions, keys, {})) == [1, 2, 3, 4]
+        assert sorted(peel_with_keys(onions, keys, PeelMemo())) == [1, 2, 3, 4]
         opened = dict.fromkeys(keys, 0)
         for key, _, ok in decrypt_calls:
             assert opened[key] < 2
@@ -560,9 +566,9 @@ class TestTrialPeel:
         calls = [partial, partial[::-1], partial, everything]
         expected = [naive_peel(onions, keys) for keys in calls]
         assert sorted(expected[-1]) == [1, 2, 3, 4]
-        memo = {}
+        memo = PeelMemo()
         for keys, shares in zip(calls, expected):
-            known = set(memo)
+            known = set(memo.tried)
             decrypt_calls.clear()
             assert peel_with_keys(onions, keys, memo) == shares
             assert not known & {(blob, key) for key, blob, _ in decrypt_calls}
@@ -572,9 +578,32 @@ class TestTrialPeel:
         runner = ScenarioRunner(small_config())
         assert runner.run().status == "delivered_light"
         memo = runner.peel_memo
-        payloads = {outer for outer, _ in memo} | {inner for inner in memo.values() if inner}
-        assert len(payloads) >= 8  # four onions of two layers each
+        assert len(memo.opener) == 8  # four onions of two layers each
+        payloads = {outer for outer, _ in memo.tried} | {inner for inner in memo.tried.values() if inner}
+        payloads |= set(memo.opener) | set(memo.opener.values())
         del runner, memo
         gc.collect()
         # a payload nothing else holds has the reference count of a fresh object
         assert max(refcounts(payloads)) == max(refcounts({bytes(range(40))}))
+
+    def test_layout_and_opener_index_bound_the_decrypts(self, decrypt_calls, monkeypatch):
+        n, l = 8, 3
+        per_peel = []
+
+        def counting(*args):
+            before = len(decrypt_calls)
+            shares = peel_with_keys(*args)
+            per_peel.append(len(decrypt_calls) - before)
+            return shares
+
+        monkeypatch.setattr(actors, "peel_with_keys", counting)
+        monkeypatch.setattr(scenario, "peel_with_keys", counting)
+        trace = run_scenario(ScenarioConfig(seed=1, pool_size=n + 4, l=l, t=4, n=n))
+        assert trace.status == "delivered_light"
+        recipient, settlement = per_peel
+        # Each of the n keys is found once among the keys that have opened
+        # nothing yet; from then on the layout names the opener of every
+        # layer, which then costs one decrypt.
+        assert recipient <= n * (n - 1) // 2 + l * n
+        # every layer was opened in the recipient's pass
+        assert settlement == 0

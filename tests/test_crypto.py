@@ -311,7 +311,6 @@ class TestOnions:
         share = Share(index=1, value=12345)
         onion = onion_wrap(share, [kp.pubkey], rng)
         assert onion.layers_remaining == 1
-        assert onion.layer_addrs == (kp.address,)
         peeled = onion_peel(onion, kp.privkey)
         assert peeled.layers_remaining == 0
         assert peeled.share() == share
@@ -370,7 +369,6 @@ class TestOnions:
         onion = onion_wrap(Share(4, 9), [kp.pubkey for kp in kps], rng)
         wire = Onion.from_wire(onion.wire_bytes())
         assert wire.layers_remaining == 2
-        assert wire.layer_addrs == ()
         for kp in reversed(kps):
             wire = onion_peel(wire, kp.privkey)
         assert wire.share() == Share(4, 9)
