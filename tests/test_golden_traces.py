@@ -6,8 +6,8 @@ status, epoch path, receipts, message metadata, balances and final state
 digest) is pinned. Together they reach the lightweight and heavyweight
 paths, every deviating courier policy except bribery, the strawman
 contract (delivered, failed, premature slashing, faults, offline couriers,
-slow epochs and no withdrawals), message loss, a tampered package, refusals, slow epochs and
-availability below 1. One case registers a 40-courier pool, so every later
+slow epochs, no withdrawals, a lost package and lost shares), message
+loss, a tampered package, refusals, slow epochs and availability below 1. One case registers a 40-courier pool, so every later
 transaction, through settlement and withdrawals, snapshots a long registry.
 A speed-up that changes one byte of any of these runs fails here.
 """
@@ -111,6 +111,20 @@ GOLDEN = [
              withdraw_at_end=False),
         "delivered_heavy",
         "e14062becfc1d60c272957f869db2021e91b14dbaeea624b1771de35795d4d51",
+    ),
+    (
+        "strawman_lossy_failed",
+        # the package and one share are lost: the recipient cannot restore
+        dict(seed=1, pool_size=6, n=4, l=1, t=2, mode="strawman", drop_prob=0.3),
+        "failed",
+        "54e94df6d6baeb2467c20165c1444e95feaa7b28cc6cb67455062d76d1696fae",
+    ),
+    (
+        "strawman_lossy_heavy",
+        # one share is lost, the other three still reach t
+        dict(seed=7, pool_size=6, n=4, l=1, t=2, mode="strawman", drop_prob=0.3),
+        "delivered_heavy",
+        "f9fa1e7e89c367b36c84ea0fba2a663147fa0bbb74d73dffd6c2e556c6fe44a0",
     ),
     (
         "lossy_light",
