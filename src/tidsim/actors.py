@@ -329,7 +329,6 @@ class SenderActor:
     service_id: Optional[str] = None
     selected: list[MailmanActor] = field(default_factory=list)
     agreements: dict[int, dict] = field(default_factory=dict)
-    shares: list[Share] = field(default_factory=list)
     onions: list[Onion] = field(default_factory=list)
     package_blob: bytes = b""
     tamper_package: bool = False
@@ -444,9 +443,8 @@ class SenderActor:
         return [self.selected[(share_index - 1 + j) % self.n] for j in range(self.l)]
 
     def _finish_recruitment(self):
-        self.shares = ss_split(self.key, self.t, self.n, self.rng)
         self.onions = []
-        for share in self.shares:
+        for share in ss_split(self.key, self.t, self.n, self.rng):
             holders = self.layer_holders(share.index)
             pubkeys = [m.timeframe_keys[self.timeframe_tick].pubkey for m in holders]
             self.onions.append(onion_wrap(share, pubkeys, self.rng))
@@ -485,11 +483,7 @@ class SenderActor:
 class RecipientActor:
     keypair: KeyPair
     channel_keys: KeyPair
-    rng: Random
-    ledger: Ledger
     bus: MessageBus
-    agent: AgentContract
-    sender_addr: Optional[bytes] = None
     ciphertext: bytes = b""
     onions: list[Onion] = field(default_factory=list)
     collected_keys: dict[bytes, int] = field(default_factory=dict)
@@ -519,7 +513,6 @@ class RecipientActor:
         if signer != sender_addr:
             self.bus.send_private(self.address, sender_addr, TAG_RESEND + encode_parts(b"bad-signature"))
             return False
-        self.sender_addr = sender_addr
         self.ciphertext = ct
         self.onions = [Onion.from_wire(raw) for raw in decode_parts(onions_blob)]
         return True
@@ -536,13 +529,18 @@ class RecipientActor:
             return True
         shares = peel_with_keys(self.onions, list(self.collected_keys), peel_memo)
         self.shares_recovered = len(shares)
+        return self.restore(list(shares.values()), t)
+
+    def restore(self, shares: list[Share], t: int) -> bool:
+        """Restore the delivery key from t or more shares and open the
+        package with it. False below t shares, or when the package does not
+        open (never received, tampered, or a wrong key)."""
         if len(shares) < t:
             return False
-        key = ss_restore(list(shares.values()), t)
+        key = ss_restore(shares, t)
         try:
-            fields = decode_parts(sym_decrypt(key, self.ciphertext))
+            self.info, self.receipt_secret = decode_parts(sym_decrypt(key, self.ciphertext))
         except AuthenticationError:
             return False
         self.restored_key = key
-        self.info, self.receipt_secret = fields[0], fields[1]
         return True

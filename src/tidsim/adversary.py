@@ -68,14 +68,13 @@ def run_bribery(
     config: ScenarioConfig,
     bribe_per_key: int,
     know_identities: bool = True,
-    max_purchases: Optional[int] = None,
 ) -> AttackOutcome:
     """Buy timeframe keys during the pending phase and try to restore the key.
 
     `bribe_per_key` is in wei. With identity knowledge (the side-channel
     flag) the adversary targets t shares with disjoint layer windows and
-    pays per (share, layer) bait contract; blind, it bribes uniformly
-    random registrants until it runs out of attempts.
+    pays per (share, layer) bait contract; blind, it bribes registrants in
+    a uniformly random order until it can restore or has tried them all.
     """
     runner = ScenarioRunner(config)
     runner.build_marketplace()
@@ -106,8 +105,7 @@ def run_bribery(
     else:
         order = list(runner.pool)
         runner.rng.shuffle(order)
-        limit = max_purchases if max_purchases is not None else len(order)
-        for mailman in order[:limit]:
+        for mailman in order:
             try_buy(mailman, 0)
             shares = peel_with_keys(runner.sender.onions, list(keys), runner.peel_memo)
             if len(shares) >= cfg.t:
@@ -175,7 +173,7 @@ def sybil_capture_trials(
     return captured.sum(axis=1)
 
 
-def inject_fault(config: ScenarioConfig, mailman: int, kind: str, when: Optional[int] = None) -> ScenarioConfig:
+def inject_fault(config: ScenarioConfig, mailman: int, kind: str) -> ScenarioConfig:
     """Override one courier's honesty policy for a run (returns a new config)."""
     if not 0 <= mailman < config.pool_size:
         raise ConfigError(f"unknown mailman index {mailman}")

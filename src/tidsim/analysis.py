@@ -148,9 +148,6 @@ class CostBreakdown:
     fixed_usd_quoted: Optional[Fraction] = None
     per_mailman_usd_quoted: Optional[Fraction] = None
 
-    def service_usd_display(self) -> str:
-        return fmt_usd(self.service_usd_quoted)
-
     def table(self) -> list[dict]:
         out = []
         for fn in sorted(self.rows):

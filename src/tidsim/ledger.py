@@ -475,24 +475,19 @@ class Ledger:
 
         snapshot = {addr: _copy_state(c.state) for addr, c in self.contracts.items()}
         ctx = TxContext(self, target, caller, value)
+        contract_account = self.accounts[target]
         try:
             contract.handle(function, ctx, args)
+            if sum(amount for _, amount in ctx._payouts) > contract_account.balance:
+                # treat as a programming error in the contract, not user input
+                raise ContractRevert("contract overdraw")
         except ContractRevert as exc:
             for addr, state in snapshot.items():
                 self.contracts[addr].state = state
-            self.accounts[target].balance -= value
+            contract_account.balance -= value
             account.balance += value
             return self._record(caller, target, function, units, gas, False, str(exc), [])
 
-        contract_account = self.accounts[target]
-        total_out = sum(amount for _, amount in ctx._payouts)
-        if total_out > contract_account.balance:
-            # treat as a programming error in the contract, not user input
-            for addr, state in snapshot.items():
-                self.contracts[addr].state = state
-            self.accounts[target].balance -= value
-            account.balance += value
-            return self._record(caller, target, function, units, gas, False, "contract overdraw", [])
         for to, amount in ctx._payouts:
             contract_account.balance -= amount
             dest = self.accounts.get(to)

@@ -45,14 +45,12 @@ from .contracts import (
 )
 from .crypto import (
     Share,
-    decode_parts,
     encode_parts,
     hash256,
     keypair_gen,
     new_secret_key,
     ss_restore,
     ss_split,
-    sym_decrypt,
     sym_encrypt,
 )
 from .ledger import (
@@ -127,6 +125,8 @@ class ScenarioConfig:
             raise ConfigError("drop_prob must lie in [0, 1)")
         if self.epoch_ticks < 1:
             raise ConfigError("epoch_ticks must be at least 1")
+        if self.day < 0 or not 0 <= self.slot < 24:
+            raise ConfigError(f"time frame day={self.day} slot={self.slot}: need day >= 0 and 0 <= slot < 24")
         if self.timeframe_tick < 3:
             raise ConfigError("time frame too early: setup and pending need ticks 0..2")
         if self.mode not in (MODE_SILENT, MODE_STRAWMAN):
@@ -204,7 +204,6 @@ class ScenarioTrace:
     total_gas: int
     service_gas: int
     shares_recovered_light: int
-    shares_recovered_heavy: int
     info_delivered: bool
     pre_settlement_state: dict
     pre_settlement_digest: str
@@ -256,14 +255,12 @@ class ScenarioRunner:
         self.agent: Optional[AgentContract] = None
         self.strawman: Optional[StrawmanContract] = None
         self.registry: Optional[RegistryContract] = None  # whichever of the two is deployed
-        self.operator = None
         self.sender: Optional[SenderActor] = None
         self.recipient: Optional[RecipientActor] = None
         self.pool: list[MailmanActor] = []
-        self.key_pool: dict[int, int] = {}  # scalars seen on public broadcasts
+        self.key_pool: set[int] = set()  # scalars seen on public broadcasts
         self.peel_memo = PeelMemo()  # trial-peel outcomes, see peel_with_keys
         self.shares_light = 0
-        self.shares_heavy = 0
 
     # -- marketplace -----------------------------------------------------------
 
@@ -274,21 +271,15 @@ class ScenarioRunner:
         operator_kp = keypair_gen(self.rng)
         self.ledger.register_eoa(operator_kp.address)
         self.ledger.fund(operator_kp.address, fund)
-        self.operator = operator_kp
 
+        min_deposit = cfg.min_deposit_wei if cfg.min_deposit_wei is not None else cfg.deposit_wei
         if cfg.mode == MODE_SILENT:
             self.agent = self.ledger.deploy_contract(
-                operator_kp.address,
-                AgentContract,
-                min_deposit=cfg.min_deposit_wei if cfg.min_deposit_wei is not None else cfg.deposit_wei,
-                epoch_ticks=cfg.epoch_ticks,
+                operator_kp.address, AgentContract, min_deposit=min_deposit, epoch_ticks=cfg.epoch_ticks
             )
         else:
             self.strawman = self.ledger.deploy_contract(
-                operator_kp.address,
-                StrawmanContract,
-                min_deposit=cfg.min_deposit_wei if cfg.min_deposit_wei is not None else cfg.deposit_wei,
-                settle_ticks=2 * cfg.epoch_ticks,
+                operator_kp.address, StrawmanContract, min_deposit=min_deposit, settle_ticks=2 * cfg.epoch_ticks
             )
 
         sender_kp = keypair_gen(self.rng)
@@ -318,14 +309,7 @@ class ScenarioRunner:
             mailman.register([cfg.timeframe_tick])
             self.pool.append(mailman)
 
-        self.recipient = RecipientActor(
-            keypair=recipient_kp,
-            channel_keys=recipient_channel,
-            rng=self.rng,
-            ledger=self.ledger,
-            bus=self.bus,
-            agent=registry,
-        )
+        self.recipient = RecipientActor(keypair=recipient_kp, channel_keys=recipient_channel, bus=self.bus)
         self.recipient.join()
 
         self.sender = SenderActor(
@@ -367,7 +351,7 @@ class ScenarioRunner:
                 if listener == self.recipient.address:
                     self.recipient.note_key(scalar)
                 else:
-                    self.key_pool[scalar] = msg.seq
+                    self.key_pool.add(scalar)
 
     def _broadcast_key(self, mailman: MailmanActor):
         scalar = mailman.reveal_scalar(self.config.timeframe_tick)
@@ -376,6 +360,15 @@ class ScenarioRunner:
     def _sup_contract(self):
         sup_addr = bytes.fromhex(self._service()["sup_addr"])
         return self.ledger.contracts.get(sup_addr)
+
+    def _restore_from_broadcast(self, courier: MailmanActor) -> Optional[bytes]:
+        """The delivery key a courier restores by peeling its onions with every
+        scalar seen on public broadcasts; None below t shares."""
+        keys = [s.to_bytes(32, "big") for s in sorted(self.key_pool) if s < 2**256]
+        shares = peel_with_keys(courier.onions, keys, self.peel_memo)
+        if len(shares) < self.config.t:
+            return None
+        return ss_restore(list(shares.values()), self.config.t)
 
     def _first_honest(self, available_ok: set) -> Optional[MailmanActor]:
         for m in self._recruited():
@@ -441,21 +434,19 @@ class ScenarioRunner:
                     if not accepted:
                         raise ProtocolError("mailman rejected a signed bundle")
         package_ok = False
-        for msg in self.bus.recv(self.recipient.address):
-            if tag_of(msg.payload) == TAG_PACKAGE:
-                package_ok = self.recipient.accept_package(self.sender.address, msg.payload)
-        for _ in range(3):
-            if package_ok:
-                break
-            # drain any resend request; a lost package produces none and the
-            # sender retries after a timeout either way
-            self.bus.deliver_pending(self.ledger.tick)
-            self.bus.recv(self.sender.address)
-            self.sender.resend_package()
-            self.bus.deliver_pending(self.ledger.tick)
+        for attempt in range(4):  # the first delivery and up to three resends
+            if attempt:
+                # drain any resend request; a lost package produces none and the
+                # sender retries after a timeout either way
+                self.bus.deliver_pending(self.ledger.tick)
+                self.bus.recv(self.sender.address)
+                self.sender.resend_package()
+                self.bus.deliver_pending(self.ledger.tick)
             for msg in self.bus.recv(self.recipient.address):
                 if tag_of(msg.payload) == TAG_PACKAGE:
                     package_ok = self.recipient.accept_package(self.sender.address, msg.payload)
+            if package_ok:
+                break
         # a recipient that never received the package simply cannot restore;
         # the run then terminates as a failed delivery rather than an error
 
@@ -512,10 +503,8 @@ class ScenarioRunner:
             if tag_of(msg.payload) == TAG_KEY:
                 self.recipient.note_key(int.from_bytes(body_of(msg.payload)[0], "big"))
         if self.recipient.try_restore(cfg.t, self.peel_memo):
-            self.shares_light = self.recipient.shares_recovered
             self._submit_receipt()
-        else:
-            self.shares_light = self.recipient.shares_recovered
+        self.shares_light = self.recipient.shares_recovered
 
     def _submit_receipt(self):
         if self.recipient.receipt_submitted:
@@ -534,7 +523,6 @@ class ScenarioRunner:
             self.recipient.receipt_submitted = True
 
     def _epoch2_switch(self):
-        cfg = self.config
         available = {m.address for m in self._recruited() if self._available()}
         svc = self._service()
         deployer = self._first_honest(available)
@@ -556,12 +544,9 @@ class ScenarioRunner:
         self._drain_broadcast_keys()
         if deployer is None:
             return
-        keys = [s.to_bytes(32, "big") for s in sorted(self.key_pool) if s < 2**256]
-        shares = peel_with_keys(deployer.onions, keys, self.peel_memo)
-        self.shares_heavy = len(shares)
-        if len(shares) < cfg.t:
+        key = self._restore_from_broadcast(deployer)
+        if key is None:
             return
-        key = ss_restore(list(shares.values()), cfg.t)
         agreements = deployer.decrypt_all_agreements(key)
         self.ledger.submit_tx(
             deployer.address,
@@ -641,18 +626,14 @@ class ScenarioRunner:
     def _prove_agreements_after_light_delivery(self):
         """After a lightweight success, mailmen publish their keys, restore
         the delivery key collectively, and prove their agreements on-chain."""
-        cfg = self.config
         for mailman in self._recruited():
             if mailman.policy in (POLICY_ABSENT, POLICY_PREMATURE):
                 continue
             self._broadcast_key(mailman)
         self._drain_broadcast_keys()
-        sample = self._recruited()[0]
-        keys = [s.to_bytes(32, "big") for s in sorted(self.key_pool) if s < 2**256]
-        shares = peel_with_keys(sample.onions, keys, self.peel_memo)
-        if len(shares) < cfg.t:
+        key = self._restore_from_broadcast(self._recruited()[0])
+        if key is None:
             return
-        key = ss_restore(list(shares.values()), cfg.t)
         for mailman in self._recruited():
             record = self.agent.state["mailmen"][mailman.address.hex()]
             if record["status"] != MAILMAN_ACTIVE:
@@ -682,7 +663,6 @@ class ScenarioRunner:
         sender.receipt_secret = new_secret_key(self.rng)
         sender.selected = sender.select_mailmen(self.pool, cfg.selection_override)
         shares = ss_split(sender.key, cfg.t, cfg.n, self.rng)
-        sender.shares = shares
         commitments = [
             (sender.selected[i].address, hash256(shares[i].to_bytes())) for i in range(cfg.n)
         ]
@@ -712,10 +692,9 @@ class ScenarioRunner:
             for msg in self.bus.recv(mailman.address):
                 if msg.payload[:3] == b"SHR":
                     held[mailman.address] = Share.from_bytes(msg.payload[3:])
-        recipient_ct = None
         for msg in self.bus.recv(self.recipient.address):
             if tag_of(msg.payload) == TAG_PACKAGE:
-                recipient_ct = body_of(msg.payload)[0]
+                self.recipient.ciphertext = body_of(msg.payload)[0]
 
         # pending phase: premature shares are broadcast and reported
         self.ledger.advance_time(cfg.timeframe_tick - 2)
@@ -753,14 +732,8 @@ class ScenarioRunner:
                 {"sid": sid, "share": held[mailman.address].to_bytes()},
             )
         revealed = [Share.from_bytes(bytes.fromhex(s)) for s in self._service()["revealed_shares"].values()]
-        self.shares_heavy = len(revealed)
-        # a recipient that never received the package cannot restore
-        if len(revealed) >= cfg.t and recipient_ct is not None:
-            key = ss_restore(revealed, cfg.t)
-            fields = decode_parts(sym_decrypt(key, recipient_ct))
-            self.recipient.info = fields[0]
-            self.recipient.receipt_secret = fields[1]
-            self.recipient.restored_key = key
+        # a recipient that never received the package holds no ciphertext to open
+        if self.recipient.restore(revealed, cfg.t):
             self.ledger.submit_tx(
                 self.recipient.address,
                 self.strawman.address,
@@ -808,7 +781,6 @@ class ScenarioRunner:
             total_gas=self.ledger.gas_total(),
             service_gas=service_gas,
             shares_recovered_light=self.shares_light,
-            shares_recovered_heavy=self.shares_heavy,
             info_delivered=delivered,
             pre_settlement_state=pre_state,
             pre_settlement_digest=pre_digest.hex(),

@@ -73,6 +73,16 @@ class TestSetupAndSelection:
         with pytest.raises(ConfigError):
             ScenarioConfig(seed=1, pool_size=3, l=2, t=2, n=4).validate()
 
+    @pytest.mark.parametrize("day, slot", [(0, 24), (0, 30), (-1, 30), (1, -1), (-1, 8)])
+    def test_time_frame_outside_the_day_rejected(self, day, slot):
+        # 24 slots per day; each of these has timeframe_tick >= 3
+        with pytest.raises(ConfigError, match="time frame"):
+            ScenarioConfig(day=day, slot=slot).validate()
+
+    @pytest.mark.parametrize("day, slot", [(0, 23), (1, 0), (0, 3)])
+    def test_time_frame_at_the_edges_accepted(self, day, slot):
+        assert ScenarioConfig(day=day, slot=slot).validate().timeframe_tick == day * 24 + slot
+
     @pytest.mark.parametrize("mode", [MODE_SILENT, MODE_STRAWMAN])
     def test_minimum_deposit_above_deposit_rejected(self, mode):
         # every registration would revert, and the run would then crash
@@ -448,7 +458,7 @@ class TestLossyChannels:
 
 class TestConservation:
     def test_every_scenario_conserves(self):
-        # run_scenario audits after every tick; a sweep across modes and
+        # run_scenario audits at each driver checkpoint; a sweep across modes and
         # fault mixes doubles as the conservation fuzz
         cases = [
             small_config(seed=2),
