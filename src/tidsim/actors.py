@@ -187,10 +187,8 @@ class MailmanActor:
     timeframe_keys: dict[int, KeyPair] = field(default_factory=dict)
     # per-service assignment, filled by the handshake
     index: Optional[int] = None
-    switch_addr: Optional[bytes] = None
     sup_code: Optional[bytes] = None
     vrs_sup: Optional[Signature] = None
-    vrs_m: Optional[Signature] = None
     bundle: list = field(default_factory=list)
     onions: list = field(default_factory=list)
 
@@ -207,7 +205,6 @@ class MailmanActor:
         for tick in timeframe_ticks:
             self.ensure_timeframe_key(tick)
         self.bus.register_channel_key(self.address, self.channel_keys.pubkey)
-        self.bus.subscribe(self.address, TOPIC)
         self.ledger.submit_tx(
             self.address,
             self.agent.address,
@@ -234,11 +231,10 @@ class MailmanActor:
         ):
             return TAG_REFUSE + encode_parts(index)
         self.index = index
-        self.switch_addr = switch_addr
         self.sup_code = sup_code
         self.vrs_sup = vrs_sup
-        self.vrs_m = sign(self.keypair.privkey, agreement_digest_mailman(switch_addr, index))
-        return TAG_ACCEPT + encode_parts(index, self.vrs_m)
+        vrs_m = sign(self.keypair.privkey, agreement_digest_mailman(switch_addr, index))
+        return TAG_ACCEPT + encode_parts(index, vrs_m)
 
     def _invite_checks_out(self, sender_addr, index, switch_addr, sup_code, vrs_sup) -> bool:
         switch = self.ledger.contracts.get(switch_addr)
@@ -376,13 +372,10 @@ class SenderActor:
 
     def select_mailmen(self, pool: list[MailmanActor], override: Optional[list[int]] = None) -> list[MailmanActor]:
         """Uniform selection without replacement; an override replaces the
-        outcome but consumes the same number of random draws."""
-        if len(pool) < self.n:
-            raise ProtocolError("registered pool smaller than the group size")
+        outcome but consumes the same number of random draws. `validate()`
+        guarantees a pool of at least n and an override of n distinct indices."""
         drawn = self.rng.sample(range(len(pool)), self.n)
         chosen = override if override is not None else drawn
-        if len(set(chosen)) != self.n:
-            raise ProtocolError("selection override must name n distinct mailmen")
         return [pool[i] for i in chosen]
 
     def recruit(self, pool: list[MailmanActor], override: Optional[list[int]] = None):
@@ -499,7 +492,6 @@ class RecipientActor:
 
     def join(self):
         self.bus.register_channel_key(self.address, self.channel_keys.pubkey)
-        self.bus.subscribe(self.address, TOPIC)
 
     def accept_package(self, sender_addr: bytes, payload: bytes) -> bool:
         """Verify the sender's signature over the package; ask for a resend

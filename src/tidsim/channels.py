@@ -1,13 +1,14 @@
 """In-process model of whisper-style off-chain messaging.
 
-Two primitives: topic broadcast (everyone with a matching filter receives)
-and private channels keyed by a registered channel public key. Messages cost
-no gas and never touch ledger state. Payload confidentiality is a property
-of the observer API, not of wire encryption: the adversary view exposes
-broadcast payloads and private-message metadata only.
+Two primitives: public broadcast and private channels keyed by a registered
+channel public key. A broadcast is an entry of the public log that records
+its topic; anyone reads it from `broadcast_log()`, and it reaches no inbox.
+Messages cost no gas and never touch ledger state. Payload confidentiality
+is a property of the observer API, not of wire encryption: the adversary
+view exposes broadcast payloads and private-message metadata only.
 
-Delivery is deterministic: messages queue when sent and move to inboxes at
-tick boundaries, ordered by (sender address, send sequence).
+Delivery is deterministic: private messages queue when sent and move to
+inboxes at tick boundaries, ordered by (sender address, send sequence).
 """
 
 from __future__ import annotations
@@ -59,19 +60,12 @@ class MessageBus:
     rng: Optional[Random] = None
     log: list[ChannelMsg] = field(default_factory=list)
     _channel_keys: dict[bytes, bytes] = field(default_factory=dict)
-    _subscriptions: dict[bytes, set[bytes]] = field(default_factory=dict)
     _pending: list[ChannelMsg] = field(default_factory=list)
     _inboxes: dict[bytes, list[ChannelMsg]] = field(default_factory=dict)
     _tick: int = 0
 
     def register_channel_key(self, owner: bytes, channel_pub: bytes):
         self._channel_keys[owner] = channel_pub
-        self._inboxes.setdefault(owner, [])
-
-    def subscribe(self, owner: bytes, topic: bytes):
-        if len(topic) != 4:
-            raise ChannelError("topic tags are 4 bytes")
-        self._subscriptions.setdefault(owner, set()).add(topic)
         self._inboxes.setdefault(owner, [])
 
     def _dropped(self) -> bool:
@@ -106,20 +100,13 @@ class MessageBus:
             delivered=not self._dropped(),
         )
         self.log.append(msg)
-        if msg.delivered:
-            self._pending.append(msg)
 
     def deliver_pending(self, tick: Optional[int] = None):
-        """Move queued messages into inboxes in deterministic order."""
+        """Move queued private messages into inboxes in deterministic order."""
         if tick is not None:
             self._tick = tick
         for msg in sorted(self._pending, key=lambda m: (m.sender, m.seq)):
-            if msg.to == BROADCAST:
-                for owner, topics in self._subscriptions.items():
-                    if msg.topic in topics:
-                        self._inboxes.setdefault(owner, []).append(msg)
-            else:
-                self._inboxes.setdefault(msg.to, []).append(msg)
+            self._inboxes.setdefault(msg.to, []).append(msg)
         self._pending.clear()
 
     def recv(self, owner: bytes) -> list[ChannelMsg]:
@@ -129,6 +116,7 @@ class MessageBus:
         return inbox
 
     def broadcast_log(self) -> list[ChannelMsg]:
+        """Every broadcast the fault injector did not drop, in send order."""
         return [m for m in self.log if m.to == BROADCAST and m.delivered]
 
     def meta_records(self) -> list[dict]:

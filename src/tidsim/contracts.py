@@ -140,7 +140,6 @@ class RegistryContract(Contract):
 class AgentContract(RegistryContract):
     """Marketplace registry plus per-service lifecycle and settlement."""
 
-    code_id = "agent"
     deploy_fn = FN_DEPLOY_AGENT
 
     def init_state(self, min_deposit: int = 0, epoch_ticks: int = 1):
@@ -291,7 +290,7 @@ class AgentContract(RegistryContract):
         svc = self.service(switch_addr.hex())
         if svc["epoch"] != 6 or svc["status"] != STATUS_DELIVERED_LIGHT:
             raise ContractRevert("agreement proofs are for settled lightweight deliveries")
-        mailman, _ = self._verify_agreement(svc, switch_addr, index, vrs_m, vrs_s)
+        mailman = self._verify_agreement(svc, switch_addr, index, vrs_m, vrs_s)
         if mailman != ctx.caller.hex():
             raise ContractRevert("agreement belongs to a different mailman")
         if str(index) in svc["identities"]:
@@ -307,12 +306,11 @@ class AgentContract(RegistryContract):
             sender_addr = recover_signer(agreement_digest_sender(switch_addr, index, vrs_m), vrs_s)
         except Exception as exc:
             raise ContractRevert(f"agreement signature invalid: {exc}") from exc
-        record = self.state["mailmen"].get(mailman_addr.hex())
-        if record is None:
+        if mailman_addr.hex() not in self.state["mailmen"]:
             raise ContractRevert("agreement names an unregistered mailman")
         if sender_addr.hex() != svc["sender"]:
             raise ContractRevert("agreement not countersigned by the service sender")
-        return mailman_addr.hex(), record
+        return mailman_addr.hex()
 
     def fn_withdraw(self, ctx: TxContext) -> int:
         # shares of lightweight deliveries are claimed lazily, here
@@ -338,18 +336,13 @@ class AgentContract(RegistryContract):
 
     # -- mode switch bookkeeping ---------------------------------------------------
 
-    def note_mode_switch(self, sid: str, deployer: bytes, deploy_fee: int, tick: int):
+    def note_mode_switch(self, sid: str, deployer: bytes, deploy_fee: int):
         svc = self.service(sid)
         svc["heavyweight"] = True
         svc["deployer"] = deployer.hex()
         svc["deploy_fee"] = deploy_fee
         if svc["epoch"] == 0:
             svc["switched_during_pend"] = True
-
-    def enter_heavyweight_reveal(self, sid: str, tick: int):
-        svc = self.service(sid)
-        if svc["epoch"] == 2:
-            self._enter_epoch(svc, 3, tick)
 
     # -- slashing and settlement -----------------------------------------------------
 
@@ -419,7 +412,6 @@ class AgentContract(RegistryContract):
 class SwitchContract(Contract):
     """Single-purpose contract: anyone authorized may flip to heavyweight mode."""
 
-    code_id = "switch"
     deploy_fn = FN_DEPLOY_SWITCH
 
     def init_state(self, agent_addr: bytes, sender: bytes, sup_code: bytes):
@@ -464,7 +456,7 @@ class SwitchContract(Contract):
         self.state["sup_addr"] = sup.address.hex()
         self.state["deployer"] = ctx.caller.hex()
         deploy_fee = ctx.ledger.schedule.gas_for(FN_DEPLOY_SUPPLEMENTARY) * ctx.ledger.schedule.wei_per_gas
-        agent.note_mode_switch(sid, ctx.caller, deploy_fee, ctx.tick)
+        agent.note_mode_switch(sid, ctx.caller, deploy_fee)
         ctx.emit("SupplementaryDeployed", sup=sup.address, deployer=ctx.caller)
         return sup.address
 
@@ -472,7 +464,6 @@ class SwitchContract(Contract):
 class SupplementaryContract(Contract):
     """Heavyweight enforcement surface, deployed on demand via the switch."""
 
-    code_id = "supplementary"
     deploy_fn = FN_DEPLOY_SUPPLEMENTARY
 
     def init_state(self, agent_addr: bytes, switch_addr: bytes, service_id: str, deployed_by: bytes):
@@ -532,7 +523,7 @@ class SupplementaryContract(Contract):
         staged = {}
         for entry in agreements:
             index = entry["index"]
-            mailman, _ = agent._verify_agreement(svc, switch_addr, index, entry["vrs_m"], entry["vrs_s"])
+            mailman = agent._verify_agreement(svc, switch_addr, index, entry["vrs_m"], entry["vrs_s"])
             key = str(index)
             if key in self.state["identities"] or key in staged:
                 raise ContractRevert("index already revealed")
@@ -541,7 +532,7 @@ class SupplementaryContract(Contract):
         for key, identity in staged.items():
             svc["identities"][key] = identity["mailman"]
         if svc["epoch"] == 2:
-            agent.enter_heavyweight_reveal(self.state["service_id"], ctx.tick)
+            agent._enter_epoch(svc, 3, ctx.tick)
         ctx.emit("IdentitiesRevealed", count=len(staged))
 
     def fn_revealPrivkey(self, ctx: TxContext, index: int, privkey: int):
@@ -608,10 +599,10 @@ class SupplementaryContract(Contract):
             raise ContractRevert("already finalized")
         if not (self.state["premature_reports"] or self.state["absent_reports"] or self.state["fake_reports"]):
             raise ContractRevert("nothing to finalize")
-        self.finalize_into_agent(agent, svc, tick=ctx.tick)
+        self.finalize_into_agent(agent, svc)
         ctx.emit("AgentInformed", slashes=len(svc["slashes"]))
 
-    def finalize_into_agent(self, agent: AgentContract, svc: dict, tick: Optional[int] = None):
+    def finalize_into_agent(self, agent: AgentContract, svc: dict):
         """Verify pending reports and push slash verdicts into the agent.
 
         Runs either as the epoch-4 informAgent transaction or as the
@@ -619,7 +610,7 @@ class SupplementaryContract(Contract):
         """
         if self.state["finalized"]:
             return
-        tick = tick if tick is not None else self.ledger.tick
+        tick = self.ledger.tick
         for report in self.state["premature_reports"]:
             pub = None
             try:
@@ -649,7 +640,6 @@ class StrawmanContract(RegistryContract):
     """The naive protocol: mailman addresses and share hashes go on-chain at
     setup, every mailman reveals its share on-chain at delivery time."""
 
-    code_id = "strawman"
     deploy_fn = FN_DEPLOY_STRAWMAN
 
     def init_state(self, min_deposit: int = 0, settle_ticks: int = 1):

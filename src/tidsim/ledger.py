@@ -289,9 +289,8 @@ class TxContext:
     Outgoing value moves are queued and applied only if the call succeeds.
     """
 
-    def __init__(self, ledger: "Ledger", contract_address: bytes, caller: bytes, value: int):
+    def __init__(self, ledger: "Ledger", caller: bytes, value: int):
         self.ledger = ledger
-        self.contract_address = contract_address
         self.caller = caller
         self.value = value
         self.tick = ledger.tick
@@ -347,13 +346,11 @@ class Contract:
     a revert would not restore the state as it was.
     """
 
-    code_id = "contract"
     deploy_fn = FN_DEPLOY_AGENT
 
-    def __init__(self, ledger: "Ledger", address: bytes, creator: bytes, **ctor):
+    def __init__(self, ledger: "Ledger", address: bytes, **ctor):
         self.ledger = ledger
         self.address = address
-        self.creator = creator
         self.state: dict[str, Any] = {}
         self.init_state(**ctor)
 
@@ -448,7 +445,7 @@ class Ledger:
             raise LedgerError("contract address collision")
         self._nonces[creator] = nonce + 1
         self.accounts[address] = Account(address, AccountKind.CA)
-        contract = contract_cls(self, address, creator, **ctor)
+        contract = contract_cls(self, address, **ctor)
         self.contracts[address] = contract
         return contract
 
@@ -474,7 +471,7 @@ class Ledger:
         self.accounts[target].balance += value
 
         snapshot = {addr: _copy_state(c.state) for addr, c in self.contracts.items()}
-        ctx = TxContext(self, target, caller, value)
+        ctx = TxContext(self, caller, value)
         contract_account = self.accounts[target]
         try:
             contract.handle(function, ctx, args)

@@ -35,7 +35,7 @@ from .actors import (
     peel_with_keys,
     tag_of,
 )
-from .channels import BROADCAST, MessageBus
+from .channels import MessageBus
 from .contracts import (
     AgentContract,
     MAILMAN_ACTIVE,
@@ -258,7 +258,6 @@ class ScenarioRunner:
         self.sender: Optional[SenderActor] = None
         self.recipient: Optional[RecipientActor] = None
         self.pool: list[MailmanActor] = []
-        self.key_pool: set[int] = set()  # scalars seen on public broadcasts
         self.peel_memo = PeelMemo()  # trial-peel outcomes, see peel_with_keys
         self.shares_light = 0
 
@@ -340,22 +339,31 @@ class ScenarioRunner:
     def _recruited(self) -> list[MailmanActor]:
         return self.sender.selected
 
-    def _drain_broadcast_keys(self):
-        """Route public key reveals to the shared pool and the recipient."""
+    def _drain_broadcast_keys(self) -> list[int]:
+        """Deliver pending messages and read every key published so far from
+        the public broadcast log. The recipient notes each one; the distinct
+        scalars are returned in ascending order."""
         self.bus.deliver_pending(self.ledger.tick)
-        for listener in [m.address for m in self.pool] + [self.recipient.address]:
-            for msg in self.bus.recv(listener):
-                if msg.to != BROADCAST or tag_of(msg.payload) != TAG_KEY:
-                    continue
-                scalar = int.from_bytes(body_of(msg.payload)[0], "big")
-                if listener == self.recipient.address:
-                    self.recipient.note_key(scalar)
-                else:
-                    self.key_pool.add(scalar)
+        scalars = [
+            int.from_bytes(body_of(msg.payload)[0], "big")
+            for msg in self.bus.broadcast_log()
+            if tag_of(msg.payload) == TAG_KEY
+        ]
+        for scalar in scalars:
+            self.recipient.note_key(scalar)
+        return sorted(set(scalars))
 
     def _broadcast_key(self, mailman: MailmanActor):
         scalar = mailman.reveal_scalar(self.config.timeframe_tick)
         self.bus.broadcast(mailman.address, TOPIC, TAG_KEY + encode_parts(scalar))
+
+    def _deploy_supplementary(self, mailman: MailmanActor):
+        self.ledger.submit_tx(
+            mailman.address,
+            self.sender.switch.address,
+            FN_DEPLOY_SUPPLEMENTARY,
+            {"sup_code": mailman.sup_code, "vrs_sup": mailman.vrs_sup},
+        )
 
     def _sup_contract(self):
         sup_addr = bytes.fromhex(self._service()["sup_addr"])
@@ -363,8 +371,8 @@ class ScenarioRunner:
 
     def _restore_from_broadcast(self, courier: MailmanActor) -> Optional[bytes]:
         """The delivery key a courier restores by peeling its onions with every
-        scalar seen on public broadcasts; None below t shares."""
-        keys = [s.to_bytes(32, "big") for s in sorted(self.key_pool) if s < 2**256]
+        scalar published so far; None below t shares."""
+        keys = [s.to_bytes(32, "big") for s in self._drain_broadcast_keys() if s < 2**256]
         shares = peel_with_keys(courier.onions, keys, self.peel_memo)
         if len(shares) < self.config.t:
             return None
@@ -460,26 +468,16 @@ class ScenarioRunner:
         if not disclosers:
             return
         for mailman in disclosers:
-            scalar = int.from_bytes(
-                mailman.timeframe_keys[self.config.timeframe_tick].privkey, "big"
-            )
-            self.bus.broadcast(mailman.address, TOPIC, TAG_KEY + encode_parts(scalar))
-        self._drain_broadcast_keys()
+            self._broadcast_key(mailman)  # a premature courier reveals its true key
+        disclosed = self._drain_broadcast_keys()
         self.ledger.advance_time(self.config.timeframe_tick - 1)
 
         observer = self._first_honest({m.address for m in self._recruited()})
         if observer is None:
             return
-        svc = self._service()
-        if not svc["heavyweight"]:
-            self.ledger.submit_tx(
-                observer.address,
-                self.sender.switch.address,
-                FN_DEPLOY_SUPPLEMENTARY,
-                {"sup_code": observer.sup_code, "vrs_sup": observer.vrs_sup},
-            )
+        self._deploy_supplementary(observer)  # the first switch: the service is not heavyweight yet
         sup = self._sup_contract()
-        for scalar in sorted(self.key_pool):
+        for scalar in disclosed:
             self.ledger.submit_tx(
                 observer.address,
                 sup.address,
@@ -524,25 +522,19 @@ class ScenarioRunner:
 
     def _epoch2_switch(self):
         available = {m.address for m in self._recruited() if self._available()}
-        svc = self._service()
         deployer = self._first_honest(available)
-        if not svc["heavyweight"]:
+        if not self._service()["heavyweight"]:
             if deployer is None:
                 return  # nobody switches; the window will expire into failure
-            self.ledger.submit_tx(
-                deployer.address,
-                self.sender.switch.address,
-                FN_DEPLOY_SUPPLEMENTARY,
-                {"sup_code": deployer.sup_code, "vrs_sup": deployer.vrs_sup},
-            )
+            self._deploy_supplementary(deployer)
         for mailman in self._recruited():
             if mailman.policy in (POLICY_ABSENT, POLICY_PREMATURE):
                 continue
             if mailman.address not in available:
                 continue
             self._broadcast_key(mailman)
-        self._drain_broadcast_keys()
         if deployer is None:
+            self._drain_broadcast_keys()  # the recipient still reads the public keys
             return
         key = self._restore_from_broadcast(deployer)
         if key is None:
@@ -630,7 +622,6 @@ class ScenarioRunner:
             if mailman.policy in (POLICY_ABSENT, POLICY_PREMATURE):
                 continue
             self._broadcast_key(mailman)
-        self._drain_broadcast_keys()
         key = self._restore_from_broadcast(self._recruited()[0])
         if key is None:
             return

@@ -47,21 +47,21 @@ def test_delivery_sorted_by_sender_then_seq(bus):
     assert senders == [ALICE, CAROL]
 
 
-def test_broadcast_reaches_subscribers_only(bus):
-    bus.subscribe(ALICE, TOPIC)
-    bus.subscribe(BOB, TOPIC)
-    bus.broadcast(CAROL, TOPIC, b"onions")
-    bus.deliver_pending()
-    assert [m.payload for m in bus.recv(ALICE)] == [b"onions"]
-    assert [m.payload for m in bus.recv(BOB)] == [b"onions"]
-    assert bus.recv(CAROL) == []
+def test_broadcast_is_a_log_entry_not_an_inbox_message():
+    from tidsim.scenario import ScenarioConfig, ScenarioRunner
 
-
-def test_topic_filtering(bus):
-    bus.subscribe(ALICE, b"aaaa")
-    bus.broadcast(CAROL, b"bbbb", b"other")
+    runner = ScenarioRunner(ScenarioConfig(seed=1, pool_size=4, n=3, l=1, t=2, drop_prob=0.5))
+    runner.build_marketplace()
+    bus = runner.bus
+    for i in range(8):
+        bus.broadcast(runner.sender.address, TOPIC, bytes([i]))
     bus.deliver_pending()
-    assert bus.recv(ALICE) == []
+    delivered = [m for m in bus.log if m.delivered]
+    assert 0 < len(delivered) < 8  # some were dropped
+    assert bus.broadcast_log() == delivered
+    assert all(m.topic == TOPIC for m in delivered)
+    for actor in runner.pool + [runner.recipient, runner.sender]:
+        assert bus.recv(actor.address) == []
 
 
 def test_topic_must_be_four_bytes(bus):
@@ -88,7 +88,6 @@ def test_metadata_exposes_sizes_not_payloads(bus):
 
 
 def test_broadcast_log_only_has_broadcasts(bus):
-    bus.subscribe(ALICE, TOPIC)
     bus.send_private(ALICE, BOB, b"private")
     bus.broadcast(BOB, TOPIC, b"public")
     assert [m.payload for m in bus.broadcast_log()] == [b"public"]
@@ -103,7 +102,6 @@ def test_messages_never_cost_gas(bus):
     ledger = Ledger()
     account = ledger.create_eoa(Random(3))
     ledger.fund(account.address, 10**18)
-    bus.subscribe(ALICE, TOPIC)
     for i in range(50):
         bus.send_private(ALICE, BOB, bytes(100))
         bus.broadcast(BOB, TOPIC, bytes(1000))
@@ -111,3 +109,27 @@ def test_messages_never_cost_gas(bus):
     assert ledger.gas_total() == 0
     assert ledger.gas_sink == 0
     ledger.audit()
+
+
+def test_drained_keys_are_the_delivered_ones_once_ascending():
+    from tidsim.actors import TAG_KEY, body_of, tag_of
+    from tidsim.scenario import ScenarioConfig, ScenarioRunner
+
+    premature = {0: "premature", 1: "premature"}
+    runner = ScenarioRunner(ScenarioConfig(seed=5, pool_size=6, n=4, l=2, t=2, fault_policies=premature, drop_prob=0.3))
+    runner.run()
+    runner.bus.drop_prob = 0.0
+    for mailman in runner.sender.selected:
+        runner._broadcast_key(mailman)  # publish every recruited key once more
+    keys = runner._drain_broadcast_keys()
+
+    published = [
+        (int.from_bytes(body_of(m.payload)[0], "big"), m.delivered)
+        for m in runner.bus.log
+        if m.to == BROADCAST and tag_of(m.payload) == TAG_KEY
+    ]
+    delivered = [scalar for scalar, ok in published if ok]
+    lost = {scalar for scalar, ok in published if not ok} - set(delivered)
+    assert lost and len(delivered) > len(set(delivered))  # a key only dropped, and keys logged twice
+    assert keys == sorted(set(delivered))
+    assert set(keys) <= set(runner.recipient.collected_keys.values())

@@ -28,7 +28,6 @@ ETHER = WEI_PER_ETHER
 
 
 class PingContract(Contract):
-    code_id = "ping"
     deploy_fn = FN_DEPLOY_SWITCH  # borrow a scheduled function for tests
 
     def init_state(self):
@@ -52,7 +51,6 @@ class NestedContract(Contract):
     """Writes deep into its own state, or into another contract's, may pay
     out, and reverts unless `fail` is false."""
 
-    code_id = "nested"
     deploy_fn = FN_DEPLOY_SWITCH
 
     def init_state(self):
