@@ -15,6 +15,7 @@ headline numbers are quoted from that list rather than recomputed.
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -326,33 +327,155 @@ def _jsonable(value):
     return value
 
 
-def _copy_state(value):
-    """Copy contract state: new dicts and lists, the immutable leaves shared."""
-    if isinstance(value, dict):
-        return {k: _copy_state(v) if isinstance(v, (dict, list)) else v for k, v in value.items()}
-    if isinstance(value, list):
-        return [_copy_state(v) if isinstance(v, (dict, list)) else v for v in value]
+# The write journal of the transaction in progress, None outside one: for each
+# container the transaction wrote to, keyed by its id, the container and a
+# shallow copy of its contents before the first write. It is module state
+# because a container holds no reference to its ledger; transactions do not
+# nest and the simulator runs one at a time, and `submit_tx` clears it.
+_journal: Optional[dict] = None
+
+
+def _save(container):
+    if _journal is not None and id(container) not in _journal:
+        _journal[id(container)] = (container, container.copy())
+
+
+def _journaled(value):
+    """`value` with every plain dict and list in it rebuilt as a journaled
+    one; journaled containers and other values are returned as they are."""
+    kind = type(value)
+    if kind is dict:
+        return JournaledDict({k: _journaled(v) for k, v in value.items()})
+    if kind is list:
+        return JournaledList([_journaled(v) for v in value])
     return value
+
+
+def _stored(value):
+    """What a mutator stores: inside a transaction the value itself, which
+    the handler may go on writing to and the commit rebuilds (`_adopt`);
+    outside one, its journaled form at once."""
+    return value if _journal is not None else _journaled(value)
+
+
+def _saving(method):
+    """`method`, saving its container to the write journal first."""
+
+    def mutator(self, *args, **kwargs):
+        _save(self)
+        return method(self, *args, **kwargs)
+
+    return mutator
+
+
+class JournaledDict(dict):
+    """A dict of contract state that saves itself to the write journal
+    before its first write in a transaction."""
+
+    __slots__ = ()
+
+    def _restore(self, saved: dict):
+        dict.clear(self)
+        dict.update(self, saved)
+
+    def _adopt(self):
+        for key, value in dict.items(self):
+            if type(value) is dict or type(value) is list:
+                dict.__setitem__(self, key, _journaled(value))
+
+    def __setitem__(self, key, value):
+        _save(self)
+        dict.__setitem__(self, key, _stored(value))
+
+    def setdefault(self, key, default=None):
+        if key not in self:
+            self[key] = default
+        return self[key]
+
+    def update(self, *args, **kwargs):
+        _save(self)
+        dict.update(self, {k: _stored(v) for k, v in dict(*args, **kwargs).items()})
+
+    def __ior__(self, other):
+        self.update(other)
+        return self
+
+    __delitem__ = _saving(dict.__delitem__)
+    pop = _saving(dict.pop)
+    popitem = _saving(dict.popitem)
+    clear = _saving(dict.clear)
+
+
+class JournaledList(list):
+    """A list of contract state that saves itself to the write journal
+    before its first write in a transaction."""
+
+    __slots__ = ()
+
+    def _restore(self, saved: list):
+        list.__setitem__(self, slice(None), saved)
+
+    def _adopt(self):
+        for index, value in enumerate(self):
+            if type(value) is dict or type(value) is list:
+                list.__setitem__(self, index, _journaled(value))
+
+    def __setitem__(self, index, value):
+        _save(self)
+        if isinstance(index, slice):
+            list.__setitem__(self, index, [_stored(v) for v in value])
+        else:
+            list.__setitem__(self, index, _stored(value))
+
+    def append(self, value):
+        _save(self)
+        list.append(self, _stored(value))
+
+    def extend(self, values):
+        _save(self)
+        list.extend(self, [_stored(v) for v in values])
+
+    def __iadd__(self, values):
+        self.extend(values)
+        return self
+
+    def insert(self, index, value):
+        _save(self)
+        list.insert(self, index, _stored(value))
+
+    __delitem__ = _saving(list.__delitem__)
+    __imul__ = _saving(list.__imul__)
+    pop = _saving(list.pop)
+    remove = _saving(list.remove)
+    clear = _saving(list.clear)
+    sort = _saving(list.sort)
+    reverse = _saving(list.reverse)
 
 
 class Contract:
     """Base class: state lives in `self.state`.
 
-    State holds only dict, list, str, int, bool and None, and no container
-    is reachable from two places. `Ledger.submit_tx` snapshots it with
-    `_copy_state`, which copies dicts and lists and shares every other
-    value: a mutable value of another type would be shared with the
-    snapshot, and a container reachable twice would come back as two, so
-    a revert would not restore the state as it was.
+    State holds only dict, list, str, int, bool and None, and no dict or
+    list is reachable from two places. Each dict and list in it is
+    journaled from the moment it is inserted: before its first write in a
+    transaction it saves a shallow copy of itself, a revert restores the
+    saved containers in place, and a commit drops the copies. A dict or
+    list a handler inserts stays the handler's own object, which it may go
+    on writing to, until the commit rebuilds it as a journaled one. Writes
+    outside a transaction (`on_tick`, set-up) are not journaled, and there
+    an inserted dict or list is rebuilt at once, so later writes to it go
+    through the state.
     """
 
     deploy_fn = FN_DEPLOY_AGENT
 
     def __init__(self, ledger: "Ledger", address: bytes, **ctor):
-        self.ledger = ledger
+        # a proxy, so that the ledger does not wait for the cycle collector
+        self.ledger = weakref.proxy(ledger)
         self.address = address
         self.state: dict[str, Any] = {}
         self.init_state(**ctor)
+        self.state = _journaled(self.state)
 
     def init_state(self, **ctor):
         pass
@@ -452,6 +575,7 @@ class Ledger:
     # -- transactions ------------------------------------------------------
 
     def submit_tx(self, caller: bytes, target: bytes, function: str, args: Optional[dict] = None, value: int = 0) -> TxReceipt:
+        global _journal
         args = args or {}
         account = self.accounts.get(caller)
         if account is None or account.kind is not AccountKind.EOA:
@@ -470,7 +594,7 @@ class Ledger:
         account.balance -= value
         self.accounts[target].balance += value
 
-        snapshot = {addr: _copy_state(c.state) for addr, c in self.contracts.items()}
+        _journal = journal = {}
         ctx = TxContext(self, caller, value)
         contract_account = self.accounts[target]
         try:
@@ -479,11 +603,15 @@ class Ledger:
                 # treat as a programming error in the contract, not user input
                 raise ContractRevert("contract overdraw")
         except ContractRevert as exc:
-            for addr, state in snapshot.items():
-                self.contracts[addr].state = state
+            for container, saved in reversed(journal.values()):
+                container._restore(saved)
             contract_account.balance -= value
             account.balance += value
             return self._record(caller, target, function, units, gas, False, str(exc), [])
+        finally:
+            _journal = None
+        for container, _ in journal.values():
+            container._adopt()
 
         for to, amount in ctx._payouts:
             contract_account.balance -= amount

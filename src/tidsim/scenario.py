@@ -694,16 +694,18 @@ class ScenarioRunner:
             for mailman in disclosers:
                 self.bus.broadcast(mailman.address, TOPIC, b"SHR" + held[mailman.address].to_bytes())
             self.bus.deliver_pending(self.ledger.tick)
+            # the observer reports only the disclosures the bus delivered
+            disclosed = [msg.payload[3:] for msg in self.bus.broadcast_log() if msg.payload[:3] == b"SHR"]
             observer = next(
                 (m for m in sender.selected if m.policy == POLICY_HONEST), None
             )
             if observer is not None:
-                for mailman in disclosers:
+                for share in disclosed:
                     self.ledger.submit_tx(
                         observer.address,
                         self.strawman.address,
                         FN_STRAWMAN_REPORT_PREMATURE,
-                        {"sid": sid, "share": held[mailman.address].to_bytes()},
+                        {"sid": sid, "share": share},
                     )
         self.ledger.audit()
 

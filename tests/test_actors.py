@@ -3,6 +3,7 @@ strawman comparison runs, secrecy, and rationality."""
 
 import gc
 import sys
+import weakref
 from random import Random
 
 import pytest
@@ -328,6 +329,24 @@ class TestStrawmanRuns:
             svc = runner.strawman.state["services"][runner.sender.service_id]
             assert bool(svc["shares_paid"]) == (trace.status == "delivered_heavy")
 
+    def test_dropped_disclosure_is_not_reported(self):
+        # three premature couriers, but the bus drops the only disclosure sent
+        cfg = ScenarioConfig(
+            seed=1,
+            pool_size=6,
+            n=4,
+            l=1,
+            t=2,
+            mode=MODE_STRAWMAN,
+            fault_policies={0: "premature", 1: "premature", 2: "premature"},
+            selection_override=(0, 1, 2, 3),
+            drop_prob=0.5,
+        )
+        trace = run_scenario(cfg)
+        disclosures = [m for m in trace.messages if m["to"] == "broadcast" and m["payload"].startswith(b"SHR".hex())]
+        assert [m["delivered"] for m in disclosures] == [False]
+        assert trace.slashes == []
+
 
 class TestSecrecy:
     def test_lightweight_onchain_state_selection_independent(self):
@@ -469,6 +488,23 @@ class TestConservation:
         for cfg in cases:
             trace = run_scenario(cfg)
             assert trace.status in ("delivered_light", "delivered_heavy", "failed")
+
+
+class TestLifetime:
+    def test_finished_runner_is_freed_without_the_cycle_collector(self):
+        configs = [small_config(seed=2), small_config(seed=4, mode=MODE_STRAWMAN, l=1)]
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for cfg in configs:
+                runner = ScenarioRunner(cfg)
+                runner.run()
+                ledger = weakref.ref(runner.ledger)
+                del runner
+                assert ledger() is None, cfg.mode
+        finally:
+            if enabled:
+                gc.enable()
 
 
 def naive_peel(onions, privkeys):

@@ -1,6 +1,7 @@
 """Ledger tests: accounts, gas metering, clock, conservation, rollback."""
 
 import copy
+import operator
 from fractions import Fraction
 from random import Random
 
@@ -15,11 +16,12 @@ from tidsim.ledger import (
     FN_NEW_SERVICE,
     FN_RECIPIENT_RECEIPT,
     GasSchedule,
+    JournaledDict,
+    JournaledList,
     Ledger,
     LedgerError,
     TimeFrame,
     WEI_PER_ETHER,
-    _copy_state,
     fmt_usd,
     round_usd_cents,
 )
@@ -69,12 +71,39 @@ class NestedContract(Contract):
             raise ContractRevert("after nested writes")
 
 
-def container_ids(value) -> set[int]:
-    if isinstance(value, dict):
-        return {id(value)}.union(*map(container_ids, value.values()))
-    if isinstance(value, list):
-        return {id(value)}.union(*map(container_ids, value))
-    return set()
+class RecordContract(Contract):
+    """Inserts a record and goes on writing to it through its own reference,
+    or writes into the record an earlier call inserted; reverts if `fail`."""
+
+    deploy_fn = FN_DEPLOY_SWITCH
+
+    def init_state(self):
+        self.state = {"records": {}}
+
+    def fn_newService(self, ctx, key, fail=False):
+        record = self.state["records"].get(key)
+        if record is None:
+            record = {"tags": [], "n": 0}
+            self.state["records"][key] = record
+        record["tags"].append("t%d" % record["n"])
+        record["n"] += 1
+        if fail:
+            raise ContractRevert("requested failure")
+
+
+class ScriptContract(Contract):
+    """Starts from the given state; a call runs `edit` on it, then reverts
+    if `fail`."""
+
+    deploy_fn = FN_DEPLOY_SWITCH
+
+    def init_state(self, state):
+        self.state = state
+
+    def fn_newService(self, ctx, edit, fail):
+        edit(self.state)
+        if fail:
+            raise ContractRevert("requested failure")
 
 
 @pytest.fixture
@@ -218,16 +247,28 @@ class TestRollback:
         assert ledger.balance(contract.address) == 0
         ledger.audit()
 
-    def test_restored_state_shares_no_container(self, ledger, funded):
+    def test_revert_restores_in_place(self, ledger, funded):
         contract = ledger.deploy_contract(funded.address, NestedContract)
         live = contract.state  # the object the reverted handler wrote into
+        tags = live["book"]["alice"]["tags"]
+        before = copy.deepcopy(live)
         ledger.submit_tx(funded.address, contract.address, FN_NEW_SERVICE)
-        restored = contract.state
-        assert not container_ids(live) & container_ids(restored)
-        restored["book"]["alice"]["tags"].append("r")
-        assert live["book"]["alice"]["tags"] == ["a", "b"]
-        live["log"][0].append(4)
-        assert restored["log"][0] == [1, 2]
+        assert contract.state is live
+        assert live["book"]["alice"]["tags"] is tags
+        assert repr(live) == repr(before)
+
+    def test_write_through_reference_to_inserted_record_is_kept(self, ledger, funded):
+        contract = ledger.deploy_contract(funded.address, RecordContract)
+        receipt = ledger.submit_tx(funded.address, contract.address, FN_NEW_SERVICE, {"key": "a"})
+        assert receipt.success
+        assert contract.state["records"] == {"a": {"tags": ["t0"], "n": 1}}
+
+    def test_revert_restores_record_inserted_by_earlier_commit(self, ledger, funded):
+        contract = ledger.deploy_contract(funded.address, RecordContract)
+        ledger.submit_tx(funded.address, contract.address, FN_NEW_SERVICE, {"key": "a"})
+        receipt = ledger.submit_tx(funded.address, contract.address, FN_NEW_SERVICE, {"key": "a", "fail": True})
+        assert not receipt.success
+        assert contract.state["records"] == {"a": {"tags": ["t0"], "n": 1}}
 
 
 json_like = st.recursive(
@@ -237,13 +278,115 @@ json_like = st.recursive(
 )
 
 
-@given(value=json_like)
+def containers(value):
+    if isinstance(value, dict):
+        return [value] + [c for v in value.values() for c in containers(v)]
+    if isinstance(value, list):
+        return [value] + [c for v in value for c in containers(v)]
+    return []
+
+
+def draw_edit(data, state):
+    """Draw one mutator call on a container reachable from `state`: the path
+    to it, the mutator and its arguments."""
+    path, target = [], state
+    while True:
+        items = target.items() if isinstance(target, dict) else enumerate(target)
+        children = [k for k, v in items if isinstance(v, (dict, list))]
+        pick = data.draw(st.integers(0, len(children)))
+        if not pick:
+            break
+        path.append(children[pick - 1])
+        target = target[children[pick - 1]]
+    size = len(target)
+    if isinstance(target, dict):
+        keys = st.sampled_from(sorted(target)) | st.text(max_size=3) if target else st.text(max_size=3)
+        mapping = st.dictionaries(keys, json_like, max_size=3)
+        choices = [
+            ("__setitem__", st.tuples(keys, json_like)),
+            ("setdefault", st.tuples(keys, json_like)),
+            ("pop", st.tuples(keys, st.none())),
+            ("update", st.tuples(mapping)),
+            ("__ior__", st.tuples(mapping)),
+            ("clear", st.just(())),
+        ]
+        if target:
+            choices += [("__delitem__", st.tuples(st.sampled_from(sorted(target)))), ("popitem", st.just(()))]
+    else:
+        index = st.integers(-size, size - 1)
+        bound = st.integers(0, size)
+        values = st.lists(json_like, max_size=3)
+        choices = [
+            ("append", st.tuples(json_like)),
+            ("extend", st.tuples(values)),
+            ("__iadd__", st.tuples(values)),
+            ("__imul__", st.tuples(st.integers(0, 1))),  # a larger factor aliases containers
+            ("insert", st.tuples(st.integers(-size - 1, size + 1), json_like)),
+            ("__setitem__", st.tuples(st.builds(slice, bound, bound), values)),
+            ("__delitem__", st.tuples(st.builds(slice, bound, bound))),
+            ("clear", st.just(())),
+            ("reverse", st.just(())),
+            ("sort", st.just(())),
+        ]
+        if target:
+            choices += [
+                ("__setitem__", st.tuples(index, json_like)),
+                ("__delitem__", st.tuples(index)),
+                ("pop", st.tuples(index)),
+                ("remove", st.tuples(st.sampled_from(list(target)))),
+            ]
+    name, args = data.draw(st.sampled_from(choices).flatmap(lambda c: st.tuples(st.just(c[0]), c[1])))
+    return path, name, args
+
+
+def apply_edit(state, edit):
+    path, name, args = edit
+    target = state
+    for key in path:
+        target = target[key]
+    args = copy.deepcopy(args)  # the live and the mirror state each get their own values
+    if name == "sort":
+        target.sort(key=repr)  # state may mix types that do not compare
+    elif name.startswith("__i"):
+        getattr(operator, name.strip("_"))(target, *args)
+    else:
+        getattr(target, name)(*args)
+
+
+@given(
+    initial=st.dictionaries(st.text(max_size=8), json_like, max_size=5),
+    outcomes=st.lists(st.tuples(st.booleans(), st.integers(0, 6)), min_size=1, max_size=4),
+    data=st.data(),
+)
 @settings(max_examples=200, deadline=None)
-def test_copy_state_matches_deepcopy(value):
-    copied = _copy_state(value)
-    # repr tells True from 1, which == does not
-    assert repr(copied) == repr(copy.deepcopy(value))
-    assert not container_ids(value) & container_ids(copied)
+def test_journal_matches_deepcopy(initial, outcomes, data):
+    """Random transactions of random mutator calls, each committed or
+    reverted: a revert leaves the state as a deepcopy taken before it, a
+    commit as the same calls applied to a plain copy. repr tells True from
+    1, which == does not."""
+    ledger = Ledger()
+    account = ledger.create_eoa(Random(1))
+    ledger.fund(account.address, 100 * ETHER)
+    contract = ledger.deploy_contract(account.address, ScriptContract, state=copy.deepcopy(initial))
+    mirror = copy.deepcopy(initial)
+    for fail, count in outcomes:
+        before = copy.deepcopy(contract.state)
+        edits = []
+
+        def edit(state):
+            for _ in range(count):
+                edits.append(draw_edit(data, state))
+                apply_edit(state, edits[-1])
+
+        receipt = ledger.submit_tx(account.address, contract.address, FN_NEW_SERVICE, {"edit": edit, "fail": fail})
+        assert receipt.success is not fail
+        if fail:
+            assert repr(contract.state) == repr(before)
+        else:
+            for each in edits:
+                apply_edit(mirror, each)
+            assert repr(contract.state) == repr(mirror)
+        assert all(type(c) in (JournaledDict, JournaledList) for c in containers(contract.state))
 
 
 class TestClock:
