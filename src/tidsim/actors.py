@@ -36,7 +36,6 @@ from .crypto import (
     decode_parts,
     encode_parts,
     hash256,
-    keypair_gen,
     new_secret_key,
     onion_peel,
     onion_wrap,
@@ -177,14 +176,13 @@ class MailmanActor:
 
     keypair: KeyPair
     channel_keys: KeyPair
-    rng: Random
+    timeframe_keys: dict[int, KeyPair]
     ledger: Ledger
     bus: MessageBus
     agent: AgentContract
     deposit: int
     policy: str = POLICY_HONEST
     refuse_service: bool = False
-    timeframe_keys: dict[int, KeyPair] = field(default_factory=dict)
     # per-service assignment, filled by the handshake
     index: Optional[int] = None
     sup_code: Optional[bytes] = None
@@ -196,14 +194,7 @@ class MailmanActor:
     def address(self) -> bytes:
         return self.keypair.address
 
-    def ensure_timeframe_key(self, tick: int) -> KeyPair:
-        if tick not in self.timeframe_keys:
-            self.timeframe_keys[tick] = keypair_gen(self.rng)
-        return self.timeframe_keys[tick]
-
-    def register(self, timeframe_ticks: list[int]):
-        for tick in timeframe_ticks:
-            self.ensure_timeframe_key(tick)
+    def register(self):
         self.bus.register_channel_key(self.address, self.channel_keys.pubkey)
         self.ledger.submit_tx(
             self.address,

@@ -47,7 +47,7 @@ from .crypto import (
     Share,
     encode_parts,
     hash256,
-    keypair_gen,
+    keypairs_gen,
     new_secret_key,
     ss_restore,
     ss_split,
@@ -267,7 +267,11 @@ class ScenarioRunner:
         cfg = self.config
         fund = 10_000 * WEI_PER_ETHER
 
-        operator_kp = keypair_gen(self.rng)
+        # every key comes from one batched draw: operator, sender and its channel,
+        # recipient and its channel, then each courier's account, channel and timeframe key
+        operator_kp, sender_kp, sender_channel, recipient_kp, recipient_channel, *courier_keys = keypairs_gen(
+            self.rng, 5 + 3 * cfg.pool_size
+        )
         self.ledger.register_eoa(operator_kp.address)
         self.ledger.fund(operator_kp.address, fund)
 
@@ -281,10 +285,6 @@ class ScenarioRunner:
                 operator_kp.address, StrawmanContract, min_deposit=min_deposit, settle_ticks=2 * cfg.epoch_ticks
             )
 
-        sender_kp = keypair_gen(self.rng)
-        sender_channel = keypair_gen(self.rng)
-        recipient_kp = keypair_gen(self.rng)
-        recipient_channel = keypair_gen(self.rng)
         for kp in (sender_kp, recipient_kp):
             self.ledger.register_eoa(kp.address)
             self.ledger.fund(kp.address, fund)
@@ -292,10 +292,11 @@ class ScenarioRunner:
 
         self.registry = registry = self.agent if self.agent is not None else self.strawman
         for i in range(cfg.pool_size):
+            account, channel, timeframe = courier_keys[3 * i : 3 * i + 3]
             mailman = MailmanActor(
-                keypair=keypair_gen(self.rng),
-                channel_keys=keypair_gen(self.rng),
-                rng=self.rng,
+                keypair=account,
+                channel_keys=channel,
+                timeframe_keys={cfg.timeframe_tick: timeframe},
                 ledger=self.ledger,
                 bus=self.bus,
                 agent=registry,
@@ -305,7 +306,7 @@ class ScenarioRunner:
             )
             self.ledger.register_eoa(mailman.address)
             self.ledger.fund(mailman.address, fund)
-            mailman.register([cfg.timeframe_tick])
+            mailman.register()
             self.pool.append(mailman)
 
         self.recipient = RecipientActor(keypair=recipient_kp, channel_keys=recipient_channel, bus=self.bus)

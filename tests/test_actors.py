@@ -70,6 +70,24 @@ class TestSetupAndSelection:
         new = [r.function for r in runner.ledger.receipts[before:]]
         assert new == ["deploySwitch", "newService"]
 
+    def test_marketplace_draws_no_single_key(self, monkeypatch):
+        calls = []
+        single = crypto.keypair_gen
+
+        def counting(rng):
+            calls.append(rng)
+            return single(rng)
+
+        for module in (crypto, actors, scenario):
+            monkeypatch.setattr(module, "keypair_gen", counting, raising=False)
+        runner = ScenarioRunner(small_config(pool_size=40))
+        runner.build_marketplace()
+        assert calls == []
+        tick = runner.config.timeframe_tick
+        for mailman in runner.pool:
+            record = runner.agent.state["mailmen"][mailman.address.hex()]
+            assert record["timeframe_pubkeys"] == {str(tick): mailman.timeframe_keys[tick].pubkey.hex()}
+
     def test_pool_too_small(self):
         with pytest.raises(ConfigError):
             ScenarioConfig(seed=1, pool_size=3, l=2, t=2, n=4).validate()

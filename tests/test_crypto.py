@@ -28,6 +28,7 @@ from tidsim.crypto import (
     _N,
     _P,
     _BASE_TABLE,
+    _base_mul_batch,
     _glv_split,
     _jadd,
     _jadd_affine,
@@ -43,6 +44,7 @@ from tidsim.crypto import (
     hash256,
     keypair_from_scalar,
     keypair_gen,
+    keypairs_gen,
     new_secret_key,
     onion_peel,
     onion_wrap,
@@ -562,3 +564,33 @@ class TestScalarKernel:
             except VerificationError as exc:
                 outcomes.append(type(exc))
         assert outcomes[0] == outcomes[1]
+
+
+def near(center, count, seed):
+    """`count` scalars in [1, N) within 2^132 of center, drawn from a fixed seed."""
+    rng = Random(seed)
+    ks = (center + rng.randrange(-(2**132), 2**132) for _ in range(count))
+    return [k for k in ks if 1 <= k < _N]
+
+
+class TestBatchedBaseMult:
+    @pytest.mark.parametrize("count", [0, 1, 2, 17, 205])
+    def test_equals_repeated_single_draws(self, count):
+        batch_rng, single_rng = Random(count), Random(count)
+        assert keypairs_gen(batch_rng, count) == [keypair_gen(single_rng) for _ in range(count)]
+        assert batch_rng.getstate() == single_rng.getstate()
+
+    def test_edge_scalars(self):
+        ks = [k for k in BASE_EDGE_SCALARS if k < _N]
+        assert _base_mul_batch(ks) == [_to_affine(_jmul_base(k)) for k in ks]
+
+    @given(ks=st.lists(scalars, max_size=12))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_single_key_mult(self, ks):
+        assert _base_mul_batch(ks) == [_to_affine(_jmul_base(k)) for k in ks]
+
+    # where the top window's digit, after its carry, meets the group order
+    @pytest.mark.parametrize("center", [2**255, _N - 2**255, 2**256 - _N, _N - 1])
+    def test_scalars_where_the_last_window_can_wrap(self, center):
+        ks = near(center, 40, center)
+        assert _base_mul_batch(ks) == [_to_affine(_jmul_base(k)) for k in ks]
