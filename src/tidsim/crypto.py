@@ -133,18 +133,20 @@ def decode_parts(data: bytes) -> list[bytes]:
 
 # ---------------------------------------------------------------------------
 # secp256k1 arithmetic in Jacobian coordinates. Fixed-base multiplication
-# uses signed 5-bit windows over a table of affine points: 52 windows hold
-# d * 32^w * G for d = 1..16, a digit d > 16 becomes d - 32 with a carry
+# uses signed 7-bit windows over a table of affine points: 37 windows hold
+# d * 128^w * G for d = 1..64, a digit d > 64 becomes d - 128 with a carry
 # into the next window, and a negative digit negates y. Each table point is
 # added with a mixed Jacobian-affine addition (Hankerson-Menezes-Vanstone,
-# Guide to ECC, 3.2-3.3).
+# Guide to ECC, 3.2-3.3), about 37 per k * G.
 #
-# Many keys at once (_base_mul_batch) walk the same windows but keep every
-# accumulator affine: one window adds each key's table point by affine
-# addition, and the batch shares one inversion of the x differences
-# (Montgomery's trick, Math. Comp. 1987). That is one inversion per window
-# instead of one per key. The equal-x case of affine addition never arises
-# for 1 <= k < N; _base_mul_batch gives the argument.
+# Affine additions that share one inversion of their x differences
+# (Montgomery's trick, Math. Comp. 1987; _affine_sums) do two jobs. They
+# build the table: a doubling chain gives each window's powers of two, and
+# five rounds of sums across all windows fill in the rest. And they multiply
+# many keys at once (_base_mul_batch): every accumulator stays affine and
+# each window costs one inversion instead of one per key. The equal-x case
+# of affine addition never arises in either; _build_base_table and
+# _base_mul_batch give the arguments.
 #
 # Variable-base multiplication uses the GLV endomorphism (Gallant-Lambert-
 # Vanstone, CRYPTO 2001; Guide to ECC, 3.5). On secp256k1 the map
@@ -358,37 +360,79 @@ def _batch_to_affine(points):
     return affine
 
 
+def _affine_sums(pairs):
+    """P + Q for every pair (P, Q) of affine points with distinct x, sharing one inversion.
+
+    Montgomery's trick: the product of all x differences is inverted once and
+    each difference's inverse is peeled off it, last pair first. An equal x
+    makes the product zero, and pow(0, -1, P) raises rather than give a wrong
+    point.
+    """
+    p = _P
+    prefix = []
+    prod = 1
+    for (x1, _), (x2, _) in pairs:
+        prefix.append(prod)
+        prod = prod * (x2 - x1) % p
+    inv = pow(prod, -1, p)
+    sums = [None] * len(pairs)
+    for j in range(len(pairs) - 1, -1, -1):
+        (x1, y1), (x2, y2) = pairs[j]
+        lam = (y2 - y1) * inv * prefix[j] % p
+        inv = inv * (x2 - x1) % p
+        x3 = (lam * lam - x1 - x2) % p
+        sums[j] = (x3, (lam * (x1 - x3) - y1) % p)
+    return sums
+
+
+# Signed windows of _WINDOW bits: a digit above _HALF becomes digit - 2^_WINDOW
+# and carries one into the next window. _ROWS windows cover every k < 2^256
+# with the top digit at most _HALF.
+_WINDOW = 7
+_HALF = 1 << _WINDOW - 1
+_MASK = (1 << _WINDOW) - 1
+_ROWS = -(-257 // _WINDOW)
+
+
 def _build_base_table():
-    # Window w's multiples come from mixed additions of its affine base
-    # B = 32^w * G; the next base is 2 * (16 * B). All 832 points are then
-    # made affine with one shared inversion.
-    points = []
-    bx, by = _GX, _GY
-    for _ in range(52):
-        cur = (bx, by, 1)
-        points.append(cur)
-        for _ in range(15):
-            cur = _jadd_affine(cur, bx, by)
-            points.append(cur)
-        bx, by = _to_affine(_jdouble(cur))
-    affine = _batch_to_affine(points)
-    return [affine[w : w + 16] for w in range(0, len(affine), 16)]
+    """Row w holds the affine d * B for d = 1.._HALF, B = 2^(_WINDOW * w) * G.
+
+    One doubling chain from G passes through every 2^i * B, which one shared
+    inversion makes affine. Step m then fills each d with 2^m < d < 2^(m+1)
+    in every row at once, as (d - 2^m) * B + 2^m * B. The two summands are
+    distinct multiples a != b of B with a + b < N, so their x differ.
+    """
+    chain = [(_GX, _GY, 1)]
+    for _ in range(_WINDOW * _ROWS - 1):
+        chain.append(_jdouble(chain[-1]))
+    powers = _batch_to_affine(chain)
+    table = [[None] * _HALF for _ in range(_ROWS)]
+    for w, row in enumerate(table):
+        for i in range(_WINDOW):
+            row[(1 << i) - 1] = powers[_WINDOW * w + i]
+    for m in range(1, _WINDOW - 1):
+        low = 1 << m
+        pairs = [(row[e - 1], row[low - 1]) for row in table for e in range(1, low)]
+        sums = _affine_sums(pairs)
+        for w, row in enumerate(table):
+            row[low : 2 * low - 1] = sums[w * (low - 1) : (w + 1) * (low - 1)]
+    return table
 
 
 _BASE_TABLE = _build_base_table()
 
 
 def _jmul_base(k):
-    """k * G for 0 <= k < 2^259 by signed 5-bit windows over _BASE_TABLE."""
+    """k * G for 0 <= k < 2^256 by signed 7-bit windows over _BASE_TABLE."""
     acc = _INF
     for row in _BASE_TABLE:
         if not k:
             break
-        d = k & 31
-        k >>= 5
-        if d > 16:
+        d = k & _MASK
+        k >>= _WINDOW
+        if d > _HALF:
             k += 1
-            x, y = row[31 - d]
+            x, y = row[_MASK - d]
             acc = _jadd_affine(acc, x, _P - y)
         elif d:
             x, y = row[d - 1]
@@ -400,53 +444,48 @@ def _base_mul_batch(ks):
     """Affine k * G for every k in ks, 1 <= k < N, over _BASE_TABLE's signed windows.
 
     Each accumulator stays affine. In each window every key whose digit is
-    nonzero adds its table point T by affine addition, and the slopes share
-    one Montgomery inversion of the product of all x differences.
+    nonzero adds its table point T, and _affine_sums shares one inversion
+    across the window's additions.
 
-    The x differences are never zero, so no branch handles equal x:
-    - before window w <= 50 the accumulator is S * G, where S sums the signed
-      digits below w, so |S| < (16/31) * 32^w, below the table entry's
-      |d| * 32^w < N. Neither side wraps mod N, so S is not +-T mod N;
-    - in the last window (w = 51, d in {1, 2}), S = +-T mod N would force
-      k = 0 mod N or k >= N;
-    - were it ever to happen, pow(0, -1, P) would raise rather than give a
+    The accumulator S * G never has T's x, so no branch handles equal x. S
+    sums the signed digits below the window, each at most 64 * 128^j:
+    - before window w <= 35, |S| < (64/127) * 128^w <= |T| and
+      |S| + |T| < 2^252 < N, so S - T and S + T are nonzero and below N in
+      size, and S is not +-T mod N;
+    - in window 36 a nonzero digit is 1..16, since k < 2^256 leaves at
+      most 15 there plus a carry. S = -T mod N would make k = S + T = 0 mod N.
+      S = T mod N, with S != T, needs T - S = N, since 0 < T - S < 2N;
+      T = d * 2^252 lies within 2^251 of N only for d = 16, and then
+      S = 2^256 - N and k = S + T = 2^257 - N >= N;
+    - were it ever to happen, _affine_sums would raise rather than give a
       wrong point.
-    A search over 2,167 scalars within 2^132 of 1, 2^128, 2^255, N - 2^255,
+    A search over 2,021 scalars within 2^132 of 1, 2^128, 2^255, N - 2^255,
     2^256 - N, N/2 and N - 1 found no equal-x case either.
     """
     ks = list(ks)
     acc = [None] * len(ks)
+    width, half, mask = _WINDOW, _HALF, _MASK
     for row in _BASE_TABLE:
-        adds = []
+        keys = []
+        pairs = []
         for i, k in enumerate(ks):
-            d = k & 31
-            if d > 16:
-                ks[i] = (k >> 5) + 1
-                x, y = row[31 - d]
-                y = _P - y
+            d = k & mask
+            if d > half:
+                ks[i] = (k >> width) + 1
+                x, y = row[mask - d]
+                t = (x, _P - y)
             else:
-                ks[i] = k >> 5
+                ks[i] = k >> width
                 if not d:
                     continue
-                x, y = row[d - 1]
+                t = row[d - 1]
             if acc[i] is None:
-                acc[i] = (x, y)
+                acc[i] = t
             else:
-                adds.append((i, x, y))
-        prefix = []
-        prod = 1
-        for i, x, _ in adds:
-            prefix.append(prod)
-            prod = prod * (x - acc[i][0]) % _P
-        inv = pow(prod, -1, _P)
-        for j in range(len(adds) - 1, -1, -1):
-            i, x2, y2 = adds[j]
-            x1, y1 = acc[i]
-            dx = x2 - x1
-            lam = (y2 - y1) * inv * prefix[j] % _P
-            inv = inv * dx % _P
-            x3 = (lam * lam - x1 - x2) % _P
-            acc[i] = (x3, (lam * (x1 - x3) - y1) % _P)
+                keys.append(i)
+                pairs.append((acc[i], t))
+        for i, s in zip(keys, _affine_sums(pairs)):
+            acc[i] = s
     return acc
 
 

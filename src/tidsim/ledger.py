@@ -679,6 +679,7 @@ class Ledger:
             "receipts": [r.to_record(include_caller=include_callers) for r in self.receipts],
         }
 
-    def state_digest(self, include_callers: bool = True) -> bytes:
-        blob = json.dumps(self.onchain_state(include_callers), sort_keys=True).encode()
-        return hash256(blob)
+    def state_digest(self, state: dict) -> bytes:
+        """Hash of `state`, a dump built by onchain_state: the caller keeps
+        the dump it hashes, so neither is built twice."""
+        return hash256(json.dumps(state, sort_keys=True).encode())

@@ -394,7 +394,7 @@ class ScenarioRunner:
         else:
             self._run_silent()
         pre_state = self.ledger.onchain_state(include_callers=False)
-        pre_digest = self.ledger.state_digest(include_callers=False)
+        pre_digest = self.ledger.state_digest(pre_state)
         if self.config.withdraw_at_end:
             self._settlement_phase()
         self.ledger.audit()
@@ -760,12 +760,13 @@ class ScenarioRunner:
             self.recipient.info == self.sender.info
             and self.recipient.info is not None
         )
+        final_state = self.ledger.onchain_state()
         return ScenarioTrace(
             config=cfg.to_dict(),
             mode=cfg.mode,
             status=svc["status"],
             epoch_sequence=[e for _, e in svc.get("epoch_history", [])],
-            receipts=[r.to_record() for r in self.ledger.receipts],
+            receipts=final_state["receipts"],
             messages=self.bus.meta_records(),
             slashes=svc["slashes"],
             selected=selected,
@@ -778,7 +779,7 @@ class ScenarioRunner:
             info_delivered=delivered,
             pre_settlement_state=pre_state,
             pre_settlement_digest=pre_digest.hex(),
-            final_digest=self.ledger.state_digest().hex(),
+            final_digest=self.ledger.state_digest(final_state).hex(),
         )
 
 

@@ -2,6 +2,7 @@
 strawman comparison runs, secrecy, and rationality."""
 
 import gc
+import json
 import sys
 import weakref
 from random import Random
@@ -373,6 +374,12 @@ class TestSecrecy:
         b = run_scenario(ScenarioConfig(**base, selection_override=tuple(range(2, 12))))
         assert a.selected != b.selected
         assert a.pre_settlement_digest == b.pre_settlement_digest
+
+    def test_pre_settlement_digest_hashes_the_recorded_state(self):
+        # settlement runs after the checkpoint and must not reach into its dump
+        trace = run_scenario(ScenarioConfig(seed=16, pool_size=6, l=2, t=2, n=4))
+        blob = json.dumps(trace.pre_settlement_state, sort_keys=True).encode()
+        assert trace.pre_settlement_digest == hash256(blob).hex()
 
     def test_strawman_leaks_selection(self):
         base = dict(seed=16, pool_size=12, l=1, t=4, n=10, mode=MODE_STRAWMAN, withdraw_at_end=False)

@@ -14,9 +14,10 @@ from tidsim.adversary import (
     run_bribery,
     sybil_capture_trials,
 )
+from tidsim.actors import PeelMemo, peel_with_keys
 from tidsim.analysis import bribery_cost
 from tidsim.ledger import WEI_PER_ETHER
-from tidsim.scenario import ConfigError, ScenarioConfig, run_scenario
+from tidsim.scenario import ConfigError, ScenarioConfig, ScenarioRunner, run_scenario
 
 ETHER = WEI_PER_ETHER
 
@@ -87,11 +88,25 @@ class TestBribery:
         assert counts.mean() > 3 * t * l
 
     def test_blind_full_crypto_run(self):
-        cfg = briberable_config(2, 2, 4, pool_size=8, seed=33)
-        outcome = run_bribery(cfg, int(1.05 * ETHER), know_identities=False)
+        t, l = 2, 2
+        cfg = briberable_config(t, l, 4, pool_size=8, seed=33)
+        bribe = int(1.05 * ETHER)
+        outcome = run_bribery(cfg, bribe, know_identities=False)
         assert outcome.key_recovered
-        assert outcome.total_spent >= 2 * 2 * int(1.05 * ETHER) * 0  # spent recorded
+        purchases = outcome.trace["purchases"]
+        assert outcome.total_spent == len(purchases) * bribe
+        # t shares need t windows of l consecutive holders, which span at least l + t - 1 couriers
+        assert len(purchases) >= l + t - 1
         assert outcome.trace["know_identities"] is False
+
+        # the blind adversary stops at the purchase that completed t shares
+        runner = ScenarioRunner(cfg)
+        runner.build_marketplace()
+        runner.sender.setup()
+        runner.sender.recruit(runner.pool, None)
+        by_address = {m.address.hex(): m for m in runner.pool}
+        keys = [by_address[seller].timeframe_keys[cfg.timeframe_tick].privkey for _, seller in purchases[:-1]]
+        assert len(peel_with_keys(runner.sender.onions, keys, PeelMemo())) < t
 
 
 class TestDisjointTargets:

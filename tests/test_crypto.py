@@ -28,6 +28,7 @@ from tidsim.crypto import (
     _N,
     _P,
     _BASE_TABLE,
+    _affine_sums,
     _base_mul_batch,
     _glv_split,
     _jadd,
@@ -443,11 +444,11 @@ scalars = st.integers(min_value=1, max_value=_N - 1)
 
 
 def every_window(d):
-    """The 255-bit scalar whose 5-bit windows all equal d."""
-    return sum(d << 5 * w for w in range(51))
+    """The 252-bit scalar whose 7-bit windows all equal d."""
+    return sum(d << 7 * w for w in range(36))
 
 
-# Digits 17..31 become negative and carry into the next window; 16 does not.
+# Digits 65..127 become negative and carry into the next window; 64 does not.
 BASE_EDGE_SCALARS = [
     1,
     15,
@@ -456,12 +457,21 @@ BASE_EDGE_SCALARS = [
     31,
     32,
     33,
+    63,
+    64,
+    65,
+    127,
+    128,
+    129,
     2**255,
     _N - 16,
     _N - 1,
     every_window(16),
     every_window(17),
     every_window(31),
+    every_window(64),
+    every_window(65),
+    every_window(127),
 ]
 
 
@@ -536,10 +546,26 @@ class TestScalarKernel:
             assert _to_affine(_jadd_affine(p, x, y)) == _to_affine(_jdouble((x, y, 1)))
             assert _jadd_affine(p, x, _P - y) == (0, 0, 0)
 
-    @pytest.mark.parametrize("w, d", [(0, 1), (0, 16), (1, 2), (17, 9), (50, 15), (51, 1), (51, 16)])
+    @pytest.mark.parametrize("w, d", [(0, 1), (0, 64), (18, 33), (36, 1), (36, 64)])
     def test_base_table_holds_affine_window_multiples(self, w, d):
-        assert len(_BASE_TABLE) == 52 and {len(row) for row in _BASE_TABLE} == {16}
-        assert _BASE_TABLE[w][d - 1] == _to_affine(reference_mul(d << 5 * w, G))
+        assert len(_BASE_TABLE) == 37 and {len(row) for row in _BASE_TABLE} == {64}
+        assert _BASE_TABLE[w][d - 1] == _to_affine(reference_mul(d << 7 * w, G))
+
+    @given(
+        pairs=st.lists(
+            st.tuples(scalars, scalars).filter(lambda ab: (ab[0] - ab[1]) % _N and (ab[0] + ab[1]) % _N),
+            max_size=8,
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_affine_sums_match_jacobian_addition(self, pairs):
+        points = [(_to_affine(_jmul_base(a)), _to_affine(_jmul_base(b))) for a, b in pairs]
+        assert _affine_sums(points) == [_to_affine(_jadd((*p, 1), (*q, 1))) for p, q in points]
+
+    def test_affine_sums_raise_on_equal_x(self):
+        x, y = _to_affine(_jmul_base(0xC0FFEE))
+        with pytest.raises(ValueError):
+            _affine_sums([((x, y), (x, _P - y))])
 
     @given(d=scalars, digest=st.binary(min_size=32, max_size=32))
     @settings(max_examples=30, deadline=None)

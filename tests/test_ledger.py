@@ -457,7 +457,7 @@ class TestDeterminism:
             contract = ledger.deploy_contract(account.address, PingContract)
             ledger.submit_tx(account.address, contract.address, FN_NEW_SERVICE)
             ledger.advance_time(3)
-            return ledger.state_digest()
+            return ledger.state_digest(ledger.onchain_state())
 
         assert run() == run()
 
