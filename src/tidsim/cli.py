@@ -245,9 +245,21 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+# each analysis and the names of its positional parameters, in order
+ANALYSES = {
+    "availability": ("l", "t", "n", "A_T"),
+    "cost": ("mode", "n"),
+    "sybil": ("l", "v", "d"),
+    "bribery": ("t", "l", "d"),
+}
+
+
 def cmd_analyze(args) -> int:
     what = args.what
     params = args.params
+    names = ANALYSES[what]
+    if len(params) != len(names):
+        raise ConfigError(f"analyze {what} takes {len(names)} parameters ({' '.join(names)}), got {len(params)}")
     if what == "availability":
         l, t, n = (int(p) for p in params[:3])
         a_t = float(params[3])
@@ -266,8 +278,6 @@ def cmd_analyze(args) -> int:
         t, l = int(params[0]), int(params[1])
         d = float(params[2])
         print(f"{bribery_cost(t, l, d):.1f}")
-    else:
-        raise ConfigError(f"unknown analysis {what!r}")
     return 0
 
 
@@ -295,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.set_defaults(func=cmd_sweep)
 
     an_p = sub.add_parser("analyze", help="print closed-form values")
-    an_p.add_argument("what", choices=("availability", "cost", "sybil", "bribery"))
+    an_p.add_argument("what", choices=tuple(ANALYSES))
     an_p.add_argument("params", nargs="+")
     an_p.set_defaults(func=cmd_analyze)
     return parser

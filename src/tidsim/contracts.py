@@ -78,7 +78,10 @@ class RegistryContract(Contract):
 
     A subclass's state holds "min_deposit", "mailmen", "services" and
     "claimable"; each service record holds "sender", "n", "remuneration",
-    "shares_paid" and "settled".
+    "shares_paid" and "settled". `_pay_share` is the one payout rule: an
+    unslashed courier earns `remuneration // n` once per service, credited
+    at settlement (`_pay_shares`) or, after a lightweight delivery, when it
+    proves its agreement.
     """
 
     def fn_newMailman(self, ctx: TxContext, channel_pub: bytes, timeframe_pubkeys: Optional[dict] = None) -> dict:
@@ -112,15 +115,21 @@ class RegistryContract(Contract):
         if amount:
             self.state["claimable"][address] = self.state["claimable"].get(address, 0) + amount
 
-    def _pay_shares(self, svc: dict, mailmen):
-        """One remuneration share to each distinct unslashed mailman listed,
-        the rest to the sender; a failed service is `_pay_shares(svc, [])`."""
+    def _pay_share(self, svc: dict, mailman: str) -> int:
+        """Credit one remuneration share of `svc` to an unslashed mailman it
+        has not paid yet; returns the amount credited."""
+        if mailman in svc["shares_paid"] or self.state["mailmen"][mailman]["status"] == MAILMAN_SLASHED:
+            return 0
         share = svc["remuneration"] // svc["n"]
-        paid = sorted({m for m in mailmen if self.state["mailmen"][m]["status"] != MAILMAN_SLASHED})
-        for mailman in paid:
-            self._credit(mailman, share)
-            svc["shares_paid"].append(mailman)
-        self._credit(svc["sender"], svc["remuneration"] - share * len(paid))
+        self._credit(mailman, share)
+        svc["shares_paid"].append(mailman)
+        return share
+
+    def _pay_shares(self, svc: dict, mailmen):
+        """One share to each distinct mailman listed, the rest to the sender;
+        a failed service is `_pay_shares(svc, [])`."""
+        paid = sum(self._pay_share(svc, mailman) for mailman in sorted(set(mailmen)))
+        self._credit(svc["sender"], svc["remuneration"] - paid)
 
     def fn_withdraw(self, ctx: TxContext) -> int:
         if any(not svc["settled"] for svc in self.state["services"].values()):
@@ -296,6 +305,7 @@ class AgentContract(RegistryContract):
         if str(index) in svc["identities"]:
             raise ContractRevert("index already proven")
         svc["identities"][str(index)] = mailman
+        self._pay_share(svc, mailman)
         ctx.emit("AgreementProven", service=svc["switch_addr"], index=index, mailman=ctx.caller)
 
     def _verify_agreement(self, svc: dict, switch_addr: bytes, index: int, vrs_m: Signature, vrs_s: Signature):
@@ -313,26 +323,9 @@ class AgentContract(RegistryContract):
         return mailman_addr.hex()
 
     def fn_withdraw(self, ctx: TxContext) -> int:
-        # shares of lightweight deliveries are claimed lazily, here
-        caller = ctx.caller.hex()
-        for svc in self.state["services"].values():
-            self._credit(caller, self._claim_remuneration_share(svc, caller))
         payout = super().fn_withdraw(ctx)
         ctx.emit("Withdrawal", who=ctx.caller, amount=payout)
         return payout
-
-    def _claim_remuneration_share(self, svc: dict, caller: str) -> int:
-        if svc["status"] not in (STATUS_DELIVERED_LIGHT, STATUS_DELIVERED_HEAVY):
-            return 0
-        if caller in svc["shares_paid"]:
-            return 0
-        if caller not in svc["identities"].values():
-            return 0
-        record = self.state["mailmen"].get(caller)
-        if record is None or record["status"] == MAILMAN_SLASHED:
-            return 0
-        svc["shares_paid"].append(caller)
-        return svc["remuneration"] // svc["n"]
 
     # -- mode switch bookkeeping ---------------------------------------------------
 
@@ -391,7 +384,7 @@ class AgentContract(RegistryContract):
         elif svc["status"] == STATUS_DELIVERED_HEAVY:
             self._pay_shares(svc, svc["identities"].values())
         elif svc["status"] == STATUS_DELIVERED_LIGHT:
-            # shares are claimed lazily as agreements are proven; the sender
+            # each share is paid as its agreement is proven; the sender
             # gets the integer-division dust now
             self._credit(svc["sender"], svc["remuneration"] % svc["n"])
         svc["settled"] = True

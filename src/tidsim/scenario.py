@@ -83,6 +83,21 @@ class ConfigError(ValueError):
     pass
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# what a JSON value must be for each field annotation of ScenarioConfig
+_JSON_TYPES = {
+    "int": ("an integer", _is_int),
+    "float": ("a number", lambda v: _is_int(v) or isinstance(v, float)),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "dict": ("an object", lambda v: isinstance(v, dict)),
+    "tuple": ("a list of integers", lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v))),
+}
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Validated knobs for one simulation run (see README for the schema)."""
@@ -165,13 +180,27 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - known
+        """A validated config from parsed JSON: a value of the wrong type is
+        a ConfigError, as an out-of-range one is."""
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config must be a JSON object, not {type(raw).__name__}")
+        fields = cls.__dataclass_fields__
+        unknown = set(raw) - set(fields)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in raw.items():
+            annotation = fields[key].type
+            if value is None and annotation.startswith("Optional["):
+                continue
+            expected, accepts = _JSON_TYPES[annotation.removeprefix("Optional[").removesuffix("]")]
+            if not accepts(value):
+                raise ConfigError(f"{key} must be {expected}, got {json.dumps(value)}")
         data = dict(raw)
         if "fault_policies" in data:
-            data["fault_policies"] = {int(k): v for k, v in data["fault_policies"].items()}
+            try:
+                data["fault_policies"] = {int(k): v for k, v in data["fault_policies"].items()}
+            except ValueError as exc:
+                raise ConfigError("fault_policies keys must be pool indices") from exc
         if "refusals" in data:
             data["refusals"] = tuple(data["refusals"])
         if data.get("selection_override") is not None:
@@ -565,8 +594,6 @@ class ScenarioRunner:
 
     def _epoch4_reporting(self):
         sup = self._sup_contract()
-        if sup is None:
-            return
         reporter = self._first_honest({m.address for m in self._recruited()})
         if reporter is None:
             return
@@ -587,10 +614,9 @@ class ScenarioRunner:
 
     def _epoch5_second_receipt(self):
         sup = self._sup_contract()
-        if sup is not None:
-            for index, scalar_hex in sup.state["revealed_privkeys"].items():
-                if not sup.state["fake_marks"].get(index):
-                    self.recipient.note_key(int(scalar_hex, 16))
+        for index, scalar_hex in sup.state["revealed_privkeys"].items():
+            if not sup.state["fake_marks"].get(index):
+                self.recipient.note_key(int(scalar_hex, 16))
         if self.recipient.try_restore(self.config.t, self.peel_memo):
             self._submit_receipt()
 
@@ -598,23 +624,15 @@ class ScenarioRunner:
 
     def _settlement_phase(self):
         registry = self.registry
-        svc = self._service()
-        if svc["status"] == STATUS_DELIVERED_LIGHT:
+        if self._service()["status"] == STATUS_DELIVERED_LIGHT:
             self._prove_agreements_after_light_delivery()
         for mailman in self._recruited():
             record = registry.state["mailmen"][mailman.address.hex()]
             claim = registry.state["claimable"].get(mailman.address.hex(), 0)
-            if record["status"] == MAILMAN_ACTIVE or claim > 0 or self._light_share_due(svc, mailman):
+            if record["status"] == MAILMAN_ACTIVE or claim > 0:
                 self.ledger.submit_tx(mailman.address, registry.address, FN_WITHDRAW)
         if registry.state["claimable"].get(self.sender.address.hex(), 0) > 0:
             self.ledger.submit_tx(self.sender.address, registry.address, FN_WITHDRAW)
-
-    def _light_share_due(self, svc: dict, mailman: MailmanActor) -> bool:
-        return (
-            svc["status"] == STATUS_DELIVERED_LIGHT
-            and mailman.address.hex() in svc["identities"].values()
-            and mailman.address.hex() not in svc["shares_paid"]
-        )
 
     def _prove_agreements_after_light_delivery(self):
         """After a lightweight success, mailmen publish their keys, restore

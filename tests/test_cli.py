@@ -98,6 +98,24 @@ class TestRun:
         err = capsys.readouterr().err
         assert "syntax.json:2" in err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[{}]", "config must be a JSON object"),
+            ('{"n": "ten"}', "n must be an integer"),
+            ('{"availability": null}', "availability must be a number"),
+            ('{"fault_policies": [1]}', "fault_policies must be an object"),
+            ('{"refusals": 3}', "refusals must be a list of integers"),
+        ],
+    )
+    def test_mistyped_config_exit_two_without_traceback(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "mistyped.json"
+        cfg.write_text(text)
+        assert main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {message}")
+        assert "Traceback" not in err
+
     def test_idempotent_byte_for_byte(self, config_file, tmp_path):
         out_a = tmp_path / "a.jsonl"
         out_b = tmp_path / "b.jsonl"
@@ -209,6 +227,17 @@ class TestAnalyze:
     def test_bribery(self, capsys):
         assert main(["analyze", "bribery", "4", "3", "1.0"]) == 0
         assert capsys.readouterr().out.strip() == "12.0"
+
+    @pytest.mark.parametrize(
+        "params",
+        [["availability", "3", "4", "10"], ["cost", "lightweight"], ["sybil", "3", "100"], ["bribery", "4"]],
+        ids=lambda params: params[0],
+    )
+    def test_short_params_exit_two(self, capsys, params):
+        assert main(["analyze", *params]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: analyze {params[0]} takes")
+        assert "Traceback" not in err
 
 
 class TestScheduleOverride:

@@ -525,10 +525,11 @@ class TestSettlement:
         assert world.ledger.balance(world.sender.address) == sender_before + svc.remuneration - fee
         world.ledger.audit()
 
-    def test_lightweight_withdraw_requires_agreement_proof(self, world):
-        svc = open_service(world)
+    @staticmethod
+    def _deliver_light(world, svc):
+        """Advance `svc` to epoch 1 and accept its receipt there."""
         world.ledger.advance_time(world.timeframe_tick)
-        world.ledger.submit_tx(
+        receipt = world.ledger.submit_tx(
             world.recipient.address,
             world.agent.address,
             FN_RECIPIENT_RECEIPT,
@@ -538,15 +539,23 @@ class TestSettlement:
                 "switch_addr": svc.switch.address,
             },
         )
-        m = world.mailmen[0]
-        agreement = make_agreement(world, svc, 1, m)
-        proof = world.ledger.submit_tx(
-            m.address,
+        assert receipt.success, receipt.error
+
+    @staticmethod
+    def _prove(world, svc, index, mailman):
+        agreement = make_agreement(world, svc, index, mailman)
+        return world.ledger.submit_tx(
+            mailman.address,
             world.agent.address,
             FN_PROVE_AGREEMENT,
             {"switch_addr": svc.switch.address, **agreement},
         )
-        assert proof.success
+
+    def test_lightweight_withdraw_requires_agreement_proof(self, world):
+        svc = open_service(world)
+        self._deliver_light(world, svc)
+        m = world.mailmen[0]
+        assert self._prove(world, svc, 1, m).success
         withdrawal = world.ledger.submit_tx(m.address, world.agent.address, FN_WITHDRAW)
         assert withdrawal.success
         paid = world.deposit + svc.remuneration // svc.n
@@ -557,6 +566,50 @@ class TestSettlement:
             e["event"] == "Withdrawal" and int(e["amount"]) == world.deposit
             for e in other.events
         )
+        world.ledger.audit()
+
+    def test_proof_credits_share_at_once(self, world):
+        svc = open_service(world)
+        self._deliver_light(world, svc)
+        m = world.mailmen[0]
+        assert self._prove(world, svc, 1, m).success
+        assert world.agent.state["claimable"][m.address.hex()] == svc.remuneration // svc.n
+        assert world.agent.state["services"][svc.sid]["shares_paid"] == [m.address.hex()]
+        world.ledger.audit()
+
+    def test_second_proven_index_pays_nothing_more(self, world):
+        svc = open_service(world)
+        self._deliver_light(world, svc)
+        m = world.mailmen[0]
+        assert self._prove(world, svc, 1, m).success
+        assert self._prove(world, svc, 2, m).success
+        record = world.agent.state["services"][svc.sid]
+        assert record["identities"] == {"1": m.address.hex(), "2": m.address.hex()}
+        assert world.agent.state["claimable"][m.address.hex()] == svc.remuneration // svc.n
+        assert record["shares_paid"] == [m.address.hex()]
+
+    def test_slashed_prover_is_paid_nothing(self, world):
+        honest, discloser = world.mailmen[0], world.mailmen[1]
+        slashing = open_service(world)
+        light = open_service(world)
+        sup = deploy_sup(world, slashing, honest)
+        disclosed = discloser.timeframe_keys[world.timeframe_tick]
+        assert world.ledger.submit_tx(
+            honest.address,
+            sup.address,
+            FN_REPORT_PREMATURE,
+            {"index": 0, "privkey": int.from_bytes(disclosed.privkey, "big")},
+        ).success
+        self._deliver_light(world, light)
+        world.ledger.advance_time(world.timeframe_tick + 1)  # the switched service fails and settles
+        claimable = world.agent.state["claimable"]
+        assert world.agent.state["mailmen"][discloser.address.hex()]["status"] == MAILMAN_SLASHED
+        honest_before = claimable[honest.address.hex()]  # the informer's award
+        assert self._prove(world, light, 2, discloser).success
+        assert self._prove(world, light, 1, honest).success
+        assert discloser.address.hex() not in claimable
+        assert claimable[honest.address.hex()] == honest_before + light.remuneration // light.n
+        assert world.agent.state["services"][light.sid]["shares_paid"] == [honest.address.hex()]
         world.ledger.audit()
 
     def test_double_withdraw_rejected(self, world):

@@ -6,7 +6,8 @@ status, epoch path, receipts, message metadata, balances and final state
 digest) is pinned. Together they reach the lightweight and heavyweight
 paths, every deviating courier policy except bribery, the strawman
 contract (delivered, failed, premature slashing, faults, offline couriers,
-slow epochs, no withdrawals, a lost package and lost shares), message
+slow epochs, no withdrawals, a lost package and lost shares), a lightweight
+run without withdrawals, message
 loss, a tampered package, refusals, slow epochs and availability below 1. One case registers a 40-courier pool, so every later
 transaction, through settlement and withdrawals, snapshots a long registry.
 A speed-up that changes one byte of any of these runs fails here.
@@ -161,6 +162,20 @@ GOLDEN = [
         dict(seed=12, pool_size=5, n=4, l=2, t=2, availability=0.8),
         "delivered_heavy",
         "e992461035a4c1b5efe67adf5d5b92e3d347a1f71ca1dc0341eb09976365f800",
+    ),
+    (
+        "silent_no_withdraw",
+        dict(seed=21, pool_size=5, n=4, l=2, t=2, withdraw_at_end=False),
+        "delivered_light",
+        "8303eff0ce193ea232f79de713d8317336ee92b040110b1956e3bd0b8679a75b",
+    ),
+    (
+        "withhold_light_delivered",
+        # the withholding courier sends no key in epoch 1, yet proves its
+        # agreement and is paid after the lightweight delivery
+        dict(seed=1, pool_size=5, n=4, l=2, t=2, fault_policies={0: "withhold_light"}),
+        "delivered_light",
+        "cea8042f43bc76d4ffd822447f2bf3ac4e4f73be9da333c88dfa88518101b197",
     ),
     (
         "large_registry_heavy",
