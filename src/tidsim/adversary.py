@@ -18,6 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .actors import POLICY_BRIBERABLE, peel_with_keys
+from .analysis import AnalysisError, _check_group
 from .crypto import ss_restore
 from .scenario import ConfigError, FAULT_POLICIES, ScenarioConfig, ScenarioRunner, ScenarioTrace
 
@@ -133,36 +134,40 @@ def blind_bribery_trials(
 ) -> np.ndarray:
     """Purchases needed per trial when bribing uniformly without identity
     knowledge (combinatorial model: a share unlocks when its l consecutive
-    holders have all sold)."""
+    holders have all sold).
+
+    Each trial recruits n of the pool and buys the whole pool in a random
+    order. If the holder at position i sells with purchase number T_i,
+    share i unlocks at U_i = max(T_i, ..., T_{i+l-1}) (positions mod n), so
+    the count of unlocked shares first reaches t at the t-th smallest U_i,
+    which is the number of purchases the trial needs.
+    """
+    _check_trials(l, t, n, pool_size, trials)
     rng = np.random.default_rng(seed)
-    counts = np.zeros(trials, dtype=np.int64)
+    recruited = np.empty((trials, n), dtype=np.int64)
+    order = np.empty((trials, pool_size), dtype=np.int64)
     for trial in range(trials):
-        recruited = rng.choice(pool_size, size=n, replace=False)
-        holder_of = {int(m): pos for pos, m in enumerate(recruited)}
-        bought_positions: set[int] = set()
-        purchases = 0
-        for target in rng.permutation(pool_size):
-            purchases += 1
-            pos = holder_of.get(int(target))
-            if pos is not None:
-                bought_positions.add(pos)
-            unlocked = sum(
-                1
-                for i in range(n)
-                if all((i + j) % n in bought_positions for j in range(l))
-            )
-            if unlocked >= t:
-                break
-        counts[trial] = purchases
-    return counts
+        recruited[trial] = rng.choice(pool_size, size=n, replace=False)
+        order[trial] = rng.permutation(pool_size)
+    # purchase time (1-based) of every pool member: the inverse permutation
+    bought_at = np.empty_like(order)
+    np.put_along_axis(bought_at, order, np.arange(1, pool_size + 1), axis=1)
+    held = np.take_along_axis(bought_at, recruited, axis=1)
+    unlocked_at = held
+    for j in range(1, l):
+        unlocked_at = np.maximum(unlocked_at, np.roll(held, -j, axis=1))
+    return np.partition(unlocked_at, t - 1, axis=1)[:, t - 1]
 
 
 def sybil_capture_trials(
     l: int, v: int, x: int, t: int, n: int, trials: int, seed: int = 0
 ) -> np.ndarray:
     """Captured-share counts across trials (vectorized selection model)."""
-    rng = np.random.default_rng(seed)
+    if v < 0 or x < 0:
+        raise AnalysisError("courier counts must be non-negative")
     pool = v + x
+    _check_trials(l, t, n, pool, trials)
+    rng = np.random.default_rng(seed)
     keys = rng.random((trials, pool))
     # per trial, the n smallest keys are the selected couriers
     selected = np.argsort(keys, axis=1)[:, :n]
@@ -171,6 +176,14 @@ def sybil_capture_trials(
     for j in range(l):
         captured &= np.roll(adversarial, -j, axis=1)
     return captured.sum(axis=1)
+
+
+def _check_trials(l: int, t: int, n: int, pool_size: int, trials: int):
+    _check_group(l, t, n)
+    if n > pool_size:
+        raise AnalysisError(f"cannot recruit n={n} from a pool of {pool_size}")
+    if trials < 1:
+        raise AnalysisError("need a positive trial count")
 
 
 def inject_fault(config: ScenarioConfig, mailman: int, kind: str) -> ScenarioConfig:

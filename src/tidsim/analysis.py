@@ -90,8 +90,13 @@ def availability_mc(l: int, t: int, n: int, a_t: float, trials: int, seed: int =
     done = 0
     while done < trials:
         size = min(chunk, trials - done)
-        draws = rng.random((size, n, l)) < a_t
-        surviving[done : done + size] = draws.all(axis=2).sum(axis=1)
+        draws = rng.random((size, n, l))
+        # a share survives when all l of its reveals do; l in-place ANDs
+        # beat a reduction over the short last axis
+        survives = draws[..., 0] < a_t
+        for j in range(1, l):
+            survives &= draws[..., j] < a_t
+        surviving[done : done + size] = survives.sum(axis=1)
         done += size
     return float((surviving >= t).mean())
 
@@ -165,15 +170,17 @@ class CostBreakdown:
         return out
 
 
-def _add_row(rows, fn, units, gas, usd_exact, usd_quoted):
+def _add_row(rows, fn, units, gas, usd_exact, usd_quoted, calls=1):
+    """Add `calls` identical calls of fn; Fraction products are exact, so
+    this equals adding them one at a time."""
     row = rows.setdefault(
         fn, {"calls": 0, "units": 0, "gas": 0, "usd_exact": Fraction(0), "usd_quoted": Fraction(0)}
     )
-    row["calls"] += 1
-    row["units"] += units
-    row["gas"] += gas
-    row["usd_exact"] += usd_exact
-    row["usd_quoted"] += usd_quoted
+    row["calls"] += calls
+    row["units"] += units * calls
+    row["gas"] += gas * calls
+    row["usd_exact"] += usd_exact * calls
+    row["usd_quoted"] += usd_quoted * calls
 
 
 def cost_report(
@@ -236,9 +243,8 @@ def _cost_from_mode(mode: str, n: int, schedule: GasSchedule) -> CostBreakdown:
     rows = {}
 
     def add(fn, units=1, calls=1):
-        for _ in range(calls):
-            gas = schedule.gas_for(fn, units)
-            _add_row(rows, fn, units, gas, schedule.usd_exact(gas), schedule.usd_quoted(fn, units))
+        gas = schedule.gas_for(fn, units)
+        _add_row(rows, fn, units, gas, schedule.usd_exact(gas), schedule.usd_quoted(fn, units), calls)
 
     if mode == MODE_LIGHTWEIGHT:
         add(FN_DEPLOY_SWITCH)

@@ -21,6 +21,7 @@ from typing import Optional
 from .actors import ProtocolError
 from .adversary import run_bribery, sybil_capture_trials
 from .analysis import (
+    AnalysisError,
     availability,
     availability_mc,
     bribery_cost,
@@ -42,6 +43,14 @@ def load_schedule() -> Optional[GasSchedule]:
     return GasSchedule.from_file(path)
 
 
+def _number(cast, text: str):
+    """int() or float() of a command-line value, as a config error."""
+    try:
+        return cast(text)
+    except ValueError:
+        raise ConfigError(f"expected {cast.__name__}, got {text!r}") from None
+
+
 def parse_range(spec: str, as_float: bool) -> list:
     """Accept '1,2,3' lists or 'start:stop:step' (stop inclusive)."""
     cast = float if as_float else int
@@ -49,7 +58,7 @@ def parse_range(spec: str, as_float: bool) -> list:
         parts = spec.split(":")
         if len(parts) != 3:
             raise ConfigError("range syntax is start:stop:step")
-        start, stop, step = (cast(p) for p in parts)
+        start, stop, step = (_number(cast, p) for p in parts)
         if step <= 0:
             raise ConfigError("range step must be positive")
         values = []
@@ -58,7 +67,7 @@ def parse_range(spec: str, as_float: bool) -> list:
             values.append(cast(round(value, 10)) if as_float else value)
             value += step
         return values
-    return [cast(p) for p in spec.split(",")]
+    return [_number(cast, p) for p in spec.split(",")]
 
 
 def write_table(rows: list[dict], out: Optional[str], fmt: str):
@@ -261,22 +270,22 @@ def cmd_analyze(args) -> int:
     if len(params) != len(names):
         raise ConfigError(f"analyze {what} takes {len(names)} parameters ({' '.join(names)}), got {len(params)}")
     if what == "availability":
-        l, t, n = (int(p) for p in params[:3])
-        a_t = float(params[3])
+        l, t, n = (_number(int, p) for p in params[:3])
+        a_t = _number(float, params[3])
         print(f"{availability(l, t, n, a_t):.6f}")
     elif what == "cost":
         mode = params[0]
-        n = int(params[1])
+        n = _number(int, params[1])
         report = cost_report(mode=mode, n=n, schedule=load_schedule())
         print(f"${fmt_usd(report.service_usd_quoted)}")
     elif what == "sybil":
-        l, v = int(params[0]), int(params[1])
-        d = float(params[2])
+        l, v = _number(int, params[0]), _number(int, params[1])
+        d = _number(float, params[2])
         print(f"{sybil_min_deposit(l, v, d):.1f}")
         print(f"optimal fraction: {optimal_sybil_fraction(l)}")
     elif what == "bribery":
-        t, l = int(params[0]), int(params[1])
-        d = float(params[2])
+        t, l = _number(int, params[0]), _number(int, params[1])
+        d = _number(float, params[2])
         print(f"{bribery_cost(t, l, d):.1f}")
     return 0
 
@@ -316,7 +325,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, AnalysisError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ProtocolError, ValueError, OSError) as exc:

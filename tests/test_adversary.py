@@ -3,7 +3,9 @@ fault injection, and the observation API."""
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tidsim.adversary import (
     AttackParams,
@@ -15,11 +17,37 @@ from tidsim.adversary import (
     sybil_capture_trials,
 )
 from tidsim.actors import PeelMemo, peel_with_keys
-from tidsim.analysis import bribery_cost
+from tidsim.analysis import AnalysisError, bribery_cost
 from tidsim.ledger import WEI_PER_ETHER
 from tidsim.scenario import ConfigError, ScenarioConfig, ScenarioRunner, run_scenario
 
 ETHER = WEI_PER_ETHER
+
+
+def blind_bribery_reference(l, t, n, pool_size, trials, seed=0):
+    """The purchase-by-purchase loop that blind_bribery_trials replaced:
+    after every purchase, recount the shares whose l holders have all sold."""
+    rng = np.random.default_rng(seed)
+    counts = np.zeros(trials, dtype=np.int64)
+    for trial in range(trials):
+        recruited = rng.choice(pool_size, size=n, replace=False)
+        holder_of = {int(m): pos for pos, m in enumerate(recruited)}
+        bought_positions: set[int] = set()
+        purchases = 0
+        for target in rng.permutation(pool_size):
+            purchases += 1
+            pos = holder_of.get(int(target))
+            if pos is not None:
+                bought_positions.add(pos)
+            unlocked = sum(
+                1
+                for i in range(n)
+                if all((i + j) % n in bought_positions for j in range(l))
+            )
+            if unlocked >= t:
+                break
+        counts[trial] = purchases
+    return counts
 
 
 def briberable_config(t, l, n, pool_size=None, seed=31):
@@ -109,6 +137,37 @@ class TestBribery:
         assert len(peel_with_keys(runner.sender.onions, keys, PeelMemo())) < t
 
 
+class TestBlindBriberyTrials:
+    @given(
+        l=st.integers(1, 5),
+        t=st.integers(1, 40),
+        extra_n=st.integers(0, 39),
+        extra_pool=st.integers(0, 39),
+        trials=st.integers(1, 50),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(l=5, t=1, extra_n=0, extra_pool=0, trials=3, seed=0)  # l > n = 1
+    @example(l=1, t=2, extra_n=3, extra_pool=2, trials=20, seed=1)
+    @example(l=3, t=4, extra_n=6, extra_pool=30, trials=50, seed=5)  # the benchmark's point
+    @settings(max_examples=60, deadline=None)
+    def test_matches_purchase_loop(self, l, t, extra_n, extra_pool, trials, seed):
+        n = min(t + extra_n, 40)
+        pool = min(n + extra_pool, 40)
+        counts = blind_bribery_trials(l, t, n, pool_size=pool, trials=trials, seed=seed)
+        expected = blind_bribery_reference(l, t, n, pool, trials, seed=seed)
+        assert counts.dtype == expected.dtype
+        assert counts.tolist() == expected.tolist()
+
+    @pytest.mark.parametrize(
+        "l, t, n, pool, trials",
+        [(0, 2, 4, 8, 5), (2, 0, 4, 8, 5), (2, 5, 4, 8, 5), (2, 2, 9, 8, 5), (2, 2, 4, 8, 0)],
+        ids=["l=0", "t=0", "t>n", "n>pool", "no trials"],
+    )
+    def test_invalid_parameters(self, l, t, n, pool, trials):
+        with pytest.raises(AnalysisError):
+            blind_bribery_trials(l, t, n, pool_size=pool, trials=trials)
+
+
 class TestDisjointTargets:
     def test_disjoint_when_room(self):
         targets = disjoint_targets(4, 3, 12)
@@ -163,6 +222,23 @@ class TestSybil:
                 best_x, best_cost = x, cost
         assert best_x is not None
         assert abs(best_x - 200) <= 0.15 * 200
+
+
+    @pytest.mark.parametrize(
+        "l, v, x, t, n, trials",
+        [
+            (0, 5, 5, 2, 4, 10),
+            (2, 5, 5, 0, 4, 10),
+            (2, 5, 5, 5, 4, 10),
+            (2, 2, 1, 2, 4, 10),
+            (2, 5, 5, 2, 4, 0),
+            (2, 5, -1, 2, 4, 10),
+        ],
+        ids=["l=0", "t=0", "t>n", "n>pool", "no trials", "negative x"],
+    )
+    def test_invalid_parameters(self, l, v, x, t, n, trials):
+        with pytest.raises(AnalysisError):
+            sybil_capture_trials(l, v, x, t, n, trials)
 
 
 class TestFaultInjection:

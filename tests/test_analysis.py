@@ -7,6 +7,7 @@ minimizer written here; availability is cross-checked by Monte Carlo.
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,7 +22,18 @@ from tidsim.analysis import (
     sybil_expected_deposit,
     sybil_min_deposit,
 )
-from tidsim.ledger import GasSchedule
+from tidsim.ledger import (
+    FN_DEPLOY_SUPPLEMENTARY,
+    FN_DEPLOY_SWITCH,
+    FN_NEW_SERVICE,
+    FN_RECIPIENT_RECEIPT,
+    FN_REVEAL_IDENTITY,
+    FN_REVEAL_PRIVKEY,
+    FN_STRAWMAN_NEW_SERVICE,
+    FN_STRAWMAN_REVEAL_RECEIPT,
+    FN_STRAWMAN_REVEAL_SHARE,
+    GasSchedule,
+)
 from tidsim.scenario import ScenarioConfig, run_scenario
 
 
@@ -40,6 +52,48 @@ def golden_section_min(f, lo, hi, tol=1e-12):
         d = a + inv_phi * (b - a)
     x = (a + b) / 2
     return x, f(x)
+
+
+def availability_mc_reference(l, t, n, a_t, trials, seed=0):
+    """The reduction availability_mc replaced: .all() over the layer axis."""
+    rng = np.random.default_rng(seed)
+    surviving = np.zeros(trials, dtype=np.int64)
+    chunk = 200_000
+    done = 0
+    while done < trials:
+        size = min(chunk, trials - done)
+        draws = rng.random((size, n, l)) < a_t
+        surviving[done : done + size] = draws.all(axis=2).sum(axis=1)
+        done += size
+    return float((surviving >= t).mean())
+
+
+def mode_calls(mode, n):
+    """(function, units) of every call an analytic report counts, fixed
+    calls first."""
+    if mode == "lightweight":
+        return [(FN_DEPLOY_SWITCH, 1), (FN_NEW_SERVICE, 1), (FN_RECIPIENT_RECEIPT, 1)], []
+    if mode == "heavyweight":
+        fixed = [(FN_DEPLOY_SWITCH, 1), (FN_NEW_SERVICE, 1), (FN_DEPLOY_SUPPLEMENTARY, 1), (FN_RECIPIENT_RECEIPT, 1)]
+        return fixed, [(FN_REVEAL_IDENTITY, n)] + [(FN_REVEAL_PRIVKEY, 1)] * n
+    per_n = [(FN_STRAWMAN_NEW_SERVICE, n)] + [(FN_STRAWMAN_REVEAL_SHARE, 1)] * n
+    return [], per_n + [(FN_STRAWMAN_REVEAL_RECEIPT, 1)]
+
+
+def cost_rows_reference(calls, schedule):
+    """Fold calls into rows one at a time, as the analytic report once did."""
+    rows = {}
+    for fn, units in calls:
+        gas = schedule.gas_for(fn, units)
+        row = rows.setdefault(
+            fn, {"calls": 0, "units": 0, "gas": 0, "usd_exact": Fraction(0), "usd_quoted": Fraction(0)}
+        )
+        row["calls"] += 1
+        row["units"] += units
+        row["gas"] += gas
+        row["usd_exact"] += schedule.usd_exact(gas)
+        row["usd_quoted"] += schedule.usd_quoted(fn, units)
+    return rows
 
 
 class TestAvailability:
@@ -68,6 +122,19 @@ class TestAvailability:
         assert availability_mc(3, 4, 10, 0.0, 1000, seed=1) == 0.0
         assert availability_mc(3, 4, 10, 0.95, 5000, seed=2) == availability_mc(
             3, 4, 10, 0.95, 5000, seed=2
+        )
+
+    @pytest.mark.parametrize("l", [1, 2, 3, 4])
+    @pytest.mark.parametrize("a_t", [0.0, 0.5, 0.95, 1.0])
+    def test_mc_matches_reduction(self, l, a_t):
+        for t, n, trials, seed in [(1, 1, 500, 3), (4, 10, 3_000, 8), (7, 9, 2_000, 2**31)]:
+            assert availability_mc(l, t, n, a_t, trials, seed=seed) == availability_mc_reference(
+                l, t, n, a_t, trials, seed=seed
+            )
+
+    def test_mc_matches_reduction_across_chunks(self):
+        assert availability_mc(2, 2, 3, 0.9, 200_003, seed=4) == availability_mc_reference(
+            2, 2, 3, 0.9, 200_003, seed=4
         )
 
     def test_monotonicity_grid(self):
@@ -173,6 +240,23 @@ class TestCostReport:
         assert report.service_usd_quoted == expected
         assert report.fixed_usd_quoted == Fraction("9.31")
         assert report.per_mailman_usd_quoted == Fraction("0.48")
+
+    @pytest.mark.parametrize("mode", ["lightweight", "heavyweight", "strawman"])
+    def test_analytic_matches_per_call_fold(self, mode):
+        schedule = GasSchedule.default()
+        for n in range(1, 101):
+            report = cost_report(mode=mode, n=n)
+            fixed_calls, per_n_calls = mode_calls(mode, n)
+            rows = cost_rows_reference(fixed_calls + per_n_calls, schedule)
+            assert list(report.rows.items()) == list(rows.items())
+            assert report.total_gas == report.service_gas == sum(r["gas"] for r in rows.values())
+            assert report.total_usd_exact == sum(r["usd_exact"] for r in rows.values())
+            assert report.service_usd_quoted == sum(r["usd_quoted"] for r in rows.values())
+            if mode == "strawman":
+                assert report.fixed_usd_quoted is None
+            else:
+                fixed = cost_rows_reference(fixed_calls, schedule)
+                assert report.fixed_usd_quoted == sum(r["usd_quoted"] for r in fixed.values())
 
     def test_strawman_analytic_linear(self):
         gas = {n: cost_report(mode="strawman", n=n).total_gas for n in (5, 10, 20)}

@@ -240,6 +240,40 @@ class TestAnalyze:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["analyze", "availability", "3", "4", "0", "0.9"], "invalid threshold"),
+            (["analyze", "bribery", "0", "0", "1"], "bribery cost needs positive parameters"),
+            (["analyze", "availability", "x", "4", "10", "0.9"], "expected int, got 'x'"),
+            (["analyze", "cost", "heavyweight", "ten"], "expected int, got 'ten'"),
+            (["sweep", "--sweep-axis", "l", "--sweep-range", "0"], "onion depth must be at least 1"),
+            (["sweep", "--sweep-axis", "A_T", "--sweep-range", "0.9,high"], "expected float, got 'high'"),
+            (["sweep", "--sweep-axis", "A_T", "--sweep-range", "2"], "availability must lie in [0, 1]"),
+            (["sweep", "--sweep-axis", "x", "--sweep-range", "0", "--trials", "0"], "need a positive trial count"),
+            (["sweep", "--sweep-axis", "A_T", "--sweep-range", "0.9", "--trials", "0"], "need a positive trial count"),
+        ],
+        ids=[
+            "availability n=0",
+            "bribery zeros",
+            "availability non-integer",
+            "cost non-integer",
+            "l sweep zero",
+            "A_T sweep non-float",
+            "A_T sweep above one",
+            "x sweep no trials",
+            "A_T sweep no trials",
+        ],
+    )
+    def test_bad_parameters_exit_two(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ")
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+
 class TestScheduleOverride:
     def test_env_gas_schedule(self, tmp_path, monkeypatch, capsys):
         override = tmp_path / "gas.json"
