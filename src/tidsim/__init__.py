@@ -20,7 +20,6 @@ from .analysis import (
 )
 from .adversary import (
     AttackOutcome,
-    AttackParams,
     adversary_view,
     inject_fault,
     run_bribery,
@@ -49,7 +48,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AttackOutcome",
-    "AttackParams",
     "CostBreakdown",
     "GasSchedule",
     "KeyPair",

@@ -263,6 +263,14 @@ class MailmanActor:
 
     # -- reveals ---------------------------------------------------------------
 
+    def reveals(self, lightweight: bool) -> bool:
+        """Whether this mailman publishes its key in a round: absent and
+        premature couriers never do, a withholding one skips only the
+        lightweight round."""
+        if lightweight and self.policy == POLICY_WITHHOLD_LIGHT:
+            return False
+        return self.policy not in (POLICY_ABSENT, POLICY_PREMATURE)
+
     def reveal_scalar(self, timeframe_tick: int) -> int:
         """The scalar this mailman publishes, honest or faked per policy."""
         true_key = int.from_bytes(self.timeframe_keys[timeframe_tick].privkey, "big")

@@ -23,19 +23,6 @@ from .crypto import ss_restore
 from .scenario import ConfigError, FAULT_POLICIES, ScenarioConfig, ScenarioRunner, ScenarioTrace
 
 
-@dataclass(frozen=True)
-class AttackParams:
-    v: int  # innocent registered couriers
-    x: int  # adversary-controlled registrations
-    d: float  # deposit per courier
-    budget: Optional[float] = None
-    bribe_per_key: Optional[float] = None
-
-    @property
-    def p_m(self) -> float:
-        return self.x / (self.x + self.v)
-
-
 @dataclass
 class AttackOutcome:
     shares_obtained: int

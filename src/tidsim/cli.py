@@ -66,6 +66,8 @@ def parse_range(spec: str, as_float: bool) -> list:
         while value <= stop + (1e-9 if as_float else 0):
             values.append(cast(round(value, 10)) if as_float else value)
             value += step
+        if not values:
+            raise ConfigError(f"range {spec} is empty: start exceeds stop")
         return values
     return [_number(cast, p) for p in spec.split(",")]
 

@@ -7,7 +7,7 @@ contract (reports, identity and key reveals, the heavyweight enforcement
 surface). A strawman contract implements the naive protocol that names its
 mailmen on-chain at setup; it exists for cost and leakage comparison runs.
 The agent and the strawman share one courier registry base: registration,
-deposits, claimable balances, remuneration payout and withdrawals.
+deposits, claimable balances, remuneration payout, slashing and withdrawals.
 
 Epoch state lives in each service record and may only move along
 EPOCH_GRAPH. Transitions come from transactions (a receipt in epoch 1 jumps
@@ -74,14 +74,15 @@ def _scalar_hex(privkey: int) -> str:
 
 
 class RegistryContract(Contract):
-    """Courier registry, claimable balances, payout and withdrawals.
+    """Courier registry, claimable balances, payout, slashing and withdrawals.
 
     A subclass's state holds "min_deposit", "mailmen", "services" and
     "claimable"; each service record holds "sender", "n", "remuneration",
-    "shares_paid" and "settled". `_pay_share` is the one payout rule: an
-    unslashed courier earns `remuneration // n` once per service, credited
-    at settlement (`_pay_shares`) or, after a lightweight delivery, when it
-    proves its agreement.
+    "shares_paid", "slashes" and "settled". `_pay_share` is the one payout
+    rule: an unslashed courier earns `remuneration // n` once per service,
+    credited at settlement (`_pay_shares`) or, after a lightweight delivery,
+    when it proves its agreement. `_slash` is the one slash rule; each
+    subclass's `_slash_remainder` says where the unawarded part goes.
     """
 
     def fn_newMailman(self, ctx: TxContext, channel_pub: bytes, timeframe_pubkeys: Optional[dict] = None) -> dict:
@@ -130,6 +131,32 @@ class RegistryContract(Contract):
         a failed service is `_pay_shares(svc, [])`."""
         paid = sum(self._pay_share(svc, mailman) for mailman in sorted(set(mailmen)))
         self._credit(svc["sender"], svc["remuneration"] - paid)
+
+    def _slash(self, svc: dict, kind: str, accused: str, reporter: Optional[str], tick: int):
+        """Slash a courier's whole deposit once: half to the reporter (none
+        for a false report), the rest where the subclass's
+        `_slash_remainder(svc, accused, remainder) -> (compensation, burned)`
+        places it. An unknown or already slashed courier is left alone."""
+        record = self.state["mailmen"].get(accused)
+        if record is None or record["status"] == MAILMAN_SLASHED:
+            return  # one deposit, one slash
+        amount = record["deposit"]
+        record["status"] = MAILMAN_SLASHED
+        award = 0 if kind == SLASH_FALSE_REPORT else amount // 2
+        self._credit(reporter, award)  # a false report has no reporter and no award
+        compensation, burned = self._slash_remainder(svc, accused, amount - award)
+        svc["slashes"].append(
+            {
+                "accused": accused,
+                "kind": kind,
+                "reporter": reporter,
+                "amount": amount,
+                "award": award,
+                "compensation": compensation,
+                "burned": burned,
+                "tick": tick,
+            }
+        )
 
     def fn_withdraw(self, ctx: TxContext) -> int:
         if any(not svc["settled"] for svc in self.state["services"].values()):
@@ -339,38 +366,18 @@ class AgentContract(RegistryContract):
 
     # -- slashing and settlement -----------------------------------------------------
 
-    def apply_verdict(self, svc: dict, kind: str, accused: str, reporter: Optional[str], tick: int):
-        record = self.state["mailmen"].get(accused)
-        if record is None or record["status"] == MAILMAN_SLASHED:
-            return  # one deposit, one slash
-        amount = record["deposit"]
-        record["status"] = MAILMAN_SLASHED
-        award = 0 if kind == SLASH_FALSE_REPORT else amount // 2
-        if award and reporter:
-            self._credit(reporter, award)
-        comp_pool = amount - award
-        comp_paid = 0
+    def _slash_remainder(self, svc: dict, accused: str, remainder: int) -> tuple[int, int]:
+        """Repay the deployer's outstanding deploy fee, unless it is the
+        accused, and burn the rest at the next tick."""
+        compensation = 0
         deployer = svc["deployer"]
         if deployer and deployer != accused:
-            outstanding = svc["deploy_fee"] - svc["deploy_comp_paid"]
-            comp_paid = min(comp_pool, max(outstanding, 0))
-            if comp_paid:
-                self._credit(deployer, comp_paid)
-                svc["deploy_comp_paid"] += comp_paid
-        burned = comp_pool - comp_paid
+            compensation = min(remainder, max(svc["deploy_fee"] - svc["deploy_comp_paid"], 0))
+            self._credit(deployer, compensation)
+            svc["deploy_comp_paid"] += compensation
+        burned = remainder - compensation
         self.state["pending_burn"] += burned
-        svc["slashes"].append(
-            {
-                "accused": accused,
-                "kind": kind,
-                "reporter": reporter,
-                "amount": amount,
-                "award": award,
-                "compensation": comp_paid,
-                "burned": burned,
-                "tick": tick,
-            }
-        )
+        return compensation, burned
 
     def _settle(self, svc: dict):
         if svc["settled"]:
@@ -485,12 +492,18 @@ class SupplementaryContract(Contract):
     def _service(self, ctx: TxContext) -> dict:
         return self._agent(ctx).service(self.state["service_id"])
 
-    def fn_reportPremature(self, ctx: TxContext, index: int, privkey: int):
+    def _mailman_in_epoch(self, ctx: TxContext, epoch: int, revert: str) -> tuple[AgentContract, dict]:
+        """The agent and the service, once the caller is known to be a
+        registered mailman and the service is in `epoch`."""
         agent = self._agent(ctx)
         agent._require_mailman(ctx.caller)
         svc = self._service(ctx)
-        if svc["epoch"] != 0:
-            raise ContractRevert("premature reports belong to the pending phase")
+        if svc["epoch"] != epoch:
+            raise ContractRevert(revert)
+        return agent, svc
+
+    def fn_reportPremature(self, ctx: TxContext, index: int, privkey: int):
+        self._mailman_in_epoch(ctx, 0, "premature reports belong to the pending phase")
         if not 0 <= privkey < 2**256:
             raise ContractRevert("reported key is not a 256-bit scalar")
         scalar = _scalar_hex(privkey)
@@ -552,11 +565,7 @@ class SupplementaryContract(Contract):
         ctx.emit("PrivkeyRevealed", index=index, fake=self.state["fake_marks"][str(index)])
 
     def fn_reportAbsent(self, ctx: TxContext, index: int):
-        agent = self._agent(ctx)
-        agent._require_mailman(ctx.caller)
-        svc = self._service(ctx)
-        if svc["epoch"] != 4:
-            raise ContractRevert("absence reports belong to epoch 4")
+        self._mailman_in_epoch(ctx, 4, "absence reports belong to epoch 4")
         identity = self.state["identities"].get(str(index))
         if identity is None:
             raise ContractRevert("unknown index")
@@ -568,11 +577,7 @@ class SupplementaryContract(Contract):
         ctx.emit("AbsentReported", index=index)
 
     def fn_reportFake(self, ctx: TxContext, index: int):
-        agent = self._agent(ctx)
-        agent._require_mailman(ctx.caller)
-        svc = self._service(ctx)
-        if svc["epoch"] != 4:
-            raise ContractRevert("fake-key reports belong to epoch 4")
+        self._mailman_in_epoch(ctx, 4, "fake-key reports belong to epoch 4")
         if str(index) not in self.state["revealed_privkeys"]:
             raise ContractRevert("no key revealed for this index")
         if not self.state["fake_marks"].get(str(index)):
@@ -583,11 +588,7 @@ class SupplementaryContract(Contract):
         ctx.emit("FakeReported", index=index)
 
     def fn_informAgent(self, ctx: TxContext):
-        agent = self._agent(ctx)
-        agent._require_mailman(ctx.caller)
-        svc = self._service(ctx)
-        if svc["epoch"] != 4:
-            raise ContractRevert("agent is informed at the end of epoch 4")
+        agent, svc = self._mailman_in_epoch(ctx, 4, "agent is informed at the end of epoch 4")
         if self.state["finalized"]:
             raise ContractRevert("already finalized")
         if not (self.state["premature_reports"] or self.state["absent_reports"] or self.state["fake_reports"]):
@@ -616,16 +617,14 @@ class SupplementaryContract(Contract):
             if accused is not None:
                 report["verdict"] = "true"
                 report["accused"] = accused
-                agent.apply_verdict(svc, SLASH_PREMATURE, accused, report["reporter"], tick)
+                agent._slash(svc, SLASH_PREMATURE, accused, report["reporter"], tick)
             else:
                 report["verdict"] = "false"
-                agent.apply_verdict(svc, SLASH_FALSE_REPORT, report["reporter"], None, tick)
-        for report in self.state["absent_reports"]:
-            accused = self.state["identities"][str(report["index"])]["mailman"]
-            agent.apply_verdict(svc, SLASH_ABSENT, accused, report["reporter"], tick)
-        for report in self.state["fake_reports"]:
-            accused = self.state["identities"][str(report["index"])]["mailman"]
-            agent.apply_verdict(svc, SLASH_FAKE, accused, report["reporter"], tick)
+                agent._slash(svc, SLASH_FALSE_REPORT, report["reporter"], None, tick)
+        for kind, reports in ((SLASH_ABSENT, self.state["absent_reports"]), (SLASH_FAKE, self.state["fake_reports"])):
+            for report in reports:
+                accused = self.state["identities"][str(report["index"])]["mailman"]
+                agent._slash(svc, kind, accused, report["reporter"], tick)
         self.state["finalized"] = True
 
 
@@ -688,41 +687,30 @@ class StrawmanContract(RegistryContract):
         }
         return sid
 
+    def _commitment(self, svc: dict, share: bytes) -> tuple[str, dict]:
+        """The (index, entry) whose share hash `share` opens."""
+        digest = hash256(share).hex()
+        for index, entry in svc["entries"].items():
+            if entry["share_hash"] == digest:
+                return index, entry
+        raise ContractRevert("share does not match any commitment")
+
     def fn_strawmanReportPremature(self, ctx: TxContext, sid: str, share: bytes):
         svc = self.service(sid)
         self._require_mailman(ctx.caller)
         if ctx.tick >= svc["timeframe_tick"]:
             raise ContractRevert("premature reports precede the time frame")
-        digest = hash256(share).hex()
-        accused_index = None
-        for index, entry in svc["entries"].items():
-            if entry["share_hash"] == digest:
-                accused_index = index
-                break
-        if accused_index is None:
-            raise ContractRevert("share does not match any commitment")
-        accused = svc["entries"][accused_index]["mailman"]
-        record = self.state["mailmen"][accused]
-        if record["status"] == MAILMAN_SLASHED:
+        index, entry = self._commitment(svc, share)
+        accused = entry["mailman"]
+        if self.state["mailmen"][accused]["status"] == MAILMAN_SLASHED:
             raise ContractRevert("duplicate premature report")
-        amount = record["deposit"]
-        record["status"] = MAILMAN_SLASHED
-        informer_cut = amount // 2
-        self._credit(ctx.caller.hex(), informer_cut)
-        self._credit(svc["sender"], amount - informer_cut)
-        svc["slashes"].append(
-            {
-                "accused": accused,
-                "kind": SLASH_PREMATURE,
-                "reporter": ctx.caller.hex(),
-                "amount": amount,
-                "award": informer_cut,
-                "compensation": amount - informer_cut,
-                "burned": 0,
-                "tick": ctx.tick,
-            }
-        )
-        ctx.emit("PrematureReported", index=int(accused_index), accused=accused)
+        self._slash(svc, SLASH_PREMATURE, accused, ctx.caller.hex(), ctx.tick)
+        ctx.emit("PrematureReported", index=int(index), accused=accused)
+
+    def _slash_remainder(self, svc: dict, accused: str, remainder: int) -> tuple[int, int]:
+        """The sender is compensated with all of it; nothing burns."""
+        self._credit(svc["sender"], remainder)
+        return remainder, 0
 
     def fn_strawmanRevealShare(self, ctx: TxContext, sid: str, share: bytes):
         svc = self.service(sid)
@@ -730,16 +718,12 @@ class StrawmanContract(RegistryContract):
             raise ContractRevert("shares are revealed during the time frame")
         if svc["status"] != STATUS_PENDING:
             raise ContractRevert("service already terminal")
-        digest = hash256(share).hex()
-        for index, entry in svc["entries"].items():
-            if entry["share_hash"] == digest:
-                if entry["mailman"] != ctx.caller.hex():
-                    raise ContractRevert("share belongs to a different mailman")
-                if index in svc["revealed_shares"]:
-                    raise ContractRevert("share already revealed")
-                svc["revealed_shares"][index] = share.hex()
-                return
-        raise ContractRevert("share does not match any commitment")
+        index, entry = self._commitment(svc, share)
+        if entry["mailman"] != ctx.caller.hex():
+            raise ContractRevert("share belongs to a different mailman")
+        if index in svc["revealed_shares"]:
+            raise ContractRevert("share already revealed")
+        svc["revealed_shares"][index] = share.hex()
 
     def fn_strawmanRevealReceipt(self, ctx: TxContext, sid: str, receipt: bytes):
         svc = self.service(sid)

@@ -551,17 +551,16 @@ class Ledger:
         fee = gas * self.schedule.wei_per_gas
         if caller.balance < fee:
             raise LedgerError("insufficient balance for deployment gas")
-        contract = self._instantiate(creator, contract_cls, **ctor)
+        contract = self.deploy_contract_internal(creator, contract_cls, **ctor)
         caller.balance -= fee
         self.gas_sink += fee
         self._record(caller.address, contract.address, fn, 1, gas, True, None, [])
         return contract
 
     def deploy_contract_internal(self, creator: bytes, contract_cls: type[Contract], **ctor) -> Contract:
-        """Deployment initiated by another contract; gas is the outer call's."""
-        return self._instantiate(creator, contract_cls, **ctor)
-
-    def _instantiate(self, creator: bytes, contract_cls: type[Contract], **ctor) -> Contract:
+        """Place a contract at the creator's next predicted address, charging
+        nothing: `deploy_contract` charges an EOA's deploy gas, and a
+        deployment initiated by another contract is paid by the outer call."""
         nonce = self._nonces.get(creator, 0)
         address = self.predict_address(creator, nonce)
         if address in self.accounts:

@@ -18,7 +18,6 @@ from typing import Optional
 from .actors import (
     FAULT_POLICIES,
     MailmanActor,
-    POLICY_ABSENT,
     POLICY_FAKE,
     POLICY_HONEST,
     POLICY_PREMATURE,
@@ -363,6 +362,14 @@ class ScenarioRunner:
     def _available(self) -> bool:
         return self.rng.random() < self.config.availability
 
+    def _revealers(self, lightweight: bool, coin: bool = True):
+        """The recruited couriers that reveal their key in a round, in
+        recruitment order. With `coin`, each one whose policy reveals draws
+        the availability coin as the round reaches it."""
+        for mailman in self._recruited():
+            if mailman.reveals(lightweight) and (not coin or self._available()):
+                yield mailman
+
     def _service(self) -> dict:
         return self.registry.state["services"][self.sender.service_id]
 
@@ -517,11 +524,7 @@ class ScenarioRunner:
 
     def _epoch1_lightweight(self):
         cfg = self.config
-        for mailman in self._recruited():
-            if mailman.policy in (POLICY_ABSENT, POLICY_PREMATURE, POLICY_WITHHOLD_LIGHT):
-                continue
-            if not self._available():
-                continue
+        for mailman in self._revealers(lightweight=True):
             scalar = mailman.reveal_scalar(cfg.timeframe_tick)
             self.bus.send_private(
                 mailman.address, self.recipient.address, TAG_KEY + encode_parts(scalar)
@@ -558,11 +561,8 @@ class ScenarioRunner:
                 return  # nobody switches; the window will expire into failure
             self._deploy_supplementary(deployer)
         for mailman in self._recruited():
-            if mailman.policy in (POLICY_ABSENT, POLICY_PREMATURE):
-                continue
-            if mailman.address not in available:
-                continue
-            self._broadcast_key(mailman)
+            if mailman.reveals(lightweight=False) and mailman.address in available:
+                self._broadcast_key(mailman)
         if deployer is None:
             self._drain_broadcast_keys()  # the recipient still reads the public keys
             return
@@ -580,11 +580,7 @@ class ScenarioRunner:
     def _epoch3_reveal_onchain(self):
         cfg = self.config
         sup = self._sup_contract()
-        for mailman in self._recruited():
-            if mailman.policy in (POLICY_ABSENT, POLICY_PREMATURE):
-                continue
-            if not self._available():
-                continue
+        for mailman in self._revealers(lightweight=False):
             self.ledger.submit_tx(
                 mailman.address,
                 sup.address,
@@ -637,9 +633,7 @@ class ScenarioRunner:
     def _prove_agreements_after_light_delivery(self):
         """After a lightweight success, mailmen publish their keys, restore
         the delivery key collectively, and prove their agreements on-chain."""
-        for mailman in self._recruited():
-            if mailman.policy in (POLICY_ABSENT, POLICY_PREMATURE):
-                continue
+        for mailman in self._revealers(lightweight=False, coin=False):
             self._broadcast_key(mailman)
         key = self._restore_from_broadcast(self._recruited()[0])
         if key is None:
@@ -730,13 +724,11 @@ class ScenarioRunner:
 
         # delivery window
         self.ledger.advance_time(cfg.timeframe_tick)
-        for mailman in sender.selected:
-            if mailman.policy in (POLICY_ABSENT, POLICY_PREMATURE, POLICY_WITHHOLD_LIGHT):
+        for mailman in self._revealers(lightweight=True):
+            # a lost share cannot be revealed, and a fake one fails the hash
+            # check; both are modeled as absence
+            if mailman.address not in held or mailman.policy == POLICY_FAKE:
                 continue
-            if not self._available() or mailman.address not in held:
-                continue
-            if mailman.policy == POLICY_FAKE:
-                continue  # a fake share fails the hash check; modeled as absence
             self.ledger.submit_tx(
                 mailman.address,
                 self.strawman.address,

@@ -678,3 +678,33 @@ class TestTrialPeel:
         assert recipient <= n * (n - 1) // 2 + l * n
         # every layer was opened in the recipient's pass
         assert settlement == 0
+
+
+class TestRevealPolicy:
+    # policy -> (reveals in the lightweight round, reveals in a heavyweight round)
+    TABLE = {
+        actors.POLICY_HONEST: (True, True),
+        actors.POLICY_PREMATURE: (False, False),
+        actors.POLICY_ABSENT: (False, False),
+        actors.POLICY_FAKE: (True, True),
+        actors.POLICY_WITHHOLD_LIGHT: (False, True),
+        actors.POLICY_BRIBERABLE: (True, True),
+    }
+
+    def test_table_covers_every_fault_policy(self):
+        assert set(self.TABLE) == set(actors.FAULT_POLICIES)
+
+    @pytest.mark.parametrize("policy", actors.FAULT_POLICIES)
+    @pytest.mark.parametrize("lightweight", [True, False], ids=["lightweight", "heavyweight"])
+    def test_reveals(self, policy, lightweight):
+        mailman = actors.MailmanActor(
+            keypair=None,
+            channel_keys=None,
+            timeframe_keys={},
+            ledger=None,
+            bus=None,
+            agent=None,
+            deposit=0,
+            policy=policy,
+        )
+        assert mailman.reveals(lightweight) == self.TABLE[policy][0 if lightweight else 1]

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tidsim.adversary import (
-    AttackParams,
     adversary_view,
     blind_bribery_trials,
     disjoint_targets,
@@ -60,12 +59,6 @@ def briberable_config(t, l, n, pool_size=None, seed=31):
         n=n,
         fault_policies={i: "briberable" for i in range(pool)},
     )
-
-
-class TestAttackParams:
-    def test_fraction(self):
-        params = AttackParams(v=100, x=200, d=1.0)
-        assert params.p_m == pytest.approx(2 / 3)
 
 
 class TestBribery:

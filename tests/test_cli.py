@@ -248,6 +248,7 @@ class TestAnalyze:
             (["analyze", "availability", "x", "4", "10", "0.9"], "expected int, got 'x'"),
             (["analyze", "cost", "heavyweight", "ten"], "expected int, got 'ten'"),
             (["sweep", "--sweep-axis", "l", "--sweep-range", "0"], "onion depth must be at least 1"),
+            (["sweep", "--sweep-axis", "l", "--sweep-range", "5:1:1", "--out", "o.csv"], "range 5:1:1 is empty"),
             (["sweep", "--sweep-axis", "A_T", "--sweep-range", "0.9,high"], "expected float, got 'high'"),
             (["sweep", "--sweep-axis", "A_T", "--sweep-range", "2"], "availability must lie in [0, 1]"),
             (["sweep", "--sweep-axis", "x", "--sweep-range", "0", "--trials", "0"], "need a positive trial count"),
@@ -259,6 +260,7 @@ class TestAnalyze:
             "availability non-integer",
             "cost non-integer",
             "l sweep zero",
+            "l sweep empty range",
             "A_T sweep non-float",
             "A_T sweep above one",
             "x sweep no trials",

@@ -793,3 +793,60 @@ class TestSharedRegistry:
             for e in r.events
         ]
         assert events == (["MailmanRegistered"] * 4 + ["Withdrawal"] if is_agent else [])
+
+
+class TestSlashRule:
+    """The one slash rule both contracts take from the registry base: one
+    deposit, one slash entry, whatever the number of accusations."""
+
+    def test_agent_premature_then_absent_slashes_once(self, world):
+        svc = open_service(world)
+        sup = deploy_sup(world, svc, world.mailmen[0])  # during pend, epoch 0
+        accused = world.mailmen[-1]
+        disclosed = accused.timeframe_keys[world.timeframe_tick]
+        assert world.ledger.submit_tx(
+            world.mailmen[0].address,
+            sup.address,
+            FN_REPORT_PREMATURE,
+            {"index": 0, "privkey": int.from_bytes(disclosed.privkey, "big")},
+        ).success
+        world.ledger.advance_time(world.timeframe_tick)  # switched during pend: epoch 2
+        agreements = [make_agreement(world, svc, i + 1, m) for i, m in enumerate(world.mailmen)]
+        assert world.ledger.submit_tx(
+            world.mailmen[0].address, sup.address, FN_REVEAL_IDENTITY, {"agreements": agreements}
+        ).success
+        for i, m in enumerate(world.mailmen[:-1]):
+            privkey = int.from_bytes(m.timeframe_keys[world.timeframe_tick].privkey, "big")
+            assert world.ledger.submit_tx(
+                m.address, sup.address, FN_REVEAL_PRIVKEY, {"index": i + 1, "privkey": privkey}
+            ).success
+        world.ledger.advance_time(world.ledger.tick + 1)  # epoch 4
+        assert world.ledger.submit_tx(
+            world.mailmen[0].address, sup.address, FN_REPORT_ABSENT, {"index": len(world.mailmen)}
+        ).success
+        assert world.ledger.submit_tx(world.mailmen[0].address, sup.address, FN_INFORM_AGENT).success
+        slashes = world.agent.state["services"][svc.sid]["slashes"]
+        assert [(s["kind"], s["accused"]) for s in slashes] == [(SLASH_PREMATURE, accused.address.hex())]
+        assert slashes[0]["award"] == world.deposit // 2
+        world.ledger.audit()
+
+    def test_strawman_duplicate_premature_report_reverts(self, world):
+        contract, shares, _ = TestStrawman()._setup(world)
+        sid, svc = next(iter(contract.state["services"].items()))
+        args = {"sid": sid, "share": shares[0]}
+        first = world.ledger.submit_tx(
+            world.mailmen[1].address, contract.address, FN_STRAWMAN_REPORT_PREMATURE, dict(args)
+        )
+        assert first.success
+        claimable = dict(contract.state["claimable"])
+        second = world.ledger.submit_tx(
+            world.mailmen[2].address, contract.address, FN_STRAWMAN_REPORT_PREMATURE, dict(args)
+        )
+        assert not second.success
+        assert second.error == "duplicate premature report"
+        half = world.deposit // 2
+        assert [(s["kind"], s["award"], s["compensation"], s["burned"]) for s in svc["slashes"]] == [
+            (SLASH_PREMATURE, half, world.deposit - half, 0)
+        ]
+        assert contract.state["claimable"] == claimable
+        world.ledger.audit()
