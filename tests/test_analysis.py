@@ -137,6 +137,17 @@ class TestAvailability:
             2, 2, 3, 0.9, 200_003, seed=4
         )
 
+    @pytest.mark.parametrize("l", [1, 2, 3, 4])
+    @pytest.mark.parametrize("t", [1, 6])
+    def test_mc_matches_reduction_across_keys(self, l, t):
+        # several a_t in a row on one key, then another key, then the first
+        # key again: every value matches however the draw is reused
+        for seed in (11, 12, 11):
+            for a_t in (0.2, 0.9, 0.5, 0.99):
+                assert availability_mc(l, t, 6, a_t, 2_000, seed=seed) == availability_mc_reference(
+                    l, t, 6, a_t, 2_000, seed=seed
+                )
+
     def test_monotonicity_grid(self):
         a_grid = [0.5, 0.7, 0.9, 0.95, 0.99]
         for t, n in [(2, 5), (4, 10)]:

@@ -1,5 +1,8 @@
 """CLI tests: exit codes, file outputs, idempotency, schedule override."""
 
+import contextlib
+import hashlib
+import io
 import json
 
 import pytest
@@ -181,6 +184,15 @@ class TestSweep:
         assert closed == sorted(closed)
         for row in rows:
             assert abs(row["availability_closed"] - row["availability_mc"]) < 0.01
+
+    def test_availability_sweep_pinned(self):
+        out = io.StringIO()
+        argv = ["sweep", "--sweep-axis", "A_T", "--sweep-range", "0.80:0.99:0.01"]
+        argv += ["--trials", "20000", "--seed", "5", "--format", "jsonl"]
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+        digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+        assert digest == "4e5a9d7f883632110f131d9a2db5fd3feafeb9b421ef1dd179f02523163999fb"
 
     def test_x_sweep_minimum_near_optimum(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -427,6 +427,16 @@ class TestMoney:
         assert schedule.usd_quoted(FN_DEPLOY_SWITCH) == Fraction("1.81")
         assert schedule.usd_quoted(FN_DEPLOY_SUPPLEMENTARY) == Fraction("7.10")
 
+    def test_default_schedule_is_a_private_copy(self):
+        mine = GasSchedule.default()
+        mine.gas[FN_DEPLOY_SWITCH] = 1
+        mine.gas_per_unit[FN_DEPLOY_SWITCH] = 1
+        mine.usd_display[FN_DEPLOY_SWITCH] = Fraction(99)
+        fresh = GasSchedule.default()
+        assert fresh.gas_for(FN_DEPLOY_SWITCH) == 616_666
+        assert fresh.usd_quoted(FN_DEPLOY_SWITCH) == Fraction("1.81")
+        assert fresh != mine
+
     def test_conservation_across_random_activity(self, ledger, funded):
         rng = Random(17)
         contract = deploy_ping(ledger, funded)
