@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from typing import Optional
 
@@ -60,17 +61,27 @@ def _check_group(l: int, t: int, n: int):
         raise AnalysisError(f"invalid threshold t={t} for n={n}")
 
 
-def share_loss_probability(l: int, a_t: float) -> float:
-    if not 0.0 <= a_t <= 1.0:
+def _check_availability(a_t: float):
+    if not 0.0 <= a_t <= 1.0:  # false for NaN too
         raise AnalysisError("availability must lie in [0, 1]")
+
+
+def share_loss_probability(l: int, a_t: float) -> float:
+    _check_availability(a_t)
     return float(1 - Fraction(a_t) ** l)
 
 
 def availability(l: int, t: int, n: int, a_t: float) -> float:
-    """Probability that at least t shares survive one reveal round."""
+    """Probability that at least t shares survive one reveal round.
+
+    The formula assumes one independent coin per layer reveal. The
+    simulator draws one coin per courier per round, and each courier holds
+    a layer of l shares over cyclic windows, so share losses are
+    correlated: at t=4, n=10, a=0.95 the simulated layout gives 0.99116 at
+    l=3 (formula 0.99990) and 0.94791 at l=4 (formula 0.99947).
+    """
     _check_group(l, t, n)
-    if not 0.0 <= a_t <= 1.0:
-        raise AnalysisError("availability must lie in [0, 1]")
+    _check_availability(a_t)
     p = 1 - Fraction(a_t) ** l
     tail = sum(
         comb(n, i) * p**i * (1 - p) ** (n - i) for i in range(n - t + 1, n + 1)
@@ -79,26 +90,40 @@ def availability(l: int, t: int, n: int, a_t: float) -> float:
 
 
 def availability_mc(l: int, t: int, n: int, a_t: float, trials: int, seed: int = 0) -> float:
-    """Empirical check of the availability formula under its own loss model
-    (every layer reveal is an independent coin)."""
+    """Empirical check of the availability formula under its own loss model:
+    every layer reveal is an independent coin, not the simulator's one coin
+    per courier (see `availability`).
+
+    A trial succeeds when its t-th smallest per-share worst draw lies below
+    a_t. That per-trial array depends on (l, t, n, trials, seed) only, so the
+    last one is cached, which keeps one array of `trials` floats alive and
+    lets the points of an a_t sweep share one draw.
+    """
     _check_group(l, t, n)
+    _check_availability(a_t)
     if trials < 1:
         raise AnalysisError("need a positive trial count")
+    return float((_tth_worst_draw(l, t, n, trials, seed) < a_t).mean())
+
+
+@lru_cache(maxsize=1)
+def _tth_worst_draw(l: int, t: int, n: int, trials: int, seed: int) -> np.ndarray:
+    """Per trial, the t-th smallest over the n shares of the share's largest
+    layer draw: at least t shares have every draw below a_t exactly when it
+    lies below a_t. Read-only, since every caller shares it."""
     rng = np.random.default_rng(seed)
-    surviving = np.zeros(trials, dtype=np.int64)
+    kth = np.empty(trials)
     chunk = 200_000
-    done = 0
-    while done < trials:
+    for done in range(0, trials, chunk):
         size = min(chunk, trials - done)
         draws = rng.random((size, n, l))
-        # a share survives when all l of its reveals do; l in-place ANDs
-        # beat a reduction over the short last axis
-        survives = draws[..., 0] < a_t
+        # l in-place maxima beat a reduction over the short last axis
+        worst = draws[..., 0]
         for j in range(1, l):
-            survives &= draws[..., j] < a_t
-        surviving[done : done + size] = survives.sum(axis=1)
-        done += size
-    return float((surviving >= t).mean())
+            np.maximum(worst, draws[..., j], out=worst)
+        kth[done : done + size] = np.partition(worst, t - 1, axis=1)[:, t - 1]
+    kth.setflags(write=False)
+    return kth
 
 
 def bribery_cost(t: int, l: int, d: float) -> float:

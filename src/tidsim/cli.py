@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -218,6 +219,9 @@ def _sweep_x(config: ScenarioConfig, values, trials, schedule) -> list[dict]:
 
 
 def _sweep_bribe(config: ScenarioConfig, values, trials, schedule) -> list[dict]:
+    for bribe_eth in values:
+        if not 0 <= bribe_eth * WEI_PER_ETHER < math.inf:  # false for NaN too
+            raise ConfigError(f"bribe must be a finite non-negative number of wei, got {bribe_eth} ether")
     rows = []
     for bribe_eth in values:
         bribe = int(bribe_eth * WEI_PER_ETHER)

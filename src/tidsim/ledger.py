@@ -90,6 +90,45 @@ STRAWMAN_SERVICE_FUNCTIONS = frozenset(
     }
 )
 
+# The published gas and USD price tables; GasSchedule.default() copies them.
+_DEFAULT_GAS = {
+    FN_DEPLOY_AGENT: 1_500_000,
+    FN_DEPLOY_STRAWMAN: 1_500_000,
+    FN_DEPLOY_SWITCH: 616_666,
+    FN_NEW_MAILMAN: 128_000,
+    FN_NEW_SERVICE: 83_121,
+    FN_DEPLOY_SUPPLEMENTARY: 2_425_356,
+    FN_REPORT_PREMATURE: 65_317,
+    FN_RECIPIENT_RECEIPT: 54_291,
+    FN_REVEAL_IDENTITY: 0,
+    FN_REVEAL_PRIVKEY: 90_689,
+    FN_REPORT_ABSENT: 65_343,
+    FN_REPORT_FAKE: 1_280_723,
+    FN_INFORM_AGENT: 57_042,
+    FN_PROVE_AGREEMENT: 72_678,
+    FN_WITHDRAW: 45_000,
+    FN_STRAWMAN_NEW_SERVICE: 83_121,
+    FN_STRAWMAN_REPORT_PREMATURE: 65_317,
+    FN_STRAWMAN_REVEAL_SHARE: 90_689,
+    FN_STRAWMAN_REVEAL_RECEIPT: 54_291,
+}
+_DEFAULT_GAS_PER_UNIT = {
+    FN_REVEAL_IDENTITY: 72_678,
+    FN_STRAWMAN_NEW_SERVICE: 42_000,
+}
+_PUBLISHED_USD = {
+    FN_DEPLOY_SWITCH: Fraction("1.81"),
+    FN_NEW_SERVICE: Fraction("0.24"),
+    FN_DEPLOY_SUPPLEMENTARY: Fraction("7.10"),
+    FN_REPORT_PREMATURE: Fraction("0.19"),
+    FN_RECIPIENT_RECEIPT: Fraction("0.16"),
+    FN_REVEAL_IDENTITY: Fraction("0.21"),
+    FN_REVEAL_PRIVKEY: Fraction("0.27"),
+    FN_REPORT_ABSENT: Fraction("0.19"),
+    FN_REPORT_FAKE: Fraction("3.75"),
+    FN_INFORM_AGENT: Fraction("0.17"),
+}
+
 
 class LedgerError(Exception):
     """Transaction rejected before execution (no receipt, no state change)."""
@@ -177,57 +216,23 @@ class GasSchedule:
 
     @classmethod
     def default(cls) -> "GasSchedule":
-        published = {
-            FN_DEPLOY_SWITCH: "1.81",
-            FN_NEW_SERVICE: "0.24",
-            FN_DEPLOY_SUPPLEMENTARY: "7.10",
-            FN_REPORT_PREMATURE: "0.19",
-            FN_RECIPIENT_RECEIPT: "0.16",
-            FN_REVEAL_IDENTITY: "0.21",
-            FN_REVEAL_PRIVKEY: "0.27",
-            FN_REPORT_ABSENT: "0.19",
-            FN_REPORT_FAKE: "3.75",
-            FN_INFORM_AGENT: "0.17",
-        }
+        """The published schedule, in tables of its own that the caller may
+        change without touching any other schedule."""
         return cls(
-            gas={
-                FN_DEPLOY_AGENT: 1_500_000,
-                FN_DEPLOY_STRAWMAN: 1_500_000,
-                FN_DEPLOY_SWITCH: 616_666,
-                FN_NEW_MAILMAN: 128_000,
-                FN_NEW_SERVICE: 83_121,
-                FN_DEPLOY_SUPPLEMENTARY: 2_425_356,
-                FN_REPORT_PREMATURE: 65_317,
-                FN_RECIPIENT_RECEIPT: 54_291,
-                FN_REVEAL_IDENTITY: 0,
-                FN_REVEAL_PRIVKEY: 90_689,
-                FN_REPORT_ABSENT: 65_343,
-                FN_REPORT_FAKE: 1_280_723,
-                FN_INFORM_AGENT: 57_042,
-                FN_PROVE_AGREEMENT: 72_678,
-                FN_WITHDRAW: 45_000,
-                FN_STRAWMAN_NEW_SERVICE: 83_121,
-                FN_STRAWMAN_REPORT_PREMATURE: 65_317,
-                FN_STRAWMAN_REVEAL_SHARE: 90_689,
-                FN_STRAWMAN_REVEAL_RECEIPT: 54_291,
-            },
-            gas_per_unit={
-                FN_REVEAL_IDENTITY: 72_678,
-                FN_STRAWMAN_NEW_SERVICE: 42_000,
-            },
-            usd_display={fn: Fraction(v) for fn, v in published.items()},
+            gas=dict(_DEFAULT_GAS),
+            gas_per_unit=dict(_DEFAULT_GAS_PER_UNIT),
+            usd_display=dict(_PUBLISHED_USD),
         )
 
     @classmethod
     def from_file(cls, path: str) -> "GasSchedule":
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-        base = cls.default()
-        gas = dict(base.gas)
+        gas = dict(_DEFAULT_GAS)
         gas.update({k: int(v) for k, v in raw.get("gas", {}).items()})
-        per_unit = dict(base.gas_per_unit)
+        per_unit = dict(_DEFAULT_GAS_PER_UNIT)
         per_unit.update({k: int(v) for k, v in raw.get("gas_per_unit", {}).items()})
-        display = dict(base.usd_display)
+        display = dict(_PUBLISHED_USD)
         display.update({k: Fraction(str(v)) for k, v in raw.get("usd_display", {}).items()})
         return cls(
             gas=gas,

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from tidsim.analysis import (
     AnalysisError,
+    _tth_worst_draw,
     availability,
     availability_mc,
     bribery_cost,
@@ -147,6 +148,18 @@ class TestAvailability:
                 assert availability_mc(l, t, 6, a_t, 2_000, seed=seed) == availability_mc_reference(
                     l, t, 6, a_t, 2_000, seed=seed
                 )
+
+    def test_mc_draw_is_shared_read_only(self):
+        first = _tth_worst_draw(3, 4, 10, 1_000, 5)
+        assert _tth_worst_draw(3, 4, 10, 1_000, 5) is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = 0.0
+
+    @pytest.mark.parametrize("a_t", [-0.1, 1.5, math.nan, math.inf])
+    def test_mc_availability_domain(self, a_t):
+        with pytest.raises(AnalysisError, match=r"availability must lie in \[0, 1\]"):
+            availability_mc(3, 4, 10, a_t, 1_000)
 
     def test_monotonicity_grid(self):
         a_grid = [0.5, 0.7, 0.9, 0.95, 0.99]

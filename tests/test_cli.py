@@ -265,6 +265,10 @@ class TestAnalyze:
             (["sweep", "--sweep-axis", "A_T", "--sweep-range", "2"], "availability must lie in [0, 1]"),
             (["sweep", "--sweep-axis", "x", "--sweep-range", "0", "--trials", "0"], "need a positive trial count"),
             (["sweep", "--sweep-axis", "A_T", "--sweep-range", "0.9", "--trials", "0"], "need a positive trial count"),
+            (["sweep", "--sweep-axis", "bribe", "--sweep-range", "-1"], "got -1.0"),
+            (["sweep", "--sweep-axis", "bribe", "--sweep-range", "nan"], "got nan"),
+            (["sweep", "--sweep-axis", "bribe", "--sweep-range", "2,inf"], "got inf"),
+            (["sweep", "--sweep-axis", "bribe", "--sweep-range", "1e300"], "got 1e+300"),
         ],
         ids=[
             "availability n=0",
@@ -277,6 +281,10 @@ class TestAnalyze:
             "A_T sweep above one",
             "x sweep no trials",
             "A_T sweep no trials",
+            "bribe sweep negative",
+            "bribe sweep nan",
+            "bribe sweep inf",
+            "bribe sweep wei overflow",
         ],
     )
     def test_bad_parameters_exit_two(self, capsys, argv, message):
