@@ -13,6 +13,8 @@ transaction, through settlement and withdrawals, snapshots a long registry.
 A speed-up that changes one byte of any of these runs fails here.
 """
 
+import hashlib
+
 import pytest
 
 from tidsim.scenario import ScenarioConfig, run_scenario
@@ -192,3 +194,30 @@ def test_golden_trace_hash(name, config, status, digest):
     assert trace.status == status
     assert trace.trace_hash() == digest
 
+
+
+# SHA-256 of the whole `to_jsonl()` output, whose first line is the summary:
+# these also pin `service_gas` and `total_gas`, which the trace hash leaves out.
+JSONL = [
+    (
+        "light",
+        dict(seed=1, pool_size=6, n=4, l=2, t=2),
+        "4d1a01bffa8c72395a189fbb2aede0f203f2f0d03b7bf8965c9d6be12d99b80a",
+    ),
+    (
+        "heavy",
+        dict(seed=2, pool_size=6, n=4, l=2, t=2, fault_policies={0: "premature"}),
+        "60bf164554f67ebfa7cbe25bae18da1581da0c89bfb8ea7094457a6b70743d3b",
+    ),
+    (
+        "strawman",
+        dict(seed=6, pool_size=5, n=4, l=2, t=2, mode="strawman"),
+        "e486bfb6af8d58bd76b9aeac4a10d7c35f605c4c292d10c320914163c61fc760",
+    ),
+]
+
+
+@pytest.mark.parametrize("name, config, digest", JSONL, ids=[case[0] for case in JSONL])
+def test_jsonl_output_pinned(name, config, digest):
+    trace = run_scenario(ScenarioConfig(**config))
+    assert hashlib.sha256(trace.to_jsonl().encode()).hexdigest() == digest
