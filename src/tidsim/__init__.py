@@ -41,7 +41,7 @@ from .crypto import (
     sym_decrypt,
     sym_encrypt,
 )
-from .ledger import GasSchedule, Ledger, TimeFrame, TxReceipt
+from .ledger import GasSchedule, Ledger, TxReceipt
 from .scenario import ScenarioConfig, ScenarioRunner, ScenarioTrace, run_scenario
 
 __version__ = "0.1.0"
@@ -58,7 +58,6 @@ __all__ = [
     "ScenarioTrace",
     "Share",
     "Signature",
-    "TimeFrame",
     "TxReceipt",
     "adversary_view",
     "availability",

@@ -41,6 +41,7 @@ from .crypto import (
     onion_wrap,
     recover_signer,
     sign,
+    signed_by,
     ss_restore,
     ss_split,
     sym_decrypt,
@@ -51,8 +52,6 @@ from .ledger import (
     FN_NEW_SERVICE,
     Ledger,
 )
-
-TOPIC = b"tids"
 
 TAG_INVITE = b"INV"
 TAG_ACCEPT = b"ACC"
@@ -216,18 +215,17 @@ class MailmanActor:
         index = int.from_bytes(body[0], "big")
         switch_addr = body[1]
         sup_code = body[2]
-        vrs_sup = Signature.from_bytes(body[3])
         if self.refuse_service or not self._invite_checks_out(
-            sender_addr, index, switch_addr, sup_code, vrs_sup
+            sender_addr, index, switch_addr, sup_code, body[3]
         ):
             return TAG_REFUSE + encode_parts(index)
         self.index = index
         self.sup_code = sup_code
-        self.vrs_sup = vrs_sup
+        self.vrs_sup = Signature.from_bytes(body[3])
         vrs_m = sign(self.keypair.privkey, agreement_digest_mailman(switch_addr, index))
         return TAG_ACCEPT + encode_parts(index, vrs_m)
 
-    def _invite_checks_out(self, sender_addr, index, switch_addr, sup_code, vrs_sup) -> bool:
+    def _invite_checks_out(self, sender_addr, index, switch_addr, sup_code, vrs_sup_raw) -> bool:
         switch = self.ledger.contracts.get(switch_addr)
         if not isinstance(switch, SwitchContract):
             return False
@@ -235,11 +233,7 @@ class MailmanActor:
             return False
         if sup_code.hex() != switch.state["sup_code"]:
             return False
-        try:
-            signer = recover_signer(sup_auth_digest(switch_addr, sup_code), vrs_sup)
-        except Exception:
-            return False
-        if signer != sender_addr:
+        if not signed_by(sup_auth_digest(switch_addr, sup_code), vrs_sup_raw, sender_addr):
             return False
         svc = self.agent.state["services"].get(switch_addr.hex())
         if svc is None or not 1 <= index <= svc["n"]:
@@ -250,12 +244,7 @@ class MailmanActor:
 
     def accept_bundle(self, sender_addr: bytes, body: list[bytes]) -> bool:
         bundle_blob, onions_blob, vrs_sm_raw = body
-        vrs_sm = Signature.from_bytes(vrs_sm_raw)
-        digest = hash256(encode_parts(bundle_blob, onions_blob))
-        try:
-            if recover_signer(digest, vrs_sm) != sender_addr:
-                return False
-        except Exception:
+        if not signed_by(hash256(encode_parts(bundle_blob, onions_blob)), vrs_sm_raw, sender_addr):
             return False
         self.bundle = decode_parts(bundle_blob)
         self.onions = [Onion.from_wire(raw) for raw in decode_parts(onions_blob)]
@@ -442,7 +431,7 @@ class SenderActor:
             self.onions.append(onion_wrap(share, pubkeys, self.rng))
 
         onions_blob = encode_parts(*[o.wire_bytes() for o in self.onions])
-        self.bus.broadcast(self.address, TOPIC, TAG_ONIONS + onions_blob)
+        self.bus.broadcast(self.address, TAG_ONIONS + onions_blob)
 
         tuples = []
         for index in sorted(self.agreements):
@@ -496,12 +485,7 @@ class RecipientActor:
         """Verify the sender's signature over the package; ask for a resend
         when it does not check out."""
         ct, onions_blob, vrs_st_raw = body_of(payload)
-        try:
-            vrs_st = Signature.from_bytes(vrs_st_raw)
-            signer = recover_signer(hash256(encode_parts(ct, onions_blob)), vrs_st)
-        except Exception:
-            signer = None
-        if signer != sender_addr:
+        if not signed_by(hash256(encode_parts(ct, onions_blob)), vrs_st_raw, sender_addr):
             self.bus.send_private(self.address, sender_addr, TAG_RESEND + encode_parts(b"bad-signature"))
             return False
         self.ciphertext = ct

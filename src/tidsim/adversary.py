@@ -67,10 +67,7 @@ def run_bribery(
     runner = ScenarioRunner(config)
     runner.build_marketplace()
     runner.sender.setup()
-    runner.sender.recruit(
-        runner.pool,
-        list(config.selection_override) if config.selection_override is not None else None,
-    )
+    runner.sender.recruit(runner.pool, config.selection_override)
     cfg = runner.config
     d = cfg.deposit_wei
 

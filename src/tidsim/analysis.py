@@ -41,7 +41,6 @@ from .ledger import (
     FN_STRAWMAN_REVEAL_SHARE,
     GasSchedule,
     SERVICE_FUNCTIONS,
-    STRAWMAN_SERVICE_FUNCTIONS,
     fmt_usd,
 )
 
@@ -249,7 +248,6 @@ def _cost_from_trace(trace, schedule: GasSchedule) -> CostBreakdown:
             schedule.usd_exact(gas),
             schedule.usd_quoted(fn, units),
         )
-    service_fns = SERVICE_FUNCTIONS | STRAWMAN_SERVICE_FUNCTIONS
     total_gas = sum(r["gas"] for r in rows.values())
     return CostBreakdown(
         mode=mode,
@@ -257,9 +255,9 @@ def _cost_from_trace(trace, schedule: GasSchedule) -> CostBreakdown:
         rows=rows,
         total_gas=total_gas,
         total_usd_exact=sum((r["usd_exact"] for r in rows.values()), Fraction(0)),
-        service_gas=sum(r["gas"] for fn, r in rows.items() if fn in service_fns),
+        service_gas=sum(r["gas"] for fn, r in rows.items() if fn in SERVICE_FUNCTIONS),
         service_usd_quoted=sum(
-            (r["usd_quoted"] for fn, r in rows.items() if fn in service_fns), Fraction(0)
+            (r["usd_quoted"] for fn, r in rows.items() if fn in SERVICE_FUNCTIONS), Fraction(0)
         ),
     )
 

@@ -18,6 +18,7 @@ from random import Random
 from typing import Optional
 
 BROADCAST = b"\xff" * 20  # destination marker for topic messages
+TOPIC = b"tids"  # the one topic every broadcast carries
 
 
 class ChannelError(Exception):
@@ -30,7 +31,7 @@ class ChannelMsg:
     sent_tick: int
     sender: bytes
     to: bytes  # BROADCAST for topic messages
-    topic: Optional[bytes]  # 4-byte tag, broadcasts only
+    topic: Optional[bytes]  # TOPIC on broadcasts, None on private messages
     payload: bytes
     delivered: bool = True  # false when the fault injector dropped it
 
@@ -71,35 +72,21 @@ class MessageBus:
     def _dropped(self) -> bool:
         return self.drop_prob > 0 and self.rng is not None and self.rng.random() < self.drop_prob
 
+    def _log(self, sender: bytes, to: bytes, topic: Optional[bytes], payload: bytes) -> ChannelMsg:
+        """Append a message to the log, drawing the fault injector's verdict."""
+        msg = ChannelMsg(len(self.log), self._tick, sender, to, topic, payload, delivered=not self._dropped())
+        self.log.append(msg)
+        return msg
+
     def send_private(self, sender: bytes, to: bytes, payload: bytes):
         if to not in self._channel_keys:
             raise ChannelError("recipient has no registered channel key")
-        msg = ChannelMsg(
-            seq=len(self.log),
-            sent_tick=self._tick,
-            sender=sender,
-            to=to,
-            topic=None,
-            payload=payload,
-            delivered=not self._dropped(),
-        )
-        self.log.append(msg)
+        msg = self._log(sender, to, None, payload)
         if msg.delivered:
             self._pending.append(msg)
 
-    def broadcast(self, sender: bytes, topic: bytes, payload: bytes):
-        if len(topic) != 4:
-            raise ChannelError("topic tags are 4 bytes")
-        msg = ChannelMsg(
-            seq=len(self.log),
-            sent_tick=self._tick,
-            sender=sender,
-            to=BROADCAST,
-            topic=topic,
-            payload=payload,
-            delivered=not self._dropped(),
-        )
-        self.log.append(msg)
+    def broadcast(self, sender: bytes, payload: bytes):
+        self._log(sender, BROADCAST, TOPIC, payload)
 
     def deliver_pending(self, tick: Optional[int] = None):
         """Move queued private messages into inboxes in deterministic order."""

@@ -31,17 +31,22 @@ from .analysis import (
     share_loss_probability,
     sybil_min_deposit,
 )
-from .ledger import GasSchedule, WEI_PER_ETHER, fmt_usd
+from .ledger import GasSchedule, LedgerError, WEI_PER_ETHER, fmt_usd
 from .scenario import ConfigError, ScenarioConfig, run_scenario
 
 GAS_SCHEDULE_ENV = "TIDSIM_GAS_SCHEDULE"
 
 
 def load_schedule() -> Optional[GasSchedule]:
+    """The override schedule the environment names, if any; a file whose
+    contents do not make a valid schedule is a config error."""
     path = os.environ.get(GAS_SCHEDULE_ENV)
     if not path:
         return None
-    return GasSchedule.from_file(path)
+    try:
+        return GasSchedule.from_file(path)
+    except (LedgerError, ValueError, TypeError, AttributeError, ZeroDivisionError) as exc:
+        raise ConfigError(f"gas schedule {path}: {exc}") from None
 
 
 def _number(cast, text: str):
@@ -60,12 +65,16 @@ def parse_range(spec: str, as_float: bool) -> list:
         if len(parts) != 3:
             raise ConfigError("range syntax is start:stop:step")
         start, stop, step = (_number(cast, p) for p in parts)
+        if as_float and not all(math.isfinite(x) for x in (start, stop, step)):
+            raise ConfigError(f"range {spec} needs a finite start, stop and step")
         if step <= 0:
             raise ConfigError("range step must be positive")
         values = []
         value = start
         while value <= stop + (1e-9 if as_float else 0):
             values.append(cast(round(value, 10)) if as_float else value)
+            if value + step == value:
+                raise ConfigError(f"range {spec}: step {step} does not move past {value}")
             value += step
         if not values:
             raise ConfigError(f"range {spec} is empty: start exceeds stop")
@@ -108,9 +117,10 @@ def load_config(args) -> ScenarioConfig:
 
 def cmd_run(args) -> int:
     config = load_config(args)
-    trace = run_scenario(config, schedule=load_schedule())
+    schedule = load_schedule()
+    trace = run_scenario(config, schedule=schedule)
     summary = trace.summary()
-    report = cost_report(trace=trace, schedule=load_schedule())
+    report = cost_report(trace=trace, schedule=schedule)
     print(f"mode:        {trace.mode}")
     print(f"status:      {trace.status}")
     print(f"epochs:      {'-'.join(str(e) for e in trace.epoch_sequence) or 'n/a'}")

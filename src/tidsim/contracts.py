@@ -76,14 +76,18 @@ def _scalar_hex(privkey: int) -> str:
 class RegistryContract(Contract):
     """Courier registry, claimable balances, payout, slashing and withdrawals.
 
-    A subclass's state holds "min_deposit", "mailmen", "services" and
-    "claimable"; each service record holds "sender", "n", "remuneration",
-    "shares_paid", "slashes" and "settled". `_pay_share` is the one payout
-    rule: an unslashed courier earns `remuneration // n` once per service,
-    credited at settlement (`_pay_shares`) or, after a lightweight delivery,
-    when it proves its agreement. `_slash` is the one slash rule; each
-    subclass's `_slash_remainder` says where the unawarded part goes.
+    `init_state` creates "min_deposit", "mailmen", "services" and
+    "claimable", and a subclass adds its own keys. Each service record holds
+    "sender", "n", "remuneration", "shares_paid", "slashes" and "settled".
+    `_pay_share` is the one payout rule: an unslashed courier earns
+    `remuneration // n` once per service, credited at settlement
+    (`_pay_shares`) or, after a lightweight delivery, when it proves its
+    agreement. `_slash` is the one slash rule; each subclass's
+    `_slash_remainder` says where the unawarded part goes.
     """
+
+    def init_state(self, min_deposit: int = 0):
+        self.state = {"min_deposit": min_deposit, "mailmen": {}, "services": {}, "claimable": {}}
 
     def fn_newMailman(self, ctx: TxContext, channel_pub: bytes, timeframe_pubkeys: Optional[dict] = None) -> dict:
         """Escrow the deposit and record the courier; the timeframe pubkeys
@@ -96,9 +100,6 @@ class RegistryContract(Contract):
         record = {"channel_pub": channel_pub.hex(), "deposit": ctx.value, "status": MAILMAN_ACTIVE}
         self.state["mailmen"][caller] = record
         return record
-
-    def registered_mailmen(self) -> list[str]:
-        return [a for a, m in self.state["mailmen"].items() if m["status"] == MAILMAN_ACTIVE]
 
     def _require_mailman(self, caller: bytes) -> dict:
         record = self.state["mailmen"].get(caller.hex())
@@ -179,14 +180,8 @@ class AgentContract(RegistryContract):
     deploy_fn = FN_DEPLOY_AGENT
 
     def init_state(self, min_deposit: int = 0, epoch_ticks: int = 1):
-        self.state = {
-            "min_deposit": min_deposit,
-            "epoch_ticks": epoch_ticks,
-            "mailmen": {},
-            "services": {},
-            "claimable": {},
-            "pending_burn": 0,
-        }
+        super().init_state(min_deposit)
+        self.state.update(epoch_ticks=epoch_ticks, pending_burn=0)
 
     # -- registry ------------------------------------------------------------
 
@@ -635,13 +630,8 @@ class StrawmanContract(RegistryContract):
     deploy_fn = FN_DEPLOY_STRAWMAN
 
     def init_state(self, min_deposit: int = 0, settle_ticks: int = 1):
-        self.state = {
-            "min_deposit": min_deposit,
-            "settle_ticks": settle_ticks,
-            "mailmen": {},
-            "services": {},
-            "claimable": {},
-        }
+        super().init_state(min_deposit)
+        self.state["settle_ticks"] = settle_ticks
 
     def gas_units(self, fn: str, args: dict) -> int:
         if fn == FN_STRAWMAN_NEW_SERVICE:

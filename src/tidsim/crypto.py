@@ -49,6 +49,7 @@ __all__ = [
     "pubkey_of_privkey",
     "sign",
     "recover_signer",
+    "signed_by",
     "new_secret_key",
     "sym_encrypt",
     "sym_decrypt",
@@ -608,6 +609,15 @@ def recover_signer(digest: bytes, sig: Signature) -> bytes:
     if not isinstance(sig, Signature):
         raise VerificationError("not a signature value")
     return _recover_address(bytes(digest), sig)
+
+
+def signed_by(digest: bytes, sig_bytes: bytes, address: bytes) -> bool:
+    """Whether the wire signature `sig_bytes` over `digest` recovers to
+    `address`; a malformed signature is no match."""
+    try:
+        return recover_signer(digest, Signature.from_bytes(sig_bytes)) == address
+    except CryptoError:
+        return False
 
 
 # Every courier and contract re-recovers the same few signatures of a

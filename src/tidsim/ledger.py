@@ -26,7 +26,6 @@ from typing import Any, Callable, Optional
 from .crypto import hash256
 
 WEI_PER_ETHER = 10**18
-SLOTS_PER_DAY = 24
 
 # Allowed epoch transitions of the delivery state machine. Epoch 0 is the
 # pending phase; 1 lightweight reveal; 2 mode switch; 3 on-chain reveal;
@@ -62,10 +61,12 @@ FN_STRAWMAN_REPORT_PREMATURE = "strawmanReportPremature"
 FN_STRAWMAN_REVEAL_SHARE = "strawmanRevealShare"
 FN_STRAWMAN_REVEAL_RECEIPT = "strawmanRevealReceipt"
 
-# Functions whose gas counts toward the published per-service cost figures.
-# Registration (newMailman) and marketplace bootstrap (deployAgent /
-# deployStrawman) are mailman- and operator-side; settlement withdrawals are
-# optional and excluded from the per-service totals the price table covers.
+# Functions whose gas counts toward the published per-service cost figures,
+# the silent protocol's and the strawman's alike: a run calls one registry's
+# functions only. Registration (newMailman) and marketplace bootstrap
+# (deployAgent / deployStrawman) are mailman- and operator-side; settlement
+# withdrawals are optional and excluded from the per-service totals the price
+# table covers.
 SERVICE_FUNCTIONS = frozenset(
     {
         FN_DEPLOY_SWITCH,
@@ -78,11 +79,6 @@ SERVICE_FUNCTIONS = frozenset(
         FN_REPORT_ABSENT,
         FN_REPORT_FAKE,
         FN_INFORM_AGENT,
-    }
-)
-
-STRAWMAN_SERVICE_FUNCTIONS = frozenset(
-    {
         FN_STRAWMAN_NEW_SERVICE,
         FN_STRAWMAN_REPORT_PREMATURE,
         FN_STRAWMAN_REVEAL_SHARE,
@@ -136,26 +132,6 @@ class LedgerError(Exception):
 
 class ContractRevert(Exception):
     """Raised inside a contract handler; charges gas, rolls back state."""
-
-
-@dataclass(frozen=True, order=True)
-class TimeFrame:
-    """A (day, slot) point on the clock; slot granularity is one tick."""
-
-    day: int
-    slot: int
-
-    def __post_init__(self):
-        if self.day < 0 or not 0 <= self.slot < SLOTS_PER_DAY:
-            raise LedgerError(f"invalid time frame {self.day},{self.slot}")
-
-    @property
-    def tick(self) -> int:
-        return self.day * SLOTS_PER_DAY + self.slot
-
-    @classmethod
-    def from_tick(cls, tick: int) -> "TimeFrame":
-        return cls(tick // SLOTS_PER_DAY, tick % SLOTS_PER_DAY)
 
 
 def round_usd_cents(amount: Fraction) -> Fraction:
@@ -321,14 +297,10 @@ class TxContext:
 def _jsonable(value):
     if isinstance(value, bytes):
         return value.hex()
-    if isinstance(value, Fraction):
-        return str(value)
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, list):
         return [_jsonable(v) for v in value]
-    if isinstance(value, Enum):
-        return value.value
     return value
 
 
@@ -645,11 +617,10 @@ class Ledger:
 
     # -- clock -------------------------------------------------------------
 
-    def advance_time(self, to: TimeFrame | int):
-        target = to.tick if isinstance(to, TimeFrame) else int(to)
-        if target < self.tick:
+    def advance_time(self, tick: int):
+        if tick < self.tick:
             raise LedgerError("clock cannot move backwards")
-        while self.tick < target:
+        while self.tick < tick:
             self.tick += 1
             for contract in list(self.contracts.values()):
                 contract.on_tick(self.tick)

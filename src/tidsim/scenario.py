@@ -29,7 +29,6 @@ from .actors import (
     TAG_BUNDLE,
     TAG_KEY,
     TAG_PACKAGE,
-    TOPIC,
     body_of,
     peel_with_keys,
     tag_of,
@@ -70,7 +69,6 @@ from .ledger import (
     GasSchedule,
     Ledger,
     SERVICE_FUNCTIONS,
-    STRAWMAN_SERVICE_FUNCTIONS,
     WEI_PER_ETHER,
 )
 
@@ -366,15 +364,12 @@ class ScenarioRunner:
         """The recruited couriers that reveal their key in a round, in
         recruitment order. With `coin`, each one whose policy reveals draws
         the availability coin as the round reaches it."""
-        for mailman in self._recruited():
+        for mailman in self.sender.selected:
             if mailman.reveals(lightweight) and (not coin or self._available()):
                 yield mailman
 
     def _service(self) -> dict:
         return self.registry.state["services"][self.sender.service_id]
-
-    def _recruited(self) -> list[MailmanActor]:
-        return self.sender.selected
 
     def _drain_broadcast_keys(self) -> list[int]:
         """Deliver pending messages and read every key published so far from
@@ -392,7 +387,7 @@ class ScenarioRunner:
 
     def _broadcast_key(self, mailman: MailmanActor):
         scalar = mailman.reveal_scalar(self.config.timeframe_tick)
-        self.bus.broadcast(mailman.address, TOPIC, TAG_KEY + encode_parts(scalar))
+        self.bus.broadcast(mailman.address, TAG_KEY + encode_parts(scalar))
 
     def _deploy_supplementary(self, mailman: MailmanActor):
         self.ledger.submit_tx(
@@ -416,7 +411,7 @@ class ScenarioRunner:
         return ss_restore(list(shares.values()), self.config.t)
 
     def _first_honest(self, available_ok: set) -> Optional[MailmanActor]:
-        for m in self._recruited():
+        for m in self.sender.selected:
             if m.policy in (POLICY_HONEST, POLICY_WITHHOLD_LIGHT) and m.address in available_ok:
                 return m
         return None
@@ -472,7 +467,7 @@ class ScenarioRunner:
     def _deliver_recruitment_messages(self):
         """Bundle/onion/package fan-out, including the resend path."""
         self.bus.deliver_pending(self.ledger.tick)
-        for mailman in self._recruited():
+        for mailman in self.sender.selected:
             for msg in self.bus.recv(mailman.address):
                 if tag_of(msg.payload) == TAG_BUNDLE:
                     accepted = mailman.accept_bundle(self.sender.address, body_of(msg.payload))
@@ -496,7 +491,7 @@ class ScenarioRunner:
         # the run then terminates as a failed delivery rather than an error
 
     def _pend_phase(self):
-        disclosers = [m for m in self._recruited() if m.policy == POLICY_PREMATURE]
+        disclosers = [m for m in self.sender.selected if m.policy == POLICY_PREMATURE]
         disclosers += [
             m
             for m in self.pool
@@ -509,7 +504,7 @@ class ScenarioRunner:
         disclosed = self._drain_broadcast_keys()
         self.ledger.advance_time(self.config.timeframe_tick - 1)
 
-        observer = self._first_honest({m.address for m in self._recruited()})
+        observer = self._first_honest({m.address for m in self.sender.selected})
         if observer is None:
             return
         self._deploy_supplementary(observer)  # the first switch: the service is not heavyweight yet
@@ -554,13 +549,13 @@ class ScenarioRunner:
             self.recipient.receipt_submitted = True
 
     def _epoch2_switch(self):
-        available = {m.address for m in self._recruited() if self._available()}
+        available = {m.address for m in self.sender.selected if self._available()}
         deployer = self._first_honest(available)
         if not self._service()["heavyweight"]:
             if deployer is None:
                 return  # nobody switches; the window will expire into failure
             self._deploy_supplementary(deployer)
-        for mailman in self._recruited():
+        for mailman in self.sender.selected:
             if mailman.reveals(lightweight=False) and mailman.address in available:
                 self._broadcast_key(mailman)
         if deployer is None:
@@ -590,21 +585,19 @@ class ScenarioRunner:
 
     def _epoch4_reporting(self):
         sup = self._sup_contract()
-        reporter = self._first_honest({m.address for m in self._recruited()})
+        reporter = self._first_honest({m.address for m in self.sender.selected})
         if reporter is None:
             return
         reported = False
         for index in sorted(sup.state["identities"], key=int):
             if index not in sup.state["revealed_privkeys"]:
-                receipt = self.ledger.submit_tx(
-                    reporter.address, sup.address, FN_REPORT_ABSENT, {"index": int(index)}
-                )
-                reported = reported or receipt.success
+                fn = FN_REPORT_ABSENT
             elif sup.state["fake_marks"].get(index):
-                receipt = self.ledger.submit_tx(
-                    reporter.address, sup.address, FN_REPORT_FAKE, {"index": int(index)}
-                )
-                reported = reported or receipt.success
+                fn = FN_REPORT_FAKE
+            else:
+                continue
+            receipt = self.ledger.submit_tx(reporter.address, sup.address, fn, {"index": int(index)})
+            reported = reported or receipt.success
         if reported or sup.state["premature_reports"]:
             self.ledger.submit_tx(reporter.address, sup.address, FN_INFORM_AGENT)
 
@@ -622,7 +615,7 @@ class ScenarioRunner:
         registry = self.registry
         if self._service()["status"] == STATUS_DELIVERED_LIGHT:
             self._prove_agreements_after_light_delivery()
-        for mailman in self._recruited():
+        for mailman in self.sender.selected:
             record = registry.state["mailmen"][mailman.address.hex()]
             claim = registry.state["claimable"].get(mailman.address.hex(), 0)
             if record["status"] == MAILMAN_ACTIVE or claim > 0:
@@ -635,10 +628,10 @@ class ScenarioRunner:
         the delivery key collectively, and prove their agreements on-chain."""
         for mailman in self._revealers(lightweight=False, coin=False):
             self._broadcast_key(mailman)
-        key = self._restore_from_broadcast(self._recruited()[0])
+        key = self._restore_from_broadcast(self.sender.selected[0])
         if key is None:
             return
-        for mailman in self._recruited():
+        for mailman in self.sender.selected:
             record = self.agent.state["mailmen"][mailman.address.hex()]
             if record["status"] != MAILMAN_ACTIVE:
                 continue
@@ -705,7 +698,7 @@ class ScenarioRunner:
         disclosers = [m for m in sender.selected if m.policy == POLICY_PREMATURE and m.address in held]
         if disclosers:
             for mailman in disclosers:
-                self.bus.broadcast(mailman.address, TOPIC, b"SHR" + held[mailman.address].to_bytes())
+                self.bus.broadcast(mailman.address, b"SHR" + held[mailman.address].to_bytes())
             self.bus.deliver_pending(self.ledger.tick)
             # the observer reports only the disclosures the bus delivered
             disclosed = [msg.payload[3:] for msg in self.bus.broadcast_log() if msg.payload[:3] == b"SHR"]
@@ -752,8 +745,6 @@ class ScenarioRunner:
     def _build_trace(self, pre_state, pre_digest) -> ScenarioTrace:
         cfg = self.config
         svc = self._service()
-        # a run calls one registry's functions only, so the union counts one set
-        service_fns = SERVICE_FUNCTIONS | STRAWMAN_SERVICE_FUNCTIONS
 
         selected = [self.pool.index(m) for m in self.sender.selected]
         roles = {"sender": self.sender.address.hex(), "recipient": self.recipient.address.hex()}
@@ -763,9 +754,7 @@ class ScenarioRunner:
             addr.hex(): acc.balance
             for addr, acc in self.ledger.accounts.items()
         }
-        service_gas = sum(
-            r.gas_used for r in self.ledger.receipts if r.function in service_fns
-        )
+        service_gas = sum(r.gas_used for r in self.ledger.receipts if r.function in SERVICE_FUNCTIONS)
         delivered = (
             self.recipient.info == self.sender.info
             and self.recipient.info is not None

@@ -17,6 +17,7 @@ from tidsim.crypto import (
     Onion,
     Share,
     _N,
+    encode_parts,
     hash256,
     keypair_gen,
     onion_peel,
@@ -168,6 +169,18 @@ class TestRecruitment:
             ],
         )
         assert tag_of(reply) == TAG_REFUSE
+
+    def test_bundle_with_short_signature_refused(self):
+        runner = ScenarioRunner(small_config())
+        runner.build_marketplace()
+        runner.sender.setup()
+        mailman = runner.pool[0]
+        bundle_blob, onions_blob = encode_parts(b"bundle"), encode_parts()
+        vrs_sm = sign(runner.sender.keypair.privkey, hash256(encode_parts(bundle_blob, onions_blob)))
+        body = [bundle_blob, onions_blob, vrs_sm.to_bytes()]
+        assert not mailman.accept_bundle(runner.sender.address, body[:2] + [body[2][:64]])
+        assert mailman.bundle == []
+        assert mailman.accept_bundle(runner.sender.address, body)
 
     def test_tampered_package_resent_and_accepted(self):
         cfg = small_config(tamper_package=True)

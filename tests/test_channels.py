@@ -4,12 +4,11 @@ from random import Random
 
 import pytest
 
-from tidsim.channels import BROADCAST, ChannelError, MessageBus
+from tidsim.channels import BROADCAST, TOPIC, ChannelError, MessageBus
 
 ALICE = b"\xaa" * 20
 BOB = b"\xbb" * 20
 CAROL = b"\xcc" * 20
-TOPIC = b"tids"
 
 
 @pytest.fixture
@@ -54,7 +53,7 @@ def test_broadcast_is_a_log_entry_not_an_inbox_message():
     runner.build_marketplace()
     bus = runner.bus
     for i in range(8):
-        bus.broadcast(runner.sender.address, TOPIC, bytes([i]))
+        bus.broadcast(runner.sender.address, bytes([i]))
     bus.deliver_pending()
     delivered = [m for m in bus.log if m.delivered]
     assert 0 < len(delivered) < 8  # some were dropped
@@ -62,11 +61,6 @@ def test_broadcast_is_a_log_entry_not_an_inbox_message():
     assert all(m.topic == TOPIC for m in delivered)
     for actor in runner.pool + [runner.recipient, runner.sender]:
         assert bus.recv(actor.address) == []
-
-
-def test_topic_must_be_four_bytes(bus):
-    with pytest.raises(ChannelError):
-        bus.broadcast(ALICE, b"toolong", b"x")
 
 
 def test_dropped_message_absent_from_recv():
@@ -89,7 +83,7 @@ def test_metadata_exposes_sizes_not_payloads(bus):
 
 def test_broadcast_log_only_has_broadcasts(bus):
     bus.send_private(ALICE, BOB, b"private")
-    bus.broadcast(BOB, TOPIC, b"public")
+    bus.broadcast(BOB, b"public")
     assert [m.payload for m in bus.broadcast_log()] == [b"public"]
     assert bus.broadcast_log()[0].to == BROADCAST
 
@@ -104,7 +98,7 @@ def test_messages_never_cost_gas(bus):
     ledger.fund(account.address, 10**18)
     for i in range(50):
         bus.send_private(ALICE, BOB, bytes(100))
-        bus.broadcast(BOB, TOPIC, bytes(1000))
+        bus.broadcast(BOB, bytes(1000))
     bus.deliver_pending()
     assert ledger.gas_total() == 0
     assert ledger.gas_sink == 0

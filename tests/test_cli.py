@@ -32,6 +32,20 @@ class TestParseRange:
         with pytest.raises(ConfigError):
             parse_range("1:5:0", as_float=False)
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("0:inf:1", "needs a finite start, stop and step"),
+            ("-inf:0:1", "needs a finite start, stop and step"),
+            ("0:1:nan", "needs a finite start, stop and step"),
+            ("1e20:2e20:1", "step 1.0 does not move past"),
+            ("1e20:1e20:1", "step 1.0 does not move past"),
+        ],
+    )
+    def test_endless_float_range_rejected(self, spec, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_range(spec, as_float=True)
+
 
 class TestRun:
     def test_honest_run_exit_zero(self, config_file, tmp_path, capsys):
@@ -269,6 +283,9 @@ class TestAnalyze:
             (["sweep", "--sweep-axis", "bribe", "--sweep-range", "nan"], "got nan"),
             (["sweep", "--sweep-axis", "bribe", "--sweep-range", "2,inf"], "got inf"),
             (["sweep", "--sweep-axis", "bribe", "--sweep-range", "1e300"], "got 1e+300"),
+            (["sweep", "--sweep-axis", "A_T", "--sweep-range", "0:inf:1"], "needs a finite start"),
+            (["sweep", "--sweep-axis", "A_T", "--sweep-range", "1e20:2e20:1"], "does not move past"),
+            (["sweep", "--sweep-axis", "A_T", "--sweep-range", "0:1:nan"], "needs a finite start"),
         ],
         ids=[
             "availability n=0",
@@ -285,6 +302,9 @@ class TestAnalyze:
             "bribe sweep nan",
             "bribe sweep inf",
             "bribe sweep wei overflow",
+            "A_T sweep infinite stop",
+            "A_T sweep stalled step",
+            "A_T sweep nan step",
         ],
     )
     def test_bad_parameters_exit_two(self, capsys, argv, message):
@@ -303,6 +323,46 @@ class TestScheduleOverride:
         monkeypatch.setenv("TIDSIM_GAS_SCHEDULE", str(override))
         assert main(["analyze", "cost", "lightweight", "10"]) == 0
         assert capsys.readouterr().out.strip() == "$3.04"  # 1.81 + 0.24 + 0.99
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"gas": {"withdraw": -1}}',
+            '{"gas_to_ether": "1e-30"}',
+            "[1, 2]",
+            '{"gas": {"withdraw": "abc"}}',
+            '{"gas": {"withdraw": null}}',
+            '{"ether_to_usd": "1/0"}',
+            "{",
+        ],
+        ids=["negative gas", "fractional wei", "not an object", "non-integer gas", "null gas", "zero denominator", "bad json"],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [["analyze", "cost", "lightweight", "10"], ["run"], ["sweep", "--sweep-axis", "n", "--sweep-range", "4"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_bad_schedule_exit_two(self, tmp_path, monkeypatch, capsys, text, argv):
+        override = tmp_path / "gas.json"
+        override.write_text(text)
+        monkeypatch.setenv("TIDSIM_GAS_SCHEDULE", str(override))
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: gas schedule {override}: ")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_run_reads_schedule_once(self, config_file, tmp_path, monkeypatch, capsys):
+        from tidsim.ledger import GasSchedule
+
+        override = tmp_path / "gas.json"
+        override.write_text("{}")
+        monkeypatch.setenv("TIDSIM_GAS_SCHEDULE", str(override))
+        reads = []
+        from_file = GasSchedule.from_file
+        monkeypatch.setattr(GasSchedule, "from_file", lambda path: reads.append(path) or from_file(path))
+        assert main(["run", "--config", config_file]) == 0
+        assert reads == [str(override)]
 
 
 def _read_csv(path):

@@ -93,8 +93,9 @@ class TestRegistration:
         assert not receipt.success
 
     def test_registered_pool_visible_for_selection(self, world):
-        pool = world.agent.registered_mailmen()
-        assert sorted(pool) == sorted(m.address.hex() for m in world.mailmen)
+        registry = world.agent.state["mailmen"]
+        assert all(record["status"] == "active" for record in registry.values())
+        assert sorted(registry) == sorted(m.address.hex() for m in world.mailmen)
 
 
 class TestNewService:

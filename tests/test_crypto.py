@@ -51,6 +51,7 @@ from tidsim.crypto import (
     onion_wrap,
     recover_signer,
     sign,
+    signed_by,
     ss_restore,
     ss_split,
     sym_decrypt,
@@ -186,6 +187,17 @@ class TestSignatures:
     def test_signature_bytes_round_trip(self):
         sig = sign(keypair_gen(Random(2)).privkey, hash256(b"x"))
         assert Signature.from_bytes(sig.to_bytes()) == sig
+
+    def test_signed_by(self):
+        rng = Random(4)
+        signer, other = keypair_gen(rng), keypair_gen(rng)
+        digest = hash256(b"signed")
+        sig = sign(signer.privkey, digest)
+        assert signed_by(digest, sig.to_bytes(), signer.address)
+        assert not signed_by(digest, sig.to_bytes(), other.address)
+        assert not signed_by(digest, sig.to_bytes()[:64], signer.address)
+        for r in (0, _N):
+            assert not signed_by(digest, Signature(sig.v, r, sig.s).to_bytes(), signer.address)
 
 
 class TestSymmetric:

@@ -20,7 +20,6 @@ from tidsim.ledger import (
     JournaledList,
     Ledger,
     LedgerError,
-    TimeFrame,
     WEI_PER_ETHER,
     fmt_usd,
     round_usd_cents,
@@ -391,23 +390,18 @@ def test_journal_matches_deepcopy(initial, outcomes, data):
 
 class TestClock:
     def test_advance_to_same_time_is_noop(self, ledger):
-        ledger.advance_time(TimeFrame(0, 0))
+        ledger.advance_time(0)
         assert ledger.tick == 0
 
     def test_epoch_boundary_hooks_fire(self, ledger, funded):
         contract = deploy_ping(ledger, funded)
-        ledger.advance_time(TimeFrame(0, 3))
+        ledger.advance_time(3)
         assert contract.state["ticks"] == [1, 2, 3]
 
     def test_regression_rejected(self, ledger):
         ledger.advance_time(5)
         with pytest.raises(LedgerError):
             ledger.advance_time(4)
-
-    def test_timeframe_tick_round_trip(self):
-        tf = TimeFrame(3, 7)
-        assert TimeFrame.from_tick(tf.tick) == tf
-        assert TimeFrame(1, 0).tick == 24
 
 
 class TestMoney:
