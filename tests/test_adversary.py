@@ -1,6 +1,8 @@
 """Attack harness tests: bribery economics, sybil capture statistics,
 fault injection, and the observation API."""
 
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -159,6 +161,11 @@ class TestBlindBriberyTrials:
     def test_invalid_parameters(self, l, t, n, pool, trials):
         with pytest.raises(AnalysisError):
             blind_bribery_trials(l, t, n, pool_size=pool, trials=trials)
+
+    def test_pinned(self):
+        counts = blind_bribery_trials(3, 4, 10, pool_size=40, trials=2000, seed=7)
+        digest = hashlib.sha256(json.dumps(counts.tolist()).encode()).hexdigest()
+        assert digest == "d8cf8d5b60a13507bec6dcf1b4c778d4977db9b1258a8ab03e67b892ceea2369"
 
 
 class TestDisjointTargets:

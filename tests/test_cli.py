@@ -208,6 +208,15 @@ class TestSweep:
         digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
         assert digest == "4e5a9d7f883632110f131d9a2db5fd3feafeb9b421ef1dd179f02523163999fb"
 
+    def test_x_sweep_pinned(self):
+        out = io.StringIO()
+        argv = ["sweep", "--sweep-axis", "x", "--sweep-range", "0:300:50"]
+        argv += ["--trials", "4000", "--seed", "3", "--format", "jsonl"]
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+        digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+        assert digest == "79ec04b95d1be061a90d711d05e395564ef364fa2a89f51dd1f918ec80996c7e"
+
     def test_x_sweep_minimum_near_optimum(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"seed": 3, "pool_size": 100, "l": 3, "t": 4, "n": 10}))
