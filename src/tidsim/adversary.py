@@ -13,14 +13,15 @@ a share is captured only when all l of its holders are adversary accounts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .actors import POLICY_BRIBERABLE, peel_with_keys
 from .analysis import AnalysisError, _check_group
 from .crypto import ss_restore
 from .scenario import ConfigError, FAULT_POLICIES, ScenarioConfig, ScenarioRunner, ScenarioTrace
+
+if TYPE_CHECKING:  # numpy is imported where used, so importing tidsim does not load it
+    import numpy as np
 
 
 @dataclass
@@ -126,6 +127,8 @@ def blind_bribery_trials(
     the count of unlocked shares first reaches t at the t-th smallest U_i,
     which is the number of purchases the trial needs.
     """
+    import numpy as np
+
     _check_trials(l, t, n, pool_size, trials)
     rng = np.random.default_rng(seed)
     recruited = np.empty((trials, n), dtype=np.int64)
@@ -147,6 +150,8 @@ def sybil_capture_trials(
     l: int, v: int, x: int, t: int, n: int, trials: int, seed: int = 0
 ) -> np.ndarray:
     """Captured-share counts across trials (vectorized selection model)."""
+    import numpy as np
+
     if v < 0 or x < 0:
         raise AnalysisError("courier counts must be non-negative")
     pool = v + x

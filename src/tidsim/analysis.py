@@ -25,9 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .ledger import (
     FN_DEPLOY_SUPPLEMENTARY,
@@ -43,6 +41,9 @@ from .ledger import (
     SERVICE_FUNCTIONS,
     fmt_usd,
 )
+
+if TYPE_CHECKING:  # numpy is imported where used, so importing tidsim does not load it
+    import numpy as np
 
 MODE_LIGHTWEIGHT = "lightweight"
 MODE_HEAVYWEIGHT = "heavyweight"
@@ -110,6 +111,8 @@ def _tth_worst_draw(l: int, t: int, n: int, trials: int, seed: int) -> np.ndarra
     """Per trial, the t-th smallest over the n shares of the share's largest
     layer draw: at least t shares have every draw below a_t exactly when it
     lies below a_t. Read-only, since every caller shares it."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     kth = np.empty(trials)
     chunk = 200_000

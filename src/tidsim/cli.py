@@ -57,8 +57,9 @@ def _number(cast, text: str):
         raise ConfigError(f"expected {cast.__name__}, got {text!r}") from None
 
 
-def parse_range(spec: str, as_float: bool) -> list:
-    """Accept '1,2,3' lists or 'start:stop:step' (stop inclusive)."""
+def parse_range(spec: str, as_float: bool) -> list | range:
+    """Accept '1,2,3' lists or 'start:stop:step' (stop inclusive). An integer
+    range is a lazy `range`, so a long one costs nothing until swept."""
     cast = float if as_float else int
     if ":" in spec:
         parts = spec.split(":")
@@ -69,15 +70,17 @@ def parse_range(spec: str, as_float: bool) -> list:
             raise ConfigError(f"range {spec} needs a finite start, stop and step")
         if step <= 0:
             raise ConfigError("range step must be positive")
+        if start > stop + (1e-9 if as_float else 0):
+            raise ConfigError(f"range {spec} is empty: start exceeds stop")
+        if not as_float:
+            return range(start, stop + 1, step)
         values = []
         value = start
-        while value <= stop + (1e-9 if as_float else 0):
-            values.append(cast(round(value, 10)) if as_float else value)
+        while value <= stop + 1e-9:
+            values.append(round(value, 10))
             if value + step == value:
                 raise ConfigError(f"range {spec}: step {step} does not move past {value}")
             value += step
-        if not values:
-            raise ConfigError(f"range {spec} is empty: start exceeds stop")
         return values
     return [_number(cast, p) for p in spec.split(",")]
 

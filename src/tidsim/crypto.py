@@ -146,7 +146,7 @@ def decode_parts(data: bytes) -> list[bytes]:
 # five rounds of sums across all windows fill in the rest. And they multiply
 # many keys at once (_base_mul_batch): every accumulator stays affine and
 # each window costs one inversion instead of one per key. The equal-x case
-# of affine addition never arises in either; _build_base_table and
+# of affine addition never arises in either; _base_table and
 # _base_mul_batch give the arguments.
 #
 # Variable-base multiplication uses the GLV endomorphism (Gallant-Lambert-
@@ -395,13 +395,17 @@ _MASK = (1 << _WINDOW) - 1
 _ROWS = -(-257 // _WINDOW)
 
 
-def _build_base_table():
+@functools.cache
+def _base_table():
     """Row w holds the affine d * B for d = 1.._HALF, B = 2^(_WINDOW * w) * G.
 
     One doubling chain from G passes through every 2^i * B, which one shared
     inversion makes affine. Step m then fills each d with 2^m < d < 2^(m+1)
     in every row at once, as (d - 2^m) * B + 2^m * B. The two summands are
     distinct multiples a != b of B with a + b < N, so their x differ.
+
+    Built on the first fixed-base multiplication, not at import, so a
+    process that never multiplies by G never pays for it.
     """
     chain = [(_GX, _GY, 1)]
     for _ in range(_WINDOW * _ROWS - 1):
@@ -420,13 +424,10 @@ def _build_base_table():
     return table
 
 
-_BASE_TABLE = _build_base_table()
-
-
 def _jmul_base(k):
-    """k * G for 0 <= k < 2^256 by signed 7-bit windows over _BASE_TABLE."""
+    """k * G for 0 <= k < 2^256 by signed 7-bit windows over _base_table()."""
     acc = _INF
-    for row in _BASE_TABLE:
+    for row in _base_table():
         if not k:
             break
         d = k & _MASK
@@ -442,7 +443,7 @@ def _jmul_base(k):
 
 
 def _base_mul_batch(ks):
-    """Affine k * G for every k in ks, 1 <= k < N, over _BASE_TABLE's signed windows.
+    """Affine k * G for every k in ks, 1 <= k < N, over _base_table()'s signed windows.
 
     Each accumulator stays affine. In each window every key whose digit is
     nonzero adds its table point T, and _affine_sums shares one inversion
@@ -466,7 +467,7 @@ def _base_mul_batch(ks):
     ks = list(ks)
     acc = [None] * len(ks)
     width, half, mask = _WINDOW, _HALF, _MASK
-    for row in _BASE_TABLE:
+    for row in _base_table():
         keys = []
         pairs = []
         for i, k in enumerate(ks):

@@ -140,8 +140,18 @@ def round_usd_cents(amount: Fraction) -> Fraction:
 
 
 def fmt_usd(amount: Fraction) -> str:
-    cents = round_usd_cents(amount) * 100
-    return f"{int(cents) // 100}.{int(cents) % 100:02d}"
+    # round_usd_cents in integers: floor(100 * num / den + 1/2) whole cents
+    num, den = amount.numerator, amount.denominator
+    cents = (200 * num + den) // (2 * den)
+    return f"{cents // 100}.{cents % 100:02d}"
+
+
+def _gas_entry(fn: str, value) -> int:
+    """A gas figure read from a schedule file: a bool or a number with a
+    fraction is an error rather than 1 or its floor."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise LedgerError(f"gas entry for {fn} must be a whole number, got {value!r}")
+    return int(value)
 
 
 @dataclass
@@ -205,9 +215,9 @@ class GasSchedule:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
         gas = dict(_DEFAULT_GAS)
-        gas.update({k: int(v) for k, v in raw.get("gas", {}).items()})
+        gas.update({k: _gas_entry(k, v) for k, v in raw.get("gas", {}).items()})
         per_unit = dict(_DEFAULT_GAS_PER_UNIT)
-        per_unit.update({k: int(v) for k, v in raw.get("gas_per_unit", {}).items()})
+        per_unit.update({k: _gas_entry(k, v) for k, v in raw.get("gas_per_unit", {}).items()})
         display = dict(_PUBLISHED_USD)
         display.update({k: Fraction(str(v)) for k, v in raw.get("usd_display", {}).items()})
         return cls(
@@ -305,16 +315,23 @@ def _jsonable(value):
 
 
 # The write journal of the transaction in progress, None outside one: for each
-# container the transaction wrote to, keyed by its id, the container and a
-# shallow copy of its contents before the first write. It is module state
-# because a container holds no reference to its ledger; transactions do not
-# nest and the simulator runs one at a time, and `submit_tx` clears it.
+# container the transaction wrote to, keyed by its id, the container, a
+# shallow copy of its contents before the first write, and the keys a dict
+# stored values under. It is module state because a container holds no
+# reference to its ledger; transactions do not nest and the simulator runs
+# one at a time, and `submit_tx` clears it.
 _journal: Optional[dict] = None
 
 
-def _save(container):
-    if _journal is not None and id(container) not in _journal:
-        _journal[id(container)] = (container, container.copy())
+def _save(container) -> Optional[set]:
+    """Journal `container` before its first write in a transaction; the set
+    of keys its entry records as written, None outside a transaction."""
+    if _journal is None:
+        return None
+    entry = _journal.get(id(container))
+    if entry is None:
+        entry = _journal[id(container)] = (container, container.copy(), set())
+    return entry[2]
 
 
 def _journaled(value):
@@ -355,13 +372,16 @@ class JournaledDict(dict):
         dict.clear(self)
         dict.update(self, saved)
 
-    def _adopt(self):
-        for key, value in dict.items(self):
+    def _adopt(self, written: set):
+        for key in written:
+            value = dict.get(self, key)
             if type(value) is dict or type(value) is list:
                 dict.__setitem__(self, key, _journaled(value))
 
     def __setitem__(self, key, value):
-        _save(self)
+        written = _save(self)
+        if written is not None:
+            written.add(key)
         dict.__setitem__(self, key, _stored(value))
 
     def setdefault(self, key, default=None):
@@ -370,8 +390,11 @@ class JournaledDict(dict):
         return self[key]
 
     def update(self, *args, **kwargs):
-        _save(self)
-        dict.update(self, {k: _stored(v) for k, v in dict(*args, **kwargs).items()})
+        written = _save(self)
+        values = dict(*args, **kwargs)
+        if written is not None:
+            written.update(values)
+        dict.update(self, {k: _stored(v) for k, v in values.items()})
 
     def __ior__(self, other):
         self.update(other)
@@ -392,7 +415,8 @@ class JournaledList(list):
     def _restore(self, saved: list):
         list.__setitem__(self, slice(None), saved)
 
-    def _adopt(self):
+    def _adopt(self, written: set):
+        # inserts shift indices, so a list rescans every item
         for index, value in enumerate(self):
             if type(value) is dict or type(value) is list:
                 list.__setitem__(self, index, _journaled(value))
@@ -579,15 +603,15 @@ class Ledger:
                 # treat as a programming error in the contract, not user input
                 raise ContractRevert("contract overdraw")
         except ContractRevert as exc:
-            for container, saved in reversed(journal.values()):
+            for container, saved, _ in reversed(journal.values()):
                 container._restore(saved)
             contract_account.balance -= value
             account.balance += value
             return self._record(caller, target, function, units, gas, False, str(exc), [])
         finally:
             _journal = None
-        for container, _ in journal.values():
-            container._adopt()
+        for container, _, written in journal.values():
+            container._adopt(written)
 
         for to, amount in ctx._payouts:
             contract_account.balance -= amount

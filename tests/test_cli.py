@@ -4,9 +4,14 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tidsim
 from tidsim.cli import main, parse_range
 from tidsim.scenario import ConfigError
 
@@ -25,12 +30,16 @@ class TestParseRange:
         assert parse_range("5,10,20", as_float=False) == [5, 10, 20]
 
     def test_colon_range(self):
-        assert parse_range("2:10:4", as_float=False) == [2, 6, 10]
+        assert list(parse_range("2:10:4", as_float=False)) == [2, 6, 10]
         assert parse_range("0.9:0.95:0.025", as_float=True) == [0.9, 0.925, 0.95]
 
     def test_bad_step(self):
         with pytest.raises(ConfigError):
             parse_range("1:5:0", as_float=False)
+
+    def test_long_integer_range_is_lazy(self):
+        values = parse_range("0:10000000000:1", as_float=False)
+        assert values == range(0, 10_000_000_001)
 
     @pytest.mark.parametrize(
         "spec, message",
@@ -295,6 +304,8 @@ class TestAnalyze:
             (["sweep", "--sweep-axis", "A_T", "--sweep-range", "0:inf:1"], "needs a finite start"),
             (["sweep", "--sweep-axis", "A_T", "--sweep-range", "1e20:2e20:1"], "does not move past"),
             (["sweep", "--sweep-axis", "A_T", "--sweep-range", "0:1:nan"], "needs a finite start"),
+            (["sweep", "--sweep-axis", "A_T", "--sweep-range", "0.9:0.8:0.01"], "is empty: start exceeds stop"),
+            (["sweep", "--sweep-axis", "n", "--sweep-range", "0:10000000000:1"], "invalid threshold t=0 for n=0"),
         ],
         ids=[
             "availability n=0",
@@ -314,6 +325,8 @@ class TestAnalyze:
             "A_T sweep infinite stop",
             "A_T sweep stalled step",
             "A_T sweep nan step",
+            "A_T sweep empty range",
+            "n sweep endless range",
         ],
     )
     def test_bad_parameters_exit_two(self, capsys, argv, message):
@@ -343,8 +356,24 @@ class TestScheduleOverride:
             '{"gas": {"withdraw": null}}',
             '{"ether_to_usd": "1/0"}',
             "{",
+            '{"gas": {"withdraw": 1.9}}',
+            '{"gas": {"newService": true}}',
+            '{"gas_per_unit": {"revealIdentity": 0.5}}',
+            '{"gas": {"withdraw": Infinity}}',
         ],
-        ids=["negative gas", "fractional wei", "not an object", "non-integer gas", "null gas", "zero denominator", "bad json"],
+        ids=[
+            "negative gas",
+            "fractional wei",
+            "not an object",
+            "non-integer gas",
+            "null gas",
+            "zero denominator",
+            "bad json",
+            "fractional gas",
+            "bool gas",
+            "fractional per-unit gas",
+            "infinite gas",
+        ],
     )
     @pytest.mark.parametrize(
         "argv",
@@ -372,6 +401,34 @@ class TestScheduleOverride:
         monkeypatch.setattr(GasSchedule, "from_file", lambda path: reads.append(path) or from_file(path))
         assert main(["run", "--config", config_file]) == 0
         assert reads == [str(override)]
+
+
+COLD_START = """
+import json, sys
+from random import Random
+import tidsim, tidsim.cli
+from tidsim.crypto import _base_table
+seen = []
+def look():
+    seen.append(["numpy" in sys.modules, _base_table.cache_info().currsize])
+look()
+tidsim.keypair_gen(Random(0))
+look()
+tidsim.availability_mc(3, 4, 10, 0.9, 100)
+look()
+print(json.dumps(seen))
+"""
+
+
+def test_import_loads_numpy_and_base_table_on_first_use():
+    """A fresh interpreter importing tidsim and its CLI loads no numpy and
+    builds no k * G table; a key pair builds the table, and the Monte Carlo
+    loads numpy."""
+    src = str(Path(tidsim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", COLD_START], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [[False, 0], [False, 1], [True, 1]]
 
 
 def _read_csv(path):

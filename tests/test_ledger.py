@@ -1,6 +1,7 @@
 """Ledger tests: accounts, gas metering, clock, conservation, rollback."""
 
 import copy
+import json
 import operator
 from fractions import Fraction
 from random import Random
@@ -269,6 +270,32 @@ class TestRollback:
         assert not receipt.success
         assert contract.state["records"] == {"a": {"tags": ["t0"], "n": 1}}
 
+    @pytest.mark.parametrize("insert", ["setitem", "update", "setdefault"])
+    def test_revert_restores_nested_dict_inserted_into_large_dict(self, ledger, funded, insert):
+        pool = {f"m{i}": {"n": i, "tags": [i]} for i in range(1000)}
+        contract = ledger.deploy_contract(funded.address, ScriptContract, state={"pool": pool})
+
+        def add(state):
+            record = {"inner": {"tags": []}}
+            if insert == "setitem":
+                state["pool"]["new"] = record
+            elif insert == "update":
+                state["pool"].update(new=record)
+            else:
+                state["pool"].setdefault("new", record)
+            record["inner"]["tags"].append("a")  # a write the commit keeps
+
+        def write_into(state):
+            state["pool"]["new"]["inner"]["tags"].append("b")
+            state["pool"]["new"]["inner"]["k"] = 1
+
+        assert ledger.submit_tx(funded.address, contract.address, FN_NEW_SERVICE, {"edit": add, "fail": False}).success
+        assert all(type(c) in (JournaledDict, JournaledList) for c in containers(contract.state))
+        receipt = ledger.submit_tx(funded.address, contract.address, FN_NEW_SERVICE, {"edit": write_into, "fail": True})
+        assert not receipt.success
+        assert contract.state["pool"]["new"] == {"inner": {"tags": ["a"]}}
+        assert len(contract.state["pool"]) == 1001
+
 
 json_like = st.recursive(
     st.none() | st.booleans() | st.integers() | st.text(max_size=8),
@@ -415,6 +442,24 @@ class TestMoney:
         assert round_usd_cents(Fraction("2.204")) == Fraction("2.20")
         assert round_usd_cents(Fraction("2.205")) == Fraction("2.21")
         assert fmt_usd(Fraction("9.305")) == "9.31"
+
+    def test_fmt_usd_matches_fraction_rounding(self):
+        def reference(amount):
+            cents = round_usd_cents(amount) * 100
+            return f"{int(cents) // 100}.{int(cents) % 100:02d}"
+
+        amounts = [Fraction(k, den) for den in (1, 3, 7, 100, 200, 1000, 10**10) for k in range(-1500, 1501, 7)]
+        amounts += [Fraction(2 * k + 1, 200) for k in range(-300, 300)]  # exact half cents
+        amounts += [sign * (10**6 + Fraction(k, 200)) for sign in (1, -1) for k in range(0, 400, 3)]
+        amounts += [Fraction(0), Fraction(10**12, 3), Fraction(83_121) * Fraction(167, 10**10) * 175]
+        for amount in amounts:
+            assert fmt_usd(amount) == reference(amount), amount
+
+    def test_schedule_file_reads_whole_gas(self, tmp_path):
+        path = tmp_path / "gas.json"
+        path.write_text(json.dumps({"gas": {"withdraw": 2.0, FN_NEW_SERVICE: 7}}))
+        schedule = GasSchedule.from_file(str(path))
+        assert schedule.gas["withdraw"] == 2 and schedule.gas[FN_NEW_SERVICE] == 7
 
     def test_published_prices_match_table(self):
         schedule = GasSchedule.default()
