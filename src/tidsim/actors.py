@@ -61,6 +61,7 @@ TAG_BUNDLE = b"BND"
 TAG_PACKAGE = b"PKG"
 TAG_RESEND = b"RSD"
 TAG_KEY = b"KEY"
+TAG_SHARE = b"SHR"  # the strawman's raw share, not a length-prefixed tuple
 
 POLICY_HONEST = "honest"
 POLICY_PREMATURE = "premature"
@@ -267,29 +268,18 @@ class MailmanActor:
             return (true_key * 2 + 1) % 2**255 + 1
         return true_key
 
-    def decrypt_own_agreement(self, key: bytes) -> Optional[tuple[int, Signature, Signature]]:
+    def agreements(self, key: bytes) -> dict[int, tuple[Signature, Signature]]:
+        """The agreements of this mailman's bundle that open under the
+        delivery key, as index -> (vrs_s, vrs_m); empty if the bundle was
+        lost."""
+        out = {}
         for blob in self.bundle:
             try:
-                fields = decode_parts(sym_decrypt(key, blob))
+                index, vrs_s, vrs_m = decode_parts(sym_decrypt(key, blob))
             except AuthenticationError:
                 continue
-            index = int.from_bytes(fields[0], "big")
-            if index == self.index:
-                return index, Signature.from_bytes(fields[1]), Signature.from_bytes(fields[2])
-        return None
-
-    def decrypt_all_agreements(self, key: bytes) -> list[dict]:
-        out = []
-        for blob in self.bundle:
-            fields = decode_parts(sym_decrypt(key, blob))
-            out.append(
-                {
-                    "index": int.from_bytes(fields[0], "big"),
-                    "vrs_s": Signature.from_bytes(fields[1]),
-                    "vrs_m": Signature.from_bytes(fields[2]),
-                }
-            )
-        return sorted(out, key=lambda a: a["index"])
+            out[int.from_bytes(index, "big")] = Signature.from_bytes(vrs_s), Signature.from_bytes(vrs_m)
+        return out
 
 
 @dataclass
@@ -468,7 +458,6 @@ class RecipientActor:
     ciphertext: bytes = b""
     onions: list[Onion] = field(default_factory=list)
     collected_keys: dict[bytes, int] = field(default_factory=dict)
-    restored_key: Optional[bytes] = None
     info: Optional[bytes] = None
     receipt_secret: Optional[bytes] = None
     receipt_submitted: bool = False
@@ -493,14 +482,10 @@ class RecipientActor:
         return True
 
     def note_key(self, scalar: int):
-        try:
-            privkey = scalar.to_bytes(32, "big")
-        except OverflowError:
-            return
-        self.collected_keys[privkey] = scalar
+        self.collected_keys[scalar.to_bytes(32, "big")] = scalar
 
     def try_restore(self, t: int, peel_memo: PeelMemo) -> bool:
-        if self.restored_key is not None:
+        if self.info is not None:
             return True
         shares = peel_with_keys(self.onions, list(self.collected_keys), peel_memo)
         self.shares_recovered = len(shares)
@@ -517,5 +502,4 @@ class RecipientActor:
             self.info, self.receipt_secret = decode_parts(sym_decrypt(key, self.ciphertext))
         except AuthenticationError:
             return False
-        self.restored_key = key
         return True

@@ -197,19 +197,6 @@ class CostBreakdown:
         return out
 
 
-def _add_row(rows, fn, units, gas, usd_exact, usd_quoted, calls=1):
-    """Add `calls` identical calls of fn; Fraction products are exact, so
-    this equals adding them one at a time."""
-    row = rows.setdefault(
-        fn, {"calls": 0, "units": 0, "gas": 0, "usd_exact": Fraction(0), "usd_quoted": Fraction(0)}
-    )
-    row["calls"] += calls
-    row["units"] += units * calls
-    row["gas"] += gas * calls
-    row["usd_exact"] += usd_exact * calls
-    row["usd_quoted"] += usd_quoted * calls
-
-
 def cost_report(
     trace=None,
     mode: Optional[str] = None,
@@ -233,79 +220,55 @@ def cost_report(
     return _cost_from_mode(mode, n, schedule)
 
 
-def _cost_from_trace(trace, schedule: GasSchedule) -> CostBreakdown:
-    receipts = trace.receipts if hasattr(trace, "receipts") else trace
-    mode = getattr(trace, "mode", "trace")
+def _breakdown(mode: str, n: Optional[int], entries, schedule: GasSchedule) -> CostBreakdown:
+    """Fold (fn, units, gas, calls) entries into per-function rows and their
+    totals; `calls` identical calls cost exactly `calls` times one."""
     rows = {}
-    for receipt in receipts:
-        fn = receipt["function"]
-        units = receipt.get("units", 1)
-        gas = receipt["gas_used"]
-        if fn not in schedule.gas:
-            raise AnalysisError(f"unknown function in trace: {fn}")
-        _add_row(
-            rows,
-            fn,
-            units,
-            gas,
-            schedule.usd_exact(gas),
-            schedule.usd_quoted(fn, units),
+    for fn, units, gas, calls in entries:
+        row = rows.setdefault(
+            fn, {"calls": 0, "units": 0, "gas": 0, "usd_exact": Fraction(0), "usd_quoted": Fraction(0)}
         )
-    total_gas = sum(r["gas"] for r in rows.values())
-    return CostBreakdown(
-        mode=mode,
-        n=None,
-        rows=rows,
-        total_gas=total_gas,
-        total_usd_exact=sum((r["usd_exact"] for r in rows.values()), Fraction(0)),
-        service_gas=sum(r["gas"] for fn, r in rows.items() if fn in SERVICE_FUNCTIONS),
-        service_usd_quoted=sum(
-            (r["usd_quoted"] for fn, r in rows.items() if fn in SERVICE_FUNCTIONS), Fraction(0)
-        ),
-    )
-
-
-def _cost_from_mode(mode: str, n: int, schedule: GasSchedule) -> CostBreakdown:
-    rows = {}
-
-    def add(fn, units=1, calls=1):
-        gas = schedule.gas_for(fn, units)
-        _add_row(rows, fn, units, gas, schedule.usd_exact(gas), schedule.usd_quoted(fn, units), calls)
-
-    if mode == MODE_LIGHTWEIGHT:
-        add(FN_DEPLOY_SWITCH)
-        add(FN_NEW_SERVICE)
-        add(FN_RECIPIENT_RECEIPT)
-        fixed = sum((r["usd_quoted"] for r in rows.values()), Fraction(0))
-        per_mailman = Fraction(0)
-    elif mode == MODE_HEAVYWEIGHT:
-        add(FN_DEPLOY_SWITCH)
-        add(FN_NEW_SERVICE)
-        add(FN_DEPLOY_SUPPLEMENTARY)
-        add(FN_RECIPIENT_RECEIPT)
-        fixed = sum((r["usd_quoted"] for r in rows.values()), Fraction(0))
-        add(FN_REVEAL_IDENTITY, units=n)
-        add(FN_REVEAL_PRIVKEY, calls=n)
-        per_mailman = schedule.usd_quoted(FN_REVEAL_IDENTITY, 1) + schedule.usd_quoted(
-            FN_REVEAL_PRIVKEY
-        )
-    else:
-        add(FN_STRAWMAN_NEW_SERVICE, units=n)
-        add(FN_STRAWMAN_REVEAL_SHARE, calls=n)
-        add(FN_STRAWMAN_REVEAL_RECEIPT)
-        fixed = None
-        per_mailman = None
-
-    total_gas = sum(r["gas"] for r in rows.values())
-    service = sum((r["usd_quoted"] for r in rows.values()), Fraction(0))
+        row["calls"] += calls
+        row["units"] += units * calls
+        row["gas"] += gas * calls
+        row["usd_exact"] += schedule.usd_exact(gas) * calls
+        row["usd_quoted"] += schedule.usd_quoted(fn, units) * calls
+    service = [row for fn, row in rows.items() if fn in SERVICE_FUNCTIONS]
     return CostBreakdown(
         mode=mode,
         n=n,
         rows=rows,
-        total_gas=total_gas,
-        total_usd_exact=sum((r["usd_exact"] for r in rows.values()), Fraction(0)),
-        service_gas=total_gas,
-        service_usd_quoted=service,
-        fixed_usd_quoted=fixed,
-        per_mailman_usd_quoted=per_mailman,
+        total_gas=sum(row["gas"] for row in rows.values()),
+        total_usd_exact=sum((row["usd_exact"] for row in rows.values()), Fraction(0)),
+        service_gas=sum(row["gas"] for row in service),
+        service_usd_quoted=sum((row["usd_quoted"] for row in service), Fraction(0)),
     )
+
+
+def _cost_from_trace(trace, schedule: GasSchedule) -> CostBreakdown:
+    receipts = trace.receipts if hasattr(trace, "receipts") else trace
+    for receipt in receipts:
+        if receipt["function"] not in schedule.gas:
+            raise AnalysisError(f"unknown function in trace: {receipt['function']}")
+    entries = ((r["function"], r.get("units", 1), r["gas_used"], 1) for r in receipts)
+    return _breakdown(getattr(trace, "mode", "trace"), None, entries, schedule)
+
+
+def _cost_from_mode(mode: str, n: int, schedule: GasSchedule) -> CostBreakdown:
+    """The analytic cost of one delivery: its fixed calls, then the calls
+    that grow with n, as (fn, units, calls)."""
+    if mode == MODE_STRAWMAN:
+        fixed = None
+        per_n = [(FN_STRAWMAN_NEW_SERVICE, n, 1), (FN_STRAWMAN_REVEAL_SHARE, 1, n), (FN_STRAWMAN_REVEAL_RECEIPT, 1, 1)]
+    elif mode == MODE_LIGHTWEIGHT:
+        fixed = [FN_DEPLOY_SWITCH, FN_NEW_SERVICE, FN_RECIPIENT_RECEIPT]
+        per_n = []
+    else:
+        fixed = [FN_DEPLOY_SWITCH, FN_NEW_SERVICE, FN_DEPLOY_SUPPLEMENTARY, FN_RECIPIENT_RECEIPT]
+        per_n = [(FN_REVEAL_IDENTITY, n, 1), (FN_REVEAL_PRIVKEY, 1, n)]
+    calls = [(fn, 1, 1) for fn in fixed or ()] + per_n
+    report = _breakdown(mode, n, ((fn, u, schedule.gas_for(fn, u), c) for fn, u, c in calls), schedule)
+    if fixed is not None:
+        report.fixed_usd_quoted = sum((report.rows[fn]["usd_quoted"] for fn in fixed), Fraction(0))
+        report.per_mailman_usd_quoted = sum((schedule.usd_quoted(fn) for fn, _, _ in per_n), Fraction(0))
+    return report

@@ -459,8 +459,6 @@ class SwitchContract(Contract):
 class SupplementaryContract(Contract):
     """Heavyweight enforcement surface, deployed on demand via the switch."""
 
-    deploy_fn = FN_DEPLOY_SUPPLEMENTARY
-
     def init_state(self, agent_addr: bytes, switch_addr: bytes, service_id: str, deployed_by: bytes):
         self.state = {
             "agent_addr": agent_addr.hex(),

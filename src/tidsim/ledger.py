@@ -17,9 +17,7 @@ from __future__ import annotations
 import json
 import weakref
 from dataclasses import dataclass, field
-from enum import Enum
 from fractions import Fraction
-from math import floor
 from random import Random
 from typing import Any, Callable, Optional
 
@@ -134,15 +132,19 @@ class ContractRevert(Exception):
     """Raised inside a contract handler; charges gas, rolls back state."""
 
 
+def _cents(amount: Fraction) -> int:
+    """floor(100 * amount + 1/2): whole cents rounded half-up, in integers."""
+    num, den = amount.numerator, amount.denominator
+    return (200 * num + den) // (2 * den)
+
+
 def round_usd_cents(amount: Fraction) -> Fraction:
     """Round half-up to whole cents (display only; books stay exact)."""
-    return Fraction(floor(amount * 100 + Fraction(1, 2)), 100)
+    return Fraction(_cents(amount), 100)
 
 
 def fmt_usd(amount: Fraction) -> str:
-    # round_usd_cents in integers: floor(100 * num / den + 1/2) whole cents
-    num, den = amount.numerator, amount.denominator
-    cents = (200 * num + den) // (2 * den)
+    cents = _cents(amount)
     return f"{cents // 100}.{cents % 100:02d}"
 
 
@@ -229,15 +231,11 @@ class GasSchedule:
         )
 
 
-class AccountKind(Enum):
-    EOA = "eoa"
-    CA = "ca"
-
-
 @dataclass
 class Account:
+    """A balance: a contract's if the address is in `Ledger.contracts`, else an EOA's."""
+
     address: bytes
-    kind: AccountKind
     balance: int = 0
 
 
@@ -465,10 +463,9 @@ class Contract:
     on writing to, until the commit rebuilds it as a journaled one. Writes
     outside a transaction (`on_tick`, set-up) are not journaled, and there
     an inserted dict or list is rebuilt at once, so later writes to it go
-    through the state.
+    through the state. A class an EOA deploys names its deploy-gas
+    function in `deploy_fn`.
     """
-
-    deploy_fn = FN_DEPLOY_AGENT
 
     def __init__(self, ledger: "Ledger", address: bytes, **ctor):
         # a proxy, so that the ledger does not wait for the cycle collector
@@ -518,7 +515,7 @@ class Ledger:
     def register_eoa(self, address: bytes) -> Account:
         if address in self.accounts:
             raise LedgerError("address already registered")
-        account = Account(address, AccountKind.EOA)
+        account = Account(address)
         self.accounts[address] = account
         return account
 
@@ -545,7 +542,7 @@ class Ledger:
     def deploy_contract(self, creator: bytes, contract_cls: type[Contract], **ctor) -> Contract:
         """Deploy from an EOA, charging the contract kind's deploy gas."""
         caller = self.accounts.get(creator)
-        if caller is None or caller.kind is not AccountKind.EOA:
+        if caller is None or creator in self.contracts:
             raise LedgerError("creator must be an existing EOA")
         fn = contract_cls.deploy_fn
         gas = self.schedule.gas_for(fn)
@@ -567,7 +564,7 @@ class Ledger:
         if address in self.accounts:
             raise LedgerError("contract address collision")
         self._nonces[creator] = nonce + 1
-        self.accounts[address] = Account(address, AccountKind.CA)
+        self.accounts[address] = Account(address)
         contract = contract_cls(self, address, **ctor)
         self.contracts[address] = contract
         return contract
@@ -578,7 +575,7 @@ class Ledger:
         global _journal
         args = args or {}
         account = self.accounts.get(caller)
-        if account is None or account.kind is not AccountKind.EOA:
+        if account is None or caller in self.contracts:
             raise LedgerError("caller must be an existing EOA")
         contract = self.contracts.get(target)
         if contract is None:
@@ -617,7 +614,7 @@ class Ledger:
             contract_account.balance -= amount
             dest = self.accounts.get(to)
             if dest is None:
-                dest = Account(to, AccountKind.EOA)
+                dest = Account(to)
                 self.accounts[to] = dest
             dest.balance += amount
         return self._record(caller, target, function, units, gas, True, None, ctx.events)

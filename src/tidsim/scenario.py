@@ -29,6 +29,7 @@ from .actors import (
     TAG_BUNDLE,
     TAG_KEY,
     TAG_PACKAGE,
+    TAG_SHARE,
     body_of,
     peel_with_keys,
     tag_of,
@@ -404,7 +405,7 @@ class ScenarioRunner:
     def _restore_from_broadcast(self, courier: MailmanActor) -> Optional[bytes]:
         """The delivery key a courier restores by peeling its onions with every
         scalar published so far; None below t shares."""
-        keys = [s.to_bytes(32, "big") for s in self._drain_broadcast_keys() if s < 2**256]
+        keys = [s.to_bytes(32, "big") for s in self._drain_broadcast_keys()]
         shares = peel_with_keys(courier.onions, keys, self.peel_memo)
         if len(shares) < self.config.t:
             return None
@@ -564,7 +565,10 @@ class ScenarioRunner:
         key = self._restore_from_broadcast(deployer)
         if key is None:
             return
-        agreements = deployer.decrypt_all_agreements(key)
+        agreements = [
+            {"index": index, "vrs_s": vrs_s, "vrs_m": vrs_m}
+            for index, (vrs_s, vrs_m) in sorted(deployer.agreements(key).items())
+        ]
         self.ledger.submit_tx(
             deployer.address,
             self._sup_contract().address,
@@ -635,17 +639,17 @@ class ScenarioRunner:
             record = self.agent.state["mailmen"][mailman.address.hex()]
             if record["status"] != MAILMAN_ACTIVE:
                 continue
-            agreement = mailman.decrypt_own_agreement(key)
+            agreement = mailman.agreements(key).get(mailman.index)
             if agreement is None:
-                continue
-            index, vrs_s, vrs_m = agreement
+                continue  # the courier's bundle was lost
+            vrs_s, vrs_m = agreement
             self.ledger.submit_tx(
                 mailman.address,
                 self.agent.address,
                 FN_PROVE_AGREEMENT,
                 {
                     "switch_addr": self.sender.switch.address,
-                    "index": index,
+                    "index": mailman.index,
                     "vrs_m": vrs_m,
                     "vrs_s": vrs_s,
                 },
@@ -679,7 +683,7 @@ class ScenarioRunner:
         )
         sid = sender.service_id = next(iter(self.strawman.state["services"]))
         for i, mailman in enumerate(sender.selected):
-            self.bus.send_private(sender.address, mailman.address, b"SHR" + shares[i].to_bytes())
+            self.bus.send_private(sender.address, mailman.address, TAG_SHARE + shares[i].to_bytes())
         ct = sym_encrypt(sender.key, encode_parts(sender.info, sender.receipt_secret), self.rng)
         self.bus.send_private(sender.address, self.recipient.address, TAG_PACKAGE + encode_parts(ct))
         self.bus.deliver_pending(self.ledger.tick)
@@ -687,8 +691,8 @@ class ScenarioRunner:
         held: dict[bytes, Share] = {}
         for mailman in sender.selected:
             for msg in self.bus.recv(mailman.address):
-                if msg.payload[:3] == b"SHR":
-                    held[mailman.address] = Share.from_bytes(msg.payload[3:])
+                if tag_of(msg.payload) == TAG_SHARE:
+                    held[mailman.address] = Share.from_bytes(msg.payload[len(TAG_SHARE) :])
         for msg in self.bus.recv(self.recipient.address):
             if tag_of(msg.payload) == TAG_PACKAGE:
                 self.recipient.ciphertext = body_of(msg.payload)[0]
@@ -698,10 +702,10 @@ class ScenarioRunner:
         disclosers = [m for m in sender.selected if m.policy == POLICY_PREMATURE and m.address in held]
         if disclosers:
             for mailman in disclosers:
-                self.bus.broadcast(mailman.address, b"SHR" + held[mailman.address].to_bytes())
+                self.bus.broadcast(mailman.address, TAG_SHARE + held[mailman.address].to_bytes())
             self.bus.deliver_pending(self.ledger.tick)
             # the observer reports only the disclosures the bus delivered
-            disclosed = [msg.payload[3:] for msg in self.bus.broadcast_log() if msg.payload[:3] == b"SHR"]
+            disclosed = [m.payload[len(TAG_SHARE) :] for m in self.bus.broadcast_log() if tag_of(m.payload) == TAG_SHARE]
             observer = next(
                 (m for m in sender.selected if m.policy == POLICY_HONEST), None
             )

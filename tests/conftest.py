@@ -13,6 +13,18 @@ from tidsim.ledger import FN_NEW_MAILMAN, FN_NEW_SERVICE, Ledger, WEI_PER_ETHER
 ETHER = WEI_PER_ETHER
 SUP_CODE = b"supplementary-code-v1"
 
+# The numpy release the SHA-256 pins of the A_T and x sweeps and of
+# blind_bribery_trials were taken under. NEP 19 does not keep Generator
+# streams across feature releases, so under another release a moved pin may
+# be environmental rather than a defect.
+PINNED_NUMPY = "2.4.6"
+
+
+def numpy_pin_note() -> str:
+    import numpy
+
+    return f"pinned under numpy {PINNED_NUMPY}, running numpy {numpy.__version__}"
+
 
 @dataclass
 class Party:

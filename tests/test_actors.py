@@ -115,6 +115,37 @@ class TestSetupAndSelection:
         equal = ScenarioConfig(seed=1, pool_size=5, n=4, l=2, t=2, min_deposit_wei=10**18, mode=mode)
         assert run_scenario(equal).status.startswith("delivered")
 
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ({"l": 0}, "onion depth l=0 must be within 1..n"),
+            ({"l": 11}, "onion depth l=11 must be within 1..n"),
+            ({"availability": 1.5}, "availability must lie in [0, 1]"),
+            ({"availability": -0.1}, "availability must lie in [0, 1]"),
+            ({"drop_prob": 1.0}, "drop_prob must lie in [0, 1)"),
+            ({"drop_prob": -0.5}, "drop_prob must lie in [0, 1)"),
+            ({"epoch_ticks": 0}, "epoch_ticks must be at least 1"),
+            ({"slot": 2}, "time frame too early: setup and pending need ticks 0..2"),
+            ({"mode": "loud"}, "unknown mode 'loud'"),
+            ({"fault_policies": {"12": "absent"}}, "fault policy names unknown mailman 12"),
+            ({"fault_policies": {"-1": "absent"}}, "fault policy names unknown mailman -1"),
+            ({"fault_policies": {"0": "gremlin"}}, "unknown fault policy 'gremlin'"),
+            ({"refusals": [12]}, "refusal names unknown mailman 12"),
+            ({"selection_override": [0, 1, 2]}, "selection_override must list n distinct pool indices"),
+            ({"selection_override": [0] * 10}, "selection_override must list n distinct pool indices"),
+            ({"selection_override": list(range(9)) + [12]}, "selection_override names unknown mailmen"),
+            ({"deposit_wei": 0}, "deposit and remuneration must be positive"),
+            ({"remuneration_wei": -1}, "deposit and remuneration must be positive"),
+            ({"colour": "blue", "seed": 1}, "unknown config keys: ['colour']"),
+            ({"fault_policies": {"first": "absent"}}, "fault_policies keys must be pool indices"),
+        ],
+    )
+    def test_invalid_config_message(self, raw, message):
+        # defaults: pool_size 12, n 10, slot 8
+        with pytest.raises(ConfigError) as info:
+            ScenarioConfig.from_dict(raw)
+        assert str(info.value) == message
+
 
 class TestRecruitment:
     def test_honest_run_counts(self):

@@ -22,6 +22,8 @@ from tidsim.analysis import AnalysisError, bribery_cost
 from tidsim.ledger import WEI_PER_ETHER
 from tidsim.scenario import ConfigError, ScenarioConfig, ScenarioRunner, run_scenario
 
+from conftest import numpy_pin_note
+
 ETHER = WEI_PER_ETHER
 
 
@@ -165,7 +167,7 @@ class TestBlindBriberyTrials:
     def test_pinned(self):
         counts = blind_bribery_trials(3, 4, 10, pool_size=40, trials=2000, seed=7)
         digest = hashlib.sha256(json.dumps(counts.tolist()).encode()).hexdigest()
-        assert digest == "d8cf8d5b60a13507bec6dcf1b4c778d4977db9b1258a8ab03e67b892ceea2369"
+        assert digest == "d8cf8d5b60a13507bec6dcf1b4c778d4977db9b1258a8ab03e67b892ceea2369", numpy_pin_note()
 
 
 class TestDisjointTargets:

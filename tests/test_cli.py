@@ -15,6 +15,8 @@ import tidsim
 from tidsim.cli import main, parse_range
 from tidsim.scenario import ConfigError
 
+from conftest import numpy_pin_note
+
 
 @pytest.fixture
 def config_file(tmp_path):
@@ -215,7 +217,7 @@ class TestSweep:
         with contextlib.redirect_stdout(out):
             assert main(argv) == 0
         digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
-        assert digest == "4e5a9d7f883632110f131d9a2db5fd3feafeb9b421ef1dd179f02523163999fb"
+        assert digest == "4e5a9d7f883632110f131d9a2db5fd3feafeb9b421ef1dd179f02523163999fb", numpy_pin_note()
 
     def test_x_sweep_pinned(self):
         out = io.StringIO()
@@ -224,7 +226,7 @@ class TestSweep:
         with contextlib.redirect_stdout(out):
             assert main(argv) == 0
         digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
-        assert digest == "79ec04b95d1be061a90d711d05e395564ef364fa2a89f51dd1f918ec80996c7e"
+        assert digest == "79ec04b95d1be061a90d711d05e395564ef364fa2a89f51dd1f918ec80996c7e", numpy_pin_note()
 
     def test_x_sweep_minimum_near_optimum(self, tmp_path):
         cfg = tmp_path / "cfg.json"

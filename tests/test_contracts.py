@@ -2,6 +2,7 @@
 receipts, settlement, and epoch gating."""
 
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,6 +17,7 @@ from tidsim.contracts import (
     SLASH_FALSE_REPORT,
     SLASH_PREMATURE,
     StrawmanContract,
+    SupplementaryContract,
     SwitchContract,
 )
 from tidsim.crypto import Signature, hash256, keypair_gen, sign
@@ -851,3 +853,260 @@ class TestSlashRule:
         ]
         assert contract.state["claimable"] == claimable
         world.ledger.audit()
+
+
+def _party(world, who):
+    """A mailman by index, or the world's sender or recipient by name."""
+    return world.mailmen[who] if isinstance(who, int) else getattr(world, who)
+
+
+def _contract_states(world) -> dict:
+    return {addr: contract.state_dump() for addr, contract in world.ledger.contracts.items()}
+
+
+def _check_last_call_reverts(world, target, calls, error):
+    """Every call but the last succeeds; the last one reverts with `error`
+    and leaves every contract's state as it was."""
+    *before, last = calls
+    for who, fn, args, *value in before:
+        receipt = world.ledger.submit_tx(_party(world, who).address, target, fn, args, *value)
+        assert receipt.success, receipt.error
+    states = _contract_states(world)
+    who, fn, args, *value = last
+    receipt = world.ledger.submit_tx(_party(world, who).address, target, fn, args, *value)
+    assert (receipt.success, receipt.error) == (False, error)
+    assert _contract_states(world) == states
+    world.ledger.audit()
+
+
+def _scalar(world, i):
+    return int.from_bytes(world.mailmen[i].timeframe_keys[world.timeframe_tick].privkey, "big")
+
+
+def _all_agreements(world, svc):
+    return [make_agreement(world, svc, i + 1, m) for i, m in enumerate(world.mailmen)]
+
+
+def _sup_pend(world):
+    """Switched during the pending phase: epoch 0."""
+    svc = open_service(world)
+    svc.sup = deploy_sup(world, svc, world.mailmen[0])
+    return svc
+
+
+def _sup_switched(world):
+    """Switched in epoch 2, no identity revealed yet."""
+    svc = open_service(world)
+    world.ledger.advance_time(world.timeframe_tick + 1)
+    svc.sup = deploy_sup(world, svc, world.mailmen[0])
+    return svc
+
+
+def _sup_unswitched(world):
+    """In epoch 2 with a supplementary contract placed at the predicted
+    address without the switch, so the service never went heavyweight."""
+    svc = open_service(world)
+    world.ledger.advance_time(world.timeframe_tick + 1)
+    svc.sup = world.ledger.deploy_contract_internal(
+        svc.switch.address,
+        SupplementaryContract,
+        agent_addr=world.agent.address,
+        switch_addr=svc.switch.address,
+        service_id=svc.sid,
+        deployed_by=world.mailmen[0].address,
+    )
+    return svc
+
+
+def _sup_revealed(world):
+    """Epoch 3 with every identity revealed."""
+    h = HeavyweightHarness(world)
+    assert h.reveal_receipt.success, h.reveal_receipt.error
+    h.svc.sup = h.sup
+    return h.svc
+
+
+def _sup_reporting(world):
+    """Epoch 4: index 1 revealed a fake key, 2 and 3 their own, 4 none."""
+    h = HeavyweightHarness(world)
+    assert h.reveal_key(1, world.mailmen[0], privkey=99).success
+    for index in (2, 3):
+        assert h.reveal_key(index, world.mailmen[index - 1]).success
+    world.ledger.advance_time(world.ledger.tick + 1)
+    h.svc.sup = h.sup
+    return h.svc
+
+
+# (id, scene, calls(world, svc) as (caller, function, args), error of the last call)
+SUPPLEMENTARY_REVERTS = [
+    ("premature-after-pend", _sup_switched,
+     lambda w, s: [(0, FN_REPORT_PREMATURE, {"index": 0, "privkey": 5})],
+     "premature reports belong to the pending phase"),
+    ("premature-not-mailman", _sup_pend,
+     lambda w, s: [("recipient", FN_REPORT_PREMATURE, {"index": 0, "privkey": 5})],
+     "caller is not a registered mailman"),
+    ("premature-oversized-key", _sup_pend,
+     lambda w, s: [(0, FN_REPORT_PREMATURE, {"index": 0, "privkey": 2**256})],
+     "reported key is not a 256-bit scalar"),
+    ("premature-negative-key", _sup_pend,
+     lambda w, s: [(0, FN_REPORT_PREMATURE, {"index": 0, "privkey": -1})],
+     "reported key is not a 256-bit scalar"),
+    ("premature-duplicate", _sup_pend,
+     lambda w, s: [(0, FN_REPORT_PREMATURE, {"index": 0, "privkey": 5})] * 2,
+     "duplicate premature report"),
+    ("identity-unswitched", _sup_unswitched,
+     lambda w, s: [(0, FN_REVEAL_IDENTITY, {"agreements": _all_agreements(w, s)})],
+     "identities are revealed only in heavyweight mode"),
+    ("identity-in-pend", _sup_pend,
+     lambda w, s: [(0, FN_REVEAL_IDENTITY, {"agreements": _all_agreements(w, s)})],
+     "identity reveal outside the switching window"),
+    ("identity-empty", _sup_switched, lambda w, s: [(0, FN_REVEAL_IDENTITY, {"agreements": []})],
+     "empty agreement list"),
+    ("identity-twice-in-one-call", _sup_switched,
+     lambda w, s: [(0, FN_REVEAL_IDENTITY, {"agreements": _all_agreements(w, s)[:1] * 2})],
+     "index already revealed"),
+    ("identity-again", _sup_revealed,
+     lambda w, s: [(1, FN_REVEAL_IDENTITY, {"agreements": _all_agreements(w, s)[1:2]})],
+     "index already revealed"),
+    ("privkey-before-epoch-3", _sup_switched,
+     lambda w, s: [(0, FN_REVEAL_PRIVKEY, {"index": 1, "privkey": _scalar(w, 0)})],
+     "on-chain key reveal happens in epoch 3"),
+    ("privkey-unknown-index", _sup_revealed,
+     lambda w, s: [(0, FN_REVEAL_PRIVKEY, {"index": 5, "privkey": _scalar(w, 0)})],
+     "unknown index"),
+    ("privkey-other-index", _sup_revealed,
+     lambda w, s: [(1, FN_REVEAL_PRIVKEY, {"index": 1, "privkey": _scalar(w, 1)})],
+     "index belongs to a different mailman"),
+    ("privkey-twice", _sup_revealed,
+     lambda w, s: [(0, FN_REVEAL_PRIVKEY, {"index": 1, "privkey": _scalar(w, 0)})] * 2,
+     "key already revealed for this index"),
+    ("privkey-oversized", _sup_revealed,
+     lambda w, s: [(0, FN_REVEAL_PRIVKEY, {"index": 1, "privkey": 2**256})],
+     "revealed key is not a 256-bit scalar"),
+    ("absent-before-epoch-4", _sup_revealed, lambda w, s: [(0, FN_REPORT_ABSENT, {"index": 4})],
+     "absence reports belong to epoch 4"),
+    ("absent-unknown-index", _sup_reporting, lambda w, s: [(1, FN_REPORT_ABSENT, {"index": 5})],
+     "unknown index"),
+    ("absent-revealer", _sup_reporting, lambda w, s: [(1, FN_REPORT_ABSENT, {"index": 2})],
+     "accusation contradicted: key was revealed"),
+    ("absent-duplicate", _sup_reporting,
+     lambda w, s: [(i, FN_REPORT_ABSENT, {"index": 4}) for i in (1, 2)],
+     "duplicate absence report"),
+    ("fake-before-epoch-4", _sup_revealed, lambda w, s: [(1, FN_REPORT_FAKE, {"index": 1})],
+     "fake-key reports belong to epoch 4"),
+    ("fake-unrevealed", _sup_reporting, lambda w, s: [(1, FN_REPORT_FAKE, {"index": 4})],
+     "no key revealed for this index"),
+    ("fake-honest-key", _sup_reporting, lambda w, s: [(1, FN_REPORT_FAKE, {"index": 2})],
+     "accusation contradicted: revealed key pairs correctly"),
+    ("fake-duplicate", _sup_reporting,
+     lambda w, s: [(i, FN_REPORT_FAKE, {"index": 1}) for i in (1, 2)],
+     "duplicate fake-key report"),
+    ("inform-before-epoch-4", _sup_revealed, lambda w, s: [(0, FN_INFORM_AGENT, {})],
+     "agent is informed at the end of epoch 4"),
+    ("inform-nothing-reported", _sup_reporting, lambda w, s: [(1, FN_INFORM_AGENT, {})],
+     "nothing to finalize"),
+    ("inform-twice", _sup_reporting,
+     lambda w, s: [(1, FN_REPORT_ABSENT, {"index": 4})] + [(1, FN_INFORM_AGENT, {})] * 2,
+     "already finalized"),
+]
+
+
+@pytest.mark.parametrize("scene, calls, error", [pytest.param(*c[1:], id=c[0]) for c in SUPPLEMENTARY_REVERTS])
+def test_supplementary_revert(world, scene, calls, error):
+    svc = scene(world)
+    _check_last_call_reverts(world, svc.sup.address, calls(world, svc), error)
+
+
+def _straw(world):
+    contract, shares, _ = TestStrawman()._setup(world)
+    return SimpleNamespace(contract=contract, shares=shares, sid=next(iter(contract.state["services"])))
+
+
+def _straw_window(world):
+    """The delivery time frame has begun; settlement is a tick away."""
+    straw = _straw(world)
+    world.ledger.advance_time(world.timeframe_tick)
+    return straw
+
+
+def _straw_service(w, s, value=ETHER // 2, **changes):
+    """A second service over the same four mailmen, with `changes` applied,
+    escrowing `value`."""
+    args = {
+        "timeframe_tick": w.timeframe_tick,
+        "t": 2,
+        "n": 4,
+        "recipient": w.recipient.address,
+        "mailman_commitments": [(m.address, hash256(share)) for m, share in zip(w.mailmen, s.shares)],
+        "receipt_commitment": hash256(b"straw-receipt"),
+    }
+    args.update(changes)
+    return ("sender", FN_STRAWMAN_NEW_SERVICE, args, value)
+
+
+def _share(s, i):
+    return {"sid": s.sid, "share": s.shares[i]}
+
+
+def _receipt(s, secret=b"straw-receipt"):
+    return {"sid": s.sid, "receipt": secret}
+
+
+# (id, scene, calls(world, straw) as (caller, function, args[, value]), error of the last call)
+STRAWMAN_REVERTS = [
+    ("service-past-timeframe", _straw, lambda w, s: [_straw_service(w, s, timeframe_tick=0)],
+     "time frame must be strictly in the future"),
+    ("service-threshold-above-n", _straw, lambda w, s: [_straw_service(w, s, t=5)],
+     "bad secret sharing parameters"),
+    ("service-commitment-count", _straw, lambda w, s: [_straw_service(w, s, n=3)],
+     "bad secret sharing parameters"),
+    ("service-unescrowed", _straw, lambda w, s: [_straw_service(w, s, value=0)],
+     "remuneration must be escrowed"),
+    ("service-unregistered-mailman", _straw,
+     lambda w, s: [_straw_service(w, s, mailman_commitments=[(w.recipient.address, hash256(b"x"))] * 4)],
+     "service names an unregistered mailman"),
+    ("premature-unknown-service", _straw,
+     lambda w, s: [(1, FN_STRAWMAN_REPORT_PREMATURE, {"sid": "strawman-9", "share": b"x"})],
+     "unknown service"),
+    ("premature-not-mailman", _straw,
+     lambda w, s: [("recipient", FN_STRAWMAN_REPORT_PREMATURE, _share(s, 0))],
+     "caller is not a registered mailman"),
+    ("premature-in-window", _straw_window,
+     lambda w, s: [(1, FN_STRAWMAN_REPORT_PREMATURE, _share(s, 0))],
+     "premature reports precede the time frame"),
+    ("premature-unknown-share", _straw,
+     lambda w, s: [(1, FN_STRAWMAN_REPORT_PREMATURE, {"sid": s.sid, "share": b"forged"})],
+     "share does not match any commitment"),
+    ("premature-duplicate", _straw,
+     lambda w, s: [(i, FN_STRAWMAN_REPORT_PREMATURE, _share(s, 0)) for i in (1, 2)],
+     "duplicate premature report"),
+    ("share-before-window", _straw, lambda w, s: [(0, FN_STRAWMAN_REVEAL_SHARE, _share(s, 0))],
+     "shares are revealed during the time frame"),
+    ("share-after-receipt", _straw_window,
+     lambda w, s: [("recipient", FN_STRAWMAN_REVEAL_RECEIPT, _receipt(s)),
+                   (0, FN_STRAWMAN_REVEAL_SHARE, _share(s, 0))],
+     "service already terminal"),
+    ("share-unknown", _straw_window,
+     lambda w, s: [(0, FN_STRAWMAN_REVEAL_SHARE, {"sid": s.sid, "share": b"forged"})],
+     "share does not match any commitment"),
+    ("share-of-other-mailman", _straw_window,
+     lambda w, s: [(1, FN_STRAWMAN_REVEAL_SHARE, _share(s, 0))],
+     "share belongs to a different mailman"),
+    ("share-twice", _straw_window, lambda w, s: [(0, FN_STRAWMAN_REVEAL_SHARE, _share(s, 0))] * 2,
+     "share already revealed"),
+    ("receipt-not-recipient", _straw_window,
+     lambda w, s: [("sender", FN_STRAWMAN_REVEAL_RECEIPT, _receipt(s))],
+     "only the recipient reveals the receipt"),
+    ("receipt-twice", _straw_window,
+     lambda w, s: [("recipient", FN_STRAWMAN_REVEAL_RECEIPT, _receipt(s))] * 2,
+     "service already terminal"),
+    ("receipt-wrong-preimage", _straw_window,
+     lambda w, s: [("recipient", FN_STRAWMAN_REVEAL_RECEIPT, _receipt(s, b"guess"))],
+     "receipt preimage does not match commitment"),
+]
+
+
+@pytest.mark.parametrize("scene, calls, error", [pytest.param(*c[1:], id=c[0]) for c in STRAWMAN_REVERTS])
+def test_strawman_revert(world, scene, calls, error):
+    straw = scene(world)
+    _check_last_call_reverts(world, straw.contract.address, calls(world, straw), error)
