@@ -169,6 +169,12 @@ class TestBlindBriberyTrials:
         digest = hashlib.sha256(json.dumps(counts.tolist()).encode()).hexdigest()
         assert digest == "d8cf8d5b60a13507bec6dcf1b4c778d4977db9b1258a8ab03e67b892ceea2369", numpy_pin_note()
 
+    def test_pinned_across_chunks(self):
+        # 20,001 trials over a pool of 40 span more than two chunks
+        counts = blind_bribery_trials(3, 4, 10, pool_size=40, trials=20_001, seed=8)
+        digest = hashlib.sha256(json.dumps(counts.tolist()).encode()).hexdigest()
+        assert digest == "73e10c6622452b945e35c5b92859b0e8db3e7a6e1b48e5d63df9231cbef9564b", numpy_pin_note()
+
 
 class TestDisjointTargets:
     def test_disjoint_when_room(self):
@@ -189,6 +195,12 @@ class TestSybil:
         # v=0: every registered courier is adversarial
         counts = sybil_capture_trials(3, 0, 7, 4, 5, 200, seed=34)
         assert (counts == 5).all()
+
+    def test_pinned_across_chunks(self):
+        # 70,001 trials over a pool of 48 span more than two chunks
+        counts = sybil_capture_trials(3, 12, 36, 4, 10, 70_001, seed=9)
+        digest = hashlib.sha256(json.dumps(counts.tolist()).encode()).hexdigest()
+        assert digest == "8f01c3053add63ed94868d0606c70ad92106a54970c0f55401d9589a072afbe5", numpy_pin_note()
 
     def test_capture_rate_matches_analytic_mean(self):
         l, v, x, t, n = 3, 100, 200, 4, 10

@@ -219,6 +219,16 @@ class TestSweep:
         digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
         assert digest == "4e5a9d7f883632110f131d9a2db5fd3feafeb9b421ef1dd179f02523163999fb", numpy_pin_note()
 
+    def test_availability_sweep_pinned_across_chunks(self):
+        # 9,001 trials of n*l = 30 draws span more than two Monte Carlo chunks
+        out = io.StringIO()
+        argv = ["sweep", "--sweep-axis", "A_T", "--sweep-range", "0.80:0.99:0.01"]
+        argv += ["--trials", "9001", "--seed", "6", "--format", "jsonl"]
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+        digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+        assert digest == "33faf070a7f09154670503e1a754077e992dc2b6eee52ea33c45eb106c948060", numpy_pin_note()
+
     def test_x_sweep_pinned(self):
         out = io.StringIO()
         argv = ["sweep", "--sweep-axis", "x", "--sweep-range", "0:300:50"]
