@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Optional
 
 from .actors import POLICY_BRIBERABLE, peel_with_keys
-from .analysis import AnalysisError, _check_group
+from .analysis import AnalysisError, _check_group, _chunks
 from .crypto import ss_restore
 from .scenario import ConfigError, FAULT_POLICIES, ScenarioConfig, ScenarioRunner, ScenarioTrace
 
@@ -131,19 +131,22 @@ def blind_bribery_trials(
 
     _check_trials(l, t, n, pool_size, trials)
     rng = np.random.default_rng(seed)
-    recruited = np.empty((trials, n), dtype=np.int64)
-    order = np.empty((trials, pool_size), dtype=np.int64)
-    for trial in range(trials):
-        recruited[trial] = rng.choice(pool_size, size=n, replace=False)
-        order[trial] = rng.permutation(pool_size)
-    # purchase time (1-based) of every pool member: the inverse permutation
-    bought_at = np.empty_like(order)
-    np.put_along_axis(bought_at, order, np.arange(1, pool_size + 1), axis=1)
-    held = np.take_along_axis(bought_at, recruited, axis=1)
-    unlocked_at = held
-    for j in range(1, l):
-        unlocked_at = np.maximum(unlocked_at, np.roll(held, -j, axis=1))
-    return np.partition(unlocked_at, t - 1, axis=1)[:, t - 1]
+    needed = np.empty(trials, dtype=np.int64)
+    for start, size in _chunks(trials, pool_size):
+        recruited = np.empty((size, n), dtype=np.int64)
+        order = np.empty((size, pool_size), dtype=np.int64)
+        for trial in range(size):
+            recruited[trial] = rng.choice(pool_size, size=n, replace=False)
+            order[trial] = rng.permutation(pool_size)
+        # purchase time (1-based) of every pool member: the inverse permutation
+        bought_at = np.empty_like(order)
+        np.put_along_axis(bought_at, order, np.arange(1, pool_size + 1), axis=1)
+        held = np.take_along_axis(bought_at, recruited, axis=1)
+        unlocked_at = held
+        for j in range(1, l):
+            unlocked_at = np.maximum(unlocked_at, np.roll(held, -j, axis=1))
+        needed[start : start + size] = np.partition(unlocked_at, t - 1, axis=1)[:, t - 1]
+    return needed
 
 
 def sybil_capture_trials(
@@ -157,14 +160,17 @@ def sybil_capture_trials(
     pool = v + x
     _check_trials(l, t, n, pool, trials)
     rng = np.random.default_rng(seed)
-    keys = rng.random((trials, pool))
-    # per trial, the n smallest keys are the selected couriers
-    selected = np.argsort(keys, axis=1)[:, :n]
-    adversarial = selected >= v
-    captured = np.ones((trials, n), dtype=bool)
-    for j in range(l):
-        captured &= np.roll(adversarial, -j, axis=1)
-    return captured.sum(axis=1)
+    counts = np.empty(trials, dtype=np.int64)
+    for start, size in _chunks(trials, pool):
+        keys = rng.random((size, pool))
+        # per trial, the n smallest keys are the selected couriers
+        selected = np.argsort(keys, axis=1)[:, :n]
+        adversarial = selected >= v
+        captured = np.ones((size, n), dtype=bool)
+        for j in range(l):
+            captured &= np.roll(adversarial, -j, axis=1)
+        counts[start : start + size] = captured.sum(axis=1)
+    return counts
 
 
 def _check_trials(l: int, t: int, n: int, pool_size: int, trials: int):

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, inf
 from typing import TYPE_CHECKING, Optional
 
 from .ledger import (
@@ -66,6 +66,11 @@ def _check_availability(a_t: float):
         raise AnalysisError("availability must lie in [0, 1]")
 
 
+def _check_deposit(d: float):
+    if not 0 < d < inf:  # false for NaN too
+        raise AnalysisError(f"deposit must be a finite positive number, got {d}")
+
+
 def share_loss_probability(l: int, a_t: float) -> float:
     _check_availability(a_t)
     return float(1 - Fraction(a_t) ** l)
@@ -97,7 +102,9 @@ def availability_mc(l: int, t: int, n: int, a_t: float, trials: int, seed: int =
     A trial succeeds when its t-th smallest per-share worst draw lies below
     a_t. That per-trial array depends on (l, t, n, trials, seed) only, so the
     last one is cached, which keeps one array of `trials` floats alive and
-    lets the points of an a_t sweep share one draw.
+    lets the points of an a_t sweep share one draw. The n*l draws of each
+    trial are made a chunk of trials at a time, so beyond that array the
+    memory a call takes does not grow with `trials`.
     """
     _check_group(l, t, n)
     _check_availability(a_t)
@@ -106,32 +113,47 @@ def availability_mc(l: int, t: int, n: int, a_t: float, trials: int, seed: int =
     return float((_tth_worst_draw(l, t, n, trials, seed) < a_t).mean())
 
 
+# The most elements (trials times row width) one chunk of Monte Carlo
+# trials may put in one array: 1 MiB of float64 or int64.
+_CHUNK_ELEMENTS = 1 << 17
+
+
+def _chunks(trials: int, per_trial: int):
+    """Yield (start, size) pairs covering range(trials) in order, each with
+    size * per_trial within _CHUNK_ELEMENTS and at least one trial."""
+    step = max(1, _CHUNK_ELEMENTS // per_trial)
+    for start in range(0, trials, step):
+        yield start, min(step, trials - start)
+
+
 @lru_cache(maxsize=1)
 def _tth_worst_draw(l: int, t: int, n: int, trials: int, seed: int) -> np.ndarray:
     """Per trial, the t-th smallest over the n shares of the share's largest
     layer draw: at least t shares have every draw below a_t exactly when it
-    lies below a_t. Read-only, since every caller shares it."""
+    lies below a_t. Read-only, since every caller shares it.
+
+    Trials are drawn a chunk at a time from one generator; `random()` fills
+    row-major, so the result does not depend on where the chunks split."""
     import numpy as np
 
     rng = np.random.default_rng(seed)
     kth = np.empty(trials)
-    chunk = 200_000
-    for done in range(0, trials, chunk):
-        size = min(chunk, trials - done)
+    for start, size in _chunks(trials, n * l):
         draws = rng.random((size, n, l))
         # l in-place maxima beat a reduction over the short last axis
         worst = draws[..., 0]
         for j in range(1, l):
             np.maximum(worst, draws[..., j], out=worst)
-        kth[done : done + size] = np.partition(worst, t - 1, axis=1)[:, t - 1]
+        kth[start : start + size] = np.partition(worst, t - 1, axis=1)[:, t - 1]
     kth.setflags(write=False)
     return kth
 
 
 def bribery_cost(t: int, l: int, d: float) -> float:
     """Deposit-denominated cost of buying t shares, l keys each."""
-    if t < 1 or l < 1 or d <= 0:
+    if t < 1 or l < 1:
         raise AnalysisError("bribery cost needs positive parameters")
+    _check_deposit(d)
     return t * l * d
 
 
@@ -139,8 +161,9 @@ def sybil_expected_deposit(l: int, v: int, d: float, t: int, n: int, p_m: float)
     """Expected deposit to capture t shares with a malicious fraction p_m."""
     if not 0 < p_m < 1:
         raise AnalysisError("malicious fraction must lie strictly inside (0, 1)")
-    if l < 1 or v < 1 or d <= 0:
+    if l < 1 or v < 1:
         raise AnalysisError("invalid sybil parameters")
+    _check_deposit(d)
     _check_group(l, t, n)
     return (v * d * t / n) * p_m ** (1 - l) / (1 - p_m)
 
@@ -156,8 +179,9 @@ def optimal_sybil_fraction(l: int) -> Fraction:
 
 def sybil_min_deposit(l: int, v: int, d: float) -> float:
     """Deposit outlay x*d at the optimal fraction: x = (l-1) v accounts."""
-    if l < 2 or v < 1 or d <= 0:
+    if l < 2 or v < 1:
         raise AnalysisError("invalid sybil parameters")
+    _check_deposit(d)
     return (l - 1) * v * d
 
 

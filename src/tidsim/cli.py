@@ -347,7 +347,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ConfigError, AnalysisError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ProtocolError, ValueError, OSError) as exc:
+    except (ProtocolError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -5,12 +5,14 @@ minimizer written here; availability is cross-checked by Monte Carlo.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tidsim.adversary import blind_bribery_trials, sybil_capture_trials
 from tidsim.analysis import (
     AnalysisError,
     _tth_worst_draw,
@@ -245,6 +247,44 @@ class TestSybilFormulas:
             sybil_expected_deposit(3, 100, 1.0, 4, 10, 0.0)
         with pytest.raises(AnalysisError):
             sybil_expected_deposit(3, 100, 1.0, 4, 10, 1.0)
+
+
+@pytest.mark.parametrize("d", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda d: bribery_cost(4, 3, d),
+        lambda d: sybil_min_deposit(3, 100, d),
+        lambda d: sybil_expected_deposit(3, 100, d, 4, 10, 0.5),
+    ],
+    ids=["bribery_cost", "sybil_min_deposit", "sybil_expected_deposit"],
+)
+def test_deposit_must_be_finite_and_positive(call, d):
+    with pytest.raises(AnalysisError, match="deposit must be a finite positive number"):
+        call(d)
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        lambda trials, seed: sybil_capture_trials(3, 12, 36, 4, 10, trials, seed=seed),
+        lambda trials, seed: blind_bribery_trials(3, 4, 10, 40, trials, seed=seed),
+        lambda trials, seed: availability_mc(3, 4, 10, 0.9, trials, seed=seed),
+    ],
+    ids=["sybil_capture_trials", "blind_bribery_trials", "availability_mc"],
+)
+def test_monte_carlo_memory_flat_in_trials(kernel):
+    # 40,000 trials are several chunks of each kernel; drawn whole, they
+    # would take 12-40 MiB of temporaries. The warm-up call keeps numpy's
+    # one-time allocations out of the measured peak.
+    kernel(100, 0)
+    tracemalloc.start()
+    try:
+        kernel(40_000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestCostReport:

@@ -238,6 +238,15 @@ class TestSweep:
         digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
         assert digest == "79ec04b95d1be061a90d711d05e395564ef364fa2a89f51dd1f918ec80996c7e", numpy_pin_note()
 
+    def test_unallocatable_sweep_exits_one_without_traceback(self, capsys):
+        # one trial over a pool of 10**12 couriers is an 8 TB draw, which
+        # fails to allocate at once, before any memory is touched
+        assert main(["sweep", "--sweep-axis", "x", "--sweep-range", "1000000000000"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: Unable to allocate")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_x_sweep_minimum_near_optimum(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"seed": 3, "pool_size": 100, "l": 3, "t": 4, "n": 10}))
@@ -318,6 +327,10 @@ class TestAnalyze:
             (["sweep", "--sweep-axis", "A_T", "--sweep-range", "0:1:nan"], "needs a finite start"),
             (["sweep", "--sweep-axis", "A_T", "--sweep-range", "0.9:0.8:0.01"], "is empty: start exceeds stop"),
             (["sweep", "--sweep-axis", "n", "--sweep-range", "0:10000000000:1"], "invalid threshold t=0 for n=0"),
+            (["analyze", "bribery", "2", "2", "nan"], "deposit must be a finite positive number, got nan"),
+            (["analyze", "bribery", "2", "2", "inf"], "deposit must be a finite positive number, got inf"),
+            (["analyze", "sybil", "2", "10", "nan"], "deposit must be a finite positive number, got nan"),
+            (["analyze", "sybil", "2", "10", "inf"], "deposit must be a finite positive number, got inf"),
         ],
         ids=[
             "availability n=0",
@@ -339,6 +352,10 @@ class TestAnalyze:
             "A_T sweep nan step",
             "A_T sweep empty range",
             "n sweep endless range",
+            "bribery nan deposit",
+            "bribery inf deposit",
+            "sybil nan deposit",
+            "sybil inf deposit",
         ],
     )
     def test_bad_parameters_exit_two(self, capsys, argv, message):
