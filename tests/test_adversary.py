@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from tidsim.adversary import (
     adversary_view,
@@ -18,7 +18,7 @@ from tidsim.adversary import (
     sybil_capture_trials,
 )
 from tidsim.actors import PeelMemo, peel_with_keys
-from tidsim.analysis import AnalysisError, bribery_cost
+from tidsim.analysis import _CHUNK_ELEMENTS, AnalysisError, bribery_cost
 from tidsim.ledger import WEI_PER_ETHER
 from tidsim.scenario import ConfigError, ScenarioConfig, ScenarioRunner, run_scenario
 
@@ -51,6 +51,19 @@ def blind_bribery_reference(l, t, n, pool_size, trials, seed=0):
                 break
         counts[trial] = purchases
     return counts
+
+
+def sybil_capture_reference(l, v, x, t, n, trials, seed=0):
+    """The argsort kernel sybil_capture_trials replaced, drawing every trial
+    at once: `random()` fills row-major, so the chunks do not change the draw."""
+    rng = np.random.default_rng(seed)
+    keys = rng.random((trials, v + x))
+    selected = np.argsort(keys, axis=1)[:, :n]
+    adversarial = selected >= v
+    captured = np.ones((trials, n), dtype=bool)
+    for j in range(l):
+        captured &= np.roll(adversarial, -j, axis=1)
+    return captured.sum(axis=1)
 
 
 def briberable_config(t, l, n, pool_size=None, seed=31):
@@ -201,6 +214,41 @@ class TestSybil:
         counts = sybil_capture_trials(3, 12, 36, 4, 10, 70_001, seed=9)
         digest = hashlib.sha256(json.dumps(counts.tolist()).encode()).hexdigest()
         assert digest == "8f01c3053add63ed94868d0606c70ad92106a54970c0f55401d9589a072afbe5", numpy_pin_note()
+
+    def test_pinned_deeper_than_group(self):
+        # l=6 > n=4: each window wraps the selected couriers more than once;
+        # 20,001 trials over a pool of 10 span two chunks
+        counts = sybil_capture_trials(6, 2, 8, 2, 4, 20_001, seed=4)
+        digest = hashlib.sha256(json.dumps(counts.tolist()).encode()).hexdigest()
+        assert digest == "1ee16b9b7c28376f5d3649ad904770e0bea83e6496fc07b9f724efc0e980fd0d", numpy_pin_note()
+
+    @given(
+        l=st.integers(1, 7),
+        v=st.integers(0, 25),
+        x=st.integers(0, 25),
+        n=st.integers(1, 50),
+        t=st.integers(1, 50),
+        boundary=st.integers(0, 2),
+        extra=st.integers(-3, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(l=6, v=2, x=8, n=4, t=2, boundary=1, extra=1, seed=4)  # l > n
+    @example(l=7, v=3, x=3, n=2, t=1, boundary=0, extra=30, seed=1)  # l > pool
+    @example(l=3, v=0, x=7, n=5, t=4, boundary=1, extra=0, seed=2)  # v = 0
+    @example(l=2, v=9, x=0, n=9, t=3, boundary=1, extra=-1, seed=3)  # x = 0, n = pool
+    @example(l=3, v=4, x=6, n=10, t=4, boundary=2, extra=1, seed=5)  # n = pool
+    @settings(max_examples=60, deadline=None)
+    def test_matches_argsort_kernel(self, l, v, x, n, t, boundary, extra, seed):
+        # trial counts on both sides of one and of two chunk boundaries
+        pool = v + x
+        assume(pool >= 1)
+        n = min(n, pool)
+        t = min(t, n)
+        trials = max(1, boundary * (_CHUNK_ELEMENTS // pool) + extra)
+        counts = sybil_capture_trials(l, v, x, t, n, trials, seed=seed)
+        expected = sybil_capture_reference(l, v, x, t, n, trials, seed=seed)
+        assert counts.dtype == np.int64
+        assert counts.tolist() == expected.tolist()
 
     def test_capture_rate_matches_analytic_mean(self):
         l, v, x, t, n = 3, 100, 200, 4, 10

@@ -7,6 +7,7 @@ minimizer written here; availability is cross-checked by Monte Carlo.
 import math
 import tracemalloc
 from fractions import Fraction
+from random import Random
 
 import numpy as np
 import pytest
@@ -83,11 +84,18 @@ def mode_calls(mode, n):
     return [], per_n + [(FN_STRAWMAN_REVEAL_RECEIPT, 1)]
 
 
+def availability_reference(l, t, n, a_t):
+    """The exact Fraction formula availability replaced."""
+    p = 1 - Fraction(a_t) ** l
+    tail = sum(math.comb(n, i) * p**i * (1 - p) ** (n - i) for i in range(n - t + 1, n + 1))
+    return float(1 - tail)
+
+
 def cost_rows_reference(calls, schedule):
-    """Fold calls into rows one at a time, as the analytic report once did."""
+    """Fold (function, units, gas) calls into rows one at a time, pricing
+    each call, as the reports once did."""
     rows = {}
-    for fn, units in calls:
-        gas = schedule.gas_for(fn, units)
+    for fn, units, gas in calls:
         row = rows.setdefault(
             fn, {"calls": 0, "units": 0, "gas": 0, "usd_exact": Fraction(0), "usd_quoted": Fraction(0)}
         )
@@ -188,6 +196,14 @@ class TestAvailability:
         n = t + extra
         value = availability(l, t, n, a)
         assert 0.0 <= value <= 1.0
+
+    @pytest.mark.parametrize("a_t", [0.0, 1.0, 0.95, 1e-5, Random(20).random()])
+    @pytest.mark.parametrize("l", range(1, 7))
+    def test_matches_fraction_formula(self, l, a_t):
+        assert share_loss_probability(l, a_t) == float(1 - Fraction(a_t) ** l)
+        for n in range(1, 21):
+            for t in range(1, n + 1):
+                assert availability(l, t, n, a_t) == availability_reference(l, t, n, a_t), (t, n)
 
     def test_domain_errors(self):
         with pytest.raises(AnalysisError):
@@ -311,7 +327,8 @@ class TestCostReport:
         for n in range(1, 101):
             report = cost_report(mode=mode, n=n)
             fixed_calls, per_n_calls = mode_calls(mode, n)
-            rows = cost_rows_reference(fixed_calls + per_n_calls, schedule)
+            priced = [(fn, units, schedule.gas_for(fn, units)) for fn, units in fixed_calls + per_n_calls]
+            rows = cost_rows_reference(priced, schedule)
             assert list(report.rows.items()) == list(rows.items())
             assert report.total_gas == report.service_gas == sum(r["gas"] for r in rows.values())
             assert report.total_usd_exact == sum(r["usd_exact"] for r in rows.values())
@@ -319,8 +336,46 @@ class TestCostReport:
             if mode == "strawman":
                 assert report.fixed_usd_quoted is None
             else:
-                fixed = cost_rows_reference(fixed_calls, schedule)
+                fixed = cost_rows_reference(priced[: len(fixed_calls)], schedule)
                 assert report.fixed_usd_quoted == sum(r["usd_quoted"] for r in fixed.values())
+
+    @pytest.mark.parametrize("mode", ["lightweight", "heavyweight", "strawman"])
+    def test_analytic_rows_priced_from_row_gas(self, mode):
+        schedule = GasSchedule.default()
+        for n in (1, 10, 57):
+            report = cost_report(mode=mode, n=n)
+            for row in report.rows.values():
+                assert list(row) == ["calls", "units", "gas", "usd_exact", "usd_quoted"]
+                assert row["usd_exact"] == schedule.usd_exact(row["gas"])
+            assert report.total_usd_exact == schedule.usd_exact(report.total_gas)
+
+    @pytest.mark.parametrize(
+        "cfg, status",
+        [
+            (ScenarioConfig(seed=21, pool_size=6, l=2, t=2, n=4), "delivered_light"),
+            (
+                ScenarioConfig(
+                    seed=22, pool_size=5, l=2, t=2, n=3, fault_policies={i: "withhold_light" for i in range(5)}
+                ),
+                "delivered_heavy",
+            ),
+            (ScenarioConfig(seed=41, pool_size=8, l=1, t=2, n=4, mode="strawman"), "delivered_heavy"),
+        ],
+        ids=["lightweight", "heavyweight", "strawman"],
+    )
+    def test_trace_report_matches_per_receipt_fold(self, cfg, status):
+        trace = run_scenario(cfg)
+        assert trace.status == status
+        schedule = GasSchedule.default()
+        report = cost_report(trace=trace)
+        calls = [(r["function"], r.get("units", 1), r["gas_used"]) for r in trace.receipts]
+        rows = cost_rows_reference(calls, schedule)
+        assert list(report.rows.items()) == list(rows.items())
+        for row in report.rows.values():
+            assert list(row) == ["calls", "units", "gas", "usd_exact", "usd_quoted"]
+            assert row["usd_exact"] == schedule.usd_exact(row["gas"])
+        assert report.total_gas == sum(r["gas"] for r in rows.values())
+        assert report.total_usd_exact == sum(r["usd_exact"] for r in rows.values())
 
     def test_strawman_analytic_linear(self):
         gas = {n: cost_report(mode="strawman", n=n).total_gas for n in (5, 10, 20)}
