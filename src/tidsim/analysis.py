@@ -71,9 +71,17 @@ def _check_deposit(d: float):
         raise AnalysisError(f"deposit must be a finite positive number, got {d}")
 
 
-def share_loss_probability(l: int, a_t: float) -> float:
+def _layer_odds(l: int, a_t: float) -> tuple[int, int]:
+    """(A, D) with a_t**l == A / D exactly: the share survival odds as
+    integers, since a float is m / d for integers m and d."""
     _check_availability(a_t)
-    return float(1 - Fraction(a_t) ** l)
+    m, d = Fraction(a_t).as_integer_ratio()
+    return m**l, d**l
+
+
+def share_loss_probability(l: int, a_t: float) -> float:
+    survive, whole = _layer_odds(l, a_t)
+    return (whole - survive) / whole  # int true division is correctly rounded
 
 
 def availability(l: int, t: int, n: int, a_t: float) -> float:
@@ -84,14 +92,15 @@ def availability(l: int, t: int, n: int, a_t: float) -> float:
     a layer of l shares over cyclic windows, so share losses are
     correlated: at t=4, n=10, a=0.95 the simulated layout gives 0.99116 at
     l=3 (formula 0.99990) and 0.94791 at l=4 (formula 0.99947).
+
+    It is evaluated exactly over the common denominator D**n of the terms
+    and rounded once, so it equals the float of the exact rational value.
     """
     _check_group(l, t, n)
-    _check_availability(a_t)
-    p = 1 - Fraction(a_t) ** l
-    tail = sum(
-        comb(n, i) * p**i * (1 - p) ** (n - i) for i in range(n - t + 1, n + 1)
-    )
-    return float(1 - tail)
+    survive, whole = _layer_odds(l, a_t)
+    lost = whole - survive
+    tail = sum(comb(n, i) * lost**i * survive ** (n - i) for i in range(n - t + 1, n + 1))
+    return (whole**n - tail) / whole**n
 
 
 def availability_mc(l: int, t: int, n: int, a_t: float, trials: int, seed: int = 0) -> float:
@@ -246,24 +255,29 @@ def cost_report(
 
 def _breakdown(mode: str, n: Optional[int], entries, schedule: GasSchedule) -> CostBreakdown:
     """Fold (fn, units, gas, calls) entries into per-function rows and their
-    totals; `calls` identical calls cost exactly `calls` times one."""
+    totals; `calls` identical calls cost exactly `calls` times one. The exact
+    USD price is linear in gas, so it is priced once per row and once for
+    the total, from their gas."""
     rows = {}
     for fn, units, gas, calls in entries:
         row = rows.setdefault(
-            fn, {"calls": 0, "units": 0, "gas": 0, "usd_exact": Fraction(0), "usd_quoted": Fraction(0)}
+            # usd_exact is priced after the fold; the key keeps its place in the row
+            fn, {"calls": 0, "units": 0, "gas": 0, "usd_exact": None, "usd_quoted": Fraction(0)}
         )
         row["calls"] += calls
         row["units"] += units * calls
         row["gas"] += gas * calls
-        row["usd_exact"] += schedule.usd_exact(gas) * calls
         row["usd_quoted"] += schedule.usd_quoted(fn, units) * calls
+    for row in rows.values():
+        row["usd_exact"] = schedule.usd_exact(row["gas"])
     service = [row for fn, row in rows.items() if fn in SERVICE_FUNCTIONS]
+    total_gas = sum(row["gas"] for row in rows.values())
     return CostBreakdown(
         mode=mode,
         n=n,
         rows=rows,
-        total_gas=sum(row["gas"] for row in rows.values()),
-        total_usd_exact=sum((row["usd_exact"] for row in rows.values()), Fraction(0)),
+        total_gas=total_gas,
+        total_usd_exact=schedule.usd_exact(total_gas),
         service_gas=sum(row["gas"] for row in service),
         service_usd_quoted=sum((row["usd_quoted"] for row in service), Fraction(0)),
     )
