@@ -54,9 +54,13 @@ class AnalysisError(ValueError):
     pass
 
 
-def _check_group(l: int, t: int, n: int):
+def _check_depth(l: int):
     if l < 1:
         raise AnalysisError("onion depth must be at least 1")
+
+
+def _check_group(l: int, t: int, n: int):
+    _check_depth(l)
     if not 1 <= t <= n:
         raise AnalysisError(f"invalid threshold t={t} for n={n}")
 
@@ -71,16 +75,17 @@ def _check_deposit(d: float):
         raise AnalysisError(f"deposit must be a finite positive number, got {d}")
 
 
-def _layer_odds(l: int, a_t: float) -> tuple[int, int]:
-    """(A, D) with a_t**l == A / D exactly: the share survival odds as
-    integers, since a float is m / d for integers m and d."""
+def _share_survival(l: int, a_t: float) -> tuple[int, int]:
+    """(A, D) with A / D == a_t**l exactly, the probability that all l
+    layers of a share are revealed: a float is m / d for integers m and d."""
     _check_availability(a_t)
     m, d = Fraction(a_t).as_integer_ratio()
     return m**l, d**l
 
 
 def share_loss_probability(l: int, a_t: float) -> float:
-    survive, whole = _layer_odds(l, a_t)
+    _check_depth(l)
+    survive, whole = _share_survival(l, a_t)
     return (whole - survive) / whole  # int true division is correctly rounded
 
 
@@ -97,10 +102,11 @@ def availability(l: int, t: int, n: int, a_t: float) -> float:
     and rounded once, so it equals the float of the exact rational value.
     """
     _check_group(l, t, n)
-    survive, whole = _layer_odds(l, a_t)
+    survive, whole = _share_survival(l, a_t)
     lost = whole - survive
     tail = sum(comb(n, i) * lost**i * survive ** (n - i) for i in range(n - t + 1, n + 1))
-    return (whole**n - tail) / whole**n
+    denominator = whole**n
+    return (denominator - tail) / denominator
 
 
 def availability_mc(l: int, t: int, n: int, a_t: float, trials: int, seed: int = 0) -> float:

@@ -208,6 +208,9 @@ class TestAvailability:
     def test_domain_errors(self):
         with pytest.raises(AnalysisError):
             availability(0, 4, 10, 0.95)
+        for l in (0, -1):
+            with pytest.raises(AnalysisError, match="onion depth must be at least 1"):
+                share_loss_probability(l, 0.95)
         with pytest.raises(AnalysisError):
             availability(3, 11, 10, 0.95)
         with pytest.raises(AnalysisError):
