@@ -601,7 +601,9 @@ def sign(privkey: bytes, digest: bytes) -> Signature:
         s = pow(k, -1, _N) * (z + r * d) % _N
         if s == 0:
             continue
-        return Signature(ry & 1, r, s)
+        sig = Signature(ry & 1, r, s)
+        _remember_signer(bytes(digest), sig, _address_of_scalar(d))
+        return sig
 
 
 def recover_signer(digest: bytes, sig: Signature) -> bytes:
@@ -609,7 +611,12 @@ def recover_signer(digest: bytes, sig: Signature) -> bytes:
     _check_digest(digest)
     if not isinstance(sig, Signature):
         raise VerificationError("not a signature value")
-    return _recover_address(bytes(digest), sig)
+    key = (bytes(digest), sig)
+    address = _signers.get(key)
+    if address is None:
+        address = _recover_address(*key)
+        _remember_signer(*key, address)
+    return address
 
 
 def signed_by(digest: bytes, sig_bytes: bytes, address: bytes) -> bool:
@@ -621,9 +628,32 @@ def signed_by(digest: bytes, sig_bytes: bytes, address: bytes) -> bool:
         return False
 
 
-# Every courier and contract re-recovers the same few signatures of a
-# service; a failed recovery raises and so is never cached.
-@functools.lru_cache(maxsize=1024)
+# Every party of a run signs in this process, so sign() records each
+# signature's signer in _signers and recover_signer() answers it by lookup;
+# only a foreign, tampered or malformed signature, or one evicted from the
+# memo, reaches the curve arithmetic of _recover_address. The lookup is
+# exact, not a guess: sign returns (v, r, s) only when R = k*G has x = r < N
+# and y parity v, so the recovery Q = r^-1 * (s*R - z*G) (SEC 1 v2.0,
+# 4.1.6) equals r^-1 * ((z + r*d)*G - z*G) = d*G for every digest z. The
+# memo also serves every courier and contract that re-recovers the same few
+# signatures of a service. A failed recovery raises and so is never stored.
+# Past _SIGNERS_MAX entries the oldest insertion goes first.
+_SIGNERS_MAX = 1024
+_signers: dict[tuple[bytes, Signature], bytes] = {}
+
+
+def _remember_signer(digest: bytes, sig: Signature, address: bytes) -> None:
+    if len(_signers) >= _SIGNERS_MAX:
+        del _signers[next(iter(_signers))]
+    _signers[digest, sig] = address
+
+
+# The address of the scalar sign() actually used, never one a caller names.
+@functools.lru_cache(maxsize=256)
+def _address_of_scalar(d: int) -> bytes:
+    return address_of_pubkey(pubkey_of_privkey(d.to_bytes(32, "big")))
+
+
 def _recover_address(digest: bytes, sig: Signature) -> bytes:
     if sig.v not in (0, 1) or not 0 < sig.r < _N or not 0 < sig.s < _N:
         raise VerificationError("malformed signature")

@@ -226,6 +226,28 @@ class TestRecruitment:
         assert len(to_recipient(trace)) == len(to_recipient(clean)) + 1
 
 
+class TestSignatureRecovery:
+    def test_only_the_tampered_package_reaches_recovery(self, monkeypatch):
+        # every party signs in this process, so its signatures are answered
+        # from the memo sign() fills; only the flipped package is foreign
+        real = crypto._recover_address
+        kernel = []
+
+        def counted(digest, sig):
+            kernel.append((digest, sig))
+            return real(digest, sig)
+
+        monkeypatch.setattr(crypto, "_recover_address", counted)
+        for tamper, recoveries in ((False, 0), (True, 1)):
+            monkeypatch.setattr(crypto, "_signers", {})
+            kernel.clear()
+            runner = ScenarioRunner(ScenarioConfig(tamper_package=tamper))
+            trace = runner.run()
+            assert trace.status == "delivered_light"
+            assert len(kernel) == recoveries
+            assert all(real(d, s) != runner.sender.address for d, s in kernel)
+
+
 class TestLightweightDelivery:
     def test_all_honest_service_calls(self):
         cfg = ScenarioConfig(seed=4, pool_size=12, l=3, t=4, n=10, withdraw_at_end=False)

@@ -11,6 +11,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tidsim import crypto
 from tidsim.crypto import (
     AuthenticationError,
     InsufficientSharesError,
@@ -37,6 +38,7 @@ from tidsim.crypto import (
     _jmul,
     _jmul_base,
     _odd_multiples,
+    _recover_address,
     _to_affine,
     address_of_pubkey,
     ecies_decrypt,
@@ -152,6 +154,8 @@ class TestSignatures:
             digest = rng.randbytes(32)
             sig = sign(kp.privkey, digest)
             assert recover_signer(digest, sig) == kp.address
+            # sign memoizes its signer, so check the curve arithmetic itself too
+            assert _recover_address(digest, sig) == kp.address
 
     def test_tampered_digest_fuzz(self):
         rng = Random(5)
@@ -194,6 +198,7 @@ class TestSignatures:
         digest = hash256(b"signed")
         sig = sign(signer.privkey, digest)
         assert signed_by(digest, sig.to_bytes(), signer.address)
+        assert _recover_address(digest, sig) == signer.address
         assert not signed_by(digest, sig.to_bytes(), other.address)
         assert not signed_by(digest, sig.to_bytes()[:64], signer.address)
         for r in (0, _N):
@@ -586,6 +591,7 @@ class TestScalarKernel:
         kp = keypair_from_scalar(d)
         sig = sign(kp.privkey, digest)
         assert recover_signer(digest, sig) == reference_recover(digest, sig) == kp.address
+        assert _recover_address(digest, sig) == reference_recover(digest, sig)
 
     @given(
         v=st.integers(min_value=0, max_value=1),
@@ -603,6 +609,59 @@ class TestScalarKernel:
             except VerificationError as exc:
                 outcomes.append(type(exc))
         assert outcomes[0] == outcomes[1]
+        if outcomes[0] is VerificationError:
+            assert (digest, sig) not in crypto._signers
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Every (digest, sig) that reached the recovery arithmetic, from an empty memo."""
+    calls = []
+    real = crypto._recover_address
+
+    def counted(digest, sig):
+        calls.append((digest, sig))
+        return real(digest, sig)
+
+    monkeypatch.setattr(crypto, "_signers", {})
+    monkeypatch.setattr(crypto, "_recover_address", counted)
+    return calls
+
+
+class TestSignerMemo:
+    def test_bounded_and_evicted_signatures_still_recover(self, kernel_calls):
+        kp = keypair_gen(Random(41))
+        extra = 3
+        digests = [hash256(i.to_bytes(4, "big")) for i in range(crypto._SIGNERS_MAX + extra)]
+        pairs = [(d, sign(kp.privkey, d)) for d in digests]
+        assert len(crypto._signers) == crypto._SIGNERS_MAX
+        # the oldest insertions go first
+        evicted, kept = pairs[:extra], pairs[extra:]
+        assert not any(p in crypto._signers for p in evicted)
+        assert all(crypto._signers[p] == kp.address for p in kept)
+        assert all(recover_signer(*p) == kp.address for p in kept)
+        assert kernel_calls == []
+        for digest, sig in evicted:
+            assert recover_signer(digest, sig) == kp.address
+        assert kernel_calls == evicted
+        assert len(crypto._signers) == crypto._SIGNERS_MAX
+
+    def test_altered_digest_or_twin_gets_the_kernel_answer(self, kernel_calls):
+        rng = Random(42)
+        for _ in range(10):
+            kp, digest = keypair_gen(rng), rng.randbytes(32)
+            sig = sign(kp.privkey, digest)
+            tampered = bytearray(digest)
+            tampered[rng.randrange(32)] ^= 1 + rng.randrange(255)
+            tampered = bytes(tampered)
+            # (v ^ 1, r, N - s) recovers the same key from -R: still a recovery
+            twin = Signature(sig.v ^ 1, sig.r, _N - sig.s)
+            for d, s in ((tampered, sig), (digest, twin)):
+                before = len(kernel_calls)
+                assert recover_signer(d, s) == reference_recover(d, s)
+                assert kernel_calls[before:] == [(d, s)]
+            assert recover_signer(tampered, sig) != kp.address
+            assert recover_signer(digest, twin) == kp.address
 
 
 def near(center, count, seed):
