@@ -161,6 +161,10 @@ def decode_parts(data: bytes) -> list[bytes]:
 # costs ~129 doublings instead of ~256. This holds only for P on
 # secp256k1: callers check that before they multiply (ecies_* and
 # signature recovery do).
+#
+# An ECDH d * E with E = e * G drawn in this process is (d * e mod N) * G,
+# one fixed-base multiplication instead of a GLV one (_shared_x; the
+# argument is at _scalars).
 # ---------------------------------------------------------------------------
 
 _P = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEFFFFFC2F
@@ -270,8 +274,10 @@ def _glv_split(k):
     return k - c1 * _A1 - c2 * _A2, -c1 * _B1 - c2 * _B2
 
 
-# Trial peeling multiplies one layer's ephemeral point by every live key in
-# a row, so the tables of the last few points are kept.
+# Only the recovery of a foreign signature and an ECDH with a point missing
+# from _scalars reach _jmul (see _shared_x). Such points recur when a run
+# has more keys than _scalars holds: each evicted courier key wraps one
+# layer per share it carries, so the tables of the last few points are kept.
 @functools.lru_cache(maxsize=32)
 def _odd_multiples(p):
     """Affine d * p and d * phi(p) for odd d in [-15, 15], as two 32-slot tuples.
@@ -527,9 +533,7 @@ def pubkey_of_privkey(privkey: bytes) -> bytes:
 def keypair_from_scalar(k: int) -> KeyPair:
     if not 1 <= k < _N:
         raise ParameterError("private scalar out of range")
-    priv = k.to_bytes(32, "big")
-    pub = pubkey_of_privkey(priv)
-    return KeyPair(priv, pub, address_of_pubkey(pub))
+    return _keypair(k, *_to_affine(_jmul_base(k)))
 
 
 def keypair_gen(rng: Random) -> KeyPair:
@@ -544,11 +548,35 @@ def keypairs_gen(rng: Random, count: int) -> list[KeyPair]:
     batched multiplication, which beats keypair_gen from about six keys up.
     """
     ks = [1 + rng.randrange(_N - 1) for _ in range(count)]
-    pairs = []
-    for k, (x, y) in zip(ks, _base_mul_batch(ks)):
-        pub = x.to_bytes(32, "big") + y.to_bytes(32, "big")
-        pairs.append(KeyPair(k.to_bytes(32, "big"), pub, address_of_pubkey(pub)))
-    return pairs
+    return [_keypair(k, x, y) for k, (x, y) in zip(ks, _base_mul_batch(ks))]
+
+
+def _keypair(k: int, x: int, y: int) -> KeyPair:
+    """The key pair of k, whose point (x, y) = k * G the caller just computed."""
+    _remember(_scalars, _SCALARS_MAX, (x, y), k)
+    pub = x.to_bytes(32, "big") + y.to_bytes(32, "big")
+    return KeyPair(k.to_bytes(32, "big"), pub, address_of_pubkey(pub))
+
+
+# Every party of a run draws its keys in this process, and ecies_encrypt
+# draws each ephemeral key here too, so the scalar e of each such point
+# E = e*G is known. _keypair records it in _scalars, and _shared_x computes
+# the ECDH point d*E as (d*e mod N)*G: one fixed-base multiplication
+# instead of a GLV one. This is exact, not a guess: E is stored only where
+# this module computed it as e*G, so d*E = d*(e*G) = (d*e mod N)*G for
+# every d, and with N prime and d, e in [1, N) the product d*e mod N is
+# never 0. No scalar leaves the module and no caller can claim one for a
+# point; a foreign, unrecorded or evicted point only takes the slower
+# _jmul. Past _SCALARS_MAX entries the oldest insertion goes first.
+_SCALARS_MAX = 256
+_scalars: dict[tuple[int, int], int] = {}
+
+
+def _remember(memo: dict, limit: int, key, value) -> None:
+    """memo[key] = value, first dropping the oldest insertion if memo holds limit entries."""
+    if len(memo) >= limit:
+        del memo[next(iter(memo))]
+    memo[key] = value
 
 
 @dataclass(frozen=True)
@@ -602,7 +630,7 @@ def sign(privkey: bytes, digest: bytes) -> Signature:
         if s == 0:
             continue
         sig = Signature(ry & 1, r, s)
-        _remember_signer(bytes(digest), sig, _address_of_scalar(d))
+        _remember(_signers, _SIGNERS_MAX, (bytes(digest), sig), _address_of_scalar(d))
         return sig
 
 
@@ -615,7 +643,7 @@ def recover_signer(digest: bytes, sig: Signature) -> bytes:
     address = _signers.get(key)
     if address is None:
         address = _recover_address(*key)
-        _remember_signer(*key, address)
+        _remember(_signers, _SIGNERS_MAX, key, address)
     return address
 
 
@@ -640,12 +668,6 @@ def signed_by(digest: bytes, sig_bytes: bytes, address: bytes) -> bool:
 # Past _SIGNERS_MAX entries the oldest insertion goes first.
 _SIGNERS_MAX = 1024
 _signers: dict[tuple[bytes, Signature], bytes] = {}
-
-
-def _remember_signer(digest: bytes, sig: Signature, address: bytes) -> None:
-    if len(_signers) >= _SIGNERS_MAX:
-        del _signers[next(iter(_signers))]
-    _signers[digest, sig] = address
 
 
 # The address of the scalar sign() actually used, never one a caller names.
@@ -708,6 +730,13 @@ def sym_decrypt(key: bytes, blob: bytes) -> bytes:
         raise AuthenticationError("wrong key or tampered ciphertext") from exc
 
 
+def _shared_x(d: int, x: int, y: int) -> int:
+    """The x of d * (x, y), for 1 <= d < N and (x, y) on secp256k1."""
+    e = _scalars.get((x, y))
+    shared = _jmul(d, (x, y, 1)) if e is None else _jmul_base(d * e % _N)
+    return _to_affine(shared)[0]
+
+
 def ecies_encrypt(pubkey: bytes, plaintext: bytes, rng: Random) -> bytes:
     """Authenticated public-key encryption: ephemeral ECDH + AES-GCM.
 
@@ -721,8 +750,7 @@ def ecies_encrypt(pubkey: bytes, plaintext: bytes, rng: Random) -> bytes:
     if not _point_on_curve(px, py):
         raise ParameterError("pubkey not on curve")
     eph = keypair_gen(rng)
-    shared = _jmul(int.from_bytes(eph.privkey, "big"), (px, py, 1))
-    sx, _ = _to_affine(shared)
+    sx = _shared_x(int.from_bytes(eph.privkey, "big"), px, py)
     sym = hash256(sx.to_bytes(32, "big"))
     nonce = rng.getrandbits(8 * _NONCE_SIZE).to_bytes(_NONCE_SIZE, "big")
     return eph.pubkey + nonce + AESGCM(sym).encrypt(nonce, plaintext, None)
@@ -739,9 +767,7 @@ def ecies_decrypt(privkey: bytes, blob: bytes) -> bytes:
     if not 1 <= d < _N:
         # an unusable scalar can never open a layer; report it the same way
         raise AuthenticationError("private scalar out of range")
-    shared = _jmul(d, (ex, ey, 1))
-    sx, _ = _to_affine(shared)
-    sym = hash256(sx.to_bytes(32, "big"))
+    sym = hash256(_shared_x(d, ex, ey).to_bytes(32, "big"))
     nonce = blob[64 : 64 + _NONCE_SIZE]
     try:
         return AESGCM(sym).decrypt(nonce, blob[64 + _NONCE_SIZE :], None)

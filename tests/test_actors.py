@@ -248,6 +248,58 @@ class TestSignatureRecovery:
             assert all(real(d, s) != runner.sender.address for d, s in kernel)
 
 
+class NeverStores(dict):
+    """A scalar memo that records nothing, so every ECDH takes the GLV multiplication."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+@pytest.fixture
+def jmul_calls(monkeypatch):
+    """Every point that reaches the variable-base multiplication."""
+    calls = []
+    real = crypto._jmul
+
+    def counted(k, p):
+        calls.append(p)
+        return real(k, p)
+
+    monkeypatch.setattr(crypto, "_jmul", counted)
+    return calls
+
+
+class TestSharedSecrets:
+    @pytest.mark.parametrize("cfg", [ScenarioConfig(), ScenarioConfig(n=16, l=3, t=4, pool_size=20)])
+    def test_in_process_runs_make_no_variable_base_multiplication(self, monkeypatch, jmul_calls, cfg):
+        # every point a run multiplies was drawn in this process, so each ECDH
+        # is one fixed-base multiplication by the product of two scalars
+        monkeypatch.setattr(crypto, "_scalars", {})
+        assert run_scenario(cfg).status == "delivered_light"
+        assert jmul_calls == []
+
+    # Listed in the CI step that runs the golden traces in a fresh
+    # interpreter, so there the module's memo starts cold.
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            ScenarioConfig(),
+            ScenarioConfig(n=16, l=3, t=4, pool_size=20),
+            ScenarioConfig(fault_policies={i: "withhold_light" for i in range(12)}),
+            ScenarioConfig(mode=MODE_STRAWMAN),
+            ScenarioConfig(tamper_package=True),
+        ],
+        ids=["default", "n16_light", "withhold_heavy", "strawman", "tamper"],
+    )
+    def test_same_trace_without_the_memo(self, monkeypatch, jmul_calls, cfg):
+        with_memo = run_scenario(cfg).trace_hash()
+        jmul_calls.clear()
+        monkeypatch.setattr(crypto, "_scalars", NeverStores())
+        assert run_scenario(cfg).trace_hash() == with_memo
+        # the strawman sends each courier a bare share, so it makes no ECDH at all
+        assert bool(jmul_calls) == (cfg.mode != MODE_STRAWMAN)
+
+
 class TestLightweightDelivery:
     def test_all_honest_service_calls(self):
         cfg = ScenarioConfig(seed=4, pool_size=12, l=3, t=4, n=10, withdraw_at_end=False)

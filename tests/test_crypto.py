@@ -9,7 +9,7 @@ import itertools
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tidsim import crypto
 from tidsim.crypto import (
@@ -51,6 +51,7 @@ from tidsim.crypto import (
     new_secret_key,
     onion_peel,
     onion_wrap,
+    pubkey_of_privkey,
     recover_signer,
     sign,
     signed_by,
@@ -662,6 +663,113 @@ class TestSignerMemo:
                 assert kernel_calls[before:] == [(d, s)]
             assert recover_signer(tampered, sig) != kp.address
             assert recover_signer(digest, twin) == kp.address
+
+
+@pytest.fixture
+def point_mults(monkeypatch):
+    """Every affine point that reached the variable-base multiplication, from an empty scalar memo."""
+    calls = []
+    real = crypto._jmul
+
+    def counted(k, p):
+        calls.append(_to_affine(p))
+        return real(k, p)
+
+    monkeypatch.setattr(crypto, "_scalars", {})
+    monkeypatch.setattr(crypto, "_jmul", counted)
+    return calls
+
+
+def point_of(pubkey):
+    return int.from_bytes(pubkey[:32], "big"), int.from_bytes(pubkey[32:64], "big")
+
+
+def memo_ecdh_matches_kernel(d, e):
+    """_shared_x(d, e*G) through the memo equals the GLV and the double-and-add products."""
+    x, y = point_of(keypair_from_scalar(e).pubkey)
+    assert crypto._scalars[x, y] == e
+    sx = _to_affine(_jmul(d, (x, y, 1)))[0]
+    assert crypto._shared_x(d, x, y) == sx == _to_affine(reference_mul(d, (x, y, 1)))[0]
+
+
+HALF_N = (_N - 1) // 2
+# (d, e) at the ends of the scalar range and with d*e = +-1 mod N
+MEMO_EDGE_PAIRS = [
+    (1, 1),
+    (1, _N - 1),
+    (_N - 1, _N - 1),
+    (HALF_N, HALF_N),
+    (HALF_N, 2),
+    (2, HALF_N + 1),
+    (0xC0FFEE, pow(0xC0FFEE, -1, _N)),
+    (0xC0FFEE, _N - pow(0xC0FFEE, -1, _N)),
+]
+
+
+class TestScalarMemo:
+    @pytest.mark.parametrize("d, e", MEMO_EDGE_PAIRS)
+    def test_edge_scalars_take_the_fixed_base_path(self, point_mults, d, e):
+        memo_ecdh_matches_kernel(d, e)
+        assert point_mults == []
+
+    @given(d=scalars, e=scalars)
+    @example(d=HALF_N, e=_N - 1)
+    @settings(max_examples=30, deadline=None)
+    def test_memo_matches_variable_base_mult(self, d, e):
+        memo_ecdh_matches_kernel(d, e)
+
+    def test_bounded_and_oldest_evicted_first(self, point_mults):
+        extra = 3
+        pairs = keypairs_gen(Random(43), crypto._SCALARS_MAX + extra)
+        points = [point_of(kp.pubkey) for kp in pairs]
+        assert list(crypto._scalars) == points[extra:]
+        for p, kp in zip(points[extra:], pairs[extra:]):
+            assert crypto._scalars[p] == int.from_bytes(kp.privkey, "big")
+        newest = keypair_gen(Random(44))
+        assert list(crypto._scalars) == points[extra + 1 :] + [point_of(newest.pubkey)]
+
+    def test_unrecorded_or_evicted_point_takes_the_kernel_once(self, point_mults):
+        rng = Random(45)
+        evicted = keypair_gen(rng)
+        keypairs_gen(rng, crypto._SCALARS_MAX)
+        foreign_priv = (0xFACADE).to_bytes(32, "big")
+        foreign_pub = pubkey_of_privkey(foreign_priv)
+        for priv, pub in ((evicted.privkey, evicted.pubkey), (foreign_priv, foreign_pub)):
+            assert point_of(pub) not in crypto._scalars
+            before = len(point_mults)
+            blob = ecies_encrypt(pub, b"share", rng)
+            assert point_mults[before:] == [point_of(pub)]
+            # the ephemeral point was drawn here, so opening the layer needs no GLV
+            assert ecies_decrypt(priv, blob) == b"share"
+            assert point_mults[before:] == [point_of(pub)]
+        keypairs_gen(rng, crypto._SCALARS_MAX)
+        before = len(point_mults)
+        assert ecies_decrypt(foreign_priv, blob) == b"share"
+        assert point_mults[before:] == [point_of(blob)]
+
+    def test_ephemeral_point_swapped_for_a_recorded_one_fails(self, point_mults):
+        rng = Random(46)
+        kp, other = keypair_gen(rng), keypair_gen(rng)
+        blob = ecies_encrypt(kp.pubkey, b"share", rng)
+        assert ecies_decrypt(kp.privkey, blob) == b"share"
+        for swapped in (other.pubkey, kp.pubkey):
+            assert point_of(swapped) in crypto._scalars
+            with pytest.raises(AuthenticationError):
+                ecies_decrypt(kp.privkey, swapped + blob[64:])
+        assert point_mults == []
+
+    def test_wrong_key_with_a_recorded_point_fails(self, point_mults):
+        rng = Random(47)
+        kp, wrong = keypair_gen(rng), keypair_gen(rng)
+        blob = ecies_encrypt(kp.pubkey, b"share", rng)
+        assert point_of(wrong.pubkey) in crypto._scalars and point_of(blob) in crypto._scalars
+        with pytest.raises(AuthenticationError):
+            ecies_decrypt(wrong.privkey, blob)
+        onion = onion_wrap(Share(1, 2, 0), [wrong.pubkey, kp.pubkey], rng)
+        with pytest.raises(AuthenticationError):
+            onion_peel(onion, wrong.privkey)
+        assert onion_peel(onion_peel(onion, kp.privkey), wrong.privkey).share() == Share(1, 2, 0)
+        assert point_mults == []
 
 
 def near(center, count, seed):
