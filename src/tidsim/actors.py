@@ -34,6 +34,7 @@ from .crypto import (
     Share,
     Signature,
     decode_parts,
+    ecies_opener,
     encode_parts,
     hash256,
     new_secret_key,
@@ -118,6 +119,7 @@ def peel_with_keys(onions: list[Onion], privkeys: list[bytes], memo: PeelMemo) -
     retired from the trials.
 
     For each layer the live keys are tried in this order:
+      0. the key `crypto.ecies_opener` says this process wrapped it for;
       1. the key `memo.opener` says opened it in an earlier peel;
       2. the key that opened a layer at the same layout position in this call;
       3. keys that have opened nothing yet in this call, in the given order;
@@ -125,18 +127,21 @@ def peel_with_keys(onions: list[Onion], privkeys: list[bytes], memo: PeelMemo) -
     Pass the same `PeelMemo` to every peel of one service's onions: a layer
     opened before then costs no decryption.
 
-    The order only decides how soon the opener is found, never which key
-    it is: a wrong key fails the AES-GCM tag, so exactly one usable scalar
-    opens each layer. A layout that does not hold (absent couriers, partial
-    key sets, reordered onions) only makes the hints miss, and the trial
-    falls through to every live key.
+    The order only decides how soon an opener is found, never what the peel
+    recovers. A key opens a layer only if its ECDH x equals the wrapping
+    one, and a wrong key fails the AES-GCM tag. The wrapping scalar d is not
+    the only such key: N - d gives the same x, so it derives the same AES
+    key and the same inner payload. So the order may decide which of the two
+    opens a layer, but not what is inside. A layout that does not hold
+    (absent couriers, partial key sets, reordered onions) only makes the
+    hints miss, and the trial falls through to every live key.
     """
     depth = max((onion.layers_remaining for onion in onions), default=0)
     opened = dict.fromkeys(privkeys, 0)  # layers opened in this call by each live key
     at_position: dict[int, bytes] = {}
 
     def candidates(payload: bytes, position: int):
-        for hint in (memo.opener.get(payload), at_position.get(position)):
+        for hint in (ecies_opener(payload, opened), memo.opener.get(payload), at_position.get(position)):
             if hint in opened:
                 yield hint
         yield from [key for key, count in opened.items() if not count]

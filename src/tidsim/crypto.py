@@ -19,7 +19,7 @@ import hashlib
 import hmac as _hmac
 from dataclasses import dataclass
 from random import Random
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -55,6 +55,7 @@ __all__ = [
     "sym_decrypt",
     "ecies_encrypt",
     "ecies_decrypt",
+    "ecies_opener",
     "ss_split",
     "ss_restore",
     "onion_wrap",
@@ -164,7 +165,10 @@ def decode_parts(data: bytes) -> list[bytes]:
 #
 # An ECDH d * E with E = e * G drawn in this process is (d * e mod N) * G,
 # one fixed-base multiplication instead of a GLV one (_shared_x; the
-# argument is at _scalars).
+# argument is at _scalars). ecies_encrypt records x((d * e mod N) * G) for
+# the product of each layer it wraps, so the key that opens the layer finds
+# its ECDH there and needs no multiplication, and ecies_opener names that
+# key before any trial decryption (the argument is at _products).
 # ---------------------------------------------------------------------------
 
 _P = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEFFFFFC2F
@@ -555,7 +559,9 @@ def _keypair(k: int, x: int, y: int) -> KeyPair:
     """The key pair of k, whose point (x, y) = k * G the caller just computed."""
     _remember(_scalars, _SCALARS_MAX, (x, y), k)
     pub = x.to_bytes(32, "big") + y.to_bytes(32, "big")
-    return KeyPair(k.to_bytes(32, "big"), pub, address_of_pubkey(pub))
+    address = address_of_pubkey(pub)
+    _remember(_addresses, _SCALARS_MAX, k, address)
+    return KeyPair(k.to_bytes(32, "big"), pub, address)
 
 
 # Every party of a run draws its keys in this process, and ecies_encrypt
@@ -568,8 +574,11 @@ def _keypair(k: int, x: int, y: int) -> KeyPair:
 # never 0. No scalar leaves the module and no caller can claim one for a
 # point; a foreign, unrecorded or evicted point only takes the slower
 # _jmul. Past _SCALARS_MAX entries the oldest insertion goes first.
+# _addresses maps the same scalars to their addresses, so sign() names its
+# signer without another multiplication.
 _SCALARS_MAX = 256
 _scalars: dict[tuple[int, int], int] = {}
+_addresses: dict[int, bytes] = {}
 
 
 def _remember(memo: dict, limit: int, key, value) -> None:
@@ -670,10 +679,10 @@ _SIGNERS_MAX = 1024
 _signers: dict[tuple[bytes, Signature], bytes] = {}
 
 
-# The address of the scalar sign() actually used, never one a caller names.
-@functools.lru_cache(maxsize=256)
 def _address_of_scalar(d: int) -> bytes:
-    return address_of_pubkey(pubkey_of_privkey(d.to_bytes(32, "big")))
+    """The address of the scalar sign() actually used, never one a caller names."""
+    address = _addresses.get(d)
+    return keypair_from_scalar(d).address if address is None else address
 
 
 def _recover_address(digest: bytes, sig: Signature) -> bytes:
@@ -730,11 +739,39 @@ def sym_decrypt(key: bytes, blob: bytes) -> bytes:
         raise AuthenticationError("wrong key or tampered ciphertext") from exc
 
 
-def _shared_x(d: int, x: int, y: int) -> int:
-    """The x of d * (x, y), for 1 <= d < N and (x, y) on secp256k1."""
+# A layer's ECDH x is x(m * G) for the product m = d * e mod N of the two
+# scalars, whichever side multiplies. ecies_encrypt, the only writer of
+# _products, records x(m * G) for each layer it wraps for a recorded
+# recipient point; the key that opens the layer computes the same m and
+# reads it back, so opening costs no multiplication. A hit is exact, since
+# the memo caches a pure function of m. And since only wrapping writes it,
+# ecies_opener can name the key whose product with a layer's ephemeral
+# scalar is there. That is a hint: it changes which key a trial peel tries
+# first, never what the peel returns, since the peel still runs
+# ecies_decrypt with its on-curve and AES-GCM tag checks. Each product is
+# written just after its ephemeral scalar enters _scalars and is reached
+# only through that scalar, so _PRODUCTS_MAX = _SCALARS_MAX keeps every
+# product that can still be read.
+_PRODUCTS_MAX = _SCALARS_MAX
+_products: dict[int, int] = {}
+
+
+def _shared_x(d: int, x: int, y: int, record: bool = False) -> int:
+    """The x of d * (x, y), for 1 <= d < N and (x, y) on secp256k1.
+
+    With `record` (ecies_encrypt only), a product computed here is kept in
+    _products.
+    """
     e = _scalars.get((x, y))
-    shared = _jmul(d, (x, y, 1)) if e is None else _jmul_base(d * e % _N)
-    return _to_affine(shared)[0]
+    if e is None:
+        return _to_affine(_jmul(d, (x, y, 1)))[0]
+    m = d * e % _N
+    sx = _products.get(m)
+    if sx is None:
+        sx = _to_affine(_jmul_base(m))[0]
+        if record:
+            _remember(_products, _PRODUCTS_MAX, m, sx)
+    return sx
 
 
 def ecies_encrypt(pubkey: bytes, plaintext: bytes, rng: Random) -> bytes:
@@ -750,7 +787,7 @@ def ecies_encrypt(pubkey: bytes, plaintext: bytes, rng: Random) -> bytes:
     if not _point_on_curve(px, py):
         raise ParameterError("pubkey not on curve")
     eph = keypair_gen(rng)
-    sx = _shared_x(int.from_bytes(eph.privkey, "big"), px, py)
+    sx = _shared_x(int.from_bytes(eph.privkey, "big"), px, py, record=True)
     sym = hash256(sx.to_bytes(32, "big"))
     nonce = rng.getrandbits(8 * _NONCE_SIZE).to_bytes(_NONCE_SIZE, "big")
     return eph.pubkey + nonce + AESGCM(sym).encrypt(nonce, plaintext, None)
@@ -773,6 +810,21 @@ def ecies_decrypt(privkey: bytes, blob: bytes) -> bytes:
         return AESGCM(sym).decrypt(nonce, blob[64 + _NONCE_SIZE :], None)
     except InvalidTag as exc:
         raise AuthenticationError("wrong key or tampered onion layer") from exc
+
+
+def ecies_opener(blob: bytes, privkeys: Iterable[bytes]) -> bytes | None:
+    """The first of `privkeys` this process wrapped `blob` for, or None.
+
+    A hint for trial decryption, one modular multiplication per key: the
+    key whose ECDH with the blob's ephemeral point ecies_encrypt recorded
+    (see _products). Only ecies_decrypt says whether a key opens the blob.
+    """
+    e = _scalars.get((int.from_bytes(blob[:32], "big"), int.from_bytes(blob[32:64], "big")))
+    if e is not None:
+        for key in privkeys:
+            if int.from_bytes(key, "big") * e % _N in _products:
+                return key
+    return None
 
 
 # ---------------------------------------------------------------------------

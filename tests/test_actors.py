@@ -249,7 +249,8 @@ class TestSignatureRecovery:
 
 
 class NeverStores(dict):
-    """A scalar memo that records nothing, so every ECDH takes the GLV multiplication."""
+    """A memo that records nothing: every ECDH takes the GLV multiplication,
+    and signing derives its signer's address from the scalar."""
 
     def __setitem__(self, key, value):
         pass
@@ -269,17 +270,64 @@ def jmul_calls(monkeypatch):
     return calls
 
 
+def replace_memos(monkeypatch, memo=dict):
+    """Give crypto fresh scalar, address and product memos of type `memo`."""
+    for name in ("_scalars", "_addresses", "_products"):
+        monkeypatch.setattr(crypto, name, memo())
+
+
 class TestSharedSecrets:
     @pytest.mark.parametrize("cfg", [ScenarioConfig(), ScenarioConfig(n=16, l=3, t=4, pool_size=20)])
     def test_in_process_runs_make_no_variable_base_multiplication(self, monkeypatch, jmul_calls, cfg):
         # every point a run multiplies was drawn in this process, so each ECDH
         # is one fixed-base multiplication by the product of two scalars
-        monkeypatch.setattr(crypto, "_scalars", {})
+        replace_memos(monkeypatch)
         assert run_scenario(cfg).status == "delivered_light"
         assert jmul_calls == []
 
+    @pytest.mark.parametrize("cfg", [ScenarioConfig(), ScenarioConfig(n=16, l=3, t=4, pool_size=20)])
+    def test_each_layer_is_decrypted_once(self, monkeypatch, decrypt_calls, cfg):
+        # the wrapping recorded each layer's ECDH product, so the trial peel
+        # tries the layer's opener first and no trial decryption misses
+        replace_memos(monkeypatch)
+        assert run_scenario(cfg).status == "delivered_light"
+        assert len(decrypt_calls) == cfg.n * cfg.l
+        assert all(ok for _, _, ok in decrypt_calls)
+        assert len({blob for _, blob, _ in decrypt_calls}) == cfg.n * cfg.l
+
+    def test_signing_multiplies_only_for_its_nonce(self, monkeypatch):
+        # key generation recorded every signer's address, so each signature
+        # costs one k*G, for its nonce
+        replace_memos(monkeypatch)
+        real_sign, real_base = crypto.sign, crypto._jmul_base
+        signatures = []
+        nonces = []
+        addresses = []
+
+        def counted_sign(privkey, digest):
+            signatures.append(digest)
+            return real_sign(privkey, digest)
+
+        def counted_base(k):
+            caller = frame = sys._getframe(1)
+            while frame is not None and frame.f_code is not real_sign.__code__:
+                frame = frame.f_back
+            if frame is caller:
+                nonces.append(k)
+            elif frame is not None:
+                addresses.append(k)
+            return real_base(k)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("tidsim") and getattr(module, "sign", None) is real_sign:
+                monkeypatch.setattr(module, "sign", counted_sign)
+        monkeypatch.setattr(crypto, "_jmul_base", counted_base)
+        assert run_scenario(ScenarioConfig()).status == "delivered_light"
+        assert signatures and len(nonces) == len(signatures)
+        assert addresses == []
+
     # Listed in the CI step that runs the golden traces in a fresh
-    # interpreter, so there the module's memo starts cold.
+    # interpreter, so there the module's memos start cold.
     @pytest.mark.parametrize(
         "cfg",
         [
@@ -294,7 +342,7 @@ class TestSharedSecrets:
     def test_same_trace_without_the_memo(self, monkeypatch, jmul_calls, cfg):
         with_memo = run_scenario(cfg).trace_hash()
         jmul_calls.clear()
-        monkeypatch.setattr(crypto, "_scalars", NeverStores())
+        replace_memos(monkeypatch, NeverStores)
         assert run_scenario(cfg).trace_hash() == with_memo
         # the strawman sends each courier a bare share, so it makes no ECDH at all
         assert bool(jmul_calls) == (cfg.mode != MODE_STRAWMAN)
@@ -733,6 +781,24 @@ class TestTrialPeel:
         onions = list(onions)
         order.shuffle(onions)  # the layout hints then miss and fall through
         assert peel_with_keys(onions, keys, PeelMemo()) == naive_peel(onions, keys)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_negated_keys_recover_the_same_shares(self, decrypt_calls, seed):
+        # N - d has the ECDH x of d, so both open d's layers; the layers are
+        # wrapped here, so the opener hint names d and no trial misses
+        onions, true_keys, junk = wire_onions(4, 2, 20 + seed)
+        negated = [(_N - int.from_bytes(k, "big")).to_bytes(32, "big") for k in true_keys]
+        for keys, openers in ((true_keys + negated[:2] + junk, true_keys), (negated + junk, negated)):
+            Random(seed).shuffle(keys)
+            decrypt_calls.clear()
+            shares = peel_with_keys(onions, keys, PeelMemo())
+            opened = [key for key, _, ok in decrypt_calls if ok]
+            missed = len(decrypt_calls) - len(opened)
+            assert sorted(shares) == [1, 2, 3, 4]
+            assert shares == naive_peel(onions, keys)
+            assert len(opened) == 8 and set(opened) == set(openers)
+            # the hint never names N - d, so without d the trial falls through
+            assert (missed == 0) == (openers is true_keys)
 
     def test_spent_key_is_never_tried_again(self, decrypt_calls):
         onions, true_keys, junk = LAYOUTS[(4, 2)]

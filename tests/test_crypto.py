@@ -43,6 +43,7 @@ from tidsim.crypto import (
     address_of_pubkey,
     ecies_decrypt,
     ecies_encrypt,
+    ecies_opener,
     encode_parts,
     hash256,
     keypair_from_scalar,
@@ -770,6 +771,80 @@ class TestScalarMemo:
             onion_peel(onion, wrong.privkey)
         assert onion_peel(onion_peel(onion, kp.privkey), wrong.privkey).share() == Share(1, 2, 0)
         assert point_mults == []
+
+
+@pytest.fixture
+def base_mults(monkeypatch):
+    """Every scalar that reached the fixed-base multiplication, from empty memos."""
+    calls = []
+    real = crypto._jmul_base
+
+    def counted(k):
+        calls.append(k)
+        return real(k)
+
+    for memo in ("_scalars", "_addresses", "_products"):
+        monkeypatch.setattr(crypto, memo, {})
+    monkeypatch.setattr(crypto, "_jmul_base", counted)
+    return calls
+
+
+def wrap_for(q, rng):
+    """A layer wrapped for q * G, and the product of q with its ephemeral scalar."""
+    blob = ecies_encrypt(keypair_from_scalar(q).pubkey, b"share", rng)
+    return blob, q * crypto._scalars[point_of(blob)] % _N
+
+
+class TestProductMemo:
+    @given(q=scalars, seed=st.integers(min_value=0, max_value=2**32))
+    @example(q=1, seed=0)
+    @example(q=_N - 1, seed=0)
+    @settings(max_examples=25, deadline=None)
+    def test_recorded_ecdh_matches_double_and_add(self, q, seed):
+        blob, m = wrap_for(q, Random(seed))
+        x, y = point_of(blob)
+        expected = _to_affine(reference_mul(q, (x, y, 1)))[0]
+        assert crypto._products[m] == expected
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(crypto, "_jmul_base", None)  # a multiplication would raise
+            assert crypto._shared_x(q, x, y) == expected
+
+    def test_bounded_and_oldest_evicted_first(self, base_mults):
+        rng = Random(48)
+        extra = 3
+        products = [wrap_for(1 + rng.randrange(_N - 1), rng)[1] for _ in range(crypto._PRODUCTS_MAX + extra)]
+        assert list(crypto._products) == products[extra:]
+        newest = wrap_for(0xC0FFEE, rng)[1]
+        assert list(crypto._products) == products[extra + 1 :] + [newest]
+
+    def test_wrong_key_outside_the_memo_fails(self, base_mults):
+        rng = Random(49)
+        kp, wrong = keypair_gen(rng), keypair_gen(rng)
+        blob = ecies_encrypt(kp.pubkey, b"share", rng)
+        assert int.from_bytes(wrong.privkey, "big") * crypto._scalars[point_of(blob)] % _N not in crypto._products
+        recorded = dict(crypto._products)
+        before = len(base_mults)
+        with pytest.raises(AuthenticationError):
+            ecies_decrypt(wrong.privkey, blob)
+        assert len(base_mults) == before + 1
+        assert crypto._products == recorded  # a trial decryption records nothing
+        before = len(base_mults)
+        assert ecies_decrypt(kp.privkey, blob) == b"share"
+        assert len(base_mults) == before
+
+    def test_opener_names_only_the_wrapping_key(self, base_mults):
+        rng = Random(50)
+        kp, other = keypair_gen(rng), keypair_gen(rng)
+        blob = ecies_encrypt(kp.pubkey, b"share", rng)
+        negated = (_N - int.from_bytes(kp.privkey, "big")).to_bytes(32, "big")
+        assert ecies_opener(blob, [other.privkey, negated, kp.privkey]) == kp.privkey
+        # N - d opens the layer too, but was not the key it was wrapped for
+        assert ecies_opener(blob, [other.privkey, negated]) is None
+        assert ecies_decrypt(negated, blob) == b"share"
+        foreign = pubkey_of_privkey((0xFACADE).to_bytes(32, "big"))
+        for swapped in (other.pubkey, foreign):
+            assert ecies_opener(swapped + blob[64:], [kp.privkey, other.privkey]) is None
+        assert ecies_opener(b"", [kp.privkey]) is None
 
 
 def near(center, count, seed):
