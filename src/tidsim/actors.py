@@ -39,7 +39,7 @@ from .crypto import (
     hash256,
     new_secret_key,
     onion_peel,
-    onion_wrap,
+    onions_wrap,
     recover_signer,
     sign,
     signed_by,
@@ -419,11 +419,12 @@ class SenderActor:
         return [self.selected[(share_index - 1 + j) % self.n] for j in range(self.l)]
 
     def _finish_recruitment(self):
-        self.onions = []
-        for share in ss_split(self.key, self.t, self.n, self.rng):
-            holders = self.layer_holders(share.index)
-            pubkeys = [m.timeframe_keys[self.timeframe_tick].pubkey for m in holders]
-            self.onions.append(onion_wrap(share, pubkeys, self.rng))
+        shares = ss_split(self.key, self.t, self.n, self.rng)
+        pubkeys = [
+            [m.timeframe_keys[self.timeframe_tick].pubkey for m in self.layer_holders(share.index)]
+            for share in shares
+        ]
+        self.onions = onions_wrap(shares, pubkeys, self.rng)
 
         onions_blob = encode_parts(*[o.wire_bytes() for o in self.onions])
         self.bus.broadcast(self.address, TAG_ONIONS + onions_blob)

@@ -271,19 +271,63 @@ def jmul_calls(monkeypatch):
 
 
 def replace_memos(monkeypatch, memo=dict):
-    """Give crypto fresh scalar, address and product memos of type `memo`."""
-    for name in ("_scalars", "_addresses", "_products"):
+    """Give crypto fresh scalar, address, product and look-ahead memos of type `memo`."""
+    for name in ("_scalars", "_addresses", "_products", "_ahead"):
         monkeypatch.setattr(crypto, name, memo())
 
 
 class TestSharedSecrets:
-    @pytest.mark.parametrize("cfg", [ScenarioConfig(), ScenarioConfig(n=16, l=3, t=4, pool_size=20)])
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            ScenarioConfig(),
+            ScenarioConfig(n=16, l=3, t=4, pool_size=20),
+            # the wrap's 150 ephemeral keys push recipients out of _scalars;
+            # their products were computed before, keyed by (e, recipient)
+            ScenarioConfig(n=50, l=3, t=25, pool_size=54),
+        ],
+    )
     def test_in_process_runs_make_no_variable_base_multiplication(self, monkeypatch, jmul_calls, cfg):
         # every point a run multiplies was drawn in this process, so each ECDH
         # is one fixed-base multiplication by the product of two scalars
         replace_memos(monkeypatch)
         assert run_scenario(cfg).status == "delivered_light"
         assert jmul_calls == []
+
+    def test_wrapping_is_one_batched_multiplication(self, monkeypatch):
+        # n * l = 30 layers: 30 ephemeral keys and 30 products in one batch,
+        # and sealing the layers multiplies nothing more
+        replace_memos(monkeypatch)
+        wrapping = []
+        batches = []
+        singles = []
+        real_wrap, real_batch, real_base = actors.onions_wrap, crypto._base_mul_batch, crypto._jmul_base
+
+        def traced_wrap(*args):
+            wrapping.append(True)
+            try:
+                return real_wrap(*args)
+            finally:
+                wrapping.pop()
+
+        def counted_batch(ks):
+            ks = list(ks)
+            if wrapping:
+                batches.append(len(ks))
+            return real_batch(ks)
+
+        def counted_base(k):
+            if wrapping:
+                singles.append(k)
+            return real_base(k)
+
+        monkeypatch.setattr(actors, "onions_wrap", traced_wrap)
+        monkeypatch.setattr(crypto, "_base_mul_batch", counted_batch)
+        monkeypatch.setattr(crypto, "_jmul_base", counted_base)
+        assert run_scenario(ScenarioConfig()).status == "delivered_light"
+        assert batches == [60]
+        assert singles == []
+        assert crypto._ahead == {}
 
     @pytest.mark.parametrize("cfg", [ScenarioConfig(), ScenarioConfig(n=16, l=3, t=4, pool_size=20)])
     def test_each_layer_is_decrypted_once(self, monkeypatch, decrypt_calls, cfg):

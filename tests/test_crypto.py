@@ -5,6 +5,7 @@ oracle written here in the test module, not against the library's own
 interpolation path.
 """
 
+import functools
 import itertools
 from random import Random
 
@@ -52,6 +53,7 @@ from tidsim.crypto import (
     new_secret_key,
     onion_peel,
     onion_wrap,
+    onions_wrap,
     pubkey_of_privkey,
     recover_signer,
     sign,
@@ -845,6 +847,109 @@ class TestProductMemo:
         for swapped in (other.pubkey, foreign):
             assert ecies_opener(swapped + blob[64:], [kp.privkey, other.privkey]) is None
         assert ecies_opener(b"", [kp.privkey]) is None
+
+
+RECIPIENT_KINDS = ("recorded", "never recorded", "evicted")
+
+
+@functools.cache
+def wrap_recipients():
+    """A full scalar memo and four recipient public keys of each kind.
+
+    The "evicted" keys are the memo's oldest entries, so the first ephemeral
+    keys a wrap draws push them out of _scalars; the "recorded" ones are its
+    newest, and the "never recorded" ones were never in it.
+    """
+    rng = Random(51)
+    old = keypairs_gen(rng, 4)
+    filler = keypairs_gen(rng, crypto._SCALARS_MAX - 8)
+    new = keypairs_gen(rng, 4)
+    memo = {point_of(kp.pubkey): int.from_bytes(kp.privkey, "big") for kp in old + filler + new}
+    foreign = [pubkey_of_privkey((0xFACADE + i).to_bytes(32, "big")) for i in range(4)]
+    pubkeys = {"evicted": [kp.pubkey for kp in old], "recorded": [kp.pubkey for kp in new], "never recorded": foreign}
+    return memo, pubkeys
+
+
+def wrap_from(memo, wrap, seed):
+    """wrap(rng) from a copy of `memo` and empty product and address memos:
+    its result or error, then rng's state and each memo's entries in order."""
+    rng = Random(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(crypto, "_scalars", dict(memo))
+        mp.setattr(crypto, "_products", {})
+        mp.setattr(crypto, "_addresses", {})
+        try:
+            out = wrap(rng)
+        except ParameterError as exc:
+            out = str(exc)
+        assert crypto._ahead == {}
+        memos = [list(getattr(crypto, name).items()) for name in ("_scalars", "_products", "_addresses")]
+    return out, rng.getstate(), memos
+
+
+def onion_wrap_loop(shares, layer_pubkeys):
+    return lambda rng: [onion_wrap(s, pks, rng) for s, pks in zip(shares, layer_pubkeys)]
+
+
+def batched(shares, layer_pubkeys):
+    return lambda rng: onions_wrap(shares, layer_pubkeys, rng)
+
+
+layouts = st.integers(min_value=1, max_value=4).flatmap(
+    lambda l: st.lists(
+        st.lists(st.tuples(st.sampled_from(RECIPIENT_KINDS), st.integers(0, 3)), min_size=l, max_size=l),
+        min_size=1,
+        max_size=8,
+    )
+)
+
+
+class TestOnionsWrap:
+    @given(layout=layouts, seed=st.integers(min_value=0, max_value=2**32))
+    @example(layout=[[("evicted", i) for i in range(4)]] * 8, seed=0)
+    @settings(max_examples=20, deadline=None)
+    def test_equals_the_onion_wrap_loop(self, layout, seed):
+        # same onions, same draws, and the memos filled in the same order,
+        # whether a recipient is recorded, never recorded, or pushed out of
+        # _scalars by the wrap's own ephemeral keys
+        memo, pubkeys = wrap_recipients()
+        shares = [Share(i + 1, 1000 + i) for i in range(len(layout))]
+        layer_pubkeys = [[pubkeys[kind][i] for kind, i in layers] for layers in layout]
+        expected = wrap_from(memo, onion_wrap_loop(shares, layer_pubkeys), seed)
+        assert wrap_from(memo, batched(shares, layer_pubkeys), seed) == expected
+        assert all(isinstance(onion, Onion) for onion in expected[0])
+
+    def test_recipients_the_wrap_evicts_take_no_variable_base_multiplication(self, point_mults):
+        memo, pubkeys = wrap_recipients()
+        shares = [Share(i, i) for i in (1, 2, 3)]
+        layer_pubkeys = [pubkeys["evicted"][:3]] * 3
+        wrap_from(memo, onion_wrap_loop(shares, layer_pubkeys), 52)
+        assert len(point_mults) == 9  # the first ephemeral keys evict each recipient before its first ECDH
+        point_mults.clear()
+        wrap_from(memo, batched(shares, layer_pubkeys), 52)
+        assert point_mults == []
+
+    @pytest.mark.parametrize(
+        "bad",
+        [b"\x01" * 63, (1).to_bytes(32, "big") * 2, None],
+        ids=["63_bytes", "off_curve", "no_keys"],
+    )
+    def test_raises_what_the_loop_raises_after_the_same_draws(self, bad):
+        memo, pubkeys = wrap_recipients()
+        good = pubkeys["recorded"][:3]
+        third = [] if bad is None else [good[0], bad, good[1]]
+        shares = [Share(i, i) for i in (1, 2, 3, 4)]
+        layer_pubkeys = [good, good, third, good]
+        expected = wrap_from(memo, onion_wrap_loop(shares, layer_pubkeys), 53)
+        assert isinstance(expected[0], str)
+        assert wrap_from(memo, batched(shares, layer_pubkeys), 53) == expected
+
+    def test_one_key_list_per_share(self):
+        rng = Random(54)
+        state = rng.getstate()
+        with pytest.raises(ParameterError, match="one wrapping-key list per share"):
+            onions_wrap([Share(1, 1)], [], rng)
+        assert rng.getstate() == state
 
 
 def near(center, count, seed):
