@@ -34,7 +34,7 @@ from .crypto import (
     Share,
     Signature,
     decode_parts,
-    ecies_opener,
+    ecies_openers,
     encode_parts,
     hash256,
     new_secret_key,
@@ -99,60 +99,26 @@ class PeelMemo:
 
     `tried` maps (layer payload, key) to the inner payload, or to None for a
     key that does not open that layer, so no pair is decrypted twice.
-    `opener` maps a layer payload to the one key that opened it.
     """
 
     tried: dict[tuple[bytes, bytes], Optional[bytes]] = field(default_factory=dict)
-    opener: dict[bytes, bytes] = field(default_factory=dict)
 
 
 def peel_with_keys(onions: list[Onion], privkeys: list[bytes], memo: PeelMemo) -> dict[int, Share]:
-    """Trial-decrypt onions layer by layer with every key on hand.
+    """Trial-decrypt onions layer by layer with the keys on hand.
 
-    `onions` must be one service's onions as broadcast, each still wrapped
-    in all l layers. `SenderActor.layer_holders` fixes a cyclic layout: the
-    layer with r layers left in onion k (0-based, broadcast order) is
-    wrapped by the holder at selection position k + r - 1 (mod n). So each
-    timeframe key wraps one layer in each of exactly l onions (`validate()`
-    keeps l <= n): the key that opened step j of onion k-1 opens step j+1
-    of onion k, and a key that has opened l layers can open no other and is
-    retired from the trials.
-
-    For each layer the live keys are tried in this order:
-      0. the key `crypto.ecies_opener` says this process wrapped it for;
-      1. the key `memo.opener` says opened it in an earlier peel;
-      2. the key that opened a layer at the same layout position in this call;
-      3. keys that have opened nothing yet in this call, in the given order;
-      4. the remaining live keys.
-    Pass the same `PeelMemo` to every peel of one service's onions: a layer
-    opened before then costs no decryption.
-
-    The order only decides how soon an opener is found, never what the peel
-    recovers. A key opens a layer only if its ECDH x equals the wrapping
-    one, and a wrong key fails the AES-GCM tag. The wrapping scalar d is not
-    the only such key: N - d gives the same x, so it derives the same AES
-    key and the same inner payload. So the order may decide which of the two
-    opens a layer, but not what is inside. A layout that does not hold
-    (absent couriers, partial key sets, reordered onions) only makes the
-    hints miss, and the trial falls through to every live key.
+    Each layer is tried with the keys `crypto.ecies_openers` names: for a
+    layer wrapped in the current `crypto.scope()`, only the keys that open
+    it, else every key. A wrong key fails the AES-GCM tag, so the keys tried
+    decide only the cost, never what the peel recovers. Pass the same
+    `PeelMemo` to every peel of one service's onions: a pair tried before
+    costs no decryption.
     """
-    depth = max((onion.layers_remaining for onion in onions), default=0)
-    opened = dict.fromkeys(privkeys, 0)  # layers opened in this call by each live key
-    at_position: dict[int, bytes] = {}
-
-    def candidates(payload: bytes, position: int):
-        for hint in (ecies_opener(payload, opened), memo.opener.get(payload), at_position.get(position)):
-            if hint in opened:
-                yield hint
-        yield from [key for key, count in opened.items() if not count]
-        yield from [key for key, count in opened.items() if count]
-
     recovered: dict[int, Share] = {}
-    for k, onion in enumerate(onions):
+    for onion in onions:
         current = onion
         while current.layers_remaining:
-            position = (k + current.layers_remaining - 1) % len(onions)
-            for key in candidates(current.payload, position):
+            for key in ecies_openers(current.payload, privkeys):
                 slot = (current.payload, key)
                 if slot not in memo.tried:
                     try:
@@ -160,15 +126,10 @@ def peel_with_keys(onions: list[Onion], privkeys: list[bytes], memo: PeelMemo) -
                     except AuthenticationError:
                         memo.tried[slot] = None
                 if memo.tried[slot] is not None:
+                    current = Onion(current.layers_remaining - 1, memo.tried[slot])
                     break
             else:
                 break
-            memo.opener[current.payload] = key
-            at_position[position] = key
-            current = Onion(current.layers_remaining - 1, memo.tried[slot])
-            opened[key] += 1
-            if opened[key] == depth:
-                del opened[key]
         if current.layers_remaining == 0:
             share = current.share()
             recovered[share.index] = share

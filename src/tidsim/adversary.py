@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Optional
 
 from .actors import POLICY_BRIBERABLE, peel_with_keys
 from .analysis import AnalysisError, _check_group, _chunks
-from .crypto import ss_restore
+from .crypto import scope, ss_restore
 from .scenario import ConfigError, FAULT_POLICIES, ScenarioConfig, ScenarioRunner, ScenarioTrace
 
 if TYPE_CHECKING:  # numpy is imported where used, so importing tidsim does not load it
@@ -65,53 +65,54 @@ def run_bribery(
     pays per (share, layer) bait contract; blind, it bribes registrants in
     a uniformly random order until it can restore or has tried them all.
     """
-    runner = ScenarioRunner(config)
-    runner.build_marketplace()
-    runner.sender.setup()
-    runner.sender.recruit(runner.pool, config.selection_override)
-    cfg = runner.config
-    d = cfg.deposit_wei
+    with scope():  # one run's keys, signatures and layers, see crypto.scope
+        runner = ScenarioRunner(config)
+        runner.build_marketplace()
+        runner.sender.setup()
+        runner.sender.recruit(runner.pool, config.selection_override)
+        cfg = runner.config
+        d = cfg.deposit_wei
 
-    purchases: list[tuple[int, str]] = []  # (share index or 0, seller)
-    keys: dict[bytes, bool] = {}
-    sellers: set[bytes] = set()
+        purchases: list[tuple[int, str]] = []  # (share index or 0, seller)
+        keys: dict[bytes, bool] = {}
+        sellers: set[bytes] = set()
 
-    def try_buy(mailman, share_index: int) -> bool:
-        if mailman.policy != POLICY_BRIBERABLE or bribe_per_key <= d:
-            return False
-        purchases.append((share_index, mailman.address.hex()))
-        sellers.add(mailman.address)
-        keys[mailman.timeframe_keys[cfg.timeframe_tick].privkey] = True
-        return True
+        def try_buy(mailman, share_index: int) -> bool:
+            if mailman.policy != POLICY_BRIBERABLE or bribe_per_key <= d:
+                return False
+            purchases.append((share_index, mailman.address.hex()))
+            sellers.add(mailman.address)
+            keys[mailman.timeframe_keys[cfg.timeframe_tick].privkey] = True
+            return True
 
-    if know_identities:
-        for share_index in disjoint_targets(cfg.t, cfg.l, cfg.n):
-            for holder in runner.sender.layer_holders(share_index):
-                try_buy(holder, share_index)
-    else:
-        order = list(runner.pool)
-        runner.rng.shuffle(order)
-        for mailman in order:
-            try_buy(mailman, 0)
-            shares = peel_with_keys(runner.sender.onions, list(keys), runner.peel_memo)
-            if len(shares) >= cfg.t:
-                break
+        if know_identities:
+            for share_index in disjoint_targets(cfg.t, cfg.l, cfg.n):
+                for holder in runner.sender.layer_holders(share_index):
+                    try_buy(holder, share_index)
+        else:
+            order = list(runner.pool)
+            runner.rng.shuffle(order)
+            for mailman in order:
+                try_buy(mailman, 0)
+                shares = peel_with_keys(runner.sender.onions, list(keys), runner.peel_memo)
+                if len(shares) >= cfg.t:
+                    break
 
-    shares = peel_with_keys(runner.sender.onions, list(keys), runner.peel_memo)
-    recovered = False
-    if len(shares) >= cfg.t:
-        recovered = ss_restore(list(shares.values()), cfg.t) == runner.sender.key
-    return AttackOutcome(
-        shares_obtained=len(shares),
-        key_recovered=recovered,
-        total_spent=len(purchases) * bribe_per_key,
-        deposits_forfeited=len(sellers) * d,
-        trace={
-            "purchases": purchases,
-            "selected": [m.address.hex() for m in runner.sender.selected],
-            "know_identities": know_identities,
-        },
-    )
+        shares = peel_with_keys(runner.sender.onions, list(keys), runner.peel_memo)
+        recovered = False
+        if len(shares) >= cfg.t:
+            recovered = ss_restore(list(shares.values()), cfg.t) == runner.sender.key
+        return AttackOutcome(
+            shares_obtained=len(shares),
+            key_recovered=recovered,
+            total_spent=len(purchases) * bribe_per_key,
+            deposits_forfeited=len(sellers) * d,
+            trace={
+                "purchases": purchases,
+                "selected": [m.address.hex() for m in runner.sender.selected],
+                "know_identities": know_identities,
+            },
+        )
 
 
 def blind_bribery_trials(

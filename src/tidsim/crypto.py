@@ -14,6 +14,7 @@ real 256-bit cryptographic primitive with detectable tampering.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import hmac as _hmac
@@ -55,12 +56,13 @@ __all__ = [
     "sym_decrypt",
     "ecies_encrypt",
     "ecies_decrypt",
-    "ecies_opener",
+    "ecies_openers",
     "ss_split",
     "ss_restore",
     "onion_wrap",
     "onions_wrap",
     "onion_peel",
+    "scope",
     "DEFAULT_SHARE_PRIME",
     "SMALL_TEST_PRIME",
 ]
@@ -166,14 +168,15 @@ def decode_parts(data: bytes) -> list[bytes]:
 #
 # An ECDH d * E with E = e * G drawn in this process is (d * e mod N) * G,
 # one fixed-base multiplication instead of a GLV one (_shared_x; the
-# argument is at _scalars). ecies_encrypt records x((d * e mod N) * G) for
-# the product of each layer it wraps, so the key that opens the layer finds
-# its ECDH there and needs no multiplication, and ecies_opener names that
-# key before any trial decryption (the argument is at _products).
-# onions_wrap learns every layer's ephemeral scalar before it wraps, so it
-# computes all of a service's ephemeral keys and products in one
-# _base_mul_batch and leaves them in _ahead for the unchanged per-layer path
-# to read (the argument is at _ahead).
+# argument is at _scalars). ecies_encrypt records each layer it wraps for an
+# in-process point q * G with q and the layer's ECDH x, so ecies_openers
+# names exactly the keys that open the layer and they open it without a
+# multiplication (the argument is at _layers). onions_wrap learns every
+# layer's ephemeral scalar before it wraps, so it computes all of a
+# service's ephemeral keys and ECDH products in one _base_mul_batch and
+# leaves them in _ahead for the unchanged per-layer path to read (the
+# argument is at _ahead). The memos live for one scope(): a scenario run is
+# one, and outside any scope they record nothing.
 # ---------------------------------------------------------------------------
 
 _P = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEFFFFFC2F
@@ -284,9 +287,9 @@ def _glv_split(k):
 
 
 # Only the recovery of a foreign signature and an ECDH with a point missing
-# from _scalars reach _jmul (see _shared_x). Such points recur when a run
-# has more keys than _scalars holds: each evicted courier key wraps one
-# layer per share it carries, so the tables of the last few points are kept.
+# from _scalars (a foreign point, or any point outside a scope) reach _jmul
+# (see _shared_x). A courier key wraps one layer per share it carries, so
+# the tables of the last few points are kept.
 @functools.lru_cache(maxsize=32)
 def _odd_multiples(p):
     """Affine d * p and d * phi(p) for odd d in [-15, 15], as two 32-slot tuples.
@@ -576,10 +579,10 @@ def keypairs_gen(rng: Random, count: int) -> list[KeyPair]:
 
 def _keypair(k: int, x: int, y: int) -> KeyPair:
     """The key pair of k, whose point (x, y) = k * G the caller just computed."""
-    _remember(_scalars, _SCALARS_MAX, (x, y), k)
+    _scalars[x, y] = k
     pub = x.to_bytes(32, "big") + y.to_bytes(32, "big")
     address = address_of_pubkey(pub)
-    _remember(_addresses, _SCALARS_MAX, k, address)
+    _addresses[k] = address
     return KeyPair(k.to_bytes(32, "big"), pub, address)
 
 
@@ -591,20 +594,41 @@ def _keypair(k: int, x: int, y: int) -> KeyPair:
 # this module computed it as e*G, so d*E = d*(e*G) = (d*e mod N)*G for
 # every d, and with N prime and d, e in [1, N) the product d*e mod N is
 # never 0. No scalar leaves the module and no caller can claim one for a
-# point; a foreign, unrecorded or evicted point only takes the slower
-# _jmul. Past _SCALARS_MAX entries the oldest insertion goes first.
-# _addresses maps the same scalars to their addresses, so sign() names its
-# signer without another multiplication.
-_SCALARS_MAX = 256
-_scalars: dict[tuple[int, int], int] = {}
-_addresses: dict[int, bytes] = {}
+# point; a foreign point, or one drawn outside the current scope, only
+# takes the slower _jmul. _addresses maps the same scalars to their
+# addresses, so sign() names its signer without another multiplication.
+# Like _signers and _layers below, both live for one scope(): a scenario
+# run records every key it draws and frees them all when it ends.
 
 
-def _remember(memo: dict, limit: int, key, value) -> None:
-    """memo[key] = value, first dropping the oldest insertion if memo holds limit entries."""
-    if len(memo) >= limit:
-        del memo[next(iter(memo))]
-    memo[key] = value
+class _RecordsNothing(dict):
+    """The memos outside any scope(): every lookup misses and every write is dropped."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+_UNSCOPED = _RecordsNothing()
+_scalars: dict[tuple[int, int], int] = _UNSCOPED
+_addresses: dict[int, bytes] = _UNSCOPED
+
+
+@contextlib.contextmanager
+def scope():
+    """Give _scalars, _addresses, _signers and _layers the lifetime of a with block.
+
+    The block starts from empty memos. On exit the enclosing block's memos
+    are back in place (outside any block, memos that record nothing), so
+    what the block recorded is freed with it. Every function of this module
+    returns the same inside a scope or out; only its cost differs.
+    """
+    global _scalars, _addresses, _signers, _layers
+    outer = _scalars, _addresses, _signers, _layers
+    _scalars, _addresses, _signers, _layers = {}, {}, {}, {}
+    try:
+        yield
+    finally:
+        _scalars, _addresses, _signers, _layers = outer
 
 
 @dataclass(frozen=True)
@@ -658,7 +682,7 @@ def sign(privkey: bytes, digest: bytes) -> Signature:
         if s == 0:
             continue
         sig = Signature(ry & 1, r, s)
-        _remember(_signers, _SIGNERS_MAX, (bytes(digest), sig), _address_of_scalar(d))
+        _signers[bytes(digest), sig] = _address_of_scalar(d)
         return sig
 
 
@@ -671,7 +695,7 @@ def recover_signer(digest: bytes, sig: Signature) -> bytes:
     address = _signers.get(key)
     if address is None:
         address = _recover_address(*key)
-        _remember(_signers, _SIGNERS_MAX, key, address)
+        _signers[key] = address
     return address
 
 
@@ -686,16 +710,15 @@ def signed_by(digest: bytes, sig_bytes: bytes, address: bytes) -> bool:
 
 # Every party of a run signs in this process, so sign() records each
 # signature's signer in _signers and recover_signer() answers it by lookup;
-# only a foreign, tampered or malformed signature, or one evicted from the
-# memo, reaches the curve arithmetic of _recover_address. The lookup is
-# exact, not a guess: sign returns (v, r, s) only when R = k*G has x = r < N
-# and y parity v, so the recovery Q = r^-1 * (s*R - z*G) (SEC 1 v2.0,
-# 4.1.6) equals r^-1 * ((z + r*d)*G - z*G) = d*G for every digest z. The
-# memo also serves every courier and contract that re-recovers the same few
-# signatures of a service. A failed recovery raises and so is never stored.
-# Past _SIGNERS_MAX entries the oldest insertion goes first.
-_SIGNERS_MAX = 1024
-_signers: dict[tuple[bytes, Signature], bytes] = {}
+# only a foreign, tampered or malformed signature, or one made outside the
+# current scope, reaches the curve arithmetic of _recover_address. The
+# lookup is exact, not a guess: sign returns (v, r, s) only when R = k*G has
+# x = r < N and y parity v, so the recovery Q = r^-1 * (s*R - z*G) (SEC 1
+# v2.0, 4.1.6) equals r^-1 * ((z + r*d)*G - z*G) = d*G for every digest z.
+# The memo also serves every courier and contract that re-recovers the same
+# few signatures of a service. A failed recovery raises and so is never
+# stored.
+_signers: dict[tuple[bytes, Signature], bytes] = _UNSCOPED
 
 
 def _address_of_scalar(d: int) -> bytes:
@@ -763,55 +786,42 @@ def sym_decrypt(key: bytes, blob: bytes) -> bytes:
         raise AuthenticationError("wrong key or tampered ciphertext") from exc
 
 
-# A layer's ECDH x is x(m * G) for the product m = d * e mod N of the two
-# scalars, whichever side multiplies. ecies_encrypt, the only writer of
-# _products, records x(m * G) for each layer it wraps for a recorded
-# recipient point, whether it computed m * G itself or read it from _ahead;
-# the key that opens the layer computes the same m and reads it back, so
-# opening costs no multiplication. A hit is exact, since the memo caches a
-# pure function of m. And since only wrapping writes it, ecies_opener can
-# name the key whose product with a layer's ephemeral scalar is there. That
-# is a hint: it changes which key a trial peel tries first, never what the
-# peel returns, since the peel still runs ecies_decrypt with its on-curve
-# and AES-GCM tag checks. Each product is written just after its ephemeral
-# scalar enters _scalars and is reached only through that scalar, so
-# _PRODUCTS_MAX = _SCALARS_MAX keeps every product that can still be read.
-_PRODUCTS_MAX = _SCALARS_MAX
-_products: dict[int, int] = {}
+# One record per layer that ecies_encrypt wraps for a point Q = q * G in
+# _scalars: q and the layer's ECDH x = x(e * Q), under the layer's ephemeral
+# point and AES-GCM tag (_layer_key). The point alone would not do: two wraps
+# from equal rng states draw the same ephemeral key for different
+# recipients. For the ephemeral point E, of prime order N, x(d * E) equals
+# x(q * E) iff d = +-q mod N, so q and N - q are the only keys that derive
+# the layer's AES key; any other fails the AES-GCM tag. ecies_openers names
+# those two, and ecies_decrypt reads their ECDH x from the record, which is
+# exact: the record's key holds E, the point its x was computed for. A
+# tampered body under a recorded point and tag still fails the tag check.
+_layers: dict[bytes, tuple[int, int]] = _UNSCOPED
 
 # The look-ahead of onions_wrap. A service's wrap draws each layer's
 # ephemeral scalar e and then its nonce from one rng, so a copy of that rng
 # names every e before the first layer is sealed. onions_wrap multiplies,
 # in one _base_mul_batch, each e and each product e * q for a recipient
-# point Q = q * G found in _scalars, and keeps the affine points here: e
-# under the key e, and e * Q = (e * q mod N) * G under the key (e, Qx, Qy).
-# _base_point and _shared_x read them before any multiplication of their
-# own. A hit is exact: every entry is the pure function of its key that the
-# reader would compute, so a mispredicted draw costs a miss, never a wrong
-# point. A product stays keyed by (e, Q), not by _scalars, so a recipient
-# that the wrap's own ephemeral keys push out of _scalars still finds it.
-# onions_wrap empties the memo when it returns or raises, so it holds at
-# most 2 * n * l points, and only during one call.
-_ahead: dict[int | tuple[int, int, int], tuple[int, int]] = {}
+# point Q = q * G found in _scalars, and keeps each affine k * G here under
+# k. _base_point reads them before any multiplication of its own, and
+# _shared_x computes e * Q as (e * q mod N) * G through it. A hit is exact:
+# every entry is k * G for its key k, so a mispredicted draw costs a miss,
+# never a wrong point. onions_wrap empties the memo when it returns or
+# raises, so it holds at most 2 * n * l points, and only during one call.
+_ahead: dict[int, tuple[int, int]] = {}
 
 
-def _shared_x(d: int, x: int, y: int, record: bool = False) -> int:
-    """The x of d * (x, y), for 1 <= d < N and (x, y) on secp256k1.
-
-    With `record` (ecies_encrypt only), a product not yet in _products is
-    kept there.
-    """
-    ahead = _ahead.get((d, x, y))
+def _shared_x(d: int, x: int, y: int) -> int:
+    """The x of d * (x, y), for 1 <= d < N and (x, y) on secp256k1."""
     e = _scalars.get((x, y))
     if e is None:
-        return _to_affine(_jmul(d, (x, y, 1)))[0] if ahead is None else ahead[0]
-    m = d * e % _N
-    sx = _products.get(m)
-    if sx is None:
-        sx = _to_affine(_jmul_base(m))[0] if ahead is None else ahead[0]
-        if record:
-            _remember(_products, _PRODUCTS_MAX, m, sx)
-    return sx
+        return _to_affine(_jmul(d, (x, y, 1)))[0]
+    return _base_point(d * e % _N)[0]
+
+
+def _layer_key(blob: bytes) -> bytes:
+    """A layer's ephemeral point and AES-GCM tag, which name it in _layers."""
+    return blob[:64] + blob[-16:]
 
 
 def ecies_encrypt(pubkey: bytes, plaintext: bytes, rng: Random) -> bytes:
@@ -827,10 +837,14 @@ def ecies_encrypt(pubkey: bytes, plaintext: bytes, rng: Random) -> bytes:
     if not _point_on_curve(px, py):
         raise ParameterError("pubkey not on curve")
     eph = keypair_gen(rng)
-    sx = _shared_x(int.from_bytes(eph.privkey, "big"), px, py, record=True)
+    sx = _shared_x(int.from_bytes(eph.privkey, "big"), px, py)
     sym = hash256(sx.to_bytes(32, "big"))
     nonce = _draw_nonce(rng)
-    return eph.pubkey + nonce + AESGCM(sym).encrypt(nonce, plaintext, None)
+    blob = eph.pubkey + nonce + AESGCM(sym).encrypt(nonce, plaintext, None)
+    q = _scalars.get((px, py))
+    if q is not None:
+        _layers[_layer_key(blob)] = q, sx
+    return blob
 
 
 def ecies_decrypt(privkey: bytes, blob: bytes) -> bytes:
@@ -844,7 +858,12 @@ def ecies_decrypt(privkey: bytes, blob: bytes) -> bytes:
     if not 1 <= d < _N:
         # an unusable scalar can never open a layer; report it the same way
         raise AuthenticationError("private scalar out of range")
-    sym = hash256(_shared_x(d, ex, ey).to_bytes(32, "big"))
+    record = _layers.get(_layer_key(blob))
+    if record is not None and d in (record[0], _N - record[0]):
+        sx = record[1]
+    else:
+        sx = _shared_x(d, ex, ey)
+    sym = hash256(sx.to_bytes(32, "big"))
     nonce = blob[64 : 64 + _NONCE_SIZE]
     try:
         return AESGCM(sym).decrypt(nonce, blob[64 + _NONCE_SIZE :], None)
@@ -852,19 +871,19 @@ def ecies_decrypt(privkey: bytes, blob: bytes) -> bytes:
         raise AuthenticationError("wrong key or tampered onion layer") from exc
 
 
-def ecies_opener(blob: bytes, privkeys: Iterable[bytes]) -> bytes | None:
-    """The first of `privkeys` this process wrapped `blob` for, or None.
+def ecies_openers(blob: bytes, privkeys: Iterable[bytes]) -> list[bytes]:
+    """The keys of `privkeys` that can open `blob`, in the order to try them.
 
-    A hint for trial decryption, one modular multiplication per key: the
-    key whose ECDH with the blob's ephemeral point ecies_encrypt recorded
-    (see _products). Only ecies_decrypt says whether a key opens the blob.
+    For a layer ecies_encrypt wrapped in this scope for a point q * G, those
+    are the keys equal to q, then those equal to N - q (see _layers); for
+    any other layer, every key. It compares scalars and multiplies nothing.
     """
-    e = _scalars.get((int.from_bytes(blob[:32], "big"), int.from_bytes(blob[32:64], "big")))
-    if e is not None:
-        for key in privkeys:
-            if int.from_bytes(key, "big") * e % _N in _products:
-                return key
-    return None
+    privkeys = list(privkeys)
+    record = _layers.get(_layer_key(blob))
+    if record is None:
+        return privkeys
+    q = record[0]
+    return [key for want in (q, _N - q) for key in privkeys if int.from_bytes(key, "big") == want]
 
 
 # ---------------------------------------------------------------------------
@@ -1036,21 +1055,18 @@ def onions_wrap(shares: Sequence[Share], layer_pubkeys: Sequence[Sequence[bytes]
     # reject costs only points nobody reads, since the wrap raises there
     ahead = Random()
     ahead.setstate(rng.getstate())
-    keys, ks = [], []
+    ks = []
     for pubkeys in layer_pubkeys:
         for pk in pubkeys:
             e = _draw_scalar(ahead)
             _draw_nonce(ahead)
-            keys.append(e)
             ks.append(e)
-            qx, qy = int.from_bytes(pk[:32], "big"), int.from_bytes(pk[32:], "big")
-            q = _scalars.get((qx, qy))
-            if q is not None and (m := e * q % _N) not in _products:
-                keys.append((e, qx, qy))
-                ks.append(m)
+            q = _scalars.get((int.from_bytes(pk[:32], "big"), int.from_bytes(pk[32:], "big")))
+            if q is not None:
+                ks.append(e * q % _N)
     try:
-        for key, point in zip(keys, _base_mul_batch(ks)):
-            _ahead[key] = point
+        for k, point in zip(ks, _base_mul_batch(ks)):
+            _ahead[k] = point
         return [onion_wrap(share, pubkeys, rng) for share, pubkeys in zip(shares, layer_pubkeys)]
     finally:
         _ahead.clear()

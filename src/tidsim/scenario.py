@@ -48,6 +48,7 @@ from .crypto import (
     hash256,
     keypairs_gen,
     new_secret_key,
+    scope,
     ss_restore,
     ss_split,
     sym_encrypt,
@@ -420,17 +421,18 @@ class ScenarioRunner:
     # -- the run -----------------------------------------------------------------
 
     def run(self) -> ScenarioTrace:
-        self.build_marketplace()
-        if self.config.mode == MODE_STRAWMAN:
-            self._run_strawman()
-        else:
-            self._run_silent()
-        pre_state = self.ledger.onchain_state(include_callers=False)
-        pre_digest = self.ledger.state_digest(pre_state)
-        if self.config.withdraw_at_end:
-            self._settlement_phase()
-        self.ledger.audit()
-        return self._build_trace(pre_state, pre_digest)
+        with scope():  # the run's keys, signatures and layers, see crypto.scope
+            self.build_marketplace()
+            if self.config.mode == MODE_STRAWMAN:
+                self._run_strawman()
+            else:
+                self._run_silent()
+            pre_state = self.ledger.onchain_state(include_callers=False)
+            pre_digest = self.ledger.state_digest(pre_state)
+            if self.config.withdraw_at_end:
+                self._settlement_phase()
+            self.ledger.audit()
+            return self._build_trace(pre_state, pre_digest)
 
     def _run_silent(self):
         cfg = self.config

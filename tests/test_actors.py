@@ -1,6 +1,7 @@
 """End-to-end behavior tests: recruitment, the dual-mode epoch driver,
 strawman comparison runs, secrecy, and rationality."""
 
+import contextlib
 import gc
 import json
 import sys
@@ -228,8 +229,9 @@ class TestRecruitment:
 
 class TestSignatureRecovery:
     def test_only_the_tampered_package_reaches_recovery(self, monkeypatch):
-        # every party signs in this process, so its signatures are answered
-        # from the memo sign() fills; only the flipped package is foreign
+        # every party signs in the run's scope, so its signatures are
+        # answered from the memo sign() fills; only the flipped package is
+        # foreign
         real = crypto._recover_address
         kernel = []
 
@@ -239,7 +241,6 @@ class TestSignatureRecovery:
 
         monkeypatch.setattr(crypto, "_recover_address", counted)
         for tamper, recoveries in ((False, 0), (True, 1)):
-            monkeypatch.setattr(crypto, "_signers", {})
             kernel.clear()
             runner = ScenarioRunner(ScenarioConfig(tamper_package=tamper))
             trace = runner.run()
@@ -249,8 +250,8 @@ class TestSignatureRecovery:
 
 
 class NeverStores(dict):
-    """A memo that records nothing: every ECDH takes the GLV multiplication,
-    and signing derives its signer's address from the scalar."""
+    """A look-ahead that records nothing: the wrap multiplies each layer's
+    ephemeral key on its own."""
 
     def __setitem__(self, key, value):
         pass
@@ -270,34 +271,24 @@ def jmul_calls(monkeypatch):
     return calls
 
 
-def replace_memos(monkeypatch, memo=dict):
-    """Give crypto fresh scalar, address, product and look-ahead memos of type `memo`."""
-    for name in ("_scalars", "_addresses", "_products", "_ahead"):
-        monkeypatch.setattr(crypto, name, memo())
-
-
 class TestSharedSecrets:
     @pytest.mark.parametrize(
         "cfg",
         [
             ScenarioConfig(),
             ScenarioConfig(n=16, l=3, t=4, pool_size=20),
-            # the wrap's 150 ephemeral keys push recipients out of _scalars;
-            # their products were computed before, keyed by (e, recipient)
             ScenarioConfig(n=50, l=3, t=25, pool_size=54),
         ],
     )
-    def test_in_process_runs_make_no_variable_base_multiplication(self, monkeypatch, jmul_calls, cfg):
-        # every point a run multiplies was drawn in this process, so each ECDH
+    def test_in_process_runs_make_no_variable_base_multiplication(self, jmul_calls, cfg):
+        # every point a run multiplies was drawn in its scope, so each ECDH
         # is one fixed-base multiplication by the product of two scalars
-        replace_memos(monkeypatch)
         assert run_scenario(cfg).status == "delivered_light"
         assert jmul_calls == []
 
     def test_wrapping_is_one_batched_multiplication(self, monkeypatch):
         # n * l = 30 layers: 30 ephemeral keys and 30 products in one batch,
         # and sealing the layers multiplies nothing more
-        replace_memos(monkeypatch)
         wrapping = []
         batches = []
         singles = []
@@ -329,20 +320,47 @@ class TestSharedSecrets:
         assert singles == []
         assert crypto._ahead == {}
 
-    @pytest.mark.parametrize("cfg", [ScenarioConfig(), ScenarioConfig(n=16, l=3, t=4, pool_size=20)])
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            ScenarioConfig(),
+            ScenarioConfig(n=16, l=3, t=4, pool_size=20),
+            ScenarioConfig(n=50, l=3, t=25, pool_size=54),
+            ScenarioConfig(n=50, l=6, t=25, pool_size=54),
+            ScenarioConfig(seed=3, n=30, l=3, t=10, pool_size=34, drop_prob=0.2, availability=0.9),
+        ],
+    )
     def test_each_layer_is_decrypted_once(self, monkeypatch, decrypt_calls, cfg):
-        # the wrapping recorded each layer's ECDH product, so the trial peel
-        # tries the layer's opener first and no trial decryption misses
-        replace_memos(monkeypatch)
-        assert run_scenario(cfg).status == "delivered_light"
-        assert len(decrypt_calls) == cfg.n * cfg.l
+        # the wrapping recorded each layer's recipient, so the trial peel
+        # tries only the layer's opener and no trial decryption misses
+        peels = []
+
+        def recording(onions, privkeys, memo):
+            peels.append((len(onions), set(privkeys)))
+            return peel_with_keys(onions, privkeys, memo)
+
+        monkeypatch.setattr(actors, "peel_with_keys", recording)
+        monkeypatch.setattr(scenario, "peel_with_keys", recording)
+        runner = ScenarioRunner(cfg)
+        assert runner.run().status == "delivered_light"
+        # the layers some peel held the keys for, from each onion's outermost
+        # layer in: all n * l unless the availability coin kept a courier
+        # silent (onions arrive in broadcast order, onion k carrying share k + 1)
+        openable = set()
+        for count, keys in peels:
+            for share in range(1, count + 1):
+                for depth, holder in enumerate(reversed(runner.sender.layer_holders(share))):
+                    if holder.timeframe_keys[cfg.timeframe_tick].privkey not in keys:
+                        break
+                    openable.add((share, depth))
+        assert (len(openable) == cfg.n * cfg.l) == (cfg.availability == 1)
+        assert len(decrypt_calls) == len(openable)
         assert all(ok for _, _, ok in decrypt_calls)
-        assert len({blob for _, blob, _ in decrypt_calls}) == cfg.n * cfg.l
+        assert len({blob for _, blob, _ in decrypt_calls}) == len(openable)
 
     def test_signing_multiplies_only_for_its_nonce(self, monkeypatch):
         # key generation recorded every signer's address, so each signature
         # costs one k*G, for its nonce
-        replace_memos(monkeypatch)
         real_sign, real_base = crypto.sign, crypto._jmul_base
         signatures = []
         nonces = []
@@ -370,8 +388,7 @@ class TestSharedSecrets:
         assert signatures and len(nonces) == len(signatures)
         assert addresses == []
 
-    # Listed in the CI step that runs the golden traces in a fresh
-    # interpreter, so there the module's memos start cold.
+    # Listed in the CI step that runs the golden traces under two hash seeds.
     @pytest.mark.parametrize(
         "cfg",
         [
@@ -386,7 +403,9 @@ class TestSharedSecrets:
     def test_same_trace_without_the_memo(self, monkeypatch, jmul_calls, cfg):
         with_memo = run_scenario(cfg).trace_hash()
         jmul_calls.clear()
-        replace_memos(monkeypatch, NeverStores)
+        # outside a scope crypto's memos record nothing
+        monkeypatch.setattr(scenario, "scope", contextlib.nullcontext)
+        monkeypatch.setattr(crypto, "_ahead", NeverStores())
         assert run_scenario(cfg).trace_hash() == with_memo
         # the strawman sends each courier a bare share, so it makes no ECDH at all
         assert bool(jmul_calls) == (cfg.mode != MODE_STRAWMAN)
@@ -781,7 +800,9 @@ def wire_onions(n, l, seed):
     return onions, [kp.privkey for kp in keys], outsiders + fakes + too_big
 
 
-LAYOUTS = {(4, 2): wire_onions(4, 2, 11), (3, 3): wire_onions(3, 3, 12), (5, 1): wire_onions(5, 1, 13)}
+LAYOUT_SEEDS = {(4, 2): 11, (3, 3): 12, (5, 1): 13}
+# wrapped outside any scope, so no layer is recorded
+LAYOUTS = {layout: wire_onions(*layout, seed) for layout, seed in LAYOUT_SEEDS.items()}
 
 
 @pytest.fixture
@@ -812,51 +833,39 @@ class TestTrialPeel:
         layout=st.sampled_from(sorted(LAYOUTS)),
         keep=st.lists(st.booleans(), min_size=5, max_size=5),
         order=st.randoms(use_true_random=False),
+        recorded=st.booleans(),
     )
-    @settings(max_examples=12, deadline=None)
-    # shuffles under which a layer's opener has opened another layer, at a
-    # position the layout hint does not name
-    @example(layout=(3, 3), keep=[True] * 5, order=Random(0))
-    @example(layout=(4, 2), keep=[True] * 5, order=Random(0))
-    def test_matches_naive_peel_for_any_key_order(self, layout, keep, order):
-        onions, true_keys, junk = LAYOUTS[layout]
-        keys = [k for k, kept in zip(true_keys, keep) if kept] + junk
-        order.shuffle(keys)
-        onions = list(onions)
-        order.shuffle(onions)  # the layout hints then miss and fall through
-        assert peel_with_keys(onions, keys, PeelMemo()) == naive_peel(onions, keys)
+    @settings(max_examples=16, deadline=None)
+    @example(layout=(3, 3), keep=[True] * 5, order=Random(0), recorded=False)
+    @example(layout=(4, 2), keep=[True] * 5, order=Random(0), recorded=False)
+    @example(layout=(3, 3), keep=[True] * 5, order=Random(0), recorded=True)
+    def test_matches_naive_peel_for_any_key_order(self, layout, keep, order, recorded):
+        # a recorded layer is tried only with its openers, any other with every key
+        with crypto.scope() if recorded else contextlib.nullcontext():
+            wrapped = wire_onions(*layout, LAYOUT_SEEDS[layout]) if recorded else LAYOUTS[layout]
+            onions, true_keys, junk = wrapped
+            keys = [k for k, kept in zip(true_keys, keep) if kept] + junk
+            order.shuffle(keys)
+            onions = list(onions)
+            order.shuffle(onions)
+            assert peel_with_keys(onions, keys, PeelMemo()) == naive_peel(onions, keys)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_negated_keys_recover_the_same_shares(self, decrypt_calls, seed):
         # N - d has the ECDH x of d, so both open d's layers; the layers are
-        # wrapped here, so the opener hint names d and no trial misses
-        onions, true_keys, junk = wire_onions(4, 2, 20 + seed)
-        negated = [(_N - int.from_bytes(k, "big")).to_bytes(32, "big") for k in true_keys]
-        for keys, openers in ((true_keys + negated[:2] + junk, true_keys), (negated + junk, negated)):
-            Random(seed).shuffle(keys)
-            decrypt_calls.clear()
-            shares = peel_with_keys(onions, keys, PeelMemo())
-            opened = [key for key, _, ok in decrypt_calls if ok]
-            missed = len(decrypt_calls) - len(opened)
-            assert sorted(shares) == [1, 2, 3, 4]
-            assert shares == naive_peel(onions, keys)
-            assert len(opened) == 8 and set(opened) == set(openers)
-            # the hint never names N - d, so without d the trial falls through
-            assert (missed == 0) == (openers is true_keys)
-
-    def test_spent_key_is_never_tried_again(self, decrypt_calls):
-        onions, true_keys, junk = LAYOUTS[(4, 2)]
-        keys = junk[:2] + true_keys + junk[2:]
-        assert sorted(peel_with_keys(onions, keys, PeelMemo())) == [1, 2, 3, 4]
-        opened = dict.fromkeys(keys, 0)
-        for key, _, ok in decrypt_calls:
-            assert opened[key] < 2
-            opened[key] += ok
-        assert [opened[k] for k in true_keys] == [2, 2, 2, 2]
-        retiring = len(decrypt_calls)
-        decrypt_calls.clear()
-        naive_peel(onions, keys)
-        assert retiring < len(decrypt_calls)
+        # wrapped in this scope, so only d and N - d are tried, d first, and
+        # no trial misses even when only N - d is on hand
+        with crypto.scope():
+            onions, true_keys, junk = wire_onions(4, 2, 20 + seed)
+            negated = [(_N - int.from_bytes(k, "big")).to_bytes(32, "big") for k in true_keys]
+            for keys, openers in ((true_keys + negated[:2] + junk, true_keys), (negated + junk, negated)):
+                Random(seed).shuffle(keys)
+                decrypt_calls.clear()
+                shares = peel_with_keys(onions, keys, PeelMemo())
+                assert len(decrypt_calls) == 8
+                assert sorted(key for key, _, ok in decrypt_calls if ok) == sorted(openers * 2)
+                assert sorted(shares) == [1, 2, 3, 4]
+                assert shares == naive_peel(onions, keys)
 
     def test_second_call_reuses_memo(self, decrypt_calls):
         onions, true_keys, junk = LAYOUTS[(4, 2)]
@@ -877,15 +886,14 @@ class TestTrialPeel:
         runner = ScenarioRunner(small_config())
         assert runner.run().status == "delivered_light"
         memo = runner.peel_memo
-        assert len(memo.opener) == 8  # four onions of two layers each
+        assert len(memo.tried) == 8  # four onions of two layers each, each tried by its opener alone
         payloads = {outer for outer, _ in memo.tried} | {inner for inner in memo.tried.values() if inner}
-        payloads |= set(memo.opener) | set(memo.opener.values())
         del runner, memo
         gc.collect()
         # a payload nothing else holds has the reference count of a fresh object
         assert max(refcounts(payloads)) == max(refcounts({bytes(range(40))}))
 
-    def test_layout_and_opener_index_bound_the_decrypts(self, decrypt_calls, monkeypatch):
+    def test_recipient_decrypts_each_layer_once(self, decrypt_calls, monkeypatch):
         n, l = 8, 3
         per_peel = []
 
@@ -900,10 +908,8 @@ class TestTrialPeel:
         trace = run_scenario(ScenarioConfig(seed=1, pool_size=n + 4, l=l, t=4, n=n))
         assert trace.status == "delivered_light"
         recipient, settlement = per_peel
-        # Each of the n keys is found once among the keys that have opened
-        # nothing yet; from then on the layout names the opener of every
-        # layer, which then costs one decrypt.
-        assert recipient <= n * (n - 1) // 2 + l * n
+        # the run's scope recorded every layer, so each costs one decrypt
+        assert recipient == n * l
         # every layer was opened in the recipient's pass
         assert settlement == 0
 

@@ -5,14 +5,19 @@ oracle written here in the test module, not against the library's own
 interpolation path.
 """
 
+import contextlib
 import functools
+import gc
 import itertools
+import sys
 from random import Random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tidsim import crypto
+from tidsim.actors import PeelMemo, peel_with_keys
+from tidsim.adversary import run_bribery
 from tidsim.crypto import (
     AuthenticationError,
     InsufficientSharesError,
@@ -44,7 +49,7 @@ from tidsim.crypto import (
     address_of_pubkey,
     ecies_decrypt,
     ecies_encrypt,
-    ecies_opener,
+    ecies_openers,
     encode_parts,
     hash256,
     keypair_from_scalar,
@@ -63,6 +68,10 @@ from tidsim.crypto import (
     sym_decrypt,
     sym_encrypt,
 )
+from tidsim.scenario import ScenarioConfig, run_scenario
+
+# crypto's memos that live for one scope()
+MEMOS = ("_scalars", "_addresses", "_signers", "_layers")
 
 # SHA3-256 golden values, pinned from hashlib on first computation.
 SHA3_256_EMPTY = "a7ffc6f8bf1ed76651c14756a061d662f580ff4de43b49fa82d80a4b80f8434a"
@@ -607,19 +616,19 @@ class TestScalarKernel:
         digest = hash256(r.to_bytes(32, "big"))
         sig = Signature(v, r, s)
         outcomes = []
-        for _ in range(2):
-            try:
-                outcomes.append(recover_signer(digest, sig))
-            except VerificationError as exc:
-                outcomes.append(type(exc))
-        assert outcomes[0] == outcomes[1]
-        if outcomes[0] is VerificationError:
-            assert (digest, sig) not in crypto._signers
+        with crypto.scope():
+            for _ in range(2):
+                try:
+                    outcomes.append(recover_signer(digest, sig))
+                except VerificationError as exc:
+                    outcomes.append(type(exc))
+            assert outcomes[0] == outcomes[1]
+            assert ((digest, sig) in crypto._signers) == (outcomes[0] is not VerificationError)
 
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Every (digest, sig) that reached the recovery arithmetic, from an empty memo."""
+    """Every (digest, sig) that reached the recovery arithmetic, inside a fresh scope."""
     calls = []
     real = crypto._recover_address
 
@@ -627,28 +636,26 @@ def kernel_calls(monkeypatch):
         calls.append((digest, sig))
         return real(digest, sig)
 
-    monkeypatch.setattr(crypto, "_signers", {})
     monkeypatch.setattr(crypto, "_recover_address", counted)
-    return calls
+    with crypto.scope():
+        yield calls
 
 
 class TestSignerMemo:
-    def test_bounded_and_evicted_signatures_still_recover(self, kernel_calls):
+    def test_signatures_from_a_finished_scope_still_recover(self, kernel_calls):
         kp = keypair_gen(Random(41))
-        extra = 3
-        digests = [hash256(i.to_bytes(4, "big")) for i in range(crypto._SIGNERS_MAX + extra)]
-        pairs = [(d, sign(kp.privkey, d)) for d in digests]
-        assert len(crypto._signers) == crypto._SIGNERS_MAX
-        # the oldest insertions go first
-        evicted, kept = pairs[:extra], pairs[extra:]
-        assert not any(p in crypto._signers for p in evicted)
-        assert all(crypto._signers[p] == kp.address for p in kept)
-        assert all(recover_signer(*p) == kp.address for p in kept)
+        digests = [hash256(i.to_bytes(4, "big")) for i in range(1030)]
+        with crypto.scope():
+            finished = [(d, sign(kp.privkey, d)) for d in digests[:3]]
+        pairs = [(d, sign(kp.privkey, d)) for d in digests[3:]]
+        # no bound: every signature of the scope stays recorded, in signing order
+        assert list(crypto._signers.items()) == [(p, kp.address) for p in pairs]
+        assert all(recover_signer(*p) == kp.address for p in pairs)
         assert kernel_calls == []
-        for digest, sig in evicted:
+        for digest, sig in finished:
             assert recover_signer(digest, sig) == kp.address
-        assert kernel_calls == evicted
-        assert len(crypto._signers) == crypto._SIGNERS_MAX
+        assert kernel_calls == finished
+        assert len(crypto._signers) == len(digests)
 
     def test_altered_digest_or_twin_gets_the_kernel_answer(self, kernel_calls):
         rng = Random(42)
@@ -670,7 +677,7 @@ class TestSignerMemo:
 
 @pytest.fixture
 def point_mults(monkeypatch):
-    """Every affine point that reached the variable-base multiplication, from an empty scalar memo."""
+    """Every affine point that reached the variable-base multiplication, inside a fresh scope."""
     calls = []
     real = crypto._jmul
 
@@ -678,9 +685,9 @@ def point_mults(monkeypatch):
         calls.append(_to_affine(p))
         return real(k, p)
 
-    monkeypatch.setattr(crypto, "_scalars", {})
     monkeypatch.setattr(crypto, "_jmul", counted)
-    return calls
+    with crypto.scope():
+        yield calls
 
 
 def point_of(pubkey):
@@ -719,22 +726,22 @@ class TestScalarMemo:
     @example(d=HALF_N, e=_N - 1)
     @settings(max_examples=30, deadline=None)
     def test_memo_matches_variable_base_mult(self, d, e):
-        memo_ecdh_matches_kernel(d, e)
+        with crypto.scope():
+            memo_ecdh_matches_kernel(d, e)
 
-    def test_bounded_and_oldest_evicted_first(self, point_mults):
-        extra = 3
-        pairs = keypairs_gen(Random(43), crypto._SCALARS_MAX + extra)
-        points = [point_of(kp.pubkey) for kp in pairs]
-        assert list(crypto._scalars) == points[extra:]
-        for p, kp in zip(points[extra:], pairs[extra:]):
-            assert crypto._scalars[p] == int.from_bytes(kp.privkey, "big")
+    def test_every_key_is_recorded_in_draw_order(self, point_mults):
+        pairs = keypairs_gen(Random(43), 300)
         newest = keypair_gen(Random(44))
-        assert list(crypto._scalars) == points[extra + 1 :] + [point_of(newest.pubkey)]
+        pairs.append(newest)
+        scalars = [int.from_bytes(kp.privkey, "big") for kp in pairs]
+        assert list(crypto._scalars.items()) == [(point_of(kp.pubkey), k) for kp, k in zip(pairs, scalars)]
+        assert list(crypto._addresses.items()) == [(k, kp.address) for kp, k in zip(pairs, scalars)]
 
     def test_unrecorded_or_evicted_point_takes_the_kernel_once(self, point_mults):
+        # "evicted": recorded in a scope that has since ended
         rng = Random(45)
-        evicted = keypair_gen(rng)
-        keypairs_gen(rng, crypto._SCALARS_MAX)
+        with crypto.scope():
+            evicted = keypair_gen(rng)
         foreign_priv = (0xFACADE).to_bytes(32, "big")
         foreign_pub = pubkey_of_privkey(foreign_priv)
         for priv, pub in ((evicted.privkey, evicted.pubkey), (foreign_priv, foreign_pub)):
@@ -745,10 +752,10 @@ class TestScalarMemo:
             # the ephemeral point was drawn here, so opening the layer needs no GLV
             assert ecies_decrypt(priv, blob) == b"share"
             assert point_mults[before:] == [point_of(pub)]
-        keypairs_gen(rng, crypto._SCALARS_MAX)
-        before = len(point_mults)
-        assert ecies_decrypt(foreign_priv, blob) == b"share"
-        assert point_mults[before:] == [point_of(blob)]
+        with crypto.scope():
+            before = len(point_mults)
+            assert ecies_decrypt(foreign_priv, blob) == b"share"
+            assert point_mults[before:] == [point_of(blob)]
 
     def test_ephemeral_point_swapped_for_a_recorded_one_fails(self, point_mults):
         rng = Random(46)
@@ -777,7 +784,7 @@ class TestScalarMemo:
 
 @pytest.fixture
 def base_mults(monkeypatch):
-    """Every scalar that reached the fixed-base multiplication, from empty memos."""
+    """Every scalar that reached the fixed-base multiplication, inside a fresh scope."""
     calls = []
     real = crypto._jmul_base
 
@@ -785,105 +792,131 @@ def base_mults(monkeypatch):
         calls.append(k)
         return real(k)
 
-    for memo in ("_scalars", "_addresses", "_products"):
-        monkeypatch.setattr(crypto, memo, {})
     monkeypatch.setattr(crypto, "_jmul_base", counted)
-    return calls
+    with crypto.scope():
+        yield calls
 
 
-def wrap_for(q, rng):
-    """A layer wrapped for q * G, and the product of q with its ephemeral scalar."""
-    blob = ecies_encrypt(keypair_from_scalar(q).pubkey, b"share", rng)
-    return blob, q * crypto._scalars[point_of(blob)] % _N
+def layer_record(blob):
+    """The record ecies_encrypt kept for a layer: its recipient's scalar and ECDH x."""
+    return crypto._layers[blob[:64] + blob[-16:]]
+
+
+def negation(key):
+    return (_N - int.from_bytes(key, "big")).to_bytes(32, "big")
 
 
 class TestProductMemo:
+    """Each layer's record of its recipient and ECDH product."""
+
     @given(q=scalars, seed=st.integers(min_value=0, max_value=2**32))
     @example(q=1, seed=0)
     @example(q=_N - 1, seed=0)
     @settings(max_examples=25, deadline=None)
     def test_recorded_ecdh_matches_double_and_add(self, q, seed):
-        blob, m = wrap_for(q, Random(seed))
-        x, y = point_of(blob)
-        expected = _to_affine(reference_mul(q, (x, y, 1)))[0]
-        assert crypto._products[m] == expected
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(crypto, "_jmul_base", None)  # a multiplication would raise
-            assert crypto._shared_x(q, x, y) == expected
+        with crypto.scope():
+            key = keypair_from_scalar(q)
+            blob = ecies_encrypt(key.pubkey, b"share", Random(seed))
+            expected = _to_affine(reference_mul(q, (*point_of(blob), 1)))[0]
+            assert layer_record(blob) == (q, expected)
+            with pytest.MonkeyPatch.context() as mp:
+                for kernel in ("_jmul", "_jmul_base"):
+                    mp.setattr(crypto, kernel, None)  # a multiplication would raise
+                assert ecies_decrypt(key.privkey, blob) == b"share"
+                assert ecies_decrypt(negation(key.privkey), blob) == b"share"
 
-    def test_bounded_and_oldest_evicted_first(self, base_mults):
+    def test_every_layer_is_recorded_in_wrap_order(self, base_mults):
         rng = Random(48)
-        extra = 3
-        products = [wrap_for(1 + rng.randrange(_N - 1), rng)[1] for _ in range(crypto._PRODUCTS_MAX + extra)]
-        assert list(crypto._products) == products[extra:]
-        newest = wrap_for(0xC0FFEE, rng)[1]
-        assert list(crypto._products) == products[extra + 1 :] + [newest]
+        keys = keypairs_gen(rng, 4)
+        blobs = [ecies_encrypt(keys[i % 4].pubkey, bytes([i % 256]), rng) for i in range(300)]
+        assert list(crypto._layers) == [blob[:64] + blob[-16:] for blob in blobs]
+        recipients = [int.from_bytes(keys[i % 4].privkey, "big") for i in range(300)]
+        assert [q for q, _ in crypto._layers.values()] == recipients
 
     def test_wrong_key_outside_the_memo_fails(self, base_mults):
         rng = Random(49)
         kp, wrong = keypair_gen(rng), keypair_gen(rng)
         blob = ecies_encrypt(kp.pubkey, b"share", rng)
-        assert int.from_bytes(wrong.privkey, "big") * crypto._scalars[point_of(blob)] % _N not in crypto._products
-        recorded = dict(crypto._products)
+        assert layer_record(blob)[0] == int.from_bytes(kp.privkey, "big")
+        recorded = [dict(getattr(crypto, name)) for name in MEMOS]
         before = len(base_mults)
         with pytest.raises(AuthenticationError):
             ecies_decrypt(wrong.privkey, blob)
         assert len(base_mults) == before + 1
-        assert crypto._products == recorded  # a trial decryption records nothing
+        # a trial decryption records nothing
+        assert [dict(getattr(crypto, name)) for name in MEMOS] == recorded
         before = len(base_mults)
         assert ecies_decrypt(kp.privkey, blob) == b"share"
         assert len(base_mults) == before
 
-    def test_opener_names_only_the_wrapping_key(self, base_mults):
+    def test_openers_are_the_wrapping_key_then_its_negation(self, base_mults):
         rng = Random(50)
         kp, other = keypair_gen(rng), keypair_gen(rng)
         blob = ecies_encrypt(kp.pubkey, b"share", rng)
-        negated = (_N - int.from_bytes(kp.privkey, "big")).to_bytes(32, "big")
-        assert ecies_opener(blob, [other.privkey, negated, kp.privkey]) == kp.privkey
-        # N - d opens the layer too, but was not the key it was wrapped for
-        assert ecies_opener(blob, [other.privkey, negated]) is None
+        negated = negation(kp.privkey)
+        too_big = [(_N + 5).to_bytes(32, "big"), (2**256 - 1).to_bytes(32, "big")]
+        keys = [other.privkey, negated, *too_big, kp.privkey]
+        assert ecies_openers(blob, iter(keys)) == [kp.privkey, negated]
+        # N - d opens the layer too, so it alone is still named
+        assert ecies_openers(blob, [other.privkey, negated]) == [negated]
         assert ecies_decrypt(negated, blob) == b"share"
+        assert ecies_openers(blob, [other.privkey]) == []
+        # a layer with no record, or a tampered one, is tried with every key
         foreign = pubkey_of_privkey((0xFACADE).to_bytes(32, "big"))
-        for swapped in (other.pubkey, foreign):
-            assert ecies_opener(swapped + blob[64:], [kp.privkey, other.privkey]) is None
-        assert ecies_opener(b"", [kp.privkey]) is None
+        tampered = blob[:-1] + bytes([blob[-1] ^ 1])
+        for unrecorded in (other.pubkey + blob[64:], foreign + blob[64:], tampered, b""):
+            assert ecies_openers(unrecorded, iter(keys)) == keys
+        with crypto.scope():
+            assert ecies_openers(blob, keys) == keys
+
+    def test_layers_sharing_an_ephemeral_point_keep_their_own_records(self, monkeypatch, base_mults):
+        # equal rng states draw the same ephemeral key for both recipients
+        a, b = keypairs_gen(Random(55), 2)
+        onions = [onion_wrap(Share(i, i), [kp.pubkey], Random(56)) for i, kp in ((1, a), (2, b))]
+        assert onions[0].payload[:64] == onions[1].payload[:64]
+        calls = []
+        real = crypto.ecies_decrypt
+
+        def counted(privkey, blob):
+            calls.append((privkey, blob))
+            return real(privkey, blob)
+
+        monkeypatch.setattr(crypto, "ecies_decrypt", counted)
+        shares = peel_with_keys(onions, [a.privkey, b.privkey], PeelMemo())
+        assert shares == {1: Share(1, 1), 2: Share(2, 2)}
+        assert calls == [(a.privkey, onions[0].payload), (b.privkey, onions[1].payload)]
 
 
-RECIPIENT_KINDS = ("recorded", "never recorded", "evicted")
+RECIPIENT_KINDS = ("recorded", "never recorded")
 
 
 @functools.cache
 def wrap_recipients():
-    """A full scalar memo and four recipient public keys of each kind.
+    """A scalar memo and four recipient public keys of each kind.
 
-    The "evicted" keys are the memo's oldest entries, so the first ephemeral
-    keys a wrap draws push them out of _scalars; the "recorded" ones are its
-    newest, and the "never recorded" ones were never in it.
+    The "recorded" keys are in the memo, and the "never recorded" ones were
+    never in it.
     """
     rng = Random(51)
-    old = keypairs_gen(rng, 4)
-    filler = keypairs_gen(rng, crypto._SCALARS_MAX - 8)
     new = keypairs_gen(rng, 4)
-    memo = {point_of(kp.pubkey): int.from_bytes(kp.privkey, "big") for kp in old + filler + new}
+    memo = {point_of(kp.pubkey): int.from_bytes(kp.privkey, "big") for kp in new}
     foreign = [pubkey_of_privkey((0xFACADE + i).to_bytes(32, "big")) for i in range(4)]
-    pubkeys = {"evicted": [kp.pubkey for kp in old], "recorded": [kp.pubkey for kp in new], "never recorded": foreign}
+    pubkeys = {"recorded": [kp.pubkey for kp in new], "never recorded": foreign}
     return memo, pubkeys
 
 
 def wrap_from(memo, wrap, seed):
-    """wrap(rng) from a copy of `memo` and empty product and address memos:
-    its result or error, then rng's state and each memo's entries in order."""
+    """wrap(rng) in a fresh scope whose scalar memo holds `memo`: its result
+    or error, then rng's state and each memo's entries in order."""
     rng = Random(seed)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(crypto, "_scalars", dict(memo))
-        mp.setattr(crypto, "_products", {})
-        mp.setattr(crypto, "_addresses", {})
+    with crypto.scope():
+        crypto._scalars.update(memo)
         try:
             out = wrap(rng)
         except ParameterError as exc:
             out = str(exc)
         assert crypto._ahead == {}
-        memos = [list(getattr(crypto, name).items()) for name in ("_scalars", "_products", "_addresses")]
+        memos = [list(getattr(crypto, name).items()) for name in MEMOS]
     return out, rng.getstate(), memos
 
 
@@ -906,28 +939,17 @@ layouts = st.integers(min_value=1, max_value=4).flatmap(
 
 class TestOnionsWrap:
     @given(layout=layouts, seed=st.integers(min_value=0, max_value=2**32))
-    @example(layout=[[("evicted", i) for i in range(4)]] * 8, seed=0)
+    @example(layout=[[("recorded", i) for i in range(4)]] * 8, seed=0)
     @settings(max_examples=20, deadline=None)
     def test_equals_the_onion_wrap_loop(self, layout, seed):
         # same onions, same draws, and the memos filled in the same order,
-        # whether a recipient is recorded, never recorded, or pushed out of
-        # _scalars by the wrap's own ephemeral keys
+        # whether a recipient is recorded or never recorded
         memo, pubkeys = wrap_recipients()
         shares = [Share(i + 1, 1000 + i) for i in range(len(layout))]
         layer_pubkeys = [[pubkeys[kind][i] for kind, i in layers] for layers in layout]
         expected = wrap_from(memo, onion_wrap_loop(shares, layer_pubkeys), seed)
         assert wrap_from(memo, batched(shares, layer_pubkeys), seed) == expected
         assert all(isinstance(onion, Onion) for onion in expected[0])
-
-    def test_recipients_the_wrap_evicts_take_no_variable_base_multiplication(self, point_mults):
-        memo, pubkeys = wrap_recipients()
-        shares = [Share(i, i) for i in (1, 2, 3)]
-        layer_pubkeys = [pubkeys["evicted"][:3]] * 3
-        wrap_from(memo, onion_wrap_loop(shares, layer_pubkeys), 52)
-        assert len(point_mults) == 9  # the first ephemeral keys evict each recipient before its first ECDH
-        point_mults.clear()
-        wrap_from(memo, batched(shares, layer_pubkeys), 52)
-        assert point_mults == []
 
     @pytest.mark.parametrize(
         "bad",
@@ -950,6 +972,72 @@ class TestOnionsWrap:
         with pytest.raises(ParameterError, match="one wrapping-key list per share"):
             onions_wrap([Share(1, 1)], [], rng)
         assert rng.getstate() == state
+
+
+def primitives(seed):
+    """Keys, a layer, a signature and two onions from one seed, with what
+    opening, recovering and peeling them returns and the rng's final state."""
+    rng = Random(seed)
+    a = keypair_gen(rng)
+    (b,) = keypairs_gen(rng, 1)
+    blob = ecies_encrypt(b.pubkey, b"share", rng)
+    digest = hash256(seed.to_bytes(4, "big"))
+    sig = sign(a.privkey, digest)
+    onions = onions_wrap([Share(1, 1), Share(2, 2)], [[a.pubkey, b.pubkey], [b.pubkey, a.pubkey]], rng)
+    peeled = peel_with_keys(onions, [b.privkey, a.privkey], PeelMemo())
+    opened = ecies_decrypt(b.privkey, blob)
+    return a, b, blob, opened, sig, recover_signer(digest, sig), onions, peeled, rng.getstate()
+
+
+def memos():
+    return {name: getattr(crypto, name) for name in MEMOS}
+
+
+class TestScope:
+    def test_outside_a_scope_nothing_is_recorded(self):
+        with crypto.scope():
+            scoped = primitives(57)
+            assert all(memos().values())
+        assert primitives(57) == scoped
+        assert not any(memos().values())
+
+    def test_nested_scope_restores_the_outer_memos(self):
+        with crypto.scope():
+            primitives(58)
+            outer = memos()
+            entries = {name: list(memo.items()) for name, memo in outer.items()}
+            with pytest.raises(ZeroDivisionError):
+                with crypto.scope():
+                    assert all(memo == {} and memo is not outer[name] for name, memo in memos().items())
+                    primitives(59)
+                    1 / 0
+            for name, memo in memos().items():
+                assert memo is outer[name]
+                assert list(memo.items()) == entries[name]
+
+    @pytest.mark.parametrize("scoped", [False, True], ids=["unscoped", "scoped"])
+    def test_runs_leave_the_memos_as_they_found_them(self, scoped):
+        with crypto.scope() if scoped else contextlib.nullcontext():
+            primitives(60)
+            before = memos()
+            entries = {name: list(memo.items()) for name, memo in before.items()}
+            assert run_scenario(ScenarioConfig()).status == "delivered_light"
+            assert run_bribery(ScenarioConfig(), 0).shares_obtained == 0
+            for name, memo in memos().items():
+                assert memo is before[name]
+                assert list(memo.items()) == entries[name]
+
+    def test_finished_scope_frees_its_entries(self):
+        with crypto.scope():
+            primitives(61)
+            # the entries the memos hold once each: the scalars and addresses
+            # are also referenced from within other entries
+            entries = {*crypto._scalars, *crypto._signers, *crypto._layers, *crypto._layers.values()}
+        assert len(entries) > 10
+        gc.collect()
+        # an entry nothing else holds has the reference count of a fresh object
+        fresh = {bytes(range(40))}
+        assert max(sys.getrefcount(obj) for obj in entries) == max(sys.getrefcount(obj) for obj in fresh)
 
 
 def near(center, count, seed):
