@@ -138,20 +138,23 @@ def decode_parts(data: bytes) -> list[bytes]:
 
 # ---------------------------------------------------------------------------
 # secp256k1 arithmetic in Jacobian coordinates. Fixed-base multiplication
-# uses signed 7-bit windows over a table of affine points: 37 windows hold
-# d * 128^w * G for d = 1..64, a digit d > 64 becomes d - 128 with a carry
+# uses signed 9-bit windows over a table of affine points: 29 windows hold
+# d * 512^w * G for d = 1..256, a digit d > 256 becomes d - 512 with a carry
 # into the next window, and a negative digit negates y. Each table point is
 # added with a mixed Jacobian-affine addition (Hankerson-Menezes-Vanstone,
-# Guide to ECC, 3.2-3.3), about 37 per k * G.
+# Guide to ECC, 3.2-3.3), about 28 per k * G.
 #
 # Affine additions that share one inversion of their x differences
 # (Montgomery's trick, Math. Comp. 1987; _affine_sums) do two jobs. They
-# build the table: a doubling chain gives each window's powers of two, and
-# five rounds of sums across all windows fill in the rest. And they multiply
-# many keys at once (_base_mul_batch): every accumulator stays affine and
-# each window costs one inversion instead of one per key. The equal-x case
-# of affine addition never arises in either; _base_table and
-# _base_mul_batch give the arguments.
+# fill the table: a doubling chain gives each window's powers of two when
+# the table is built, and every other slot is summed from two filled ones
+# the first time a multiplication reads it, one round of sums per bit
+# length (_fill_base_table). A process that makes a few k * G fills a few
+# slots per window; one that makes thousands fills the table once. And they
+# multiply many keys at once (_base_mul_batch): every accumulator stays
+# affine and each window costs one inversion instead of one per key. The
+# equal-x case of affine addition never arises in either; _fill_base_table
+# and _base_mul_batch give the arguments.
 #
 # Variable-base multiplication uses the GLV endomorphism (Gallant-Lambert-
 # Vanstone, CRYPTO 2001; Guide to ECC, 3.5). On secp256k1 the map
@@ -407,7 +410,7 @@ def _affine_sums(pairs):
 # Signed windows of _WINDOW bits: a digit above _HALF becomes digit - 2^_WINDOW
 # and carries one into the next window. _ROWS windows cover every k < 2^256
 # with the top digit at most _HALF.
-_WINDOW = 7
+_WINDOW = 9
 _HALF = 1 << _WINDOW - 1
 _MASK = (1 << _WINDOW) - 1
 _ROWS = -(-257 // _WINDOW)
@@ -415,12 +418,13 @@ _ROWS = -(-257 // _WINDOW)
 
 @functools.cache
 def _base_table():
-    """Row w holds the affine d * B for d = 1.._HALF, B = 2^(_WINDOW * w) * G.
+    """Row w has a slot for the affine d * B, d = 1.._HALF, B = 2^(_WINDOW * w) * G.
 
     One doubling chain from G passes through every 2^i * B, which one shared
-    inversion makes affine. Step m then fills each d with 2^m < d < 2^(m+1)
-    in every row at once, as (d - 2^m) * B + 2^m * B. The two summands are
-    distinct multiples a != b of B with a + b < N, so their x differ.
+    inversion makes affine; those slots are filled here. Every other slot
+    stays None until a multiplication reads it (_fill_base_table), so one
+    k * G fills at most _WINDOW - 2 more slots per row, one per set bit of
+    its digit there but the top one.
 
     Built on the first fixed-base multiplication, not at import, so a
     process that never multiplies by G never pays for it.
@@ -433,18 +437,53 @@ def _base_table():
     for w, row in enumerate(table):
         for i in range(_WINDOW):
             row[(1 << i) - 1] = powers[_WINDOW * w + i]
-    for m in range(1, _WINDOW - 1):
-        low = 1 << m
-        pairs = [(row[e - 1], row[low - 1]) for row in table for e in range(1, low)]
-        sums = _affine_sums(pairs)
-        for w, row in enumerate(table):
-            row[low : 2 * low - 1] = sums[w * (low - 1) : (w + 1) * (low - 1)]
     return table
 
 
+def _fill_base_table(ks, row, j):
+    """Fill every empty slot of _base_table() that the signed digits of ks read; return row[j].
+
+    An empty slot d = 2^m + e, 0 < e < 2^m, becomes e * B + 2^m * B, and
+    the slot e joins the fill when it is empty too, down to a power of two.
+    One _affine_sums per bit length m, across all rows, fills the slots of
+    that length, so both summands of each sum are filled before it. The
+    summands' x differ: equal x needs (2^m -+ e) * 2^(_WINDOW * w) = 0 mod N,
+    and N is a prime that divides neither factor. Each slot ends up holding
+    the unique affine d * B, whatever order the slots are filled in.
+    """
+    table = _base_table()
+    levels = [set() for _ in range(_WINDOW)]
+    for k in ks:
+        for w, slots in enumerate(table):
+            if not k:
+                break
+            d = k & _MASK
+            k >>= _WINDOW
+            if d > _HALF:
+                k += 1
+                d = _MASK + 1 - d
+            while d and slots[d - 1] is None:
+                m = d.bit_length() - 1
+                levels[m].add((w, d))
+                d -= 1 << m
+    for m, wanted in enumerate(levels):
+        if wanted:
+            low = 1 << m
+            wanted = list(wanted)
+            sums = _affine_sums([(table[w][d - low - 1], table[w][low - 1]) for w, d in wanted])
+            for (w, d), s in zip(wanted, sums):
+                table[w][d - 1] = s
+    return row[j]
+
+
 def _jmul_base(k):
-    """k * G for 0 <= k < 2^256 by signed 7-bit windows over _base_table()."""
+    """k * G for 0 <= k < 2^256 by signed _WINDOW-bit windows over _base_table().
+
+    The first empty slot that k reads has _fill_base_table fill it and every
+    other slot k reads; a filled slot costs one truth test.
+    """
     acc = _INF
+    ks = (k,)
     for row in _base_table():
         if not k:
             break
@@ -452,10 +491,10 @@ def _jmul_base(k):
         k >>= _WINDOW
         if d > _HALF:
             k += 1
-            x, y = row[_MASK - d]
+            x, y = row[_MASK - d] or _fill_base_table(ks, row, _MASK - d)
             acc = _jadd_affine(acc, x, _P - y)
         elif d:
-            x, y = row[d - 1]
+            x, y = row[d - 1] or _fill_base_table(ks, row, d - 1)
             acc = _jadd_affine(acc, x, y)
     return acc
 
@@ -465,14 +504,15 @@ def _base_mul_batch(ks):
 
     Each accumulator stays affine. In each window every key whose digit is
     nonzero adds its table point T, and _affine_sums shares one inversion
-    across the window's additions.
+    across the window's additions. The first empty slot read has
+    _fill_base_table fill every slot that any key of ks reads.
 
     The accumulator S * G never has T's x, so no branch handles equal x. S
-    sums the signed digits below the window, each at most 64 * 128^j:
-    - before window w <= 35, |S| < (64/127) * 128^w <= |T| and
+    sums the signed digits below the window, each at most 256 * 512^j:
+    - before window w <= 27, |S| < (256/511) * 512^w <= |T| and
       |S| + |T| < 2^252 < N, so S - T and S + T are nonzero and below N in
       size, and S is not +-T mod N;
-    - in window 36 a nonzero digit is 1..16, since k < 2^256 leaves at
+    - in window 28 a nonzero digit is 1..16, since k < 2^256 leaves at
       most 15 there plus a carry. S = -T mod N would make k = S + T = 0 mod N.
       S = T mod N, with S != T, needs T - S = N, since 0 < T - S < 2N;
       T = d * 2^252 lies within 2^251 of N only for d = 16, and then
@@ -483,22 +523,23 @@ def _base_mul_batch(ks):
     2^256 - N, N/2 and N - 1 found no equal-x case either.
     """
     ks = list(ks)
+    todo = ks[:]
     acc = [None] * len(ks)
     width, half, mask = _WINDOW, _HALF, _MASK
     for row in _base_table():
         keys = []
         pairs = []
-        for i, k in enumerate(ks):
+        for i, k in enumerate(todo):
             d = k & mask
             if d > half:
-                ks[i] = (k >> width) + 1
-                x, y = row[mask - d]
+                todo[i] = (k >> width) + 1
+                x, y = row[mask - d] or _fill_base_table(ks, row, mask - d)
                 t = (x, _P - y)
             else:
-                ks[i] = k >> width
+                todo[i] = k >> width
                 if not d:
                     continue
-                t = row[d - 1]
+                t = row[d - 1] or _fill_base_table(ks, row, d - 1)
             if acc[i] is None:
                 acc[i] = t
             else:
@@ -569,9 +610,10 @@ def keypairs_gen(rng: Random, count: int) -> list[KeyPair]:
 
     The scalars are drawn first, in order; the public keys then come from one
     batched multiplication. Per key that costs more than keypair_gen below
-    about eight keys and less above: 482 against 235 µs at 2 keys, 266
-    against 240 at 6, 162 against 226 at 22 and 142 against 232 at 60 (best
-    of repeated runs on a 2-core x86-64 host).
+    about six keys and less above: 411 against 218 µs at 2 keys, 233
+    against 229 at 6, 187 against 215 at 8, 187 against 265 at 22 and 126
+    against 245 at 60 (best of repeated runs with the table filled, on a
+    2-core x86-64 host).
     """
     ks = [_draw_scalar(rng) for _ in range(count)]
     return [_keypair(k, x, y) for k, (x, y) in zip(ks, _base_mul_batch(ks))]

@@ -31,9 +31,13 @@ from tidsim.crypto import (
     _BETA,
     _GX,
     _GY,
+    _HALF,
     _LAMBDA,
+    _MASK,
     _N,
     _P,
+    _ROWS,
+    _WINDOW,
     _affine_sums,
     _base_mul_batch,
     _base_table,
@@ -474,34 +478,20 @@ scalars = st.integers(min_value=1, max_value=_N - 1)
 
 
 def every_window(d):
-    """The 252-bit scalar whose 7-bit windows all equal d."""
-    return sum(d << 7 * w for w in range(36))
+    """The 252-bit scalar whose _WINDOW-bit windows below the top one all equal d."""
+    return sum(d << _WINDOW * w for w in range(_ROWS - 1))
 
 
-# Digits 65..127 become negative and carry into the next window; 64 does not.
+# Digits _HALF + 1.._MASK become negative and carry into the next window;
+# _HALF does not.
 BASE_EDGE_SCALARS = [
     1,
-    15,
-    16,
-    17,
-    31,
-    32,
-    33,
-    63,
-    64,
-    65,
-    127,
-    128,
-    129,
+    # each power of two up to one window past _MASK, with its neighbours
+    *(k for i in range(4, _WINDOW + 1) for k in (2**i - 1, 2**i, 2**i + 1)),
     2**255,
     _N - 16,
     _N - 1,
-    every_window(16),
-    every_window(17),
-    every_window(31),
-    every_window(64),
-    every_window(65),
-    every_window(127),
+    *(every_window(d) for d in (1, _HALF // 4, _HALF // 4 + 1, _HALF // 2 - 1, _HALF - 1, _HALF, _HALF + 1, _MASK)),
 ]
 
 
@@ -576,11 +566,16 @@ class TestScalarKernel:
             assert _to_affine(_jadd_affine(p, x, y)) == _to_affine(_jdouble((x, y, 1)))
             assert _jadd_affine(p, x, _P - y) == (0, 0, 0)
 
-    @pytest.mark.parametrize("w, d", [(0, 1), (0, 64), (18, 33), (36, 1), (36, 64)])
+    @pytest.mark.parametrize("w, d", [(0, 1), (0, 64), (0, _HALF - 1), (18, 33), (_ROWS - 1, 1), (_ROWS - 1, 15)])
     def test_base_table_holds_affine_window_multiples(self, w, d):
+        _jmul_base(d << _WINDOW * w)
         table = _base_table()
-        assert len(table) == 37 and {len(row) for row in table} == {64}
-        assert table[w][d - 1] == _to_affine(reference_mul(d << 7 * w, G))
+        assert len(table) == _ROWS and {len(row) for row in table} == {_HALF}
+        assert table[w][d - 1] is not None
+        for row in (0, _ROWS - 1):
+            for digit, slot in enumerate(table[row], 1):
+                if slot is not None:
+                    assert slot == _to_affine(reference_mul(digit << _WINDOW * row, G))
 
     @given(
         pairs=st.lists(
@@ -1068,3 +1063,29 @@ class TestBatchedBaseMult:
     def test_scalars_where_the_last_window_can_wrap(self, center):
         ks = near(center, 40, center)
         assert _base_mul_batch(ks) == [_to_affine(_jmul_base(k)) for k in ks]
+
+
+def filled_slots(multiply):
+    """The base table's rows after multiply() runs on a table of powers of two alone."""
+    _base_table.cache_clear()
+    multiply()
+    return [list(row) for row in _base_table()]
+
+
+class TestBaseTableFill:
+    def test_batch_and_single_mults_fill_the_same_slots(self):
+        rng = Random(200)
+        ks = [1 + rng.randrange(_N - 1) for _ in range(200)]
+        batch = filled_slots(lambda: _base_mul_batch(ks))
+        assert batch == filled_slots(lambda: [_jmul_base(k) for k in ks])
+        for w, row in enumerate(batch):
+            assert row[0] == _to_affine(reference_mul(1 << _WINDOW * w, G))
+            for d, slot in enumerate(row, 1):
+                if slot is not None:
+                    assert slot == _to_affine(reference_mul(d, (*row[0], 1)))
+
+    def test_one_key_pair_fills_at_most_one_chain_per_row(self):
+        powers = sum(slot is not None for row in filled_slots(lambda: None) for slot in row)
+        assert powers == _ROWS * _WINDOW
+        filled = sum(slot is not None for row in filled_slots(lambda: keypair_gen(Random(0))) for slot in row)
+        assert 0 < filled - powers <= _ROWS * (_WINDOW - 1)
