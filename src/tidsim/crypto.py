@@ -18,6 +18,7 @@ import contextlib
 import functools
 import hashlib
 import hmac as _hmac
+import os
 from dataclasses import dataclass
 from random import Random
 from typing import Iterable, Sequence
@@ -139,22 +140,22 @@ def decode_parts(data: bytes) -> list[bytes]:
 # ---------------------------------------------------------------------------
 # secp256k1 arithmetic in Jacobian coordinates. Fixed-base multiplication
 # uses signed 9-bit windows over a table of affine points: 29 windows hold
-# d * 512^w * G for d = 1..256, a digit d > 256 becomes d - 512 with a carry
-# into the next window, and a negative digit negates y. Each table point is
-# added with a mixed Jacobian-affine addition (Hankerson-Menezes-Vanstone,
-# Guide to ECC, 3.2-3.3), about 28 per k * G.
+# d * 512^w * G for d = 1..256 (1..16 in the top one), a digit d > 256
+# becomes d - 512 with a carry into the next window, and a negative digit
+# negates y. Each table point is added with a mixed Jacobian-affine addition
+# (Hankerson-Menezes-Vanstone, Guide to ECC, 3.2-3.3), about 28 per k * G.
+#
+# The table is package data, secp256k1_base_table.bin, as libsecp256k1
+# commits its generator tables as generated source: every process would
+# otherwise compute the same 7,184 points. The first k * G reads the file
+# and checks its SHA3-256 (_base_table). tests/test_crypto.py rebuilds it
+# from G and compares it byte for byte.
 #
 # Affine additions that share one inversion of their x differences
-# (Montgomery's trick, Math. Comp. 1987; _affine_sums) do two jobs. They
-# fill the table: a doubling chain gives each window's powers of two when
-# the table is built, and every other slot is summed from two filled ones
-# the first time a multiplication reads it, one round of sums per bit
-# length (_fill_base_table). A process that makes a few k * G fills a few
-# slots per window; one that makes thousands fills the table once. And they
-# multiply many keys at once (_base_mul_batch): every accumulator stays
-# affine and each window costs one inversion instead of one per key. The
-# equal-x case of affine addition never arises in either; _fill_base_table
-# and _base_mul_batch give the arguments.
+# (Montgomery's trick, Math. Comp. 1987; _affine_sums) multiply many keys
+# at once (_base_mul_batch): every accumulator stays affine and each window
+# costs one inversion instead of one per key. The equal-x case of affine
+# addition never arises there; _base_mul_batch gives the argument.
 #
 # Variable-base multiplication uses the GLV endomorphism (Gallant-Lambert-
 # Vanstone, CRYPTO 2001; Guide to ECC, 3.5). On secp256k1 the map
@@ -416,74 +417,40 @@ _MASK = (1 << _WINDOW) - 1
 _ROWS = -(-257 // _WINDOW)
 
 
+_BASE_TABLE_FILE = os.path.join(os.path.dirname(__file__), "secp256k1_base_table.bin")
+_BASE_TABLE_SHA3 = "1a68378147ee24093ce2df8cbba2149fb481e29e44db71f0ccb3cf63db3ff75e"
+
+
 @functools.cache
 def _base_table():
-    """Row w has a slot for the affine d * B, d = 1.._HALF, B = 2^(_WINDOW * w) * G.
+    """Row w holds the affine d * B, B = 2^(_WINDOW * w) * G, at index d - 1.
 
-    One doubling chain from G passes through every 2^i * B, which one shared
-    inversion makes affine; those slots are filled here. Every other slot
-    stays None until a multiplication reads it (_fill_base_table), so one
-    k * G fills at most _WINDOW - 2 more slots per row, one per set bit of
-    its digit there but the top one.
+    Rows 0.._ROWS - 2 hold d = 1.._HALF; the top row holds d = 1..16, since
+    k < 2^256 leaves at most 15 there plus a carry. The points are read
+    from _BASE_TABLE_FILE, which holds them row by row as x || y, each a
+    32-byte big-endian integer, and is checked against its SHA3-256 first:
+    a wrong point would give wrong keys without any error.
 
-    Built on the first fixed-base multiplication, not at import, so a
-    process that never multiplies by G never pays for it.
+    Read on the first fixed-base multiplication, not at import, so a
+    process that never multiplies by G never reads the file.
     """
-    chain = [(_GX, _GY, 1)]
-    for _ in range(_WINDOW * _ROWS - 1):
-        chain.append(_jdouble(chain[-1]))
-    powers = _batch_to_affine(chain)
-    table = [[None] * _HALF for _ in range(_ROWS)]
-    for w, row in enumerate(table):
-        for i in range(_WINDOW):
-            row[(1 << i) - 1] = powers[_WINDOW * w + i]
-    return table
-
-
-def _fill_base_table(ks, row, j):
-    """Fill every empty slot of _base_table() that the signed digits of ks read; return row[j].
-
-    An empty slot d = 2^m + e, 0 < e < 2^m, becomes e * B + 2^m * B, and
-    the slot e joins the fill when it is empty too, down to a power of two.
-    One _affine_sums per bit length m, across all rows, fills the slots of
-    that length, so both summands of each sum are filled before it. The
-    summands' x differ: equal x needs (2^m -+ e) * 2^(_WINDOW * w) = 0 mod N,
-    and N is a prime that divides neither factor. Each slot ends up holding
-    the unique affine d * B, whatever order the slots are filled in.
-    """
-    table = _base_table()
-    levels = [set() for _ in range(_WINDOW)]
-    for k in ks:
-        for w, slots in enumerate(table):
-            if not k:
-                break
-            d = k & _MASK
-            k >>= _WINDOW
-            if d > _HALF:
-                k += 1
-                d = _MASK + 1 - d
-            while d and slots[d - 1] is None:
-                m = d.bit_length() - 1
-                levels[m].add((w, d))
-                d -= 1 << m
-    for m, wanted in enumerate(levels):
-        if wanted:
-            low = 1 << m
-            wanted = list(wanted)
-            sums = _affine_sums([(table[w][d - low - 1], table[w][low - 1]) for w, d in wanted])
-            for (w, d), s in zip(wanted, sums):
-                table[w][d - 1] = s
-    return row[j]
+    with open(_BASE_TABLE_FILE, "rb") as f:
+        data = f.read()
+    if hashlib.sha3_256(data).hexdigest() != _BASE_TABLE_SHA3:
+        raise CryptoError(f"{_BASE_TABLE_FILE} is not the secp256k1 base table: its SHA3-256 differs")
+    coords = [int.from_bytes(data[i : i + 32], "big") for i in range(0, len(data), 32)]
+    points = list(zip(coords[::2], coords[1::2]))
+    return [points[i : i + _HALF] for i in range(0, len(points), _HALF)]
 
 
 def _jmul_base(k):
     """k * G for 0 <= k < 2^256 by signed _WINDOW-bit windows over _base_table().
 
-    The first empty slot that k reads has _fill_base_table fill it and every
-    other slot k reads; a filled slot costs one truth test.
+    Each nonzero digit adds its table point with one mixed addition, about
+    28 for a random k. The last window's digit is at most 16, which the
+    table's top row holds.
     """
     acc = _INF
-    ks = (k,)
     for row in _base_table():
         if not k:
             break
@@ -491,10 +458,10 @@ def _jmul_base(k):
         k >>= _WINDOW
         if d > _HALF:
             k += 1
-            x, y = row[_MASK - d] or _fill_base_table(ks, row, _MASK - d)
+            x, y = row[_MASK - d]
             acc = _jadd_affine(acc, x, _P - y)
         elif d:
-            x, y = row[d - 1] or _fill_base_table(ks, row, d - 1)
+            x, y = row[d - 1]
             acc = _jadd_affine(acc, x, y)
     return acc
 
@@ -504,8 +471,7 @@ def _base_mul_batch(ks):
 
     Each accumulator stays affine. In each window every key whose digit is
     nonzero adds its table point T, and _affine_sums shares one inversion
-    across the window's additions. The first empty slot read has
-    _fill_base_table fill every slot that any key of ks reads.
+    across the window's additions.
 
     The accumulator S * G never has T's x, so no branch handles equal x. S
     sums the signed digits below the window, each at most 256 * 512^j:
@@ -522,9 +488,8 @@ def _base_mul_batch(ks):
     A search over 2,021 scalars within 2^132 of 1, 2^128, 2^255, N - 2^255,
     2^256 - N, N/2 and N - 1 found no equal-x case either.
     """
-    ks = list(ks)
-    todo = ks[:]
-    acc = [None] * len(ks)
+    todo = list(ks)
+    acc = [None] * len(todo)
     width, half, mask = _WINDOW, _HALF, _MASK
     for row in _base_table():
         keys = []
@@ -533,13 +498,13 @@ def _base_mul_batch(ks):
             d = k & mask
             if d > half:
                 todo[i] = (k >> width) + 1
-                x, y = row[mask - d] or _fill_base_table(ks, row, mask - d)
+                x, y = row[mask - d]
                 t = (x, _P - y)
             else:
                 todo[i] = k >> width
                 if not d:
                     continue
-                t = row[d - 1] or _fill_base_table(ks, row, d - 1)
+                t = row[d - 1]
             if acc[i] is None:
                 acc[i] = t
             else:
@@ -610,10 +575,10 @@ def keypairs_gen(rng: Random, count: int) -> list[KeyPair]:
 
     The scalars are drawn first, in order; the public keys then come from one
     batched multiplication. Per key that costs more than keypair_gen below
-    about six keys and less above: 411 against 218 µs at 2 keys, 233
-    against 229 at 6, 187 against 215 at 8, 187 against 265 at 22 and 126
-    against 245 at 60 (best of repeated runs with the table filled, on a
-    2-core x86-64 host).
+    about eight keys and less above: 371 against 192 µs at 2 keys, 204
+    against 194 at 6, 187 against 189 at 8, 135 against 188 at 22 and 117
+    against 200 at 60 (best of repeated runs, best over 5 processes, with
+    the table loaded, on a 2-core x86-64 host).
     """
     ks = [_draw_scalar(rng) for _ in range(count)]
     return [_keypair(k, x, y) for k, (x, y) in zip(ks, _base_mul_batch(ks))]

@@ -433,13 +433,17 @@ class TestScheduleOverride:
 
 
 COLD_START = """
-import json, sys
+import contextlib, io, json, sys
 from random import Random
 import tidsim, tidsim.cli
 from tidsim.crypto import _base_table
 seen = []
 def look():
     seen.append(["numpy" in sys.modules, _base_table.cache_info().currsize])
+look()
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    assert tidsim.cli.main(["analyze", "availability", "3", "4", "10", "0.95"]) == 0
+assert out.getvalue() == "0.999903\\n", out.getvalue()
 look()
 tidsim.keypair_gen(Random(0))
 look()
@@ -451,13 +455,13 @@ print(json.dumps(seen))
 
 def test_import_loads_numpy_and_base_table_on_first_use():
     """A fresh interpreter importing tidsim and its CLI loads no numpy and
-    builds no k * G table; a key pair builds the table, and the Monte Carlo
-    loads numpy."""
+    reads no k * G table, nor does `tidsim analyze`; a key pair reads the
+    table, and the Monte Carlo loads numpy."""
     src = str(Path(tidsim.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", COLD_START], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == [[False, 0], [False, 1], [True, 1]]
+    assert json.loads(done.stdout) == [[False, 0], [False, 0], [False, 1], [True, 1]]
 
 
 def _read_csv(path):

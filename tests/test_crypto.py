@@ -8,7 +8,9 @@ interpolation path.
 import contextlib
 import functools
 import gc
+import hashlib
 import itertools
+import re
 import sys
 from random import Random
 
@@ -20,6 +22,7 @@ from tidsim.actors import PeelMemo, peel_with_keys
 from tidsim.adversary import run_bribery
 from tidsim.crypto import (
     AuthenticationError,
+    CryptoError,
     InsufficientSharesError,
     Onion,
     OnionStateError,
@@ -41,6 +44,7 @@ from tidsim.crypto import (
     _affine_sums,
     _base_mul_batch,
     _base_table,
+    _batch_to_affine,
     _glv_split,
     _jadd,
     _jadd_affine,
@@ -445,6 +449,44 @@ def reference_mul(k, point):
     return acc
 
 
+def reference_base_table_bytes():
+    """The bytes of crypto's base table file, built from G.
+
+    One doubling chain from G passes through each row's powers of two
+    2^i * B, B = 2^(_WINDOW * w) * G, and one shared inversion makes them
+    affine. Every other slot d = 2^m + e, 0 < e < 2^m, is e * B + 2^m * B,
+    with one _affine_sums per bit length m across all rows, so both summands
+    are built before the sum. The summands' x differ: equal x needs
+    (2^m -+ e) * 2^(_WINDOW * w) = 0 mod N, and N is a prime that divides
+    neither factor. Rows hold d = 1.._HALF, except the top one: k < 2^256
+    leaves below 2^(256 - _WINDOW * (_ROWS - 1)) in its window, plus a carry.
+    Each point is written as x || y, 32-byte big-endian, row by row.
+
+    If _WINDOW ever changes, rewrite the file from the repository root with
+        PYTHONPATH=src:tests python -c 'import hashlib, test_crypto as t;
+        data = t.reference_base_table_bytes();
+        open("src/tidsim/secp256k1_base_table.bin", "wb").write(data);
+        print(hashlib.sha3_256(data).hexdigest())'
+    and set crypto._BASE_TABLE_SHA3 to the hash it prints.
+    """
+    top = min(_HALF, 1 << 256 - _WINDOW * (_ROWS - 1))
+    table = [[None] * _HALF for _ in range(_ROWS - 1)] + [[None] * top]
+    chain = [G]
+    for _ in range(_WINDOW * _ROWS - 1):
+        chain.append(_jdouble(chain[-1]))
+    powers = _batch_to_affine(chain)
+    for w, row in enumerate(table):
+        for i in range(len(row).bit_length()):
+            row[(1 << i) - 1] = powers[_WINDOW * w + i]
+    for m in range(1, _WINDOW - 1):
+        low = 1 << m
+        wanted = [(w, d) for w, row in enumerate(table) for d in range(low + 1, min(2 * low, len(row) + 1))]
+        sums = _affine_sums([(table[w][d - low - 1], table[w][low - 1]) for w, d in wanted])
+        for (w, d), point in zip(wanted, sums):
+            table[w][d - 1] = point
+    return b"".join(x.to_bytes(32, "big") + y.to_bytes(32, "big") for row in table for x, y in row)
+
+
 def reference_recover(digest, sig):
     """Recovery as three multiplications: Q = r^-1 * (s*R - z*G)."""
     x = sig.r
@@ -568,14 +610,15 @@ class TestScalarKernel:
 
     @pytest.mark.parametrize("w, d", [(0, 1), (0, 64), (0, _HALF - 1), (18, 33), (_ROWS - 1, 1), (_ROWS - 1, 15)])
     def test_base_table_holds_affine_window_multiples(self, w, d):
-        _jmul_base(d << _WINDOW * w)
         table = _base_table()
-        assert len(table) == _ROWS and {len(row) for row in table} == {_HALF}
-        assert table[w][d - 1] is not None
-        for row in (0, _ROWS - 1):
-            for digit, slot in enumerate(table[row], 1):
-                if slot is not None:
-                    assert slot == _to_affine(reference_mul(digit << _WINDOW * row, G))
+        assert [len(row) for row in table] == [_HALF] * (_ROWS - 1) + [16]
+        assert table[w][d - 1] == _to_affine(reference_mul(d << _WINDOW * w, G))
+
+    def test_first_and_last_base_table_rows_match_reference(self):
+        table = _base_table()
+        for w in (0, _ROWS - 1):
+            for d, slot in enumerate(table[w], 1):
+                assert slot == _to_affine(reference_mul(d << _WINDOW * w, G))
 
     @given(
         pairs=st.lists(
@@ -1065,27 +1108,35 @@ class TestBatchedBaseMult:
         assert _base_mul_batch(ks) == [_to_affine(_jmul_base(k)) for k in ks]
 
 
-def filled_slots(multiply):
-    """The base table's rows after multiply() runs on a table of powers of two alone."""
+@pytest.fixture
+def table_copy(tmp_path):
+    """A copy of the base table file that _base_table reads in place of the shipped one."""
+    copy = tmp_path / "secp256k1_base_table.bin"
+    with open(crypto._BASE_TABLE_FILE, "rb") as f:
+        copy.write_bytes(f.read())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(crypto, "_BASE_TABLE_FILE", str(copy))
+        _base_table.cache_clear()
+        yield copy
     _base_table.cache_clear()
-    multiply()
-    return [list(row) for row in _base_table()]
 
 
-class TestBaseTableFill:
-    def test_batch_and_single_mults_fill_the_same_slots(self):
-        rng = Random(200)
-        ks = [1 + rng.randrange(_N - 1) for _ in range(200)]
-        batch = filled_slots(lambda: _base_mul_batch(ks))
-        assert batch == filled_slots(lambda: [_jmul_base(k) for k in ks])
-        for w, row in enumerate(batch):
-            assert row[0] == _to_affine(reference_mul(1 << _WINDOW * w, G))
-            for d, slot in enumerate(row, 1):
-                if slot is not None:
-                    assert slot == _to_affine(reference_mul(d, (*row[0], 1)))
+class TestBaseTableFile:
+    def test_file_equals_a_fresh_build_from_g(self):
+        with open(crypto._BASE_TABLE_FILE, "rb") as f:
+            data = f.read()
+        assert data == reference_base_table_bytes()
+        assert hashlib.sha3_256(data).hexdigest() == crypto._BASE_TABLE_SHA3
 
-    def test_one_key_pair_fills_at_most_one_chain_per_row(self):
-        powers = sum(slot is not None for row in filled_slots(lambda: None) for slot in row)
-        assert powers == _ROWS * _WINDOW
-        filled = sum(slot is not None for row in filled_slots(lambda: keypair_gen(Random(0))) for slot in row)
-        assert 0 < filled - powers <= _ROWS * (_WINDOW - 1)
+    def test_intact_copy_loads(self, table_copy):
+        assert _to_affine(_jmul_base(0xC0FFEE)) == _to_affine(reference_mul(0xC0FFEE, G))
+
+    @pytest.mark.parametrize(
+        "damage",
+        [lambda data: data[:1000] + bytes([data[1000] ^ 1]) + data[1001:], lambda data: data[:-64]],
+        ids=["flipped_byte", "truncated"],
+    )
+    def test_damaged_copy_raises(self, table_copy, damage):
+        table_copy.write_bytes(damage(table_copy.read_bytes()))
+        with pytest.raises(CryptoError, match=re.escape(str(table_copy))):
+            keypair_gen(Random(0))
