@@ -139,17 +139,18 @@ def decode_parts(data: bytes) -> list[bytes]:
 
 # ---------------------------------------------------------------------------
 # secp256k1 arithmetic in Jacobian coordinates. Fixed-base multiplication
-# uses signed 9-bit windows over a table of affine points: 29 windows hold
-# d * 512^w * G for d = 1..256 (1..16 in the top one), a digit d > 256
-# becomes d - 512 with a carry into the next window, and a negative digit
+# uses signed 11-bit windows over a table of affine points: 24 windows hold
+# d * 2048^w * G for d = 1..1024 (1..8 in the top one), a digit d > 1024
+# becomes d - 2048 with a carry into the next window, and a negative digit
 # negates y. Each table point is added with a mixed Jacobian-affine addition
-# (Hankerson-Menezes-Vanstone, Guide to ECC, 3.2-3.3), about 28 per k * G.
+# (Hankerson-Menezes-Vanstone, Guide to ECC, 3.2-3.3), about 23 per k * G.
 #
 # The table is package data, secp256k1_base_table.bin, as libsecp256k1
 # commits its generator tables as generated source: every process would
-# otherwise compute the same 7,184 points. The first k * G reads the file
-# and checks its SHA3-256 (_base_table). tests/test_crypto.py rebuilds it
-# from G and compares it byte for byte.
+# otherwise compute the same 23,560 points. The first k * G reads the file,
+# checks its SHA-256 and holds each point as one integer x * 2^256 + y
+# (_base_table). tests/test_crypto.py rebuilds it from G and compares it
+# byte for byte.
 #
 # Affine additions that share one inversion of their x differences
 # (Montgomery's trick, Math. Comp. 1987; _affine_sums) multiply many keys
@@ -157,21 +158,11 @@ def decode_parts(data: bytes) -> list[bytes]:
 # costs one inversion instead of one per key. The equal-x case of affine
 # addition never arises there; _base_mul_batch gives the argument.
 #
-# Variable-base multiplication uses the GLV endomorphism (Gallant-Lambert-
-# Vanstone, CRYPTO 2001; Guide to ECC, 3.5). On secp256k1 the map
-# phi(x, y) = (beta * x, y) equals lambda * (x, y) for every point of the
-# group, with beta^3 = 1 mod P and lambda^3 = 1 mod N. A scalar k splits
-# into k1 + k2 * lambda = k (mod N) with |k1|, |k2| < 2^129 by rounding k
-# against the short basis (a1, b1), (a2, b2) of the lattice
-# {(u, v) : u + v * lambda = 0 mod N}. The basis is the one the extended
-# Euclidean algorithm on (N, lambda) yields (Guide to ECC, 3.5, before
-# alg. 3.74), as libsecp256k1 uses. k * P = k1 * P + k2 * phi(P) then
-# costs ~129 doublings instead of ~256. This holds only for P on
-# secp256k1: callers check that before they multiply (ecies_* and
-# signature recovery do).
+# Variable-base multiplication (_jmul) walks the width-5 wNAF of k over the
+# odd multiples of the point.
 #
 # An ECDH d * E with E = e * G drawn in this process is (d * e mod N) * G,
-# one fixed-base multiplication instead of a GLV one (_shared_x; the
+# one fixed-base multiplication instead of a wNAF one (_shared_x; the
 # argument is at _scalars). ecies_encrypt records each layer it wraps for an
 # in-process point q * G with q and the layer's ECDH x, so ecies_openers
 # names exactly the keys that open the layer and they open it without a
@@ -187,13 +178,6 @@ _P = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEFFFFFC2F
 _N = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEBAAEDCE6AF48A03BBFD25E8CD0364141
 _GX = 0x79BE667EF9DCBBAC55A06295CE870B07029BFCDB2DCE28D959F2815B16F81798
 _GY = 0x483ADA7726A3C4655DA4FBFC0E1108A8FD17B448A68554199C47D08FFB10D4B8
-
-_BETA = 0x7AE96A2B657C07106E64479EAC3434E99CF0497512F58995C1396C28719501EE
-_LAMBDA = 0x5363AD4CC05C30E0A5261C028812645A122E22EA20816678DF02967C1B23BD72
-_A1 = 0x3086D221A7D46BCDE86C90E49284EB15
-_B1 = -0xE4437ED6010E88286F547FA90ABFE4C3
-_A2 = 0x114CA50F7A8E2F3F657C1108D9D44CFD8
-_B2 = _A1
 
 _INF = (0, 0, 0)
 
@@ -283,20 +267,13 @@ def _wnaf(k):
     return digits
 
 
-def _glv_split(k):
-    """(k1, k2) with k1 + k2 * lambda = k (mod N) and |k1|, |k2| < 2^129, for any integer k."""
-    c1 = (_B2 * k + _N // 2) // _N
-    c2 = (-_B1 * k + _N // 2) // _N
-    return k - c1 * _A1 - c2 * _A2, -c1 * _B1 - c2 * _B2
-
-
 # Only the recovery of a foreign signature and an ECDH with a point missing
 # from _scalars (a foreign point, or any point outside a scope) reach _jmul
 # (see _shared_x). A courier key wraps one layer per share it carries, so
 # the tables of the last few points are kept.
 @functools.lru_cache(maxsize=32)
 def _odd_multiples(p):
-    """Affine d * p and d * phi(p) for odd d in [-15, 15], as two 32-slot tuples.
+    """Affine d * p for odd d in [-15, 15], as a 32-slot tuple.
 
     Slot d holds d * p; a negative d lands at 32 + d, so Python's negative
     indexing reads it directly.
@@ -306,51 +283,27 @@ def _odd_multiples(p):
     for _ in range(7):
         points.append(_jadd(points[-1], twice))
     table = [None] * 32
-    phi = [None] * 32
     for i, (x, y) in enumerate(_batch_to_affine(points)):
         d = 2 * i + 1
-        bx = _BETA * x % _P
         table[d], table[-d] = (x, y), (x, _P - y)
-        phi[d], phi[-d] = (bx, y), (bx, _P - y)
-    return tuple(table), tuple(phi)
+    return tuple(table)
 
 
 def _jmul(k, p):
-    """k * p for any integer k and p on secp256k1, by GLV over width-5 wNAF.
+    """k * p for any integer k and p on secp256k1, by width-5 wNAF.
 
-    p must lie on secp256k1, since only there is phi(p) = lambda * p. k
-    reduces mod N and splits into k1 + k2 * lambda, |k1|, |k2| < 2^129, by
-    rounding against the lattice basis (_A1, _B1), (_A2, _B2) that the
-    extended Euclidean algorithm on (N, lambda) yields (Guide to ECC, 3.5;
-    libsecp256k1 uses the same). The wNAF digits of |k1| index the odd
-    multiples of p and those of |k2| the same points with x scaled by beta;
-    a negative half-scalar flips the sign of its digits, which negates y.
-    Both digit strings are walked together, one doubling per position.
+    k reduces mod N, the order of every point on the curve. Each nonzero
+    digit adds its odd multiple of p, one doubling per position.
     """
     k %= _N
     if not k or not p[2]:
         return _INF
-    k1, k2 = _glv_split(k)
-    table, phi = _odd_multiples(p)
-    digits1 = _wnaf(abs(k1))
-    digits2 = _wnaf(abs(k2))
-    if k1 < 0:
-        digits1 = [-d for d in digits1]
-    if k2 < 0:
-        digits2 = [-d for d in digits2]
-    size = max(len(digits1), len(digits2))
-    digits1 += [0] * (size - len(digits1))
-    digits2 += [0] * (size - len(digits2))
+    table = _odd_multiples(p)
     acc = _INF
-    for i in range(size - 1, -1, -1):
+    for d in reversed(_wnaf(k)):
         acc = _jdouble(acc)
-        d = digits1[i]
         if d:
             x, y = table[d]
-            acc = _jadd_affine(acc, x, y)
-        d = digits2[i]
-        if d:
-            x, y = phi[d]
             acc = _jadd_affine(acc, x, y)
     return acc
 
@@ -411,43 +364,47 @@ def _affine_sums(pairs):
 # Signed windows of _WINDOW bits: a digit above _HALF becomes digit - 2^_WINDOW
 # and carries one into the next window. _ROWS windows cover every k < 2^256
 # with the top digit at most _HALF.
-_WINDOW = 9
+_WINDOW = 11
 _HALF = 1 << _WINDOW - 1
 _MASK = (1 << _WINDOW) - 1
 _ROWS = -(-257 // _WINDOW)
+# A table slot x * 2^256 + y splits into x = slot >> 256 and y = slot & _LOW.
+_LOW = (1 << 256) - 1
 
 
 _BASE_TABLE_FILE = os.path.join(os.path.dirname(__file__), "secp256k1_base_table.bin")
-_BASE_TABLE_SHA3 = "1a68378147ee24093ce2df8cbba2149fb481e29e44db71f0ccb3cf63db3ff75e"
+_BASE_TABLE_SHA256 = "185a57c8f0a2bef3d1510d75e29f74df0e43ebf9a45aa719eb51bd7b9cc8c0b3"
 
 
 @functools.cache
 def _base_table():
-    """Row w holds the affine d * B, B = 2^(_WINDOW * w) * G, at index d - 1.
+    """Row w holds the affine d * B, B = 2^(_WINDOW * w) * G, at index d - 1, as x * 2^256 + y.
 
-    Rows 0.._ROWS - 2 hold d = 1.._HALF; the top row holds d = 1..16, since
-    k < 2^256 leaves at most 15 there plus a carry. The points are read
+    Rows 0.._ROWS - 2 hold d = 1.._HALF; the top row holds d = 1..8, since
+    k < 2^256 leaves at most 7 there plus a carry. The points are read
     from _BASE_TABLE_FILE, which holds them row by row as x || y, each a
-    32-byte big-endian integer, and is checked against its SHA3-256 first:
-    a wrong point would give wrong keys without any error.
+    32-byte big-endian integer, so each 64-byte slot read as one integer
+    is x * 2^256 + y. One integer per point keeps about 2.3 MiB for the
+    23,560 points, half what (x, y) tuples would. The file is checked
+    against its SHA-256 first: a wrong point would give wrong keys
+    without any error.
 
     Read on the first fixed-base multiplication, not at import, so a
     process that never multiplies by G never reads the file.
     """
     with open(_BASE_TABLE_FILE, "rb") as f:
         data = f.read()
-    if hashlib.sha3_256(data).hexdigest() != _BASE_TABLE_SHA3:
-        raise CryptoError(f"{_BASE_TABLE_FILE} is not the secp256k1 base table: its SHA3-256 differs")
-    coords = [int.from_bytes(data[i : i + 32], "big") for i in range(0, len(data), 32)]
-    points = list(zip(coords[::2], coords[1::2]))
-    return [points[i : i + _HALF] for i in range(0, len(points), _HALF)]
+    if hashlib.sha256(data).hexdigest() != _BASE_TABLE_SHA256:
+        raise CryptoError(f"{_BASE_TABLE_FILE} is not the secp256k1 base table: its SHA-256 differs")
+    slots = [int.from_bytes(data[i : i + 64], "big") for i in range(0, len(data), 64)]
+    return [slots[i : i + _HALF] for i in range(0, len(slots), _HALF)]
 
 
 def _jmul_base(k):
     """k * G for 0 <= k < 2^256 by signed _WINDOW-bit windows over _base_table().
 
     Each nonzero digit adds its table point with one mixed addition, about
-    28 for a random k. The last window's digit is at most 16, which the
+    23 for a random k. The last window's digit is at most 8, which the
     table's top row holds.
     """
     acc = _INF
@@ -458,11 +415,11 @@ def _jmul_base(k):
         k >>= _WINDOW
         if d > _HALF:
             k += 1
-            x, y = row[_MASK - d]
-            acc = _jadd_affine(acc, x, _P - y)
+            v = row[_MASK - d]
+            acc = _jadd_affine(acc, v >> 256, _P - (v & _LOW))
         elif d:
-            x, y = row[d - 1]
-            acc = _jadd_affine(acc, x, y)
+            v = row[d - 1]
+            acc = _jadd_affine(acc, v >> 256, v & _LOW)
     return acc
 
 
@@ -471,26 +428,24 @@ def _base_mul_batch(ks):
 
     Each accumulator stays affine. In each window every key whose digit is
     nonzero adds its table point T, and _affine_sums shares one inversion
-    across the window's additions.
+    across the window's additions: 24 inversions per batch.
 
     The accumulator S * G never has T's x, so no branch handles equal x. S
-    sums the signed digits below the window, each at most 256 * 512^j:
-    - before window w <= 27, |S| < (256/511) * 512^w <= |T| and
-      |S| + |T| < 2^252 < N, so S - T and S + T are nonzero and below N in
+    sums the signed digits below the window, each at most 1024 * 2048^j:
+    - before window w <= 22, |S| < (1024/2047) * 2048^w <= |T| and
+      |S| + |T| < 2^253 < N, so S - T and S + T are nonzero and below N in
       size, and S is not +-T mod N;
-    - in window 28 a nonzero digit is 1..16, since k < 2^256 leaves at
-      most 15 there plus a carry. S = -T mod N would make k = S + T = 0 mod N.
+    - in window 23 a nonzero digit is 1..8, since k < 2^256 leaves at
+      most 7 there plus a carry. S = -T mod N would make k = S + T = 0 mod N.
       S = T mod N, with S != T, needs T - S = N, since 0 < T - S < 2N;
-      T = d * 2^252 lies within 2^251 of N only for d = 16, and then
+      T = d * 2^253 lies within 2^252 of N only for d = 8, and then
       S = 2^256 - N and k = S + T = 2^257 - N >= N;
     - were it ever to happen, _affine_sums would raise rather than give a
       wrong point.
-    A search over 2,021 scalars within 2^132 of 1, 2^128, 2^255, N - 2^255,
-    2^256 - N, N/2 and N - 1 found no equal-x case either.
     """
     todo = list(ks)
     acc = [None] * len(todo)
-    width, half, mask = _WINDOW, _HALF, _MASK
+    width, half, mask, low, p = _WINDOW, _HALF, _MASK, _LOW, _P
     for row in _base_table():
         keys = []
         pairs = []
@@ -498,13 +453,14 @@ def _base_mul_batch(ks):
             d = k & mask
             if d > half:
                 todo[i] = (k >> width) + 1
-                x, y = row[mask - d]
-                t = (x, _P - y)
+                v = row[mask - d]
+                t = (v >> 256, p - (v & low))
             else:
                 todo[i] = k >> width
                 if not d:
                     continue
-                t = row[d - 1]
+                v = row[d - 1]
+                t = (v >> 256, v & low)
             if acc[i] is None:
                 acc[i] = t
             else:
@@ -575,9 +531,9 @@ def keypairs_gen(rng: Random, count: int) -> list[KeyPair]:
 
     The scalars are drawn first, in order; the public keys then come from one
     batched multiplication. Per key that costs more than keypair_gen below
-    about eight keys and less above: 371 against 192 µs at 2 keys, 204
-    against 194 at 6, 187 against 189 at 8, 135 against 188 at 22 and 117
-    against 200 at 60 (best of repeated runs, best over 5 processes, with
+    about seven keys and less above: 304 against 156 µs at 2 keys, 158
+    against 152 at 6, 140 against 154 at 8, 110 against 156 at 22 and 93
+    against 161 at 60 (best of repeated runs, best over 5 processes, with
     the table loaded, on a 2-core x86-64 host).
     """
     ks = [_draw_scalar(rng) for _ in range(count)]
@@ -597,7 +553,7 @@ def _keypair(k: int, x: int, y: int) -> KeyPair:
 # draws each ephemeral key here too, so the scalar e of each such point
 # E = e*G is known. _keypair records it in _scalars, and _shared_x computes
 # the ECDH point d*E as (d*e mod N)*G: one fixed-base multiplication
-# instead of a GLV one. This is exact, not a guess: E is stored only where
+# instead of a wNAF one. This is exact, not a guess: E is stored only where
 # this module computed it as e*G, so d*E = d*(e*G) = (d*e mod N)*G for
 # every d, and with N prime and d, e in [1, N) the product d*e mod N is
 # never 0. No scalar leaves the module and no caller can claim one for a

@@ -12,6 +12,7 @@ import hashlib
 import itertools
 import re
 import sys
+import tracemalloc
 from random import Random
 
 import pytest
@@ -31,11 +32,9 @@ from tidsim.crypto import (
     Signature,
     SMALL_TEST_PRIME,
     VerificationError,
-    _BETA,
     _GX,
     _GY,
     _HALF,
-    _LAMBDA,
     _MASK,
     _N,
     _P,
@@ -45,7 +44,6 @@ from tidsim.crypto import (
     _base_mul_batch,
     _base_table,
     _batch_to_affine,
-    _glv_split,
     _jadd,
     _jadd_affine,
     _jdouble,
@@ -460,14 +458,17 @@ def reference_base_table_bytes():
     (2^m -+ e) * 2^(_WINDOW * w) = 0 mod N, and N is a prime that divides
     neither factor. Rows hold d = 1.._HALF, except the top one: k < 2^256
     leaves below 2^(256 - _WINDOW * (_ROWS - 1)) in its window, plus a carry.
-    Each point is written as x || y, 32-byte big-endian, row by row.
+    With 11-bit windows that is 23 rows of 1,024 points and a top row of 8,
+    23,560 points in all. Each point is written as x || y, 32-byte
+    big-endian, row by row, so a 64-byte slot read as one integer is the
+    x * 2^256 + y that _base_table keeps.
 
     If _WINDOW ever changes, rewrite the file from the repository root with
         PYTHONPATH=src:tests python -c 'import hashlib, test_crypto as t;
         data = t.reference_base_table_bytes();
         open("src/tidsim/secp256k1_base_table.bin", "wb").write(data);
-        print(hashlib.sha3_256(data).hexdigest())'
-    and set crypto._BASE_TABLE_SHA3 to the hash it prints.
+        print(hashlib.sha256(data).hexdigest())'
+    and set crypto._BASE_TABLE_SHA256 to the hash it prints.
     """
     top = min(_HALF, 1 << 256 - _WINDOW * (_ROWS - 1))
     table = [[None] * _HALF for _ in range(_ROWS - 1)] + [[None] * top]
@@ -519,22 +520,43 @@ EDGE_SCALARS = [
 scalars = st.integers(min_value=1, max_value=_N - 1)
 
 
-def every_window(d):
-    """The 252-bit scalar whose _WINDOW-bit windows below the top one all equal d."""
-    return sum(d << _WINDOW * w for w in range(_ROWS - 1))
+def every_window(d, width=_WINDOW):
+    """The scalar below 2^253 whose width-bit windows, all but the top one, equal d."""
+    return sum(d << width * w for w in range(253 // width))
 
 
 # Digits _HALF + 1.._MASK become negative and carry into the next window;
-# _HALF does not.
+# _HALF does not. The top window starts at bit 253 and holds at most 7 plus
+# a carry, and k = S + T meets N only near 2^256 - N (see _base_mul_batch).
+WINDOW_EDGE_SCALARS = [
+    7 << 253 | _MASK << 242,  # a top window of 7 with a carry: the top row's slot d = 8
+    *(every_window(d) for d in (_HALF - 1, _HALF, _HALF + 1)),
+    2**253 - 1,
+    2**253,
+    2**253 + 1,
+    _N - 1,
+    2**256 - _N - 1,
+    2**256 - _N,
+    2**256 - _N + 1,
+]
 BASE_EDGE_SCALARS = [
     1,
     # each power of two up to one window past _MASK, with its neighbours
     *(k for i in range(4, _WINDOW + 1) for k in (2**i - 1, 2**i, 2**i + 1)),
     2**255,
     _N - 16,
-    _N - 1,
-    *(every_window(d) for d in (1, _HALF // 4, _HALF // 4 + 1, _HALF // 2 - 1, _HALF - 1, _HALF, _HALF + 1, _MASK)),
+    # the edges of 9-bit windows, the width before 11-bit ones
+    *(every_window(d, 9) for d in (1, 64, 65, 127, 255, 256, 257, 511)),
+    *WINDOW_EDGE_SCALARS,
 ]
+# A cube root of unity mod N, whose multiples were the special cases of an
+# earlier GLV kernel.
+LAMBDA = 0x5363AD4CC05C30E0A5261C028812645A122E22EA20816678DF02967C1B23BD72
+
+
+def unpack(slot):
+    """The affine point (x, y) that a base-table slot x * 2^256 + y holds."""
+    return divmod(slot, 2**256)
 
 
 class TestScalarKernel:
@@ -549,29 +571,10 @@ class TestScalarKernel:
         point = (*_to_affine(_jmul_base(base)), 1)
         assert _to_affine(_jmul(k, point)) == _to_affine(reference_mul(k, point))
 
-    @given(base=scalars)
-    @settings(max_examples=20, deadline=None)
-    def test_endomorphism_is_multiplication_by_lambda(self, base):
-        x, y = _to_affine(_jmul_base(base))
-        assert _to_affine(reference_mul(_LAMBDA, (x, y, 1))) == (_BETA * x % _P, y)
-
-    @pytest.mark.parametrize("k", EDGE_SCALARS)
-    def test_glv_split_on_edge_scalars(self, k):
-        k1, k2 = _glv_split(k)
-        assert (k1 + k2 * _LAMBDA - k) % _N == 0
-        assert abs(k1) < 2**129 and abs(k2) < 2**129
-
-    @given(k=scalars)
-    @settings(max_examples=200, deadline=None)
-    def test_glv_split(self, k):
-        k1, k2 = _glv_split(k)
-        assert (k1 + k2 * _LAMBDA - k) % _N == 0
-        assert abs(k1) < 2**129 and abs(k2) < 2**129
-
     @pytest.mark.parametrize(
-        "k", [_LAMBDA, _N - _LAMBDA, 2 * _LAMBDA, 3 * _LAMBDA % _N, _LAMBDA * _LAMBDA % _N, _LAMBDA + 1]
+        "k", [LAMBDA, _N - LAMBDA, 2 * LAMBDA, 3 * LAMBDA % _N, LAMBDA * LAMBDA % _N, LAMBDA + 1]
     )
-    def test_glv_mult_on_multiples_of_lambda(self, k):
+    def test_variable_base_mult_on_multiples_of_lambda(self, k):
         x, y = _to_affine(_jmul_base(0xC0FFEE))
         z = 0xBEEF
         for point in [(x, y, 1), (x * z * z % _P, y * z * z * z % _P, z)]:
@@ -579,7 +582,7 @@ class TestScalarKernel:
 
     @given(k=scalars, base=scalars, z=st.integers(min_value=2, max_value=_P - 1))
     @settings(max_examples=30, deadline=None)
-    def test_glv_mult_on_jacobian_points(self, k, base, z):
+    def test_variable_base_mult_on_jacobian_points(self, k, base, z):
         x, y = _to_affine(_jmul_base(base))
         point = (x * z * z % _P, y * z * z * z % _P, z)
         assert _to_affine(_jmul(k, point)) == _to_affine(reference_mul(k, (x, y, 1)))
@@ -608,17 +611,20 @@ class TestScalarKernel:
             assert _to_affine(_jadd_affine(p, x, y)) == _to_affine(_jdouble((x, y, 1)))
             assert _jadd_affine(p, x, _P - y) == (0, 0, 0)
 
-    @pytest.mark.parametrize("w, d", [(0, 1), (0, 64), (0, _HALF - 1), (18, 33), (_ROWS - 1, 1), (_ROWS - 1, 15)])
+    @pytest.mark.parametrize(
+        "w, d",
+        [(0, 1), (0, 64), (0, 255), (0, _HALF), (18, 33), (_ROWS - 2, _HALF - 1), (_ROWS - 1, 1), (_ROWS - 1, 8)],
+    )
     def test_base_table_holds_affine_window_multiples(self, w, d):
         table = _base_table()
-        assert [len(row) for row in table] == [_HALF] * (_ROWS - 1) + [16]
-        assert table[w][d - 1] == _to_affine(reference_mul(d << _WINDOW * w, G))
+        assert [len(row) for row in table] == [_HALF] * (_ROWS - 1) + [8]
+        assert unpack(table[w][d - 1]) == _to_affine(reference_mul(d << _WINDOW * w, G))
 
     def test_first_and_last_base_table_rows_match_reference(self):
         table = _base_table()
         for w in (0, _ROWS - 1):
             for d, slot in enumerate(table[w], 1):
-                assert slot == _to_affine(reference_mul(d << _WINDOW * w, G))
+                assert unpack(slot) == _to_affine(reference_mul(d << _WINDOW * w, G))
 
     @given(
         pairs=st.lists(
@@ -733,7 +739,7 @@ def point_of(pubkey):
 
 
 def memo_ecdh_matches_kernel(d, e):
-    """_shared_x(d, e*G) through the memo equals the GLV and the double-and-add products."""
+    """_shared_x(d, e*G) through the memo equals the _jmul and the double-and-add products."""
     x, y = point_of(keypair_from_scalar(e).pubkey)
     assert crypto._scalars[x, y] == e
     sx = _to_affine(_jmul(d, (x, y, 1)))[0]
@@ -787,7 +793,7 @@ class TestScalarMemo:
             before = len(point_mults)
             blob = ecies_encrypt(pub, b"share", rng)
             assert point_mults[before:] == [point_of(pub)]
-            # the ephemeral point was drawn here, so opening the layer needs no GLV
+            # the ephemeral point was drawn here, so opening the layer needs no _jmul
             assert ecies_decrypt(priv, blob) == b"share"
             assert point_mults[before:] == [point_of(pub)]
         with crypto.scope():
@@ -1101,6 +1107,15 @@ class TestBatchedBaseMult:
     def test_matches_single_key_mult(self, ks):
         assert _base_mul_batch(ks) == [_to_affine(_jmul_base(k)) for k in ks]
 
+    @given(ks=st.lists(st.one_of(scalars, st.sampled_from(WINDOW_EDGE_SCALARS)), min_size=1, max_size=9))
+    @example(ks=WINDOW_EDGE_SCALARS[:6])
+    @example(ks=WINDOW_EDGE_SCALARS[6:])
+    @settings(max_examples=40, deadline=None)
+    def test_window_edges_match_the_reference(self, ks):
+        expected = [_to_affine(reference_mul(k, G)) for k in ks]
+        assert _base_mul_batch(ks) == expected
+        assert [_to_affine(_jmul_base(k)) for k in ks] == expected
+
     # where the top window's digit, after its carry, meets the group order
     @pytest.mark.parametrize("center", [2**255, _N - 2**255, 2**256 - _N, _N - 1])
     def test_scalars_where_the_last_window_can_wrap(self, center):
@@ -1126,7 +1141,19 @@ class TestBaseTableFile:
         with open(crypto._BASE_TABLE_FILE, "rb") as f:
             data = f.read()
         assert data == reference_base_table_bytes()
-        assert hashlib.sha3_256(data).hexdigest() == crypto._BASE_TABLE_SHA3
+        assert hashlib.sha256(data).hexdigest() == crypto._BASE_TABLE_SHA256
+
+    def test_table_keeps_under_3_mib(self):
+        # the file's bytes are freed after decoding, so the current size counts, not the peak
+        _base_table.cache_clear()
+        tracemalloc.start()
+        try:
+            table = _base_table()
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(map(len, table)) == 23_560
+        assert kept < 3 * 2**20
 
     def test_intact_copy_loads(self, table_copy):
         assert _to_affine(_jmul_base(0xC0FFEE)) == _to_affine(reference_mul(0xC0FFEE, G))
