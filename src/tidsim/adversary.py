@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Optional
 from .actors import POLICY_BRIBERABLE, peel_with_keys
 from .analysis import AnalysisError, _check_group, _chunks
 from .crypto import scope, ss_restore
-from .scenario import ConfigError, FAULT_POLICIES, ScenarioConfig, ScenarioRunner, ScenarioTrace
+from .scenario import MODE_STRAWMAN, ConfigError, FAULT_POLICIES, ScenarioConfig, ScenarioRunner, ScenarioTrace
 
 if TYPE_CHECKING:  # numpy is imported where used, so importing tidsim does not load it
     import numpy as np
@@ -65,6 +65,8 @@ def run_bribery(
     pays per (share, layer) bait contract; blind, it bribes registrants in
     a uniformly random order until it can restore or has tried them all.
     """
+    if config.mode == MODE_STRAWMAN:
+        raise ConfigError("bribery buys onion-layer keys, and the strawman mode has none")
     with scope():  # one run's keys, signatures and layers, see crypto.scope
         runner = ScenarioRunner(config)
         runner.build_marketplace()

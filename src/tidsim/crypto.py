@@ -158,13 +158,15 @@ def decode_parts(data: bytes) -> list[bytes]:
 # costs one inversion instead of one per key. The equal-x case of affine
 # addition never arises there; _base_mul_batch gives the argument.
 #
-# Variable-base multiplication (_jmul) walks the width-5 wNAF of k over the
-# odd multiples of the point.
+# Variable-base multiplication (_jmul) is plain double-and-add over the
+# affine point: only the recovery of a foreign signature and an ECDH with a
+# point missing from _scalars reach it, too rarely for a table of the
+# point's multiples to pay.
 #
 # An ECDH d * E with E = e * G drawn in this process is (d * e mod N) * G,
-# one fixed-base multiplication instead of a wNAF one (_shared_x; the
-# argument is at _scalars). ecies_encrypt records each layer it wraps for an
-# in-process point q * G with q and the layer's ECDH x, so ecies_openers
+# one fixed-base multiplication instead of a double-and-add one (_shared_x;
+# the argument is at _scalars). ecies_encrypt records each layer it wraps for
+# an in-process point q * G with q and the layer's ECDH x, so ecies_openers
 # names exactly the keys that open the layer and they open it without a
 # multiplication (the argument is at _layers). onions_wrap learns every
 # layer's ephemeral scalar before it wraps, so it computes all of a
@@ -246,64 +248,22 @@ def _jadd_affine(p, x2, y2):
     return (x3, y3, z3)
 
 
-def _wnaf(k):
-    """Width-5 non-adjacent form of k >= 0, least significant digit first.
-
-    Every nonzero digit is odd and lies in [-15, 15], and any two nonzero
-    digits are at least five places apart (Hankerson-Menezes-Vanstone,
-    Guide to ECC, alg. 3.35).
-    """
-    digits = []
-    while k:
-        if k & 1:
-            d = k & 31
-            if d > 16:
-                d -= 32
-            k -= d
-        else:
-            d = 0
-        digits.append(d)
-        k >>= 1
-    return digits
-
-
-# Only the recovery of a foreign signature and an ECDH with a point missing
-# from _scalars (a foreign point, or any point outside a scope) reach _jmul
-# (see _shared_x). A courier key wraps one layer per share it carries, so
-# the tables of the last few points are kept.
-@functools.lru_cache(maxsize=32)
-def _odd_multiples(p):
-    """Affine d * p for odd d in [-15, 15], as a 32-slot tuple.
-
-    Slot d holds d * p; a negative d lands at 32 + d, so Python's negative
-    indexing reads it directly.
-    """
-    twice = _jdouble(p)
-    points = [p]
-    for _ in range(7):
-        points.append(_jadd(points[-1], twice))
-    table = [None] * 32
-    for i, (x, y) in enumerate(_batch_to_affine(points)):
-        d = 2 * i + 1
-        table[d], table[-d] = (x, y), (x, _P - y)
-    return tuple(table)
-
-
 def _jmul(k, p):
-    """k * p for any integer k and p on secp256k1, by width-5 wNAF.
+    """k * p for any integer k and p on secp256k1, by double-and-add.
 
-    k reduces mod N, the order of every point on the curve. Each nonzero
-    digit adds its odd multiple of p, one doubling per position.
+    k reduces mod N, the order of every point on the curve. p becomes affine
+    once, and the bits of k are read from the top (Hankerson-Menezes-Vanstone,
+    Guide to ECC, alg. 3.27): each costs one doubling, each set bit one
+    mixed addition.
     """
     k %= _N
     if not k or not p[2]:
         return _INF
-    table = _odd_multiples(p)
+    x, y = _to_affine(p)
     acc = _INF
-    for d in reversed(_wnaf(k)):
+    for bit in bin(k)[2:]:
         acc = _jdouble(acc)
-        if d:
-            x, y = table[d]
+        if bit == "1":
             acc = _jadd_affine(acc, x, y)
     return acc
 
@@ -315,25 +275,6 @@ def _to_affine(p):
     zi = pow(z, -1, _P)
     zi2 = zi * zi % _P
     return (x * zi2 % _P, y * zi2 * zi % _P)
-
-
-def _batch_to_affine(points):
-    """Affine forms of Jacobian points, none at infinity, with one shared inversion
-    (Montgomery's trick)."""
-    prefix = []
-    acc = 1
-    for _, _, z in points:
-        prefix.append(acc)
-        acc = acc * z % _P
-    inv = pow(acc, -1, _P)
-    affine = [None] * len(points)
-    for i in range(len(points) - 1, -1, -1):
-        x, y, z = points[i]
-        zi = inv * prefix[i] % _P
-        inv = inv * z % _P
-        zi2 = zi * zi % _P
-        affine[i] = (x * zi2 % _P, y * zi2 * zi % _P)
-    return affine
 
 
 def _affine_sums(pairs):
@@ -553,13 +494,14 @@ def _keypair(k: int, x: int, y: int) -> KeyPair:
 # draws each ephemeral key here too, so the scalar e of each such point
 # E = e*G is known. _keypair records it in _scalars, and _shared_x computes
 # the ECDH point d*E as (d*e mod N)*G: one fixed-base multiplication
-# instead of a wNAF one. This is exact, not a guess: E is stored only where
-# this module computed it as e*G, so d*E = d*(e*G) = (d*e mod N)*G for
-# every d, and with N prime and d, e in [1, N) the product d*e mod N is
-# never 0. No scalar leaves the module and no caller can claim one for a
-# point; a foreign point, or one drawn outside the current scope, only
-# takes the slower _jmul. _addresses maps the same scalars to their
-# addresses, so sign() names its signer without another multiplication.
+# instead of a double-and-add one. This is exact, not a guess: E is stored
+# only where this module computed it as e*G, so d*E = d*(e*G) =
+# (d*e mod N)*G for every d, and with N prime and d, e in [1, N) the
+# product d*e mod N is never 0. No scalar leaves the module and no caller
+# can claim one for a point; a foreign point, or one drawn outside the
+# current scope, only takes the slower _jmul. _addresses maps the same
+# scalars to their addresses, so sign() names its signer without another
+# multiplication.
 # Like _signers and _layers below, both live for one scope(): a scenario
 # run records every key it draws and frees them all when it ends.
 

@@ -4,6 +4,7 @@ fault injection, and the observation API."""
 import hashlib
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -119,6 +120,17 @@ class TestBribery:
         assert successes
         assert all(s > floor for s in successes)
         assert min(successes) <= floor * 1.0051
+
+    @pytest.mark.parametrize("know_identities", [True, False])
+    def test_strawman_config_is_a_config_error(self, monkeypatch, know_identities):
+        # the strawman has no onion layers, so there is no key to buy and no run is built
+        def no_run(config):
+            raise AssertionError("built a run")
+
+        monkeypatch.setattr("tidsim.adversary.ScenarioRunner", no_run)
+        cfg = replace(briberable_config(2, 2, 4), mode="strawman")
+        with pytest.raises(ConfigError, match="strawman"):
+            run_bribery(cfg, 2 * ETHER, know_identities=know_identities)
 
     def test_blind_targeting_wastes_bribes(self):
         t, l, n, pool = 2, 2, 4, 40

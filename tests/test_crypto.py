@@ -43,13 +43,11 @@ from tidsim.crypto import (
     _affine_sums,
     _base_mul_batch,
     _base_table,
-    _batch_to_affine,
     _jadd,
     _jadd_affine,
     _jdouble,
     _jmul,
     _jmul_base,
-    _odd_multiples,
     _recover_address,
     _to_affine,
     address_of_pubkey,
@@ -437,7 +435,8 @@ G = (_GX, _GY, 1)
 
 
 def reference_mul(k, point):
-    """Plain right-to-left double-and-add, the multiplication wNAF replaced."""
+    """Plain right-to-left double-and-add, an oracle independent of _jmul's
+    left-to-right loop and of every table."""
     acc = (0, 0, 0)
     while k:
         if k & 1:
@@ -451,7 +450,7 @@ def reference_base_table_bytes():
     """The bytes of crypto's base table file, built from G.
 
     One doubling chain from G passes through each row's powers of two
-    2^i * B, B = 2^(_WINDOW * w) * G, and one shared inversion makes them
+    2^i * B, B = 2^(_WINDOW * w) * G, and _to_affine makes each of them
     affine. Every other slot d = 2^m + e, 0 < e < 2^m, is e * B + 2^m * B,
     with one _affine_sums per bit length m across all rows, so both summands
     are built before the sum. The summands' x differ: equal x needs
@@ -475,7 +474,7 @@ def reference_base_table_bytes():
     chain = [G]
     for _ in range(_WINDOW * _ROWS - 1):
         chain.append(_jdouble(chain[-1]))
-    powers = _batch_to_affine(chain)
+    powers = [_to_affine(p) for p in chain]
     for w, row in enumerate(table):
         for i in range(len(row).bit_length()):
             row[(1 << i) - 1] = powers[_WINDOW * w + i]
@@ -560,6 +559,8 @@ def unpack(slot):
 
 
 class TestScalarKernel:
+    # The two tests below keep the names they had when _jmul walked the wNAF
+    # of k; they check its plain double-and-add against the reference now.
     @pytest.mark.parametrize("k", EDGE_SCALARS)
     def test_wnaf_matches_double_and_add_on_edge_scalars(self, k):
         point = _jmul_base(0xC0FFEE)
@@ -572,7 +573,8 @@ class TestScalarKernel:
         assert _to_affine(_jmul(k, point)) == _to_affine(reference_mul(k, point))
 
     # The two tests below keep the names they had when _jmul split k through
-    # the GLV endomorphism; they check plain wNAF against the reference now.
+    # the GLV endomorphism; they check plain double-and-add against the
+    # reference now.
     @pytest.mark.parametrize(
         "k", [LAMBDA, _N - LAMBDA, 2 * LAMBDA, 3 * LAMBDA % _N, LAMBDA * LAMBDA % _N, LAMBDA + 1]
     )
@@ -589,13 +591,15 @@ class TestScalarKernel:
         point = (x * z * z % _P, y * z * z * z % _P, z)
         assert _to_affine(_jmul(k, point)) == _to_affine(reference_mul(k, (x, y, 1)))
 
-    def test_cached_table_gives_the_same_product(self):
-        point = (*_to_affine(_jmul_base(0xFACADE)), 1)
-        first = _to_affine(_jmul(0xD15EA5E, point))
-        hits = _odd_multiples.cache_info().hits
-        assert _to_affine(_jmul(0xD15EA5E, point)) == first
-        assert _odd_multiples.cache_info().hits == hits + 1
-        assert first == _to_affine(reference_mul(0xD15EA5E, point))
+    def test_infinity_and_zero_scalars_give_infinity(self):
+        x, y = _to_affine(_jmul_base(0xC0FFEE))
+        z = 0xBEEF
+        point = (x * z * z % _P, y * z * z * z % _P, z)
+        for k in (0, _N, 2 * _N, -_N):
+            assert _jmul(k, point) == (0, 0, 0)
+        for k in (1, 0xD15EA5E, _N - 1):
+            assert _jmul(k, (0, 0, 0)) == (0, 0, 0)
+            assert _jmul(k, (1, 1, 0)) == (0, 0, 0)
 
     @pytest.mark.parametrize("k", BASE_EDGE_SCALARS)
     def test_signed_window_base_mult_on_edge_scalars(self, k):
@@ -644,7 +648,12 @@ class TestScalarKernel:
         with pytest.raises(ValueError):
             _affine_sums([((x, y), (x, _P - y))])
 
+    # z = 0 mod N for the zero digest and for N itself: u1 * G is infinity and
+    # _jadd returns the variable-base product alone.
     @given(d=scalars, digest=st.binary(min_size=32, max_size=32))
+    @example(d=0xC0FFEE, digest=bytes(32))
+    @example(d=0xC0FFEE, digest=_N.to_bytes(32, "big"))
+    @example(d=0xC0FFEE, digest=b"\xff" * 32)
     @settings(max_examples=30, deadline=None)
     def test_recovery_matches_three_multiplication_formula(self, d, digest):
         kp = keypair_from_scalar(d)
