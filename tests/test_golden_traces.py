@@ -1,16 +1,20 @@
 """Golden trace hashes: byte-identity guard for changes that must not alter
 what a run does.
 
-Each case is a small config whose `ScenarioTrace.trace_hash()` (config,
-status, epoch path, receipts, message metadata, balances and final state
-digest) is pinned. Together they reach the lightweight and heavyweight
-paths, every deviating courier policy except bribery, the strawman
-contract (delivered, failed, premature slashing, faults, offline couriers,
-slow epochs, no withdrawals, a lost package and lost shares), a lightweight
-run without withdrawals, message
-loss, a tampered package, refusals, slow epochs and availability below 1. One case registers a 40-courier pool, so every later
-transaction, through settlement and withdrawals, snapshots a long registry.
-A speed-up that changes one byte of any of these runs fails here.
+Each case is a config whose `ScenarioTrace.trace_hash()` (config, status,
+epoch path, receipts, message metadata, balances and final state digest)
+is pinned. Most are small (n <= 4). Together they reach the lightweight
+and heavyweight paths, every deviating courier policy except bribery, the
+strawman contract (delivered, failed, premature slashing, faults, offline
+couriers, slow epochs, no withdrawals, a lost package and lost shares), a
+lightweight run without withdrawals, message loss, a tampered package,
+refusals, slow epochs and availability below 1. One case registers a
+40-courier pool, so every later transaction, through settlement and
+withdrawals, snapshots a long registry. Four large-n cases (n=50 light,
+n=50 withheld into heavyweight, n=50 with loss and availability below 1,
+and n=200 light) pin the paths whose cost grows with n, such as each
+courier's trial peel at settlement. A speed-up that changes one byte of
+any of these runs fails here.
 """
 
 import hashlib
@@ -184,6 +188,32 @@ GOLDEN = [
         dict(seed=1, pool_size=40, n=4, l=2, t=2, fault_policies={0: "premature"}),
         "delivered_heavy",
         "8460ad81a8570f6a2f8db21edd144b3beb47e745d324d90f23de4aee59443ecf",
+    ),
+    (
+        "light_n50",
+        dict(seed=1, pool_size=54, n=50, l=3, t=25),
+        "delivered_light",
+        "39302afaaf9722e9e2bcebac617ba5947b31914db47cb5acc325bc23f15386af",
+    ),
+    (
+        "withhold_heavy_n50",
+        dict(seed=1, pool_size=54, n=50, l=3, t=25, fault_policies={i: "withhold_light" for i in range(0, 54, 2)}),
+        "delivered_heavy",
+        "7f70a59e3a5bc5fde99b7a040669911bbdd1b306fc91f15fa2a2e92f48295dc3",
+    ),
+    (
+        "lossy_offline_n50",
+        dict(seed=1, pool_size=54, n=50, l=3, t=25, availability=0.9, drop_prob=0.05),
+        "delivered_heavy",
+        "3414275ee35ce8ac5b954cbd638fa024d1753c343a867825c15756595d871804",
+    ),
+    (
+        "light_n200",
+        # about a second: each courier's settlement peel is the step that
+        # grows fastest in n
+        dict(seed=1, pool_size=204, n=200, l=3, t=100),
+        "delivered_light",
+        "6dcab9c1af8cd9b74f40f2ee3cff8e133c256109a9aa2c0ebf6e4303d4a89914",
     ),
 ]
 
