@@ -93,41 +93,26 @@ def body_of(payload: bytes) -> list[bytes]:
     return decode_parts(payload[3:])
 
 
-@dataclass
-class PeelMemo:
-    """What the trial peels of one service's onions have learned so far.
-
-    `tried` maps (layer payload, key) to the inner payload, or to None for a
-    key that does not open that layer, so no pair is decrypted twice.
-    """
-
-    tried: dict[tuple[bytes, bytes], Optional[bytes]] = field(default_factory=dict)
-
-
-def peel_with_keys(onions: list[Onion], privkeys: list[bytes], memo: PeelMemo) -> dict[int, Share]:
+def peel_with_keys(onions: list[Onion], privkeys: list[bytes]) -> dict[int, Share]:
     """Trial-decrypt onions layer by layer with the keys on hand.
 
-    Each layer is tried with the keys `crypto.ecies_openers` names: for a
-    layer wrapped in the current `crypto.scope()`, only the keys that open
-    it, else every key. A wrong key fails the AES-GCM tag, so the keys tried
-    decide only the cost, never what the peel recovers. Pass the same
-    `PeelMemo` to every peel of one service's onions: a pair tried before
-    costs no decryption.
+    The keys are indexed by scalar once per call. Each layer is then tried
+    with the keys `crypto.ecies_openers` names: for a layer wrapped in the
+    current `crypto.scope()`, only the keys that open it, found by lookup,
+    else every key. A wrong key fails the AES-GCM tag, so the keys tried
+    decide only the cost, never what the peel recovers.
     """
+    keys_by_scalar = {int.from_bytes(key, "big"): key for key in privkeys}
     recovered: dict[int, Share] = {}
     for onion in onions:
         current = onion
         while current.layers_remaining:
-            for key in ecies_openers(current.payload, privkeys):
-                slot = (current.payload, key)
-                if slot not in memo.tried:
-                    try:
-                        memo.tried[slot] = onion_peel(current, key).payload
-                    except AuthenticationError:
-                        memo.tried[slot] = None
-                if memo.tried[slot] is not None:
-                    current = Onion(current.layers_remaining - 1, memo.tried[slot])
+            for key in ecies_openers(current.payload, keys_by_scalar):
+                try:
+                    current = onion_peel(current, key)
                     break
+                except AuthenticationError:
+                    pass
             else:
                 break
         if current.layers_remaining == 0:
@@ -451,10 +436,10 @@ class RecipientActor:
     def note_key(self, scalar: int):
         self.collected_keys[scalar.to_bytes(32, "big")] = scalar
 
-    def try_restore(self, t: int, peel_memo: PeelMemo) -> bool:
+    def try_restore(self, t: int) -> bool:
         if self.info is not None:
             return True
-        shares = peel_with_keys(self.onions, list(self.collected_keys), peel_memo)
+        shares = peel_with_keys(self.onions, list(self.collected_keys))
         self.shares_recovered = len(shares)
         return self.restore(list(shares.values()), t)
 

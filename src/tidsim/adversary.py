@@ -95,12 +95,12 @@ def run_bribery(
             order = list(runner.pool)
             runner.rng.shuffle(order)
             for mailman in order:
-                try_buy(mailman, 0)
-                shares = peel_with_keys(runner.sender.onions, list(keys), runner.peel_memo)
-                if len(shares) >= cfg.t:
+                if not try_buy(mailman, 0):
+                    continue  # no key was added, so no new layer opens
+                if len(peel_with_keys(runner.sender.onions, list(keys))) >= cfg.t:
                     break
 
-        shares = peel_with_keys(runner.sender.onions, list(keys), runner.peel_memo)
+        shares = peel_with_keys(runner.sender.onions, list(keys))
         recovered = False
         if len(shares) >= cfg.t:
             recovered = ss_restore(list(shares.values()), cfg.t) == runner.sender.key

@@ -21,7 +21,7 @@ import hmac as _hmac
 import os
 from dataclasses import dataclass
 from random import Random
-from typing import Iterable, Sequence
+from typing import Mapping, Sequence
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -776,19 +776,20 @@ def ecies_decrypt(privkey: bytes, blob: bytes) -> bytes:
         raise AuthenticationError("wrong key or tampered onion layer") from exc
 
 
-def ecies_openers(blob: bytes, privkeys: Iterable[bytes]) -> list[bytes]:
-    """The keys of `privkeys` that can open `blob`, in the order to try them.
+def ecies_openers(blob: bytes, keys_by_scalar: Mapping[int, bytes]) -> list[bytes]:
+    """The keys of `keys_by_scalar` that can open `blob`, in the order to try them.
 
-    For a layer ecies_encrypt wrapped in this scope for a point q * G, those
-    are the keys equal to q, then those equal to N - q (see _layers); for
-    any other layer, every key. It compares scalars and multiplies nothing.
+    `keys_by_scalar` maps each private key's scalar to the key. For a layer
+    ecies_encrypt wrapped in this scope for a point q * G, the openers are
+    the key under q, then the key under N - q (see _layers): two lookups,
+    whatever the number of keys. For any other layer, every key, in the
+    mapping's order. It multiplies nothing.
     """
-    privkeys = list(privkeys)
     record = _layers.get(_layer_key(blob))
     if record is None:
-        return privkeys
+        return list(keys_by_scalar.values())
     q = record[0]
-    return [key for want in (q, _N - q) for key in privkeys if int.from_bytes(key, "big") == want]
+    return [keys_by_scalar[want] for want in (q, _N - q) if want in keys_by_scalar]
 
 
 # ---------------------------------------------------------------------------

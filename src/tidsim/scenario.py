@@ -22,7 +22,6 @@ from .actors import (
     POLICY_HONEST,
     POLICY_PREMATURE,
     POLICY_WITHHOLD_LIGHT,
-    PeelMemo,
     ProtocolError,
     RecipientActor,
     SenderActor,
@@ -286,7 +285,6 @@ class ScenarioRunner:
         self.sender: Optional[SenderActor] = None
         self.recipient: Optional[RecipientActor] = None
         self.pool: list[MailmanActor] = []
-        self.peel_memo = PeelMemo()  # trial-peel outcomes, see peel_with_keys
         self.shares_light = 0
 
     # -- marketplace -----------------------------------------------------------
@@ -407,7 +405,7 @@ class ScenarioRunner:
         """The delivery key a courier restores by peeling its onions with every
         scalar published so far; None below t shares."""
         keys = [s.to_bytes(32, "big") for s in self._drain_broadcast_keys()]
-        shares = peel_with_keys(courier.onions, keys, self.peel_memo)
+        shares = peel_with_keys(courier.onions, keys)
         if len(shares) < self.config.t:
             return None
         return ss_restore(list(shares.values()), self.config.t)
@@ -531,7 +529,7 @@ class ScenarioRunner:
         for msg in self.bus.recv(self.recipient.address):
             if tag_of(msg.payload) == TAG_KEY:
                 self.recipient.note_key(int.from_bytes(body_of(msg.payload)[0], "big"))
-        if self.recipient.try_restore(cfg.t, self.peel_memo):
+        if self.recipient.try_restore(cfg.t):
             self._submit_receipt()
         self.shares_light = self.recipient.shares_recovered
 
@@ -612,7 +610,7 @@ class ScenarioRunner:
         for index, scalar_hex in sup.state["revealed_privkeys"].items():
             if not sup.state["fake_marks"].get(index):
                 self.recipient.note_key(int(scalar_hex, 16))
-        if self.recipient.try_restore(self.config.t, self.peel_memo):
+        if self.recipient.try_restore(self.config.t):
             self._submit_receipt()
 
     # -- settlement --------------------------------------------------------------

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from tidsim import adversary
 from tidsim.adversary import (
     adversary_view,
     blind_bribery_trials,
@@ -18,7 +19,7 @@ from tidsim.adversary import (
     run_bribery,
     sybil_capture_trials,
 )
-from tidsim.actors import PeelMemo, peel_with_keys
+from tidsim.actors import peel_with_keys
 from tidsim.analysis import _CHUNK_ELEMENTS, AnalysisError, bribery_cost
 from tidsim.ledger import WEI_PER_ETHER
 from tidsim.scenario import ConfigError, ScenarioConfig, ScenarioRunner, run_scenario
@@ -156,7 +157,27 @@ class TestBribery:
         runner.sender.recruit(runner.pool, None)
         by_address = {m.address.hex(): m for m in runner.pool}
         keys = [by_address[seller].timeframe_keys[cfg.timeframe_tick].privkey for _, seller in purchases[:-1]]
-        assert len(peel_with_keys(runner.sender.onions, keys, PeelMemo())) < t
+        assert len(peel_with_keys(runner.sender.onions, keys)) < t
+
+    def test_blind_adversary_peels_only_after_a_purchase(self, monkeypatch):
+        # a courier that will not sell adds no key, so the peel after it
+        # could open no new layer
+        t, l, n, pool = 2, 2, 4, 8
+        cfg = replace(
+            briberable_config(t, l, n, pool_size=pool, seed=33),
+            fault_policies={i: "briberable" for i in range(0, pool, 2)},
+        )
+        peels = []
+
+        def counted(*args):
+            peels.append(len(args[1]))  # the keys on hand
+            return peel_with_keys(*args)
+
+        monkeypatch.setattr(adversary, "peel_with_keys", counted)
+        outcome = run_bribery(cfg, int(1.05 * ETHER), know_identities=False)
+        purchases = outcome.trace["purchases"]
+        assert 0 < len(purchases) < pool
+        assert len(peels) <= len(purchases) + 1
 
 
 class TestBlindBriberyTrials:

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tidsim import crypto
-from tidsim.actors import PeelMemo, peel_with_keys
+from tidsim.actors import peel_with_keys
 from tidsim.adversary import run_bribery
 from tidsim.crypto import (
     AuthenticationError,
@@ -861,6 +861,20 @@ def negation(key):
     return (_N - int.from_bytes(key, "big")).to_bytes(32, "big")
 
 
+def by_scalar(keys):
+    """The mapping ecies_openers takes: each key under its scalar, in order."""
+    return {int.from_bytes(key, "big"): key for key in keys}
+
+
+class Unlisted(dict):
+    """A mapping that answers lookups and refuses to list its keys."""
+
+    def __iter__(self):
+        raise AssertionError("the keys were listed")
+
+    keys = values = items = __iter__
+
+
 class TestProductMemo:
     """Each layer's record of its recipient and ECDH product."""
 
@@ -911,18 +925,31 @@ class TestProductMemo:
         negated = negation(kp.privkey)
         too_big = [(_N + 5).to_bytes(32, "big"), (2**256 - 1).to_bytes(32, "big")]
         keys = [other.privkey, negated, *too_big, kp.privkey]
-        assert ecies_openers(blob, iter(keys)) == [kp.privkey, negated]
+        assert ecies_openers(blob, by_scalar(keys)) == [kp.privkey, negated]
         # N - d opens the layer too, so it alone is still named
-        assert ecies_openers(blob, [other.privkey, negated]) == [negated]
+        assert ecies_openers(blob, by_scalar([other.privkey, negated])) == [negated]
         assert ecies_decrypt(negated, blob) == b"share"
-        assert ecies_openers(blob, [other.privkey]) == []
+        assert ecies_openers(blob, by_scalar([other.privkey])) == []
+        assert ecies_openers(blob, {}) == []
         # a layer with no record, or a tampered one, is tried with every key
         foreign = pubkey_of_privkey((0xFACADE).to_bytes(32, "big"))
         tampered = blob[:-1] + bytes([blob[-1] ^ 1])
         for unrecorded in (other.pubkey + blob[64:], foreign + blob[64:], tampered, b""):
-            assert ecies_openers(unrecorded, iter(keys)) == keys
+            assert ecies_openers(unrecorded, by_scalar(keys)) == keys
         with crypto.scope():
-            assert ecies_openers(blob, keys) == keys
+            assert ecies_openers(blob, by_scalar(keys)) == keys
+
+    def test_recorded_layer_is_answered_without_listing_the_keys(self):
+        # two lookups name a recorded layer's openers, so a peel costs the
+        # same per layer however many keys are on hand
+        with crypto.scope():
+            rng = Random(51)
+            kp, other = keypair_gen(rng), keypair_gen(rng)
+            blob = ecies_encrypt(kp.pubkey, b"share", rng)
+            negated = negation(kp.privkey)
+            keys = Unlisted(by_scalar([other.privkey, negated, (_N + 5).to_bytes(32, "big"), kp.privkey]))
+            assert ecies_openers(blob, keys) == [kp.privkey, negated]
+            assert ecies_openers(blob, Unlisted(by_scalar([other.privkey]))) == []
 
     def test_layers_sharing_an_ephemeral_point_keep_their_own_records(self, monkeypatch, base_mults):
         # equal rng states draw the same ephemeral key for both recipients
@@ -937,7 +964,7 @@ class TestProductMemo:
             return real(privkey, blob)
 
         monkeypatch.setattr(crypto, "ecies_decrypt", counted)
-        shares = peel_with_keys(onions, [a.privkey, b.privkey], PeelMemo())
+        shares = peel_with_keys(onions, [a.privkey, b.privkey])
         assert shares == {1: Share(1, 1), 2: Share(2, 2)}
         assert calls == [(a.privkey, onions[0].payload), (b.privkey, onions[1].payload)]
 
@@ -1039,7 +1066,7 @@ def primitives(seed):
     digest = hash256(seed.to_bytes(4, "big"))
     sig = sign(a.privkey, digest)
     onions = onions_wrap([Share(1, 1), Share(2, 2)], [[a.pubkey, b.pubkey], [b.pubkey, a.pubkey]], rng)
-    peeled = peel_with_keys(onions, [b.privkey, a.privkey], PeelMemo())
+    peeled = peel_with_keys(onions, [b.privkey, a.privkey])
     opened = ecies_decrypt(b.privkey, blob)
     return a, b, blob, opened, sig, recover_signer(digest, sig), onions, peeled, rng.getstate()
 
