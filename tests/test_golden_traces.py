@@ -10,11 +10,12 @@ couriers, slow epochs, no withdrawals, a lost package and lost shares), a
 lightweight run without withdrawals, message loss, a tampered package,
 refusals, slow epochs and availability below 1. One case registers a
 40-courier pool, so every later transaction, through settlement and
-withdrawals, snapshots a long registry. Four large-n cases (n=50 light,
+withdrawals, snapshots a long registry. Five large-n cases (n=50 light,
 n=50 withheld into heavyweight, n=50 with loss and availability below 1,
-and n=200 light) pin the paths whose cost grows with n, such as each
-courier's trial peel at settlement. A speed-up that changes one byte of
-any of these runs fails here.
+n=200 light and n=400 light) pin the paths whose cost grows with n, such
+as each courier's trial peel, bundle decoding and agreement proof at
+settlement. A speed-up that changes one byte of any of these runs fails
+here.
 """
 
 import hashlib
@@ -214,6 +215,14 @@ GOLDEN = [
         dict(seed=1, pool_size=204, n=200, l=3, t=100),
         "delivered_light",
         "6dcab9c1af8cd9b74f40f2ee3cff8e133c256109a9aa2c0ebf6e4303d4a89914",
+    ),
+    (
+        "light_n400",
+        # a few seconds: 400 couriers each receive the same bundle and prove
+        # their agreement from it at settlement
+        dict(seed=1, pool_size=404, n=400, l=3, t=200),
+        "delivered_light",
+        "212b115525d8c782999fab8d998262e7542fd30693d40bae42e11243094ebe25",
     ),
 ]
 
