@@ -41,6 +41,7 @@ from .crypto import (
     onion_peel,
     onions_wrap,
     recover_signer,
+    scope_cache,
     sign,
     signed_by,
     ss_restore,
@@ -121,6 +122,39 @@ def peel_with_keys(onions: list[Onion], privkeys: list[bytes]) -> dict[int, Shar
     return recovered
 
 
+# Every selected courier receives the same bundle and onions, and the
+# recipient the same onions, so what a party derives from those bytes alone
+# is derived once per scenario run (see crypto.scope_cache). Each courier
+# still checks the sender's signature itself.
+
+
+@scope_cache
+def _bundle_digest(bundle_blob: bytes, onions_blob: bytes) -> bytes:
+    """The digest the sender signs over a courier's bundle and the onions."""
+    return hash256(encode_parts(bundle_blob, onions_blob))
+
+
+@scope_cache
+def _bundle_of(bundle_blob: bytes) -> tuple[bytes, ...]:
+    """A bundle's agreement blobs, each encrypted under the delivery key."""
+    return tuple(decode_parts(bundle_blob))
+
+
+@scope_cache
+def _onions_of(onions_blob: bytes) -> tuple[Onion, ...]:
+    return tuple(Onion.from_wire(raw) for raw in decode_parts(onions_blob))
+
+
+@scope_cache
+def _agreement_of(key: bytes, blob: bytes) -> Optional[tuple[int, Signature, Signature]]:
+    """The (index, vrs_s, vrs_m) that one bundle blob holds, None if it does not open under key."""
+    try:
+        index, vrs_s, vrs_m = decode_parts(sym_decrypt(key, blob))
+    except AuthenticationError:
+        return None
+    return int.from_bytes(index, "big"), Signature.from_bytes(vrs_s), Signature.from_bytes(vrs_m)
+
+
 @dataclass
 class MailmanActor:
     """A registered courier; honesty is a policy knob consulted per epoch."""
@@ -196,10 +230,10 @@ class MailmanActor:
 
     def accept_bundle(self, sender_addr: bytes, body: list[bytes]) -> bool:
         bundle_blob, onions_blob, vrs_sm_raw = body
-        if not signed_by(hash256(encode_parts(bundle_blob, onions_blob)), vrs_sm_raw, sender_addr):
+        if not signed_by(_bundle_digest(bundle_blob, onions_blob), vrs_sm_raw, sender_addr):
             return False
-        self.bundle = decode_parts(bundle_blob)
-        self.onions = [Onion.from_wire(raw) for raw in decode_parts(onions_blob)]
+        self.bundle = list(_bundle_of(bundle_blob))
+        self.onions = list(_onions_of(onions_blob))
         return True
 
     # -- reveals ---------------------------------------------------------------
@@ -225,11 +259,10 @@ class MailmanActor:
         lost."""
         out = {}
         for blob in self.bundle:
-            try:
-                index, vrs_s, vrs_m = decode_parts(sym_decrypt(key, blob))
-            except AuthenticationError:
-                continue
-            out[int.from_bytes(index, "big")] = Signature.from_bytes(vrs_s), Signature.from_bytes(vrs_m)
+            agreement = _agreement_of(key, blob)
+            if agreement is not None:
+                index, vrs_s, vrs_m = agreement
+                out[index] = vrs_s, vrs_m
         return out
 
 
@@ -382,11 +415,10 @@ class SenderActor:
             tuples.append(sym_encrypt(self.key, plain, self.rng))
         bundle_blob = encode_parts(*tuples)
         vrs_sm = sign(self.keypair.privkey, hash256(encode_parts(bundle_blob, onions_blob)))
+        # every courier gets the same bytes, so n messages share one payload
+        bundle_msg = TAG_BUNDLE + encode_parts(bundle_blob, onions_blob, vrs_sm)
         for index in sorted(self.agreements):
-            mailman = self.agreements[index]["mailman"]
-            self.bus.send_private(
-                self.address, mailman.address, TAG_BUNDLE + encode_parts(bundle_blob, onions_blob, vrs_sm)
-            )
+            self.bus.send_private(self.address, self.agreements[index]["mailman"].address, bundle_msg)
 
         ct = sym_encrypt(self.key, encode_parts(self.info, self.receipt_secret), self.rng)
         vrs_st = sign(self.keypair.privkey, hash256(encode_parts(ct, onions_blob)))
@@ -430,7 +462,7 @@ class RecipientActor:
             self.bus.send_private(self.address, sender_addr, TAG_RESEND + encode_parts(b"bad-signature"))
             return False
         self.ciphertext = ct
-        self.onions = [Onion.from_wire(raw) for raw in decode_parts(onions_blob)]
+        self.onions = list(_onions_of(onions_blob))
         return True
 
     def note_key(self, scalar: int):

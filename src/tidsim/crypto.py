@@ -21,7 +21,7 @@ import hmac as _hmac
 import os
 from dataclasses import dataclass
 from random import Random
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -64,6 +64,7 @@ __all__ = [
     "onions_wrap",
     "onion_peel",
     "scope",
+    "scope_cache",
     "DEFAULT_SHARE_PRIME",
     "SMALL_TEST_PRIME",
 ]
@@ -155,8 +156,11 @@ def decode_parts(data: bytes) -> list[bytes]:
 # Affine additions that share one inversion of their x differences
 # (Montgomery's trick, Math. Comp. 1987; _affine_sums) multiply many keys
 # at once (_base_mul_batch): every accumulator stays affine and each window
-# costs one inversion instead of one per key. The equal-x case of affine
-# addition never arises there; _base_mul_batch gives the argument.
+# costs one inversion instead of one per key. The points travel as flat
+# lists of coordinates, not as a tuple per point, since at six modular
+# products an addition costs little more than building and unpacking its
+# tuples. The equal-x case of affine addition never arises there;
+# _base_mul_batch gives the argument.
 #
 # Variable-base multiplication (_jmul) is plain double-and-add over the
 # affine point: only the recovery of a foreign signature and an ECDH with a
@@ -277,29 +281,33 @@ def _to_affine(p):
     return (x * zi2 % _P, y * zi2 * zi % _P)
 
 
-def _affine_sums(pairs):
-    """P + Q for every pair (P, Q) of affine points with distinct x, sharing one inversion.
+def _affine_sums(x1s, y1s, x2s, y2s):
+    """P + Q for affine points P = (x1s[j], y1s[j]) and Q = (x2s[j], y2s[j]) with distinct x, sharing one inversion.
 
-    Montgomery's trick: the product of all x differences is inverted once and
-    each difference's inverse is peeled off it, last pair first. An equal x
-    makes the product zero, and pow(0, -1, P) raises rather than give a wrong
-    point.
+    The sums come back as two lists, of x and of y. Montgomery's trick: the
+    product of all x differences is inverted once and each difference's
+    inverse is peeled off it, last pair first. An equal x makes the product
+    zero, and pow(0, -1, P) raises rather than give a wrong point.
     """
     p = _P
     prefix = []
     prod = 1
-    for (x1, _), (x2, _) in pairs:
+    for x1, x2 in zip(x1s, x2s):
         prefix.append(prod)
         prod = prod * (x2 - x1) % p
     inv = pow(prod, -1, p)
-    sums = [None] * len(pairs)
-    for j in range(len(pairs) - 1, -1, -1):
-        (x1, y1), (x2, y2) = pairs[j]
-        lam = (y2 - y1) * inv * prefix[j] % p
+    xs = [0] * len(prefix)
+    ys = [0] * len(prefix)
+    for j in range(len(prefix) - 1, -1, -1):
+        x1 = x1s[j]
+        y1 = y1s[j]
+        x2 = x2s[j]
+        lam = (y2s[j] - y1) * inv * prefix[j] % p
         inv = inv * (x2 - x1) % p
         x3 = (lam * lam - x1 - x2) % p
-        sums[j] = (x3, (lam * (x1 - x3) - y1) % p)
-    return sums
+        xs[j] = x3
+        ys[j] = (lam * (x1 - x3) - y1) % p
+    return xs, ys
 
 
 # Signed windows of _WINDOW bits: a digit above _HALF becomes digit - 2^_WINDOW
@@ -367,9 +375,13 @@ def _jmul_base(k):
 def _base_mul_batch(ks):
     """Affine k * G for every k in ks, 1 <= k < N, over _base_table()'s signed windows.
 
-    Each accumulator stays affine. In each window every key whose digit is
-    nonzero adds its table point T, and _affine_sums shares one inversion
-    across the window's additions: 24 inversions per batch.
+    Each accumulator stays affine, its x in ax and its y in ay. A key's
+    first nonzero digit seeds its accumulator with the table point. In each
+    later window one pass lists the keys whose digit is nonzero (idx), their
+    accumulators (x1s, y1s) and their table points T (txs, tys).
+    _affine_sums adds them, sharing one inversion across the window's
+    additions, and each sum is written back to its key: 24 inversions per
+    batch.
 
     The accumulator S * G never has T's x, so no branch handles equal x. S
     sums the signed digits below the window, each at most 1024 * 2048^j:
@@ -385,31 +397,42 @@ def _base_mul_batch(ks):
       wrong point.
     """
     todo = list(ks)
-    acc = [None] * len(todo)
+    ax = [None] * len(todo)
+    ay = [None] * len(todo)
     width, half, mask, low, p = _WINDOW, _HALF, _MASK, _LOW, _P
     for row in _base_table():
-        keys = []
-        pairs = []
+        idx = []
+        x1s = []
+        y1s = []
+        txs = []
+        tys = []
         for i, k in enumerate(todo):
             d = k & mask
             if d > half:
                 todo[i] = (k >> width) + 1
                 v = row[mask - d]
-                t = (v >> 256, p - (v & low))
+                ty = p - (v & low)
             else:
                 todo[i] = k >> width
                 if not d:
                     continue
                 v = row[d - 1]
-                t = (v >> 256, v & low)
-            if acc[i] is None:
-                acc[i] = t
+                ty = v & low
+            x1 = ax[i]
+            if x1 is None:
+                ax[i] = v >> 256
+                ay[i] = ty
             else:
-                keys.append(i)
-                pairs.append((acc[i], t))
-        for i, s in zip(keys, _affine_sums(pairs)):
-            acc[i] = s
-    return acc
+                idx.append(i)
+                x1s.append(x1)
+                y1s.append(ay[i])
+                txs.append(v >> 256)
+                tys.append(ty)
+        xs, ys = _affine_sums(x1s, y1s, txs, tys)
+        for i, x, y in zip(idx, xs, ys):
+            ax[i] = x
+            ay[i] = y
+    return list(zip(ax, ay))
 
 
 def _point_on_curve(x, y):
@@ -502,8 +525,9 @@ def _keypair(k: int, x: int, y: int) -> KeyPair:
 # current scope, only takes the slower _jmul. _addresses maps the same
 # scalars to their addresses, so sign() names its signer without another
 # multiplication.
-# Like _signers and _layers below, both live for one scope(): a scenario
-# run records every key it draws and frees them all when it ends.
+# Like _signers and _layers below and the results of scope_cache, both live
+# for one scope(): a scenario run records every key it draws and frees them
+# all when it ends.
 
 
 class _RecordsNothing(dict):
@@ -516,24 +540,52 @@ class _RecordsNothing(dict):
 _UNSCOPED = _RecordsNothing()
 _scalars: dict[tuple[int, int], int] = _UNSCOPED
 _addresses: dict[int, bytes] = _UNSCOPED
+# scope_cache's results: one dict per cached function, from its arguments to its result
+_results: dict[Callable, dict] = _UNSCOPED
 
 
 @contextlib.contextmanager
 def scope():
-    """Give _scalars, _addresses, _signers and _layers the lifetime of a with block.
+    """Give _scalars, _addresses, _signers, _layers and scope_cache's results the lifetime of a with block.
 
     The block starts from empty memos. On exit the enclosing block's memos
     are back in place (outside any block, memos that record nothing), so
     what the block recorded is freed with it. Every function of this module
     returns the same inside a scope or out; only its cost differs.
     """
-    global _scalars, _addresses, _signers, _layers
-    outer = _scalars, _addresses, _signers, _layers
-    _scalars, _addresses, _signers, _layers = {}, {}, {}, {}
+    global _scalars, _addresses, _signers, _layers, _results
+    outer = _scalars, _addresses, _signers, _layers, _results
+    _scalars, _addresses, _signers, _layers, _results = {}, {}, {}, {}, {}
     try:
         yield
     finally:
-        _scalars, _addresses, _signers, _layers = outer
+        _scalars, _addresses, _signers, _layers, _results = outer
+
+
+def scope_cache(fn):
+    """fn, memoized on its positional arguments for the current scope().
+
+    For a pure function of hashable arguments whose result no caller
+    mutates, such as the decoding of bytes that every courier of a run
+    receives alike: within one scope it runs once per distinct arguments.
+    Outside any scope it records nothing and runs on every call. An
+    exception is raised each time, never recorded.
+    """
+
+    @functools.wraps(fn)
+    def cached(*args):
+        if _results is _UNSCOPED:
+            return fn(*args)
+        memo = _results.get(fn)
+        if memo is None:
+            memo = _results[fn] = {}
+        try:
+            return memo[args]
+        except KeyError:
+            result = memo[args] = fn(*args)
+            return result
+
+    return cached
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """End-to-end behavior tests: recruitment, the dual-mode epoch driver,
 strawman comparison runs, secrecy, and rationality."""
 
+import collections
 import contextlib
 import gc
 import json
@@ -17,6 +18,7 @@ from tidsim.crypto import (
     AuthenticationError,
     Onion,
     Share,
+    Signature,
     _N,
     encode_parts,
     hash256,
@@ -415,6 +417,99 @@ class TestSharedSecrets:
         assert run_scenario(cfg).trace_hash() == with_memo
         # the strawman sends each courier a bare share, so it makes no ECDH at all
         assert bool(jmul_calls) == (cfg.mode != MODE_STRAWMAN)
+
+
+class TestSharedBundle:
+    """Every selected courier receives the same bundle and onions, and the
+    recipient the same onions, so a run decodes them once (ROADMAP item 14)."""
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            ScenarioConfig(),
+            ScenarioConfig(n=16, l=3, t=4, pool_size=20),
+            ScenarioConfig(fault_policies={0: "withhold_light"}),
+        ],
+        ids=["default", "n16", "withhold_light"],
+    )
+    def test_settlement_opens_each_agreement_once(self, monkeypatch, cfg):
+        opened = collections.Counter()
+        real = actors.sym_decrypt
+
+        def counted(key, blob):
+            opened[key, blob] += 1
+            return real(key, blob)
+
+        monkeypatch.setattr(actors, "sym_decrypt", counted)
+        runner = ScenarioRunner(cfg)
+        assert runner.run().status == "delivered_light"
+        bundle = set(runner.sender.selected[0].bundle)
+        settled = [count for (_, blob), count in opened.items() if blob in bundle]
+        # every courier proved its agreement, from one opening per blob
+        assert len(bundle) == cfg.n
+        assert settled == [1] * cfg.n
+
+    def test_each_onion_is_decoded_once_per_run(self, monkeypatch):
+        decoded = collections.Counter()
+        real = Onion.from_wire.__func__
+
+        def counted(cls, raw):
+            decoded[raw] += 1
+            return real(cls, raw)
+
+        monkeypatch.setattr(Onion, "from_wire", classmethod(counted))
+        cfg = ScenarioConfig(n=16, l=3, t=4, pool_size=20, tamper_package=True)
+        runner = ScenarioRunner(cfg)
+        assert runner.run().status == "delivered_light"
+        assert list(decoded.values()) == [1] * cfg.n
+        assert runner.recipient.onions == runner.sender.onions
+        assert all(m.onions == runner.sender.onions for m in runner.sender.selected)
+
+    def test_recruitment_hashes_the_bundle_once_and_every_courier_checks_it(self, monkeypatch):
+        hashed = collections.Counter()
+        checked = collections.Counter()
+        real_hash, real_signed_by = actors.hash256, actors.signed_by
+
+        def counted_hash(data):
+            hashed[data] += 1
+            return real_hash(data)
+
+        def counted_signed_by(digest, sig_bytes, address):
+            checked[digest] += 1
+            return real_signed_by(digest, sig_bytes, address)
+
+        monkeypatch.setattr(actors, "hash256", counted_hash)
+        monkeypatch.setattr(actors, "signed_by", counted_signed_by)
+        cfg = ScenarioConfig(n=16, l=3, t=4, pool_size=20)
+        runner = ScenarioRunner(cfg)
+        assert runner.run().status == "delivered_light"
+        courier = runner.sender.selected[0]
+        signed = encode_parts(encode_parts(*courier.bundle), encode_parts(*[o.wire_bytes() for o in courier.onions]))
+        # once by the sender to sign it, once for all the couriers
+        assert hashed[signed] == 2
+        assert checked[real_hash(signed)] == cfg.n
+
+    def test_a_finished_run_frees_what_it_decoded(self, monkeypatch):
+        held = []
+        real_scope = scenario.scope
+
+        @contextlib.contextmanager
+        def watched():
+            with real_scope():
+                yield
+                for memo in crypto._results.values():
+                    for result in memo.values():
+                        parts = result if isinstance(result, tuple) else (result,)
+                        held.extend(weakref.ref(part) for part in parts if isinstance(part, (Onion, Signature)))
+
+        monkeypatch.setattr(scenario, "scope", watched)
+        cfg = ScenarioConfig()
+        assert run_scenario(cfg).status == "delivered_light"
+        assert crypto._results is crypto._UNSCOPED
+        gc.collect()
+        # the run's n onions and 2n agreement signatures, none of which outlives it
+        assert len(held) == 3 * cfg.n
+        assert all(ref() is None for ref in held)
 
 
 class TestLightweightDelivery:

@@ -13,6 +13,7 @@ import itertools
 import re
 import sys
 import tracemalloc
+import weakref
 from random import Random
 
 import pytest
@@ -481,10 +482,18 @@ def reference_base_table_bytes():
     for m in range(1, _WINDOW - 1):
         low = 1 << m
         wanted = [(w, d) for w, row in enumerate(table) for d in range(low + 1, min(2 * low, len(row) + 1))]
-        sums = _affine_sums([(table[w][d - low - 1], table[w][low - 1]) for w, d in wanted])
-        for (w, d), point in zip(wanted, sums):
+        summands = [(table[w][d - low - 1], table[w][low - 1]) for w, d in wanted]
+        for (w, d), point in zip(wanted, sums_of(summands)):
             table[w][d - 1] = point
     return b"".join(x.to_bytes(32, "big") + y.to_bytes(32, "big") for row in table for x, y in row)
+
+
+def sums_of(pairs):
+    """P + Q for each pair (P, Q) of affine points, through _affine_sums' coordinate lists."""
+    xs, ys = _affine_sums(
+        [p[0] for p, _ in pairs], [p[1] for p, _ in pairs], [q[0] for _, q in pairs], [q[1] for _, q in pairs]
+    )
+    return list(zip(xs, ys))
 
 
 def reference_recover(digest, sig):
@@ -517,6 +526,10 @@ EDGE_SCALARS = [
     int("1" * 40 + "0" * 9 + "1" * 60 + "01" * 20, 2),
 ]
 scalars = st.integers(min_value=1, max_value=_N - 1)
+# k * 2^11 and k * 2^22: the lowest one or two windows are zero
+low_windows_zero = st.builds(
+    lambda k, shift: k << shift, st.integers(1, (_N - 1) >> 2 * _WINDOW), st.sampled_from([_WINDOW, 2 * _WINDOW])
+)
 
 
 def every_window(d, width=_WINDOW):
@@ -640,13 +653,16 @@ class TestScalarKernel:
     )
     @settings(max_examples=40, deadline=None)
     def test_affine_sums_match_jacobian_addition(self, pairs):
-        points = [(_to_affine(_jmul_base(a)), _to_affine(_jmul_base(b))) for a, b in pairs]
-        assert _affine_sums(points) == [_to_affine(_jadd((*p, 1), (*q, 1))) for p, q in points]
+        ps = [_to_affine(_jmul_base(a)) for a, _ in pairs]
+        qs = [_to_affine(_jmul_base(b)) for _, b in pairs]
+        xs, ys = _affine_sums([x for x, _ in ps], [y for _, y in ps], [x for x, _ in qs], [y for _, y in qs])
+        assert list(zip(xs, ys)) == [_to_affine(_jadd((*p, 1), (*q, 1))) for p, q in zip(ps, qs)]
 
     def test_affine_sums_raise_on_equal_x(self):
         x, y = _to_affine(_jmul_base(0xC0FFEE))
+        u, v = _to_affine(_jmul_base(0xBEEF))
         with pytest.raises(ValueError):
-            _affine_sums([((x, y), (x, _P - y))])
+            _affine_sums([u, x], [v, y], [x, x], [y, _P - y])
 
     # z = 0 mod N for the zero digest and for N itself: u1 * G is infinity and
     # _jadd returns the variable-base product alone.
@@ -1121,6 +1137,41 @@ class TestScope:
         fresh = {bytes(range(40))}
         assert max(sys.getrefcount(obj) for obj in entries) == max(sys.getrefcount(obj) for obj in fresh)
 
+    def test_scope_cache_runs_once_per_arguments_in_a_scope(self):
+        calls = []
+
+        @crypto.scope_cache
+        def share(index, value):
+            calls.append(index)
+            if value < 0:
+                raise ParameterError("negative")
+            return Share(index, value)
+
+        assert share(1, 5) == share(1, 5) == Share(1, 5)
+        assert calls == [1, 1]
+        calls.clear()
+        with crypto.scope():
+            first = share(1, 5)
+            assert share(2, 5) == Share(2, 5)
+            assert share(1, 5) is first
+            for _ in range(2):
+                with pytest.raises(ParameterError):
+                    share(3, -1)
+            with crypto.scope():
+                assert share(1, 5) is not first
+            assert share(1, 5) is first
+            held = weakref.ref(first)
+            del first
+            gc.collect()
+            assert held() is not None
+        assert calls == [1, 2, 3, 3, 1]
+        # the scope's results went with it
+        assert crypto._results is crypto._UNSCOPED
+        gc.collect()
+        assert held() is None
+        share(1, 5)
+        assert calls[-1] == 1
+
 
 def near(center, count, seed):
     """`count` scalars in [1, N) within 2^132 of center, drawn from a fixed seed."""
@@ -1145,9 +1196,13 @@ class TestBatchedBaseMult:
     def test_matches_single_key_mult(self, ks):
         assert _base_mul_batch(ks) == [_to_affine(_jmul_base(k)) for k in ks]
 
-    @given(ks=st.lists(st.one_of(scalars, st.sampled_from(WINDOW_EDGE_SCALARS)), min_size=1, max_size=9))
+    # A batch seeds each key's accumulator at its first nonzero digit, adds
+    # nothing for a zero digit and writes each sum back to its own key, so
+    # batches mix keys whose low windows are zero, and repeat keys.
+    @given(ks=st.lists(st.one_of(scalars, low_windows_zero, st.sampled_from(WINDOW_EDGE_SCALARS)), min_size=1, max_size=40))
     @example(ks=WINDOW_EDGE_SCALARS[:6])
     @example(ks=WINDOW_EDGE_SCALARS[6:])
+    @example(ks=[0xC0FFEE << 2 * _WINDOW, 5, 0xC0FFEE << 2 * _WINDOW])
     @settings(max_examples=40, deadline=None)
     def test_window_edges_match_the_reference(self, ks):
         expected = [_to_affine(reference_mul(k, G)) for k in ks]
