@@ -494,11 +494,13 @@ def keypairs_gen(rng: Random, count: int) -> list[KeyPair]:
     """`count` key pairs, equal to `count` calls of keypair_gen on the same rng.
 
     The scalars are drawn first, in order; the public keys then come from one
-    batched multiplication. Per key that costs more than keypair_gen below
-    about seven keys and less above: 304 against 156 µs at 2 keys, 158
-    against 152 at 6, 140 against 154 at 8, 110 against 156 at 22 and 93
-    against 161 at 60 (best of repeated runs, best over 5 processes, with
-    the table loaded, on a 2-core x86-64 host).
+    batched multiplication. A batch pays its 24 inversions whatever its
+    size, so per key it costs more than keypair_gen below about eight keys
+    and less above: 302 against 153 µs at 2 keys, 163 against 151 at 6, 145
+    against 152 at 8, 108 against 153 at 22 and 94 against 152 at 60 (best
+    of repeated runs, best over 5 processes, with the table loaded, on a
+    2-core x86-64 host). onions_wrap's batch has the same crossover, at
+    about 8 scalars.
     """
     ks = [_draw_scalar(rng) for _ in range(count)]
     return [_keypair(k, x, y) for k, (x, y) in zip(ks, _base_mul_batch(ks))]
