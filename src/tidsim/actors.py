@@ -142,6 +142,7 @@ def _bundle_of(bundle_blob: bytes) -> tuple[bytes, ...]:
 
 @scope_cache
 def _onions_of(onions_blob: bytes) -> tuple[Onion, ...]:
+    """The onions of the sender's broadcast blob, in broadcast order."""
     return tuple(Onion.from_wire(raw) for raw in decode_parts(onions_blob))
 
 

@@ -1199,7 +1199,11 @@ class TestBatchedBaseMult:
     # A batch seeds each key's accumulator at its first nonzero digit, adds
     # nothing for a zero digit and writes each sum back to its own key, so
     # batches mix keys whose low windows are zero, and repeat keys.
-    @given(ks=st.lists(st.one_of(scalars, low_windows_zero, st.sampled_from(WINDOW_EDGE_SCALARS)), min_size=1, max_size=40))
+    @given(
+        ks=st.lists(
+            st.one_of(scalars, low_windows_zero, st.sampled_from(WINDOW_EDGE_SCALARS)), min_size=1, max_size=40
+        )
+    )
     @example(ks=WINDOW_EDGE_SCALARS[:6])
     @example(ks=WINDOW_EDGE_SCALARS[6:])
     @example(ks=[0xC0FFEE << 2 * _WINDOW, 5, 0xC0FFEE << 2 * _WINDOW])
