@@ -415,7 +415,7 @@ class SenderActor:
             plain = encode_parts(index, record["vrs_s"], record["vrs_m"])
             tuples.append(sym_encrypt(self.key, plain, self.rng))
         bundle_blob = encode_parts(*tuples)
-        vrs_sm = sign(self.keypair.privkey, hash256(encode_parts(bundle_blob, onions_blob)))
+        vrs_sm = sign(self.keypair.privkey, _bundle_digest(bundle_blob, onions_blob))
         # every courier gets the same bytes, so n messages share one payload
         bundle_msg = TAG_BUNDLE + encode_parts(bundle_blob, onions_blob, vrs_sm)
         for index in sorted(self.agreements):
