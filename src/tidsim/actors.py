@@ -1,11 +1,11 @@
 """Sender, mailman, and recipient roles.
 
 The sender runs the silent three-way handshake entirely off-chain: it hands
-each candidate an index plus the signed supplementary-code authorization,
-collects the candidate's acceptance signature, counter-signs it, and only
-then splits the delivery key into onion-wrapped shares. Nothing about the
-recruited group touches the chain until (and unless) heavyweight mode needs
-it.
+each candidate an index plus the signed supplementary-code authorization and
+collects the candidate's acceptance signature. Once n have accepted, it
+splits the delivery key into onion-wrapped shares and counter-signs every
+acceptance, all n signatures in one batch. Nothing about the recruited
+group touches the chain until (and unless) heavyweight mode needs it.
 
 Wire payloads on the message bus carry a 3-byte tag followed by a canonical
 length-prefixed tuple; onion broadcasts never include layer-holder hints, so
@@ -43,6 +43,7 @@ from .crypto import (
     recover_signer,
     scope_cache,
     sign,
+    sign_many,
     signed_by,
     ss_restore,
     ss_split,
@@ -156,7 +157,9 @@ def _agreement_of(key: bytes, blob: bytes) -> Optional[tuple[int, Signature, Sig
     return int.from_bytes(index, "big"), Signature.from_bytes(vrs_s), Signature.from_bytes(vrs_m)
 
 
-@dataclass
+# couriers compare by identity: no two are alike, and a generated __eq__
+# would compare every field, ledger and bus included, in each pool scan
+@dataclass(eq=False)
 class MailmanActor:
     """A registered courier; honesty is a policy knob consulted per epoch."""
 
@@ -387,10 +390,8 @@ class SenderActor:
         vrs_m = Signature.from_bytes(fields[1])
         if recover_signer(agreement_digest_mailman(self.switch.address, index), vrs_m) != mailman.address:
             return False
-        vrs_s = sign(
-            self.keypair.privkey, agreement_digest_sender(self.switch.address, index, vrs_m)
-        )
-        self.agreements[index] = {"mailman": mailman, "vrs_m": vrs_m, "vrs_s": vrs_s}
+        # the sender countersigns every agreement at once, in _finish_recruitment
+        self.agreements[index] = {"mailman": mailman, "vrs_m": vrs_m}
         return True
 
     def layer_holders(self, share_index: int) -> list[MailmanActor]:
@@ -409,11 +410,15 @@ class SenderActor:
         onions_blob = encode_parts(*[o.wire_bytes() for o in self.onions])
         self.bus.broadcast(self.address, TAG_ONIONS + onions_blob)
 
-        tuples = []
-        for index in sorted(self.agreements):
-            record = self.agreements[index]
-            plain = encode_parts(index, record["vrs_s"], record["vrs_m"])
-            tuples.append(sym_encrypt(self.key, plain, self.rng))
+        indices = sorted(self.agreements)
+        vrs_m = [self.agreements[index]["vrs_m"] for index in indices]
+        vrs_s = sign_many(
+            self.keypair.privkey,
+            [agreement_digest_sender(self.switch.address, index, m) for index, m in zip(indices, vrs_m)],
+        )
+        tuples = [
+            sym_encrypt(self.key, encode_parts(index, s, m), self.rng) for index, s, m in zip(indices, vrs_s, vrs_m)
+        ]
         bundle_blob = encode_parts(*tuples)
         vrs_sm = sign(self.keypair.privkey, _bundle_digest(bundle_blob, onions_blob))
         # every courier gets the same bytes, so n messages share one payload

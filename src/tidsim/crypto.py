@@ -50,6 +50,7 @@ __all__ = [
     "address_of_pubkey",
     "pubkey_of_privkey",
     "sign",
+    "sign_many",
     "recover_signer",
     "signed_by",
     "new_secret_key",
@@ -155,12 +156,15 @@ def decode_parts(data: bytes) -> list[bytes]:
 #
 # Affine additions that share one inversion of their x differences
 # (Montgomery's trick, Math. Comp. 1987; _affine_sums) multiply many keys
-# at once (_base_mul_batch): every accumulator stays affine and each window
-# costs one inversion instead of one per key. The points travel as flat
-# lists of coordinates, not as a tuple per point, since at six modular
-# products an addition costs little more than building and unpacking its
-# tuples. The equal-x case of affine addition never arises there;
-# _base_mul_batch gives the argument.
+# at once (_base_mul_batch). Below _TREE_KEYS keys each key's table points
+# are summed as a balanced tree, one level at a time across the batch, for
+# 6 inversions per batch (_base_mul_tree); from there on a window at a time
+# into one affine accumulator per key, for 24 (_base_mul_windows), whose
+# bookkeeping costs a little less per key. The points travel as flat lists
+# of coordinates, not as a tuple per point, since at six modular products
+# an addition costs little more than building and unpacking its tuples.
+# The equal-x case of affine addition never arises there; each kernel gives
+# the argument.
 #
 # Variable-base multiplication (_jmul) is plain double-and-add over the
 # affine point: only the recovery of a foreign signature and an ECDH with a
@@ -372,8 +376,152 @@ def _jmul_base(k):
     return acc
 
 
+# _base_mul_batch sums each key's table points as a tree below this many keys
+# and a window at a time from it on; see _base_mul_batch.
+_TREE_KEYS = 512
+
+
 def _base_mul_batch(ks):
-    """Affine k * G for every k in ks, 1 <= k < N, over _base_table()'s signed windows.
+    """Affine k * G for every k in the list ks, 1 <= k < N, over _base_table()'s signed windows.
+
+    Both kernels add a random key's 22.9 table points with affine additions
+    whose inversions are shared across the batch (_affine_sums). The tree
+    (_base_mul_tree) pays 6 inversions per batch and the window loop
+    (_base_mul_windows) 24, but the tree's bookkeeping costs a little more
+    per key. Per key, best of alternating runs on a 2-core x86-64 host,
+    window loop against tree: 312 against 152 µs at 2 keys, 172 against 114
+    at 6, 111 against 90 at 20, 87 against 83 at 128, 84 against 80 at 300
+    (the tree faster in 30 of 40 pairs), 85 against 85 at 512 (16 of 40),
+    82 against 84 at 800 (7 of 30) and 83 against 85 at 1,205 (11 of 40).
+    """
+    return _base_mul_tree(ks) if len(ks) < _TREE_KEYS else _base_mul_windows(ks)
+
+
+def _base_mul_tree(ks):
+    """_base_mul_batch by a balanced tree of each key's table points, one level at a time across the batch.
+
+    A key's leaves are the table points of its nonzero digits in windows
+    0..22. Each level is one list per position, of x and of y, over the
+    keys, and adds each key's position j to its position j + h, h being
+    half the positions, with one _affine_sums call for the whole level; an
+    odd last position waits for a later level. 23 leaves take 5 levels.
+    Window 23's point is added to the root last, by one more call: 6
+    inversions per batch. A key with a zero digit (about 1.1% of random
+    keys) has fewer leaves: it moves behind the others, most leaves first,
+    with its leaves in its first positions, so each position covers a
+    prefix of the keys and a level only slices and joins lists.
+
+    No two addends share x, so no branch handles equal x. A node sums the
+    signed digits d_w * 2048^w of a set of windows below 23, |d_w| <= 1024,
+    so it is below 1024 * (2^253 - 1) / 2047 < 2^252 + 2^242 in size:
+    - two sibling nodes L and R cover disjoint sets of windows, so L - R and
+      L + R are such sums too, with some digits negated. The term of their
+      highest window, at least 2048^w in size, exceeds all lower ones
+      together, at most 1024 * (2048^w - 1) / 2047: the sum is nonzero, and
+      below N in size, so L is not +-R mod N;
+    - window 23's digit is 1..8, since k < 2^256 leaves at most 7 there
+      plus a carry, and it meets S, the root, which sums all lower windows:
+      the argument of _base_mul_windows for its window 23, where S is the
+      accumulator;
+    - were it ever to happen, _affine_sums would raise rather than give a
+      wrong point.
+    """
+    *rows, top = _base_table()
+    width, half, mask, low, p = _WINDOW, _HALF, _MASK, _LOW, _P
+    todo = list(ks)
+    # key i's table point in window w is (xs[w][i], ys[w][i]), None for a zero digit
+    xs = []
+    ys = []
+    sparse = []
+    for row in rows:
+        cx = []
+        cy = []
+        for i, k in enumerate(todo):
+            d = k & mask
+            if d > half:
+                todo[i] = (k >> width) + 1
+                v = row[mask - d]
+                cx.append(v >> 256)
+                cy.append(p - (v & low))
+            else:
+                todo[i] = k >> width
+                if d:
+                    v = row[d - 1]
+                    cx.append(v >> 256)
+                    cy.append(v & low)
+                else:
+                    sparse.append(i)
+                    cx.append(None)
+                    cy.append(None)
+        xs.append(cx)
+        ys.append(cy)
+    order = range(len(todo))
+    if sparse:
+        # the keys with a zero digit move behind the others, most leaves first
+        moved = sorted(set(sparse), key=lambda i: sum(cx[i] is None for cx in xs))
+        leaves = [[(cx[i], cy[i]) for cx, cy in zip(xs, ys) if cx[i] is not None] for i in moved]
+        for i in sorted(moved, reverse=True):
+            for col in xs + ys:
+                del col[i]
+        for j, (cx, cy) in enumerate(zip(xs, ys)):
+            for points in leaves:
+                if j < len(points):
+                    cx.append(points[j][0])
+                    cy.append(points[j][1])
+        gone = set(moved)
+        order = [i for i in order if i not in gone] + moved
+    while len(xs) > 1:
+        h = len(xs) // 2
+        x1s = []
+        y1s = []
+        x2s = []
+        y2s = []
+        for j in range(h):
+            cut = len(xs[j + h])
+            x1s += xs[j][:cut]
+            y1s += ys[j][:cut]
+            x2s += xs[j + h]
+            y2s += ys[j + h]
+        sx, sy = _affine_sums(x1s, y1s, x2s, y2s)
+        start = 0
+        for j in range(h):
+            end = start + len(xs[j + h])
+            xs[j][: end - start] = sx[start:end]
+            ys[j][: end - start] = sy[start:end]
+            start = end
+        del xs[h : 2 * h], ys[h : 2 * h]
+    ax = [None] * len(todo)
+    ay = [None] * len(todo)
+    for i, x, y in zip(order, xs[0], ys[0]):
+        ax[i] = x
+        ay[i] = y
+    idx = []
+    x1s = []
+    y1s = []
+    x2s = []
+    y2s = []
+    for i, d in enumerate(todo):
+        if not d:
+            continue
+        v = top[d - 1]
+        if ax[i] is None:
+            ax[i] = v >> 256
+            ay[i] = v & low
+        else:
+            idx.append(i)
+            x1s.append(ax[i])
+            y1s.append(ay[i])
+            x2s.append(v >> 256)
+            y2s.append(v & low)
+    sx, sy = _affine_sums(x1s, y1s, x2s, y2s)
+    for i, x, y in zip(idx, sx, sy):
+        ax[i] = x
+        ay[i] = y
+    return list(zip(ax, ay))
+
+
+def _base_mul_windows(ks):
+    """_base_mul_batch a window at a time, one affine accumulator per key.
 
     Each accumulator stays affine, its x in ax and its y in ay. A key's
     first nonzero digit seeds its accumulator with the table point. In each
@@ -460,10 +608,18 @@ def address_of_pubkey(pubkey: bytes) -> bytes:
     return hash256(pubkey)[-ADDRESS_SIZE:]
 
 
-def pubkey_of_privkey(privkey: bytes) -> bytes:
+def _scalar_of(privkey: bytes) -> int:
     k = int.from_bytes(privkey, "big")
     if not 1 <= k < _N:
         raise ParameterError("private scalar out of range")
+    return k
+
+
+def pubkey_of_privkey(privkey: bytes) -> bytes:
+    k = _scalar_of(privkey)
+    pair = _keypairs.get(k)
+    if pair is not None:
+        return pair.pubkey
     x, y = _base_point(k)
     return x.to_bytes(32, "big") + y.to_bytes(32, "big")
 
@@ -494,13 +650,12 @@ def keypairs_gen(rng: Random, count: int) -> list[KeyPair]:
     """`count` key pairs, equal to `count` calls of keypair_gen on the same rng.
 
     The scalars are drawn first, in order; the public keys then come from one
-    batched multiplication. A batch pays its 24 inversions whatever its
-    size, so per key it costs more than keypair_gen below about eight keys
-    and less above: 302 against 153 µs at 2 keys, 163 against 151 at 6, 145
-    against 152 at 8, 108 against 153 at 22 and 94 against 152 at 60 (best
-    of repeated runs, best over 5 processes, with the table loaded, on a
-    2-core x86-64 host). onions_wrap's batch has the same crossover, at
-    about 8 scalars.
+    batched multiplication. Per key it costs more than keypair_gen at one
+    key, as much at 2 and less from 3 on: 242 against 164 µs at 1 key, 167
+    against 166 at 2, 140 against 167 at 3, 111 against 158 at 6, 89
+    against 163 at 22 and 90 against 165 at 60 (best of alternating runs,
+    with the table loaded, on a 2-core x86-64 host). onions_wrap's batch has
+    the same crossover, at about 2 scalars.
     """
     ks = [_draw_scalar(rng) for _ in range(count)]
     return [_keypair(k, x, y) for k, (x, y) in zip(ks, _base_mul_batch(ks))]
@@ -510,9 +665,9 @@ def _keypair(k: int, x: int, y: int) -> KeyPair:
     """The key pair of k, whose point (x, y) = k * G the caller just computed."""
     _scalars[x, y] = k
     pub = x.to_bytes(32, "big") + y.to_bytes(32, "big")
-    address = address_of_pubkey(pub)
-    _addresses[k] = address
-    return KeyPair(k.to_bytes(32, "big"), pub, address)
+    pair = KeyPair(k.to_bytes(32, "big"), pub, address_of_pubkey(pub))
+    _keypairs[k] = pair
+    return pair
 
 
 # Every party of a run draws its keys in this process, and ecies_encrypt
@@ -524,9 +679,9 @@ def _keypair(k: int, x: int, y: int) -> KeyPair:
 # (d*e mod N)*G for every d, and with N prime and d, e in [1, N) the
 # product d*e mod N is never 0. No scalar leaves the module and no caller
 # can claim one for a point; a foreign point, or one drawn outside the
-# current scope, only takes the slower _jmul. _addresses maps the same
-# scalars to their addresses, so sign() names its signer without another
-# multiplication.
+# current scope, only takes the slower _jmul. _keypairs maps the same
+# scalars to their key pairs, so sign() names its signer and
+# pubkey_of_privkey() answers a revealed key without another multiplication.
 # Like _signers and _layers below and the results of scope_cache, both live
 # for one scope(): a scenario run records every key it draws and frees them
 # all when it ends.
@@ -541,27 +696,27 @@ class _RecordsNothing(dict):
 
 _UNSCOPED = _RecordsNothing()
 _scalars: dict[tuple[int, int], int] = _UNSCOPED
-_addresses: dict[int, bytes] = _UNSCOPED
+_keypairs: dict[int, KeyPair] = _UNSCOPED
 # scope_cache's results: one dict per cached function, from its arguments to its result
 _results: dict[Callable, dict] = _UNSCOPED
 
 
 @contextlib.contextmanager
 def scope():
-    """Give _scalars, _addresses, _signers, _layers and scope_cache's results the lifetime of a with block.
+    """Give _scalars, _keypairs, _signers, _layers and scope_cache's results the lifetime of a with block.
 
     The block starts from empty memos. On exit the enclosing block's memos
     are back in place (outside any block, memos that record nothing), so
     what the block recorded is freed with it. Every function of this module
     returns the same inside a scope or out; only its cost differs.
     """
-    global _scalars, _addresses, _signers, _layers, _results
-    outer = _scalars, _addresses, _signers, _layers, _results
-    _scalars, _addresses, _signers, _layers, _results = {}, {}, {}, {}, {}
+    global _scalars, _keypairs, _signers, _layers, _results
+    outer = _scalars, _keypairs, _signers, _layers, _results
+    _scalars, _keypairs, _signers, _layers, _results = {}, {}, {}, {}, {}
     try:
         yield
     finally:
-        _scalars, _addresses, _signers, _layers, _results = outer
+        _scalars, _keypairs, _signers, _layers, _results = outer
 
 
 def scope_cache(fn):
@@ -620,29 +775,57 @@ def sign(privkey: bytes, digest: bytes) -> Signature:
     The nonce is derived from (privkey, digest), so signing is deterministic.
     """
     z = _check_digest(digest)
-    d = int.from_bytes(privkey, "big")
-    if not 1 <= d < _N:
-        raise ParameterError("private scalar out of range")
+    d = _scalar_of(privkey)
     counter = 0
     while True:
-        seed = _hmac.new(privkey, digest + counter.to_bytes(4, "big"), hashlib.sha256).digest()
-        k = int.from_bytes(seed, "big") % _N
+        k = _nonce(privkey, digest, counter)
         counter += 1
-        if k == 0:
-            continue
-        rx, ry = _to_affine(_jmul_base(k))
-        # keep r below the group order so the recovery id is a single parity bit
-        if rx >= _N:
-            continue
-        r = rx
-        if r == 0:
-            continue
-        s = pow(k, -1, _N) * (z + r * d) % _N
-        if s == 0:
-            continue
-        sig = Signature(ry & 1, r, s)
-        _signers[bytes(digest), sig] = _address_of_scalar(d)
-        return sig
+        sig = _signature(d, z, k, *_to_affine(_jmul_base(k))) if k else None
+        if sig is not None:
+            _signers[bytes(digest), sig] = _address_of_scalar(d)
+            return sig
+
+
+def sign_many(privkey: bytes, digests: Sequence[bytes]) -> list[Signature]:
+    """[sign(privkey, digest) for digest in digests], with every nonce's k * G from one batch.
+
+    Each digest's first nonce is sign()'s, so the signatures are sign()'s.
+    A digest whose first nonce sign() would redraw (about 2^-128 of them)
+    is signed by sign() itself. It raises ParameterError where the loop
+    would.
+    """
+    if not digests:
+        return []
+    zs = [_check_digest(digest) for digest in digests]
+    d = _scalar_of(privkey)
+    address = _address_of_scalar(d)
+    ks = [_nonce(privkey, digest, 0) for digest in digests]
+    # a zero nonce multiplies 1 instead and is redrawn by sign() below
+    points = _base_mul_batch([k or 1 for k in ks])
+    sigs = []
+    for digest, z, k, (rx, ry) in zip(digests, zs, ks, points):
+        sig = _signature(d, z, k, rx, ry) if k else None
+        if sig is None:
+            sig = sign(privkey, digest)
+        else:
+            _signers[bytes(digest), sig] = address
+        sigs.append(sig)
+    return sigs
+
+
+def _nonce(privkey: bytes, digest: bytes, counter: int) -> int:
+    """sign()'s nonce for (privkey, digest) at the given attempt, in [0, N)."""
+    seed = _hmac.new(privkey, digest + counter.to_bytes(4, "big"), hashlib.sha256).digest()
+    return int.from_bytes(seed, "big") % _N
+
+
+def _signature(d: int, z: int, k: int, rx: int, ry: int) -> Signature | None:
+    """The signature of digest z by scalar d with nonce k, whose k * G = (rx, ry); None if k must be redrawn."""
+    # keep r below the group order so the recovery id is a single parity bit
+    if not 0 < rx < _N:
+        return None
+    s = pow(k, -1, _N) * (z + rx * d) % _N
+    return Signature(ry & 1, rx, s) if s else None
 
 
 def recover_signer(digest: bytes, sig: Signature) -> bytes:
@@ -682,8 +865,8 @@ _signers: dict[tuple[bytes, Signature], bytes] = _UNSCOPED
 
 def _address_of_scalar(d: int) -> bytes:
     """The address of the scalar sign() actually used, never one a caller names."""
-    address = _addresses.get(d)
-    return keypair_from_scalar(d).address if address is None else address
+    pair = _keypairs.get(d)
+    return (keypair_from_scalar(d) if pair is None else pair).address
 
 
 def _recover_address(digest: bytes, sig: Signature) -> bytes:

@@ -367,33 +367,60 @@ class TestSharedSecrets:
         assert (len(reached) == cfg.n * cfg.l) == (cfg.availability == 1)
 
     def test_signing_multiplies_only_for_its_nonce(self, monkeypatch):
-        # key generation recorded every signer's address, so each signature
-        # costs one k*G, for its nonce
-        real_sign, real_base = crypto.sign, crypto._jmul_base
+        # key generation recorded every signer's key pair, so each signature
+        # costs one k*G, for its nonce, and the sender's n countersignatures
+        # take their nonces' k*G from one batch
+        real_sign, real_many = crypto.sign, crypto.sign_many
+        real_base, real_batch = crypto._jmul_base, crypto._base_mul_batch
+        signers = (real_sign.__code__, real_many.__code__)
         signatures = []
+        countersigned = []
         nonces = []
+        batches = []
         addresses = []
 
         def counted_sign(privkey, digest):
             signatures.append(digest)
             return real_sign(privkey, digest)
 
-        def counted_base(k):
-            caller = frame = sys._getframe(1)
-            while frame is not None and frame.f_code is not real_sign.__code__:
+        def counted_many(privkey, digests):
+            countersigned.append(len(digests))
+            return real_many(privkey, digests)
+
+        def signing_frame():
+            """The innermost sign or sign_many frame calling the kernel, and whether it called it directly."""
+            caller = frame = sys._getframe(2)
+            while frame is not None and frame.f_code not in signers:
                 frame = frame.f_back
-            if frame is caller:
+            return frame, frame is caller
+
+        def counted_base(k):
+            frame, direct = signing_frame()
+            if direct and frame.f_code is real_sign.__code__:
                 nonces.append(k)
             elif frame is not None:
                 addresses.append(k)
             return real_base(k)
 
+        def counted_batch(ks):
+            frame, direct = signing_frame()
+            if direct and frame.f_code is real_many.__code__:
+                batches.append(len(ks))
+            elif frame is not None:
+                addresses.extend(ks)
+            return real_batch(ks)
+
         for module in list(sys.modules.values()):
-            if module.__name__.startswith("tidsim") and getattr(module, "sign", None) is real_sign:
-                monkeypatch.setattr(module, "sign", counted_sign)
+            if module.__name__.startswith("tidsim"):
+                for name, real, counted in (("sign", real_sign, counted_sign), ("sign_many", real_many, counted_many)):
+                    if getattr(module, name, None) is real:
+                        monkeypatch.setattr(module, name, counted)
         monkeypatch.setattr(crypto, "_jmul_base", counted_base)
-        assert run_scenario(ScenarioConfig()).status == "delivered_light"
+        monkeypatch.setattr(crypto, "_base_mul_batch", counted_batch)
+        cfg = ScenarioConfig()
+        assert run_scenario(cfg).status == "delivered_light"
         assert signatures and len(nonces) == len(signatures)
+        assert countersigned == batches == [cfg.n]
         assert addresses == []
 
     # Listed in the CI step that runs the golden traces under two hash seeds.

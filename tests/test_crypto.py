@@ -43,6 +43,8 @@ from tidsim.crypto import (
     _WINDOW,
     _affine_sums,
     _base_mul_batch,
+    _base_mul_tree,
+    _base_mul_windows,
     _base_table,
     _jadd,
     _jadd_affine,
@@ -67,6 +69,7 @@ from tidsim.crypto import (
     pubkey_of_privkey,
     recover_signer,
     sign,
+    sign_many,
     signed_by,
     ss_restore,
     ss_split,
@@ -76,7 +79,7 @@ from tidsim.crypto import (
 from tidsim.scenario import ScenarioConfig, run_scenario
 
 # crypto's memos that live for one scope()
-MEMOS = ("_scalars", "_addresses", "_signers", "_layers")
+MEMOS = ("_scalars", "_keypairs", "_signers", "_layers")
 
 # SHA3-256 golden values, pinned from hashlib on first computation.
 SHA3_256_EMPTY = "a7ffc6f8bf1ed76651c14756a061d662f580ff4de43b49fa82d80a4b80f8434a"
@@ -221,6 +224,40 @@ class TestSignatures:
         assert not signed_by(digest, sig.to_bytes()[:64], signer.address)
         for r in (0, _N):
             assert not signed_by(digest, Signature(sig.v, r, sig.s).to_bytes(), signer.address)
+
+    @given(seed=st.integers(0, 2**32), digests=st.lists(st.binary(min_size=32, max_size=32), max_size=8))
+    @settings(max_examples=30, deadline=None)
+    def test_sign_many_equals_the_sign_loop(self, seed, digests):
+        kp = keypair_gen(Random(seed))
+        with crypto.scope():
+            sigs = sign_many(kp.privkey, digests)
+            assert all(crypto._signers[d, sig] == kp.address for d, sig in zip(digests, sigs))
+        assert sigs == [sign(kp.privkey, d) for d in digests]
+        assert all(_recover_address(d, sig) == kp.address for d, sig in zip(digests, sigs))
+
+    def test_sign_many_redraws_a_nonce_as_sign_does(self, monkeypatch):
+        # a first nonce of 0 is redrawn, as one whose R has x >= N would be
+        real = crypto._nonce
+
+        def nonce(privkey, digest, counter):
+            return 0 if counter == 0 and digest[0] % 2 == 0 else real(privkey, digest, counter)
+
+        monkeypatch.setattr(crypto, "_nonce", nonce)
+        kp = keypair_gen(Random(9))
+        digests = [bytes([i]) + hash256(bytes([i]))[1:] for i in range(6)]
+        sigs = sign_many(kp.privkey, digests)
+        assert sigs == [sign(kp.privkey, d) for d in digests]
+        assert all(_recover_address(d, sig) == kp.address for d, sig in zip(digests, sigs))
+        # the redrawn ones are not the signatures of a first nonce
+        monkeypatch.setattr(crypto, "_nonce", real)
+        assert [sig == sign(kp.privkey, d) for d, sig in zip(digests, sigs)] == [False, True] * 3
+
+    def test_sign_many_rejects_what_sign_rejects(self):
+        kp = keypair_gen(Random(10))
+        assert sign_many(kp.privkey, []) == []
+        for privkey, digests in [(kp.privkey, [hash256(b"a"), b"short"]), (bytes(32), [hash256(b"a")])]:
+            with pytest.raises(ParameterError):
+                sign_many(privkey, digests)
 
 
 class TestSymmetric:
@@ -551,6 +588,29 @@ WINDOW_EDGE_SCALARS = [
     2**256 - _N,
     2**256 - _N + 1,
 ]
+
+
+def from_digits(digits, top=0):
+    """The scalar whose signed _WINDOW-bit digits, lowest window first, are `digits`, under a top digit `top`."""
+    return sum(d << _WINDOW * w for w, d in enumerate(digits)) + (top << _WINDOW * (_ROWS - 1))
+
+
+# Scalars by their signed digits, each in -1023..1024 as the kernels recode
+# them: any window below the top may be zero, so a key has any number of
+# table points to sum, odd or even, and the top digit is 0..8.
+digit_scalars = st.builds(
+    from_digits,
+    st.lists(st.one_of(st.just(0), st.integers(1 - _HALF, _HALF)), min_size=_ROWS - 1, max_size=_ROWS - 1),
+    st.integers(0, 8),
+).filter(lambda k: 1 <= k < _N)
+DIGIT_EDGE_SCALARS = [
+    from_digits([1] * (_ROWS - 2) + [0], 3),  # a zero in window 22 alone
+    from_digits([0] * (_ROWS - 2) + [1]),  # window 22's point alone
+    from_digits([0] * (_ROWS - 1), 5),  # the top digit alone
+    from_digits([-1] * (_ROWS - 1), 8),  # a top digit of 8
+    from_digits([_HALF, 0] * 11 + [_HALF]),  # a top digit of 0 and 12 points
+    from_digits([0, 1 - _HALF] * 11 + [7], 2),  # 12 points, negative
+]
 BASE_EDGE_SCALARS = [
     1,
     # each power of two up to one window past _MASK, with its neighbours
@@ -806,7 +866,17 @@ class TestScalarMemo:
         pairs.append(newest)
         scalars = [int.from_bytes(kp.privkey, "big") for kp in pairs]
         assert list(crypto._scalars.items()) == [(point_of(kp.pubkey), k) for kp, k in zip(pairs, scalars)]
-        assert list(crypto._addresses.items()) == [(k, kp.address) for kp, k in zip(pairs, scalars)]
+        assert list(crypto._keypairs.items()) == [(k, kp) for kp, k in zip(pairs, scalars)]
+
+    def test_pubkey_of_a_recorded_scalar_is_looked_up(self, base_mults):
+        kp = keypair_gen(Random(46))
+        assert base_mults == [int.from_bytes(kp.privkey, "big")]
+        assert pubkey_of_privkey(kp.privkey) == kp.pubkey
+        assert len(base_mults) == 1
+        # a scalar no key pair of the scope holds is multiplied
+        x, y = _to_affine(reference_mul(0xFACADE, G))
+        assert pubkey_of_privkey((0xFACADE).to_bytes(32, "big")) == x.to_bytes(32, "big") + y.to_bytes(32, "big")
+        assert base_mults[1:] == [0xFACADE]
 
     def test_unrecorded_or_evicted_point_takes_the_kernel_once(self, point_mults):
         # "evicted": recorded in a scope that has since ended
@@ -1180,44 +1250,74 @@ def near(center, count, seed):
     return [k for k in ks if 1 <= k < _N]
 
 
+# _base_mul_batch picks one of these by batch size; tests call each directly
+KERNELS = (_base_mul_tree, _base_mul_windows)
+
+
 class TestBatchedBaseMult:
-    @pytest.mark.parametrize("count", [0, 1, 2, 17, 205])
+    # 600 keys reach the window loop
+    @pytest.mark.parametrize("count", [0, 1, 2, 17, 205, 600])
     def test_equals_repeated_single_draws(self, count):
         batch_rng, single_rng = Random(count), Random(count)
         assert keypairs_gen(batch_rng, count) == [keypair_gen(single_rng) for _ in range(count)]
         assert batch_rng.getstate() == single_rng.getstate()
 
     def test_edge_scalars(self):
-        ks = [k for k in BASE_EDGE_SCALARS if k < _N]
-        assert _base_mul_batch(ks) == [_to_affine(_jmul_base(k)) for k in ks]
+        ks = [k for k in BASE_EDGE_SCALARS + DIGIT_EDGE_SCALARS if k < _N]
+        expected = [_to_affine(_jmul_base(k)) for k in ks]
+        assert all(kernel(ks) == expected for kernel in KERNELS)
 
     @given(ks=st.lists(scalars, max_size=12))
     @settings(max_examples=40, deadline=None)
     def test_matches_single_key_mult(self, ks):
-        assert _base_mul_batch(ks) == [_to_affine(_jmul_base(k)) for k in ks]
+        expected = [_to_affine(_jmul_base(k)) for k in ks]
+        assert all(kernel(ks) == expected for kernel in KERNELS)
 
-    # A batch seeds each key's accumulator at its first nonzero digit, adds
-    # nothing for a zero digit and writes each sum back to its own key, so
-    # batches mix keys whose low windows are zero, and repeat keys.
+    # A batch mixes keys with any zero digits, and so any number of table
+    # points, and repeats keys: the window loop seeds each key's accumulator
+    # at its first nonzero digit and writes each sum back to its own key, and
+    # the tree moves a key with fewer points behind the others.
     @given(
         ks=st.lists(
-            st.one_of(scalars, low_windows_zero, st.sampled_from(WINDOW_EDGE_SCALARS)), min_size=1, max_size=40
+            st.one_of(scalars, low_windows_zero, digit_scalars, st.sampled_from(WINDOW_EDGE_SCALARS)),
+            min_size=1,
+            max_size=40,
         )
     )
     @example(ks=WINDOW_EDGE_SCALARS[:6])
     @example(ks=WINDOW_EDGE_SCALARS[6:])
+    @example(ks=DIGIT_EDGE_SCALARS)
     @example(ks=[0xC0FFEE << 2 * _WINDOW, 5, 0xC0FFEE << 2 * _WINDOW])
     @settings(max_examples=40, deadline=None)
     def test_window_edges_match_the_reference(self, ks):
         expected = [_to_affine(reference_mul(k, G)) for k in ks]
-        assert _base_mul_batch(ks) == expected
+        assert all(kernel(ks) == expected for kernel in KERNELS)
         assert [_to_affine(_jmul_base(k)) for k in ks] == expected
+
+    # one batch of each size, every key with at least one zero digit and
+    # some with a top digit of 0 or 8
+    @pytest.mark.parametrize("count", [1, 2, 3, 40, 127, 300])
+    def test_batch_sizes_match_the_reference(self, count):
+        rng = Random(count)
+        ks = []
+        while len(ks) < count:
+            digits = [rng.randrange(1 - _HALF, _HALF + 1) for _ in range(_ROWS - 1)]
+            for w in rng.sample(range(_ROWS - 1), 1 + rng.randrange(3)):
+                digits[w] = 0
+            k = from_digits(digits, rng.choice([0, 8, rng.randrange(9)]))
+            if 1 <= k < _N:
+                ks.append(k)
+        ks[len(ks) // 2] = _N - 1
+        expected = [_to_affine(reference_mul(k, G)) for k in ks]
+        assert all(kernel(ks) == expected for kernel in KERNELS)
+        assert _base_mul_batch(ks) == expected
 
     # where the top window's digit, after its carry, meets the group order
     @pytest.mark.parametrize("center", [2**255, _N - 2**255, 2**256 - _N, _N - 1])
     def test_scalars_where_the_last_window_can_wrap(self, center):
         ks = near(center, 40, center)
-        assert _base_mul_batch(ks) == [_to_affine(_jmul_base(k)) for k in ks]
+        expected = [_to_affine(_jmul_base(k)) for k in ks]
+        assert all(kernel(ks) == expected for kernel in KERNELS)
 
 
 @pytest.fixture
