@@ -148,13 +148,18 @@ def _onions_of(onions_blob: bytes) -> tuple[Onion, ...]:
 
 
 @scope_cache
-def _agreement_of(key: bytes, blob: bytes) -> Optional[tuple[int, Signature, Signature]]:
-    """The (index, vrs_s, vrs_m) that one bundle blob holds, None if it does not open under key."""
-    try:
-        index, vrs_s, vrs_m = decode_parts(sym_decrypt(key, blob))
-    except AuthenticationError:
-        return None
-    return int.from_bytes(index, "big"), Signature.from_bytes(vrs_s), Signature.from_bytes(vrs_m)
+def _agreements_in(key: bytes, bundle: tuple[bytes, ...]) -> dict[int, tuple[Signature, Signature]]:
+    """The agreements of a bundle that open under key, as index -> (vrs_s,
+    vrs_m): each blob is opened once per run, however many couriers hold
+    the bundle."""
+    out = {}
+    for blob in bundle:
+        try:
+            index, vrs_s, vrs_m = decode_parts(sym_decrypt(key, blob))
+        except AuthenticationError:
+            continue
+        out[int.from_bytes(index, "big")] = Signature.from_bytes(vrs_s), Signature.from_bytes(vrs_m)
+    return out
 
 
 # couriers compare by identity: no two are alike, and a generated __eq__
@@ -176,7 +181,7 @@ class MailmanActor:
     index: Optional[int] = None
     sup_code: Optional[bytes] = None
     vrs_sup: Optional[Signature] = None
-    bundle: list = field(default_factory=list)
+    bundle: tuple[bytes, ...] = ()  # shared by every courier of the run
     onions: list = field(default_factory=list)
 
     @property
@@ -236,7 +241,7 @@ class MailmanActor:
         bundle_blob, onions_blob, vrs_sm_raw = body
         if not signed_by(_bundle_digest(bundle_blob, onions_blob), vrs_sm_raw, sender_addr):
             return False
-        self.bundle = list(_bundle_of(bundle_blob))
+        self.bundle = _bundle_of(bundle_blob)
         self.onions = list(_onions_of(onions_blob))
         return True
 
@@ -260,14 +265,9 @@ class MailmanActor:
     def agreements(self, key: bytes) -> dict[int, tuple[Signature, Signature]]:
         """The agreements of this mailman's bundle that open under the
         delivery key, as index -> (vrs_s, vrs_m); empty if the bundle was
-        lost."""
-        out = {}
-        for blob in self.bundle:
-            agreement = _agreement_of(key, blob)
-            if agreement is not None:
-                index, vrs_s, vrs_m = agreement
-                out[index] = vrs_s, vrs_m
-        return out
+        lost. Within a scope every courier of a run reads one shared dict,
+        which no caller may change."""
+        return _agreements_in(key, self.bundle)
 
 
 @dataclass

@@ -246,8 +246,9 @@ def cost_report(
 
     Pass either a ScenarioTrace (or its receipt record list) or a
     (mode, n) pair with mode in {lightweight, heavyweight, strawman}.
+    Without a schedule the published one prices the calls.
     """
-    schedule = schedule or GasSchedule.default()
+    schedule = schedule or _PUBLISHED
     if (trace is None) == (mode is None):
         raise AnalysisError("pass exactly one of trace / mode")
     if trace is not None:
@@ -259,34 +260,56 @@ def cost_report(
     return _cost_from_mode(mode, n, schedule)
 
 
-def _breakdown(mode: str, n: Optional[int], entries, schedule: GasSchedule) -> CostBreakdown:
+# The published schedule every report without a schedule of its own reads;
+# no caller may edit its tables.
+_PUBLISHED = GasSchedule.default()
+
+
+def _breakdown(
+    mode: str, n: Optional[int], entries, schedule: GasSchedule, fixed=None, per_mailman=()
+) -> CostBreakdown:
     """Fold (fn, units, gas, calls) entries into per-function rows and their
-    totals; `calls` identical calls cost exactly `calls` times one. The exact
-    USD price is linear in gas, so it is priced once per row and once for
-    the total, from their gas."""
+    totals; `calls` identical calls cost exactly `calls` times one.
+
+    Gas is summed in integers, and quoted prices as integer numerators over
+    one denominator, so each USD figure becomes a Fraction once: a row's
+    exact price from its gas (the exact price is linear in gas), its quoted
+    price from its numerator. An analytic report names its `fixed` functions
+    and the functions called once `per_mailman`, whose quoted sums it also
+    carries."""
+    den = schedule.quoted_denominator()
     rows = {}
+    quoted = {}  # fn -> the row's quoted USD times den
     for fn, units, gas, calls in entries:
-        row = rows.setdefault(
-            # usd_exact is priced after the fold; the key keeps its place in the row
-            fn, {"calls": 0, "units": 0, "gas": 0, "usd_exact": None, "usd_quoted": Fraction(0)}
-        )
+        row = rows.get(fn)
+        if row is None:
+            # both USD figures are priced after the fold; the keys keep their place in the row
+            row = rows[fn] = {"calls": 0, "units": 0, "gas": 0, "usd_exact": None, "usd_quoted": None}
+            quoted[fn] = 0
         row["calls"] += calls
         row["units"] += units * calls
         row["gas"] += gas * calls
-        row["usd_quoted"] += schedule.usd_quoted(fn, units) * calls
-    for row in rows.values():
+        quoted[fn] += schedule.quoted_numerator(den, fn, units) * calls
+    for fn, row in rows.items():
         row["usd_exact"] = schedule.usd_exact(row["gas"])
-    service = [row for fn, row in rows.items() if fn in SERVICE_FUNCTIONS]
+        row["usd_quoted"] = Fraction(quoted[fn], den)
+    service = [fn for fn in rows if fn in SERVICE_FUNCTIONS]
     total_gas = sum(row["gas"] for row in rows.values())
-    return CostBreakdown(
+    report = CostBreakdown(
         mode=mode,
         n=n,
         rows=rows,
         total_gas=total_gas,
         total_usd_exact=schedule.usd_exact(total_gas),
-        service_gas=sum(row["gas"] for row in service),
-        service_usd_quoted=sum((row["usd_quoted"] for row in service), Fraction(0)),
+        service_gas=sum(rows[fn]["gas"] for fn in service),
+        service_usd_quoted=Fraction(sum(quoted[fn] for fn in service), den),
     )
+    if fixed is not None:
+        report.fixed_usd_quoted = Fraction(sum(quoted[fn] for fn in fixed), den)
+        report.per_mailman_usd_quoted = Fraction(
+            sum(schedule.quoted_numerator(den, fn) for fn in per_mailman), den
+        )
+    return report
 
 
 def _cost_from_trace(trace, schedule: GasSchedule) -> CostBreakdown:
@@ -311,8 +334,5 @@ def _cost_from_mode(mode: str, n: int, schedule: GasSchedule) -> CostBreakdown:
         fixed = [FN_DEPLOY_SWITCH, FN_NEW_SERVICE, FN_DEPLOY_SUPPLEMENTARY, FN_RECIPIENT_RECEIPT]
         per_n = [(FN_REVEAL_IDENTITY, n, 1), (FN_REVEAL_PRIVKEY, 1, n)]
     calls = [(fn, 1, 1) for fn in fixed or ()] + per_n
-    report = _breakdown(mode, n, ((fn, u, schedule.gas_for(fn, u), c) for fn, u, c in calls), schedule)
-    if fixed is not None:
-        report.fixed_usd_quoted = sum((report.rows[fn]["usd_quoted"] for fn in fixed), Fraction(0))
-        report.per_mailman_usd_quoted = sum((schedule.usd_quoted(fn) for fn, _, _ in per_n), Fraction(0))
-    return report
+    entries = ((fn, u, schedule.gas_for(fn, u), c) for fn, u, c in calls)
+    return _breakdown(mode, n, entries, schedule, fixed, [fn for fn, _, _ in per_n])

@@ -10,11 +10,18 @@ second sink, so the audit invariant is
 after every transaction. USD figures are exact rationals; the published
 per-function USD price list is carried alongside because the cost model's
 headline numbers are quoted from that list rather than recomputed.
+
+A schedule fixes its two rates when it is built and derives from them, once,
+the integer wei per gas that every fee is charged in and the exact USD per
+gas, so the exact USD cost of a call is one Fraction(gas * a, b). Its gas and
+price tables stay editable, so nothing derived from them is kept: a quoted
+price is read from the tables on every call.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -132,19 +139,18 @@ class ContractRevert(Exception):
     """Raised inside a contract handler; charges gas, rolls back state."""
 
 
-def _cents(amount: Fraction) -> int:
-    """floor(100 * amount + 1/2): whole cents rounded half-up, in integers."""
-    num, den = amount.numerator, amount.denominator
+def _cents(num: int, den: int) -> int:
+    """floor(100 * num / den + 1/2) for den > 0: whole cents rounded half-up, in integers."""
     return (200 * num + den) // (2 * den)
 
 
 def round_usd_cents(amount: Fraction) -> Fraction:
     """Round half-up to whole cents (display only; books stay exact)."""
-    return Fraction(_cents(amount), 100)
+    return Fraction(_cents(amount.numerator, amount.denominator), 100)
 
 
 def fmt_usd(amount: Fraction) -> str:
-    cents = _cents(amount)
+    cents = _cents(amount.numerator, amount.denominator)
     return f"{cents // 100}.{cents % 100:02d}"
 
 
@@ -156,13 +162,19 @@ def _gas_entry(fn: str, value) -> int:
     return int(value)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GasSchedule:
     """Per-function gas prices plus the published USD price list.
 
     `usd_display` carries the per-function USD figures exactly as published
     (they are not bit-reproducible from the gas*rate product, which lands a
     cent lower for three functions), so cost summaries can quote them.
+
+    The two rates are read-only: `wei_per_gas` and the exact USD per gas are
+    derived from them once, here, and `usd_exact(gas)` is one Fraction built
+    from integers. Both rates must be positive and every published price
+    non-negative. The three tables may still be edited after construction,
+    so `usd_quoted` reads them afresh on every call.
     """
 
     gas: dict[str, int]
@@ -170,6 +182,8 @@ class GasSchedule:
     usd_display: dict[str, Fraction] = field(default_factory=dict)
     gas_to_ether: Fraction = Fraction(167, 10**10)
     ether_to_usd: Fraction = Fraction(175)
+    wei_per_gas: int = field(init=False, repr=False, compare=False)
+    _usd_per_gas: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for fn in set(self.gas) | set(self.gas_per_unit):
@@ -177,13 +191,16 @@ class GasSchedule:
             per_unit = self.gas_per_unit.get(fn, 0)
             if base < 0 or per_unit < 0 or base + per_unit <= 0:
                 raise LedgerError(f"non-positive gas entry for {fn}")
+        for fn, price in self.usd_display.items():
+            if price < 0:
+                raise LedgerError(f"negative published price for {fn}: {price}")
+        if self.gas_to_ether <= 0 or self.ether_to_usd <= 0:
+            raise LedgerError("gas_to_ether and ether_to_usd must be positive")
         wei = self.gas_to_ether * WEI_PER_ETHER
         if wei.denominator != 1:
             raise LedgerError("gas price must be a whole number of wei")
-
-    @property
-    def wei_per_gas(self) -> int:
-        return int(self.gas_to_ether * WEI_PER_ETHER)
+        object.__setattr__(self, "wei_per_gas", int(wei))
+        object.__setattr__(self, "_usd_per_gas", self.gas_to_ether * self.ether_to_usd)
 
     def gas_for(self, fn: str, units: int = 1) -> int:
         if fn not in self.gas:
@@ -191,16 +208,29 @@ class GasSchedule:
         return self.gas[fn] + self.gas_per_unit.get(fn, 0) * units
 
     def usd_exact(self, gas: int) -> Fraction:
-        return gas * self.gas_to_ether * self.ether_to_usd
+        rate = self._usd_per_gas
+        return Fraction(gas * rate.numerator, rate.denominator)
+
+    def quoted_denominator(self) -> int:
+        """A denominator over which every quoted price is an integer: the
+        lcm of 100 (whole cents) and the published prices' denominators."""
+        return math.lcm(100, *(price.denominator for price in self.usd_display.values()))
+
+    def quoted_numerator(self, den: int, fn: str, units: int = 1) -> int:
+        """usd_quoted(fn, units) * den, for den a multiple of quoted_denominator()."""
+        price = self.usd_display.get(fn)
+        if price is None:
+            rate = self._usd_per_gas
+            cents = _cents(self.gas_for(fn, units) * rate.numerator, rate.denominator)
+            return cents * (den // 100)
+        if fn in self.gas_per_unit:
+            return price.numerator * units * (den // price.denominator)
+        return price.numerator * (den // price.denominator)
 
     def usd_quoted(self, fn: str, units: int = 1) -> Fraction:
         """Published USD price of one call; falls back to rounded exact cost."""
-        if fn in self.usd_display:
-            per_call = self.usd_display[fn]
-            if fn in self.gas_per_unit:
-                return per_call * units
-            return per_call
-        return round_usd_cents(self.usd_exact(self.gas_for(fn, units)))
+        den = self.quoted_denominator()
+        return Fraction(self.quoted_numerator(den, fn, units), den)
 
     @classmethod
     def default(cls) -> "GasSchedule":

@@ -213,7 +213,7 @@ class TestRecruitment:
         vrs_sm = sign(runner.sender.keypair.privkey, hash256(encode_parts(bundle_blob, onions_blob)))
         body = [bundle_blob, onions_blob, vrs_sm.to_bytes()]
         assert not mailman.accept_bundle(runner.sender.address, body[:2] + [body[2][:64]])
-        assert mailman.bundle == []
+        assert mailman.bundle == ()
         assert mailman.accept_bundle(runner.sender.address, body)
 
     def test_tampered_package_resent_and_accepted(self):
@@ -476,6 +476,33 @@ class TestSharedBundle:
         assert len(bundle) == cfg.n
         assert settled == [1] * cfg.n
 
+    @pytest.mark.parametrize("cfg", [ScenarioConfig(), ScenarioConfig(n=16, l=3, t=4, pool_size=20)], ids=["default", "n16"])
+    def test_settlement_looks_each_agreement_up_once(self, monkeypatch, cfg):
+        lookups = collections.Counter()
+
+        class CountedResults(dict):
+            def get(self, fn, default=None):
+                lookups[fn.__name__] += 1
+                return dict.get(self, fn, default)
+
+        real_scope = scenario.scope
+
+        @contextlib.contextmanager
+        def counted():
+            with real_scope():
+                crypto._results = CountedResults()
+                yield
+
+        monkeypatch.setattr(scenario, "scope", counted)
+        runner = ScenarioRunner(cfg)
+        assert runner.run().status == "delivered_light"
+        couriers = runner.sender.selected
+        # each courier looks its agreement up in the run's one index of the
+        # shared bundle, and no memo is read more than once per party
+        assert lookups["_agreements_in"] == cfg.n
+        assert max(lookups.values()) <= cfg.n + 1
+        assert all(m.bundle is couriers[0].bundle for m in couriers)
+
     def test_each_onion_is_decoded_once_per_run(self, monkeypatch):
         decoded = collections.Counter()
         real = Onion.from_wire.__func__
@@ -526,6 +553,8 @@ class TestSharedBundle:
                 yield
                 for memo in crypto._results.values():
                     for result in memo.values():
+                        if isinstance(result, dict):  # a bundle's agreements, by index
+                            result = tuple(sig for pair in result.values() for sig in pair)
                         parts = result if isinstance(result, tuple) else (result,)
                         held.extend(weakref.ref(part) for part in parts if isinstance(part, (Onion, Signature)))
 

@@ -4,6 +4,7 @@ The sybil optimum is cross-checked with an independent grid + golden-section
 minimizer written here; availability is cross-checked by Monte Carlo.
 """
 
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -37,6 +38,7 @@ from tidsim.ledger import (
     FN_STRAWMAN_REVEAL_RECEIPT,
     FN_STRAWMAN_REVEAL_SHARE,
     GasSchedule,
+    round_usd_cents,
 )
 from tidsim.scenario import ScenarioConfig, run_scenario
 
@@ -420,3 +422,90 @@ class TestCostReport:
             cost_report()
         with pytest.raises(AnalysisError):
             cost_report(trace=[], mode="lightweight", n=3)
+
+
+class ReferencePrices:
+    """A schedule's prices by plain Fraction arithmetic on its public fields,
+    with nothing derived at construction."""
+
+    def __init__(self, schedule):
+        self.schedule = schedule
+
+    def usd_exact(self, gas):
+        return gas * self.schedule.gas_to_ether * self.schedule.ether_to_usd
+
+    def usd_quoted(self, fn, units=1):
+        schedule = self.schedule
+        if fn in schedule.usd_display:
+            per_call = schedule.usd_display[fn]
+            return per_call * units if fn in schedule.gas_per_unit else per_call
+        return round_usd_cents(self.usd_exact(schedule.gas_for(fn, units)))
+
+
+class TestNonDefaultSchedule:
+    """The money path under a schedule file with a sub-cent published price,
+    a per-unit published price and non-default rates."""
+
+    SCHEDULE = {
+        "usd_display": {FN_NEW_SERVICE: 0.125, FN_REVEAL_IDENTITY: "0.0625", FN_STRAWMAN_NEW_SERVICE: "0.333"},
+        "gas_to_ether": "2.1e-8",
+        "ether_to_usd": "3123.45",
+    }
+
+    @pytest.fixture
+    def schedule(self, tmp_path):
+        path = tmp_path / "gas.json"
+        path.write_text(json.dumps(self.SCHEDULE))
+        schedule = GasSchedule.from_file(str(path))
+        assert schedule.wei_per_gas == 21_000_000_000
+        assert schedule.usd_display[FN_NEW_SERVICE] == Fraction(1, 8)
+        return schedule
+
+    @pytest.mark.parametrize("mode", ["lightweight", "heavyweight", "strawman"])
+    def test_analytic_matches_reference_fold(self, schedule, mode):
+        prices = ReferencePrices(schedule)
+        for n in range(1, 41):
+            report = cost_report(mode=mode, n=n, schedule=schedule)
+            fixed_calls, per_n_calls = mode_calls(mode, n)
+            priced = [(fn, units, schedule.gas_for(fn, units)) for fn, units in fixed_calls + per_n_calls]
+            rows = cost_rows_reference(priced, prices)
+            assert list(report.rows.items()) == list(rows.items())
+            assert all(list(row) == ROW_KEYS for row in report.rows.values())
+            assert report.total_usd_exact == prices.usd_exact(report.total_gas)
+            assert report.service_usd_quoted == sum(r["usd_quoted"] for r in rows.values())
+            if mode == "strawman":
+                assert report.fixed_usd_quoted is report.per_mailman_usd_quoted is None
+            else:
+                fixed = cost_rows_reference(priced[: len(fixed_calls)], prices)
+                assert report.fixed_usd_quoted == sum(r["usd_quoted"] for r in fixed.values())
+                per_mailman = {fn for fn, _ in per_n_calls}
+                assert report.per_mailman_usd_quoted == sum(prices.usd_quoted(fn) for fn in per_mailman)
+        assert cost_report(mode="heavyweight", n=3, schedule=schedule).rows[FN_REVEAL_IDENTITY]["usd_quoted"] == Fraction(
+            "0.1875"
+        )
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [ScenarioConfig(seed=1), ScenarioConfig(seed=41, pool_size=8, l=1, t=2, n=4, mode="strawman")],
+        ids=["lightweight", "strawman"],
+    )
+    def test_receipts_and_trace_report(self, schedule, cfg):
+        prices = ReferencePrices(schedule)
+        trace = run_scenario(cfg, schedule=schedule)
+        assert trace.receipts
+        for record in trace.receipts:
+            assert Fraction(record["usd_cost"]) == record["gas_used"] * Fraction("2.1e-8") * Fraction("3123.45")
+        report = cost_report(trace=trace, schedule=schedule)
+        calls = [(r["function"], r.get("units", 1), r["gas_used"]) for r in trace.receipts]
+        assert list(report.rows.items()) == list(cost_rows_reference(calls, prices).items())
+
+    def test_edited_tables_change_the_next_report(self, schedule):
+        before = cost_report(mode="lightweight", n=10, schedule=schedule)
+        schedule.usd_display[FN_NEW_SERVICE] = Fraction("1.005")
+        schedule.gas[FN_RECIPIENT_RECEIPT] += 1_000
+        after = cost_report(mode="lightweight", n=10, schedule=schedule)
+        assert after.service_usd_quoted - before.service_usd_quoted == Fraction("0.88")
+        assert after.total_gas - before.total_gas == 1_000
+        del schedule.usd_display[FN_RECIPIENT_RECEIPT]  # now priced from its gas, in whole cents
+        rounded = cost_report(mode="lightweight", n=10, schedule=schedule).rows[FN_RECIPIENT_RECEIPT]["usd_quoted"]
+        assert rounded == round_usd_cents(55_291 * Fraction("2.1e-8") * Fraction("3123.45"))

@@ -389,6 +389,10 @@ class TestScheduleOverride:
             '{"gas": {"newService": true}}',
             '{"gas_per_unit": {"revealIdentity": 0.5}}',
             '{"gas": {"withdraw": Infinity}}',
+            '{"gas_to_ether": -1.67e-8}',
+            '{"ether_to_usd": -175}',
+            '{"ether_to_usd": 0}',
+            '{"usd_display": {"newService": -1}}',
         ],
         ids=[
             "negative gas",
@@ -402,6 +406,10 @@ class TestScheduleOverride:
             "bool gas",
             "fractional per-unit gas",
             "infinite gas",
+            "negative gas price",
+            "negative ether price",
+            "zero ether price",
+            "negative published price",
         ],
     )
     @pytest.mark.parametrize(

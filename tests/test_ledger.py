@@ -1,6 +1,7 @@
 """Ledger tests: accounts, gas metering, clock, conservation, rollback."""
 
 import copy
+import dataclasses
 import json
 import operator
 from fractions import Fraction
@@ -460,6 +461,30 @@ class TestMoney:
         path.write_text(json.dumps({"gas": {"withdraw": 2.0, FN_NEW_SERVICE: 7}}))
         schedule = GasSchedule.from_file(str(path))
         assert schedule.gas["withdraw"] == 2 and schedule.gas[FN_NEW_SERVICE] == 7
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"gas_to_ether": Fraction(-167, 10**10)},
+            {"gas_to_ether": Fraction(0)},
+            {"ether_to_usd": Fraction(-175)},
+            {"ether_to_usd": Fraction(0)},
+            {"usd_display": {FN_NEW_SERVICE: Fraction(-1)}},
+        ],
+        ids=["negative gas price", "zero gas price", "negative ether price", "zero ether price", "negative published price"],
+    )
+    def test_schedule_rejects_non_positive_rates_and_negative_prices(self, override):
+        fields = {"gas": {FN_NEW_SERVICE: 83_121}, **override}
+        with pytest.raises(LedgerError):
+            GasSchedule(**fields)
+
+    def test_rates_are_read_only(self):
+        schedule = GasSchedule.default()
+        for name in ("gas_to_ether", "ether_to_usd", "wei_per_gas"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(schedule, name, getattr(schedule, name) * 2)
+        assert schedule.wei_per_gas == 16_700_000_000
+        assert schedule.usd_exact(10**10) == 10**10 * Fraction(167, 10**10) * 175
 
     def test_published_prices_match_table(self):
         schedule = GasSchedule.default()
