@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from random import Random
-from typing import Optional
+from typing import Optional, Sequence
 
 from .channels import MessageBus
 from .contracts import (
@@ -95,7 +95,7 @@ def body_of(payload: bytes) -> list[bytes]:
     return decode_parts(payload[3:])
 
 
-def peel_with_keys(onions: list[Onion], privkeys: list[bytes]) -> dict[int, Share]:
+def peel_with_keys(onions: Sequence[Onion], privkeys: list[bytes]) -> dict[int, Share]:
     """Trial-decrypt onions layer by layer with the keys on hand.
 
     The keys are indexed by scalar once per call. Each layer is then tried
@@ -182,7 +182,7 @@ class MailmanActor:
     sup_code: Optional[bytes] = None
     vrs_sup: Optional[Signature] = None
     bundle: tuple[bytes, ...] = ()  # shared by every courier of the run
-    onions: list = field(default_factory=list)
+    onions: tuple[Onion, ...] = ()  # shared by every courier of the run
 
     @property
     def address(self) -> bytes:
@@ -242,7 +242,7 @@ class MailmanActor:
         if not signed_by(_bundle_digest(bundle_blob, onions_blob), vrs_sm_raw, sender_addr):
             return False
         self.bundle = _bundle_of(bundle_blob)
-        self.onions = list(_onions_of(onions_blob))
+        self.onions = _onions_of(onions_blob)
         return True
 
     # -- reveals ---------------------------------------------------------------
@@ -446,7 +446,7 @@ class RecipientActor:
     channel_keys: KeyPair
     bus: MessageBus
     ciphertext: bytes = b""
-    onions: list[Onion] = field(default_factory=list)
+    onions: tuple[Onion, ...] = ()
     collected_keys: dict[bytes, int] = field(default_factory=dict)
     info: Optional[bytes] = None
     receipt_secret: Optional[bytes] = None
@@ -468,7 +468,7 @@ class RecipientActor:
             self.bus.send_private(self.address, sender_addr, TAG_RESEND + encode_parts(b"bad-signature"))
             return False
         self.ciphertext = ct
-        self.onions = list(_onions_of(onions_blob))
+        self.onions = _onions_of(onions_blob)
         return True
 
     def note_key(self, scalar: int):

@@ -156,15 +156,12 @@ def decode_parts(data: bytes) -> list[bytes]:
 #
 # Affine additions that share one inversion of their x differences
 # (Montgomery's trick, Math. Comp. 1987; _affine_sums) multiply many keys
-# at once (_base_mul_batch). Below _TREE_KEYS keys each key's table points
-# are summed as a balanced tree, one level at a time across the batch, for
-# 6 inversions per batch (_base_mul_tree); from there on a window at a time
-# into one affine accumulator per key, for 24 (_base_mul_windows), whose
-# bookkeeping costs a little less per key. The points travel as flat lists
-# of coordinates, not as a tuple per point, since at six modular products
-# an addition costs little more than building and unpacking its tuples.
-# The equal-x case of affine addition never arises there; each kernel gives
-# the argument.
+# at once (_base_mul_batch): each key's table points are summed as a
+# balanced tree, one level at a time across the batch, for 6 inversions per
+# batch. The points travel as flat lists of coordinates, not as a tuple per
+# point, since at six modular products an addition costs little more than
+# building and unpacking its tuples. The equal-x case of affine addition
+# never arises there; _base_mul_batch gives the argument.
 #
 # Variable-base multiplication (_jmul) is plain double-and-add over the
 # affine point: only the recovery of a foreign signature and an ECDH with a
@@ -376,40 +373,23 @@ def _jmul_base(k):
     return acc
 
 
-# _base_mul_batch sums each key's table points as a tree below this many keys
-# and a window at a time from it on; see _base_mul_batch.
-_TREE_KEYS = 512
-
-
 def _base_mul_batch(ks):
-    """Affine k * G for every k in the list ks, 1 <= k < N, over _base_table()'s signed windows.
-
-    Both kernels add a random key's 22.9 table points with affine additions
-    whose inversions are shared across the batch (_affine_sums). The tree
-    (_base_mul_tree) pays 6 inversions per batch and the window loop
-    (_base_mul_windows) 24, but the tree's bookkeeping costs a little more
-    per key. Per key, best of alternating runs on a 2-core x86-64 host,
-    window loop against tree: 312 against 152 µs at 2 keys, 172 against 114
-    at 6, 111 against 90 at 20, 87 against 83 at 128, 84 against 80 at 300
-    (the tree faster in 30 of 40 pairs), 85 against 85 at 512 (16 of 40),
-    82 against 84 at 800 (7 of 30) and 83 against 85 at 1,205 (11 of 40).
-    """
-    return _base_mul_tree(ks) if len(ks) < _TREE_KEYS else _base_mul_windows(ks)
-
-
-def _base_mul_tree(ks):
-    """_base_mul_batch by a balanced tree of each key's table points, one level at a time across the batch.
+    """Affine k * G for every k in the list ks, 1 <= k < N, by a balanced tree of each key's table points.
 
     A key's leaves are the table points of its nonzero digits in windows
-    0..22. Each level is one list per position, of x and of y, over the
-    keys, and adds each key's position j to its position j + h, h being
-    half the positions, with one _affine_sums call for the whole level; an
-    odd last position waits for a later level. 23 leaves take 5 levels.
-    Window 23's point is added to the root last, by one more call: 6
-    inversions per batch. A key with a zero digit (about 1.1% of random
-    keys) has fewer leaves: it moves behind the others, most leaves first,
-    with its leaves in its first positions, so each position covers a
-    prefix of the keys and a level only slices and joins lists.
+    0..22 of _base_table()'s signed windows. Each level is one list per
+    position, of x and of y, over the keys, and adds each key's position j
+    to its position j + h, h being half the positions, with one
+    _affine_sums call for the whole level, which shares one inversion
+    across the level's additions; an odd last position waits for a later
+    level. 23 leaves take 5 levels. Window 23's point is added to the root
+    last, by one more call: 6 inversions per batch. A key with a zero digit
+    (about 1.1% of random keys) has fewer leaves: it moves behind the
+    others, most leaves first, with its leaves in its first positions, so
+    each position covers a prefix of the keys and a level only slices and
+    joins lists. The first level holds every key's points at once: a batch
+    of 1,205 keys peaks at 6.7 MiB under tracemalloc, against 0.7 for
+    adding one window at a time.
 
     No two addends share x, so no branch handles equal x. A node sums the
     signed digits d_w * 2048^w of a set of windows below 23, |d_w| <= 1024,
@@ -419,10 +399,12 @@ def _base_mul_tree(ks):
       highest window, at least 2048^w in size, exceeds all lower ones
       together, at most 1024 * (2048^w - 1) / 2047: the sum is nonzero, and
       below N in size, so L is not +-R mod N;
-    - window 23's digit is 1..8, since k < 2^256 leaves at most 7 there
-      plus a carry, and it meets S, the root, which sums all lower windows:
-      the argument of _base_mul_windows for its window 23, where S is the
-      accumulator;
+    - window 23's digit d is 1..8, since k < 2^256 leaves at most 7 there
+      plus a carry, and its point T = d * 2^253 meets S, the root, which
+      sums all lower windows, so k = S + T. S = -T mod N would make
+      k = 0 mod N. S = T mod N, with S != T, needs T - S = N, since
+      0 < T - S < 2N; T lies within 2^252 + 2^242 of N only for d = 8, and
+      then S = 2^256 - N and k = S + T = 2^257 - N >= N;
     - were it ever to happen, _affine_sums would raise rather than give a
       wrong point.
     """
@@ -517,69 +499,6 @@ def _base_mul_tree(ks):
     for i, x, y in zip(idx, sx, sy):
         ax[i] = x
         ay[i] = y
-    return list(zip(ax, ay))
-
-
-def _base_mul_windows(ks):
-    """_base_mul_batch a window at a time, one affine accumulator per key.
-
-    Each accumulator stays affine, its x in ax and its y in ay. A key's
-    first nonzero digit seeds its accumulator with the table point. In each
-    later window one pass lists the keys whose digit is nonzero (idx), their
-    accumulators (x1s, y1s) and their table points T (txs, tys).
-    _affine_sums adds them, sharing one inversion across the window's
-    additions, and each sum is written back to its key: 24 inversions per
-    batch.
-
-    The accumulator S * G never has T's x, so no branch handles equal x. S
-    sums the signed digits below the window, each at most 1024 * 2048^j:
-    - before window w <= 22, |S| < (1024/2047) * 2048^w <= |T| and
-      |S| + |T| < 2^253 < N, so S - T and S + T are nonzero and below N in
-      size, and S is not +-T mod N;
-    - in window 23 a nonzero digit is 1..8, since k < 2^256 leaves at
-      most 7 there plus a carry. S = -T mod N would make k = S + T = 0 mod N.
-      S = T mod N, with S != T, needs T - S = N, since 0 < T - S < 2N;
-      T = d * 2^253 lies within 2^252 of N only for d = 8, and then
-      S = 2^256 - N and k = S + T = 2^257 - N >= N;
-    - were it ever to happen, _affine_sums would raise rather than give a
-      wrong point.
-    """
-    todo = list(ks)
-    ax = [None] * len(todo)
-    ay = [None] * len(todo)
-    width, half, mask, low, p = _WINDOW, _HALF, _MASK, _LOW, _P
-    for row in _base_table():
-        idx = []
-        x1s = []
-        y1s = []
-        txs = []
-        tys = []
-        for i, k in enumerate(todo):
-            d = k & mask
-            if d > half:
-                todo[i] = (k >> width) + 1
-                v = row[mask - d]
-                ty = p - (v & low)
-            else:
-                todo[i] = k >> width
-                if not d:
-                    continue
-                v = row[d - 1]
-                ty = v & low
-            x1 = ax[i]
-            if x1 is None:
-                ax[i] = v >> 256
-                ay[i] = ty
-            else:
-                idx.append(i)
-                x1s.append(x1)
-                y1s.append(ay[i])
-                txs.append(v >> 256)
-                tys.append(ty)
-        xs, ys = _affine_sums(x1s, y1s, txs, tys)
-        for i, x, y in zip(idx, xs, ys):
-            ax[i] = x
-            ay[i] = y
     return list(zip(ax, ay))
 
 
@@ -1143,8 +1062,6 @@ def ss_restore(
 # ---------------------------------------------------------------------------
 # Onion wrapping of shares
 # ---------------------------------------------------------------------------
-
-_SHARE_LEVEL = 0
 
 
 @dataclass(frozen=True)
