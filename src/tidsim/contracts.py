@@ -90,16 +90,16 @@ class RegistryContract(Contract):
         self.state = {"min_deposit": min_deposit, "mailmen": {}, "services": {}, "claimable": {}}
 
     def fn_newMailman(self, ctx: TxContext, channel_pub: bytes, timeframe_pubkeys: Optional[dict] = None) -> dict:
-        """Escrow the deposit and record the courier; the timeframe pubkeys
-        every courier sends are kept only by the agent."""
+        """Escrow the deposit and record the courier; returns the record as
+        stored. The timeframe pubkeys every courier sends are kept only by
+        the agent."""
         caller = ctx.caller.hex()
         if caller in self.state["mailmen"]:
             raise ContractRevert("mailman already registered")
         if ctx.value < self.state["min_deposit"]:
             raise ContractRevert("deposit below minimum")
-        record = {"channel_pub": channel_pub.hex(), "deposit": ctx.value, "status": MAILMAN_ACTIVE}
-        self.state["mailmen"][caller] = record
-        return record
+        self.state["mailmen"][caller] = {"channel_pub": channel_pub.hex(), "deposit": ctx.value, "status": MAILMAN_ACTIVE}
+        return self.state["mailmen"][caller]
 
     def _require_mailman(self, caller: bytes) -> dict:
         record = self.state["mailmen"].get(caller.hex())

@@ -157,11 +157,11 @@ def decode_parts(data: bytes) -> list[bytes]:
 # Affine additions that share one inversion of their x differences
 # (Montgomery's trick, Math. Comp. 1987; _affine_sums) multiply many keys
 # at once (_base_mul_batch): each key's table points are summed as a
-# balanced tree, one level at a time across the batch, for 6 inversions per
-# batch. The points travel as flat lists of coordinates, not as a tuple per
-# point, since at six modular products an addition costs little more than
-# building and unpacking its tuples. The equal-x case of affine addition
-# never arises there; _base_mul_batch gives the argument.
+# balanced tree, one level at a time across up to _BATCH_CHUNK keys, for 6
+# inversions per chunk. The points travel as flat lists of coordinates, not
+# as a tuple per point, since at six modular products an addition costs
+# little more than building and unpacking its tuples. The equal-x case of
+# affine addition never arises there; _base_mul_tree gives the argument.
 #
 # Variable-base multiplication (_jmul) is plain double-and-add over the
 # affine point: only the recovery of a foreign signature and an ECDH with a
@@ -373,7 +373,21 @@ def _jmul_base(k):
     return acc
 
 
+# The most keys one _base_mul_tree call multiplies. Its 6 inversions are
+# already a small part of 256 keys' additions, so larger chunks would gain
+# little time and cost memory in proportion.
+_BATCH_CHUNK = 256
+
+
 def _base_mul_batch(ks):
+    """Affine k * G for every k in the list ks, 1 <= k < N, by _base_mul_tree on _BATCH_CHUNK keys at a time."""
+    out = []
+    for start in range(0, len(ks), _BATCH_CHUNK):
+        out += _base_mul_tree(ks[start : start + _BATCH_CHUNK])
+    return out
+
+
+def _base_mul_tree(ks):
     """Affine k * G for every k in the list ks, 1 <= k < N, by a balanced tree of each key's table points.
 
     A key's leaves are the table points of its nonzero digits in windows
@@ -383,13 +397,13 @@ def _base_mul_batch(ks):
     _affine_sums call for the whole level, which shares one inversion
     across the level's additions; an odd last position waits for a later
     level. 23 leaves take 5 levels. Window 23's point is added to the root
-    last, by one more call: 6 inversions per batch. A key with a zero digit
+    last, by one more call: 6 inversions per call. A key with a zero digit
     (about 1.1% of random keys) has fewer leaves: it moves behind the
     others, most leaves first, with its leaves in its first positions, so
     each position covers a prefix of the keys and a level only slices and
-    joins lists. The first level holds every key's points at once: a batch
-    of 1,205 keys peaks at 6.7 MiB under tracemalloc, against 0.7 for
-    adding one window at a time.
+    joins lists. The first level holds every key's points at once, so
+    _base_mul_batch calls it on _BATCH_CHUNK keys at a time: 1,205 keys
+    then peak at 1.5 MiB under tracemalloc, against 6.7 MiB in one call.
 
     No two addends share x, so no branch handles equal x. A node sums the
     signed digits d_w * 2048^w of a set of windows below 23, |d_w| <= 1024,

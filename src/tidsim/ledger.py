@@ -343,41 +343,29 @@ def _jsonable(value):
 
 
 # The write journal of the transaction in progress, None outside one: for each
-# container the transaction wrote to, keyed by its id, the container, a
-# shallow copy of its contents before the first write, and the keys a dict
-# stored values under. It is module state because a container holds no
-# reference to its ledger; transactions do not nest and the simulator runs
-# one at a time, and `submit_tx` clears it.
+# container the transaction wrote to, keyed by its id, the container and a
+# shallow copy of its contents before the first write. It is module state
+# because a container holds no reference to its ledger; transactions do not
+# nest and the simulator runs one at a time, and `submit_tx` clears it.
 _journal: Optional[dict] = None
 
 
-def _save(container) -> Optional[set]:
-    """Journal `container` before its first write in a transaction; the set
-    of keys its entry records as written, None outside a transaction."""
-    if _journal is None:
-        return None
-    entry = _journal.get(id(container))
-    if entry is None:
-        entry = _journal[id(container)] = (container, container.copy(), set())
-    return entry[2]
+def _save(container):
+    """Journal `container` before its first write in a transaction."""
+    if _journal is not None and id(container) not in _journal:
+        _journal[id(container)] = (container, container.copy())
 
 
 def _journaled(value):
     """`value` with every plain dict and list in it rebuilt as a journaled
-    one; journaled containers and other values are returned as they are."""
+    one; journaled containers and other values are returned as they are.
+    Every mutator stores what this returns, in a transaction or not."""
     kind = type(value)
     if kind is dict:
         return JournaledDict({k: _journaled(v) for k, v in value.items()})
     if kind is list:
         return JournaledList([_journaled(v) for v in value])
     return value
-
-
-def _stored(value):
-    """What a mutator stores: inside a transaction the value itself, which
-    the handler may go on writing to and the commit rebuilds (`_adopt`);
-    outside one, its journaled form at once."""
-    return value if _journal is not None else _journaled(value)
 
 
 def _saving(method):
@@ -400,17 +388,9 @@ class JournaledDict(dict):
         dict.clear(self)
         dict.update(self, saved)
 
-    def _adopt(self, written: set):
-        for key in written:
-            value = dict.get(self, key)
-            if type(value) is dict or type(value) is list:
-                dict.__setitem__(self, key, _journaled(value))
-
     def __setitem__(self, key, value):
-        written = _save(self)
-        if written is not None:
-            written.add(key)
-        dict.__setitem__(self, key, _stored(value))
+        _save(self)
+        dict.__setitem__(self, key, _journaled(value))
 
     def setdefault(self, key, default=None):
         if key not in self:
@@ -418,11 +398,8 @@ class JournaledDict(dict):
         return self[key]
 
     def update(self, *args, **kwargs):
-        written = _save(self)
-        values = dict(*args, **kwargs)
-        if written is not None:
-            written.update(values)
-        dict.update(self, {k: _stored(v) for k, v in values.items()})
+        _save(self)
+        dict.update(self, {k: _journaled(v) for k, v in dict(*args, **kwargs).items()})
 
     def __ior__(self, other):
         self.update(other)
@@ -443,26 +420,20 @@ class JournaledList(list):
     def _restore(self, saved: list):
         list.__setitem__(self, slice(None), saved)
 
-    def _adopt(self, written: set):
-        # inserts shift indices, so a list rescans every item
-        for index, value in enumerate(self):
-            if type(value) is dict or type(value) is list:
-                list.__setitem__(self, index, _journaled(value))
-
     def __setitem__(self, index, value):
         _save(self)
         if isinstance(index, slice):
-            list.__setitem__(self, index, [_stored(v) for v in value])
+            list.__setitem__(self, index, [_journaled(v) for v in value])
         else:
-            list.__setitem__(self, index, _stored(value))
+            list.__setitem__(self, index, _journaled(value))
 
     def append(self, value):
         _save(self)
-        list.append(self, _stored(value))
+        list.append(self, _journaled(value))
 
     def extend(self, values):
         _save(self)
-        list.extend(self, [_stored(v) for v in values])
+        list.extend(self, [_journaled(v) for v in values])
 
     def __iadd__(self, values):
         self.extend(values)
@@ -470,7 +441,7 @@ class JournaledList(list):
 
     def insert(self, index, value):
         _save(self)
-        list.insert(self, index, _stored(value))
+        list.insert(self, index, _journaled(value))
 
     __delitem__ = _saving(list.__delitem__)
     __imul__ = _saving(list.__imul__)
@@ -486,14 +457,13 @@ class Contract:
 
     State holds only dict, list, str, int, bool and None, and no dict or
     list is reachable from two places. Each dict and list in it is
-    journaled from the moment it is inserted: before its first write in a
-    transaction it saves a shallow copy of itself, a revert restores the
-    saved containers in place, and a commit drops the copies. A dict or
-    list a handler inserts stays the handler's own object, which it may go
-    on writing to, until the commit rebuilds it as a journaled one. Writes
-    outside a transaction (`on_tick`, set-up) are not journaled, and there
-    an inserted dict or list is rebuilt at once, so later writes to it go
-    through the state. A class an EOA deploys names its deploy-gas
+    journaled: before its first write in a transaction it saves a shallow
+    copy of itself, a revert restores the saved containers in place, and a
+    commit drops the copies. One storage rule holds in a transaction and
+    out of one (`on_tick`, set-up, whose writes are not journaled): a dict
+    or list stored into the state is rebuilt as a journaled one at once,
+    so the state never holds the object the caller passed, and later writes
+    to it go through the state. A class an EOA deploys names its deploy-gas
     function in `deploy_fn`.
     """
 
@@ -630,15 +600,13 @@ class Ledger:
                 # treat as a programming error in the contract, not user input
                 raise ContractRevert("contract overdraw")
         except ContractRevert as exc:
-            for container, saved, _ in reversed(journal.values()):
+            for container, saved in reversed(journal.values()):
                 container._restore(saved)
             contract_account.balance -= value
             account.balance += value
             return self._record(caller, target, function, units, gas, False, str(exc), [])
         finally:
             _journal = None
-        for container, _, written in journal.values():
-            container._adopt(written)
 
         for to, amount in ctx._payouts:
             contract_account.balance -= amount

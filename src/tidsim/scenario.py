@@ -145,18 +145,18 @@ class ScenarioConfig:
         if self.mode not in (MODE_SILENT, MODE_STRAWMAN):
             raise ConfigError(f"unknown mode {self.mode!r}")
         for index, policy in self.fault_policies.items():
-            if not 0 <= int(index) < self.pool_size:
-                raise ConfigError(f"fault policy names unknown mailman {index}")
+            if not self._is_pool_index(index):
+                raise ConfigError(f"fault policy names unknown mailman {index!r}")
             if policy not in FAULT_POLICIES:
                 raise ConfigError(f"unknown fault policy {policy!r}")
         for index in self.refusals:
-            if not 0 <= index < self.pool_size:
-                raise ConfigError(f"refusal names unknown mailman {index}")
+            if not self._is_pool_index(index):
+                raise ConfigError(f"refusal names unknown mailman {index!r}")
         if self.selection_override is not None:
             chosen = list(self.selection_override)
             if len(chosen) != self.n or len(set(chosen)) != self.n:
                 raise ConfigError("selection_override must list n distinct pool indices")
-            if any(not 0 <= i < self.pool_size for i in chosen):
+            if not all(map(self._is_pool_index, chosen)):
                 raise ConfigError("selection_override names unknown mailmen")
         if self.deposit_wei <= 0 or self.remuneration_wei <= 0:
             raise ConfigError("deposit and remuneration must be positive")
@@ -166,6 +166,11 @@ class ScenarioConfig:
                 "no mailman could register"
             )
         return self
+
+    def _is_pool_index(self, index) -> bool:
+        """Whether `index` is an int naming a pool member: the run looks
+        mailmen up by int, so a string such as "1" would name none."""
+        return _is_int(index) and 0 <= index < self.pool_size
 
     def to_dict(self) -> dict:
         raw = asdict(self)

@@ -149,6 +149,22 @@ class TestSetupAndSelection:
             ScenarioConfig.from_dict(raw)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "knobs, message",
+        [
+            ({"fault_policies": {str(i): "absent" for i in range(12)}}, "fault policy names unknown mailman '0'"),
+            ({"fault_policies": {True: "absent"}}, "fault policy names unknown mailman True"),
+            ({"refusals": ("1",)}, "refusal names unknown mailman '1'"),
+            ({"selection_override": tuple(map(str, range(10)))}, "selection_override names unknown mailmen"),
+        ],
+    )
+    def test_non_int_pool_index_rejected(self, knobs, message):
+        # from_dict turns JSON's string keys into ints; a config built in
+        # code is checked as given, since a run looks its mailmen up by int
+        with pytest.raises(ConfigError) as info:
+            ScenarioConfig(**knobs).validate()
+        assert str(info.value) == message
+
 
 class TestRecruitment:
     def test_honest_run_counts(self):

@@ -43,6 +43,7 @@ from tidsim.crypto import (
     _WINDOW,
     _affine_sums,
     _base_mul_batch,
+    _base_mul_tree,
     _base_table,
     _jadd,
     _jadd_affine,
@@ -1308,6 +1309,20 @@ class TestBatchedBaseMult:
         else:
             expected = [_to_affine(_jmul_base(k)) for k in ks]
         assert _base_mul_batch(ks) == expected
+
+    # the chunks give one call's points, and hold a fraction of its 6.7 MiB
+    def test_chunks_equal_one_call_and_bound_peak_memory(self):
+        rng = Random(1205)
+        ks = [rng.randrange(1, _N) for _ in range(1205)]
+        _base_table()  # read before tracing, so only the batch's own memory counts
+        tracemalloc.start()
+        try:
+            points = _base_mul_batch(ks)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert points == _base_mul_tree(ks)
+        assert peak < 3 * 2**20
 
     # where the top window's digit, after its carry, meets the group order
     @pytest.mark.parametrize("center", [2**255, _N - 2**255, 2**256 - _N, _N - 1])

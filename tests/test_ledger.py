@@ -73,8 +73,8 @@ class NestedContract(Contract):
 
 
 class RecordContract(Contract):
-    """Inserts a record and goes on writing to it through its own reference,
-    or writes into the record an earlier call inserted; reverts if `fail`."""
+    """Inserts a record, or takes the one an earlier call inserted, and
+    writes into it through the state; reverts if `fail`."""
 
     deploy_fn = FN_DEPLOY_SWITCH
 
@@ -82,10 +82,7 @@ class RecordContract(Contract):
         self.state = {"records": {}}
 
     def fn_newService(self, ctx, key, fail=False):
-        record = self.state["records"].get(key)
-        if record is None:
-            record = {"tags": [], "n": 0}
-            self.state["records"][key] = record
+        record = self.state["records"].setdefault(key, {"tags": [], "n": 0})
         record["tags"].append("t%d" % record["n"])
         record["n"] += 1
         if fail:
@@ -258,15 +255,43 @@ class TestRollback:
         assert live["book"]["alice"]["tags"] is tags
         assert repr(live) == repr(before)
 
-    def test_write_through_reference_to_inserted_record_is_kept(self, ledger, funded):
-        contract = ledger.deploy_contract(funded.address, RecordContract)
-        receipt = ledger.submit_tx(funded.address, contract.address, FN_NEW_SERVICE, {"key": "a"})
-        assert receipt.success
-        assert contract.state["records"] == {"a": {"tags": ["t0"], "n": 1}}
+    @pytest.mark.parametrize("in_tx", [True, False], ids=["in_tx", "outside_tx"])
+    @pytest.mark.parametrize("how", ["setitem", "update", "setdefault", "append", "insert", "slice"])
+    def test_stored_dict_or_list_is_journaled_at_once(self, ledger, funded, how, in_tx):
+        contract = ledger.deploy_contract(funded.address, ScriptContract, state={"d": {}, "l": []})
+        value = {"inner": [{"x": 1}]}
+        stored = []
+
+        def edit(state):
+            if how == "setitem":
+                state["d"]["k"] = value
+            elif how == "update":
+                state["d"].update(k=value)
+            elif how == "setdefault":
+                state["d"].setdefault("k", value)
+            elif how == "append":
+                state["l"].append(value)
+            elif how == "insert":
+                state["l"].insert(0, value)
+            else:
+                state["l"][0:0] = [value]
+            stored.append(state["d"]["k"] if state["d"] else state["l"][0])  # as stored, before any commit
+
+        if in_tx:
+            assert ledger.submit_tx(funded.address, contract.address, FN_NEW_SERVICE, {"edit": edit, "fail": False}).success
+        else:
+            edit(contract.state)
+        (kept,) = stored
+        assert kept == value and kept is not value and kept["inner"] is not value["inner"]
+        assert all(type(c) in (JournaledDict, JournaledList) for c in containers(kept))
+        assert any(c is kept for c in containers(contract.state))
+        value["inner"].append("after")  # the caller's object is not the state's
+        assert kept == {"inner": [{"x": 1}]}
 
     def test_revert_restores_record_inserted_by_earlier_commit(self, ledger, funded):
         contract = ledger.deploy_contract(funded.address, RecordContract)
-        ledger.submit_tx(funded.address, contract.address, FN_NEW_SERVICE, {"key": "a"})
+        assert ledger.submit_tx(funded.address, contract.address, FN_NEW_SERVICE, {"key": "a"}).success
+        assert contract.state["records"] == {"a": {"tags": ["t0"], "n": 1}}
         receipt = ledger.submit_tx(funded.address, contract.address, FN_NEW_SERVICE, {"key": "a", "fail": True})
         assert not receipt.success
         assert contract.state["records"] == {"a": {"tags": ["t0"], "n": 1}}
@@ -284,7 +309,7 @@ class TestRollback:
                 state["pool"].update(new=record)
             else:
                 state["pool"].setdefault("new", record)
-            record["inner"]["tags"].append("a")  # a write the commit keeps
+            state["pool"]["new"]["inner"]["tags"].append("a")  # a write the commit keeps
 
         def write_into(state):
             state["pool"]["new"]["inner"]["tags"].append("b")
@@ -389,8 +414,9 @@ def apply_edit(state, edit):
 def test_journal_matches_deepcopy(initial, outcomes, data):
     """Random transactions of random mutator calls, each committed or
     reverted: a revert leaves the state as a deepcopy taken before it, a
-    commit as the same calls applied to a plain copy. repr tells True from
-    1, which == does not."""
+    commit as the same calls applied to a plain copy, and every container
+    in the state is journaled after each call. repr tells True from 1,
+    which == does not."""
     ledger = Ledger()
     account = ledger.create_eoa(Random(1))
     ledger.fund(account.address, 100 * ETHER)
@@ -404,6 +430,7 @@ def test_journal_matches_deepcopy(initial, outcomes, data):
             for _ in range(count):
                 edits.append(draw_edit(data, state))
                 apply_edit(state, edits[-1])
+                assert all(type(c) in (JournaledDict, JournaledList) for c in containers(state))
 
         receipt = ledger.submit_tx(account.address, contract.address, FN_NEW_SERVICE, {"edit": edit, "fail": fail})
         assert receipt.success is not fail
