@@ -173,12 +173,13 @@ def decode_parts(data: bytes) -> list[bytes]:
 # the argument is at _scalars). ecies_encrypt records each layer it wraps for
 # an in-process point q * G with q and the layer's ECDH x, so ecies_openers
 # names exactly the keys that open the layer and they open it without a
-# multiplication (the argument is at _layers). onions_wrap learns every
+# multiplication (the argument is at _layers). Each k * G this module
+# computes for a key is kept in _points under k. onions_wrap learns every
 # layer's ephemeral scalar before it wraps, so it computes all of a
 # service's ephemeral keys and ECDH products in one _base_mul_batch and
-# leaves them in _ahead for the unchanged per-layer path to read (the
-# argument is at _ahead). The memos live for one scope(): a scenario run is
-# one, and outside any scope they record nothing.
+# records them in _points for the unchanged per-layer path to read (the
+# argument is at onions_wrap). The memos live for one scope(): a scenario
+# run is one, and outside any scope they record nothing.
 # ---------------------------------------------------------------------------
 
 _P = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEFFFFFC2F
@@ -549,11 +550,7 @@ def _scalar_of(privkey: bytes) -> int:
 
 
 def pubkey_of_privkey(privkey: bytes) -> bytes:
-    k = _scalar_of(privkey)
-    pair = _keypairs.get(k)
-    if pair is not None:
-        return pair.pubkey
-    x, y = _base_point(k)
+    x, y = _base_point(_scalar_of(privkey))
     return x.to_bytes(32, "big") + y.to_bytes(32, "big")
 
 
@@ -564,8 +561,8 @@ def keypair_from_scalar(k: int) -> KeyPair:
 
 
 def _base_point(k: int) -> tuple[int, int]:
-    """Affine k * G for 1 <= k < N, read from _ahead when onions_wrap computed it."""
-    point = _ahead.get(k)
+    """Affine k * G for 1 <= k < N, read from _points when this scope computed it."""
+    point = _points.get(k)
     return _to_affine(_jmul_base(k)) if point is None else point
 
 
@@ -596,11 +593,11 @@ def keypairs_gen(rng: Random, count: int) -> list[KeyPair]:
 
 def _keypair(k: int, x: int, y: int) -> KeyPair:
     """The key pair of k, whose point (x, y) = k * G the caller just computed."""
-    _scalars[x, y] = k
+    point = x, y
+    _scalars[point] = k
+    _points[k] = point
     pub = x.to_bytes(32, "big") + y.to_bytes(32, "big")
-    pair = KeyPair(k.to_bytes(32, "big"), pub, address_of_pubkey(pub))
-    _keypairs[k] = pair
-    return pair
+    return KeyPair(k.to_bytes(32, "big"), pub, address_of_pubkey(pub))
 
 
 # Every party of a run draws its keys in this process, and ecies_encrypt
@@ -612,12 +609,12 @@ def _keypair(k: int, x: int, y: int) -> KeyPair:
 # (d*e mod N)*G for every d, and with N prime and d, e in [1, N) the
 # product d*e mod N is never 0. No scalar leaves the module and no caller
 # can claim one for a point; a foreign point, or one drawn outside the
-# current scope, only takes the slower _jmul. _keypairs maps the same
-# scalars to their key pairs, so sign() names its signer and
-# pubkey_of_privkey() answers a revealed key without another multiplication.
-# Like _signers and _layers below and the results of scope_cache, both live
-# for one scope(): a scenario run records every key it draws and frees them
-# all when it ends.
+# current scope, only takes the slower _jmul. _points maps each such scalar
+# back to its point, so _base_point answers it without another
+# multiplication: sign() names its signer and pubkey_of_privkey() answers a
+# revealed key through it. Like _signers and _layers below and the results
+# of scope_cache, both live for one scope(): a scenario run records every
+# key it draws and frees them all when it ends.
 
 
 class _RecordsNothing(dict):
@@ -629,27 +626,27 @@ class _RecordsNothing(dict):
 
 _UNSCOPED = _RecordsNothing()
 _scalars: dict[tuple[int, int], int] = _UNSCOPED
-_keypairs: dict[int, KeyPair] = _UNSCOPED
+_points: dict[int, tuple[int, int]] = _UNSCOPED
 # scope_cache's results: one dict per cached function, from its arguments to its result
 _results: dict[Callable, dict] = _UNSCOPED
 
 
 @contextlib.contextmanager
 def scope():
-    """Give _scalars, _keypairs, _signers, _layers and scope_cache's results the lifetime of a with block.
+    """Give _scalars, _points, _signers, _layers and scope_cache's results the lifetime of a with block.
 
     The block starts from empty memos. On exit the enclosing block's memos
     are back in place (outside any block, memos that record nothing), so
     what the block recorded is freed with it. Every function of this module
     returns the same inside a scope or out; only its cost differs.
     """
-    global _scalars, _keypairs, _signers, _layers, _results
-    outer = _scalars, _keypairs, _signers, _layers, _results
-    _scalars, _keypairs, _signers, _layers, _results = {}, {}, {}, {}, {}
+    global _scalars, _points, _signers, _layers, _results
+    outer = _scalars, _points, _signers, _layers, _results
+    _scalars, _points, _signers, _layers, _results = {}, {}, {}, {}, {}
     try:
         yield
     finally:
-        _scalars, _keypairs, _signers, _layers, _results = outer
+        _scalars, _points, _signers, _layers, _results = outer
 
 
 def scope_cache(fn):
@@ -715,7 +712,7 @@ def sign(privkey: bytes, digest: bytes) -> Signature:
         counter += 1
         sig = _signature(d, z, k, *_to_affine(_jmul_base(k))) if k else None
         if sig is not None:
-            _signers[bytes(digest), sig] = _address_of_scalar(d)
+            _signers[bytes(digest), sig] = address_of_pubkey(pubkey_of_privkey(privkey))
             return sig
 
 
@@ -731,7 +728,7 @@ def sign_many(privkey: bytes, digests: Sequence[bytes]) -> list[Signature]:
         return []
     zs = [_check_digest(digest) for digest in digests]
     d = _scalar_of(privkey)
-    address = _address_of_scalar(d)
+    address = address_of_pubkey(pubkey_of_privkey(privkey))
     ks = [_nonce(privkey, digest, 0) for digest in digests]
     # a zero nonce multiplies 1 instead and is redrawn by sign() below
     points = _base_mul_batch([k or 1 for k in ks])
@@ -794,12 +791,6 @@ def signed_by(digest: bytes, sig_bytes: bytes, address: bytes) -> bool:
 # few signatures of a service. A failed recovery raises and so is never
 # stored.
 _signers: dict[tuple[bytes, Signature], bytes] = _UNSCOPED
-
-
-def _address_of_scalar(d: int) -> bytes:
-    """The address of the scalar sign() actually used, never one a caller names."""
-    pair = _keypairs.get(d)
-    return (keypair_from_scalar(d) if pair is None else pair).address
 
 
 def _recover_address(digest: bytes, sig: Signature) -> bytes:
@@ -872,18 +863,6 @@ def sym_decrypt(key: bytes, blob: bytes) -> bytes:
 # exact: the record's key holds E, the point its x was computed for. A
 # tampered body under a recorded point and tag still fails the tag check.
 _layers: dict[bytes, tuple[int, int]] = _UNSCOPED
-
-# The look-ahead of onions_wrap. A service's wrap draws each layer's
-# ephemeral scalar e and then its nonce from one rng, so a copy of that rng
-# names every e before the first layer is sealed. onions_wrap multiplies,
-# in one _base_mul_batch, each e and each product e * q for a recipient
-# point Q = q * G found in _scalars, and keeps each affine k * G here under
-# k. _base_point reads them before any multiplication of its own, and
-# _shared_x computes e * Q as (e * q mod N) * G through it. A hit is exact:
-# every entry is k * G for its key k, so a mispredicted draw costs a miss,
-# never a wrong point. onions_wrap empties the memo when it returns or
-# raises, so it holds at most 2 * n * l points, and only during one call.
-_ahead: dict[int, tuple[int, int]] = {}
 
 
 def _shared_x(d: int, x: int, y: int) -> int:
@@ -1119,31 +1098,35 @@ def onions_wrap(shares: Sequence[Share], layer_pubkeys: Sequence[Sequence[bytes]
     """onion_wrap of each share under its own key list, in order, on one rng.
 
     Equal to that loop of onion_wrap calls, draw for draw and byte for byte,
-    and it raises what the loop raises after the same draws. Every layer's
-    ephemeral key, and its ECDH product when the recipient point is in
-    _scalars, comes from one batched multiplication (see _ahead).
+    and it raises what the loop raises after the same draws. Outside any
+    scope it is that loop.
+
+    A service's wrap draws each layer's ephemeral scalar e and then its
+    nonce from one rng, so a copy of that rng names every e before the first
+    layer is sealed. One batched multiplication makes each e and each
+    product e * q for a recipient point Q = q * G in _scalars, and records
+    each affine k * G in _points, where ecies_encrypt's keypair_gen and
+    _shared_x (e * Q as (e * q mod N) * G) read them back. A hit is exact:
+    every entry is k * G for its key k, so a mispredicted draw costs a miss,
+    never a wrong point, and a key the wrap rejects costs only points
+    nobody reads.
     """
     if len(shares) != len(layer_pubkeys):
         raise ParameterError("need one wrapping-key list per share")
-    # replay ecies_encrypt's draws on a copy of rng; a key the wrap will
-    # reject costs only points nobody reads, since the wrap raises there
-    ahead = Random()
-    ahead.setstate(rng.getstate())
-    ks = []
-    for pubkeys in layer_pubkeys:
-        for pk in pubkeys:
-            e = _draw_scalar(ahead)
-            _draw_nonce(ahead)
-            ks.append(e)
-            q = _scalars.get((int.from_bytes(pk[:32], "big"), int.from_bytes(pk[32:], "big")))
-            if q is not None:
-                ks.append(e * q % _N)
-    try:
-        for k, point in zip(ks, _base_mul_batch(ks)):
-            _ahead[k] = point
-        return [onion_wrap(share, pubkeys, rng) for share, pubkeys in zip(shares, layer_pubkeys)]
-    finally:
-        _ahead.clear()
+    if _points is not _UNSCOPED:
+        ahead = Random()
+        ahead.setstate(rng.getstate())
+        ks = []
+        for pubkeys in layer_pubkeys:
+            for pk in pubkeys:
+                e = _draw_scalar(ahead)
+                _draw_nonce(ahead)
+                ks.append(e)
+                q = _scalars.get((int.from_bytes(pk[:32], "big"), int.from_bytes(pk[32:], "big")))
+                if q is not None:
+                    ks.append(e * q % _N)
+        _points.update(zip(ks, _base_mul_batch(ks)))
+    return [onion_wrap(share, pubkeys, rng) for share, pubkeys in zip(shares, layer_pubkeys)]
 
 
 def onion_peel(onion: Onion, privkey: bytes) -> Onion:

@@ -25,7 +25,6 @@ import math
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
-from random import Random
 from typing import Any, Callable, Optional
 
 from .crypto import hash256
@@ -507,10 +506,6 @@ class Ledger:
         self._nonces: dict[bytes, int] = {}
 
     # -- accounts ----------------------------------------------------------
-
-    def create_eoa(self, rng: Random) -> Account:
-        address = rng.getrandbits(160).to_bytes(20, "big")
-        return self.register_eoa(address)
 
     def register_eoa(self, address: bytes) -> Account:
         if address in self.accounts:

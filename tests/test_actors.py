@@ -31,6 +31,7 @@ from tidsim.contracts import sup_auth_digest
 from tidsim.ledger import EPOCH_GRAPH, SERVICE_FUNCTIONS
 from tidsim.scenario import (
     ConfigError,
+    MAX_LAST_TICK,
     MODE_SILENT,
     MODE_STRAWMAN,
     ScenarioConfig,
@@ -107,6 +108,14 @@ class TestSetupAndSelection:
     def test_time_frame_at_the_edges_accepted(self, day, slot):
         assert ScenarioConfig(day=day, slot=slot).validate().timeframe_tick == day * 24 + slot
 
+    @pytest.mark.parametrize("day, slot, epoch_ticks", [(41666, 10, 1), (0, 4, 166666)])
+    def test_clock_ends_by_the_last_tick(self, day, slot, epoch_ticks):
+        # the ledger steps through every tick, so an unbounded clock could run for hours
+        at_bound = ScenarioConfig(day=day, slot=slot, epoch_ticks=epoch_ticks).validate()
+        assert at_bound.timeframe_tick + 6 * epoch_ticks == MAX_LAST_TICK
+        with pytest.raises(ConfigError, match="clock too long"):
+            ScenarioConfig(day=day, slot=slot + 1, epoch_ticks=epoch_ticks).validate()
+
     @pytest.mark.parametrize("mode", [MODE_SILENT, MODE_STRAWMAN])
     def test_minimum_deposit_above_deposit_rejected(self, mode):
         # every registration would revert, and the run would then crash
@@ -141,6 +150,10 @@ class TestSetupAndSelection:
             ({"remuneration_wei": -1}, "deposit and remuneration must be positive"),
             ({"colour": "blue", "seed": 1}, "unknown config keys: ['colour']"),
             ({"fault_policies": {"first": "absent"}}, "fault_policies keys must be pool indices"),
+            (
+                {"day": 10**9},
+                "clock too long: time frame tick 24000000008 + 6 * epoch_ticks 1 exceeds the last tick 1000000",
+            ),
         ],
     )
     def test_invalid_config_message(self, raw, message):
@@ -267,14 +280,6 @@ class TestSignatureRecovery:
             assert all(real(d, s) != runner.sender.address for d, s in kernel)
 
 
-class NeverStores(dict):
-    """A look-ahead that records nothing: the wrap multiplies each layer's
-    ephemeral key on its own."""
-
-    def __setitem__(self, key, value):
-        pass
-
-
 @pytest.fixture
 def jmul_calls(monkeypatch):
     """Every point that reaches the variable-base multiplication."""
@@ -336,7 +341,6 @@ class TestSharedSecrets:
         assert run_scenario(ScenarioConfig()).status == "delivered_light"
         assert batches == [60]
         assert singles == []
-        assert crypto._ahead == {}
 
     @pytest.mark.parametrize(
         "cfg",
@@ -454,9 +458,9 @@ class TestSharedSecrets:
     def test_same_trace_without_the_memo(self, monkeypatch, jmul_calls, cfg):
         with_memo = run_scenario(cfg).trace_hash()
         jmul_calls.clear()
-        # outside a scope crypto's memos record nothing
+        # outside a scope crypto's memos record nothing, so the wrap
+        # multiplies each layer's ephemeral key on its own
         monkeypatch.setattr(scenario, "scope", contextlib.nullcontext)
-        monkeypatch.setattr(crypto, "_ahead", NeverStores())
         assert run_scenario(cfg).trace_hash() == with_memo
         # the strawman sends each courier a bare share, so it makes no ECDH at all
         assert bool(jmul_calls) == (cfg.mode != MODE_STRAWMAN)

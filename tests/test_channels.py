@@ -89,12 +89,10 @@ def test_broadcast_log_only_has_broadcasts(bus):
 
 
 def test_messages_never_cost_gas(bus):
-    from random import Random
-
     from tidsim.ledger import Ledger
 
     ledger = Ledger()
-    account = ledger.create_eoa(Random(3))
+    account = ledger.register_eoa(bytes([3]) * 20)
     ledger.fund(account.address, 10**18)
     for i in range(50):
         bus.send_private(ALICE, BOB, bytes(100))

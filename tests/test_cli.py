@@ -119,6 +119,14 @@ class TestRun:
         assert err.startswith("config error: min_deposit_wei")
         assert "Traceback" not in err
 
+    def test_overlong_clock_exits_two_without_running(self, tmp_path, capsys):
+        cfg = tmp_path / "overlong.json"
+        cfg.write_text(json.dumps({"day": 10**9}))
+        assert main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: clock too long")
+        assert "Traceback" not in err
+
     def test_json_syntax_error_carries_line(self, tmp_path, capsys):
         cfg = tmp_path / "syntax.json"
         cfg.write_text("{\n  broken\n}")

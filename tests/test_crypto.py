@@ -78,7 +78,7 @@ from tidsim.crypto import (
 from tidsim.scenario import ScenarioConfig, run_scenario
 
 # crypto's memos that live for one scope()
-MEMOS = ("_scalars", "_keypairs", "_signers", "_layers")
+MEMOS = ("_scalars", "_points", "_signers", "_layers")
 
 # SHA3-256 golden values, pinned from hashlib on first computation.
 SHA3_256_EMPTY = "a7ffc6f8bf1ed76651c14756a061d662f580ff4de43b49fa82d80a4b80f8434a"
@@ -865,7 +865,7 @@ class TestScalarMemo:
         pairs.append(newest)
         scalars = [int.from_bytes(kp.privkey, "big") for kp in pairs]
         assert list(crypto._scalars.items()) == [(point_of(kp.pubkey), k) for kp, k in zip(pairs, scalars)]
-        assert list(crypto._keypairs.items()) == [(k, kp) for kp, k in zip(pairs, scalars)]
+        assert list(crypto._points.items()) == [(k, point_of(kp.pubkey)) for kp, k in zip(pairs, scalars)]
 
     def test_pubkey_of_a_recorded_scalar_is_looked_up(self, base_mults):
         kp = keypair_gen(Random(46))
@@ -1074,7 +1074,8 @@ def wrap_recipients():
 
 def wrap_from(memo, wrap, seed):
     """wrap(rng) in a fresh scope whose scalar memo holds `memo`: its result
-    or error, then rng's state and each memo's entries in order."""
+    or error, rng's state, the entries of every memo but _points in order,
+    then _points."""
     rng = Random(seed)
     with crypto.scope():
         crypto._scalars.update(memo)
@@ -1082,9 +1083,9 @@ def wrap_from(memo, wrap, seed):
             out = wrap(rng)
         except ParameterError as exc:
             out = str(exc)
-        assert crypto._ahead == {}
-        memos = [list(getattr(crypto, name).items()) for name in MEMOS]
-    return out, rng.getstate(), memos
+        memos = [list(getattr(crypto, name).items()) for name in MEMOS if name != "_points"]
+        points = dict(crypto._points)
+    return out, rng.getstate(), memos, points
 
 
 def onion_wrap_loop(shares, layer_pubkeys):
@@ -1104,6 +1105,18 @@ layouts = st.integers(min_value=1, max_value=4).flatmap(
 )
 
 
+def assert_wraps_alike(memo, shares, layer_pubkeys, seed):
+    """onions_wrap returns, draws and records what the onion_wrap loop does,
+    and each _points entry only its batch adds is k * G for its k; the
+    loop's outcome is returned."""
+    *expected, loop_points = wrap_from(memo, onion_wrap_loop(shares, layer_pubkeys), seed)
+    *got, points = wrap_from(memo, batched(shares, layer_pubkeys), seed)
+    assert got == expected
+    assert points.items() >= loop_points.items()
+    assert all(points[k] == _to_affine(_jmul_base(k)) for k in points.keys() - loop_points.keys())
+    return expected[0]
+
+
 class TestOnionsWrap:
     @given(layout=layouts, seed=st.integers(min_value=0, max_value=2**32))
     @example(layout=[[("recorded", i) for i in range(4)]] * 8, seed=0)
@@ -1114,9 +1127,8 @@ class TestOnionsWrap:
         memo, pubkeys = wrap_recipients()
         shares = [Share(i + 1, 1000 + i) for i in range(len(layout))]
         layer_pubkeys = [[pubkeys[kind][i] for kind, i in layers] for layers in layout]
-        expected = wrap_from(memo, onion_wrap_loop(shares, layer_pubkeys), seed)
-        assert wrap_from(memo, batched(shares, layer_pubkeys), seed) == expected
-        assert all(isinstance(onion, Onion) for onion in expected[0])
+        onions = assert_wraps_alike(memo, shares, layer_pubkeys, seed)
+        assert all(isinstance(onion, Onion) for onion in onions)
 
     @pytest.mark.parametrize(
         "bad",
@@ -1129,9 +1141,20 @@ class TestOnionsWrap:
         third = [] if bad is None else [good[0], bad, good[1]]
         shares = [Share(i, i) for i in (1, 2, 3, 4)]
         layer_pubkeys = [good, good, third, good]
-        expected = wrap_from(memo, onion_wrap_loop(shares, layer_pubkeys), 53)
-        assert isinstance(expected[0], str)
-        assert wrap_from(memo, batched(shares, layer_pubkeys), 53) == expected
+        assert isinstance(assert_wraps_alike(memo, shares, layer_pubkeys, 53), str)
+
+    def test_outside_a_scope_it_is_the_loop_and_records_nothing(self, monkeypatch):
+        _, pubkeys = wrap_recipients()
+        shares = [Share(i, i) for i in (1, 2, 3)]
+        layer_pubkeys = [pubkeys["recorded"][:3], pubkeys["never recorded"][:2], pubkeys["recorded"][1:]]
+        rng = Random(55)
+        expected = onion_wrap_loop(shares, layer_pubkeys)(rng)
+        state = rng.getstate()
+        monkeypatch.setattr(crypto, "_base_mul_batch", None)  # a batch would raise
+        rng = Random(55)
+        assert onions_wrap(shares, layer_pubkeys, rng) == expected
+        assert rng.getstate() == state
+        assert not any(memos().values())
 
     def test_one_key_list_per_share(self):
         rng = Random(54)
@@ -1200,6 +1223,10 @@ class TestScope:
             # the entries the memos hold once each: the scalars and addresses
             # are also referenced from within other entries
             entries = {*crypto._scalars, *crypto._signers, *crypto._layers, *crypto._layers.values()}
+            # and every point of _points, with the look-ahead's keys: the ECDH
+            # products, which no other memo holds
+            assert len(crypto._points) > len(crypto._scalars)
+            entries |= {*crypto._points.values(), *(crypto._points.keys() - crypto._scalars.values())}
         assert len(entries) > 10
         gc.collect()
         # an entry nothing else holds has the reference count of a fresh object
