@@ -40,10 +40,10 @@ from .crypto import (
     new_secret_key,
     onion_peel,
     onions_wrap,
+    presign,
     recover_signer,
     scope_cache,
     sign,
-    sign_many,
     signed_by,
     ss_restore,
     ss_split,
@@ -349,6 +349,18 @@ class SenderActor:
         messages and re-selecting replacements for refusals until n
         agreements are signed."""
         candidates = self.select_mailmen(pool, override)
+        # A cost-only look-ahead inside the run's scope, like onions_wrap's:
+        # candidate i is invited with index i, so the sender's authorisation
+        # and every acceptance are signed from one batch, and each sign()
+        # below reads its signature back. A refusal shifts later indices;
+        # those signatures miss and are made alone. No byte changes.
+        presign(
+            [(self.keypair.privkey, sup_auth_digest(self.switch.address, self.sup_code))]
+            + [
+                (m.keypair.privkey, agreement_digest_mailman(self.switch.address, index))
+                for index, m in enumerate(candidates, 1)
+            ]
+        )
         remaining = [m for m in pool if m not in candidates]
         vrs_sup = self.vrs_sup()
         self.selected = []
@@ -412,10 +424,9 @@ class SenderActor:
 
         indices = sorted(self.agreements)
         vrs_m = [self.agreements[index]["vrs_m"] for index in indices]
-        vrs_s = sign_many(
-            self.keypair.privkey,
-            [agreement_digest_sender(self.switch.address, index, m) for index, m in zip(indices, vrs_m)],
-        )
+        digests = [agreement_digest_sender(self.switch.address, index, m) for index, m in zip(indices, vrs_m)]
+        presign([(self.keypair.privkey, digest) for digest in digests])
+        vrs_s = [sign(self.keypair.privkey, digest) for digest in digests]
         tuples = [
             sym_encrypt(self.key, encode_parts(index, s, m), self.rng) for index, s, m in zip(indices, vrs_s, vrs_m)
         ]

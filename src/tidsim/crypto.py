@@ -50,7 +50,7 @@ __all__ = [
     "address_of_pubkey",
     "pubkey_of_privkey",
     "sign",
-    "sign_many",
+    "presign",
     "recover_signer",
     "signed_by",
     "new_secret_key",
@@ -178,8 +178,10 @@ def decode_parts(data: bytes) -> list[bytes]:
 # layer's ephemeral scalar before it wraps, so it computes all of a
 # service's ephemeral keys and ECDH products in one _base_mul_batch and
 # records them in _points for the unchanged per-layer path to read (the
-# argument is at onions_wrap). The memos live for one scope(): a scenario
-# run is one, and outside any scope they record nothing.
+# argument is at onions_wrap). presign computes the nonces' k * G of many
+# signatures in one _base_mul_batch and their inverses with one pow, for
+# sign to return (the argument is at _signatures). The memos live for one
+# scope(): a scenario run is one, and outside any scope they record nothing.
 # ---------------------------------------------------------------------------
 
 _P = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEFFFFFC2F
@@ -612,9 +614,9 @@ def _keypair(k: int, x: int, y: int) -> KeyPair:
 # current scope, only takes the slower _jmul. _points maps each such scalar
 # back to its point, so _base_point answers it without another
 # multiplication: sign() names its signer and pubkey_of_privkey() answers a
-# revealed key through it. Like _signers and _layers below and the results
-# of scope_cache, both live for one scope(): a scenario run records every
-# key it draws and frees them all when it ends.
+# revealed key through it. Like _signers, _signatures and _layers below and
+# the results of scope_cache, both live for one scope(): a scenario run
+# records every key it draws and frees them all when it ends.
 
 
 class _RecordsNothing(dict):
@@ -633,20 +635,20 @@ _results: dict[Callable, dict] = _UNSCOPED
 
 @contextlib.contextmanager
 def scope():
-    """Give _scalars, _points, _signers, _layers and scope_cache's results the lifetime of a with block.
+    """Give _scalars, _points, _signers, _signatures, _layers and scope_cache's results the lifetime of a with block.
 
     The block starts from empty memos. On exit the enclosing block's memos
     are back in place (outside any block, memos that record nothing), so
     what the block recorded is freed with it. Every function of this module
     returns the same inside a scope or out; only its cost differs.
     """
-    global _scalars, _points, _signers, _layers, _results
-    outer = _scalars, _points, _signers, _layers, _results
-    _scalars, _points, _signers, _layers, _results = {}, {}, {}, {}, {}
+    global _scalars, _points, _signers, _signatures, _layers, _results
+    outer = _scalars, _points, _signers, _signatures, _layers, _results
+    _scalars, _points, _signers, _signatures, _layers, _results = {}, {}, {}, {}, {}, {}
     try:
         yield
     finally:
-        _scalars, _points, _signers, _layers, _results = outer
+        _scalars, _points, _signers, _signatures, _layers, _results = outer
 
 
 def scope_cache(fn):
@@ -706,41 +708,44 @@ def sign(privkey: bytes, digest: bytes) -> Signature:
     """
     z = _check_digest(digest)
     d = _scalar_of(privkey)
+    key = bytes(privkey), bytes(digest)
+    sig = _signatures.get(key)
     counter = 0
-    while True:
+    while sig is None:
         k = _nonce(privkey, digest, counter)
         counter += 1
-        sig = _signature(d, z, k, *_to_affine(_jmul_base(k))) if k else None
-        if sig is not None:
-            _signers[bytes(digest), sig] = address_of_pubkey(pubkey_of_privkey(privkey))
-            return sig
+        if k:
+            sig = _signature(d, z, pow(k, -1, _N), *_to_affine(_jmul_base(k)))
+    _signatures[key] = sig
+    _signers[key[1], sig] = address_of_pubkey(pubkey_of_privkey(privkey))
+    return sig
 
 
-def sign_many(privkey: bytes, digests: Sequence[bytes]) -> list[Signature]:
-    """[sign(privkey, digest) for digest in digests], with every nonce's k * G from one batch.
+def presign(pairs: Sequence[tuple[bytes, bytes]]) -> None:
+    """Record sign(privkey, digest) for each (privkey, digest) pair in the current scope, for sign() to return.
 
-    Each digest's first nonce is sign()'s, so the signatures are sign()'s.
-    A digest whose first nonce sign() would redraw (about 2^-128 of them)
-    is signed by sign() itself. It raises ParameterError where the loop
-    would.
+    Every first nonce's k * G comes from one batch and every k^-1 from one
+    inversion, so a pair costs a batched key where sign() alone costs a
+    single k * G and a pow. Each signature is sign()'s, from its first
+    nonce. A pair that sign() would reject, or whose first nonce it would
+    redraw, is left for sign() to handle. Outside any scope it computes and
+    records nothing.
     """
-    if not digests:
-        return []
-    zs = [_check_digest(digest) for digest in digests]
-    d = _scalar_of(privkey)
-    address = address_of_pubkey(pubkey_of_privkey(privkey))
-    ks = [_nonce(privkey, digest, 0) for digest in digests]
-    # a zero nonce multiplies 1 instead and is redrawn by sign() below
-    points = _base_mul_batch([k or 1 for k in ks])
-    sigs = []
-    for digest, z, k, (rx, ry) in zip(digests, zs, ks, points):
-        sig = _signature(d, z, k, rx, ry) if k else None
-        if sig is None:
-            sig = sign(privkey, digest)
-        else:
-            _signers[bytes(digest), sig] = address
-        sigs.append(sig)
-    return sigs
+    if _signatures is _UNSCOPED:
+        return
+    todo = {}
+    for privkey, digest in pairs:
+        key = bytes(privkey), bytes(digest)
+        d = int.from_bytes(privkey, "big")
+        if len(digest) == DIGEST_SIZE and 1 <= d < _N and key not in _signatures:
+            k = _nonce(privkey, digest, 0)
+            if k:
+                todo[key] = d, int.from_bytes(digest, "big"), k
+    ks = [k for _, _, k in todo.values()]
+    for (key, (d, z, _)), k_inv, (rx, ry) in zip(todo.items(), _inverses(ks, _N), _base_mul_batch(ks)):
+        sig = _signature(d, z, k_inv, rx, ry)
+        if sig is not None:
+            _signatures[key] = sig
 
 
 def _nonce(privkey: bytes, digest: bytes, counter: int) -> int:
@@ -749,13 +754,33 @@ def _nonce(privkey: bytes, digest: bytes, counter: int) -> int:
     return int.from_bytes(seed, "big") % _N
 
 
-def _signature(d: int, z: int, k: int, rx: int, ry: int) -> Signature | None:
-    """The signature of digest z by scalar d with nonce k, whose k * G = (rx, ry); None if k must be redrawn."""
+def _signature(d: int, z: int, k_inv: int, rx: int, ry: int) -> Signature | None:
+    """The signature of digest z by scalar d with the nonce k whose k^-1 mod N is k_inv and k * G = (rx, ry); None if k must be redrawn."""
     # keep r below the group order so the recovery id is a single parity bit
     if not 0 < rx < _N:
         return None
-    s = pow(k, -1, _N) * (z + rx * d) % _N
+    s = k_inv * (z + rx * d) % _N
     return Signature(ry & 1, rx, s) if s else None
+
+
+def _inverses(values: Sequence[int], m: int) -> list[int]:
+    """[pow(v, -1, m) for v in values] from one pow (Montgomery's trick).
+
+    The product of all values is inverted once and each value's inverse is
+    peeled off it, last value first. A value with no inverse mod m makes the
+    product one too, and pow raises ValueError as it would for that value.
+    """
+    prefix = []
+    prod = 1
+    for v in values:
+        prefix.append(prod)
+        prod = prod * v % m
+    inv = pow(prod, -1, m)
+    out = [0] * len(prefix)
+    for j in range(len(prefix) - 1, -1, -1):
+        out[j] = inv * prefix[j] % m
+        inv = inv * values[j] % m
+    return out
 
 
 def recover_signer(digest: bytes, sig: Signature) -> bytes:
@@ -790,7 +815,18 @@ def signed_by(digest: bytes, sig_bytes: bytes, address: bytes) -> bool:
 # The memo also serves every courier and contract that re-recovers the same
 # few signatures of a service. A failed recovery raises and so is never
 # stored.
+#
+# _signatures holds each signature sign() made or presign() computed, under
+# its (privkey, digest) bytes. It is exact: the signature is a pure function
+# of those bytes, and presign keeps only one whose first nonce sign() would
+# accept. A recruitment presigns what it can predict: the sender's
+# supplementary authorisation and each candidate's acceptance at the index
+# it will be invited with, in one batch; then the n countersignatures, in
+# another. sign() returns a recorded signature without a multiplication, so
+# a signature re-made after a lost message costs nothing either, and it
+# records the signer in _signers whether it computed the signature or not.
 _signers: dict[tuple[bytes, Signature], bytes] = _UNSCOPED
+_signatures: dict[tuple[bytes, bytes], Signature] = _UNSCOPED
 
 
 def _recover_address(digest: bytes, sig: Signature) -> bytes:
@@ -1034,7 +1070,8 @@ def ss_restore(
     if len({s.wrap for s in shares}) != 1:
         raise ParameterError("shares mix different splits")
     chosen = sorted(shares, key=lambda s: s.index)[:t]
-    acc = 0
+    terms = []
+    dens = []
     for i, si in enumerate(chosen):
         num = 1
         den = 1
@@ -1043,7 +1080,10 @@ def ss_restore(
                 continue
             num = num * (-sj.index) % prime
             den = den * (si.index - sj.index) % prime
-        acc = (acc + si.value * num * pow(den, -1, prime)) % prime
+        terms.append(si.value * num)
+        dens.append(den)
+    # one pow for the t denominators
+    acc = sum(term * den_inv for term, den_inv in zip(terms, _inverses(dens, prime))) % prime
     k = acc + chosen[0].wrap * prime
     if not as_bytes:
         return k

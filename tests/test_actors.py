@@ -387,28 +387,33 @@ class TestSharedSecrets:
         assert (len(reached) == cfg.n * cfg.l) == (cfg.availability == 1)
 
     def test_signing_multiplies_only_for_its_nonce(self, monkeypatch):
-        # key generation recorded every signer's key pair, so each signature
-        # costs one k*G, for its nonce, and the sender's n countersignatures
-        # take their nonces' k*G from one batch
-        real_sign, real_many = crypto.sign, crypto.sign_many
+        # key generation recorded every signer's key pair, so no signature
+        # multiplies for its signer's address. Recruitment presigns the
+        # sender's authorisation and the n acceptances from one batch, and
+        # the sender its n countersignatures from another, so only the two
+        # signatures over earlier outputs, vrs_sm and vrs_st, take a single
+        # k*G, for their nonces
+        real_sign, real_presign = crypto.sign, crypto.presign
         real_base, real_batch = crypto._jmul_base, crypto._base_mul_batch
-        signers = (real_sign.__code__, real_many.__code__)
-        signatures = []
-        countersigned = []
+        signers = (real_sign.__code__, real_presign.__code__)
+        multiplied = []
+        presigned = []
         nonces = []
         batches = []
         addresses = []
 
         def counted_sign(privkey, digest):
-            signatures.append(digest)
-            return real_sign(privkey, digest)
+            before = len(nonces)
+            sig = real_sign(privkey, digest)
+            multiplied.append(len(nonces) > before)
+            return sig
 
-        def counted_many(privkey, digests):
-            countersigned.append(len(digests))
-            return real_many(privkey, digests)
+        def counted_presign(pairs):
+            presigned.append(len(pairs))
+            return real_presign(pairs)
 
         def signing_frame():
-            """The innermost sign or sign_many frame calling the kernel, and whether it called it directly."""
+            """The innermost sign or presign frame calling the kernel, and whether it called it directly."""
             caller = frame = sys._getframe(2)
             while frame is not None and frame.f_code not in signers:
                 frame = frame.f_back
@@ -424,7 +429,7 @@ class TestSharedSecrets:
 
         def counted_batch(ks):
             frame, direct = signing_frame()
-            if direct and frame.f_code is real_many.__code__:
+            if direct and frame.f_code is real_presign.__code__:
                 batches.append(len(ks))
             elif frame is not None:
                 addresses.extend(ks)
@@ -432,15 +437,17 @@ class TestSharedSecrets:
 
         for module in list(sys.modules.values()):
             if module.__name__.startswith("tidsim"):
-                for name, real, counted in (("sign", real_sign, counted_sign), ("sign_many", real_many, counted_many)):
+                for name, real, counted in (("sign", real_sign, counted_sign), ("presign", real_presign, counted_presign)):
                     if getattr(module, name, None) is real:
                         monkeypatch.setattr(module, name, counted)
         monkeypatch.setattr(crypto, "_jmul_base", counted_base)
         monkeypatch.setattr(crypto, "_base_mul_batch", counted_batch)
         cfg = ScenarioConfig()
         assert run_scenario(cfg).status == "delivered_light"
-        assert signatures and len(nonces) == len(signatures)
-        assert countersigned == batches == [cfg.n]
+        assert presigned == batches == [cfg.n + 1, cfg.n]
+        # signed in order: vrs_sup, n acceptances, n countersignatures, vrs_sm, vrs_st
+        assert multiplied == [False] * (2 * cfg.n + 1) + [True, True]
+        assert len(nonces) == 2
         assert addresses == []
 
     # Listed in the CI step that runs the golden traces under two hash seeds.

@@ -65,10 +65,10 @@ from tidsim.crypto import (
     onion_peel,
     onion_wrap,
     onions_wrap,
+    presign,
     pubkey_of_privkey,
     recover_signer,
     sign,
-    sign_many,
     signed_by,
     ss_restore,
     ss_split,
@@ -78,7 +78,7 @@ from tidsim.crypto import (
 from tidsim.scenario import ScenarioConfig, run_scenario
 
 # crypto's memos that live for one scope()
-MEMOS = ("_scalars", "_points", "_signers", "_layers")
+MEMOS = ("_scalars", "_points", "_signers", "_signatures", "_layers")
 
 # SHA3-256 golden values, pinned from hashlib on first computation.
 SHA3_256_EMPTY = "a7ffc6f8bf1ed76651c14756a061d662f580ff4de43b49fa82d80a4b80f8434a"
@@ -166,6 +166,27 @@ class TestKeyPairs:
             keypair_from_scalar(0)
 
 
+@contextlib.contextmanager
+def counted_base_mults():
+    """Every fixed-base multiplication while the block runs: a single k*G as k, a batch as its list of keys."""
+    calls = []
+    real_base, real_batch = crypto._jmul_base, crypto._base_mul_batch
+
+    def base(k):
+        calls.append(k)
+        return real_base(k)
+
+    def batch(ks):
+        calls.append(list(ks))
+        return real_batch(ks)
+
+    crypto._jmul_base, crypto._base_mul_batch = base, batch
+    try:
+        yield calls
+    finally:
+        crypto._jmul_base, crypto._base_mul_batch = real_base, real_batch
+
+
 class TestSignatures:
     def test_round_trip_fuzz(self):
         rng = Random(3)
@@ -224,18 +245,35 @@ class TestSignatures:
         for r in (0, _N):
             assert not signed_by(digest, Signature(sig.v, r, sig.s).to_bytes(), signer.address)
 
-    @given(seed=st.integers(0, 2**32), digests=st.lists(st.binary(min_size=32, max_size=32), max_size=8))
+    @given(
+        seeds=st.lists(st.integers(0, 2**32), min_size=1, max_size=3),
+        digests=st.lists(st.binary(min_size=32, max_size=32), max_size=5),
+    )
     @settings(max_examples=30, deadline=None)
-    def test_sign_many_equals_the_sign_loop(self, seed, digests):
-        kp = keypair_gen(Random(seed))
-        with crypto.scope():
-            sigs = sign_many(kp.privkey, digests)
-            assert all(crypto._signers[d, sig] == kp.address for d, sig in zip(digests, sigs))
-        assert sigs == [sign(kp.privkey, d) for d in digests]
-        assert all(_recover_address(d, sig) == kp.address for d, sig in zip(digests, sigs))
+    def test_presign_then_sign_equals_sign(self, seeds, digests):
+        keys = [keypair_gen(Random(seed)) for seed in seeds]
+        # every key with every digest, each pair twice: duplicates are fine
+        pairs = [(kp.privkey, d) for kp in keys for d in digests] * 2
+        signers = [kp.address for kp in keys for _ in digests] * 2
+        expected = [sign(*pair) for pair in pairs]
+        with counted_base_mults() as mults:
+            # outside a scope it multiplies nothing and records nothing
+            presign(pairs)
+            assert mults == [] and not crypto._signatures
+            with crypto.scope():
+                # keys drawn in the scope: sign names its signer by lookup
+                assert [keypair_gen(Random(seed)) for seed in seeds] == keys
+                mults.clear()
+                presign(pairs)
+                assert mults == [[crypto._nonce(*pair, 0) for pair in dict.fromkeys(pairs)]]
+                sigs = [sign(*pair) for pair in pairs]
+                assert len(mults) == 1
+                assert [crypto._signers[d, sig] for (_, d), sig in zip(pairs, sigs)] == signers
+        assert sigs == expected
+        assert [_recover_address(d, sig) for (_, d), sig in zip(pairs, sigs)] == signers
 
-    def test_sign_many_redraws_a_nonce_as_sign_does(self, monkeypatch):
-        # a first nonce of 0 is redrawn, as one whose R has x >= N would be
+    def test_presign_leaves_a_redrawn_nonce_to_sign(self, monkeypatch):
+        # a first nonce of 0 is redrawn by sign, as one whose R has x >= N is
         real = crypto._nonce
 
         def nonce(privkey, digest, counter):
@@ -244,19 +282,42 @@ class TestSignatures:
         monkeypatch.setattr(crypto, "_nonce", nonce)
         kp = keypair_gen(Random(9))
         digests = [bytes([i]) + hash256(bytes([i]))[1:] for i in range(6)]
-        sigs = sign_many(kp.privkey, digests)
-        assert sigs == [sign(kp.privkey, d) for d in digests]
+        pairs = [(kp.privkey, d) for d in digests]
+        expected = [sign(*pair) for pair in pairs]
+        with crypto.scope():
+            presign(pairs)
+            assert list(crypto._signatures) == pairs[1::2]
+            sigs = [sign(*pair) for pair in pairs]
+        assert sigs == expected
         assert all(_recover_address(d, sig) == kp.address for d, sig in zip(digests, sigs))
         # the redrawn ones are not the signatures of a first nonce
         monkeypatch.setattr(crypto, "_nonce", real)
-        assert [sig == sign(kp.privkey, d) for d, sig in zip(digests, sigs)] == [False, True] * 3
+        first = [sign(*pair) for pair in pairs]
+        assert [sig == first_sig for sig, first_sig in zip(sigs, first)] == [False, True] * 3
+        # nor does presign keep a first nonce whose R has x >= N
+        monkeypatch.setattr(crypto, "_base_mul_batch", lambda ks: [(_N, 0)] * len(ks))
+        with crypto.scope():
+            presign(pairs)
+            assert crypto._signatures == {}
+            assert [sign(*pair) for pair in pairs] == first
 
-    def test_sign_many_rejects_what_sign_rejects(self):
+    def test_presign_skips_what_sign_rejects(self):
         kp = keypair_gen(Random(10))
-        assert sign_many(kp.privkey, []) == []
-        for privkey, digests in [(kp.privkey, [hash256(b"a"), b"short"]), (bytes(32), [hash256(b"a")])]:
-            with pytest.raises(ParameterError):
-                sign_many(privkey, digests)
+        digest = hash256(b"a")
+        rejected = [(kp.privkey, digest[:31]), (bytes(32), digest), (_N.to_bytes(32, "big"), digest)]
+        errors = []
+        for privkey, d in rejected:
+            with pytest.raises(ParameterError) as exc:
+                sign(privkey, d)
+            errors.append(str(exc.value))
+        with crypto.scope():
+            presign([])
+            presign(rejected + [(kp.privkey, digest)])
+            assert list(crypto._signatures) == [(kp.privkey, digest)]
+            for (privkey, d), error in zip(rejected, errors):
+                with pytest.raises(ParameterError, match=f"^{re.escape(error)}$"):
+                    sign(privkey, d)
+            assert list(crypto._signatures) == [(kp.privkey, digest)]
 
 
 class TestSymmetric:
@@ -376,6 +437,27 @@ class TestSecretSharing:
                 shares = ss_split(key, t, n, rng)
                 for subset in itertools.combinations(shares, t):
                     assert ss_restore(subset, t) == key
+
+    def test_restore_inverts_its_denominators_with_one_pow(self, monkeypatch):
+        rng = Random(61)
+        key = new_secret_key(rng)
+        shares = ss_split(key, t=6, n=9, rng=rng)
+        pows = []
+        monkeypatch.setattr(crypto, "pow", lambda *args: pows.append(args) or pow(*args), raising=False)
+        assert ss_restore(shares[3:], t=6) == key
+        assert len(pows) == 1
+
+    @given(
+        prime=st.sampled_from([SMALL_TEST_PRIME, crypto.DEFAULT_SHARE_PRIME, _N]),
+        values=st.lists(st.integers(1, 2**256), max_size=8),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_batch_inverses_equal_each_pow(self, prime, values):
+        values = [v % prime or 1 for v in values]
+        assert crypto._inverses(values, prime) == [pow(v, -1, prime) for v in values]
+        # a value with no inverse raises what pow raises for it
+        with pytest.raises(ValueError):
+            crypto._inverses(values + [prime] + values, prime)
 
 
 class TestOnions:
@@ -1222,7 +1304,7 @@ class TestScope:
             primitives(61)
             # the entries the memos hold once each: the scalars and addresses
             # are also referenced from within other entries
-            entries = {*crypto._scalars, *crypto._signers, *crypto._layers, *crypto._layers.values()}
+            entries = {*crypto._scalars, *crypto._signers, *crypto._signatures, *crypto._layers, *crypto._layers.values()}
             # and every point of _points, with the look-ahead's keys: the ECDH
             # products, which no other memo holds
             assert len(crypto._points) > len(crypto._scalars)
