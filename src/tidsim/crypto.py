@@ -141,32 +141,39 @@ def decode_parts(data: bytes) -> list[bytes]:
 
 # ---------------------------------------------------------------------------
 # secp256k1 arithmetic in Jacobian coordinates. Fixed-base multiplication
-# uses signed 11-bit windows over a table of affine points: 24 windows hold
-# d * 2048^w * G for d = 1..1024 (1..8 in the top one), a digit d > 1024
-# becomes d - 2048 with a carry into the next window, and a negative digit
+# splits k through the GLV endomorphism (_split): k = k1 + lambda * k2 mod N
+# with both halves below 2^127.35 in size, and lambda * P = (beta * x, y) for
+# any point P = (x, y). Each half's size is read in signed 13-bit windows
+# over a table of affine points: 9 windows hold d * 8192^w * G for
+# d = 1..4096 and the top one d = 1..1301; a digit d > 4096 becomes
+# d - 8192 with a carry into the next window, and a negative digit or half
 # negates y. Each table point is added with a mixed Jacobian-affine addition
-# (Hankerson-Menezes-Vanstone, Guide to ECC, 3.2-3.3), about 23 per k * G.
+# (Hankerson-Menezes-Vanstone, Guide to ECC, 3.2-3.3), at most 9 per half,
+# and k1 * G + lambda * (k2 * G) takes one more addition: at most 19 per
+# k * G.
 #
 # The table is package data, secp256k1_base_table.bin, as libsecp256k1
 # commits its generator tables as generated source: every process would
-# otherwise compute the same 23,560 points. The first k * G reads the file,
+# otherwise compute the same 38,165 points. The first k * G reads the file,
 # checks its SHA-256 and holds each point as one integer x * 2^256 + y
 # (_base_table). tests/test_crypto.py rebuilds it from G and compares it
 # byte for byte.
 #
 # Affine additions that share one inversion of their x differences
 # (Montgomery's trick, Math. Comp. 1987; _affine_sums) multiply many keys
-# at once (_base_mul_batch): each key's table points are summed as a
-# balanced tree, one level at a time across up to _BATCH_CHUNK keys, for 6
+# at once (_base_mul_batch): each half's table points are summed as a
+# balanced tree, one level at a time across the halves of up to
+# _BATCH_CHUNK keys, and one more level joins each key's two halves, for 5
 # inversions per chunk. The points travel as flat lists of coordinates, not
 # as a tuple per point, since at six modular products an addition costs
-# little more than building and unpacking its tuples. The equal-x case of
-# affine addition never arises there; _base_mul_tree gives the argument.
+# little more than building and unpacking its tuples. Within a half the
+# equal-x case of affine addition never arises, and at the join it never
+# arises either; _base_mul_tree gives the arguments.
 #
 # Variable-base multiplication (_jmul) is plain double-and-add over the
-# affine point: only the recovery of a foreign signature and an ECDH with a
-# point missing from _scalars reach it, too rarely for a table of the
-# point's multiples to pay.
+# affine point, without the GLV split: only the recovery of a foreign
+# signature and an ECDH with a point missing from _scalars reach it, too
+# rarely for a table of the point's multiples, or the split, to pay.
 #
 # An ECDH d * E with E = e * G drawn in this process is (d * e mod N) * G,
 # one fixed-base multiplication instead of a double-and-add one (_shared_x;
@@ -314,33 +321,63 @@ def _affine_sums(x1s, y1s, x2s, y2s):
     return xs, ys
 
 
+# The GLV endomorphism of secp256k1 (Gallant, Lambert and Vanstone, CRYPTO
+# 2001): lambda * (x, y) = (beta * x, y) for every point, with
+# lambda = 0x5363AD4CC05C30E0A5261C028812645A122E22EA20816678DF02967C1B23BD72,
+# lambda^3 = 1 mod N and beta^3 = 1 mod P. (_A1, _B1) and (_A2, _B2) are a
+# reduced basis of the lattice of (a, b) with a + b * lambda = 0 mod N, as
+# in libsecp256k1.
+_BETA = 0x7AE96A2B657C07106E64479EAC3434E99CF0497512F58995C1396C28719501EE
+_A1 = 0x3086D221A7D46BCDE86C90E49284EB15
+_B1 = -0xE4437ED6010E88286F547FA90ABFE4C3
+_A2 = 0x114CA50F7A8E2F3F657C1108D9D44CFD8
+_B2 = _A1
+
+
+def _split(k):
+    """(k1, k2) with k1 + lambda * k2 = k mod N, |k1| <= (|a1| + |a2|) / 2 and |k2| <= (|b1| + |b2|) / 2.
+
+    Babai rounding, as libsecp256k1's secp256k1_scalar_split_lambda, with
+    exact division in place of its 384-bit shifts. a1 * b2 - a2 * b1 = N,
+    so (k, 0) = t1 * (a1, b1) + t2 * (a2, b2) for t1 = b2 * k / N and
+    t2 = -b1 * k / N. Subtracting c1 * (a1, b1) + c2 * (a2, b2), c1 and c2
+    the integers nearest t1 and t2, keeps k mod N, since each basis vector
+    has a + b * lambda = 0 mod N, and leaves (t1 - c1) * (a1, b1) +
+    (t2 - c2) * (a2, b2) with both factors at most 1/2 in size. The bounds
+    are below 2^127.35 and 2^127.12.
+    """
+    c1 = (_B2 * k + _N // 2) // _N
+    c2 = (-_B1 * k + _N // 2) // _N
+    return k - c1 * _A1 - c2 * _A2, -c1 * _B1 - c2 * _B2
+
+
 # Signed windows of _WINDOW bits: a digit above _HALF becomes digit - 2^_WINDOW
-# and carries one into the next window. _ROWS windows cover every k < 2^256
-# with the top digit at most _HALF.
-_WINDOW = 11
+# and carries one into the next window.
+_WINDOW = 13
 _HALF = 1 << _WINDOW - 1
 _MASK = (1 << _WINDOW) - 1
-_ROWS = -(-257 // _WINDOW)
 # A table slot x * 2^256 + y splits into x = slot >> 256 and y = slot & _LOW.
 _LOW = (1 << 256) - 1
 
 
 _BASE_TABLE_FILE = os.path.join(os.path.dirname(__file__), "secp256k1_base_table.bin")
-_BASE_TABLE_SHA256 = "185a57c8f0a2bef3d1510d75e29f74df0e43ebf9a45aa719eb51bd7b9cc8c0b3"
+_BASE_TABLE_SHA256 = "10c786bdfb5ff5fb7c37b6f8deb122c7ed1d1b8e78828726571908871b31224f"
 
 
 @functools.cache
 def _base_table():
     """Row w holds the affine d * B, B = 2^(_WINDOW * w) * G, at index d - 1, as x * 2^256 + y.
 
-    Rows 0.._ROWS - 2 hold d = 1.._HALF; the top row holds d = 1..8, since
-    k < 2^256 leaves at most 7 there plus a carry. The points are read
-    from _BASE_TABLE_FILE, which holds them row by row as x || y, each a
-    32-byte big-endian integer, so each 64-byte slot read as one integer
-    is x * 2^256 + y. One integer per point keeps about 2.3 MiB for the
-    23,560 points, half what (x, y) tuples would. The file is checked
-    against its SHA-256 first: a wrong point would give wrong keys
-    without any error.
+    Rows 0..8 hold d = 1.._HALF and the top row, row 9, d = 1..1301: a half
+    of _split is below 1301.27 * 2^117 in size, and its signed digits in
+    windows 0..8 round the rest to at most 1,301 at weight 2^117, with no
+    carry beyond it. The points are read from _BASE_TABLE_FILE, which holds
+    them row by row as x || y, each a 32-byte big-endian integer, so each
+    64-byte slot read as one integer is x * 2^256 + y. One integer per
+    point keeps 3.8 MiB under tracemalloc for the 38,165 points, half what
+    (x, y) tuples would. The file is checked against its SHA-256 first: a
+    wrong point would give wrong keys without any error. Reading, checking
+    and decoding it takes about 16 ms.
 
     Read on the first fixed-base multiplication, not at import, so a
     process that never multiplies by G never reads the file.
@@ -354,29 +391,39 @@ def _base_table():
 
 
 def _jmul_base(k):
-    """k * G for 0 <= k < 2^256 by signed _WINDOW-bit windows over _base_table().
+    """k * G for 0 <= k < N, as k1 * G + phi(k2 * G) for (k1, k2) = _split(k) and phi(x, y) = (beta * x, y).
 
-    Each nonzero digit adds its table point with one mixed addition, about
-    23 for a random k. The last window's digit is at most 8, which the
-    table's top row holds.
+    Each half sums the table points of its size's nonzero signed digits in
+    its own Jacobian accumulator, with at most 9 mixed additions; a negative
+    half negates y, and phi(X, Y, Z) = (beta * X, Y, Z) makes the second
+    one lambda * k2 * G. One _jadd joins them, equal x included. With its
+    affine conversion it takes about 146 µs, against 164 for 11-bit windows
+    over the whole scalar (best of 7 over 200 random keys, on a 2-core
+    x86-64 host).
     """
-    acc = _INF
-    for row in _base_table():
-        if not k:
-            break
-        d = k & _MASK
-        k >>= _WINDOW
-        if d > _HALF:
-            k += 1
-            v = row[_MASK - d]
-            acc = _jadd_affine(acc, v >> 256, _P - (v & _LOW))
-        elif d:
-            v = row[d - 1]
-            acc = _jadd_affine(acc, v >> 256, v & _LOW)
-    return acc
+    table = _base_table()
+    acc = []
+    for h in _split(k):
+        j = _INF
+        m = abs(h)
+        for row in table:
+            if not m:
+                break
+            d = m & _MASK
+            m >>= _WINDOW
+            if d > _HALF:
+                m += 1
+                v = row[_MASK - d]
+                j = _jadd_affine(j, v >> 256, _P - (v & _LOW))
+            elif d:
+                v = row[d - 1]
+                j = _jadd_affine(j, v >> 256, v & _LOW)
+        acc.append(j if h >= 0 else (j[0], _P - j[1], j[2]))
+    x2, y2, z2 = acc[1]
+    return _jadd(acc[0], (_BETA * x2 % _P, y2, z2))
 
 
-# The most keys one _base_mul_tree call multiplies. Its 6 inversions are
+# The most keys one _base_mul_tree call multiplies. Its 5 inversions are
 # already a small part of 256 keys' additions, so larger chunks would gain
 # little time and cost memory in proportion.
 _BATCH_CHUNK = 256
@@ -391,48 +438,53 @@ def _base_mul_batch(ks):
 
 
 def _base_mul_tree(ks):
-    """Affine k * G for every k in the list ks, 1 <= k < N, by a balanced tree of each key's table points.
+    """Affine k * G for every k in the list ks, 1 <= k < N, as k1 * G + phi(k2 * G), each half summed by a balanced tree.
 
-    A key's leaves are the table points of its nonzero digits in windows
-    0..22 of _base_table()'s signed windows. Each level is one list per
-    position, of x and of y, over the keys, and adds each key's position j
-    to its position j + h, h being half the positions, with one
-    _affine_sums call for the whole level, which shares one inversion
-    across the level's additions; an odd last position waits for a later
-    level. 23 leaves take 5 levels. Window 23's point is added to the root
-    last, by one more call: 6 inversions per call. A key with a zero digit
-    (about 1.1% of random keys) has fewer leaves: it moves behind the
-    others, most leaves first, with its leaves in its first positions, so
-    each position covers a prefix of the keys and a level only slices and
-    joins lists. The first level holds every key's points at once, so
-    _base_mul_batch calls it on _BATCH_CHUNK keys at a time: 1,205 keys
-    then peak at 1.5 MiB under tracemalloc, against 6.7 MiB in one call.
+    _split gives each key two halves, and a half h's leaves are the table
+    points of |h|'s nonzero signed digits in _base_table()'s 10 windows.
+    Each level is one list per position, of x and of y, over the 2 * len(ks)
+    halves, and adds each half's position j to its position j + h, h being
+    half the positions, with one _affine_sums call for the whole level,
+    which shares one inversion across the level's additions; an odd last
+    position waits for a later level. 10 leaves take 4 levels. A half with a
+    zero digit (about 0.1% of halves) has fewer leaves, and a zero half,
+    such as k2 for k = 1, has none: it moves behind the others, most leaves
+    first, with its leaves in its first positions, so each position covers
+    a prefix of the halves and a level only slices and joins lists. A
+    negative half negates its root's y. One more call joins each key's
+    roots A = k1 * G and B = k2 * G as A + phi(B), phi(x, y) = (beta * x, y),
+    so a key costs at most 19 additions and a call 5 inversions; a key with
+    a zero half takes the other half's root. The first level holds every
+    half's points at once, so _base_mul_batch calls it on _BATCH_CHUNK keys
+    at a time. Per key it takes about 102 µs at 5 keys, 83 at 17, 76 at 65,
+    77 at 256 and 80 at 1,205, against 123, 98, 90, 93 and 90 for 11-bit
+    windows over the whole scalar (best of 7, alternating runs, on the host
+    of _jmul_base's timing).
 
-    No two addends share x, so no branch handles equal x. A node sums the
-    signed digits d_w * 2048^w of a set of windows below 23, |d_w| <= 1024,
-    so it is below 1024 * (2^253 - 1) / 2047 < 2^252 + 2^242 in size:
-    - two sibling nodes L and R cover disjoint sets of windows, so L - R and
-      L + R are such sums too, with some digits negated. The term of their
-      highest window, at least 2048^w in size, exceeds all lower ones
-      together, at most 1024 * (2048^w - 1) / 2047: the sum is nonzero, and
-      below N in size, so L is not +-R mod N;
-    - window 23's digit d is 1..8, since k < 2^256 leaves at most 7 there
-      plus a carry, and its point T = d * 2^253 meets S, the root, which
-      sums all lower windows, so k = S + T. S = -T mod N would make
-      k = 0 mod N. S = T mod N, with S != T, needs T - S = N, since
-      0 < T - S < 2N; T lies within 2^252 + 2^242 of N only for d = 8, and
-      then S = 2^256 - N and k = S + T = 2^257 - N >= N;
-    - were it ever to happen, _affine_sums would raise rather than give a
-      wrong point.
+    Within a half no two addends share x, so no branch handles equal x. A
+    node sums the signed digits d_w * 8192^w of a set of windows, |d_w| <=
+    4096, so it is below 2^131, far below N, in size. Two sibling nodes L
+    and R cover disjoint sets of windows, so L - R and L + R are such sums
+    too, with some digits negated, and the term of their highest window,
+    at least 8192^w in size, exceeds all lower ones together, at most
+    4096 * (8192^w - 1) / 8191: the sum is nonzero, so L is not +-R mod N.
+
+    The join meets equal x only if k1 = +-lambda * k2 mod N. With the minus
+    sign k = 0 mod N. With the plus sign (k1, -k2) is a nonzero vector of
+    _split's lattice, whose reduced basis makes (a1, b1), of length
+    2^127.86, its shortest vector, while _split's bounds keep (k1, k2)
+    below 2^127.74. Were it ever to happen, _affine_sums would raise, and
+    every key of the call would take the single path, _jmul_base, whose
+    _jadd handles equal x.
     """
-    *rows, top = _base_table()
     width, half, mask, low, p = _WINDOW, _HALF, _MASK, _LOW, _P
-    todo = list(ks)
-    # key i's table point in window w is (xs[w][i], ys[w][i]), None for a zero digit
+    splits = [_split(k) for k in ks]
+    todo = [abs(k1) for k1, _ in splits] + [abs(k2) for _, k2 in splits]
+    # half i's table point in window w is (xs[w][i], ys[w][i]), None for a zero digit
     xs = []
     ys = []
     sparse = []
-    for row in rows:
+    for row in _base_table():
         cx = []
         cy = []
         for i, k in enumerate(todo):
@@ -456,7 +508,7 @@ def _base_mul_tree(ks):
         ys.append(cy)
     order = range(len(todo))
     if sparse:
-        # the keys with a zero digit move behind the others, most leaves first
+        # the halves with a zero digit move behind the others, most leaves first
         moved = sorted(set(sparse), key=lambda i: sum(cx[i] is None for cx in xs))
         leaves = [[(cx[i], cy[i]) for cx, cy in zip(xs, ys) if cx[i] is not None] for i in moved]
         for i in sorted(moved, reverse=True):
@@ -494,29 +546,32 @@ def _base_mul_tree(ks):
     for i, x, y in zip(order, xs[0], ys[0]):
         ax[i] = x
         ay[i] = y
-    idx = []
-    x1s = []
-    y1s = []
-    x2s = []
-    y2s = []
-    for i, d in enumerate(todo):
-        if not d:
-            continue
-        v = top[d - 1]
-        if ax[i] is None:
-            ax[i] = v >> 256
-            ay[i] = v & low
-        else:
-            idx.append(i)
-            x1s.append(ax[i])
-            y1s.append(ay[i])
-            x2s.append(v >> 256)
-            y2s.append(v & low)
-    sx, sy = _affine_sums(x1s, y1s, x2s, y2s)
-    for i, x, y in zip(idx, sx, sy):
+    # key i's roots are A at i and B at n + i; A becomes k1 * G and B phi(k2 * G)
+    n = len(ks)
+    joined = []
+    for i, (k1, k2) in enumerate(splits):
+        if k1 < 0:
+            ay[i] = p - ay[i]
+        if k2:
+            j = n + i
+            ax[j] = _BETA * ax[j] % p
+            if k2 < 0:
+                ay[j] = p - ay[j]
+            if k1:
+                joined.append(i)
+            else:
+                ax[i] = ax[j]
+                ay[i] = ay[j]
+    try:
+        sx, sy = _affine_sums(
+            [ax[i] for i in joined], [ay[i] for i in joined], [ax[n + i] for i in joined], [ay[n + i] for i in joined]
+        )
+    except ValueError:
+        return [_to_affine(_jmul_base(k)) for k in ks]
+    for i, x, y in zip(joined, sx, sy):
         ax[i] = x
         ay[i] = y
-    return list(zip(ax, ay))
+    return list(zip(ax[:n], ay[:n]))
 
 
 def _point_on_curve(x, y):
@@ -583,9 +638,9 @@ def keypairs_gen(rng: Random, count: int) -> list[KeyPair]:
 
     The scalars are drawn first, in order; the public keys then come from one
     batched multiplication. Per key it costs more than keypair_gen at one
-    key, as much at 2 and less from 3 on: 242 against 164 µs at 1 key, 167
-    against 166 at 2, 140 against 167 at 3, 111 against 158 at 6, 89
-    against 163 at 22 and 90 against 165 at 60 (best of alternating runs,
+    key, as much at 2 and less from 3 on: 230 against 160 µs at 1 key, 160
+    against 159 at 2, 132 against 160 at 3, 110 against 160 at 6, 89
+    against 156 at 22 and 83 against 156 at 60 (best of alternating runs,
     with the table loaded, on a 2-core x86-64 host). onions_wrap's batch has
     the same crossover, at about 2 scalars.
     """

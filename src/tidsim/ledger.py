@@ -20,6 +20,7 @@ price is read from the tables on every call.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import weakref
@@ -504,6 +505,21 @@ class Ledger:
         self.burn_sink = 0
         self.minted = 0
         self._nonces: dict[bytes, int] = {}
+
+    def __deepcopy__(self, memo):
+        """A deep copy whose contracts hold a proxy of the copy.
+
+        A contract's weakref.proxy forwards this method to its ledger, so
+        the proxy copies to the ledger's copy, not to a new, empty Ledger;
+        each copied contract then gets a proxy of the copy back.
+        """
+        twin = memo.get(id(self))
+        if twin is None:
+            twin = memo[id(self)] = object.__new__(type(self))
+            twin.__dict__.update(copy.deepcopy(self.__dict__, memo))
+            for contract in twin.contracts.values():
+                contract.ledger = weakref.proxy(twin)
+        return twin
 
     # -- accounts ----------------------------------------------------------
 

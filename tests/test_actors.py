@@ -3,6 +3,7 @@ strawman comparison runs, secrecy, and rationality."""
 
 import collections
 import contextlib
+import copy
 import gc
 import json
 import sys
@@ -944,6 +945,37 @@ class TestLifetime:
         finally:
             if enabled:
                 gc.enable()
+
+
+class TestCopy:
+    @pytest.mark.parametrize("cfg", [small_config(seed=2), small_config(seed=3, fault_policies={0: "premature"})])
+    def test_runner_copied_after_recruitment_finishes_like_a_fresh_run(self, cfg):
+        runner = ScenarioRunner(cfg)
+        runner.build_marketplace()
+        runner.sender.setup()
+        runner.sender.recruit(runner.pool, cfg.selection_override)
+        runner._deliver_recruitment_messages()
+        fork = copy.deepcopy(runner)
+        assert fork.agent.ledger.contracts is fork.ledger.contracts
+        assert all(c.ledger.contracts is fork.ledger.contracts for c in fork.ledger.contracts.values())
+        # the copy runs on from where it was made: its prefix is already done
+        fork.build_marketplace = lambda: None
+        fork.sender.setup = lambda: None
+        fork.sender.recruit = lambda pool, override: None
+        fork._deliver_recruitment_messages = lambda: None
+        assert fork.run().trace_hash() == run_scenario(cfg).trace_hash()
+
+    def test_editing_a_copied_ledger_leaves_the_parent_unchanged(self):
+        runner = ScenarioRunner(small_config(seed=2))
+        runner.build_marketplace()
+        before = runner.ledger.state_digest(runner.ledger.onchain_state())
+        fork = copy.deepcopy(runner)
+        fork.ledger.fund(fork.sender.address, 1)
+        fork.agent.state["mailmen"].clear()
+        fork.ledger.advance_time(3)
+        assert fork.ledger.state_digest(fork.ledger.onchain_state()) != before
+        assert runner.ledger.state_digest(runner.ledger.onchain_state()) == before
+        assert runner.agent.state["mailmen"] and runner.ledger.tick == 0
 
 
 def naive_peel(onions, privkeys):

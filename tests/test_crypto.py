@@ -39,7 +39,6 @@ from tidsim.crypto import (
     _MASK,
     _N,
     _P,
-    _ROWS,
     _WINDOW,
     _affine_sums,
     _base_mul_batch,
@@ -565,6 +564,29 @@ def reference_mul(k, point):
     return acc
 
 
+# The largest size of a half of _split, and the rows of _base_table that cover it
+HALF_BOUND = max(abs(crypto._A1) + abs(crypto._A2), abs(crypto._B1) + abs(crypto._B2)) // 2
+ROWS = -(-HALF_BOUND.bit_length() // _WINDOW)
+
+
+def signed_digits(h):
+    """The signed _WINDOW-bit digits of a half's size h, lowest window first, as the kernels recode it: one per table row."""
+    digits = []
+    for _ in range(ROWS):
+        d = h & _MASK
+        h >>= _WINDOW
+        if d > _HALF:
+            d -= 1 << _WINDOW
+            h += 1
+        digits.append(d)
+    assert not h
+    return digits
+
+
+# The recoding is monotone in h, so the largest half has the largest top digit
+TOP = signed_digits(HALF_BOUND)[-1]
+
+
 def reference_base_table_bytes():
     """The bytes of crypto's base table file, built from G.
 
@@ -574,24 +596,24 @@ def reference_base_table_bytes():
     with one _affine_sums per bit length m across all rows, so both summands
     are built before the sum. The summands' x differ: equal x needs
     (2^m -+ e) * 2^(_WINDOW * w) = 0 mod N, and N is a prime that divides
-    neither factor. Rows hold d = 1.._HALF, except the top one: k < 2^256
-    leaves below 2^(256 - _WINDOW * (_ROWS - 1)) in its window, plus a carry.
-    With 11-bit windows that is 23 rows of 1,024 points and a top row of 8,
-    23,560 points in all. Each point is written as x || y, 32-byte
-    big-endian, row by row, so a 64-byte slot read as one integer is the
-    x * 2^256 + y that _base_table keeps.
+    neither factor. Rows hold d = 1.._HALF, except the top one, which holds
+    d = 1..TOP, the top digit of the largest half of _split. With 13-bit
+    windows that is 9 rows of 4,096 points and a top row of 1,301, 38,165
+    points in all. Each point is written as x || y, 32-byte big-endian, row
+    by row, so a 64-byte slot read as one integer is the x * 2^256 + y that
+    _base_table keeps.
 
-    If _WINDOW ever changes, rewrite the file from the repository root with
+    If _WINDOW or _split's basis ever changes, rewrite the file from the
+    repository root with
         PYTHONPATH=src:tests python -c 'import hashlib, test_crypto as t;
         data = t.reference_base_table_bytes();
         open("src/tidsim/secp256k1_base_table.bin", "wb").write(data);
         print(hashlib.sha256(data).hexdigest())'
     and set crypto._BASE_TABLE_SHA256 to the hash it prints.
     """
-    top = min(_HALF, 1 << 256 - _WINDOW * (_ROWS - 1))
-    table = [[None] * _HALF for _ in range(_ROWS - 1)] + [[None] * top]
+    table = [[None] * _HALF for _ in range(ROWS - 1)] + [[None] * TOP]
     chain = [G]
-    for _ in range(_WINDOW * _ROWS - 1):
+    for _ in range(_WINDOW * ROWS - 1):
         chain.append(_jdouble(chain[-1]))
     powers = [_to_affine(p) for p in chain]
     for w, row in enumerate(table):
@@ -644,23 +666,88 @@ EDGE_SCALARS = [
     int("1" * 40 + "0" * 9 + "1" * 60 + "01" * 20, 2),
 ]
 scalars = st.integers(min_value=1, max_value=_N - 1)
-# k * 2^11 and k * 2^22: the lowest one or two windows are zero
-low_windows_zero = st.builds(
-    lambda k, shift: k << shift, st.integers(1, (_N - 1) >> 2 * _WINDOW), st.sampled_from([_WINDOW, 2 * _WINDOW])
-)
+# A cube root of unity mod N: _split writes each k as k1 + LAMBDA * k2. Its
+# multiples were also the special cases of an earlier variable-base kernel.
+LAMBDA = 0x5363AD4CC05C30E0A5261C028812645A122E22EA20816678DF02967C1B23BD72
 
 
-def every_window(d, width=_WINDOW):
+def from_halves(k1, k2):
+    """The scalar k1 + LAMBDA * k2 mod N, whose _split is (k1, k2) when the pair lies in _split's domain."""
+    return (k1 + LAMBDA * k2) % _N
+
+
+def from_digits(digits, top=0):
+    """The half whose signed _WINDOW-bit digits, lowest window first, are `digits`, under a top digit `top`."""
+    return sum(d << _WINDOW * w for w, d in enumerate(digits)) + (top << _WINDOW * (ROWS - 1))
+
+
+def every_window(d, width):
     """The scalar below 2^253 whose width-bit windows, all but the top one, equal d."""
     return sum(d << width * w for w in range(253 // width))
 
 
+def corner(s1, s2):
+    """The scalar whose halves are (1/2 - 2^-20) * (s1 * (a1, b1) + s2 * (a2, b2)), rounded down: next to a corner of _split's domain."""
+    k1 = (s1 * crypto._A1 + s2 * crypto._A2) * (2**19 - 1) >> 20
+    k2 = (s1 * crypto._B1 + s2 * crypto._B2) * (2**19 - 1) >> 20
+    return from_halves(k1, k2)
+
+
+# Halves below 2^126 in size always come back from _split: the square they
+# fill lies inside its domain. So a scalar built from two such halves
+# reaches the kernels with the digits it was built from.
+SMALL_TOP = 511
+# k1 * 2^13 and k2 * 2^13, or both * 2^26: the lowest one or two windows of
+# each half are zero
+low_windows_zero = (
+    st.sampled_from([_WINDOW, 2 * _WINDOW])
+    .flatmap(
+        lambda shift: st.builds(
+            lambda k1, k2: from_halves(k1 << shift, k2 << shift),
+            *[st.integers(1 - 2 ** (126 - shift), 2 ** (126 - shift) - 1)] * 2,
+        )
+    )
+    .filter(bool)
+)
+# Halves by their signed digits, each in -4095..4096 as the kernels recode
+# them: any window below the top may be zero, so a half has any number of
+# table points to sum, odd or even, or none, and the top digit is
+# 0..SMALL_TOP.
+small_halves = st.builds(
+    lambda digits, top, sign: sign * from_digits(digits, top),
+    st.lists(st.one_of(st.just(0), st.integers(1 - _HALF, _HALF)), min_size=ROWS - 1, max_size=ROWS - 1),
+    st.integers(0, SMALL_TOP),
+    st.sampled_from([1, -1]),
+)
+digit_scalars = st.builds(from_halves, small_halves, small_halves).filter(bool)
 # Digits _HALF + 1.._MASK become negative and carry into the next window;
-# _HALF does not. The top window starts at bit 253 and holds at most 7 plus
-# a carry, and k = S + T meets N only near 2^256 - N (see _base_mul_batch).
+# _HALF does not. Each scalar repeats one digit in every window of its
+# halves below the top one; the corners of _split's domain hold its largest
+# halves, and the first of them the top row's largest digit, TOP.
 WINDOW_EDGE_SCALARS = [
-    7 << 253 | _MASK << 242,  # a top window of 7 with a carry: the top row's slot d = 8
-    *(every_window(d) for d in (_HALF - 1, _HALF, _HALF + 1)),
+    *(
+        from_halves(s * from_digits([d] * (ROWS - 1)), from_digits([d] * (ROWS - 1), 1))
+        for d in (_HALF - 1, _HALF, _HALF + 1)
+        for s in (1, -1)
+    ),
+    *(corner(s1, s2) for s1, s2 in ((1, 1), (-1, 1), (-1, -1), (1, -1))),
+]
+# The scalars whose halves are exactly (1, 0), (2^127, 0), (-1, 0), (0, 1),
+# (0, -1) and (0, 2): one zero half, some negative
+SPLIT_EDGE_SCALARS = [1, 2**127, _N - 1, LAMBDA, _N - LAMBDA, 2 * LAMBDA % _N]
+DIGIT_EDGE_SCALARS = [
+    from_halves(from_digits([1] * (ROWS - 2) + [0], 3), 0),  # a zero in window 8 alone; a zero half
+    from_halves(from_digits([0] * (ROWS - 2) + [1]), -1),  # window 8's point alone; a negative half
+    from_halves(0, -from_digits([0] * (ROWS - 1), 5)),  # the top digit alone, negative
+    from_halves(from_digits([-1] * (ROWS - 1), SMALL_TOP), from_digits([_HALF] * (ROWS - 1), SMALL_TOP)),
+    from_halves(from_digits([_HALF, 0] * 4 + [_HALF]), from_digits([0, 1 - _HALF] * 4 + [7], 2)),  # 5 points each
+]
+# The edges of the 11-bit windows over the whole scalar, the recoding before
+# the halves: a top window of 7 with a carry, every window 1023, 1024 or
+# 1025, and where its last window met the group order.
+ELEVEN_BIT_EDGE_SCALARS = [
+    7 << 253 | 2047 << 242,
+    *(every_window(d, 11) for d in (1023, 1024, 1025)),
     2**253 - 1,
     2**253,
     2**253 + 1,
@@ -669,43 +756,22 @@ WINDOW_EDGE_SCALARS = [
     2**256 - _N,
     2**256 - _N + 1,
 ]
-
-
-def from_digits(digits, top=0):
-    """The scalar whose signed _WINDOW-bit digits, lowest window first, are `digits`, under a top digit `top`."""
-    return sum(d << _WINDOW * w for w, d in enumerate(digits)) + (top << _WINDOW * (_ROWS - 1))
-
-
-# Scalars by their signed digits, each in -1023..1024 as the kernels recode
-# them: any window below the top may be zero, so a key has any number of
-# table points to sum, odd or even, and the top digit is 0..8.
-digit_scalars = st.builds(
-    from_digits,
-    st.lists(st.one_of(st.just(0), st.integers(1 - _HALF, _HALF)), min_size=_ROWS - 1, max_size=_ROWS - 1),
-    st.integers(0, 8),
-).filter(lambda k: 1 <= k < _N)
-DIGIT_EDGE_SCALARS = [
-    from_digits([1] * (_ROWS - 2) + [0], 3),  # a zero in window 22 alone
-    from_digits([0] * (_ROWS - 2) + [1]),  # window 22's point alone
-    from_digits([0] * (_ROWS - 1), 5),  # the top digit alone
-    from_digits([-1] * (_ROWS - 1), 8),  # a top digit of 8
-    from_digits([_HALF, 0] * 11 + [_HALF]),  # a top digit of 0 and 12 points
-    from_digits([0, 1 - _HALF] * 11 + [7], 2),  # 12 points, negative
-]
-BASE_EDGE_SCALARS = [
-    1,
-    # each power of two up to one window past _MASK, with its neighbours
-    *(k for i in range(4, _WINDOW + 1) for k in (2**i - 1, 2**i, 2**i + 1)),
-    2**255,
-    _N - 16,
-    # the edges of 9-bit windows, the width before 11-bit ones
-    *(every_window(d, 9) for d in (1, 64, 65, 127, 255, 256, 257, 511)),
-    *WINDOW_EDGE_SCALARS,
-]
-# A cube root of unity mod N, whose multiples were the special cases of an
-# earlier GLV kernel.
-LAMBDA = 0x5363AD4CC05C30E0A5261C028812645A122E22EA20816678DF02967C1B23BD72
-
+BASE_EDGE_SCALARS = list(
+    dict.fromkeys(
+        [
+            1,
+            # each power of two up to one window past _MASK, with its neighbours
+            *(k for i in range(4, _WINDOW + 1) for k in (2**i - 1, 2**i, 2**i + 1)),
+            2**255,
+            _N - 16,
+            # the edges of 9-bit and 11-bit windows, the widths before 13-bit halves
+            *(every_window(d, 9) for d in (1, 64, 65, 127, 255, 256, 257, 511)),
+            *ELEVEN_BIT_EDGE_SCALARS,
+            *WINDOW_EDGE_SCALARS,
+            *SPLIT_EDGE_SCALARS,
+        ]
+    )
+)
 
 def unpack(slot):
     """The affine point (x, y) that a base-table slot x * 2^256 + y holds."""
@@ -773,18 +839,59 @@ class TestScalarKernel:
 
     @pytest.mark.parametrize(
         "w, d",
-        [(0, 1), (0, 64), (0, 255), (0, _HALF), (18, 33), (_ROWS - 2, _HALF - 1), (_ROWS - 1, 1), (_ROWS - 1, 8)],
+        [(0, 1), (0, 64), (0, 255), (0, 1024), (0, _HALF), (5, 33), (ROWS - 2, _HALF - 1), (ROWS - 1, 1), (ROWS - 1, TOP)],
     )
     def test_base_table_holds_affine_window_multiples(self, w, d):
         table = _base_table()
-        assert [len(row) for row in table] == [_HALF] * (_ROWS - 1) + [8]
+        assert [len(row) for row in table] == [_HALF] * (ROWS - 1) + [TOP]
         assert unpack(table[w][d - 1]) == _to_affine(reference_mul(d << _WINDOW * w, G))
 
     def test_first_and_last_base_table_rows_match_reference(self):
         table = _base_table()
-        for w in (0, _ROWS - 1):
+        for w in (0, ROWS - 1):
             for d, slot in enumerate(table[w], 1):
                 assert unpack(slot) == _to_affine(reference_mul(d << _WINDOW * w, G))
+
+    def test_lambda_acts_as_beta_on_x(self):
+        for k in (1, 0xC0FFEE, _N - 1):
+            x, y = _to_affine(reference_mul(k, G))
+            assert _to_affine(reference_mul(LAMBDA, (x, y, 1))) == (crypto._BETA * x % _P, y)
+
+    @given(k=scalars)
+    @example(k=1)
+    @example(k=_N - 1)
+    @example(k=LAMBDA)
+    @settings(max_examples=200, deadline=None)
+    def test_split_halves_sum_to_k_within_their_bounds(self, k):
+        k1, k2 = crypto._split(k)
+        assert (k1 + LAMBDA * k2 - k) % _N == 0
+        assert 2 * abs(k1) <= abs(crypto._A1) + abs(crypto._A2)
+        assert 2 * abs(k2) <= abs(crypto._B1) + abs(crypto._B2)
+        assert max(abs(k1), abs(k2)) <= HALF_BOUND < 2**127.35
+
+    def test_split_edge_scalars(self):
+        assert [crypto._split(k) for k in SPLIT_EDGE_SCALARS] == [(1, 0), (2**127, 0), (-1, 0), (0, 1), (0, -1), (0, 2)]
+        # the corner next to (a1 + a2, b1 + b2) / 2 holds the top row's largest digit
+        assert signed_digits(crypto._split(WINDOW_EDGE_SCALARS[6])[0])[-1] == TOP == 1301
+
+    @given(k1=small_halves, k2=small_halves)
+    @settings(max_examples=100, deadline=None)
+    def test_small_halves_come_back_from_split(self, k1, k2):
+        assert crypto._split(from_halves(k1, k2)) == (k1, k2)
+
+    # The join of k1 * G and phi(k2 * G) meets equal x only if
+    # k1 = lambda * k2 mod N for k != 0, which makes (k1, -k2) a nonzero
+    # vector of _split's lattice. The basis is reduced, so (a1, b1) is its
+    # shortest vector, and it is longer than any pair within _split's bounds.
+    def test_no_lattice_vector_fits_within_the_split_bounds(self):
+        a1, b1, a2, b2 = crypto._A1, crypto._B1, crypto._A2, crypto._B2
+        assert a1 * b2 - a2 * b1 == _N
+        assert (a1 + LAMBDA * b1) % _N == (a2 + LAMBDA * b2) % _N == 0
+        v1, v2 = a1 * a1 + b1 * b1, a2 * a2 + b2 * b2
+        assert v1 <= v2 and 2 * abs(a1 * a2 + b1 * b2) <= v1
+        bound1 = (abs(a1) + abs(a2)) // 2
+        bound2 = (abs(b1) + abs(b2)) // 2
+        assert bound1 * bound1 + bound2 * bound2 < v1
 
     @given(
         pairs=st.lists(
@@ -1377,9 +1484,10 @@ class TestBatchedBaseMult:
         expected = [_to_affine(_jmul_base(k)) for k in ks]
         assert _base_mul_batch(ks) == expected
 
-    # A batch mixes keys with any zero digits, and so any number of table
-    # points, and repeats keys: the tree moves a key with fewer points behind
-    # the others and writes each root back to its own key.
+    # A batch mixes keys whose halves have any zero digits, and so any number
+    # of table points, or are zero, and repeats keys: the tree moves a half
+    # with fewer points behind the others and writes each root back to its
+    # own key.
     @given(
         ks=st.lists(
             st.one_of(scalars, low_windows_zero, digit_scalars, st.sampled_from(WINDOW_EDGE_SCALARS)),
@@ -1390,6 +1498,7 @@ class TestBatchedBaseMult:
     @example(ks=WINDOW_EDGE_SCALARS[:6])
     @example(ks=WINDOW_EDGE_SCALARS[6:])
     @example(ks=DIGIT_EDGE_SCALARS)
+    @example(ks=SPLIT_EDGE_SCALARS)
     @example(ks=[0xC0FFEE << 2 * _WINDOW, 5, 0xC0FFEE << 2 * _WINDOW])
     @settings(max_examples=40, deadline=None)
     def test_window_edges_match_the_reference(self, ks):
@@ -1397,19 +1506,19 @@ class TestBatchedBaseMult:
         assert _base_mul_batch(ks) == expected
         assert [_to_affine(_jmul_base(k)) for k in ks] == expected
 
-    # one batch of each size, every key with at least one zero digit and
-    # some with a top digit of 0 or 8
+    # one batch of each size, every half with at least one zero digit, some
+    # with a top digit of 0 or SMALL_TOP, some keys with a zero half
     @pytest.mark.parametrize("count", [1, 2, 3, 40, 127, 300, 600])
     def test_batch_sizes_match_the_reference(self, count):
         rng = Random(count)
-        ks = []
-        while len(ks) < count:
-            digits = [rng.randrange(1 - _HALF, _HALF + 1) for _ in range(_ROWS - 1)]
-            for w in rng.sample(range(_ROWS - 1), 1 + rng.randrange(3)):
+
+        def half():
+            digits = [rng.randrange(1 - _HALF, _HALF + 1) for _ in range(ROWS - 1)]
+            for w in rng.sample(range(ROWS - 1), 1 + rng.randrange(3)):
                 digits[w] = 0
-            k = from_digits(digits, rng.choice([0, 8, rng.randrange(9)]))
-            if 1 <= k < _N:
-                ks.append(k)
+            return rng.choice([1, -1]) * from_digits(digits, rng.choice([0, SMALL_TOP, rng.randrange(SMALL_TOP + 1)]))
+
+        ks = [from_halves(half(), half() if rng.randrange(8) else 0) for _ in range(count)]
         ks[len(ks) // 2] = _N - 1
         # reference_mul costs milliseconds a key, so the largest batch is
         # checked against single k * G, which the tests above check against it
@@ -1418,6 +1527,78 @@ class TestBatchedBaseMult:
         else:
             expected = [_to_affine(_jmul_base(k)) for k in ks]
         assert _base_mul_batch(ks) == expected
+
+    # The counts that make the split pay: 4 tree levels and one join per
+    # call, at most 9 additions per half and one join per key, against 6
+    # calls and about 23 additions for the full-length recoding.
+    def test_batch_makes_five_affine_sums_calls_and_at_most_19_additions_a_key(self, monkeypatch):
+        rng = Random(256)
+        ks = [rng.randrange(1, _N) for _ in range(256)]
+        expected = [_to_affine(_jmul_base(k)) for k in ks]
+        sizes = []
+        real = crypto._affine_sums
+
+        def counted(x1s, y1s, x2s, y2s):
+            sizes.append(len(x1s))
+            return real(x1s, y1s, x2s, y2s)
+
+        monkeypatch.setattr(crypto, "_affine_sums", counted)
+        assert _base_mul_batch(ks) == expected
+        assert len(sizes) == 5
+        assert sum(sizes) <= 19 * len(ks)
+
+    def test_single_mult_makes_at_most_18_mixed_additions_and_one_jadd(self, monkeypatch):
+        real_mixed, real_jadd = crypto._jadd_affine, crypto._jadd
+        for k in [Random(i).randrange(1, _N) for i in range(20)] + SPLIT_EDGE_SCALARS + WINDOW_EDGE_SCALARS:
+            mixed = []
+            jadds = []
+
+            def counted_mixed(p, x, y):
+                # an addition to the point at infinity only returns the table point
+                if p[2]:
+                    mixed.append(k)
+                return real_mixed(p, x, y)
+
+            def counted_jadd(p, q):
+                jadds.append(k)
+                return real_jadd(p, q)
+
+            monkeypatch.setattr(crypto, "_jadd_affine", counted_mixed)
+            monkeypatch.setattr(crypto, "_jadd", counted_jadd)
+            point = _jmul_base(k)
+            monkeypatch.undo()
+            assert _to_affine(point) == _to_affine(reference_mul(k, G))
+            assert len(mixed) <= 18
+            assert len(jadds) == 1
+
+    # No scalar puts k1 * G and phi(k2 * G) on one x (see
+    # test_no_lattice_vector_fits_within_the_split_bounds), so the join is
+    # made to raise as _affine_sums does on equal x: the call's keys then
+    # take the single path.
+    def test_join_on_equal_x_takes_the_single_path(self, monkeypatch):
+        ks = [0xC0FFEE, *SPLIT_EDGE_SCALARS, *WINDOW_EDGE_SCALARS]
+        expected = [_to_affine(reference_mul(k, G)) for k in ks]
+        calls = []
+        real = crypto._affine_sums
+
+        def join_raises(x1s, y1s, x2s, y2s):
+            calls.append(len(x1s))
+            if len(calls) == 5:
+                raise ValueError("base is not invertible for the given modulus")
+            return real(x1s, y1s, x2s, y2s)
+
+        singles = []
+        real_base = crypto._jmul_base
+
+        def counted_base(k):
+            singles.append(k)
+            return real_base(k)
+
+        monkeypatch.setattr(crypto, "_affine_sums", join_raises)
+        monkeypatch.setattr(crypto, "_jmul_base", counted_base)
+        assert _base_mul_batch(ks) == expected
+        assert len(calls) == 5
+        assert singles == ks
 
     # the chunks give one call's points, and hold a fraction of its 6.7 MiB
     def test_chunks_equal_one_call_and_bound_peak_memory(self):
@@ -1433,7 +1614,7 @@ class TestBatchedBaseMult:
         assert points == _base_mul_tree(ks)
         assert peak < 3 * 2**20
 
-    # where the top window's digit, after its carry, meets the group order
+    # where the top window of the full-length recoding, after its carry, met the group order
     @pytest.mark.parametrize("center", [2**255, _N - 2**255, 2**256 - _N, _N - 1])
     def test_scalars_where_the_last_window_can_wrap(self, center):
         ks = near(center, 40, center)
@@ -1461,7 +1642,11 @@ class TestBaseTableFile:
         assert data == reference_base_table_bytes()
         assert hashlib.sha256(data).hexdigest() == crypto._BASE_TABLE_SHA256
 
-    def test_table_keeps_under_3_mib(self):
+    # 13-bit windows over the halves of _split keep 38,165 points, 3.79 MiB
+    # measured, against 23,560 points and 2.34 MiB for 11-bit windows over
+    # the whole scalar: 1.45 MiB more for at most 19 additions per key in
+    # place of about 23
+    def test_table_keeps_under_4_5_mib(self):
         # the file's bytes are freed after decoding, so the current size counts, not the peak
         _base_table.cache_clear()
         tracemalloc.start()
@@ -1470,8 +1655,8 @@ class TestBaseTableFile:
             kept, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert sum(map(len, table)) == 23_560
-        assert kept < 3 * 2**20
+        assert sum(map(len, table)) == 38_165
+        assert kept < 4.5 * 2**20
 
     def test_intact_copy_loads(self, table_copy):
         assert _to_affine(_jmul_base(0xC0FFEE)) == _to_affine(reference_mul(0xC0FFEE, G))
