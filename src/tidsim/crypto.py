@@ -19,7 +19,7 @@ import functools
 import hashlib
 import hmac as _hmac
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from random import Random
 from typing import Callable, Mapping, Sequence
 
@@ -172,23 +172,23 @@ def decode_parts(data: bytes) -> list[bytes]:
 #
 # Variable-base multiplication (_jmul) is plain double-and-add over the
 # affine point, without the GLV split: only the recovery of a foreign
-# signature and an ECDH with a point missing from _scalars reach it, too
+# signature and an ECDH with a point of unknown scalar reach it, too
 # rarely for a table of the point's multiples, or the split, to pay.
 #
 # An ECDH d * E with E = e * G drawn in this process is (d * e mod N) * G,
-# one fixed-base multiplication instead of a double-and-add one (_shared_x;
-# the argument is at _scalars). ecies_encrypt records each layer it wraps for
+# one fixed-base multiplication instead of a double-and-add one (the
+# argument is at _shared_x). ecies_encrypt records each layer it wraps for
 # an in-process point q * G with q and the layer's ECDH x, so ecies_openers
 # names exactly the keys that open the layer and they open it without a
-# multiplication (the argument is at _layers). Each k * G this module
-# computes for a key is kept in _points under k. onions_wrap learns every
-# layer's ephemeral scalar before it wraps, so it computes all of a
-# service's ephemeral keys and ECDH products in one _base_mul_batch and
-# records them in _points for the unchanged per-layer path to read (the
-# argument is at onions_wrap). presign computes the nonces' k * G of many
-# signatures in one _base_mul_batch and their inverses with one pow, for
-# sign to return (the argument is at _signatures). The memos live for one
-# scope(): a scenario run is one, and outside any scope they record nothing.
+# multiplication (the argument is at _layer_key). Each k * G this module
+# computes for a key is kept under k. onions_wrap learns every layer's
+# ephemeral scalar before it wraps, so it computes all of a service's
+# ephemeral keys and ECDH products in one _base_mul_batch and records them
+# for the unchanged per-layer path to read (the argument is at onions_wrap).
+# presign computes the nonces' k * G of many signatures in one
+# _base_mul_batch and their inverses with one pow, for sign to return (the
+# argument is above _recover_address). Every such record is a field of one
+# _Memo, which lives for one scope().
 # ---------------------------------------------------------------------------
 
 _P = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEFFFFFC2F
@@ -618,8 +618,8 @@ def keypair_from_scalar(k: int) -> KeyPair:
 
 
 def _base_point(k: int) -> tuple[int, int]:
-    """Affine k * G for 1 <= k < N, read from _points when this scope computed it."""
-    point = _points.get(k)
+    """Affine k * G for 1 <= k < N, read from the memo when this scope computed it."""
+    point = _memo.points.get(k)
     return _to_affine(_jmul_base(k)) if point is None else point
 
 
@@ -651,59 +651,68 @@ def keypairs_gen(rng: Random, count: int) -> list[KeyPair]:
 def _keypair(k: int, x: int, y: int) -> KeyPair:
     """The key pair of k, whose point (x, y) = k * G the caller just computed."""
     point = x, y
-    _scalars[point] = k
-    _points[k] = point
+    _memo.scalars[point] = k
+    _memo.points[k] = point
     pub = x.to_bytes(32, "big") + y.to_bytes(32, "big")
     return KeyPair(k.to_bytes(32, "big"), pub, address_of_pubkey(pub))
 
 
-# Every party of a run draws its keys in this process, and ecies_encrypt
-# draws each ephemeral key here too, so the scalar e of each such point
-# E = e*G is known. _keypair records it in _scalars, and _shared_x computes
-# the ECDH point d*E as (d*e mod N)*G: one fixed-base multiplication
-# instead of a double-and-add one. This is exact, not a guess: E is stored
-# only where this module computed it as e*G, so d*E = d*(e*G) =
-# (d*e mod N)*G for every d, and with N prime and d, e in [1, N) the
-# product d*e mod N is never 0. No scalar leaves the module and no caller
-# can claim one for a point; a foreign point, or one drawn outside the
-# current scope, only takes the slower _jmul. _points maps each such scalar
-# back to its point, so _base_point answers it without another
-# multiplication: sign() names its signer and pubkey_of_privkey() answers a
-# revealed key through it. Like _signers, _signatures and _layers below and
-# the results of scope_cache, both live for one scope(): a scenario run
-# records every key it draws and frees them all when it ends.
+@dataclass
+class _Memo:
+    """What this module remembers of one run: each field a dict from what was computed to its result.
+
+    Every party of a run draws its keys, signs and wraps in this process, so
+    each field answers by lookup what another party, or a repeat, would
+    compute again. A memo lives for one scope(): a scenario run or a bribery
+    run enters one, records everything it draws, signs and wraps, and frees
+    it all when it ends. Outside any scope the memo is _UNSCOPED, whose
+    fields are one dict that records nothing, so a key, signature or layer
+    made outside the current scope, like a foreign one, takes the slower
+    path. Each lookup is exact, not a guess; the argument is beside the
+    function that relies on it.
+    """
+
+    # each point E = e * G of a key this module drew, to e, for _shared_x
+    scalars: dict[tuple[int, int], int] = field(default_factory=dict)
+    # each such e to E, and onions_wrap's batched points, for _base_point: sign()
+    # names its signer and pubkey_of_privkey() answers a revealed key through it
+    points: dict[int, tuple[int, int]] = field(default_factory=dict)
+    # (digest, signature) to the signer's address, for recover_signer
+    signers: dict[tuple[bytes, Signature], bytes] = field(default_factory=dict)
+    # (privkey, digest) bytes to the signature sign or presign made, for sign
+    signatures: dict[tuple[bytes, bytes], Signature] = field(default_factory=dict)
+    # a wrapped layer's _layer_key to its recipient's scalar q and its ECDH x
+    layers: dict[bytes, tuple[int, int]] = field(default_factory=dict)
+    # scope_cache's results: one dict per cached function, from its arguments to its result
+    results: dict[Callable, dict] = field(default_factory=dict)
 
 
 class _RecordsNothing(dict):
-    """The memos outside any scope(): every lookup misses and every write is dropped."""
+    """Every field of _UNSCOPED: every lookup misses and every write is dropped."""
 
     def __setitem__(self, key, value):
         pass
 
 
-_UNSCOPED = _RecordsNothing()
-_scalars: dict[tuple[int, int], int] = _UNSCOPED
-_points: dict[int, tuple[int, int]] = _UNSCOPED
-# scope_cache's results: one dict per cached function, from its arguments to its result
-_results: dict[Callable, dict] = _UNSCOPED
+_memo = _UNSCOPED = _Memo(*[_RecordsNothing()] * len(fields(_Memo)))
 
 
 @contextlib.contextmanager
 def scope():
-    """Give _scalars, _points, _signers, _signatures, _layers and scope_cache's results the lifetime of a with block.
+    """Install a fresh _Memo for the lifetime of a with block, and yield it.
 
-    The block starts from empty memos. On exit the enclosing block's memos
-    are back in place (outside any block, memos that record nothing), so
-    what the block recorded is freed with it. Every function of this module
-    returns the same inside a scope or out; only its cost differs.
+    On exit the enclosing block's memo is back in place (outside any block,
+    _UNSCOPED), so what the block recorded is freed with it, whether the
+    block raised or not. Every function of this module returns the same
+    inside a scope or out; only its cost differs.
     """
-    global _scalars, _points, _signers, _signatures, _layers, _results
-    outer = _scalars, _points, _signers, _signatures, _layers, _results
-    _scalars, _points, _signers, _signatures, _layers, _results = {}, {}, {}, {}, {}, {}
+    global _memo
+    outer = _memo
+    _memo = memo = _Memo()
     try:
-        yield
+        yield memo
     finally:
-        _scalars, _points, _signers, _signatures, _layers, _results = outer
+        _memo = outer
 
 
 def scope_cache(fn):
@@ -712,21 +721,19 @@ def scope_cache(fn):
     For a pure function of hashable arguments whose result no caller
     mutates, such as the decoding of bytes that every courier of a run
     receives alike: within one scope it runs once per distinct arguments.
-    Outside any scope it records nothing and runs on every call. An
-    exception is raised each time, never recorded.
+    Outside any scope _UNSCOPED keeps no result, so it runs on every call.
+    An exception is raised each time, never recorded.
     """
 
     @functools.wraps(fn)
     def cached(*args):
-        if _results is _UNSCOPED:
-            return fn(*args)
-        memo = _results.get(fn)
-        if memo is None:
-            memo = _results[fn] = {}
+        results = _memo.results.get(fn)
+        if results is None:
+            results = _memo.results[fn] = {}
         try:
-            return memo[args]
+            return results[args]
         except KeyError:
-            result = memo[args] = fn(*args)
+            result = results[args] = fn(*args)
             return result
 
     return cached
@@ -764,15 +771,15 @@ def sign(privkey: bytes, digest: bytes) -> Signature:
     z = _check_digest(digest)
     d = _scalar_of(privkey)
     key = bytes(privkey), bytes(digest)
-    sig = _signatures.get(key)
+    sig = _memo.signatures.get(key)
     counter = 0
     while sig is None:
         k = _nonce(privkey, digest, counter)
         counter += 1
         if k:
             sig = _signature(d, z, pow(k, -1, _N), *_to_affine(_jmul_base(k)))
-    _signatures[key] = sig
-    _signers[key[1], sig] = address_of_pubkey(pubkey_of_privkey(privkey))
+    _memo.signatures[key] = sig
+    _memo.signers[key[1], sig] = address_of_pubkey(pubkey_of_privkey(privkey))
     return sig
 
 
@@ -783,16 +790,16 @@ def presign(pairs: Sequence[tuple[bytes, bytes]]) -> None:
     inversion, so a pair costs a batched key where sign() alone costs a
     single k * G and a pow. Each signature is sign()'s, from its first
     nonce. A pair that sign() would reject, or whose first nonce it would
-    redraw, is left for sign() to handle. Outside any scope it computes and
-    records nothing.
+    redraw, is left for sign() to handle. Outside any scope, under
+    _UNSCOPED, it computes and records nothing.
     """
-    if _signatures is _UNSCOPED:
+    if _memo is _UNSCOPED:
         return
     todo = {}
     for privkey, digest in pairs:
         key = bytes(privkey), bytes(digest)
         d = int.from_bytes(privkey, "big")
-        if len(digest) == DIGEST_SIZE and 1 <= d < _N and key not in _signatures:
+        if len(digest) == DIGEST_SIZE and 1 <= d < _N and key not in _memo.signatures:
             k = _nonce(privkey, digest, 0)
             if k:
                 todo[key] = d, int.from_bytes(digest, "big"), k
@@ -800,7 +807,7 @@ def presign(pairs: Sequence[tuple[bytes, bytes]]) -> None:
     for (key, (d, z, _)), k_inv, (rx, ry) in zip(todo.items(), _inverses(ks, _N), _base_mul_batch(ks)):
         sig = _signature(d, z, k_inv, rx, ry)
         if sig is not None:
-            _signatures[key] = sig
+            _memo.signatures[key] = sig
 
 
 def _nonce(privkey: bytes, digest: bytes, counter: int) -> int:
@@ -844,10 +851,10 @@ def recover_signer(digest: bytes, sig: Signature) -> bytes:
     if not isinstance(sig, Signature):
         raise VerificationError("not a signature value")
     key = (bytes(digest), sig)
-    address = _signers.get(key)
+    address = _memo.signers.get(key)
     if address is None:
         address = _recover_address(*key)
-        _signers[key] = address
+        _memo.signers[key] = address
     return address
 
 
@@ -860,28 +867,25 @@ def signed_by(digest: bytes, sig_bytes: bytes, address: bytes) -> bool:
         return False
 
 
-# Every party of a run signs in this process, so sign() records each
-# signature's signer in _signers and recover_signer() answers it by lookup;
-# only a foreign, tampered or malformed signature, or one made outside the
-# current scope, reaches the curve arithmetic of _recover_address. The
-# lookup is exact, not a guess: sign returns (v, r, s) only when R = k*G has
-# x = r < N and y parity v, so the recovery Q = r^-1 * (s*R - z*G) (SEC 1
-# v2.0, 4.1.6) equals r^-1 * ((z + r*d)*G - z*G) = d*G for every digest z.
-# The memo also serves every courier and contract that re-recovers the same
-# few signatures of a service. A failed recovery raises and so is never
-# stored.
+# sign() records each signature's signer and recover_signer() answers it by
+# lookup; only a foreign, tampered or malformed signature reaches the curve
+# arithmetic of _recover_address. The lookup is exact, not a guess: sign
+# returns (v, r, s) only when R = k*G has x = r < N and y parity v, so the
+# recovery Q = r^-1 * (s*R - z*G) (SEC 1 v2.0, 4.1.6) equals
+# r^-1 * ((z + r*d)*G - z*G) = d*G for every digest z. The memo also serves
+# every courier and contract that re-recovers the same few signatures of a
+# service. A failed recovery raises and so is never stored.
 #
-# _signatures holds each signature sign() made or presign() computed, under
-# its (privkey, digest) bytes. It is exact: the signature is a pure function
-# of those bytes, and presign keeps only one whose first nonce sign() would
-# accept. A recruitment presigns what it can predict: the sender's
-# supplementary authorisation and each candidate's acceptance at the index
-# it will be invited with, in one batch; then the n countersignatures, in
-# another. sign() returns a recorded signature without a multiplication, so
-# a signature re-made after a lost message costs nothing either, and it
-# records the signer in _signers whether it computed the signature or not.
-_signers: dict[tuple[bytes, Signature], bytes] = _UNSCOPED
-_signatures: dict[tuple[bytes, bytes], Signature] = _UNSCOPED
+# The memo's signatures hold each signature sign() made or presign()
+# computed, under its (privkey, digest) bytes. This is exact: the signature
+# is a pure function of those bytes, and presign keeps only one whose first
+# nonce sign() would accept. A recruitment presigns what it can predict:
+# the sender's supplementary authorisation and each candidate's acceptance
+# at the index it will be invited with, in one batch; then the n
+# countersignatures, in another. sign() returns a recorded signature
+# without a multiplication, so a signature re-made after a lost message
+# costs nothing either, and it records the signer whether it computed the
+# signature or not.
 
 
 def _recover_address(digest: bytes, sig: Signature) -> bytes:
@@ -943,29 +947,36 @@ def sym_decrypt(key: bytes, blob: bytes) -> bytes:
         raise AuthenticationError("wrong key or tampered ciphertext") from exc
 
 
-# One record per layer that ecies_encrypt wraps for a point Q = q * G in
-# _scalars: q and the layer's ECDH x = x(e * Q), under the layer's ephemeral
-# point and AES-GCM tag (_layer_key). The point alone would not do: two wraps
-# from equal rng states draw the same ephemeral key for different
-# recipients. For the ephemeral point E, of prime order N, x(d * E) equals
-# x(q * E) iff d = +-q mod N, so q and N - q are the only keys that derive
-# the layer's AES key; any other fails the AES-GCM tag. ecies_openers names
-# those two, and ecies_decrypt reads their ECDH x from the record, which is
-# exact: the record's key holds E, the point its x was computed for. A
-# tampered body under a recorded point and tag still fails the tag check.
-_layers: dict[bytes, tuple[int, int]] = _UNSCOPED
-
-
+# Every party of a run draws its keys in this process, and ecies_encrypt
+# draws each ephemeral key here too, so the scalar e of each such point
+# E = e*G is known. _keypair records it, and _shared_x computes the ECDH
+# point d*E as (d*e mod N)*G: one fixed-base multiplication instead of a
+# double-and-add one. This is exact, not a guess: E is recorded only where
+# this module computed it as e*G, so d*E = d*(e*G) = (d*e mod N)*G for
+# every d, and with N prime and d, e in [1, N) the product d*e mod N is
+# never 0. No scalar leaves the module and no caller can claim one for a
+# point; a foreign point only takes the slower _jmul.
 def _shared_x(d: int, x: int, y: int) -> int:
     """The x of d * (x, y), for 1 <= d < N and (x, y) on secp256k1."""
-    e = _scalars.get((x, y))
+    e = _memo.scalars.get((x, y))
     if e is None:
         return _to_affine(_jmul(d, (x, y, 1)))[0]
     return _base_point(d * e % _N)[0]
 
 
+# One record per layer that ecies_encrypt wraps for a point Q = q * G of
+# known scalar: q and the layer's ECDH x = x(e * Q), under the layer's
+# ephemeral point and AES-GCM tag (_layer_key). The point alone would not
+# do: two wraps from equal rng states draw the same ephemeral key for
+# different recipients. For the ephemeral point E, of prime order N,
+# x(d * E) equals x(q * E) iff d = +-q mod N, so q and N - q are the only
+# keys that derive the layer's AES key; any other fails the AES-GCM tag.
+# ecies_openers names those two, and ecies_decrypt reads their ECDH x from
+# the record, which is exact: the record's key holds E, the point its x was
+# computed for. A tampered body under a recorded point and tag still fails
+# the tag check.
 def _layer_key(blob: bytes) -> bytes:
-    """A layer's ephemeral point and AES-GCM tag, which name it in _layers."""
+    """A layer's ephemeral point and AES-GCM tag, which name its record in the memo."""
     return blob[:64] + blob[-16:]
 
 
@@ -986,9 +997,9 @@ def ecies_encrypt(pubkey: bytes, plaintext: bytes, rng: Random) -> bytes:
     sym = hash256(sx.to_bytes(32, "big"))
     nonce = _draw_nonce(rng)
     blob = eph.pubkey + nonce + AESGCM(sym).encrypt(nonce, plaintext, None)
-    q = _scalars.get((px, py))
+    q = _memo.scalars.get((px, py))
     if q is not None:
-        _layers[_layer_key(blob)] = q, sx
+        _memo.layers[_layer_key(blob)] = q, sx
     return blob
 
 
@@ -1003,7 +1014,7 @@ def ecies_decrypt(privkey: bytes, blob: bytes) -> bytes:
     if not 1 <= d < _N:
         # an unusable scalar can never open a layer; report it the same way
         raise AuthenticationError("private scalar out of range")
-    record = _layers.get(_layer_key(blob))
+    record = _memo.layers.get(_layer_key(blob))
     if record is not None and d in (record[0], _N - record[0]):
         sx = record[1]
     else:
@@ -1021,11 +1032,11 @@ def ecies_openers(blob: bytes, keys_by_scalar: Mapping[int, bytes]) -> list[byte
 
     `keys_by_scalar` maps each private key's scalar to the key. For a layer
     ecies_encrypt wrapped in this scope for a point q * G, the openers are
-    the key under q, then the key under N - q (see _layers): two lookups,
+    the key under q, then the key under N - q (see _layer_key): two lookups,
     whatever the number of keys. For any other layer, every key, in the
     mapping's order. It multiplies nothing.
     """
-    record = _layers.get(_layer_key(blob))
+    record = _memo.layers.get(_layer_key(blob))
     if record is None:
         return list(keys_by_scalar.values())
     q = record[0]
@@ -1194,21 +1205,21 @@ def onions_wrap(shares: Sequence[Share], layer_pubkeys: Sequence[Sequence[bytes]
 
     Equal to that loop of onion_wrap calls, draw for draw and byte for byte,
     and it raises what the loop raises after the same draws. Outside any
-    scope it is that loop.
+    scope, under _UNSCOPED, it is that loop.
 
     A service's wrap draws each layer's ephemeral scalar e and then its
     nonce from one rng, so a copy of that rng names every e before the first
     layer is sealed. One batched multiplication makes each e and each
-    product e * q for a recipient point Q = q * G in _scalars, and records
-    each affine k * G in _points, where ecies_encrypt's keypair_gen and
-    _shared_x (e * Q as (e * q mod N) * G) read them back. A hit is exact:
-    every entry is k * G for its key k, so a mispredicted draw costs a miss,
-    never a wrong point, and a key the wrap rejects costs only points
-    nobody reads.
+    product e * q for a recipient point Q = q * G of known scalar, and
+    records each affine k * G in the memo, where ecies_encrypt's
+    keypair_gen and _shared_x (e * Q as (e * q mod N) * G) read them back.
+    A hit is exact: every entry is k * G for its key k, so a mispredicted
+    draw costs a miss, never a wrong point, and a key the wrap rejects
+    costs only points nobody reads.
     """
     if len(shares) != len(layer_pubkeys):
         raise ParameterError("need one wrapping-key list per share")
-    if _points is not _UNSCOPED:
+    if _memo is not _UNSCOPED:
         ahead = Random()
         ahead.setstate(rng.getstate())
         ks = []
@@ -1217,10 +1228,10 @@ def onions_wrap(shares: Sequence[Share], layer_pubkeys: Sequence[Sequence[bytes]
                 e = _draw_scalar(ahead)
                 _draw_nonce(ahead)
                 ks.append(e)
-                q = _scalars.get((int.from_bytes(pk[:32], "big"), int.from_bytes(pk[32:], "big")))
+                q = _memo.scalars.get((int.from_bytes(pk[:32], "big"), int.from_bytes(pk[32:], "big")))
                 if q is not None:
                     ks.append(e * q % _N)
-        _points.update(zip(ks, _base_mul_batch(ks)))
+        _memo.points.update(zip(ks, _base_mul_batch(ks)))
     return [onion_wrap(share, pubkeys, rng) for share, pubkeys in zip(shares, layer_pubkeys)]
 
 

@@ -466,7 +466,7 @@ class TestSharedSecrets:
     def test_same_trace_without_the_memo(self, monkeypatch, jmul_calls, cfg):
         with_memo = run_scenario(cfg).trace_hash()
         jmul_calls.clear()
-        # outside a scope crypto's memos record nothing, so the wrap
+        # outside a scope crypto's memo records nothing, so the wrap
         # multiplies each layer's ephemeral key on its own
         monkeypatch.setattr(scenario, "scope", contextlib.nullcontext)
         assert run_scenario(cfg).trace_hash() == with_memo
@@ -517,9 +517,9 @@ class TestSharedBundle:
 
         @contextlib.contextmanager
         def counted():
-            with real_scope():
-                crypto._results = CountedResults()
-                yield
+            with real_scope() as memo:
+                memo.results = CountedResults()
+                yield memo
 
         monkeypatch.setattr(scenario, "scope", counted)
         runner = ScenarioRunner(cfg)
@@ -574,14 +574,16 @@ class TestSharedBundle:
 
     def test_a_finished_run_frees_what_it_decoded(self, monkeypatch):
         held = []
+        memos = []
         real_scope = scenario.scope
 
         @contextlib.contextmanager
         def watched():
-            with real_scope():
-                yield
-                for memo in crypto._results.values():
-                    for result in memo.values():
+            with real_scope() as memo:
+                yield memo
+                memos.append(weakref.ref(memo))
+                for results in memo.results.values():
+                    for result in results.values():
                         if isinstance(result, dict):  # a bundle's agreements, by index
                             result = tuple(sig for pair in result.values() for sig in pair)
                         parts = result if isinstance(result, tuple) else (result,)
@@ -590,11 +592,10 @@ class TestSharedBundle:
         monkeypatch.setattr(scenario, "scope", watched)
         cfg = ScenarioConfig()
         assert run_scenario(cfg).status == "delivered_light"
-        assert crypto._results is crypto._UNSCOPED
         gc.collect()
-        # the run's n onions and 2n agreement signatures, none of which outlives it
-        assert len(held) == 3 * cfg.n
-        assert all(ref() is None for ref in held)
+        # the run's memo, n onions and 2n agreement signatures, none of which outlives it
+        assert len(memos) == 1 and len(held) == 3 * cfg.n
+        assert all(ref() is None for ref in memos + held)
 
 
 class TestLightweightDelivery:

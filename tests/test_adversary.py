@@ -1,6 +1,7 @@
 """Attack harness tests: bribery economics, sybil capture statistics,
 fault injection, and the observation API."""
 
+import contextlib
 import hashlib
 import json
 import math
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from tidsim import adversary
+from tidsim import adversary, crypto
 from tidsim.adversary import (
     adversary_view,
     blind_bribery_trials,
@@ -132,6 +133,22 @@ class TestBribery:
         cfg = replace(briberable_config(2, 2, 4), mode="strawman")
         with pytest.raises(ConfigError, match="strawman"):
             run_bribery(cfg, 2 * ETHER, know_identities=know_identities)
+
+    # Listed in the CI step that runs the golden traces under two hash seeds.
+    @pytest.mark.parametrize("know_identities", [True, False], ids=["informed", "blind"])
+    def test_same_outcome_without_the_memo(self, monkeypatch, know_identities):
+        cfg = briberable_config(2, 2, 4)
+        bribe = int(1.05 * ETHER)
+        multiplied = []
+        real = crypto._jmul
+        monkeypatch.setattr(crypto, "_jmul", lambda k, p: multiplied.append(p) or real(k, p))
+        with_memo = run_bribery(cfg, bribe, know_identities=know_identities)
+        assert with_memo.key_recovered and multiplied == []
+        # outside a scope crypto's memo records nothing, so every ECDH of
+        # the wrap and the peels is a variable-base multiplication
+        monkeypatch.setattr(adversary, "scope", contextlib.nullcontext)
+        assert run_bribery(cfg, bribe, know_identities=know_identities) == with_memo
+        assert multiplied
 
     def test_blind_targeting_wastes_bribes(self):
         t, l, n, pool = 2, 2, 4, 40

@@ -5,6 +5,7 @@ oracle written here in the test module, not against the library's own
 interpolation path.
 """
 
+import collections
 import contextlib
 import functools
 import gc
@@ -14,6 +15,7 @@ import re
 import sys
 import tracemalloc
 import weakref
+from dataclasses import fields
 from random import Random
 
 import pytest
@@ -75,9 +77,6 @@ from tidsim.crypto import (
     sym_encrypt,
 )
 from tidsim.scenario import ScenarioConfig, run_scenario
-
-# crypto's memos that live for one scope()
-MEMOS = ("_scalars", "_points", "_signers", "_signatures", "_layers")
 
 # SHA3-256 golden values, pinned from hashlib on first computation.
 SHA3_256_EMPTY = "a7ffc6f8bf1ed76651c14756a061d662f580ff4de43b49fa82d80a4b80f8434a"
@@ -256,10 +255,14 @@ class TestSignatures:
         signers = [kp.address for kp in keys for _ in digests] * 2
         expected = [sign(*pair) for pair in pairs]
         with counted_base_mults() as mults:
-            # outside a scope it multiplies nothing and records nothing
+            # outside a scope it multiplies nothing and records nothing, so
+            # sign still makes each signature from its own k * G
             presign(pairs)
-            assert mults == [] and not crypto._signatures
-            with crypto.scope():
+            assert mults == []
+            if pairs:
+                sign(*pairs[0])
+                assert crypto._nonce(*pairs[0], 0) in mults
+            with crypto.scope() as memo:
                 # keys drawn in the scope: sign names its signer by lookup
                 assert [keypair_gen(Random(seed)) for seed in seeds] == keys
                 mults.clear()
@@ -267,7 +270,7 @@ class TestSignatures:
                 assert mults == [[crypto._nonce(*pair, 0) for pair in dict.fromkeys(pairs)]]
                 sigs = [sign(*pair) for pair in pairs]
                 assert len(mults) == 1
-                assert [crypto._signers[d, sig] for (_, d), sig in zip(pairs, sigs)] == signers
+                assert [memo.signers[d, sig] for (_, d), sig in zip(pairs, sigs)] == signers
         assert sigs == expected
         assert [_recover_address(d, sig) for (_, d), sig in zip(pairs, sigs)] == signers
 
@@ -283,9 +286,9 @@ class TestSignatures:
         digests = [bytes([i]) + hash256(bytes([i]))[1:] for i in range(6)]
         pairs = [(kp.privkey, d) for d in digests]
         expected = [sign(*pair) for pair in pairs]
-        with crypto.scope():
+        with crypto.scope() as memo:
             presign(pairs)
-            assert list(crypto._signatures) == pairs[1::2]
+            assert list(memo.signatures) == pairs[1::2]
             sigs = [sign(*pair) for pair in pairs]
         assert sigs == expected
         assert all(_recover_address(d, sig) == kp.address for d, sig in zip(digests, sigs))
@@ -295,9 +298,9 @@ class TestSignatures:
         assert [sig == first_sig for sig, first_sig in zip(sigs, first)] == [False, True] * 3
         # nor does presign keep a first nonce whose R has x >= N
         monkeypatch.setattr(crypto, "_base_mul_batch", lambda ks: [(_N, 0)] * len(ks))
-        with crypto.scope():
+        with crypto.scope() as memo:
             presign(pairs)
-            assert crypto._signatures == {}
+            assert memo.signatures == {}
             assert [sign(*pair) for pair in pairs] == first
 
     def test_presign_skips_what_sign_rejects(self):
@@ -309,14 +312,14 @@ class TestSignatures:
             with pytest.raises(ParameterError) as exc:
                 sign(privkey, d)
             errors.append(str(exc.value))
-        with crypto.scope():
+        with crypto.scope() as memo:
             presign([])
             presign(rejected + [(kp.privkey, digest)])
-            assert list(crypto._signatures) == [(kp.privkey, digest)]
+            assert list(memo.signatures) == [(kp.privkey, digest)]
             for (privkey, d), error in zip(rejected, errors):
                 with pytest.raises(ParameterError, match=f"^{re.escape(error)}$"):
                     sign(privkey, d)
-            assert list(crypto._signatures) == [(kp.privkey, digest)]
+            assert list(memo.signatures) == [(kp.privkey, digest)]
 
 
 class TestSymmetric:
@@ -935,18 +938,25 @@ class TestScalarKernel:
         digest = hash256(r.to_bytes(32, "big"))
         sig = Signature(v, r, s)
         outcomes = []
-        with crypto.scope():
+        with crypto.scope() as memo:
             for _ in range(2):
                 try:
                     outcomes.append(recover_signer(digest, sig))
                 except VerificationError as exc:
                     outcomes.append(type(exc))
             assert outcomes[0] == outcomes[1]
-            assert ((digest, sig) in crypto._signers) == (outcomes[0] is not VerificationError)
+            assert ((digest, sig) in memo.signers) == (outcomes[0] is not VerificationError)
 
 
 @pytest.fixture
-def kernel_calls(monkeypatch):
+def memo():
+    """The memo of a fresh crypto.scope() that lasts the whole test."""
+    with crypto.scope() as memo:
+        yield memo
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch, memo):
     """Every (digest, sig) that reached the recovery arithmetic, inside a fresh scope."""
     calls = []
     real = crypto._recover_address
@@ -956,25 +966,24 @@ def kernel_calls(monkeypatch):
         return real(digest, sig)
 
     monkeypatch.setattr(crypto, "_recover_address", counted)
-    with crypto.scope():
-        yield calls
+    return calls
 
 
 class TestSignerMemo:
-    def test_signatures_from_a_finished_scope_still_recover(self, kernel_calls):
+    def test_signatures_from_a_finished_scope_still_recover(self, memo, kernel_calls):
         kp = keypair_gen(Random(41))
         digests = [hash256(i.to_bytes(4, "big")) for i in range(1030)]
         with crypto.scope():
             finished = [(d, sign(kp.privkey, d)) for d in digests[:3]]
         pairs = [(d, sign(kp.privkey, d)) for d in digests[3:]]
         # no bound: every signature of the scope stays recorded, in signing order
-        assert list(crypto._signers.items()) == [(p, kp.address) for p in pairs]
+        assert list(memo.signers.items()) == [(p, kp.address) for p in pairs]
         assert all(recover_signer(*p) == kp.address for p in pairs)
         assert kernel_calls == []
         for digest, sig in finished:
             assert recover_signer(digest, sig) == kp.address
         assert kernel_calls == finished
-        assert len(crypto._signers) == len(digests)
+        assert len(memo.signers) == len(digests)
 
     def test_altered_digest_or_twin_gets_the_kernel_answer(self, kernel_calls):
         rng = Random(42)
@@ -995,7 +1004,7 @@ class TestSignerMemo:
 
 
 @pytest.fixture
-def point_mults(monkeypatch):
+def point_mults(monkeypatch, memo):
     """Every affine point that reached the variable-base multiplication, inside a fresh scope."""
     calls = []
     real = crypto._jmul
@@ -1005,18 +1014,17 @@ def point_mults(monkeypatch):
         return real(k, p)
 
     monkeypatch.setattr(crypto, "_jmul", counted)
-    with crypto.scope():
-        yield calls
+    return calls
 
 
 def point_of(pubkey):
     return int.from_bytes(pubkey[:32], "big"), int.from_bytes(pubkey[32:64], "big")
 
 
-def memo_ecdh_matches_kernel(d, e):
-    """_shared_x(d, e*G) through the memo equals the _jmul and the double-and-add products."""
+def memo_ecdh_matches_kernel(memo, d, e):
+    """_shared_x(d, e*G) through memo, the scope's, equals the _jmul and the double-and-add products."""
     x, y = point_of(keypair_from_scalar(e).pubkey)
-    assert crypto._scalars[x, y] == e
+    assert memo.scalars[x, y] == e
     sx = _to_affine(_jmul(d, (x, y, 1)))[0]
     assert crypto._shared_x(d, x, y) == sx == _to_affine(reference_mul(d, (x, y, 1)))[0]
 
@@ -1037,24 +1045,24 @@ MEMO_EDGE_PAIRS = [
 
 class TestScalarMemo:
     @pytest.mark.parametrize("d, e", MEMO_EDGE_PAIRS)
-    def test_edge_scalars_take_the_fixed_base_path(self, point_mults, d, e):
-        memo_ecdh_matches_kernel(d, e)
+    def test_edge_scalars_take_the_fixed_base_path(self, memo, point_mults, d, e):
+        memo_ecdh_matches_kernel(memo, d, e)
         assert point_mults == []
 
     @given(d=scalars, e=scalars)
     @example(d=HALF_N, e=_N - 1)
     @settings(max_examples=30, deadline=None)
     def test_memo_matches_variable_base_mult(self, d, e):
-        with crypto.scope():
-            memo_ecdh_matches_kernel(d, e)
+        with crypto.scope() as memo:
+            memo_ecdh_matches_kernel(memo, d, e)
 
-    def test_every_key_is_recorded_in_draw_order(self, point_mults):
+    def test_every_key_is_recorded_in_draw_order(self, memo, point_mults):
         pairs = keypairs_gen(Random(43), 300)
         newest = keypair_gen(Random(44))
         pairs.append(newest)
         scalars = [int.from_bytes(kp.privkey, "big") for kp in pairs]
-        assert list(crypto._scalars.items()) == [(point_of(kp.pubkey), k) for kp, k in zip(pairs, scalars)]
-        assert list(crypto._points.items()) == [(k, point_of(kp.pubkey)) for kp, k in zip(pairs, scalars)]
+        assert list(memo.scalars.items()) == [(point_of(kp.pubkey), k) for kp, k in zip(pairs, scalars)]
+        assert list(memo.points.items()) == [(k, point_of(kp.pubkey)) for kp, k in zip(pairs, scalars)]
 
     def test_pubkey_of_a_recorded_scalar_is_looked_up(self, base_mults):
         kp = keypair_gen(Random(46))
@@ -1066,7 +1074,7 @@ class TestScalarMemo:
         assert pubkey_of_privkey((0xFACADE).to_bytes(32, "big")) == x.to_bytes(32, "big") + y.to_bytes(32, "big")
         assert base_mults[1:] == [0xFACADE]
 
-    def test_unrecorded_or_evicted_point_takes_the_kernel_once(self, point_mults):
+    def test_unrecorded_or_evicted_point_takes_the_kernel_once(self, memo, point_mults):
         # "evicted": recorded in a scope that has since ended
         rng = Random(45)
         with crypto.scope():
@@ -1074,7 +1082,7 @@ class TestScalarMemo:
         foreign_priv = (0xFACADE).to_bytes(32, "big")
         foreign_pub = pubkey_of_privkey(foreign_priv)
         for priv, pub in ((evicted.privkey, evicted.pubkey), (foreign_priv, foreign_pub)):
-            assert point_of(pub) not in crypto._scalars
+            assert point_of(pub) not in memo.scalars
             before = len(point_mults)
             blob = ecies_encrypt(pub, b"share", rng)
             assert point_mults[before:] == [point_of(pub)]
@@ -1086,22 +1094,22 @@ class TestScalarMemo:
             assert ecies_decrypt(foreign_priv, blob) == b"share"
             assert point_mults[before:] == [point_of(blob)]
 
-    def test_ephemeral_point_swapped_for_a_recorded_one_fails(self, point_mults):
+    def test_ephemeral_point_swapped_for_a_recorded_one_fails(self, memo, point_mults):
         rng = Random(46)
         kp, other = keypair_gen(rng), keypair_gen(rng)
         blob = ecies_encrypt(kp.pubkey, b"share", rng)
         assert ecies_decrypt(kp.privkey, blob) == b"share"
         for swapped in (other.pubkey, kp.pubkey):
-            assert point_of(swapped) in crypto._scalars
+            assert point_of(swapped) in memo.scalars
             with pytest.raises(AuthenticationError):
                 ecies_decrypt(kp.privkey, swapped + blob[64:])
         assert point_mults == []
 
-    def test_wrong_key_with_a_recorded_point_fails(self, point_mults):
+    def test_wrong_key_with_a_recorded_point_fails(self, memo, point_mults):
         rng = Random(47)
         kp, wrong = keypair_gen(rng), keypair_gen(rng)
         blob = ecies_encrypt(kp.pubkey, b"share", rng)
-        assert point_of(wrong.pubkey) in crypto._scalars and point_of(blob) in crypto._scalars
+        assert point_of(wrong.pubkey) in memo.scalars and point_of(blob) in memo.scalars
         with pytest.raises(AuthenticationError):
             ecies_decrypt(wrong.privkey, blob)
         onion = onion_wrap(Share(1, 2, 0), [wrong.pubkey, kp.pubkey], rng)
@@ -1112,7 +1120,7 @@ class TestScalarMemo:
 
 
 @pytest.fixture
-def base_mults(monkeypatch):
+def base_mults(monkeypatch, memo):
     """Every scalar that reached the fixed-base multiplication, inside a fresh scope."""
     calls = []
     real = crypto._jmul_base
@@ -1122,13 +1130,17 @@ def base_mults(monkeypatch):
         return real(k)
 
     monkeypatch.setattr(crypto, "_jmul_base", counted)
-    with crypto.scope():
-        yield calls
+    return calls
 
 
-def layer_record(blob):
-    """The record ecies_encrypt kept for a layer: its recipient's scalar and ECDH x."""
-    return crypto._layers[blob[:64] + blob[-16:]]
+def layer_record(memo, blob):
+    """The record ecies_encrypt kept in memo for a layer: its recipient's scalar and ECDH x."""
+    return memo.layers[blob[:64] + blob[-16:]]
+
+
+def entries(memo):
+    """Each field of memo as the list of its items, in order, under the field's name."""
+    return {f.name: list(getattr(memo, f.name).items()) for f in fields(memo)}
 
 
 def negation(key):
@@ -1157,37 +1169,37 @@ class TestProductMemo:
     @example(q=_N - 1, seed=0)
     @settings(max_examples=25, deadline=None)
     def test_recorded_ecdh_matches_double_and_add(self, q, seed):
-        with crypto.scope():
+        with crypto.scope() as memo:
             key = keypair_from_scalar(q)
             blob = ecies_encrypt(key.pubkey, b"share", Random(seed))
             expected = _to_affine(reference_mul(q, (*point_of(blob), 1)))[0]
-            assert layer_record(blob) == (q, expected)
+            assert layer_record(memo, blob) == (q, expected)
             with pytest.MonkeyPatch.context() as mp:
                 for kernel in ("_jmul", "_jmul_base"):
                     mp.setattr(crypto, kernel, None)  # a multiplication would raise
                 assert ecies_decrypt(key.privkey, blob) == b"share"
                 assert ecies_decrypt(negation(key.privkey), blob) == b"share"
 
-    def test_every_layer_is_recorded_in_wrap_order(self, base_mults):
+    def test_every_layer_is_recorded_in_wrap_order(self, memo, base_mults):
         rng = Random(48)
         keys = keypairs_gen(rng, 4)
         blobs = [ecies_encrypt(keys[i % 4].pubkey, bytes([i % 256]), rng) for i in range(300)]
-        assert list(crypto._layers) == [blob[:64] + blob[-16:] for blob in blobs]
+        assert list(memo.layers) == [blob[:64] + blob[-16:] for blob in blobs]
         recipients = [int.from_bytes(keys[i % 4].privkey, "big") for i in range(300)]
-        assert [q for q, _ in crypto._layers.values()] == recipients
+        assert [q for q, _ in memo.layers.values()] == recipients
 
-    def test_wrong_key_outside_the_memo_fails(self, base_mults):
+    def test_wrong_key_outside_the_memo_fails(self, memo, base_mults):
         rng = Random(49)
         kp, wrong = keypair_gen(rng), keypair_gen(rng)
         blob = ecies_encrypt(kp.pubkey, b"share", rng)
-        assert layer_record(blob)[0] == int.from_bytes(kp.privkey, "big")
-        recorded = [dict(getattr(crypto, name)) for name in MEMOS]
+        assert layer_record(memo, blob)[0] == int.from_bytes(kp.privkey, "big")
+        recorded = entries(memo)
         before = len(base_mults)
         with pytest.raises(AuthenticationError):
             ecies_decrypt(wrong.privkey, blob)
         assert len(base_mults) == before + 1
         # a trial decryption records nothing
-        assert [dict(getattr(crypto, name)) for name in MEMOS] == recorded
+        assert entries(memo) == recorded
         before = len(base_mults)
         assert ecies_decrypt(kp.privkey, blob) == b"share"
         assert len(base_mults) == before
@@ -1248,33 +1260,33 @@ RECIPIENT_KINDS = ("recorded", "never recorded")
 
 @functools.cache
 def wrap_recipients():
-    """A scalar memo and four recipient public keys of each kind.
+    """The scalars of a memo and four recipient public keys of each kind.
 
-    The "recorded" keys are in the memo, and the "never recorded" ones were
-    never in it.
+    The "recorded" keys are in the scalars, and the "never recorded" ones
+    were never in them.
     """
     rng = Random(51)
     new = keypairs_gen(rng, 4)
-    memo = {point_of(kp.pubkey): int.from_bytes(kp.privkey, "big") for kp in new}
+    scalars = {point_of(kp.pubkey): int.from_bytes(kp.privkey, "big") for kp in new}
     foreign = [pubkey_of_privkey((0xFACADE + i).to_bytes(32, "big")) for i in range(4)]
     pubkeys = {"recorded": [kp.pubkey for kp in new], "never recorded": foreign}
-    return memo, pubkeys
+    return scalars, pubkeys
 
 
-def wrap_from(memo, wrap, seed):
-    """wrap(rng) in a fresh scope whose scalar memo holds `memo`: its result
-    or error, rng's state, the entries of every memo but _points in order,
-    then _points."""
+def wrap_from(scalars, wrap, seed):
+    """wrap(rng) in a fresh scope whose memo's scalars hold `scalars`: its
+    result or error, rng's state, the entries of every memo field but points
+    in order, then points."""
     rng = Random(seed)
-    with crypto.scope():
-        crypto._scalars.update(memo)
+    with crypto.scope() as memo:
+        memo.scalars.update(scalars)
         try:
             out = wrap(rng)
         except ParameterError as exc:
             out = str(exc)
-        memos = [list(getattr(crypto, name).items()) for name in MEMOS if name != "_points"]
-        points = dict(crypto._points)
-    return out, rng.getstate(), memos, points
+        recorded = entries(memo)
+        points = dict(recorded.pop("points"))
+    return out, rng.getstate(), recorded, points
 
 
 def onion_wrap_loop(shares, layer_pubkeys):
@@ -1294,12 +1306,12 @@ layouts = st.integers(min_value=1, max_value=4).flatmap(
 )
 
 
-def assert_wraps_alike(memo, shares, layer_pubkeys, seed):
+def assert_wraps_alike(scalars, shares, layer_pubkeys, seed):
     """onions_wrap returns, draws and records what the onion_wrap loop does,
-    and each _points entry only its batch adds is k * G for its k; the
+    and each points entry only its batch adds is k * G for its k; the
     loop's outcome is returned."""
-    *expected, loop_points = wrap_from(memo, onion_wrap_loop(shares, layer_pubkeys), seed)
-    *got, points = wrap_from(memo, batched(shares, layer_pubkeys), seed)
+    *expected, loop_points = wrap_from(scalars, onion_wrap_loop(shares, layer_pubkeys), seed)
+    *got, points = wrap_from(scalars, batched(shares, layer_pubkeys), seed)
     assert got == expected
     assert points.items() >= loop_points.items()
     assert all(points[k] == _to_affine(_jmul_base(k)) for k in points.keys() - loop_points.keys())
@@ -1311,12 +1323,12 @@ class TestOnionsWrap:
     @example(layout=[[("recorded", i) for i in range(4)]] * 8, seed=0)
     @settings(max_examples=20, deadline=None)
     def test_equals_the_onion_wrap_loop(self, layout, seed):
-        # same onions, same draws, and the memos filled in the same order,
+        # same onions, same draws, and every memo field filled in the same order,
         # whether a recipient is recorded or never recorded
-        memo, pubkeys = wrap_recipients()
+        scalars, pubkeys = wrap_recipients()
         shares = [Share(i + 1, 1000 + i) for i in range(len(layout))]
         layer_pubkeys = [[pubkeys[kind][i] for kind, i in layers] for layers in layout]
-        onions = assert_wraps_alike(memo, shares, layer_pubkeys, seed)
+        onions = assert_wraps_alike(scalars, shares, layer_pubkeys, seed)
         assert all(isinstance(onion, Onion) for onion in onions)
 
     @pytest.mark.parametrize(
@@ -1325,12 +1337,12 @@ class TestOnionsWrap:
         ids=["63_bytes", "off_curve", "no_keys"],
     )
     def test_raises_what_the_loop_raises_after_the_same_draws(self, bad):
-        memo, pubkeys = wrap_recipients()
+        scalars, pubkeys = wrap_recipients()
         good = pubkeys["recorded"][:3]
         third = [] if bad is None else [good[0], bad, good[1]]
         shares = [Share(i, i) for i in (1, 2, 3, 4)]
         layer_pubkeys = [good, good, third, good]
-        assert isinstance(assert_wraps_alike(memo, shares, layer_pubkeys, 53), str)
+        assert isinstance(assert_wraps_alike(scalars, shares, layer_pubkeys, 53), str)
 
     def test_outside_a_scope_it_is_the_loop_and_records_nothing(self, monkeypatch):
         _, pubkeys = wrap_recipients()
@@ -1341,9 +1353,12 @@ class TestOnionsWrap:
         state = rng.getstate()
         monkeypatch.setattr(crypto, "_base_mul_batch", None)  # a batch would raise
         rng = Random(55)
-        assert onions_wrap(shares, layer_pubkeys, rng) == expected
+        onions, costs = costed(lambda: onions_wrap(shares, layer_pubkeys, rng))
+        assert onions == expected
         assert rng.getstate() == state
-        assert not any(memos().values())
+        # nothing was recorded, so a repeat makes every multiplication again
+        assert costs["_jmul"] == 8
+        assert costed(lambda: onions_wrap(shares, layer_pubkeys, Random(55))) == (expected, costs)
 
     def test_one_key_list_per_share(self):
         rng = Random(54)
@@ -1353,74 +1368,150 @@ class TestOnionsWrap:
         assert rng.getstate() == state
 
 
+# the work a memo saves: multiplications, recoveries and cached_parts' runs
+COSTS = ("_jmul_base", "_base_mul_batch", "_jmul", "_recover_address", "decode_parts")
+
+
+def costed(work):
+    """work()'s result and how many calls it made to each of COSTS, by name."""
+    counts = collections.Counter()
+    with pytest.MonkeyPatch.context() as mp:
+        for name in COSTS:
+
+            def counted(*args, name=name, real=getattr(crypto, name)):
+                counts[name] += 1
+                return real(*args)
+
+            mp.setattr(crypto, name, counted)
+        return work(), counts
+
+
+# a scope_cache entry point that looks decode_parts up on each run, so costed() counts its runs
+cached_parts = crypto.scope_cache(lambda data: crypto.decode_parts(data))
+
+
 def primitives(seed):
-    """Keys, a layer, a signature and two onions from one seed, with what
-    opening, recovering and peeling them returns and the rng's final state."""
+    """Keys, a layer, a presigned signature, two onions and a cached
+    decoding from one seed, with what opening, recovering and peeling them
+    returns and the rng's final state: every entry point that records."""
     rng = Random(seed)
     a = keypair_gen(rng)
     (b,) = keypairs_gen(rng, 1)
     blob = ecies_encrypt(b.pubkey, b"share", rng)
     digest = hash256(seed.to_bytes(4, "big"))
+    presign([(a.privkey, digest)])
     sig = sign(a.privkey, digest)
     onions = onions_wrap([Share(1, 1), Share(2, 2)], [[a.pubkey, b.pubkey], [b.pubkey, a.pubkey]], rng)
     peeled = peel_with_keys(onions, [b.privkey, a.privkey])
     opened = ecies_decrypt(b.privkey, blob)
-    return a, b, blob, opened, sig, recover_signer(digest, sig), onions, peeled, rng.getstate()
+    parts = cached_parts(encode_parts(blob, digest))
+    return a, b, blob, opened, sig, recover_signer(digest, sig), onions, peeled, parts, rng.getstate()
 
 
-def memos():
-    return {name: getattr(crypto, name) for name in MEMOS}
+def records_into(memo, seed):
+    """Whether a key drawn now from seed is recorded in memo, that is, whether memo is in place."""
+    kp = keypair_gen(Random(seed))
+    return memo.scalars.get(point_of(kp.pubkey)) == int.from_bytes(kp.privkey, "big")
+
+
+def held_by(memo):
+    """Every key and value of every field of memo, by id, with a dict value's
+    entries in place of the dict; the functions that key scope_cache's
+    results are module-level and outlive any scope, so they are left out."""
+    held = {}
+    todo = [getattr(memo, f.name) for f in fields(memo)]
+    while todo:
+        for key, value in todo.pop().items():
+            for obj in (key, value):
+                if isinstance(obj, dict):
+                    todo.append(obj)
+                elif not callable(obj):
+                    held[id(obj)] = obj
+    return held
+
+
+def parts_of(obj):
+    """The objects obj refers to itself: a tuple's or list's items, an instance's attributes."""
+    if isinstance(obj, (tuple, list)):
+        return obj
+    return vars(obj).values() if hasattr(obj, "__dict__") else ()
+
+
+def refcounts(objs):
+    """sys.getrefcount of each value of the dict objs, under its key."""
+    return {key: sys.getrefcount(objs[key]) for key in objs}
 
 
 class TestScope:
     def test_outside_a_scope_nothing_is_recorded(self):
-        with crypto.scope():
+        with crypto.scope() as memo:
             scoped = primitives(57)
-            assert all(memos().values())
-        assert primitives(57) == scoped
-        assert not any(memos().values())
+            assert all(entries(memo).values())
+        # outside a scope every call pays in full: a repeat costs what the first one did
+        unscoped = costed(lambda: primitives(57))
+        assert unscoped[0] == scoped
+        assert all(unscoped[1][name] for name in COSTS)
+        assert costed(lambda: primitives(57)) == unscoped
+
+    def test_scope_yields_the_memo_it_installs(self):
+        with crypto.scope() as memo:
+            assert records_into(memo, 62)
+            primitives(62)
+            held = weakref.ref(memo)
+            del memo
+        gc.collect()
+        # the finished block's memo went with it
+        assert held() is None
 
     def test_nested_scope_restores_the_outer_memos(self):
-        with crypto.scope():
+        with crypto.scope() as outer:
             primitives(58)
-            outer = memos()
-            entries = {name: list(memo.items()) for name, memo in outer.items()}
-            with pytest.raises(ZeroDivisionError):
-                with crypto.scope():
-                    assert all(memo == {} and memo is not outer[name] for name, memo in memos().items())
-                    primitives(59)
-                    1 / 0
-            for name, memo in memos().items():
-                assert memo is outer[name]
-                assert list(memo.items()) == entries[name]
+            for seed, raises in ((59, False), (60, True)):
+                before = entries(outer)
+                with pytest.raises(ZeroDivisionError) if raises else contextlib.nullcontext():
+                    with crypto.scope() as inner:
+                        # a nested block gets a fresh memo
+                        assert inner is not outer and not any(entries(inner).values())
+                        assert records_into(inner, seed)
+                        primitives(seed)
+                        held = weakref.ref(inner)
+                        del inner
+                        if raises:
+                            1 / 0
+                # whether the block returned or raised, the outer memo is back
+                # in place as the block found it, and the block's memo is freed
+                assert entries(outer) == before
+                assert records_into(outer, seed + 100)
+                gc.collect()
+                assert held() is None
 
     @pytest.mark.parametrize("scoped", [False, True], ids=["unscoped", "scoped"])
     def test_runs_leave_the_memos_as_they_found_them(self, scoped):
-        with crypto.scope() if scoped else contextlib.nullcontext():
+        with crypto.scope() if scoped else contextlib.nullcontext() as memo:
             primitives(60)
-            before = memos()
-            entries = {name: list(memo.items()) for name, memo in before.items()}
+            before = entries(memo) if scoped else None
             assert run_scenario(ScenarioConfig()).status == "delivered_light"
             assert run_bribery(ScenarioConfig(), 0).shares_obtained == 0
-            for name, memo in memos().items():
-                assert memo is before[name]
-                assert list(memo.items()) == entries[name]
+            if scoped:
+                assert entries(memo) == before
+                assert records_into(memo, 67)
+            else:
+                # still outside any scope: a repeat costs what the first one did
+                first = costed(lambda: primitives(60))
+                assert costed(lambda: primitives(60)) == first
 
     def test_finished_scope_frees_its_entries(self):
-        with crypto.scope():
+        with crypto.scope() as memo:
             primitives(61)
-            # the entries the memos hold once each: the scalars and addresses
-            # are also referenced from within other entries
-            entries = {*crypto._scalars, *crypto._signers, *crypto._signatures, *crypto._layers, *crypto._layers.values()}
-            # and every point of _points, with the look-ahead's keys: the ECDH
-            # products, which no other memo holds
-            assert len(crypto._points) > len(crypto._scalars)
-            entries |= {*crypto._points.values(), *(crypto._points.keys() - crypto._scalars.values())}
-        assert len(entries) > 10
+            held = held_by(memo)
+        del memo
+        assert len(held) > 10
         gc.collect()
-        # an entry nothing else holds has the reference count of a fresh object
-        fresh = {bytes(range(40))}
-        assert max(sys.getrefcount(obj) for obj in entries) == max(sys.getrefcount(obj) for obj in fresh)
+        # an entry nothing else holds has the reference count of a fresh
+        # object, plus one for each entry that refers to it
+        inner = collections.Counter(id(part) for obj in held.values() for part in parts_of(obj))
+        (fresh,) = refcounts({0: bytes(range(40))}).values()
+        assert {i: count - inner[i] for i, count in refcounts(held).items()} == dict.fromkeys(held, fresh)
 
     def test_scope_cache_runs_once_per_arguments_in_a_scope(self):
         calls = []
@@ -1451,7 +1542,6 @@ class TestScope:
             assert held() is not None
         assert calls == [1, 2, 3, 3, 1]
         # the scope's results went with it
-        assert crypto._results is crypto._UNSCOPED
         gc.collect()
         assert held() is None
         share(1, 5)
