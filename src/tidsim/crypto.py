@@ -19,7 +19,10 @@ import functools
 import hashlib
 import hmac as _hmac
 import os
+import struct
 from dataclasses import dataclass, field, fields
+from itertools import repeat
+from operator import itemgetter
 from random import Random
 from typing import Callable, Mapping, Sequence
 
@@ -154,8 +157,9 @@ def decode_parts(data: bytes) -> list[bytes]:
 #
 # The table is package data, secp256k1_base_table.bin, as libsecp256k1
 # commits its generator tables as generated source: every process would
-# otherwise compute the same 38,165 points. The first k * G reads the file,
-# checks its SHA-256 and holds each point as one integer x * 2^256 + y
+# otherwise compute the same 38,165 points. The first k * G streams the file
+# a row at a time through one SHA-256, holds each point as one integer
+# x * 2^256 + y and returns the rows once the whole file's digest matches
 # (_base_table). tests/test_crypto.py rebuilds it from G and compares it
 # byte for byte.
 #
@@ -375,19 +379,31 @@ def _base_table():
     them row by row as x || y, each a 32-byte big-endian integer, so each
     64-byte slot read as one integer is x * 2^256 + y. One integer per
     point keeps 3.8 MiB under tracemalloc for the 38,165 points, half what
-    (x, y) tuples would. The file is checked against its SHA-256 first: a
-    wrong point would give wrong keys without any error. Reading, checking
-    and decoding it takes about 16 ms.
+    (x, y) tuples would.
+
+    The file is read one row (256 KiB) at a time: each row feeds one
+    running SHA-256 and is decoded straight into its list, so no copy of
+    the whole file is held beside the points. The digest of the whole file
+    is checked before anything is returned, so a damaged, short or long
+    file raises CryptoError and nothing is cached: a wrong point would give
+    wrong keys without any error. Reading, checking and decoding take about
+    10 ms, with a tracemalloc peak 0.4 MiB above what the table keeps.
 
     Read on the first fixed-base multiplication, not at import, so a
     process that never multiplies by G never reads the file.
     """
+    digest = hashlib.sha256()
+    rows = []
     with open(_BASE_TABLE_FILE, "rb") as f:
-        data = f.read()
-    if hashlib.sha256(data).hexdigest() != _BASE_TABLE_SHA256:
+        while row := f.read(64 * _HALF):
+            digest.update(row)
+            # struct rejects a row that ends inside a slot; such a file fails the check below
+            if not len(row) % 64:
+                slots = map(itemgetter(0), struct.iter_unpack("64s", row))
+                rows.append(list(map(int.from_bytes, slots, repeat("big"))))
+    if digest.hexdigest() != _BASE_TABLE_SHA256:
         raise CryptoError(f"{_BASE_TABLE_FILE} is not the secp256k1 base table: its SHA-256 differs")
-    slots = [int.from_bytes(data[i : i + 64], "big") for i in range(0, len(data), 64)]
-    return [slots[i : i + _HALF] for i in range(0, len(slots), _HALF)]
+    return rows
 
 
 def _jmul_base(k):
@@ -688,10 +704,23 @@ class _Memo:
 
 
 class _RecordsNothing(dict):
-    """Every field of _UNSCOPED: every lookup misses and every write is dropped."""
+    """Every field of _UNSCOPED: every lookup misses and every write is dropped.
+
+    All six fields are this one dict, so each method that would store an
+    entry drops it; the others only read or remove, and it stays empty.
+    """
 
     def __setitem__(self, key, value):
         pass
+
+    def update(self, *args, **kwargs):
+        pass
+
+    def setdefault(self, key, default=None):
+        return default
+
+    def __ior__(self, other):
+        return self
 
 
 _memo = _UNSCOPED = _Memo(*[_RecordsNothing()] * len(fields(_Memo)))
