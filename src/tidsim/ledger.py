@@ -21,12 +21,14 @@ price is read from the tables on every call.
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
 import math
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, Optional
+from itertools import groupby, islice
+from typing import Any, Callable, Iterator, Optional
 
 from .crypto import hash256
 
@@ -475,6 +477,14 @@ class Contract:
         self.init_state(**ctor)
         self.state = _journaled(self.state)
 
+    def __deepcopy__(self, memo):
+        """A deep copy that holds a proxy of the copied ledger, whether the
+        copy reached the ledger or this contract first."""
+        twin = memo[id(self)] = object.__new__(type(self))
+        twin.__dict__.update(copy.deepcopy(self.__dict__, memo))
+        twin.ledger = weakref.proxy(twin.ledger)
+        return twin
+
     def init_state(self, **ctor):
         pass
 
@@ -507,18 +517,16 @@ class Ledger:
         self._nonces: dict[bytes, int] = {}
 
     def __deepcopy__(self, memo):
-        """A deep copy whose contracts hold a proxy of the copy.
+        """A deep copy that a contract's proxy copies to as well.
 
         A contract's weakref.proxy forwards this method to its ledger, so
         the proxy copies to the ledger's copy, not to a new, empty Ledger;
-        each copied contract then gets a proxy of the copy back.
+        Contract.__deepcopy__ then wraps the copy in a proxy of its own.
         """
         twin = memo.get(id(self))
         if twin is None:
             twin = memo[id(self)] = object.__new__(type(self))
             twin.__dict__.update(copy.deepcopy(self.__dict__, memo))
-            for contract in twin.contracts.values():
-                contract.ledger = weakref.proxy(twin)
         return twin
 
     # -- accounts ----------------------------------------------------------
@@ -687,4 +695,75 @@ class Ledger:
     def state_digest(self, state: dict) -> bytes:
         """Hash of `state`, a dump built by onchain_state: the caller keeps
         the dump it hashes, so neither is built twice."""
-        return hash256(json.dumps(state, sort_keys=True).encode())
+        return json_digest(state)
+
+
+# json_pieces encodes a list or str-keyed dict of more entries than this one
+# block of entries at a time, so no piece holds more than a block's JSON.
+_BLOCK = 64
+# How many dict levels down json_pieces looks for such a container: a run's
+# state dump holds the registry's mailmen at the third (contracts, the
+# registry's dump, mailmen). A level looked through costs every document a
+# little time but makes no more pieces.
+_DEPTH = 3
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+
+def _splits(value, depth: int) -> bool:
+    """Whether json_pieces splits `value`: a list or str-keyed dict of more
+    than _BLOCK entries, or a str-keyed dict that holds one it splits within
+    `depth` levels. A dict with another key is encoded whole, since json
+    sorts its keys before it stringifies them."""
+    if isinstance(value, list):
+        return len(value) > _BLOCK
+    if isinstance(value, dict):
+        return (
+            len(value) > _BLOCK or depth > 0 and any(_splits(v, depth - 1) for v in value.values())
+        ) and all(isinstance(key, str) for key in value)
+    return False
+
+
+def _split_pieces(value, depth: int) -> Iterator[bytes]:
+    """json_pieces of a value that _splits. A container of more than _BLOCK
+    entries is encoded a block of entries per call, brackets stripped; a
+    smaller dict yields each entry that splits by itself and encodes its
+    other entries together."""
+    is_dict = isinstance(value, dict)
+    yield b"{" if is_dict else b"["
+    entries = iter(sorted(value.items()) if is_dict else value)
+    if len(value) > _BLOCK:
+        runs = [(False, entries)]
+    else:
+        runs = groupby(entries, lambda entry: _splits(entry[1], depth - 1))
+    sep = b""
+    for split, run in runs:
+        if split:
+            for key, inner in run:
+                yield sep + _encode(key).encode() + b": "
+                yield from _split_pieces(inner, depth - 1)
+                sep = b", "
+        else:
+            while block := list(islice(run, _BLOCK)):
+                yield sep + _encode(dict(block) if is_dict else block)[1:-1].encode()
+                sep = b", "
+    yield b"}" if is_dict else b"]"
+
+
+def json_pieces(value) -> Iterator[bytes]:
+    """The bytes of json.dumps(value, sort_keys=True).encode(), one bounded
+    piece at a time. The number of pieces grows with the document's size,
+    not with its nesting: a document with no container over one block is
+    one piece, from one encode call."""
+    if _splits(value, _DEPTH):
+        yield from _split_pieces(value, _DEPTH)
+    else:
+        yield _encode(value).encode()
+
+
+def json_digest(value) -> bytes:
+    """hash256 of json.dumps(value, sort_keys=True).encode(), without ever
+    holding more than one of json_pieces' pieces."""
+    digest = hashlib.sha3_256()
+    for piece in json_pieces(value):
+        digest.update(piece)
+    return digest.digest()

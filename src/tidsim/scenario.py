@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
+from itertools import chain
 from random import Random
-from typing import Optional
+from typing import Iterator, Optional
 
 from .actors import (
     FAULT_POLICIES,
@@ -71,6 +72,7 @@ from .ledger import (
     Ledger,
     SERVICE_FUNCTIONS,
     WEI_PER_ETHER,
+    json_digest,
 )
 
 MODE_SILENT = "silent"
@@ -254,7 +256,7 @@ class ScenarioTrace:
     final_digest: str
 
     def trace_hash(self) -> str:
-        blob = json.dumps(
+        return json_digest(
             {
                 "config": self.config,
                 "status": self.status,
@@ -263,10 +265,8 @@ class ScenarioTrace:
                 "messages": self.messages,
                 "balances": self.balances,
                 "digest": self.final_digest,
-            },
-            sort_keys=True,
-        ).encode()
-        return hash256(blob).hex()
+            }
+        ).hex()
 
     def summary(self) -> dict:
         return {
@@ -281,11 +281,14 @@ class ScenarioTrace:
             "trace_hash": self.trace_hash(),
         }
 
+    def jsonl_lines(self) -> Iterator[str]:
+        """The lines of to_jsonl(), each with its newline, one at a time."""
+        yield json.dumps(self.summary(), sort_keys=True) + "\n"
+        for record in chain(self.receipts, self.messages):
+            yield json.dumps(record, sort_keys=True) + "\n"
+
     def to_jsonl(self) -> str:
-        lines = [json.dumps(self.summary(), sort_keys=True)]
-        lines += [json.dumps(r, sort_keys=True) for r in self.receipts]
-        lines += [json.dumps(m, sort_keys=True) for m in self.messages]
-        return "\n".join(lines) + "\n"
+        return "".join(self.jsonl_lines())
 
 
 class ScenarioRunner:

@@ -978,6 +978,17 @@ class TestCopy:
         assert runner.ledger.state_digest(runner.ledger.onchain_state()) == before
         assert runner.agent.state["mailmen"] and runner.ledger.tick == 0
 
+    def test_contract_copied_alone_holds_a_proxy_of_the_copied_ledger(self):
+        runner = ScenarioRunner(small_config(seed=2))
+        runner.build_marketplace()
+        assert type(copy.deepcopy(runner.agent).ledger) is weakref.ProxyType
+        memo = {}
+        agent = copy.deepcopy(runner.agent, memo)
+        assert type(agent.ledger) is weakref.ProxyType
+        assert agent.ledger.contracts is memo[id(runner.ledger)].contracts
+        assert agent.ledger.contracts[agent.address] is agent
+        assert runner.ledger.contracts[agent.address] is runner.agent
+
 
 def naive_peel(onions, privkeys):
     """Every key against every layer, first hit wins: the unmemoized peel."""

@@ -13,7 +13,7 @@ import pytest
 
 import tidsim
 from tidsim.cli import main, parse_range
-from tidsim.scenario import ConfigError
+from tidsim.scenario import ConfigError, ScenarioConfig, ScenarioTrace, run_scenario
 
 from conftest import numpy_pin_note
 
@@ -151,6 +151,17 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {message}")
         assert "Traceback" not in err
+
+    def test_out_file_is_to_jsonl_written_line_by_line(self, config_file, tmp_path, monkeypatch):
+        expected = run_scenario(ScenarioConfig.from_json_file(config_file)).to_jsonl()
+
+        def whole(self):
+            raise AssertionError("--out built the whole trace file in memory")
+
+        monkeypatch.setattr(ScenarioTrace, "to_jsonl", whole)
+        out = tmp_path / "trace.jsonl"
+        assert main(["run", "--config", config_file, "--out", str(out)]) == 0
+        assert out.read_bytes() == expected.encode()
 
     def test_idempotent_byte_for_byte(self, config_file, tmp_path):
         out_a = tmp_path / "a.jsonl"

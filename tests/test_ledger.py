@@ -4,13 +4,18 @@ import copy
 import dataclasses
 import json
 import operator
+import tracemalloc
 from fractions import Fraction
 from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tidsim.crypto import hash256
 from tidsim.ledger import (
+    _BLOCK,
+    _DEPTH,
+    _journaled,
     Contract,
     ContractRevert,
     FN_DEPLOY_SUPPLEMENTARY,
@@ -24,8 +29,11 @@ from tidsim.ledger import (
     LedgerError,
     WEI_PER_ETHER,
     fmt_usd,
+    json_digest,
+    json_pieces,
     round_usd_cents,
 )
+from tidsim.scenario import ScenarioConfig, ScenarioRunner
 
 ETHER = WEI_PER_ETHER
 
@@ -564,3 +572,85 @@ class TestDeterminism:
         redacted = ledger.onchain_state(include_callers=False)
         assert "caller" in full["receipts"][-1]
         assert "caller" not in redacted["receipts"][-1]
+
+
+# JSON values of every kind json_pieces meets, including non-ASCII text,
+# non-finite floats and dicts with int keys, which it encodes whole.
+_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+_SMALL = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3)
+    | st.dictionaries(st.integers(), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _sized(draw, entries):
+    """A list, str-keyed dict or int-keyed dict of a block's size give or
+    take one, or of two blocks and one, cycling through a few drawn entries."""
+    size = draw(st.sampled_from((_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1)))
+    drawn = draw(st.lists(entries, min_size=1, max_size=3))
+    values = [drawn[i % len(drawn)] for i in range(size)]
+    kind = draw(st.sampled_from(("list", "str", "int")))
+    if kind == "list":
+        return values
+    prefix = draw(st.text(max_size=2))
+    return {(f"{prefix}{i}" if kind == "str" else i): v for i, v in enumerate(values)}
+
+
+@st.composite
+def _nested(draw, inner):
+    """`inner` under up to _DEPTH + 1 levels of small str-keyed dicts, so
+    that some big containers sit below the levels json_pieces looks through."""
+    value = draw(inner)
+    for _ in range(draw(st.integers(0, _DEPTH + 1))):
+        siblings = draw(st.dictionaries(st.text(max_size=3), _SMALL, max_size=2))
+        value = {**siblings, draw(st.text(max_size=3)): value}
+    return value
+
+
+_DOCUMENTS = _nested(_SMALL | _sized(_SMALL) | _sized(_sized(_SCALARS)))
+
+
+def _largest(value) -> int:
+    """The most entries any container in `value` holds."""
+    if isinstance(value, dict):
+        return max([len(value), *map(_largest, value.values())])
+    if isinstance(value, list):
+        return max([len(value), *map(_largest, value)])
+    return 0
+
+
+class TestJsonPieces:
+    @settings(max_examples=40, deadline=None)
+    @given(_DOCUMENTS, st.booleans())
+    def test_pieces_are_the_dumps_bytes(self, value, journaled):
+        if journaled:
+            value = _journaled(value)
+        expected = json.dumps(value, sort_keys=True).encode()
+        pieces = list(json_pieces(value))
+        assert b"".join(pieces) == expected
+        assert json_digest(value) == hash256(expected)
+        # a document with no container over one block is one encode call
+        if _largest(value) <= _BLOCK:
+            assert len(pieces) == 1
+
+    def test_state_digest_memory_bounded(self):
+        # a pool-400 marketplace: 400 registrations and the registry's
+        # mailmen, three dicts down; hashed whole the dump took about
+        # 1.6 MiB on top of itself
+        runner = ScenarioRunner(ScenarioConfig(seed=1, pool_size=400, n=3, l=1, t=1))
+        runner.build_marketplace()
+        state = runner.ledger.onchain_state()
+        expected = json.dumps(state, sort_keys=True).encode()
+        assert len(expected) >= 300_000
+        tracemalloc.start()
+        try:
+            digest = runner.ledger.state_digest(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert digest == hash256(expected)
+        assert peak < 0.5 * 2**20, f"state_digest peaked {peak / 2**20:.2f} MiB above its input"
