@@ -134,7 +134,7 @@ def cmd_run(args) -> int:
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.writelines(trace.jsonl_lines())
+            fh.writelines(trace.jsonl_lines(summary))
         print(f"trace:       {args.out}")
     return 0
 

@@ -26,9 +26,6 @@ from operator import itemgetter
 from random import Random
 from typing import Callable, Mapping, Sequence
 
-from cryptography.exceptions import InvalidTag
-from cryptography.hazmat.primitives.ciphers.aead import AESGCM
-
 DIGEST_SIZE = 32
 ADDRESS_SIZE = 20
 KEY_SIZE = 32
@@ -957,12 +954,36 @@ def _draw_nonce(rng: Random) -> bytes:
     return rng.getrandbits(8 * _NONCE_SIZE).to_bytes(_NONCE_SIZE, "big")
 
 
+@functools.cache
+def _aesgcm():
+    """cryptography's AESGCM and InvalidTag, imported on the first encryption
+    or decryption: the binding, a Rust extension with its own OpenSSL, would
+    add about 6 MiB of RSS to every process that never encrypts."""
+    from cryptography.exceptions import InvalidTag
+    from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+
+    return AESGCM, InvalidTag
+
+
+def _seal(key: bytes, nonce: bytes, plaintext: bytes) -> bytes:
+    """nonce || the AES-GCM ciphertext+tag of plaintext under key."""
+    return nonce + _aesgcm()[0](key).encrypt(nonce, plaintext, None)
+
+
+def _open(key: bytes, sealed: bytes, failure: str) -> bytes:
+    """The plaintext of a _seal output; a failed tag raises AuthenticationError(failure)."""
+    aesgcm, invalid_tag = _aesgcm()
+    try:
+        return aesgcm(key).decrypt(sealed[:_NONCE_SIZE], sealed[_NONCE_SIZE:], None)
+    except invalid_tag as exc:
+        raise AuthenticationError(failure) from exc
+
+
 def sym_encrypt(key: bytes, plaintext: bytes, rng: Random) -> bytes:
     """AES-256-GCM; the returned blob is nonce || ciphertext+tag."""
     if len(key) != KEY_SIZE:
         raise ParameterError("symmetric key must be 32 bytes")
-    nonce = _draw_nonce(rng)
-    return nonce + AESGCM(key).encrypt(nonce, plaintext, None)
+    return _seal(key, _draw_nonce(rng), plaintext)
 
 
 def sym_decrypt(key: bytes, blob: bytes) -> bytes:
@@ -970,10 +991,7 @@ def sym_decrypt(key: bytes, blob: bytes) -> bytes:
         raise ParameterError("symmetric key must be 32 bytes")
     if len(blob) < _NONCE_SIZE + 16:
         raise AuthenticationError("ciphertext too short")
-    try:
-        return AESGCM(key).decrypt(blob[:_NONCE_SIZE], blob[_NONCE_SIZE:], None)
-    except InvalidTag as exc:
-        raise AuthenticationError("wrong key or tampered ciphertext") from exc
+    return _open(key, blob, "wrong key or tampered ciphertext")
 
 
 # Every party of a run draws its keys in this process, and ecies_encrypt
@@ -1024,8 +1042,7 @@ def ecies_encrypt(pubkey: bytes, plaintext: bytes, rng: Random) -> bytes:
     eph = keypair_gen(rng)
     sx = _shared_x(int.from_bytes(eph.privkey, "big"), px, py)
     sym = hash256(sx.to_bytes(32, "big"))
-    nonce = _draw_nonce(rng)
-    blob = eph.pubkey + nonce + AESGCM(sym).encrypt(nonce, plaintext, None)
+    blob = eph.pubkey + _seal(sym, _draw_nonce(rng), plaintext)
     q = _memo.scalars.get((px, py))
     if q is not None:
         _memo.layers[_layer_key(blob)] = q, sx
@@ -1049,11 +1066,7 @@ def ecies_decrypt(privkey: bytes, blob: bytes) -> bytes:
     else:
         sx = _shared_x(d, ex, ey)
     sym = hash256(sx.to_bytes(32, "big"))
-    nonce = blob[64 : 64 + _NONCE_SIZE]
-    try:
-        return AESGCM(sym).decrypt(nonce, blob[64 + _NONCE_SIZE :], None)
-    except InvalidTag as exc:
-        raise AuthenticationError("wrong key or tampered onion layer") from exc
+    return _open(sym, blob[64:], "wrong key or tampered onion layer")
 
 
 def ecies_openers(blob: bytes, keys_by_scalar: Mapping[int, bytes]) -> list[bytes]:

@@ -281,9 +281,12 @@ class ScenarioTrace:
             "trace_hash": self.trace_hash(),
         }
 
-    def jsonl_lines(self) -> Iterator[str]:
-        """The lines of to_jsonl(), each with its newline, one at a time."""
-        yield json.dumps(self.summary(), sort_keys=True) + "\n"
+    def jsonl_lines(self, summary: Optional[dict] = None) -> Iterator[str]:
+        """The lines of to_jsonl(), each with its newline, one at a time.
+
+        A caller that already holds summary() passes it, so the trace is hashed once.
+        """
+        yield json.dumps(self.summary() if summary is None else summary, sort_keys=True) + "\n"
         for record in chain(self.receipts, self.messages):
             yield json.dumps(record, sort_keys=True) + "\n"
 

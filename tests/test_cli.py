@@ -8,10 +8,12 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from random import Random
 
 import pytest
 
 import tidsim
+from tidsim import crypto
 from tidsim.cli import main, parse_range
 from tidsim.scenario import ConfigError, ScenarioConfig, ScenarioTrace, run_scenario
 
@@ -162,6 +164,18 @@ class TestRun:
         out = tmp_path / "trace.jsonl"
         assert main(["run", "--config", config_file, "--out", str(out)]) == 0
         assert out.read_bytes() == expected.encode()
+
+    def test_out_hashes_the_trace_once(self, config_file, tmp_path, monkeypatch):
+        calls = []
+        trace_hash = ScenarioTrace.trace_hash
+
+        def counted(self):
+            calls.append(self)
+            return trace_hash(self)
+
+        monkeypatch.setattr(ScenarioTrace, "trace_hash", counted)
+        assert main(["run", "--config", config_file, "--out", str(tmp_path / "trace.jsonl")]) == 0
+        assert len(calls) == 1
 
     def test_idempotent_byte_for_byte(self, config_file, tmp_path):
         out_a = tmp_path / "a.jsonl"
@@ -466,29 +480,78 @@ import tidsim, tidsim.cli
 from tidsim.crypto import _base_table
 seen = []
 def look():
-    seen.append(["numpy" in sys.modules, _base_table.cache_info().currsize])
+    seen.append(["numpy" in sys.modules, _base_table.cache_info().currsize, "cryptography" in sys.modules])
 look()
 with contextlib.redirect_stdout(io.StringIO()) as out:
     assert tidsim.cli.main(["analyze", "availability", "3", "4", "10", "0.95"]) == 0
 assert out.getvalue() == "0.999903\\n", out.getvalue()
 look()
+for axis, values in [("l", "2:4:1"), ("x", "0:4:2"), ("A_T", "0.9")]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert tidsim.cli.main(["sweep", "--sweep-axis", axis, "--sweep-range", values, "--trials", "100"]) == 0
+    look()
 tidsim.keypair_gen(Random(0))
 look()
 tidsim.availability_mc(3, 4, 10, 0.9, 100)
+look()
+tidsim.crypto.sym_encrypt(bytes(32), b"first encryption", Random(0))
 look()
 print(json.dumps(seen))
 """
 
 
-def test_import_loads_numpy_and_base_table_on_first_use():
-    """A fresh interpreter importing tidsim and its CLI loads no numpy and
-    reads no k * G table, nor does `tidsim analyze`; a key pair reads the
-    table, and the Monte Carlo loads numpy."""
+def _fresh_python(code, *args):
+    """Run code in a new interpreter that imports tidsim from this checkout."""
     src = str(Path(tidsim.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", COLD_START], env=env, capture_output=True, text=True, timeout=60)
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == [[False, 0], [False, 0], [False, 1], [True, 1]]
+    return done.stdout
+
+
+def test_import_loads_numpy_and_base_table_on_first_use():
+    """A fresh interpreter importing tidsim and its CLI loads no numpy, reads
+    no k * G table and loads no AES-GCM binding, nor does `tidsim analyze`
+    or an l sweep; the first Monte Carlo (the x sweep) loads numpy, a key
+    pair reads the table, and only the first encryption loads the binding."""
+    assert json.loads(_fresh_python(COLD_START)) == [
+        [False, 0, False],  # import tidsim, tidsim.cli
+        [False, 0, False],  # analyze availability
+        [False, 0, False],  # sweep l
+        [True, 0, False],  # sweep x
+        [True, 0, False],  # sweep A_T
+        [True, 1, False],  # keypair_gen
+        [True, 1, False],  # availability_mc
+        [True, 1, True],  # sym_encrypt
+    ]
+
+
+FIRST_DECRYPT = """
+import sys
+from tidsim import crypto
+assert "cryptography" not in sys.modules
+try:
+    getattr(crypto, sys.argv[1])(bytes.fromhex(sys.argv[2]), bytes.fromhex(sys.argv[3]))
+except crypto.AuthenticationError as exc:
+    print(exc, type(exc.__cause__).__name__, sep="\\n")
+"""
+
+
+@pytest.mark.parametrize(
+    "decrypt, message",
+    [("sym_decrypt", "wrong key or tampered ciphertext"), ("ecies_decrypt", "wrong key or tampered onion layer")],
+)
+def test_first_failing_decrypt_raises_authentication_error(decrypt, message):
+    """A process whose first AES call is a decryption under the wrong key
+    loads the binding there and reports AuthenticationError, caused by
+    InvalidTag, with the message the function always gave."""
+    rng = Random(3)
+    if decrypt == "sym_decrypt":
+        wrong_key, blob = crypto.new_secret_key(rng), crypto.sym_encrypt(crypto.new_secret_key(rng), b"info", rng)
+    else:
+        wrong_key = crypto.keypair_gen(rng).privkey
+        blob = crypto.ecies_encrypt(crypto.keypair_gen(rng).pubkey, b"share", rng)
+    assert _fresh_python(FIRST_DECRYPT, decrypt, wrong_key.hex(), blob.hex()).splitlines() == [message, "InvalidTag"]
 
 
 def _read_csv(path):
