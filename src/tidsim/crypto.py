@@ -954,29 +954,87 @@ def _draw_nonce(rng: Random) -> bytes:
     return rng.getrandbits(8 * _NONCE_SIZE).to_bytes(_NONCE_SIZE, "big")
 
 
-@functools.cache
-def _aesgcm():
-    """cryptography's AESGCM and InvalidTag, imported on the first encryption
-    or decryption: the binding, a Rust extension with its own OpenSSL, would
-    add about 6 MiB of RSS to every process that never encrypts."""
-    from cryptography.exceptions import InvalidTag
-    from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+_TAG_SIZE = 16
+_EVP_CTRL_GCM_GET_TAG = 0x10
+_EVP_CTRL_GCM_SET_TAG = 0x11
 
-    return AESGCM, InvalidTag
+
+@functools.cache
+def _gcm():
+    """AES-256-GCM's seal and open, bound with ctypes on the first encryption
+    or decryption to OpenSSL's EVP interface in the libcrypto that hashlib's
+    _hashlib extension has already mapped, so no second copy of OpenSSL is
+    loaded. One encryption and one decryption context are each initialised
+    once with the cipher, so a call sets only the key and the IV. They are
+    process state, like _memo: the simulator is single-threaded. The
+    functions keep ctypes' default int arguments and result, which are
+    cheaper per call than declared argtypes, so every pointer is passed as
+    a c_void_p, bytes or ctypes object, never as a bare int."""
+    import ctypes
+
+    ptr = ctypes.c_void_p
+    try:
+        import _hashlib
+
+        lib = ctypes.CDLL(_hashlib.__file__)
+        new_ctx, aes_256_gcm, ctrl = lib.EVP_CIPHER_CTX_new, lib.EVP_aes_256_gcm, lib.EVP_CIPHER_CTX_ctrl
+        enc_init, enc_update, enc_final = lib.EVP_EncryptInit_ex, lib.EVP_EncryptUpdate, lib.EVP_EncryptFinal_ex
+        dec_init, dec_update, dec_final = lib.EVP_DecryptInit_ex, lib.EVP_DecryptUpdate, lib.EVP_DecryptFinal_ex
+    except (ImportError, OSError, AttributeError) as exc:
+        raise CryptoError(f"AES-GCM needs OpenSSL's EVP interface through hashlib's _hashlib: {exc}") from None
+
+    def failed(name: str):
+        raise CryptoError(f"OpenSSL {name} failed")
+
+    new_ctx.restype = aes_256_gcm.restype = ptr
+    cipher, enc, dec = aes_256_gcm(), new_ctx(), new_ctx()
+    if not (cipher and enc and dec):
+        failed("EVP_aes_256_gcm or EVP_CIPHER_CTX_new")
+    cipher, enc, dec = ptr(cipher), ptr(enc), ptr(dec)
+    if enc_init(enc, cipher, None, None, None) != 1:
+        failed("EVP_EncryptInit_ex")
+    if dec_init(dec, cipher, None, None, None) != 1:
+        failed("EVP_DecryptInit_ex")
+    buffer, byref = ctypes.create_string_buffer, ctypes.byref
+    outl = byref(ctypes.c_int())
+
+    def seal(key: bytes, nonce: bytes, plaintext: bytes) -> bytes:
+        n = len(plaintext)
+        out = buffer(n + _TAG_SIZE)
+        if enc_init(enc, None, None, key, nonce) != 1:
+            failed("EVP_EncryptInit_ex")
+        if enc_update(enc, out, outl, plaintext, n) != 1:
+            failed("EVP_EncryptUpdate")
+        if enc_final(enc, None, outl) != 1:
+            failed("EVP_EncryptFinal_ex")
+        if ctrl(enc, _EVP_CTRL_GCM_GET_TAG, _TAG_SIZE, byref(out, n)) != 1:
+            failed("EVP_CIPHER_CTX_ctrl")
+        return nonce + out.raw
+
+    def open_(key: bytes, sealed: bytes, failure: str) -> bytes:
+        n = len(sealed) - _NONCE_SIZE - _TAG_SIZE
+        out = buffer(n)
+        if dec_init(dec, None, None, key, sealed[:_NONCE_SIZE]) != 1:
+            failed("EVP_DecryptInit_ex")
+        if dec_update(dec, out, outl, sealed[_NONCE_SIZE:-_TAG_SIZE], n) != 1:
+            failed("EVP_DecryptUpdate")
+        if ctrl(dec, _EVP_CTRL_GCM_SET_TAG, _TAG_SIZE, sealed[-_TAG_SIZE:]) != 1:
+            failed("EVP_CIPHER_CTX_ctrl")
+        if dec_final(dec, None, outl) != 1:
+            raise AuthenticationError(failure)
+        return out.raw
+
+    return seal, open_
 
 
 def _seal(key: bytes, nonce: bytes, plaintext: bytes) -> bytes:
     """nonce || the AES-GCM ciphertext+tag of plaintext under key."""
-    return nonce + _aesgcm()[0](key).encrypt(nonce, plaintext, None)
+    return _gcm()[0](key, nonce, plaintext)
 
 
 def _open(key: bytes, sealed: bytes, failure: str) -> bytes:
     """The plaintext of a _seal output; a failed tag raises AuthenticationError(failure)."""
-    aesgcm, invalid_tag = _aesgcm()
-    try:
-        return aesgcm(key).decrypt(sealed[:_NONCE_SIZE], sealed[_NONCE_SIZE:], None)
-    except invalid_tag as exc:
-        raise AuthenticationError(failure) from exc
+    return _gcm()[1](key, sealed, failure)
 
 
 def sym_encrypt(key: bytes, plaintext: bytes, rng: Random) -> bytes:

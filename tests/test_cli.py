@@ -14,7 +14,10 @@ import pytest
 
 import tidsim
 from tidsim import crypto
+from tidsim.adversary import run_bribery
+from tidsim.analysis import availability as availability_of, bribery_cost, sybil_min_deposit
 from tidsim.cli import main, parse_range
+from tidsim.ledger import WEI_PER_ETHER
 from tidsim.scenario import ConfigError, ScenarioConfig, ScenarioTrace, run_scenario
 
 from conftest import numpy_pin_note
@@ -305,6 +308,56 @@ class TestSweep:
         _, best_x = min(costed)
         assert abs(best_x - 200) <= 60
 
+    @pytest.mark.parametrize("availability", [None, 0.9], ids=["default", "a_t_0.9"])
+    def test_l_sweep_rows(self, tmp_path, capsys, availability):
+        argv = ["sweep", "--sweep-axis", "l", "--sweep-range", "1:4:1", "--format", "jsonl"]
+        config = ScenarioConfig()
+        if availability is not None:
+            config = ScenarioConfig(availability=availability)
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"availability": availability}))
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 0
+        rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [row["l"] for row in rows] == [1, 2, 3, 4]
+        closed = [row["availability_closed"] for row in rows]
+        assert closed == sorted(closed, reverse=True)
+        if availability is not None:
+            assert len(set(closed)) == 4
+        d = config.deposit_wei / WEI_PER_ETHER
+        for row in rows:
+            l = row["l"]
+            assert row["availability_closed"] == availability_of(l, config.t, config.n, config.availability)
+            assert row["bribery_cost"] == bribery_cost(config.t, l, d)
+            assert (row["sybil_min_deposit"] is None) == (l == 1)
+            if l > 1:
+                assert row["sybil_min_deposit"] == sybil_min_deposit(l, config.pool_size, d)
+
+    def test_bribe_sweep_rows_are_run_bribery_outcomes(self, tmp_path, capsys):
+        fields = {"seed": 7, "pool_size": 6, "l": 2, "t": 2, "n": 4}
+        fields["fault_policies"] = {str(i): "briberable" for i in range(6)}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(fields))
+        bribes = [0.5, 1.0, 1.01, 3.0]
+        argv = ["sweep", "--config", str(cfg), "--sweep-axis", "bribe", "--format", "jsonl"]
+        assert main(argv + ["--sweep-range", ",".join(map(str, bribes))]) == 0
+        rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        config = ScenarioConfig.from_json_file(str(cfg))
+        d = config.deposit_wei / WEI_PER_ETHER
+        assert [row["bribe_eth"] for row in rows] == bribes
+        for row, bribe in zip(rows, bribes):
+            outcome = run_bribery(config, int(bribe * WEI_PER_ETHER))
+            assert row == {
+                "bribe_eth": bribe,
+                "key_recovered": outcome.key_recovered,
+                "shares_obtained": outcome.shares_obtained,
+                "total_spent_eth": outcome.total_spent / WEI_PER_ETHER,
+                "deposits_forfeited_eth": outcome.deposits_forfeited / WEI_PER_ETHER,
+                "analytic_bound": bribery_cost(config.t, config.l, d),
+            }
+        # bribes at or below the deposit buy nothing; above it they restore the key
+        assert [row["key_recovered"] for row in rows] == [False, False, True, True]
+
 
 class TestAnalyze:
     def test_availability(self, capsys):
@@ -477,10 +530,16 @@ COLD_START = """
 import contextlib, io, json, sys
 from random import Random
 import tidsim, tidsim.cli
-from tidsim.crypto import _base_table
+from tidsim.crypto import _base_table, _gcm
+assert "ctypes" not in sys.modules
 seen = []
 def look():
-    seen.append(["numpy" in sys.modules, _base_table.cache_info().currsize, "cryptography" in sys.modules])
+    seen.append([
+        "numpy" in sys.modules,
+        _base_table.cache_info().currsize,
+        _gcm.cache_info().currsize,
+        "cryptography" in sys.modules,
+    ])
 look()
 with contextlib.redirect_stdout(io.StringIO()) as out:
     assert tidsim.cli.main(["analyze", "availability", "3", "4", "10", "0.95"]) == 0
@@ -494,7 +553,12 @@ tidsim.keypair_gen(Random(0))
 look()
 tidsim.availability_mc(3, 4, 10, 0.9, 100)
 look()
-tidsim.crypto.sym_encrypt(bytes(32), b"first encryption", Random(0))
+key = tidsim.crypto.new_secret_key(Random(1))
+blob = tidsim.crypto.sym_encrypt(key, b"first encryption", Random(0))
+look()
+assert tidsim.crypto.sym_decrypt(key, blob) == b"first encryption"
+with contextlib.redirect_stdout(io.StringIO()):
+    assert tidsim.cli.main(["run"]) == 0
 look()
 print(json.dumps(seen))
 """
@@ -510,30 +574,32 @@ def _fresh_python(code, *args):
 
 
 def test_import_loads_numpy_and_base_table_on_first_use():
-    """A fresh interpreter importing tidsim and its CLI loads no numpy, reads
-    no k * G table and loads no AES-GCM binding, nor does `tidsim analyze`
-    or an l sweep; the first Monte Carlo (the x sweep) loads numpy, a key
-    pair reads the table, and only the first encryption loads the binding."""
+    """A fresh interpreter importing tidsim and its CLI loads no numpy and
+    no ctypes, reads no k * G table and binds no AES-GCM, nor does `tidsim
+    analyze` or an l sweep; the first Monte Carlo (the x sweep) loads numpy,
+    a key pair reads the table, and only the first encryption binds AES-GCM,
+    through the OpenSSL hashlib already maps. No step, a whole `tidsim run`
+    included, loads `cryptography`."""
     assert json.loads(_fresh_python(COLD_START)) == [
-        [False, 0, False],  # import tidsim, tidsim.cli
-        [False, 0, False],  # analyze availability
-        [False, 0, False],  # sweep l
-        [True, 0, False],  # sweep x
-        [True, 0, False],  # sweep A_T
-        [True, 1, False],  # keypair_gen
-        [True, 1, False],  # availability_mc
-        [True, 1, True],  # sym_encrypt
+        [False, 0, 0, False],  # import tidsim, tidsim.cli
+        [False, 0, 0, False],  # analyze availability
+        [False, 0, 0, False],  # sweep l
+        [True, 0, 0, False],  # sweep x
+        [True, 0, 0, False],  # sweep A_T
+        [True, 1, 0, False],  # keypair_gen
+        [True, 1, 0, False],  # availability_mc
+        [True, 1, 1, False],  # sym_encrypt
+        [True, 1, 1, False],  # sym_decrypt, then tidsim run
     ]
 
 
 FIRST_DECRYPT = """
 import sys
 from tidsim import crypto
-assert "cryptography" not in sys.modules
 try:
     getattr(crypto, sys.argv[1])(bytes.fromhex(sys.argv[2]), bytes.fromhex(sys.argv[3]))
 except crypto.AuthenticationError as exc:
-    print(exc, type(exc.__cause__).__name__, sep="\\n")
+    print(exc, crypto._gcm.cache_info().currsize, "cryptography" in sys.modules, sep="\\n")
 """
 
 
@@ -543,15 +609,15 @@ except crypto.AuthenticationError as exc:
 )
 def test_first_failing_decrypt_raises_authentication_error(decrypt, message):
     """A process whose first AES call is a decryption under the wrong key
-    loads the binding there and reports AuthenticationError, caused by
-    InvalidTag, with the message the function always gave."""
+    binds AES-GCM there and reports AuthenticationError with the message
+    the function always gave, without loading `cryptography`."""
     rng = Random(3)
     if decrypt == "sym_decrypt":
         wrong_key, blob = crypto.new_secret_key(rng), crypto.sym_encrypt(crypto.new_secret_key(rng), b"info", rng)
     else:
         wrong_key = crypto.keypair_gen(rng).privkey
         blob = crypto.ecies_encrypt(crypto.keypair_gen(rng).pubkey, b"share", rng)
-    assert _fresh_python(FIRST_DECRYPT, decrypt, wrong_key.hex(), blob.hex()).splitlines() == [message, "InvalidTag"]
+    assert _fresh_python(FIRST_DECRYPT, decrypt, wrong_key.hex(), blob.hex()).splitlines() == [message, "1", "False"]
 
 
 def _read_csv(path):

@@ -7,6 +7,7 @@ interpolation path.
 
 import collections
 import contextlib
+import ctypes
 import functools
 import gc
 import hashlib
@@ -365,6 +366,143 @@ class TestEcies:
         blob = ecies_encrypt(kp.pubkey, b"layer data", rng)
         with pytest.raises(AuthenticationError):
             ecies_decrypt(other.privkey, blob)
+
+
+@pytest.fixture
+def fresh_gcm():
+    """A cleared _gcm cache before and after the test, so the next seal or
+    open binds OpenSSL again."""
+    crypto._gcm.cache_clear()
+    yield
+    crypto._gcm.cache_clear()
+
+
+class FakeEvp:
+    """A stand-in libcrypto whose int-returning EVP calls all succeed except
+    the one named `failing`, which returns 0."""
+
+    def __init__(self, failing):
+        for name in ["EVP_CIPHER_CTX_new", "EVP_aes_256_gcm", "EVP_CIPHER_CTX_ctrl"] + [
+            f"EVP_{op}{step}" for op in ("Encrypt", "Decrypt") for step in ("Init_ex", "Update", "Final_ex")
+        ]:
+            result = 0 if name == failing else 1
+            setattr(self, name, lambda *args, result=result: result)
+
+
+class TestAesGcm:
+    """The ctypes binding of OpenSSL's AES-256-GCM (crypto._gcm) against the
+    GCM specification's test cases, tampering, sizes and an independent
+    implementation. A sealed blob is nonce (12) || ciphertext || tag (16)."""
+
+    # McGrew and Viega, "The Galois/Counter Mode of Operation", test cases
+    # 13 and 14: K = 0^256, IV = 0^96, P empty and P = 0^128, no AAD
+    @pytest.mark.parametrize(
+        "plaintext, sealed",
+        [
+            (b"", "530f8afbc74536b9a963b4f1c4cb738b"),
+            (bytes(16), "cea7403d4d606b6e074ec5d3baf39d18d0d1c8a799996bf0265b98b5d48ab919"),
+        ],
+        ids=["case_13", "case_14"],
+    )
+    def test_gcm_spec_vectors(self, plaintext, sealed):
+        key, iv = bytes(32), bytes(12)
+        assert crypto._seal(key, iv, plaintext) == iv + bytes.fromhex(sealed)
+        assert crypto._open(key, iv + bytes.fromhex(sealed), "unused") == plaintext
+
+    def test_every_flipped_byte_fails_with_the_same_message(self):
+        rng = Random(25)
+        key = new_secret_key(rng)
+        blob = sym_encrypt(key, b"the pending information", rng)
+        for i in range(len(blob)):
+            tampered = bytearray(blob)
+            tampered[i] ^= 1 << rng.randrange(8)
+            with pytest.raises(AuthenticationError, match="^wrong key or tampered ciphertext$"):
+                sym_decrypt(key, bytes(tampered))
+        assert sym_decrypt(key, blob) == b"the pending information"
+
+    def test_every_flipped_layer_byte_fails_with_the_same_message(self):
+        # past the ephemeral point, whose damage fails the curve check first
+        rng = Random(26)
+        kp = keypair_gen(rng)
+        blob = ecies_encrypt(kp.pubkey, b"share", rng)
+        for i in range(64, len(blob)):
+            tampered = bytearray(blob)
+            tampered[i] ^= 0x80
+            with pytest.raises(AuthenticationError, match="^wrong key or tampered onion layer$"):
+                ecies_decrypt(kp.privkey, bytes(tampered))
+
+    def test_wrong_key_fails_with_the_same_message(self):
+        rng = Random(27)
+        blob = sym_encrypt(new_secret_key(rng), b"secret", rng)
+        for _ in range(20):
+            with pytest.raises(AuthenticationError, match="^wrong key or tampered ciphertext$"):
+                sym_decrypt(new_secret_key(rng), blob)
+
+    @pytest.mark.parametrize("size", [0, 1, 15, 16, 17, 4095, 4096, 4097, 65_537])
+    def test_sizes_round_trip(self, size):
+        rng = Random(size)
+        key, plaintext = new_secret_key(rng), rng.randbytes(size)
+        blob = sym_encrypt(key, plaintext, rng)
+        assert len(blob) == 12 + size + 16
+        assert sym_decrypt(key, blob) == plaintext
+
+    def test_failed_open_leaves_the_context_usable(self):
+        rng = Random(28)
+        key = new_secret_key(rng)
+        blob = sym_encrypt(key, b"after a failure", rng)
+        with pytest.raises(AuthenticationError):
+            sym_decrypt(new_secret_key(rng), blob)
+        assert sym_decrypt(key, blob) == b"after a failure"
+        assert sym_decrypt(key, sym_encrypt(key, b"", rng)) == b""
+
+    def test_matches_an_independent_aes_gcm(self):
+        aead = pytest.importorskip("cryptography.hazmat.primitives.ciphers.aead")
+        rng = Random(29)
+        for _ in range(500):
+            key, nonce = rng.randbytes(32), rng.randbytes(12)
+            plaintext = rng.randbytes(rng.choice([rng.randrange(64), rng.randrange(3000)]))
+            sealed = crypto._seal(key, nonce, plaintext)
+            assert sealed == nonce + aead.AESGCM(key).encrypt(nonce, plaintext, None)
+            assert crypto._open(key, sealed, "unused") == plaintext
+
+    def test_missing_hashlib_binding_raises_crypto_error(self, fresh_gcm, monkeypatch):
+        monkeypatch.setitem(sys.modules, "_hashlib", None)
+        with pytest.raises(CryptoError, match="_hashlib") as info:
+            sym_encrypt(bytes(32), b"x", Random(0))
+        assert type(info.value) is CryptoError
+
+    def test_missing_symbol_raises_crypto_error_naming_it(self, fresh_gcm, monkeypatch):
+        monkeypatch.setattr(ctypes, "CDLL", lambda path: object())
+        with pytest.raises(CryptoError, match="EVP_CIPHER_CTX_new"):
+            sym_encrypt(bytes(32), b"x", Random(0))
+
+    @pytest.mark.parametrize(
+        "failing, call",
+        [
+            ("EVP_aes_256_gcm", "encrypt"),
+            ("EVP_CIPHER_CTX_new", "encrypt"),
+            ("EVP_EncryptInit_ex", "encrypt"),
+            ("EVP_EncryptUpdate", "encrypt"),
+            ("EVP_EncryptFinal_ex", "encrypt"),
+            ("EVP_CIPHER_CTX_ctrl", "encrypt"),
+            ("EVP_DecryptInit_ex", "decrypt"),
+            ("EVP_DecryptUpdate", "decrypt"),
+            ("EVP_CIPHER_CTX_ctrl", "decrypt"),
+        ],
+    )
+    def test_evp_failure_raises_crypto_error_naming_it(self, fresh_gcm, monkeypatch, failing, call):
+        monkeypatch.setattr(ctypes, "CDLL", lambda path: FakeEvp(failing))
+        with pytest.raises(CryptoError, match=failing) as info:
+            if call == "encrypt":
+                sym_encrypt(bytes(32), b"x", Random(0))
+            else:
+                sym_decrypt(bytes(32), bytes(29))
+        assert type(info.value) is CryptoError
+
+    def test_failed_final_is_an_authentication_error(self, fresh_gcm, monkeypatch):
+        monkeypatch.setattr(ctypes, "CDLL", lambda path: FakeEvp("EVP_DecryptFinal_ex"))
+        with pytest.raises(AuthenticationError, match="^wrong key or tampered ciphertext$"):
+            sym_decrypt(bytes(32), bytes(29))
 
 
 class TestSecretSharing:
