@@ -27,6 +27,7 @@ import math
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import groupby, islice
 from typing import Any, Callable, Iterator, Optional
 
@@ -285,8 +286,11 @@ class TxReceipt:
     error: Optional[str] = None
     events: list = field(default_factory=list)
 
-    def to_record(self, include_caller: bool = True) -> dict:
-        rec = {
+    @cached_property
+    def record(self) -> dict:
+        """This receipt's trace record, built on first read and then kept:
+        a run's pre-settlement snapshot and its final trace read the same one."""
+        return {
             "type": "receipt",
             "seq": self.seq,
             "tick": self.tick,
@@ -299,10 +303,14 @@ class TxReceipt:
             "success": self.success,
             "error": self.error,
             "events": self.events,
+            "caller": self.caller.hex(),
         }
-        if include_caller:
-            rec["caller"] = self.caller.hex()
-        return rec
+
+    def to_record(self, include_caller: bool = True) -> dict:
+        """`record` itself, which every caller shares and none may modify;
+        without `caller`, a new dict of its other entries."""
+        record = self.record
+        return record if include_caller else {k: v for k, v in record.items() if k != "caller"}
 
 
 class TxContext:
@@ -687,14 +695,18 @@ class Ledger:
         return sum(r.gas_used for r in self.receipts)
 
     def onchain_state(self, include_callers: bool = True) -> dict:
+        """A snapshot of the chain: each contract's state as a `state_dump`
+        copy, which later transactions leave as it is, and each receipt's
+        record as `TxReceipt.to_record` gives it."""
         return {
             "contracts": {addr.hex(): c.state_dump() for addr, c in sorted(self.contracts.items())},
             "receipts": [r.to_record(include_caller=include_callers) for r in self.receipts],
         }
 
     def state_digest(self, state: dict) -> bytes:
-        """Hash of `state`, a dump built by onchain_state: the caller keeps
-        the dump it hashes, so neither is built twice."""
+        """json_digest of `state`, a document shaped as onchain_state's: that
+        snapshot, or one that holds each contract's live `state`, which
+        holds no bytes and so hashes as its state_dump copy would."""
         return json_digest(state)
 
 
@@ -702,8 +714,8 @@ class Ledger:
 # block of entries at a time, so no piece holds more than a block's JSON.
 _BLOCK = 64
 # How many dict levels down json_pieces looks for such a container: a run's
-# state dump holds the registry's mailmen at the third (contracts, the
-# registry's dump, mailmen). A level looked through costs every document a
+# state document holds the registry's mailmen at the third (contracts, the
+# registry's state, mailmen). A level looked through costs every document a
 # little time but makes no more pieces.
 _DEPTH = 3
 _encode = json.JSONEncoder(sort_keys=True).encode

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from itertools import chain
 from random import Random
 from typing import Iterator, Optional
@@ -252,8 +253,12 @@ class ScenarioTrace:
     shares_recovered_light: int
     info_delivered: bool
     pre_settlement_state: dict
-    pre_settlement_digest: str
     final_digest: str
+
+    @cached_property
+    def pre_settlement_digest(self) -> str:
+        """Hex hash of pre_settlement_state, computed on first read."""
+        return json_digest(self.pre_settlement_state).hex()
 
     def trace_hash(self) -> str:
         return json_digest(
@@ -449,11 +454,10 @@ class ScenarioRunner:
             else:
                 self._run_silent()
             pre_state = self.ledger.onchain_state(include_callers=False)
-            pre_digest = self.ledger.state_digest(pre_state)
             if self.config.withdraw_at_end:
                 self._settlement_phase()
             self.ledger.audit()
-            return self._build_trace(pre_state, pre_digest)
+            return self._build_trace(pre_state)
 
     def _run_silent(self):
         cfg = self.config
@@ -769,7 +773,7 @@ class ScenarioRunner:
 
     # -- trace --------------------------------------------------------------------
 
-    def _build_trace(self, pre_state, pre_digest) -> ScenarioTrace:
+    def _build_trace(self, pre_state) -> ScenarioTrace:
         cfg = self.config
         svc = self._service()
 
@@ -786,13 +790,16 @@ class ScenarioRunner:
             self.recipient.info == self.sender.info
             and self.recipient.info is not None
         )
-        final_state = self.ledger.onchain_state()
+        receipts = [r.to_record() for r in self.ledger.receipts]
+        # the final digest reads the live states, not state_dump copies: they
+        # hold no bytes, so they hash the same
+        contracts = {addr.hex(): c.state for addr, c in self.ledger.contracts.items()}
         return ScenarioTrace(
             config=cfg.to_dict(),
             mode=cfg.mode,
             status=svc["status"],
             epoch_sequence=[e for _, e in svc.get("epoch_history", [])],
-            receipts=final_state["receipts"],
+            receipts=receipts,
             messages=self.bus.meta_records(),
             slashes=svc["slashes"],
             selected=selected,
@@ -804,8 +811,7 @@ class ScenarioRunner:
             shares_recovered_light=self.shares_light,
             info_delivered=delivered,
             pre_settlement_state=pre_state,
-            pre_settlement_digest=pre_digest.hex(),
-            final_digest=self.ledger.state_digest(final_state).hex(),
+            final_digest=self.ledger.state_digest({"contracts": contracts, "receipts": receipts}).hex(),
         )
 
 

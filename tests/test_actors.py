@@ -791,11 +791,22 @@ class TestSecrecy:
         assert a.selected != b.selected
         assert a.pre_settlement_digest == b.pre_settlement_digest
 
-    def test_pre_settlement_digest_hashes_the_recorded_state(self):
-        # settlement runs after the checkpoint and must not reach into its dump
+    def test_pre_settlement_digest_hashes_the_recorded_state(self, monkeypatch):
+        # settlement runs after the checkpoint and must not reach into its
+        # dump: the digest, computed when read, is the chain's before settlement
+        settle = ScenarioRunner._settlement_phase
+        before = []
+
+        def hashing_first(runner):
+            state = runner.ledger.onchain_state(include_callers=False)
+            before.append(hash256(json.dumps(state, sort_keys=True).encode()))
+            settle(runner)
+
+        monkeypatch.setattr(ScenarioRunner, "_settlement_phase", hashing_first)
         trace = run_scenario(ScenarioConfig(seed=16, pool_size=6, l=2, t=2, n=4))
         blob = json.dumps(trace.pre_settlement_state, sort_keys=True).encode()
-        assert trace.pre_settlement_digest == hash256(blob).hex()
+        assert trace.pre_settlement_digest == hash256(blob).hex() == before[0].hex()
+        assert len(trace.receipts) > len(trace.pre_settlement_state["receipts"])
 
     def test_strawman_leaks_selection(self):
         base = dict(seed=16, pool_size=12, l=1, t=4, n=10, mode=MODE_STRAWMAN, withdraw_at_end=False)

@@ -642,6 +642,102 @@ class TestSettlement:
         world.ledger.audit()
 
 
+class TestAgreementGuards:
+    """Each of proveAgreement's seven guards reverts the whole call: the chain keeps
+    its state but for the reverted call's own receipt, and every balance
+    but the gas its caller pays."""
+
+    @staticmethod
+    def _assert_proof_reverts(world, svc, caller, agreement, error):
+        ledger = world.ledger
+        before = ledger.onchain_state()
+        balances = {addr: account.balance for addr, account in ledger.accounts.items()}
+        receipt = ledger.submit_tx(
+            caller.address,
+            world.agent.address,
+            FN_PROVE_AGREEMENT,
+            {"switch_addr": svc.switch.address, **agreement},
+        )
+        assert (receipt.success, receipt.error) == (False, error)
+        after = ledger.onchain_state()
+        assert after["receipts"].pop() == receipt.to_record()
+        assert ledger.state_digest(after) == ledger.state_digest(before)
+        balances[caller.address] -= receipt.gas_used * ledger.schedule.wei_per_gas
+        assert {addr: account.balance for addr, account in ledger.accounts.items()} == balances
+        ledger.audit()
+
+    @staticmethod
+    def _delivered_light(world):
+        svc = open_service(world)
+        TestSettlement._deliver_light(world, svc)
+        return svc
+
+    @pytest.mark.parametrize("settle", [False, True], ids=["pending", "failed"])
+    def test_proof_outside_settled_light_delivery_reverts(self, world, settle):
+        svc = open_service(world)
+        if settle:
+            world.ledger.advance_time(world.timeframe_tick + 3)  # 0->1->2->6 failed
+            assert world.agent.state["services"][svc.sid]["epoch"] == 6
+        m = world.mailmen[0]
+        self._assert_proof_reverts(
+            world, svc, m, make_agreement(world, svc, 1, m),
+            "agreement proofs are for settled lightweight deliveries",
+        )
+
+    def test_another_mailmans_agreement_reverts(self, world):
+        svc = self._delivered_light(world)
+        agreement = make_agreement(world, svc, 1, world.mailmen[1])
+        self._assert_proof_reverts(
+            world, svc, world.mailmen[0], agreement, "agreement belongs to a different mailman"
+        )
+
+    @pytest.mark.parametrize("index", [0, 5])
+    def test_index_out_of_range_reverts(self, world, index):
+        svc = self._delivered_light(world)
+        m = world.mailmen[0]
+        self._assert_proof_reverts(
+            world, svc, m, make_agreement(world, svc, index, m), "agreement index out of range"
+        )
+
+    @pytest.mark.parametrize("field", ["vrs_m", "vrs_s"])
+    def test_malformed_signature_reverts(self, world, field):
+        svc = self._delivered_light(world)
+        m = world.mailmen[0]
+        agreement = make_agreement(world, svc, 1, m)
+        agreement[field] = Signature(2, 1, 1)
+        self._assert_proof_reverts(
+            world, svc, m, agreement, "agreement signature invalid: malformed signature"
+        )
+
+    def test_unregistered_signer_reverts(self, world):
+        svc = self._delivered_light(world)
+        outsider = SimpleNamespace(keypair=keypair_gen(Random(7)))
+        agreement = make_agreement(world, svc, 1, outsider)
+        self._assert_proof_reverts(
+            world, svc, world.mailmen[0], agreement, "agreement names an unregistered mailman"
+        )
+
+    def test_index_proven_twice_reverts(self, world):
+        svc = self._delivered_light(world)
+        m = world.mailmen[0]
+        assert TestSettlement._prove(world, svc, 1, m).success
+        self._assert_proof_reverts(
+            world, svc, m, make_agreement(world, svc, 1, m), "index already proven"
+        )
+
+    def test_countersignature_by_another_party_reverts(self, world):
+        svc = self._delivered_light(world)
+        m = world.mailmen[0]
+        agreement = make_agreement(world, svc, 1, m)
+        agreement["vrs_s"] = sign(
+            world.recipient.keypair.privkey,
+            agreement_digest_sender(svc.switch.address, 1, agreement["vrs_m"]),
+        )
+        self._assert_proof_reverts(
+            world, svc, m, agreement, "agreement not countersigned by the service sender"
+        )
+
+
 class TestStrawman:
     def _setup(self, world, n=4, t=2, rem=ETHER // 2):
         ledger = world.ledger

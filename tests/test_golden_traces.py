@@ -15,14 +15,18 @@ n=50 withheld into heavyweight, n=50 with loss and availability below 1,
 n=200 light and n=400 light) pin the paths whose cost grows with n, such
 as each courier's trial peel, bundle decoding and agreement proof at
 settlement. A speed-up that changes one byte of any of these runs fails
-here.
+here. Each case also pins its pre_settlement_digest, which the trace hash
+leaves out, and runs once more to check that its live contract state stays
+JSON-ready after every transaction, as the final digest, which hashes that
+state in place of a copy, requires.
 """
 
 import hashlib
 
 import pytest
 
-from tidsim.scenario import ScenarioConfig, run_scenario
+from tidsim.ledger import Ledger, json_digest
+from tidsim.scenario import ScenarioConfig, ScenarioRunner, run_scenario
 
 GOLDEN = [
     (
@@ -227,10 +231,95 @@ GOLDEN = [
 ]
 
 
+# Each case's pre_settlement_digest: the hash of the chain as the run left it
+# before settlement (contracts and caller-free receipts), which the trace hash
+# does not cover. The trace computes it on first read, so a settlement that
+# wrote into the snapshot would change it here.
+PRE_SETTLEMENT = {
+    "silent_light": "2b37d789556cabff4b614cc92271bb6a3f0d913d2d01b6ad231def2a088a3570",
+    "full_depth_light": "05eef461ff3027032565974cd41bf8aa387670f14c336ce0a700863e49557408",
+    "single_layer_light": "78d921889d28ba0adc25e0010aab388e3161d2ccb3f662077a200e10a3aac1b5",
+    "premature_heavy": "a86ffae37da41aa6fac6e1d95ff437d071ec92d087d305e3f5e50ece6a3d8b24",
+    "full_depth_heavy": "bbd46e10fcc0e4b09d0be7b22647d442b89be8ef7f21d4a0352307c8d46040be",
+    "fake_heavy": "e23852d362a92940a4d8d75ca284dda549a66532a467bbda929154cc7411b700",
+    "fake_failed": "10125c4aa903969ebce8d45e48a8b522896d1120f939751646629c070f8d5018",
+    "absent_heavy": "f7542fa3a0494f61483ecfcd043080d02362bc272a574e8bdd9a0c497dfe0dfa",
+    "withhold_light": "a61f831896df259db8bc4f7e5d014e8b6df79bf01a0154354dba9630b50a779c",
+    "strawman": "f8e32b80d811579b365c63fa2463cead4b64c401c63c0722a21aa10859a3c3cb",
+    "strawman_premature": "3ba51703c8b84bff0cc085be64b536e0698c054269e884eca466400c522b30bf",
+    "strawman_fake_absent": "fd7351175bc87927aaec6d6a87642f3c4a40240240b6d4b564337e0c4a1c2186",
+    "strawman_failed": "a40970c8c77ece82c55ecd18e44a6a289296145e685e3fb090f811c3511a4b1a",
+    "strawman_offline_slow": "7b4a281b7983dd3239031910fd4d4bb51646d54a2f6b22a2b6366d32bcc15383",
+    "strawman_no_withdraw": "277b402529bdec8ee18c0b5d4df50af48f94453e494e7636d2a1b6272a93616b",
+    "strawman_lossy_failed": "236b9d7779e7dab5a7517521b0d61fc00f06217eaea713a2e5e3eb7a07502c32",
+    "strawman_lossy_heavy": "c6eecc59b847a650686f2be7858199c9ea27cfb736e5134992e0479c737b34d4",
+    "lossy_light": "cdfd26a5963f1d864e0ef9e16b4c2f85aaa30686505e270d96f972ed186c3efa",
+    "lossy_heavy": "bea53dec53b423ab6c58bd67c77e43b2f36f434a2a029e8627c906557923a792",
+    "tamper_package": "5c9e05229ff27da13a4935abc713b400f9ce2c403a021e4197b8144a337a3ec5",
+    "refusals": "48c42f4a2911337ab7cc9925e52ef048262c98c84bf5ffb3f57e0b7c2ded2752",
+    "slow_epochs_heavy": "0dab68d2a9210e4b21d36ad719f799afb9b9b8541a1ba5b9fa9a3a3873ab3a4a",
+    "offline": "14d24fab202a97632555cf8e28435511c43afc4d7f44e334d21a6048f1da1935",
+    "silent_no_withdraw": "4a651e860345e2800c799e7f60b246f44f591fd282ad63f0a8a3533715d19753",
+    "withhold_light_delivered": "1bb000bcb77174d86151ae27c6d67846fc400c50a41156e7d73483b57f1ec16d",
+    "large_registry_heavy": "4e08e921e49bba236a42eab7fdc1c853e24227616737ad8d03f4c9b6724be1f7",
+    "light_n50": "172d350db1e287539d0f17b6aff7ccacc012750a4ed7a6d396288a6080303636",
+    "withhold_heavy_n50": "10e07a3c9232988ec200235cf777078b64309581fcb0ae4add9a7d185a40c27f",
+    "lossy_offline_n50": "d0bdbff492ce10d8bed8e199aa14fd4e39355a04674b7020beee54d75d878ed7",
+    "light_n200": "54ab88d2243284921b88845aa036c12f901a4e5702ce57202b84b90a4717c0d5",
+    "light_n400": "1e9f9e7e68bcbf06f9d2eb38b92a816758604a6a8e27af9a1dd1175538558827",
+}
+
+
+def test_every_case_pins_its_pre_settlement_digest():
+    assert list(PRE_SETTLEMENT) == [case[0] for case in GOLDEN]
+
+
 @pytest.mark.parametrize("name, config, status, digest", GOLDEN, ids=[case[0] for case in GOLDEN])
 def test_golden_trace_hash(name, config, status, digest):
     trace = run_scenario(ScenarioConfig(**config))
     assert trace.status == status
+    assert trace.trace_hash() == digest
+    assert trace.pre_settlement_digest == PRE_SETTLEMENT[name]
+
+
+def _assert_json_ready(value):
+    """`value` holds only str-keyed dicts, lists, str, int, bool and None."""
+    if isinstance(value, dict):
+        for key, inner in value.items():
+            assert type(key) is str, key
+            _assert_json_ready(inner)
+    elif isinstance(value, list):
+        for inner in value:
+            _assert_json_ready(inner)
+    else:
+        assert value is None or type(value) in (str, int, bool), value
+
+
+def _assert_live_state_json_ready(ledger):
+    for contract in ledger.contracts.values():
+        _assert_json_ready(contract.state)
+        assert json_digest(contract.state) == json_digest(contract.state_dump())
+
+
+@pytest.mark.parametrize("name, config, status, digest", GOLDEN, ids=[case[0] for case in GOLDEN])
+def test_live_state_is_json_ready(monkeypatch, name, config, status, digest):
+    # the final digest hashes each contract's live state, not a state_dump
+    # copy: the two give the same bytes only while the state holds no bytes,
+    # after every transaction and at the end of the run
+    record = Ledger._record
+    recorded = []
+
+    def checked(ledger, *args):
+        receipt = record(ledger, *args)
+        _assert_live_state_json_ready(ledger)
+        recorded.append(receipt)
+        return receipt
+
+    monkeypatch.setattr(Ledger, "_record", checked)
+    runner = ScenarioRunner(ScenarioConfig(**config))
+    trace = runner.run()
+    _assert_live_state_json_ready(runner.ledger)
+    assert recorded == runner.ledger.receipts
     assert trace.trace_hash() == digest
 
 

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import functools
 import json
 import operator
 import tracemalloc
@@ -11,6 +12,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tidsim import ledger as ledger_module, scenario as scenario_module
 from tidsim.crypto import hash256
 from tidsim.ledger import (
     _BLOCK,
@@ -27,6 +29,7 @@ from tidsim.ledger import (
     JournaledList,
     Ledger,
     LedgerError,
+    TxReceipt,
     WEI_PER_ETHER,
     fmt_usd,
     json_digest,
@@ -572,6 +575,69 @@ class TestDeterminism:
         redacted = ledger.onchain_state(include_callers=False)
         assert "caller" in full["receipts"][-1]
         assert "caller" not in redacted["receipts"][-1]
+
+
+class TestEndOfRun:
+    """A run builds, dumps and hashes its end state once each."""
+
+    @pytest.mark.parametrize("mode", ["silent", "strawman"])
+    def test_one_digest_dump_and_record_each(self, monkeypatch, mode):
+        digested = []
+
+        def counting_digest(value):
+            digested.append(value)
+            return json_digest(value)
+
+        monkeypatch.setattr(ledger_module, "json_digest", counting_digest)
+        monkeypatch.setattr(scenario_module, "json_digest", counting_digest)
+        dumped = []
+        state_dump = Contract.state_dump
+
+        def counting_dump(contract):
+            dumped.append(contract.address)
+            return state_dump(contract)
+
+        monkeypatch.setattr(Contract, "state_dump", counting_dump)
+        built = []
+        build = TxReceipt.record.func
+
+        def counting_record(receipt):
+            built.append(receipt.seq)
+            return build(receipt)
+
+        record = functools.cached_property(counting_record)
+        record.__set_name__(TxReceipt, "record")
+        monkeypatch.setattr(TxReceipt, "record", record)
+
+        config = ScenarioConfig(seed=2, pool_size=6, n=4, l=2, t=2, mode=mode, fault_policies={0: "premature"})
+        runner = ScenarioRunner(config)
+        trace = runner.run()
+        trace.trace_hash()
+        contracts = runner.ledger.contracts
+        # the final state, hashed from the live contract states, then the trace
+        assert len(digested) == 2
+        final, whole = digested
+        assert final["receipts"] is trace.receipts
+        assert len(final["contracts"]) == len(contracts)
+        assert all(final["contracts"][addr.hex()] is c.state for addr, c in contracts.items())
+        assert whole["digest"] == trace.final_digest
+        # the pre-settlement snapshot is the one dump of each contract
+        assert sorted(dumped) == sorted(contracts)
+        # one record per receipt, which the trace holds; the snapshot holds
+        # the earlier ones without their caller
+        receipts = runner.ledger.receipts
+        assert built == list(range(len(receipts)))
+        assert all(rec is r.to_record() for rec, r in zip(trace.receipts, receipts))
+        snapshot = trace.pre_settlement_state["receipts"]
+        assert 0 < len(snapshot) < len(receipts)
+        assert snapshot == [{k: v for k, v in rec.items() if k != "caller"} for rec in trace.receipts[: len(snapshot)]]
+        # the pre-settlement digest is computed on first read, once
+        pre_digest = trace.pre_settlement_digest
+        assert trace.pre_settlement_digest is pre_digest
+        assert len(digested) == 3 and digested[2] is trace.pre_settlement_state
+        assert pre_digest == hash256(json.dumps(trace.pre_settlement_state, sort_keys=True).encode()).hex()
+        # and the live state hashes as a dumped snapshot of it would
+        assert trace.final_digest == json_digest(runner.ledger.onchain_state()).hex()
 
 
 # JSON values of every kind json_pieces meets, including non-ASCII text,
