@@ -461,7 +461,6 @@ class RecipientActor:
     collected_keys: dict[bytes, int] = field(default_factory=dict)
     info: Optional[bytes] = None
     receipt_secret: Optional[bytes] = None
-    receipt_submitted: bool = False
     shares_recovered: int = 0
 
     @property
@@ -486,8 +485,6 @@ class RecipientActor:
         self.collected_keys[scalar.to_bytes(32, "big")] = scalar
 
     def try_restore(self, t: int) -> bool:
-        if self.info is not None:
-            return True
         shares = peel_with_keys(self.onions, list(self.collected_keys))
         self.shares_recovered = len(shares)
         return self.restore(list(shares.values()), t)

@@ -86,8 +86,6 @@ def parse_range(spec: str, as_float: bool) -> list | range:
 
 
 def write_table(rows: list[dict], out: Optional[str], fmt: str):
-    if not rows:
-        return
     if out is None or out == "-":
         handle = sys.stdout
         close = False

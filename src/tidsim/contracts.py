@@ -375,8 +375,6 @@ class AgentContract(RegistryContract):
         return compensation, burned
 
     def _settle(self, svc: dict):
-        if svc["settled"]:
-            return
         sup_addr = bytes.fromhex(svc["sup_addr"])
         sup = self.ledger.contracts.get(sup_addr)
         if isinstance(sup, SupplementaryContract):
@@ -390,12 +388,6 @@ class AgentContract(RegistryContract):
             # gets the integer-division dust now
             self._credit(svc["sender"], svc["remuneration"] % svc["n"])
         svc["settled"] = True
-
-    def timeframe_pubkey(self, mailman: str, tick: int) -> Optional[str]:
-        record = self.state["mailmen"].get(mailman)
-        if record is None:
-            return None
-        return record["timeframe_pubkeys"].get(str(tick))
 
     def find_mailman_by_timeframe_pubkey(self, tick: int, pubkey_hex: str) -> Optional[str]:
         for addr, record in self.state["mailmen"].items():
@@ -548,7 +540,7 @@ class SupplementaryContract(Contract):
             raise ContractRevert("key already revealed for this index")
         if not 0 <= privkey < 2**256:
             raise ContractRevert("revealed key is not a 256-bit scalar")
-        expected = agent.timeframe_pubkey(ctx.caller.hex(), svc["timeframe_tick"])
+        expected = agent.state["mailmen"][ctx.caller.hex()]["timeframe_pubkeys"].get(str(svc["timeframe_tick"]))
         try:
             derived = pubkey_of_privkey(privkey.to_bytes(32, "big")).hex()
         except Exception:

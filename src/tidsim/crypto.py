@@ -100,11 +100,11 @@ def hash256(data: bytes) -> bytes:
     return hashlib.sha3_256(data).digest()
 
 
-def encode_parts(*parts: bytes | int | str) -> bytes:
+def encode_parts(*parts: bytes | int) -> bytes:
     """Canonical length-prefixed encoding of a tuple, for hashing/signing.
 
-    Integers become 8-byte big-endian, strings UTF-8. The length prefix
-    removes concatenation ambiguity between adjacent fields.
+    Integers become their shortest big-endian bytes (one for zero). The
+    length prefix removes concatenation ambiguity between adjacent fields.
     """
     out = bytearray()
     for part in parts:
@@ -112,8 +112,6 @@ def encode_parts(*parts: bytes | int | str) -> bytes:
             if part < 0:
                 raise ParameterError("cannot encode negative integers")
             raw = part.to_bytes(max(1, (part.bit_length() + 7) // 8), "big")
-        elif isinstance(part, str):
-            raw = part.encode("utf-8")
         elif isinstance(part, Signature):
             raw = part.to_bytes()
         else:

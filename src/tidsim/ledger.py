@@ -333,6 +333,8 @@ class TxContext:
     def pay_out(self, to: bytes, amount: int):
         if amount < 0:
             raise ContractRevert("negative payout")
+        if to not in self.ledger.accounts:
+            raise ContractRevert("payout to an unknown account")
         self._payouts.append((to, amount))
 
     def contract_at(self, address: bytes):
@@ -473,8 +475,9 @@ class Contract:
     out of one (`on_tick`, set-up, whose writes are not journaled): a dict
     or list stored into the state is rebuilt as a journaled one at once,
     so the state never holds the object the caller passed, and later writes
-    to it go through the state. A class an EOA deploys names its deploy-gas
-    function in `deploy_fn`.
+    to it go through the state. Each subclass builds its state in
+    `init_state`, from the deploy arguments. A class an EOA deploys names its
+    deploy-gas function in `deploy_fn`.
     """
 
     def __init__(self, ledger: "Ledger", address: bytes, **ctor):
@@ -492,9 +495,6 @@ class Contract:
         twin.__dict__.update(copy.deepcopy(self.__dict__, memo))
         twin.ledger = weakref.proxy(twin.ledger)
         return twin
-
-    def init_state(self, **ctor):
-        pass
 
     def gas_units(self, fn: str, args: dict) -> int:
         return 1
@@ -637,11 +637,7 @@ class Ledger:
 
         for to, amount in ctx._payouts:
             contract_account.balance -= amount
-            dest = self.accounts.get(to)
-            if dest is None:
-                dest = Account(to)
-                self.accounts[to] = dest
-            dest.balance += amount
+            self.accounts[to].balance += amount
         return self._record(caller, target, function, units, gas, True, None, ctx.events)
 
     def _record(self, caller, target, function, units, gas, success, error, events) -> TxReceipt:

@@ -561,9 +561,7 @@ class ScenarioRunner:
         self.shares_light = self.recipient.shares_recovered
 
     def _submit_receipt(self):
-        if self.recipient.receipt_submitted:
-            return
-        receipt = self.ledger.submit_tx(
+        self.ledger.submit_tx(
             self.recipient.address,
             self.agent.address,
             FN_RECIPIENT_RECEIPT,
@@ -573,8 +571,6 @@ class ScenarioRunner:
                 "switch_addr": self.sender.switch.address,
             },
         )
-        if receipt.success:
-            self.recipient.receipt_submitted = True
 
     def _epoch2_switch(self):
         available = {m.address for m in self.sender.selected if self._available()}
@@ -617,8 +613,6 @@ class ScenarioRunner:
     def _epoch4_reporting(self):
         sup = self._sup_contract()
         reporter = self._first_honest({m.address for m in self.sender.selected})
-        if reporter is None:
-            return
         reported = False
         for index in sorted(sup.state["identities"], key=int):
             if index not in sup.state["revealed_privkeys"]:
@@ -663,9 +657,6 @@ class ScenarioRunner:
         if key is None:
             return
         for mailman in self.sender.selected:
-            record = self.agent.state["mailmen"][mailman.address.hex()]
-            if record["status"] != MAILMAN_ACTIVE:
-                continue
             agreement = mailman.agreements(key).get(mailman.index)
             if agreement is None:
                 continue  # the courier's bundle was lost

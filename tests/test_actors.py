@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tidsim import actors, crypto, scenario
-from tidsim.actors import TAG_REFUSE, peel_with_keys, tag_of
+from tidsim.actors import TAG_ACCEPT, TAG_REFUSE, peel_with_keys, tag_of
 from tidsim.crypto import (
     AuthenticationError,
     Onion,
@@ -24,11 +24,13 @@ from tidsim.crypto import (
     encode_parts,
     hash256,
     keypair_gen,
+    new_secret_key,
     onion_peel,
     onion_wrap,
     sign,
+    sym_encrypt,
 )
-from tidsim.contracts import sup_auth_digest
+from tidsim.contracts import SwitchContract, agreement_digest_mailman, sup_auth_digest
 from tidsim.ledger import EPOCH_GRAPH, SERVICE_FUNCTIONS
 from tidsim.scenario import (
     ConfigError,
@@ -163,6 +165,13 @@ class TestSetupAndSelection:
             ScenarioConfig.from_dict(raw)
         assert str(info.value) == message
 
+    def test_json_null_only_for_optional_fields(self):
+        nulls = {"min_deposit_wei": None, "selection_override": None}
+        assert ScenarioConfig.from_dict(nulls) == ScenarioConfig()
+        with pytest.raises(ConfigError) as info:
+            ScenarioConfig.from_dict({"n": None})
+        assert (type(info.value), str(info.value)) == (ConfigError, "n must be an integer, got null")
+
     @pytest.mark.parametrize(
         "knobs, message",
         [
@@ -233,6 +242,52 @@ class TestRecruitment:
             ],
         )
         assert tag_of(reply) == TAG_REFUSE
+
+    @pytest.mark.parametrize("case", ["not_a_switch", "other_sender", "no_service", "index_zero", "index_past_n"])
+    def test_mailman_refuses_an_invite_that_does_not_check_out(self, case):
+        runner = ScenarioRunner(small_config())
+        runner.build_marketplace()
+        sender = runner.sender
+        sender.setup()
+        mailman = runner.pool[0]
+        inviter, switch_addr, index = sender.address, sender.switch.address, 1
+        if case == "not_a_switch":
+            switch_addr = runner.agent.address
+        elif case == "other_sender":
+            inviter = runner.pool[1].address
+        elif case == "no_service":
+            switch_addr = runner.ledger.deploy_contract(
+                sender.address,
+                SwitchContract,
+                agent_addr=runner.agent.address,
+                sender=sender.address,
+                sup_code=sender.sup_code,
+            ).address
+        else:
+            index = 0 if case == "index_zero" else runner.config.n + 1
+        vrs = sign(sender.keypair.privkey, sup_auth_digest(switch_addr, sender.sup_code))
+        body = [index.to_bytes(8, "big"), switch_addr, sender.sup_code, vrs.to_bytes()]
+        assert mailman.handle_invite(inviter, body) == TAG_REFUSE + encode_parts(index)
+        assert mailman.index is None
+
+    def test_sender_refuses_an_acceptance_signed_by_another_key(self, monkeypatch):
+        runner = ScenarioRunner(small_config())
+        runner.build_marketplace()
+        sender = runner.sender
+        sender.setup()
+        mailman, other = runner.pool[0], runner.pool[1]
+        vrs_m = sign(other.keypair.privkey, agreement_digest_mailman(sender.switch.address, 1))
+        monkeypatch.setattr(mailman, "handle_invite", lambda *args: TAG_ACCEPT + encode_parts(1, vrs_m))
+        vrs_sup = sign(sender.keypair.privkey, sup_auth_digest(sender.switch.address, sender.sup_code))
+        assert sender._handshake(mailman, 1, vrs_sup) is False
+        assert sender.agreements == {}
+
+    def test_bundle_blob_under_another_key_is_skipped(self):
+        rng = Random(3)
+        key, other = new_secret_key(rng), new_secret_key(rng)
+        vrs_s, vrs_m = (sign(keypair_gen(rng).privkey, hash256(b"%d" % i)) for i in range(2))
+        bundle = tuple(sym_encrypt(k, encode_parts(i, vrs_s, vrs_m), rng) for i, k in ((1, other), (2, key)))
+        assert actors._agreements_in(key, bundle) == {2: (vrs_s, vrs_m)}
 
     def test_bundle_with_short_signature_refused(self):
         runner = ScenarioRunner(small_config())

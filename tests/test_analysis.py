@@ -6,6 +6,7 @@ minimizer written here; availability is cross-checked by Monte Carlo.
 
 import json
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 from random import Random
@@ -38,6 +39,7 @@ from tidsim.ledger import (
     FN_STRAWMAN_REVEAL_RECEIPT,
     FN_STRAWMAN_REVEAL_SHARE,
     GasSchedule,
+    fmt_usd,
     round_usd_cents,
 )
 from tidsim.scenario import ScenarioConfig, run_scenario
@@ -422,6 +424,39 @@ class TestCostReport:
             cost_report()
         with pytest.raises(AnalysisError):
             cost_report(trace=[], mode="lightweight", n=3)
+
+    @pytest.mark.parametrize("mode", ["lightweight", "heavyweight", "strawman"])
+    def test_table_lists_rows_by_function(self, mode):
+        report = cost_report(mode=mode, n=7)
+        assert report.table() == [
+            {
+                "function": fn,
+                "calls": report.rows[fn]["calls"],
+                "units": report.rows[fn]["units"],
+                "gas": report.rows[fn]["gas"],
+                "usd_exact": str(report.rows[fn]["usd_exact"]),
+                "usd_quoted": fmt_usd(report.rows[fn]["usd_quoted"]),
+            }
+            for fn in sorted(report.rows)
+        ]
+        assert len(report.table()) == len(report.rows) > 0
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: sybil_expected_deposit(0, 10, 1.0, 4, 10, 0.5), "invalid sybil parameters", id="expected_layers"),
+        pytest.param(lambda: sybil_expected_deposit(3, 0, 1.0, 4, 10, 0.5), "invalid sybil parameters", id="expected_pool"),
+        pytest.param(lambda: sybil_min_deposit(3, 0, 1.0), "invalid sybil parameters", id="min_deposit_pool"),
+        pytest.param(lambda: cost_report(mode="express", n=3), "unknown mode 'express'", id="cost_mode"),
+        pytest.param(lambda: cost_report(mode="lightweight"), "analytic cost needs the group size n", id="cost_n_missing"),
+        pytest.param(lambda: cost_report(mode="lightweight", n=0), "analytic cost needs the group size n", id="cost_n_zero"),
+    ],
+)
+def test_guard_raises(call, message):
+    with pytest.raises(AnalysisError, match=re.escape(message)) as info:
+        call()
+    assert type(info.value) is AnalysisError
 
 
 class ReferencePrices:

@@ -44,6 +44,13 @@ class TestParseRange:
         with pytest.raises(ConfigError):
             parse_range("1:5:0", as_float=False)
 
+    @pytest.mark.parametrize("spec", ["1:2", "1:2:3:4", ":"])
+    @pytest.mark.parametrize("as_float", [False, True])
+    def test_range_needs_three_parts(self, spec, as_float):
+        with pytest.raises(ConfigError) as info:
+            parse_range(spec, as_float)
+        assert (type(info.value), str(info.value)) == (ConfigError, "range syntax is start:stop:step")
+
     def test_long_integer_range_is_lazy(self):
         values = parse_range("0:10000000000:1", as_float=False)
         assert values == range(0, 10_000_000_001)

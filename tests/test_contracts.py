@@ -12,16 +12,19 @@ from tidsim.contracts import (
     STATUS_DELIVERED_HEAVY,
     STATUS_DELIVERED_LIGHT,
     STATUS_FAILED,
+    STATUS_PENDING,
     agreement_digest_mailman,
     agreement_digest_sender,
+    sup_auth_digest,
     SLASH_FALSE_REPORT,
     SLASH_PREMATURE,
     StrawmanContract,
     SupplementaryContract,
     SwitchContract,
 )
-from tidsim.crypto import Signature, hash256, keypair_gen, sign
+from tidsim.crypto import Signature, _N, hash256, keypair_gen, sign
 from tidsim.ledger import (
+    ContractRevert,
     FN_DEPLOY_SUPPLEMENTARY,
     FN_INFORM_AGENT,
     FN_NEW_MAILMAN,
@@ -51,6 +54,22 @@ def make_agreement(world, svc, index, mailman):
         agreement_digest_sender(svc.switch.address, index, vrs_m),
     )
     return {"index": index, "vrs_m": vrs_m, "vrs_s": vrs_s}
+
+
+def assert_reverts(world, caller, target, fn, args, error, value=0):
+    """Submit a call that must revert with `error`: the chain keeps its state
+    but for the call's own receipt, and every balance but the caller's gas."""
+    ledger = world.ledger
+    before = ledger.onchain_state()
+    balances = {addr: account.balance for addr, account in ledger.accounts.items()}
+    receipt = ledger.submit_tx(caller.address, target, fn, args, value=value)
+    assert (receipt.success, receipt.error) == (False, error)
+    after = ledger.onchain_state()
+    assert after["receipts"].pop() == receipt.to_record()
+    assert ledger.state_digest(after) == ledger.state_digest(before)
+    balances[caller.address] -= receipt.gas_used * ledger.schedule.wei_per_gas
+    assert {addr: account.balance for addr, account in ledger.accounts.items()} == balances
+    ledger.audit()
 
 
 def deploy_sup(world, svc, mailman):
@@ -245,13 +264,21 @@ class TestPrematureReporting:
         world.ledger.audit()
 
     def test_false_report_slashes_reporter(self, world):
+        self._assert_false_report_slashes_reporter(world, 0xDEADBEEF)  # matches nobody
+
+    @pytest.mark.parametrize("privkey", [0, _N], ids=["zero", "order"])
+    def test_report_of_no_private_key_slashes_reporter(self, world, privkey):
+        self._assert_false_report_slashes_reporter(world, privkey)
+
+    @staticmethod
+    def _assert_false_report_slashes_reporter(world, privkey):
         svc = open_service(world)
         sup = deploy_sup(world, svc, world.mailmen[0])
         receipt = world.ledger.submit_tx(
             world.mailmen[0].address,
             sup.address,
             FN_REPORT_PREMATURE,
-            {"index": 0, "privkey": 0xDEADBEEF},  # matches nobody
+            {"index": 0, "privkey": privkey},
         )
         assert receipt.success
         world.ledger.advance_time(world.timeframe_tick + 2)
@@ -352,6 +379,13 @@ class TestKeyReveal:
         h = HeavyweightHarness(world)
         receipt = h.reveal_key(1, world.mailmen[0], privkey=777777)
         assert receipt.success
+        assert h.sup.state["fake_marks"]["1"] is True
+
+    @pytest.mark.parametrize("privkey", [0, _N, 2**256 - 1], ids=["zero", "order", "max"])
+    def test_no_private_key_marked_fake(self, world, privkey):
+        h = HeavyweightHarness(world)
+        receipt = h.reveal_key(1, world.mailmen[0], privkey=privkey)
+        assert receipt.success, receipt.error
         assert h.sup.state["fake_marks"]["1"] is True
 
     def test_wrong_epoch_rejected(self, world):
@@ -649,22 +683,8 @@ class TestAgreementGuards:
 
     @staticmethod
     def _assert_proof_reverts(world, svc, caller, agreement, error):
-        ledger = world.ledger
-        before = ledger.onchain_state()
-        balances = {addr: account.balance for addr, account in ledger.accounts.items()}
-        receipt = ledger.submit_tx(
-            caller.address,
-            world.agent.address,
-            FN_PROVE_AGREEMENT,
-            {"switch_addr": svc.switch.address, **agreement},
-        )
-        assert (receipt.success, receipt.error) == (False, error)
-        after = ledger.onchain_state()
-        assert after["receipts"].pop() == receipt.to_record()
-        assert ledger.state_digest(after) == ledger.state_digest(before)
-        balances[caller.address] -= receipt.gas_used * ledger.schedule.wei_per_gas
-        assert {addr: account.balance for addr, account in ledger.accounts.items()} == balances
-        ledger.audit()
+        args = {"switch_addr": svc.switch.address, **agreement}
+        assert_reverts(world, caller, world.agent.address, FN_PROVE_AGREEMENT, args, error)
 
     @staticmethod
     def _delivered_light(world):
@@ -736,6 +756,130 @@ class TestAgreementGuards:
         self._assert_proof_reverts(
             world, svc, m, agreement, "agreement not countersigned by the service sender"
         )
+
+
+class TestContractGuards:
+    """The agent's and the switch's other revert guards, each checked as
+    proveAgreement's are (`assert_reverts`)."""
+
+    @staticmethod
+    def _switch(world):
+        return world.ledger.deploy_contract(
+            world.sender.address,
+            SwitchContract,
+            agent_addr=world.agent.address,
+            sender=world.sender.address,
+            sup_code=SUP_CODE,
+        )
+
+    @pytest.mark.parametrize(
+        "case, error",
+        [
+            ("depth", "onion depth must fit the recruited group"),
+            ("unpaid", "remuneration must be escrowed"),
+            ("no_switch", "switch contract not found"),
+            ("foreign_switch", "switch belongs to a different sender"),
+            ("sup_addr", "supplementary address is not the predicted one"),
+            ("twice", "service already exists for this switch"),
+        ],
+    )
+    def test_new_service_guard_reverts(self, world, case, error):
+        switch = self._switch(world)
+        args = {
+            "timeframe_tick": world.timeframe_tick,
+            "l": 2,
+            "t": 2,
+            "n": 4,
+            "switch_addr": switch.address,
+            "sup_addr": world.ledger.predict_address(switch.address, 0),
+            "recipient": world.recipient.address,
+            "receipt_commitment": hash256(b"r"),
+        }
+        caller, value = world.sender, ETHER
+        if case == "depth":
+            args["l"] = 5
+        elif case == "unpaid":
+            value = 0
+        elif case == "no_switch":
+            args["switch_addr"] = bytes(20)
+        elif case == "foreign_switch":
+            caller = world.recipient
+        elif case == "sup_addr":
+            args["sup_addr"] = world.ledger.predict_address(switch.address, 1)
+        else:
+            first = world.ledger.submit_tx(caller.address, world.agent.address, FN_NEW_SERVICE, dict(args), value=value)
+            assert first.success, first.error
+        assert_reverts(world, caller, world.agent.address, FN_NEW_SERVICE, args, error, value=value)
+
+    def test_illegal_epoch_transition_raises(self, world):
+        svc = open_service(world)
+        record = world.agent.state["services"][svc.sid]
+        history = list(record["epoch_history"])
+        with pytest.raises(ContractRevert, match="illegal epoch transition 0->4"):
+            world.agent._enter_epoch(record, 4, world.ledger.tick)
+        assert (record["epoch"], record["epoch_history"]) == (0, history)
+
+    @staticmethod
+    def _receipt_args(world, svc):
+        return {
+            "receipt": svc.receipt_secret,
+            "sender_addr": world.sender.address,
+            "switch_addr": svc.switch.address,
+        }
+
+    def test_receipt_naming_another_sender_reverts(self, world):
+        svc = open_service(world)
+        world.ledger.advance_time(world.timeframe_tick)  # epoch 1
+        args = {**self._receipt_args(world, svc), "sender_addr": world.recipient.address}
+        assert_reverts(world, world.recipient, world.agent.address, FN_RECIPIENT_RECEIPT, args, "sender mismatch")
+
+    @staticmethod
+    def _epoch5(world):
+        h = HeavyweightHarness(world)
+        for i, m in enumerate(world.mailmen):
+            assert h.reveal_key(i + 1, m).success
+        world.ledger.advance_time(world.ledger.tick + 2)  # epochs 4 then 5
+        return h
+
+    def test_second_heavyweight_receipt_reverts(self, world):
+        h = self._epoch5(world)
+        args = self._receipt_args(world, h.svc)
+        receipt = world.ledger.submit_tx(world.recipient.address, world.agent.address, FN_RECIPIENT_RECEIPT, dict(args))
+        assert receipt.success, receipt.error
+        assert_reverts(
+            world, world.recipient, world.agent.address, FN_RECIPIENT_RECEIPT, args, "service already terminal"
+        )
+
+    def test_heavyweight_service_without_receipt_fails(self, world):
+        h = self._epoch5(world)
+        record = world.agent.state["services"][h.svc.sid]
+        assert (record["epoch"], record["status"]) == (5, STATUS_PENDING)
+        world.ledger.advance_time(world.ledger.tick + 1)  # epoch 6
+        assert (record["status"], record["settled"]) == (STATUS_FAILED, True)
+        assert [e for _, e in record["epoch_history"]] == [0, 1, 2, 3, 4, 5, 6]
+        world.ledger.audit()
+
+    @pytest.mark.parametrize(
+        "case, error",
+        [
+            ("code", "supplementary code mismatch"),
+            ("signature", "invalid authorization signature: malformed signature"),
+            ("no_service", "no service registered for this switch"),
+        ],
+    )
+    def test_deploy_supplementary_guard_reverts(self, world, case, error):
+        if case == "no_service":
+            switch = self._switch(world)
+            vrs_sup = sign(world.sender.keypair.privkey, sup_auth_digest(switch.address, SUP_CODE))
+        else:
+            svc = open_service(world)
+            switch, vrs_sup = svc.switch, svc.vrs_sup
+        args = {"sup_code": SUP_CODE, "vrs_sup": vrs_sup}
+        if case == "code":
+            args["sup_code"] = b"other code"
+        elif case == "signature":
+            args["vrs_sup"] = Signature(2, 1, 1)
+        assert_reverts(world, world.mailmen[0], switch.address, FN_DEPLOY_SUPPLEMENTARY, args, error)
 
 
 class TestStrawman:

@@ -59,6 +59,7 @@ from tidsim.crypto import (
     ecies_decrypt,
     ecies_encrypt,
     ecies_openers,
+    decode_parts,
     encode_parts,
     hash256,
     keypair_from_scalar,
@@ -379,14 +380,18 @@ def fresh_gcm():
 
 class FakeEvp:
     """A stand-in libcrypto whose int-returning EVP calls all succeed except
-    the one named `failing`, which returns 0."""
+    the one named `failing`, which returns 0 from its call after the first
+    `after`."""
 
-    def __init__(self, failing):
+    def __init__(self, failing, after=0):
+        calls = itertools.count()
         for name in ["EVP_CIPHER_CTX_new", "EVP_aes_256_gcm", "EVP_CIPHER_CTX_ctrl"] + [
             f"EVP_{op}{step}" for op in ("Encrypt", "Decrypt") for step in ("Init_ex", "Update", "Final_ex")
         ]:
-            result = 0 if name == failing else 1
-            setattr(self, name, lambda *args, result=result: result)
+            if name == failing:
+                setattr(self, name, lambda *args: int(next(calls) < after))
+            else:
+                setattr(self, name, lambda *args: 1)
 
 
 class TestAesGcm:
@@ -492,6 +497,18 @@ class TestAesGcm:
     )
     def test_evp_failure_raises_crypto_error_naming_it(self, fresh_gcm, monkeypatch, failing, call):
         monkeypatch.setattr(ctypes, "CDLL", lambda path: FakeEvp(failing))
+        with pytest.raises(CryptoError, match=failing) as info:
+            if call == "encrypt":
+                sym_encrypt(bytes(32), b"x", Random(0))
+            else:
+                sym_decrypt(bytes(32), bytes(29))
+        assert type(info.value) is CryptoError
+
+    # the binding initialises each context once with the cipher, then each
+    # seal or open sets its key and IV: the second Init_ex call fails here
+    @pytest.mark.parametrize("failing, call", [("EVP_EncryptInit_ex", "encrypt"), ("EVP_DecryptInit_ex", "decrypt")])
+    def test_per_call_init_failure_raises_crypto_error_naming_it(self, fresh_gcm, monkeypatch, failing, call):
+        monkeypatch.setattr(ctypes, "CDLL", lambda path: FakeEvp(failing, after=1))
         with pytest.raises(CryptoError, match=failing) as info:
             if call == "encrypt":
                 sym_encrypt(bytes(32), b"x", Random(0))
@@ -669,6 +686,92 @@ class TestOnions:
         for kp in reversed(kps):
             wire = onion_peel(wire, kp.privkey)
         assert wire.share() == Share(4, 9)
+
+
+class TestInputGuards:
+    """Each input guard raises its own error, of its own type."""
+
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            pytest.param(lambda: encode_parts(-1), ParameterError, "cannot encode negative integers", id="encode_parts"),
+            pytest.param(lambda: decode_parts(bytes(3)), ParameterError, "truncated field length", id="decode_length"),
+            pytest.param(
+                lambda: decode_parts(bytes([0, 0, 0, 5]) + b"abcd"), ParameterError, "truncated field body", id="decode_body"
+            ),
+            pytest.param(
+                lambda: recover_signer(bytes(32), bytes(65)), VerificationError, "not a signature value", id="recover_signer"
+            ),
+            pytest.param(
+                lambda: sym_encrypt(bytes(31), b"x", Random(0)),
+                ParameterError, "symmetric key must be 32 bytes", id="sym_encrypt_key",
+            ),
+            pytest.param(
+                lambda: sym_decrypt(bytes(33), bytes(29)), ParameterError, "symmetric key must be 32 bytes", id="sym_decrypt_key"
+            ),
+            pytest.param(
+                lambda: ecies_decrypt(bytes(31) + b"\x01", bytes(64 + 27)),
+                AuthenticationError, "ciphertext too short", id="ecies_short",
+            ),
+            pytest.param(
+                lambda: ecies_decrypt(bytes(31) + b"\x01", bytes(64 + 28)),
+                AuthenticationError, "ephemeral point off curve", id="ecies_point",
+            ),
+            pytest.param(lambda: Share.from_bytes(bytes(71)), ParameterError, "share encoding must be 72 bytes", id="share"),
+            pytest.param(
+                lambda: ss_split(-1, 1, 1, Random(0)), ParameterError, "secret must be non-negative", id="split_secret"
+            ),
+            pytest.param(
+                lambda: ss_split(1, 2, 13, Random(0), prime=13),
+                ParameterError, "share count must be below the field size", id="split_count",
+            ),
+            pytest.param(
+                lambda: ss_restore([Share(1, 1)], 0), ParameterError, "threshold must be positive", id="restore_threshold"
+            ),
+            pytest.param(
+                lambda: ss_restore([Share(1, 1, 0), Share(2, 1, 1)], 2),
+                ParameterError, "shares mix different splits", id="restore_splits",
+            ),
+            pytest.param(
+                lambda: ss_restore([Share(1, 0, 2**256)], 1),
+                ParameterError, "restored secret exceeds 256 bits", id="restore_size",
+            ),
+            pytest.param(lambda: Onion.from_wire(b""), ParameterError, "empty onion encoding", id="onion_wire"),
+            pytest.param(
+                lambda: Onion(1, bytes(72)).share(), OnionStateError, "onion still has encrypted layers", id="onion_share"
+            ),
+        ],
+    )
+    def test_guard_raises(self, call, error, message):
+        with pytest.raises(error, match=re.escape(message)) as info:
+            call()
+        assert type(info.value) is error
+
+    def test_key_pair_repr_hides_the_scalar(self):
+        kp = keypair_from_scalar(0xC0FFEE)
+        assert repr(kp) == f"KeyPair(address={kp.address.hex()})"
+        assert "c0ffee" not in repr(kp) and "12648430" not in repr(kp)
+
+    @staticmethod
+    def _signature_at(k, s):
+        """A signature (v, r, s) whose R is k*G."""
+        point = keypair_from_scalar(k).pubkey
+        return Signature(point[63] & 1, int.from_bytes(point[:32], "big"), s)
+
+    def test_recovery_through_a_doubling(self):
+        # z = -s*k makes Q's two summands, -z/r * G and s/r * R, one point
+        k, s = 0x1234567, 0x89ABCDEF
+        sig = self._signature_at(k, s)
+        z = -s * k % _N
+        expected = keypair_from_scalar(2 * s * k * pow(sig.r, -1, _N) % _N).address
+        assert _recover_address(z.to_bytes(32, "big"), sig) == expected
+
+    def test_recovery_at_infinity_raises(self):
+        # s = z/k makes s*R - z*G the point at infinity
+        k, z = 0x1234567, 0x42
+        sig = self._signature_at(k, z * pow(k, -1, _N) % _N)
+        with pytest.raises(VerificationError, match="^recovered point at infinity$"):
+            _recover_address(z.to_bytes(32, "big"), sig)
 
 
 class TestDeterminism:

@@ -5,6 +5,7 @@ import dataclasses
 import functools
 import json
 import operator
+import re
 import tracemalloc
 from fractions import Fraction
 from random import Random
@@ -24,11 +25,13 @@ from tidsim.ledger import (
     FN_DEPLOY_SWITCH,
     FN_NEW_SERVICE,
     FN_RECIPIENT_RECEIPT,
+    FN_WITHDRAW,
     GasSchedule,
     JournaledDict,
     JournaledList,
     Ledger,
     LedgerError,
+    TxContext,
     TxReceipt,
     WEI_PER_ETHER,
     fmt_usd,
@@ -50,10 +53,10 @@ class PingContract(Contract):
     def gas_units(self, fn, args):
         return len(args.get("items", [])) or 1
 
-    def fn_newService(self, ctx, items=None, fail=False, send_back=0):
+    def fn_newService(self, ctx, items=None, fail=False, send_back=0, to=None):
         self.state["count"] += 1
         if send_back:
-            ctx.pay_out(ctx.caller, send_back)
+            ctx.pay_out(to or ctx.caller, send_back)
         if fail:
             raise ContractRevert("requested failure")
 
@@ -140,6 +143,86 @@ class TestAccounts:
     def test_fund_unknown_address(self, ledger):
         with pytest.raises(LedgerError):
             ledger.fund(b"\x00" * 20, 1)
+
+
+OUTSIDER = bytes([9]) * 20  # an address the ledger does not hold
+
+
+def _ctx(ledger, funded):
+    return TxContext(ledger, funded.address, 0)
+
+
+def _collide(ledger, funded, contract):
+    ledger.register_eoa(ledger.predict_address(funded.address, 1))
+    ledger.deploy_contract(funded.address, PingContract)
+
+
+def _corrupt_then_audit(ledger, funded, contract):
+    ledger.accounts[funded.address].balance += 1
+    ledger.audit()
+
+
+class TestGuards:
+    """Each guard of the ledger, its schedule and its transaction context
+    raises its own error, of its own type."""
+
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            pytest.param(
+                lambda lg, a, c: lg.schedule.gas_for("noSuchFunction"),
+                LedgerError, "unknown function in gas schedule: noSuchFunction", id="gas_for",
+            ),
+            pytest.param(
+                lambda lg, a, c: _ctx(lg, a).pay_out(a.address, -1), ContractRevert, "negative payout", id="negative_payout"
+            ),
+            pytest.param(
+                lambda lg, a, c: _ctx(lg, a).pay_out(OUTSIDER, 1),
+                ContractRevert, "payout to an unknown account", id="unknown_payee",
+            ),
+            pytest.param(
+                lambda lg, a, c: _ctx(lg, a).contract_at(OUTSIDER),
+                ContractRevert, "no contract at target address", id="contract_at",
+            ),
+            pytest.param(
+                lambda lg, a, c: c.handle(FN_WITHDRAW, _ctx(lg, a), {}),
+                ContractRevert, f"unknown function {FN_WITHDRAW}", id="handle",
+            ),
+            pytest.param(
+                lambda lg, a, c: lg.register_eoa(a.address), LedgerError, "address already registered", id="register_eoa"
+            ),
+            pytest.param(lambda lg, a, c: lg.fund(a.address, -1), LedgerError, "cannot fund a negative amount", id="fund"),
+            pytest.param(lambda lg, a, c: lg.balance(OUTSIDER), LedgerError, "unknown address", id="balance"),
+            pytest.param(
+                lambda lg, a, c: lg.deploy_contract(c.address, PingContract),
+                LedgerError, "creator must be an existing EOA", id="deploy_from_contract",
+            ),
+            pytest.param(_collide, LedgerError, "contract address collision", id="address_collision"),
+            pytest.param(
+                lambda lg, a, c: lg.submit_tx(c.address, c.address, FN_NEW_SERVICE),
+                LedgerError, "caller must be an existing EOA", id="call_from_contract",
+            ),
+            pytest.param(lambda lg, a, c: lg.hook_burn(c.address, -1), LedgerError, "invalid hook burn", id="hook_burn"),
+            pytest.param(_corrupt_then_audit, LedgerError, "conservation violated: balances=", id="audit"),
+        ],
+    )
+    def test_guard_raises(self, ledger, funded, call, error, message):
+        contract = deploy_ping(ledger, funded)
+        with pytest.raises(error, match=re.escape(message)) as info:
+            call(ledger, funded, contract)
+        assert type(info.value) is error
+
+    def test_payout_to_unknown_account_reverts_the_call(self, ledger, funded):
+        contract = deploy_ping(ledger, funded)
+        balances = {addr: account.balance for addr, account in ledger.accounts.items()}
+        receipt = ledger.submit_tx(
+            funded.address, contract.address, FN_NEW_SERVICE, {"send_back": 1, "to": OUTSIDER}, value=5
+        )
+        assert (receipt.success, receipt.error) == (False, "payout to an unknown account")
+        assert contract.state["count"] == 0 and OUTSIDER not in ledger.accounts
+        balances[funded.address] -= receipt.gas_used * ledger.schedule.wei_per_gas
+        assert {addr: account.balance for addr, account in ledger.accounts.items()} == balances
+        ledger.audit()
 
 
 class TestDeployment:
