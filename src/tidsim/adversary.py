@@ -149,6 +149,8 @@ def blind_bribery_trials(
         for j in range(1, l):
             unlocked_at = np.maximum(unlocked_at, np.roll(held, -j, axis=1))
         needed[start : start + size] = np.partition(unlocked_at, t - 1, axis=1)[:, t - 1]
+        # free this chunk before the next is drawn: one chunk alive at a time
+        del recruited, order, bought_at, held, unlocked_at
     return needed
 
 
@@ -190,6 +192,8 @@ def sybil_capture_trials(
         for j in range(1, l):
             captured &= sybil[j : j + n]
         counts[start : start + size] = captured.sum(axis=0)
+        # free this chunk before the next is drawn: one chunk alive at a time
+        del keys, sybil, captured
     return counts
 
 

@@ -118,8 +118,8 @@ def availability_mc(l: int, t: int, n: int, a_t: float, trials: int, seed: int =
     a_t. That per-trial array depends on (l, t, n, trials, seed) only, so the
     last one is cached, which keeps one array of `trials` floats alive and
     lets the points of an a_t sweep share one draw. The n*l draws of each
-    trial are made a chunk of trials at a time, so beyond that array the
-    memory a call takes does not grow with `trials`.
+    trial are made a chunk of trials at a time into one reused buffer, so
+    beyond that array a call holds one chunk, whatever `trials` is.
     """
     _check_group(l, t, n)
     _check_availability(a_t)
@@ -129,8 +129,12 @@ def availability_mc(l: int, t: int, n: int, a_t: float, trials: int, seed: int =
 
 
 # The most elements (trials times row width) one chunk of Monte Carlo
-# trials may put in one array: 1 MiB of float64 or int64.
-_CHUNK_ELEMENTS = 1 << 17
+# trials may put in one array: 256 KiB of float64 or int64. 1 << 13 ran
+# about 15% slower, and 1 << 16 or more no faster with more memory resident.
+# Each kernel holds one chunk's arrays at a time, freeing or reusing them
+# before it draws the next, and consumes its generator in the same order
+# whatever the chunk size, so its output does not depend on it.
+_CHUNK_ELEMENTS = 1 << 15
 
 
 def _chunks(trials: int, per_trial: int):
@@ -147,14 +151,17 @@ def _tth_worst_draw(l: int, t: int, n: int, trials: int, seed: int) -> np.ndarra
     layer draw: at least t shares have every draw below a_t exactly when it
     lies below a_t. Read-only, since every caller shares it.
 
-    Trials are drawn a chunk at a time from one generator; `random()` fills
-    row-major, so the result does not depend on where the chunks split."""
+    Trials are drawn a chunk at a time from one generator into one buffer,
+    the only chunk alive; `random()` fills row-major, so the result does not
+    depend on where the chunks split."""
     import numpy as np
 
     rng = np.random.default_rng(seed)
     kth = np.empty(trials)
+    # the first chunk is the largest
+    buf = np.empty((next(_chunks(trials, n * l))[1], n, l))
     for start, size in _chunks(trials, n * l):
-        draws = rng.random((size, n, l))
+        draws = rng.random(out=buf[:size])
         # l in-place maxima beat a reduction over the short last axis
         worst = draws[..., 0]
         for j in range(1, l):

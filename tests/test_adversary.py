@@ -233,7 +233,8 @@ class TestBlindBriberyTrials:
         assert digest == "d8cf8d5b60a13507bec6dcf1b4c778d4977db9b1258a8ab03e67b892ceea2369", numpy_pin_note()
 
     def test_pinned_across_chunks(self):
-        # 20,001 trials over a pool of 40 span more than two chunks
+        # 20,001 trials over a pool of 40 are 25 chunks of 819 trials, the
+        # last one partial
         counts = blind_bribery_trials(3, 4, 10, pool_size=40, trials=20_001, seed=8)
         digest = hashlib.sha256(json.dumps(counts.tolist()).encode()).hexdigest()
         assert digest == "73e10c6622452b945e35c5b92859b0e8db3e7a6e1b48e5d63df9231cbef9564b", numpy_pin_note()
@@ -260,14 +261,16 @@ class TestSybil:
         assert (counts == 5).all()
 
     def test_pinned_across_chunks(self):
-        # 70,001 trials over a pool of 48 span more than two chunks
+        # 70,001 trials over a pool of 48 are 103 chunks of 682 trials, the
+        # last one partial
         counts = sybil_capture_trials(3, 12, 36, 4, 10, 70_001, seed=9)
         digest = hashlib.sha256(json.dumps(counts.tolist()).encode()).hexdigest()
         assert digest == "8f01c3053add63ed94868d0606c70ad92106a54970c0f55401d9589a072afbe5", numpy_pin_note()
 
     def test_pinned_deeper_than_group(self):
         # l=6 > n=4: each window wraps the selected couriers more than once;
-        # 20,001 trials over a pool of 10 span two chunks
+        # 20,001 trials over a pool of 10 are 7 chunks of 3,276 trials, the
+        # last one partial
         counts = sybil_capture_trials(6, 2, 8, 2, 4, 20_001, seed=4)
         digest = hashlib.sha256(json.dumps(counts.tolist()).encode()).hexdigest()
         assert digest == "1ee16b9b7c28376f5d3649ad904770e0bea83e6496fc07b9f724efc0e980fd0d", numpy_pin_note()

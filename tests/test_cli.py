@@ -263,7 +263,8 @@ class TestSweep:
         assert digest == "4e5a9d7f883632110f131d9a2db5fd3feafeb9b421ef1dd179f02523163999fb", numpy_pin_note()
 
     def test_availability_sweep_pinned_across_chunks(self):
-        # 9,001 trials of n*l = 30 draws span more than two Monte Carlo chunks
+        # 9,001 trials of n*l = 30 draws are 9 Monte Carlo chunks of 1,092
+        # trials, the last one partial
         out = io.StringIO()
         argv = ["sweep", "--sweep-axis", "A_T", "--sweep-range", "0.80:0.99:0.01"]
         argv += ["--trials", "9001", "--seed", "6", "--format", "jsonl"]

@@ -2041,3 +2041,141 @@ class TestBaseTableFile:
         # nothing was cached on failure: the next call reads the file again
         table_copy.write_bytes(intact)
         assert _to_affine(_jmul_base(0xC0FFEE)) == _to_affine(reference_mul(0xC0FFEE, G))
+
+
+class TestOpenSslOracle:
+    """The secp256k1 kernel against OpenSSL's, through `cryptography` (a test
+    extra), which shares no code with the kernel or with reference_mul: k * G
+    single and batched, signing, recovery, ECDH and an ECIES layer."""
+
+    @pytest.fixture(scope="class", autouse=True)
+    def needs_cryptography(self):
+        pytest.importorskip("cryptography")
+
+    @staticmethod
+    def key(k):
+        from cryptography.hazmat.primitives.asymmetric import ec
+
+        return ec.derive_private_key(k, ec.SECP256K1())
+
+    @staticmethod
+    def pubkey(key):
+        """The 64-byte x || y of an OpenSSL key, as KeyPair.pubkey holds it."""
+        from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
+
+        return key.public_key().public_bytes(Encoding.X962, PublicFormat.UncompressedPoint)[1:]
+
+    @staticmethod
+    def verifies(key, digest, sig):
+        from cryptography.exceptions import InvalidSignature
+        from cryptography.hazmat.primitives.asymmetric import ec, utils
+        from cryptography.hazmat.primitives.hashes import SHA256
+
+        der = utils.encode_dss_signature(sig.r, sig.s)
+        try:
+            key.public_key().verify(der, digest, ec.ECDSA(utils.Prehashed(SHA256())))
+        except InvalidSignature:
+            return False
+        return True
+
+    # both halves' edges: k2 = 0 (1, 2, 2^127), k1 = 0 (the multiples of
+    # LAMBDA), N - 1, and the corners of _split's domain, where an
+    # off-by-one in its rounding overflows the table's top row
+    @pytest.mark.parametrize("scoped", [False, True], ids=["unscoped", "scoped"])
+    def test_single_base_mult_at_the_split_edges(self, scoped):
+        ks = SPLIT_EDGE_SCALARS + WINDOW_EDGE_SCALARS + [2, _N - 2, 2**128 - 1, _N // 2]
+        expected = [self.pubkey(self.key(k)) for k in ks]
+        with crypto.scope() if scoped else contextlib.nullcontext():
+            assert [keypair_from_scalar(k).pubkey for k in ks] == expected
+            assert [pubkey_of_privkey(k.to_bytes(32, "big")) for k in ks] == expected
+
+    # Hypothesis draws small integers often, and their k2 is 0, so half of
+    # the scalars are built from two halves of either sign
+    @given(k=st.one_of(scalars, st.builds(from_halves, *[st.integers(-(2**127), 2**127)] * 2).filter(bool)))
+    @settings(max_examples=30, deadline=None)
+    def test_single_base_mult(self, k):
+        assert keypair_from_scalar(k).pubkey == self.pubkey(self.key(k))
+
+    # batch sizes on both sides of _BATCH_CHUNK (256) and two chunks and one
+    # key; each smaller batch draws a prefix of the 513 scalars
+    def test_batched_base_mult_across_chunk_edges(self):
+        assert crypto._BATCH_CHUNK == 256
+        scalars_513 = [int.from_bytes(kp.privkey, "big") for kp in keypairs_gen(Random(30), 513)]
+        expected = [self.pubkey(self.key(k)) for k in scalars_513]
+        for size in (255, 256, 257, 513):
+            for scoped in (False, True):
+                with crypto.scope() if scoped else contextlib.nullcontext():
+                    pairs = keypairs_gen(Random(30), size)
+                    assert [kp.pubkey for kp in pairs] == expected[:size], (size, scoped)
+                    # in a scope every single k * G of those keys reads the batch's points
+                    assert [pubkey_of_privkey(kp.privkey) for kp in pairs] == expected[:size]
+
+    def test_sign_and_presign_verify(self):
+        rng = Random(31)
+        keys = [self.key(rng.randrange(1, _N)) for _ in range(8)]
+        pairs = [(key, rng.randbytes(32)) for key in keys for _ in range(5)]
+        wire = [(key.private_numbers().private_value.to_bytes(32, "big"), digest) for key, digest in pairs]
+        with crypto.scope() as memo:
+            presign(wire[:30])
+            presigned = [memo.signatures[pair] for pair in wire[:30]]
+        assert len(presigned) == 30
+        signed = [sign(privkey, digest) for privkey, digest in wire]
+        for (key, digest), sig in zip(pairs[:30] + pairs, presigned + signed):
+            assert self.verifies(key, digest, sig)
+        # a changed digest fails, so the check above is not vacuous
+        assert not self.verifies(pairs[0][0], bytes(32), signed[0])
+
+    def test_recover_signer_names_the_openssl_key(self):
+        from cryptography.hazmat.primitives.asymmetric import ec, utils
+        from cryptography.hazmat.primitives.hashes import SHA256
+
+        rng = Random(32)
+        for _ in range(10):
+            key = self.key(rng.randrange(1, _N))
+            privkey = key.private_numbers().private_value.to_bytes(32, "big")
+            address = address_of_pubkey(self.pubkey(key))
+            digest = rng.randbytes(32)
+            # outside a scope the signer is recovered by the curve arithmetic
+            assert recover_signer(digest, sign(privkey, digest)) == address
+            # OpenSSL's own signature, whose recovery id it does not give:
+            # one parity recovers the key, the other a different one
+            r, s = utils.decode_dss_signature(key.sign(digest, ec.ECDSA(utils.Prehashed(SHA256()))))
+            recovered = [recover_signer(digest, Signature(v, r, s)) for v in (0, 1)]
+            assert recovered.count(address) == 1
+
+    def test_shared_x_equals_ecdh(self):
+        from cryptography.hazmat.primitives.asymmetric import ec
+
+        rng = Random(33)
+        for _ in range(12):
+            d, e = rng.randrange(1, _N), rng.randrange(1, _N)
+            peer = self.key(e)
+            numbers = peer.public_key().public_numbers()
+            expected = int.from_bytes(self.key(d).exchange(ec.ECDH(), peer.public_key()), "big")
+            # a foreign point: the variable-base multiplication
+            assert crypto._shared_x(d, numbers.x, numbers.y) == expected
+            # a point whose scalar this scope drew: one fixed-base k * G
+            with crypto.scope() as memo:
+                keypair_from_scalar(e)
+                assert memo.scalars[numbers.x, numbers.y] == e
+                assert crypto._shared_x(d, numbers.x, numbers.y) == expected
+
+    # the layer is ephemeral point (64) || nonce (12) || ciphertext and tag,
+    # under the AES key SHA3-256(x of the ECDH point)
+    @pytest.mark.parametrize("scoped", [False, True], ids=["unscoped", "scoped"])
+    def test_ecies_layer_opens_with_openssl_ecdh(self, scoped):
+        from cryptography.hazmat.primitives.asymmetric import ec
+        from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+
+        rng = Random(34)
+        for size in (0, 1, 77, 300):
+            q = rng.randrange(1, _N)
+            key = self.key(q)
+            plaintext = rng.randbytes(size)
+            with crypto.scope() if scoped else contextlib.nullcontext():
+                if scoped:
+                    keypair_from_scalar(q)  # the recipient's scalar is known: e * Q is (e * q) * G
+                blob = ecies_encrypt(self.pubkey(key), plaintext, rng)
+            ephemeral = ec.EllipticCurvePublicKey.from_encoded_point(ec.SECP256K1(), b"\x04" + blob[:64])
+            aes_key = hashlib.sha3_256(key.exchange(ec.ECDH(), ephemeral)).digest()
+            assert AESGCM(aes_key).decrypt(blob[64:76], blob[76:], None) == plaintext
