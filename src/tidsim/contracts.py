@@ -93,7 +93,7 @@ class RegistryContract(Contract):
         """Escrow the deposit and record the courier; returns the record as
         stored. The timeframe pubkeys every courier sends are kept only by
         the agent."""
-        caller = ctx.caller.hex()
+        caller = ctx.ledger.hex_of[ctx.caller]
         if caller in self.state["mailmen"]:
             raise ContractRevert("mailman already registered")
         if ctx.value < self.state["min_deposit"]:

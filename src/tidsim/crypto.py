@@ -618,20 +618,24 @@ def _scalar_of(privkey: bytes) -> int:
 
 
 def pubkey_of_privkey(privkey: bytes) -> bytes:
-    x, y = _base_point(_scalar_of(privkey))
-    return x.to_bytes(32, "big") + y.to_bytes(32, "big")
+    return _base_point(_scalar_of(privkey))
 
 
 def keypair_from_scalar(k: int) -> KeyPair:
     if not 1 <= k < _N:
         raise ParameterError("private scalar out of range")
-    return _keypair(k, *_base_point(k))
+    return _keypair(k, _base_point(k))
 
 
-def _base_point(k: int) -> tuple[int, int]:
-    """Affine k * G for 1 <= k < N, read from the memo when this scope computed it."""
+def _point_bytes(x: int, y: int) -> bytes:
+    """The 64-byte encoding x || y of the affine point (x, y)."""
+    return x.to_bytes(32, "big") + y.to_bytes(32, "big")
+
+
+def _base_point(k: int) -> bytes:
+    """k * G for 1 <= k < N as 64 bytes, read from the memo when this scope computed it."""
     point = _memo.points.get(k)
-    return _to_affine(_jmul_base(k)) if point is None else point
+    return _point_bytes(*_to_affine(_jmul_base(k))) if point is None else point
 
 
 def _draw_scalar(rng: Random) -> int:
@@ -656,15 +660,14 @@ def keypairs_gen(rng: Random, count: int) -> list[KeyPair]:
     the same crossover, at about 2 scalars.
     """
     ks = [_draw_scalar(rng) for _ in range(count)]
-    return [_keypair(k, x, y) for k, (x, y) in zip(ks, _base_mul_batch(ks))]
+    return [_keypair(k, _point_bytes(x, y)) for k, (x, y) in zip(ks, _base_mul_batch(ks))]
 
 
-def _keypair(k: int, x: int, y: int) -> KeyPair:
-    """The key pair of k, whose point (x, y) = k * G the caller just computed."""
-    point = x, y
-    _memo.scalars[point] = k
-    _memo.points[k] = point
-    pub = x.to_bytes(32, "big") + y.to_bytes(32, "big")
+def _keypair(k: int, pub: bytes) -> KeyPair:
+    """The key pair of k, whose point pub = k * G the caller just computed.
+    The memo keeps the key pair's own pubkey bytes, not a copy."""
+    _memo.scalars[pub] = k
+    _memo.points[k] = pub
     return KeyPair(k.to_bytes(32, "big"), pub, address_of_pubkey(pub))
 
 
@@ -683,11 +686,13 @@ class _Memo:
     function that relies on it.
     """
 
-    # each point E = e * G of a key this module drew, to e, for _shared_x
-    scalars: dict[tuple[int, int], int] = field(default_factory=dict)
-    # each such e to E, and onions_wrap's batched points, for _base_point: sign()
-    # names its signer and pubkey_of_privkey() answers a revealed key through it
-    points: dict[int, tuple[int, int]] = field(default_factory=dict)
+    # the 64-byte pubkey of each point E = e * G of a key this module drew,
+    # the key pair's own bytes, to e, for _shared_x
+    scalars: dict[bytes, int] = field(default_factory=dict)
+    # each such e to those bytes, and onions_wrap's batched points, for
+    # _base_point: sign() names its signer and pubkey_of_privkey() answers a
+    # revealed key through it
+    points: dict[int, bytes] = field(default_factory=dict)
     # (digest, signature) to the signer's address, for recover_signer
     signers: dict[tuple[bytes, Signature], bytes] = field(default_factory=dict)
     # (privkey, digest) bytes to the signature sign or presign made, for sign
@@ -932,7 +937,7 @@ def _recover_address(digest: bytes, sig: Signature) -> bytes:
     qx, qy = aff
     if not _point_on_curve(qx, qy):
         raise VerificationError("recovered point off curve")
-    return address_of_pubkey(qx.to_bytes(32, "big") + qy.to_bytes(32, "big"))
+    return address_of_pubkey(_point_bytes(qx, qy))
 
 
 # ---------------------------------------------------------------------------
@@ -1059,12 +1064,13 @@ def sym_decrypt(key: bytes, blob: bytes) -> bytes:
 # every d, and with N prime and d, e in [1, N) the product d*e mod N is
 # never 0. No scalar leaves the module and no caller can claim one for a
 # point; a foreign point only takes the slower _jmul.
-def _shared_x(d: int, x: int, y: int) -> int:
-    """The x of d * (x, y), for 1 <= d < N and (x, y) on secp256k1."""
-    e = _memo.scalars.get((x, y))
+def _shared_x(d: int, point: bytes) -> int:
+    """The x of d * point, for 1 <= d < N and point x || y, 64 bytes, on secp256k1."""
+    e = _memo.scalars.get(point)
     if e is None:
+        x, y = int.from_bytes(point[:32], "big"), int.from_bytes(point[32:], "big")
         return _to_affine(_jmul(d, (x, y, 1)))[0]
-    return _base_point(d * e % _N)[0]
+    return int.from_bytes(_base_point(d * e % _N)[:32], "big")
 
 
 # One record per layer that ecies_encrypt wraps for a point Q = q * G of
@@ -1096,10 +1102,10 @@ def ecies_encrypt(pubkey: bytes, plaintext: bytes, rng: Random) -> bytes:
     if not _point_on_curve(px, py):
         raise ParameterError("pubkey not on curve")
     eph = keypair_gen(rng)
-    sx = _shared_x(int.from_bytes(eph.privkey, "big"), px, py)
+    sx = _shared_x(int.from_bytes(eph.privkey, "big"), pubkey)
     sym = hash256(sx.to_bytes(32, "big"))
     blob = eph.pubkey + _seal(sym, _draw_nonce(rng), plaintext)
-    q = _memo.scalars.get((px, py))
+    q = _memo.scalars.get(pubkey)
     if q is not None:
         _memo.layers[_layer_key(blob)] = q, sx
     return blob
@@ -1120,7 +1126,7 @@ def ecies_decrypt(privkey: bytes, blob: bytes) -> bytes:
     if record is not None and d in (record[0], _N - record[0]):
         sx = record[1]
     else:
-        sx = _shared_x(d, ex, ey)
+        sx = _shared_x(d, blob[:64])
     sym = hash256(sx.to_bytes(32, "big"))
     return _open(sym, blob[64:], "wrong key or tampered onion layer")
 
@@ -1309,7 +1315,7 @@ def onions_wrap(shares: Sequence[Share], layer_pubkeys: Sequence[Sequence[bytes]
     nonce from one rng, so a copy of that rng names every e before the first
     layer is sealed. One batched multiplication makes each e and each
     product e * q for a recipient point Q = q * G of known scalar, and
-    records each affine k * G in the memo, where ecies_encrypt's
+    records each k * G, as its 64 bytes, in the memo, where ecies_encrypt's
     keypair_gen and _shared_x (e * Q as (e * q mod N) * G) read them back.
     A hit is exact: every entry is k * G for its key k, so a mispredicted
     draw costs a miss, never a wrong point, and a key the wrap rejects
@@ -1326,10 +1332,10 @@ def onions_wrap(shares: Sequence[Share], layer_pubkeys: Sequence[Sequence[bytes]
                 e = _draw_scalar(ahead)
                 _draw_nonce(ahead)
                 ks.append(e)
-                q = _memo.scalars.get((int.from_bytes(pk[:32], "big"), int.from_bytes(pk[32:], "big")))
+                q = _memo.scalars.get(pk)
                 if q is not None:
                     ks.append(e * q % _N)
-        _memo.points.update(zip(ks, _base_mul_batch(ks)))
+        _memo.points.update(zip(ks, [_point_bytes(x, y) for x, y in _base_mul_batch(ks)]))
     return [onion_wrap(share, pubkeys, rng) for share, pubkeys in zip(shares, layer_pubkeys)]
 
 

@@ -283,18 +283,20 @@ class TxReceipt:
     gas_used: int
     usd_cost: Fraction
     success: bool
+    hex_of: dict[bytes, str] = field(repr=False, compare=False)  # its ledger's
     error: Optional[str] = None
     events: list = field(default_factory=list)
 
     @cached_property
     def record(self) -> dict:
-        """This receipt's trace record, built on first read and then kept:
-        a run's pre-settlement snapshot and its final trace read the same one."""
+        """This receipt's trace record, built on first read and then kept,
+        which every caller shares and none may modify: a run's trace and its
+        pre-settlement snapshot read the same one."""
         return {
             "type": "receipt",
             "seq": self.seq,
             "tick": self.tick,
-            "target": self.target.hex(),
+            "target": self.hex_of[self.target],
             "function": self.function,
             "units": self.units,
             "gas_used": self.gas_used,
@@ -303,14 +305,26 @@ class TxReceipt:
             "success": self.success,
             "error": self.error,
             "events": self.events,
-            "caller": self.caller.hex(),
+            "caller": self.hex_of[self.caller],
         }
 
-    def to_record(self, include_caller: bool = True) -> dict:
-        """`record` itself, which every caller shares and none may modify;
-        without `caller`, a new dict of its other entries."""
-        record = self.record
-        return record if include_caller else {k: v for k, v in record.items() if k != "caller"}
+
+def public_record(record: dict) -> dict:
+    """A receipt record as a pre-settlement snapshot holds it: a new dict of
+    every entry but `caller`."""
+    return {k: v for k, v in record.items() if k != "caller"}
+
+
+class _HexNames(dict):
+    """Each address to its hex string, made on first lookup and then shared:
+    every record, state key and trace entry that names an address through
+    one ledger's map holds the one string."""
+
+    __slots__ = ()
+
+    def __missing__(self, address: bytes) -> str:
+        name = self[address] = address.hex()
+        return name
 
 
 class TxContext:
@@ -328,7 +342,10 @@ class TxContext:
         self._payouts: list[tuple[bytes, int]] = []
 
     def emit(self, name: str, **fields):
-        self.events.append({"event": name, **{k: _jsonable(v) for k, v in fields.items()}})
+        """Log an event; a bytes field is an address, named by the ledger's hex_of."""
+        hex_of = self.ledger.hex_of
+        fields = {k: hex_of[v] if isinstance(v, bytes) else v for k, v in fields.items()}
+        self.events.append({"event": name, **fields})
 
     def pay_out(self, to: bytes, amount: int):
         if amount < 0:
@@ -344,13 +361,12 @@ class TxContext:
         return contract
 
 
-def _jsonable(value):
-    if isinstance(value, bytes):
-        return value.hex()
+def _plain_copy(value):
+    """`value` with every dict and list in it copied as a plain one."""
     if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
+        return {k: _plain_copy(v) for k, v in value.items()}
     if isinstance(value, list):
-        return [_jsonable(v) for v in value]
+        return [_plain_copy(v) for v in value]
     return value
 
 
@@ -509,7 +525,7 @@ class Contract:
         pass
 
     def state_dump(self) -> dict:
-        return _jsonable(self.state)
+        return _plain_copy(self.state)
 
 
 class Ledger:
@@ -523,6 +539,7 @@ class Ledger:
         self.burn_sink = 0
         self.minted = 0
         self._nonces: dict[bytes, int] = {}
+        self.hex_of = _HexNames()
 
     def __deepcopy__(self, memo):
         """A deep copy that a contract's proxy copies to as well.
@@ -651,6 +668,7 @@ class Ledger:
             gas_used=gas,
             usd_cost=self.schedule.usd_exact(gas),
             success=success,
+            hex_of=self.hex_of,
             error=error,
             events=events,
         )
@@ -690,14 +708,14 @@ class Ledger:
     def gas_total(self) -> int:
         return sum(r.gas_used for r in self.receipts)
 
-    def onchain_state(self, include_callers: bool = True) -> dict:
-        """A snapshot of the chain: each contract's state as a `state_dump`
-        copy, which later transactions leave as it is, and each receipt's
-        record as `TxReceipt.to_record` gives it."""
-        return {
-            "contracts": {addr.hex(): c.state_dump() for addr, c in sorted(self.contracts.items())},
-            "receipts": [r.to_record(include_caller=include_callers) for r in self.receipts],
-        }
+    def contract_dumps(self) -> dict:
+        """Each contract's state as a `state_dump` copy, which later
+        transactions leave as it is, under its address."""
+        return {self.hex_of[addr]: c.state_dump() for addr, c in sorted(self.contracts.items())}
+
+    def onchain_state(self) -> dict:
+        """A snapshot of the chain: contract_dumps and each receipt's record."""
+        return {"contracts": self.contract_dumps(), "receipts": [r.record for r in self.receipts]}
 
     def state_digest(self, state: dict) -> bytes:
         """json_digest of `state`, a document shaped as onchain_state's: that

@@ -74,6 +74,7 @@ from .ledger import (
     SERVICE_FUNCTIONS,
     WEI_PER_ETHER,
     json_digest,
+    public_record,
 )
 
 MODE_SILENT = "silent"
@@ -252,8 +253,20 @@ class ScenarioTrace:
     service_gas: int
     shares_recovered_light: int
     info_delivered: bool
-    pre_settlement_state: dict
+    # the chain when settlement began: each contract's state_dump then, and
+    # how many of `receipts` it held
+    pre_settlement_contracts: dict
+    pre_settlement_receipts: int
     final_digest: str
+
+    @cached_property
+    def pre_settlement_state(self) -> dict:
+        """The chain when settlement began, as the snapshot that
+        pre_settlement_digest hashes: the contract dumps and each receipt
+        record then without its caller (ledger.public_record), built on
+        first read."""
+        receipts = self.receipts[: self.pre_settlement_receipts]
+        return {"contracts": self.pre_settlement_contracts, "receipts": [public_record(r) for r in receipts]}
 
     @cached_property
     def pre_settlement_digest(self) -> str:
@@ -453,11 +466,11 @@ class ScenarioRunner:
                 self._run_strawman()
             else:
                 self._run_silent()
-            pre_state = self.ledger.onchain_state(include_callers=False)
+            pre_contracts, pre_receipts = self.ledger.contract_dumps(), len(self.ledger.receipts)
             if self.config.withdraw_at_end:
                 self._settlement_phase()
             self.ledger.audit()
-            return self._build_trace(pre_state)
+            return self._build_trace(pre_contracts, pre_receipts)
 
     def _run_silent(self):
         cfg = self.config
@@ -764,27 +777,25 @@ class ScenarioRunner:
 
     # -- trace --------------------------------------------------------------------
 
-    def _build_trace(self, pre_state) -> ScenarioTrace:
+    def _build_trace(self, pre_contracts: dict, pre_receipts: int) -> ScenarioTrace:
         cfg = self.config
         svc = self._service()
+        hex_of = self.ledger.hex_of
 
         selected = [self.pool.index(m) for m in self.sender.selected]
-        roles = {"sender": self.sender.address.hex(), "recipient": self.recipient.address.hex()}
+        roles = {"sender": hex_of[self.sender.address], "recipient": hex_of[self.recipient.address]}
         for i, mailman in enumerate(self.pool):
-            roles[f"mailman_{i}"] = mailman.address.hex()
-        balances = {
-            addr.hex(): acc.balance
-            for addr, acc in self.ledger.accounts.items()
-        }
+            roles[f"mailman_{i}"] = hex_of[mailman.address]
+        balances = {hex_of[addr]: acc.balance for addr, acc in self.ledger.accounts.items()}
         service_gas = sum(r.gas_used for r in self.ledger.receipts if r.function in SERVICE_FUNCTIONS)
         delivered = (
             self.recipient.info == self.sender.info
             and self.recipient.info is not None
         )
-        receipts = [r.to_record() for r in self.ledger.receipts]
+        receipts = [r.record for r in self.ledger.receipts]
         # the final digest reads the live states, not state_dump copies: they
         # hold no bytes, so they hash the same
-        contracts = {addr.hex(): c.state for addr, c in self.ledger.contracts.items()}
+        contracts = {hex_of[addr]: c.state for addr, c in self.ledger.contracts.items()}
         return ScenarioTrace(
             config=cfg.to_dict(),
             mode=cfg.mode,
@@ -794,14 +805,15 @@ class ScenarioRunner:
             messages=self.bus.meta_records(),
             slashes=svc["slashes"],
             selected=selected,
-            selected_addresses=[m.address.hex() for m in self.sender.selected],
+            selected_addresses=[hex_of[m.address] for m in self.sender.selected],
             balances=balances,
             roles=roles,
             total_gas=self.ledger.gas_total(),
             service_gas=service_gas,
             shares_recovered_light=self.shares_light,
             info_delivered=delivered,
-            pre_settlement_state=pre_state,
+            pre_settlement_contracts=pre_contracts,
+            pre_settlement_receipts=pre_receipts,
             final_digest=self.ledger.state_digest({"contracts": contracts, "receipts": receipts}).hex(),
         )
 

@@ -65,7 +65,7 @@ def assert_reverts(world, caller, target, fn, args, error, value=0):
     receipt = ledger.submit_tx(caller.address, target, fn, args, value=value)
     assert (receipt.success, receipt.error) == (False, error)
     after = ledger.onchain_state()
-    assert after["receipts"].pop() == receipt.to_record()
+    assert after["receipts"].pop() == receipt.record
     assert ledger.state_digest(after) == ledger.state_digest(before)
     balances[caller.address] -= receipt.gas_used * ledger.schedule.wei_per_gas
     assert {addr: account.balance for addr, account in ledger.accounts.items()} == balances

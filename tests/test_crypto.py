@@ -1265,10 +1265,11 @@ def point_of(pubkey):
 
 def memo_ecdh_matches_kernel(memo, d, e):
     """_shared_x(d, e*G) through memo, the scope's, equals the _jmul and the double-and-add products."""
-    x, y = point_of(keypair_from_scalar(e).pubkey)
-    assert memo.scalars[x, y] == e
+    pub = keypair_from_scalar(e).pubkey
+    x, y = point_of(pub)
+    assert memo.scalars[pub] == e
     sx = _to_affine(_jmul(d, (x, y, 1)))[0]
-    assert crypto._shared_x(d, x, y) == sx == _to_affine(reference_mul(d, (x, y, 1)))[0]
+    assert crypto._shared_x(d, pub) == sx == _to_affine(reference_mul(d, (x, y, 1)))[0]
 
 
 HALF_N = (_N - 1) // 2
@@ -1303,8 +1304,10 @@ class TestScalarMemo:
         newest = keypair_gen(Random(44))
         pairs.append(newest)
         scalars = [int.from_bytes(kp.privkey, "big") for kp in pairs]
-        assert list(memo.scalars.items()) == [(point_of(kp.pubkey), k) for kp, k in zip(pairs, scalars)]
-        assert list(memo.points.items()) == [(k, point_of(kp.pubkey)) for kp, k in zip(pairs, scalars)]
+        assert list(memo.scalars.items()) == [(kp.pubkey, k) for kp, k in zip(pairs, scalars)]
+        assert list(memo.points.items()) == [(k, kp.pubkey) for kp, k in zip(pairs, scalars)]
+        # the memo holds each key pair's own pubkey bytes, not a copy
+        assert all(pub is kp.pubkey is memo.points[k] for pub, kp, k in zip(memo.scalars, pairs, scalars))
 
     def test_pubkey_of_a_recorded_scalar_is_looked_up(self, base_mults):
         kp = keypair_gen(Random(46))
@@ -1324,7 +1327,7 @@ class TestScalarMemo:
         foreign_priv = (0xFACADE).to_bytes(32, "big")
         foreign_pub = pubkey_of_privkey(foreign_priv)
         for priv, pub in ((evicted.privkey, evicted.pubkey), (foreign_priv, foreign_pub)):
-            assert point_of(pub) not in memo.scalars
+            assert pub not in memo.scalars
             before = len(point_mults)
             blob = ecies_encrypt(pub, b"share", rng)
             assert point_mults[before:] == [point_of(pub)]
@@ -1342,7 +1345,7 @@ class TestScalarMemo:
         blob = ecies_encrypt(kp.pubkey, b"share", rng)
         assert ecies_decrypt(kp.privkey, blob) == b"share"
         for swapped in (other.pubkey, kp.pubkey):
-            assert point_of(swapped) in memo.scalars
+            assert swapped in memo.scalars
             with pytest.raises(AuthenticationError):
                 ecies_decrypt(kp.privkey, swapped + blob[64:])
         assert point_mults == []
@@ -1351,7 +1354,7 @@ class TestScalarMemo:
         rng = Random(47)
         kp, wrong = keypair_gen(rng), keypair_gen(rng)
         blob = ecies_encrypt(kp.pubkey, b"share", rng)
-        assert point_of(wrong.pubkey) in memo.scalars and point_of(blob) in memo.scalars
+        assert wrong.pubkey in memo.scalars and blob[:64] in memo.scalars
         with pytest.raises(AuthenticationError):
             ecies_decrypt(wrong.privkey, blob)
         onion = onion_wrap(Share(1, 2, 0), [wrong.pubkey, kp.pubkey], rng)
@@ -1509,7 +1512,7 @@ def wrap_recipients():
     """
     rng = Random(51)
     new = keypairs_gen(rng, 4)
-    scalars = {point_of(kp.pubkey): int.from_bytes(kp.privkey, "big") for kp in new}
+    scalars = {kp.pubkey: int.from_bytes(kp.privkey, "big") for kp in new}
     foreign = [pubkey_of_privkey((0xFACADE + i).to_bytes(32, "big")) for i in range(4)]
     pubkeys = {"recorded": [kp.pubkey for kp in new], "never recorded": foreign}
     return scalars, pubkeys
@@ -1556,7 +1559,7 @@ def assert_wraps_alike(scalars, shares, layer_pubkeys, seed):
     *got, points = wrap_from(scalars, batched(shares, layer_pubkeys), seed)
     assert got == expected
     assert points.items() >= loop_points.items()
-    assert all(points[k] == _to_affine(_jmul_base(k)) for k in points.keys() - loop_points.keys())
+    assert all(point_of(points[k]) == _to_affine(_jmul_base(k)) for k in points.keys() - loop_points.keys())
     return expected[0]
 
 
@@ -1653,7 +1656,7 @@ def primitives(seed):
 def records_into(memo, seed):
     """Whether a key drawn now from seed is recorded in memo, that is, whether memo is in place."""
     kp = keypair_gen(Random(seed))
-    return memo.scalars.get(point_of(kp.pubkey)) == int.from_bytes(kp.privkey, "big")
+    return memo.scalars.get(kp.pubkey) == int.from_bytes(kp.privkey, "big")
 
 
 def held_by(memo):
@@ -2150,15 +2153,15 @@ class TestOpenSslOracle:
         for _ in range(12):
             d, e = rng.randrange(1, _N), rng.randrange(1, _N)
             peer = self.key(e)
-            numbers = peer.public_key().public_numbers()
+            point = self.pubkey(peer)
             expected = int.from_bytes(self.key(d).exchange(ec.ECDH(), peer.public_key()), "big")
             # a foreign point: the variable-base multiplication
-            assert crypto._shared_x(d, numbers.x, numbers.y) == expected
+            assert crypto._shared_x(d, point) == expected
             # a point whose scalar this scope drew: one fixed-base k * G
             with crypto.scope() as memo:
                 keypair_from_scalar(e)
-                assert memo.scalars[numbers.x, numbers.y] == e
-                assert crypto._shared_x(d, numbers.x, numbers.y) == expected
+                assert memo.scalars[point] == e
+                assert crypto._shared_x(d, point) == expected
 
     # the layer is ephemeral point (64) || nonce (12) || ciphertext and tag,
     # under the AES key SHA3-256(x of the ECDH point)

@@ -13,7 +13,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tidsim import ledger as ledger_module, scenario as scenario_module
+from tidsim import crypto, ledger as ledger_module, scenario as scenario_module
 from tidsim.crypto import hash256
 from tidsim.ledger import (
     _BLOCK,
@@ -37,9 +37,10 @@ from tidsim.ledger import (
     fmt_usd,
     json_digest,
     json_pieces,
+    public_record,
     round_usd_cents,
 )
-from tidsim.scenario import ScenarioConfig, ScenarioRunner
+from tidsim.scenario import ScenarioConfig, ScenarioRunner, run_scenario
 
 ETHER = WEI_PER_ETHER
 
@@ -345,7 +346,7 @@ class TestRollback:
         assert repr(live) == repr(before)
 
     @pytest.mark.parametrize("in_tx", [True, False], ids=["in_tx", "outside_tx"])
-    @pytest.mark.parametrize("how", ["setitem", "update", "setdefault", "append", "insert", "slice"])
+    @pytest.mark.parametrize("how", ["setitem", "update", "setdefault", "append", "insert", "slice", "index"])
     def test_stored_dict_or_list_is_journaled_at_once(self, ledger, funded, how, in_tx):
         contract = ledger.deploy_contract(funded.address, ScriptContract, state={"d": {}, "l": []})
         value = {"inner": [{"x": 1}]}
@@ -362,8 +363,11 @@ class TestRollback:
                 state["l"].append(value)
             elif how == "insert":
                 state["l"].insert(0, value)
-            else:
+            elif how == "slice":
                 state["l"][0:0] = [value]
+            else:
+                state["l"].append(None)
+                state["l"][0] = value
             stored.append(state["d"]["k"] if state["d"] else state["l"][0])  # as stored, before any commit
 
         if in_tx:
@@ -654,10 +658,11 @@ class TestDeterminism:
     def test_caller_exclusion_changes_digest_scope(self, ledger, funded):
         contract = deploy_ping(ledger, funded)
         ledger.submit_tx(funded.address, contract.address, FN_NEW_SERVICE)
-        full = ledger.onchain_state(include_callers=True)
-        redacted = ledger.onchain_state(include_callers=False)
+        full = ledger.onchain_state()
+        redacted = public_record(full["receipts"][-1])
         assert "caller" in full["receipts"][-1]
-        assert "caller" not in redacted["receipts"][-1]
+        assert "caller" not in redacted
+        assert redacted == {k: v for k, v in full["receipts"][-1].items() if k != "caller"}
 
 
 class TestEndOfRun:
@@ -710,7 +715,7 @@ class TestEndOfRun:
         # the earlier ones without their caller
         receipts = runner.ledger.receipts
         assert built == list(range(len(receipts)))
-        assert all(rec is r.to_record() for rec, r in zip(trace.receipts, receipts))
+        assert all(rec is r.record for rec, r in zip(trace.receipts, receipts))
         snapshot = trace.pre_settlement_state["receipts"]
         assert 0 < len(snapshot) < len(receipts)
         assert snapshot == [{k: v for k, v in rec.items() if k != "caller"} for rec in trace.receipts[: len(snapshot)]]
@@ -721,6 +726,56 @@ class TestEndOfRun:
         assert pre_digest == hash256(json.dumps(trace.pre_settlement_state, sort_keys=True).encode()).hex()
         # and the live state hashes as a dumped snapshot of it would
         assert trace.final_digest == json_digest(runner.ledger.onchain_state()).hex()
+
+    def test_one_string_per_address(self):
+        runner = ScenarioRunner(ScenarioConfig(seed=3, pool_size=40, n=4, l=2, t=2))
+        trace = runner.run()
+        named = [*trace.roles.values(), *trace.balances, *trace.selected_addresses, *runner.agent.state["mailmen"]]
+        named += [rec[key] for rec in trace.receipts for key in ("target", "caller")]
+        assert len(runner.agent.state["mailmen"]) == 40
+        # each address is named by one str object, wherever it appears
+        first = {}
+        assert all(first.setdefault(name, name) is name for name in named)
+        assert sorted(first) == sorted(addr.hex() for addr in runner.ledger.accounts)
+
+    def test_pre_settlement_state_is_built_on_first_read(self, monkeypatch):
+        settle = ScenarioRunner._settlement_phase
+        eager = []
+
+        def snapshot_first(runner):
+            ledger = runner.ledger
+            eager.append(
+                {
+                    "contracts": {addr.hex(): c.state_dump() for addr, c in sorted(ledger.contracts.items())},
+                    "receipts": [{k: v for k, v in r.record.items() if k != "caller"} for r in ledger.receipts],
+                }
+            )
+            settle(runner)
+
+        monkeypatch.setattr(ScenarioRunner, "_settlement_phase", snapshot_first)
+        trace = run_scenario(ScenarioConfig(seed=2, pool_size=6, n=4, l=2, t=2, fault_policies={0: "premature"}))
+        trace.trace_hash()
+        assert "pre_settlement_state" not in vars(trace)
+        state = trace.pre_settlement_state
+        assert "pre_settlement_state" in vars(trace)
+        assert state == eager[0]
+        assert trace.pre_settlement_state is state
+        assert len(state["receipts"]) == trace.pre_settlement_receipts < len(trace.receipts)
+        assert trace.pre_settlement_digest == json_digest(eager[0]).hex()
+
+    def test_run_memory_bounded(self):
+        # a pool-400 run and its trace hash; the trace held each address as
+        # several strings and a second, caller-less copy of every receipt
+        # record, and the memo an (x, y) tuple per key beside its pubkey bytes:
+        # 2.88 MiB, against about 2.35 held once
+        crypto._base_table()  # loaded once per process, outside the window
+        tracemalloc.start()
+        try:
+            ScenarioRunner(ScenarioConfig(seed=5, pool_size=400, n=4, l=2, t=2)).run().trace_hash()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 2**20, f"a pool-400 run peaked at {peak / 2**20:.2f} MiB"
 
 
 # JSON values of every kind json_pieces meets, including non-ASCII text,
