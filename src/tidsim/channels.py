@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from random import Random
-from typing import Optional
+from typing import Mapping, Optional
 
 BROADCAST = b"\xff" * 20  # destination marker for topic messages
 TOPIC = b"tids"  # the one topic every broadcast carries
@@ -38,13 +38,14 @@ class ChannelMsg:
     def size(self) -> int:
         return len(self.payload)
 
-    def meta_record(self) -> dict:
+    def meta_record(self, hex_of: Mapping[bytes, str]) -> dict:
+        """The message's public record; hex_of names each address, as the ledger's map does."""
         rec = {
             "type": "message",
             "seq": self.seq,
             "tick": self.sent_tick,
-            "from": self.sender.hex(),
-            "to": "broadcast" if self.to == BROADCAST else self.to.hex(),
+            "from": hex_of[self.sender],
+            "to": "broadcast" if self.to == BROADCAST else hex_of[self.to],
             "topic": self.topic.hex() if self.topic else None,
             "size": self.size(),
             "delivered": self.delivered,
@@ -106,5 +107,5 @@ class MessageBus:
         """Every broadcast the fault injector did not drop, in send order."""
         return [m for m in self.log if m.to == BROADCAST and m.delivered]
 
-    def meta_records(self) -> list[dict]:
-        return [m.meta_record() for m in self.log]
+    def meta_records(self, hex_of: Mapping[bytes, str]) -> list[dict]:
+        return [m.meta_record(hex_of) for m in self.log]

@@ -159,15 +159,19 @@ def decode_parts(data: bytes) -> list[bytes]:
 # byte for byte.
 #
 # Affine additions that share one inversion of their x differences
-# (Montgomery's trick, Math. Comp. 1987; _affine_sums) multiply many keys
-# at once (_base_mul_batch): each half's table points are summed as a
-# balanced tree, one level at a time across the halves of up to
-# _BATCH_CHUNK keys, and one more level joins each key's two halves, for 5
-# inversions per chunk. The points travel as flat lists of coordinates, not
-# as a tuple per point, since at six modular products an addition costs
-# little more than building and unpacking its tuples. Within a half the
-# equal-x case of affine addition never arises, and at the join it never
-# arises either; _base_mul_tree gives the arguments.
+# (_affine_sums, through _inverses: Montgomery's trick, Math. Comp. 1987,
+# which presign and ss_restore use too) multiply many keys at once
+# (_base_mul_batch): each half's table points are summed as a balanced
+# tree, one level at a time across the halves of up to _BATCH_CHUNK keys,
+# and one more level joins each key's two halves, for 5 inversions per
+# chunk. A zero digit takes its window's point for digit 1 as a stand-in,
+# so every half has one point per window and every level's columns are
+# equally long; the stand-in's key skips the join and is recomputed by
+# _jmul_base. The points travel as flat lists of coordinates, not as a
+# tuple per point, since at six modular products an addition costs little
+# more than building and unpacking its tuples. Within a half the equal-x
+# case of affine addition never arises, and at the join it never arises
+# either; _base_mul_tree gives the arguments.
 #
 # Variable-base multiplication (_jmul) is plain double-and-add over the
 # affine point, without the GLV split: only the recovery of a foreign
@@ -294,29 +298,18 @@ def _to_affine(p):
 def _affine_sums(x1s, y1s, x2s, y2s):
     """P + Q for affine points P = (x1s[j], y1s[j]) and Q = (x2s[j], y2s[j]) with distinct x, sharing one inversion.
 
-    The sums come back as two lists, of x and of y. Montgomery's trick: the
-    product of all x differences is inverted once and each difference's
-    inverse is peeled off it, last pair first. An equal x makes the product
-    zero, and pow(0, -1, P) raises rather than give a wrong point.
+    The sums come back as two lists, of x and of y. The inverses of the x
+    differences come from one pow (_inverses). An equal x has no inverse,
+    and pow(0, -1, P) raises ValueError rather than give a wrong point.
     """
     p = _P
-    prefix = []
-    prod = 1
-    for x1, x2 in zip(x1s, x2s):
-        prefix.append(prod)
-        prod = prod * (x2 - x1) % p
-    inv = pow(prod, -1, p)
-    xs = [0] * len(prefix)
-    ys = [0] * len(prefix)
-    for j in range(len(prefix) - 1, -1, -1):
-        x1 = x1s[j]
-        y1 = y1s[j]
-        x2 = x2s[j]
-        lam = (y2s[j] - y1) * inv * prefix[j] % p
-        inv = inv * (x2 - x1) % p
+    xs = []
+    ys = []
+    for x1, y1, x2, y2, inv in zip(x1s, y1s, x2s, y2s, _inverses([x2 - x1 for x1, x2 in zip(x1s, x2s)], p)):
+        lam = (y2 - y1) * inv % p
         x3 = (lam * lam - x1 - x2) % p
-        xs[j] = x3
-        ys[j] = (lam * (x1 - x3) - y1) % p
+        xs.append(x3)
+        ys.append((lam * (x1 - x3) - y1) % p)
     return xs, ys
 
 
@@ -452,36 +445,36 @@ def _base_mul_tree(ks):
     """Affine k * G for every k in the list ks, 1 <= k < N, as k1 * G + phi(k2 * G), each half summed by a balanced tree.
 
     _split gives each key two halves, and a half h's leaves are the table
-    points of |h|'s nonzero signed digits in _base_table()'s 10 windows.
-    Each level is one list per position, of x and of y, over the 2 * len(ks)
-    halves, and adds each half's position j to its position j + h, h being
-    half the positions, with one _affine_sums call for the whole level,
-    which shares one inversion across the level's additions; an odd last
-    position waits for a later level. 10 leaves take 4 levels. A half with a
-    zero digit (about 0.1% of halves) has fewer leaves, and a zero half,
-    such as k2 for k = 1, has none: it moves behind the others, most leaves
-    first, with its leaves in its first positions, so each position covers
-    a prefix of the halves and a level only slices and joins lists. A
-    negative half negates its root's y. One more call joins each key's
-    roots A = k1 * G and B = k2 * G as A + phi(B), phi(x, y) = (beta * x, y),
-    so a key costs at most 19 additions and a call 5 inversions; a key with
-    a zero half takes the other half's root. The first level holds every
-    half's points at once, so _base_mul_batch calls it on _BATCH_CHUNK keys
-    at a time. Per key it takes about 102 µs at 5 keys, 83 at 17, 76 at 65,
-    77 at 256 and 80 at 1,205, against 123, 98, 90, 93 and 90 for 11-bit
-    windows over the whole scalar (best of 7, alternating runs, on the host
+    points of |h|'s signed digits in _base_table()'s 10 windows. A zero
+    digit takes its window's point for digit 1 as a stand-in and marks its
+    key, so every half has 10 leaves. Each level is one list per position,
+    of x and of y, over the 2 * len(ks) halves, and adds each half's
+    position j to its position j + h, h being half the positions, with one
+    _affine_sums call for the whole level, which shares one inversion across
+    the level's additions; an odd last position waits for a later level. 10
+    leaves take 4 levels. A negative half negates its root's y. One more
+    call joins each unmarked key's roots A = k1 * G and B = k2 * G as
+    A + phi(B), phi(x, y) = (beta * x, y), so a key costs at most 19
+    additions and a call 5 inversions. A marked key, one with a zero digit
+    or a zero half such as k2 for k = 1, is then recomputed by _jmul_base:
+    0.32% of 200,000 random keys. The first level holds every half's
+    points at once, so _base_mul_batch calls it on _BATCH_CHUNK keys at a
+    time. Per key it takes about 190 µs at 1 key, 99 at 5, 77 at 17 and 71
+    at 256 (best of 9 over 512 random keys, alternating runs, on the host
     of _jmul_base's timing).
 
     Within a half no two addends share x, so no branch handles equal x. A
-    node sums the signed digits d_w * 8192^w of a set of windows, |d_w| <=
-    4096, so it is below 2^131, far below N, in size. Two sibling nodes L
-    and R cover disjoint sets of windows, so L - R and L + R are such sums
-    too, with some digits negated, and the term of their highest window,
-    at least 8192^w in size, exceeds all lower ones together, at most
-    4096 * (8192^w - 1) / 8191: the sum is nonzero, so L is not +-R mod N.
+    node sums the signed digits d_w * 8192^w of a set of windows, 1 <= |d_w|
+    <= 4096, a stand-in's digit 1 included, so it is below 2^131, far below
+    N, in size. Two sibling nodes L and R cover disjoint sets of windows, so
+    L - R and L + R are such sums too, with some digits negated, and the
+    term of their highest window, at least 8192^w in size, exceeds all
+    lower ones together, at most 4096 * (8192^w - 1) / 8191: the sum is
+    nonzero, so L is not +-R mod N.
 
-    The join meets equal x only if k1 = +-lambda * k2 mod N. With the minus
-    sign k = 0 mod N. With the plus sign (k1, -k2) is a nonzero vector of
+    The join adds only unmarked keys, whose halves are both nonzero, and
+    meets equal x only if k1 = +-lambda * k2 mod N. With the minus sign
+    k = 0 mod N. With the plus sign (k1, -k2) is a nonzero vector of
     _split's lattice, whose reduced basis makes (a1, b1), of length
     2^127.86, its shortest vector, while _split's bounds keep (k1, k2)
     below 2^127.74. Were it ever to happen, _affine_sums would raise, and
@@ -489,12 +482,13 @@ def _base_mul_tree(ks):
     _jadd handles equal x.
     """
     width, half, mask, low, p = _WINDOW, _HALF, _MASK, _LOW, _P
+    n = len(ks)
     splits = [_split(k) for k in ks]
     todo = [abs(k1) for k1, _ in splits] + [abs(k2) for _, k2 in splits]
-    # half i's table point in window w is (xs[w][i], ys[w][i]), None for a zero digit
+    marked = set()
+    # half i's table point in window w is (xs[w][i], ys[w][i]); key i's halves are i and n + i
     xs = []
     ys = []
-    sparse = []
     for row in _base_table():
         cx = []
         cy = []
@@ -509,29 +503,15 @@ def _base_mul_tree(ks):
                 todo[i] = k >> width
                 if d:
                     v = row[d - 1]
-                    cx.append(v >> 256)
-                    cy.append(v & low)
                 else:
-                    sparse.append(i)
-                    cx.append(None)
-                    cy.append(None)
+                    v = row[0]
+                    marked.add(i % n)
+                cx.append(v >> 256)
+                cy.append(v & low)
         xs.append(cx)
         ys.append(cy)
-    order = range(len(todo))
-    if sparse:
-        # the halves with a zero digit move behind the others, most leaves first
-        moved = sorted(set(sparse), key=lambda i: sum(cx[i] is None for cx in xs))
-        leaves = [[(cx[i], cy[i]) for cx, cy in zip(xs, ys) if cx[i] is not None] for i in moved]
-        for i in sorted(moved, reverse=True):
-            for col in xs + ys:
-                del col[i]
-        for j, (cx, cy) in enumerate(zip(xs, ys)):
-            for points in leaves:
-                if j < len(points):
-                    cx.append(points[j][0])
-                    cy.append(points[j][1])
-        gone = set(moved)
-        order = [i for i in order if i not in gone] + moved
+    # every column holds one point per half
+    m = len(todo)
     while len(xs) > 1:
         h = len(xs) // 2
         x1s = []
@@ -539,40 +519,25 @@ def _base_mul_tree(ks):
         x2s = []
         y2s = []
         for j in range(h):
-            cut = len(xs[j + h])
-            x1s += xs[j][:cut]
-            y1s += ys[j][:cut]
+            x1s += xs[j]
+            y1s += ys[j]
             x2s += xs[j + h]
             y2s += ys[j + h]
         sx, sy = _affine_sums(x1s, y1s, x2s, y2s)
-        start = 0
-        for j in range(h):
-            end = start + len(xs[j + h])
-            xs[j][: end - start] = sx[start:end]
-            ys[j][: end - start] = sy[start:end]
-            start = end
-        del xs[h : 2 * h], ys[h : 2 * h]
-    ax = [None] * len(todo)
-    ay = [None] * len(todo)
-    for i, x, y in zip(order, xs[0], ys[0]):
-        ax[i] = x
-        ay[i] = y
-    # key i's roots are A at i and B at n + i; A becomes k1 * G and B phi(k2 * G)
-    n = len(ks)
-    joined = []
-    for i, (k1, k2) in enumerate(splits):
+        xs[: 2 * h] = [sx[j * m : (j + 1) * m] for j in range(h)]
+        ys[: 2 * h] = [sy[j * m : (j + 1) * m] for j in range(h)]
+    # A becomes k1 * G and B phi(k2 * G)
+    (ax,) = xs
+    (ay,) = ys
+    joined = [i for i in range(n) if i not in marked]
+    for i in joined:
+        k1, k2 = splits[i]
+        j = n + i
+        ax[j] = _BETA * ax[j] % p
         if k1 < 0:
             ay[i] = p - ay[i]
-        if k2:
-            j = n + i
-            ax[j] = _BETA * ax[j] % p
-            if k2 < 0:
-                ay[j] = p - ay[j]
-            if k1:
-                joined.append(i)
-            else:
-                ax[i] = ax[j]
-                ay[i] = ay[j]
+        if k2 < 0:
+            ay[j] = p - ay[j]
     try:
         sx, sy = _affine_sums(
             [ax[i] for i in joined], [ay[i] for i in joined], [ax[n + i] for i in joined], [ay[n + i] for i in joined]
@@ -582,6 +547,8 @@ def _base_mul_tree(ks):
     for i, x, y in zip(joined, sx, sy):
         ax[i] = x
         ay[i] = y
+    for i in marked:
+        ax[i], ay[i] = _to_affine(_jmul_base(ks[i]))
     return list(zip(ax[:n], ay[:n]))
 
 

@@ -802,7 +802,7 @@ class ScenarioRunner:
             status=svc["status"],
             epoch_sequence=[e for _, e in svc.get("epoch_history", [])],
             receipts=receipts,
-            messages=self.bus.meta_records(),
+            messages=self.bus.meta_records(hex_of),
             slashes=svc["slashes"],
             selected=selected,
             selected_addresses=[hex_of[m.address] for m in self.sender.selected],

@@ -5,6 +5,7 @@ from random import Random
 import pytest
 
 from tidsim.channels import BROADCAST, TOPIC, ChannelError, MessageBus
+from tidsim.ledger import Ledger
 
 ALICE = b"\xaa" * 20
 BOB = b"\xbb" * 20
@@ -70,12 +71,12 @@ def test_dropped_message_absent_from_recv():
     bus.deliver_pending()
     assert bus.recv(BOB) == []
     assert bus.log[0].delivered is False
-    assert bus.meta_records()[0]["delivered"] is False
+    assert bus.meta_records(Ledger().hex_of)[0]["delivered"] is False
 
 
 def test_metadata_exposes_sizes_not_payloads(bus):
     bus.send_private(ALICE, BOB, b"secret-payload")
-    rec = bus.meta_records()[0]
+    rec = bus.meta_records(Ledger().hex_of)[0]
     assert rec["size"] == len(b"secret-payload")
     assert "payload" not in rec
     assert rec["to"] == BOB.hex()
@@ -89,8 +90,6 @@ def test_broadcast_log_only_has_broadcasts(bus):
 
 
 def test_messages_never_cost_gas(bus):
-    from tidsim.ledger import Ledger
-
     ledger = Ledger()
     account = ledger.register_eoa(bytes([3]) * 20)
     ledger.fund(account.address, 10**18)

@@ -169,17 +169,27 @@ class TestKeyPairs:
 
 @contextlib.contextmanager
 def counted_base_mults():
-    """Every fixed-base multiplication while the block runs: a single k*G as k, a batch as its list of keys."""
+    """Every fixed-base multiplication while the block runs: a single k*G as k, a batch as its list of keys.
+
+    A batch's recompute of a key whose digits held a stand-in is part of
+    the batch, so a single k*G made inside one is not listed.
+    """
     calls = []
+    batching = []
     real_base, real_batch = crypto._jmul_base, crypto._base_mul_batch
 
     def base(k):
-        calls.append(k)
+        if not batching:
+            calls.append(k)
         return real_base(k)
 
     def batch(ks):
         calls.append(list(ks))
-        return real_batch(ks)
+        batching.append(True)
+        try:
+            return real_batch(ks)
+        finally:
+            batching.pop()
 
     crypto._jmul_base, crypto._base_mul_batch = base, batch
     try:
@@ -1365,17 +1375,10 @@ class TestScalarMemo:
 
 
 @pytest.fixture
-def base_mults(monkeypatch, memo):
-    """Every scalar that reached the fixed-base multiplication, inside a fresh scope."""
-    calls = []
-    real = crypto._jmul_base
-
-    def counted(k):
-        calls.append(k)
-        return real(k)
-
-    monkeypatch.setattr(crypto, "_jmul_base", counted)
-    return calls
+def base_mults(memo):
+    """Every fixed-base multiplication inside a fresh scope, as counted_base_mults lists them."""
+    with counted_base_mults() as calls:
+        yield calls
 
 
 def layer_record(memo, blob):
@@ -1618,14 +1621,26 @@ COSTS = ("_jmul_base", "_base_mul_batch", "_jmul", "_recover_address", "decode_p
 
 
 def costed(work):
-    """work()'s result and how many calls it made to each of COSTS, by name."""
+    """work()'s result and how many calls it made to each of COSTS, by name.
+
+    A batch's recompute of a key whose digits held a stand-in is part of
+    the batch, so a call made inside _base_mul_batch is not counted.
+    """
     counts = collections.Counter()
+    batching = []
     with pytest.MonkeyPatch.context() as mp:
         for name in COSTS:
 
             def counted(*args, name=name, real=getattr(crypto, name)):
-                counts[name] += 1
-                return real(*args)
+                if not batching:
+                    counts[name] += 1
+                if name != "_base_mul_batch":
+                    return real(*args)
+                batching.append(True)
+                try:
+                    return real(*args)
+                finally:
+                    batching.pop()
 
             mp.setattr(crypto, name, counted)
         return work(), counts
@@ -1843,9 +1858,9 @@ class TestBatchedBaseMult:
         expected = [_to_affine(_jmul_base(k)) for k in ks]
         assert _base_mul_batch(ks) == expected
 
-    # A batch mixes keys whose halves have any zero digits, and so any number
-    # of table points, or are zero, and repeats keys: the tree moves a half
-    # with fewer points behind the others and writes each root back to its
+    # A batch mixes keys whose halves have any zero digits, or are zero, and
+    # repeats keys: each zero digit takes a stand-in point, and the batch
+    # recomputes each key that holds one and writes every point back to its
     # own key.
     @given(
         ks=st.lists(
@@ -1886,6 +1901,52 @@ class TestBatchedBaseMult:
         else:
             expected = [_to_affine(_jmul_base(k)) for k in ks]
         assert _base_mul_batch(ks) == expected
+
+    # Every tree level adds equal-length columns, 2 * len(ks) points each,
+    # since a zero digit takes digit 1's point as a stand-in and marks its
+    # key; the join adds only the unmarked keys, and the single path
+    # recomputes each marked key once, and no other key.
+    def test_exactly_the_stand_in_keys_are_recomputed(self, monkeypatch):
+        rng = Random(2024)
+
+        def half(zero=None):
+            """A half whose signed digits are all nonzero, but for a zero in window `zero`, the top one included."""
+            digits = [rng.choice([-1, 1]) * rng.randrange(1, _HALF) for _ in range(ROWS - 1)]
+            top = rng.randrange(1, SMALL_TOP + 1)
+            if zero == ROWS - 1:
+                top = 0
+            elif zero is not None:
+                digits[zero] = 0
+            return rng.choice([1, -1]) * from_digits(digits, top)
+
+        dense = [from_halves(half(), half()) for _ in range(12)]
+        sparse = [from_halves(half(w), half()) for w in range(ROWS)]
+        sparse += [from_halves(half(), half(w)) for w in range(ROWS)]
+        zero_half = [1, LAMBDA, _N - 1]
+        ks = dense + sparse + zero_half
+        rng.shuffle(ks)
+        assert len(set(ks)) == len(ks)
+        stand_ins = [k for k in ks if any(0 in signed_digits(abs(h)) for h in crypto._split(k))]
+        assert sorted(stand_ins) == sorted(sparse + zero_half)
+        expected = [_to_affine(reference_mul(k, G)) for k in ks]
+        sizes = []
+        singles = []
+        real_sums, real_base = crypto._affine_sums, crypto._jmul_base
+
+        def counted_sums(x1s, y1s, x2s, y2s):
+            sizes.append(len(x1s))
+            return real_sums(x1s, y1s, x2s, y2s)
+
+        def counted_base(k):
+            singles.append(k)
+            return real_base(k)
+
+        monkeypatch.setattr(crypto, "_affine_sums", counted_sums)
+        monkeypatch.setattr(crypto, "_jmul_base", counted_base)
+        assert _base_mul_batch(ks) == expected
+        halves = 2 * len(ks)
+        assert sizes == [5 * halves, 2 * halves, halves, halves, len(ks) - len(stand_ins)]
+        assert sorted(singles) == sorted(stand_ins)
 
     # The counts that make the split pay: 4 tree levels and one join per
     # call, at most 9 additions per half and one join per key, against 6

@@ -732,6 +732,8 @@ class TestEndOfRun:
         trace = runner.run()
         named = [*trace.roles.values(), *trace.balances, *trace.selected_addresses, *runner.agent.state["mailmen"]]
         named += [rec[key] for rec in trace.receipts for key in ("target", "caller")]
+        named += [rec[key] for rec in trace.messages for key in ("from", "to") if rec[key] != "broadcast"]
+        assert any(rec["to"] != "broadcast" for rec in trace.messages)
         assert len(runner.agent.state["mailmen"]) == 40
         # each address is named by one str object, wherever it appears
         first = {}
