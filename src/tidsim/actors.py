@@ -39,8 +39,7 @@ from .crypto import (
     hash256,
     new_secret_key,
     onion_peel,
-    onions_wrap,
-    presign,
+    onion_wrap,
     recover_signer,
     scope_cache,
     sign,
@@ -349,18 +348,6 @@ class SenderActor:
         messages and re-selecting replacements for refusals until n
         agreements are signed."""
         candidates = self.select_mailmen(pool, override)
-        # A cost-only look-ahead inside the run's scope, like onions_wrap's:
-        # candidate i is invited with index i, so the sender's authorisation
-        # and every acceptance are signed from one batch, and each sign()
-        # below reads its signature back. A refusal shifts later indices;
-        # those signatures miss and are made alone. No byte changes.
-        presign(
-            [(self.keypair.privkey, sup_auth_digest(self.switch.address, self.sup_code))]
-            + [
-                (m.keypair.privkey, agreement_digest_mailman(self.switch.address, index))
-                for index, m in enumerate(candidates, 1)
-            ]
-        )
         remaining = [m for m in pool if m not in candidates]
         vrs_sup = self.vrs_sup()
         self.selected = []
@@ -417,7 +404,7 @@ class SenderActor:
             [m.timeframe_keys[self.timeframe_tick].pubkey for m in self.layer_holders(share.index)]
             for share in shares
         ]
-        self.onions = onions_wrap(shares, pubkeys, self.rng)
+        self.onions = [onion_wrap(share, keys, self.rng) for share, keys in zip(shares, pubkeys)]
 
         onions_blob = encode_parts(*[o.wire_bytes() for o in self.onions])
         self.bus.broadcast(self.address, TAG_ONIONS + onions_blob)
@@ -425,7 +412,6 @@ class SenderActor:
         indices = sorted(self.agreements)
         vrs_m = [self.agreements[index]["vrs_m"] for index in indices]
         digests = [agreement_digest_sender(self.switch.address, index, m) for index, m in zip(indices, vrs_m)]
-        presign([(self.keypair.privkey, digest) for digest in digests])
         vrs_s = [sign(self.keypair.privkey, digest) for digest in digests]
         tuples = [
             sym_encrypt(self.key, encode_parts(index, s, m), self.rng) for index, s, m in zip(indices, vrs_s, vrs_m)

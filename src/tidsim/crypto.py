@@ -18,11 +18,7 @@ import contextlib
 import functools
 import hashlib
 import hmac as _hmac
-import os
-import struct
 from dataclasses import dataclass, field, fields
-from itertools import repeat
-from operator import itemgetter
 from random import Random
 from typing import Callable, Mapping, Sequence
 
@@ -45,12 +41,10 @@ __all__ = [
     "encode_parts",
     "decode_parts",
     "keypair_gen",
-    "keypairs_gen",
     "keypair_from_scalar",
     "address_of_pubkey",
     "pubkey_of_privkey",
     "sign",
-    "presign",
     "recover_signer",
     "signed_by",
     "new_secret_key",
@@ -62,7 +56,6 @@ __all__ = [
     "ss_split",
     "ss_restore",
     "onion_wrap",
-    "onions_wrap",
     "onion_peel",
     "scope",
     "scope_cache",
@@ -138,418 +131,25 @@ def decode_parts(data: bytes) -> list[bytes]:
 
 
 # ---------------------------------------------------------------------------
-# secp256k1 arithmetic in Jacobian coordinates. Fixed-base multiplication
-# splits k through the GLV endomorphism (_split): k = k1 + lambda * k2 mod N
-# with both halves below 2^127.35 in size, and lambda * P = (beta * x, y) for
-# any point P = (x, y). Each half's size is read in signed 13-bit windows
-# over a table of affine points: 9 windows hold d * 8192^w * G for
-# d = 1..4096 and the top one d = 1..1301; a digit d > 4096 becomes
-# d - 8192 with a carry into the next window, and a negative digit or half
-# negates y. Each table point is added with a mixed Jacobian-affine addition
-# (Hankerson-Menezes-Vanstone, Guide to ECC, 3.2-3.3), at most 9 per half,
-# and k1 * G + lambda * (k2 * G) takes one more addition: at most 19 per
-# k * G.
-#
-# The table is package data, secp256k1_base_table.bin, as libsecp256k1
-# commits its generator tables as generated source: every process would
-# otherwise compute the same 38,165 points. The first k * G streams the file
-# a row at a time through one SHA-256, holds each point as one integer
-# x * 2^256 + y and returns the rows once the whole file's digest matches
-# (_base_table). tests/test_crypto.py rebuilds it from G and compares it
-# byte for byte.
-#
-# Affine additions that share one inversion of their x differences
-# (_affine_sums, through _inverses: Montgomery's trick, Math. Comp. 1987,
-# which presign and ss_restore use too) multiply many keys at once
-# (_base_mul_batch): each half's table points are summed as a balanced
-# tree, one level at a time across the halves of up to _BATCH_CHUNK keys,
-# and one more level joins each key's two halves, for 5 inversions per
-# chunk. A zero digit takes its window's point for digit 1 as a stand-in,
-# so every half has one point per window and every level's columns are
-# equally long; the stand-in's key skips the join and is recomputed by
-# _jmul_base. The points travel as flat lists of coordinates, not as a
-# tuple per point, since at six modular products an addition costs little
-# more than building and unpacking its tuples. Within a half the equal-x
-# case of affine addition never arises, and at the join it never arises
-# either; _base_mul_tree gives the arguments.
-#
-# Variable-base multiplication (_jmul) is plain double-and-add over the
-# affine point, without the GLV split: only the recovery of a foreign
-# signature and an ECDH with a point of unknown scalar reach it, too
-# rarely for a table of the point's multiples, or the split, to pay.
+# secp256k1 arithmetic runs in OpenSSL, in the libcrypto that hashlib's
+# _hashlib extension has already mapped (_ec, beside _gcm below). It takes
+# two operations, on the 64-byte points x || y that keys and layers carry:
+# k * G (_base_mul) for a key or a signature's nonce, and a * G + b * P
+# (_mul_add) for the recovery of a foreign signature and for an ECDH with a
+# point of unknown scalar.
 #
 # An ECDH d * E with E = e * G drawn in this process is (d * e mod N) * G,
-# one fixed-base multiplication instead of a double-and-add one (the
-# argument is at _shared_x). ecies_encrypt records each layer it wraps for
-# an in-process point q * G with q and the layer's ECDH x, so ecies_openers
-# names exactly the keys that open the layer and they open it without a
-# multiplication (the argument is at _layer_key). Each k * G this module
-# computes for a key is kept under k. onions_wrap learns every layer's
-# ephemeral scalar before it wraps, so it computes all of a service's
-# ephemeral keys and ECDH products in one _base_mul_batch and records them
-# for the unchanged per-layer path to read (the argument is at onions_wrap).
-# presign computes the nonces' k * G of many signatures in one
-# _base_mul_batch and their inverses with one pow, for sign to return (the
-# argument is above _recover_address). Every such record is a field of one
-# _Memo, which lives for one scope().
+# one k * G instead of a * G + b * P (the argument is at _shared_x).
+# ecies_encrypt records each layer it wraps for an in-process point q * G
+# with q and the layer's ECDH x, so ecies_openers names exactly the keys
+# that open the layer and they open it without a multiplication (the
+# argument is at _layer_key). Each k * G this module computes for a key is
+# kept under k. Every such record is a field of one _Memo, which lives for
+# one scope().
 # ---------------------------------------------------------------------------
 
 _P = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEFFFFFC2F
 _N = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEBAAEDCE6AF48A03BBFD25E8CD0364141
-_GX = 0x79BE667EF9DCBBAC55A06295CE870B07029BFCDB2DCE28D959F2815B16F81798
-_GY = 0x483ADA7726A3C4655DA4FBFC0E1108A8FD17B448A68554199C47D08FFB10D4B8
-
-_INF = (0, 0, 0)
-
-
-def _jdouble(p):
-    x1, y1, z1 = p
-    if not y1:
-        return _INF
-    yy = y1 * y1 % _P
-    s = 4 * x1 * yy % _P
-    m = 3 * x1 * x1 % _P
-    x3 = (m * m - 2 * s) % _P
-    y3 = (m * (s - x3) - 8 * yy * yy) % _P
-    z3 = 2 * y1 * z1 % _P
-    return (x3, y3, z3)
-
-
-def _jadd(p, q):
-    if not p[2]:
-        return q
-    if not q[2]:
-        return p
-    x1, y1, z1 = p
-    x2, y2, z2 = q
-    z1z1 = z1 * z1 % _P
-    z2z2 = z2 * z2 % _P
-    u1 = x1 * z2z2 % _P
-    u2 = x2 * z1z1 % _P
-    s1 = y1 * z2 * z2z2 % _P
-    s2 = y2 * z1 * z1z1 % _P
-    if u1 == u2:
-        if s1 != s2:
-            return _INF
-        return _jdouble(p)
-    h = (u2 - u1) % _P
-    i = 4 * h * h % _P
-    j = h * i % _P
-    r = 2 * (s2 - s1) % _P
-    v = u1 * i % _P
-    x3 = (r * r - j - 2 * v) % _P
-    y3 = (r * (v - x3) - 2 * s1 * j) % _P
-    z3 = 2 * h * z1 * z2 % _P
-    return (x3, y3, z3)
-
-
-def _jadd_affine(p, x2, y2):
-    """p + (x2, y2) for Jacobian p and an affine point: _jadd with z2 = 1."""
-    x1, y1, z1 = p
-    if not z1:
-        return (x2, y2, 1)
-    z1z1 = z1 * z1 % _P
-    u2 = x2 * z1z1 % _P
-    s2 = y2 * z1 * z1z1 % _P
-    if x1 == u2:
-        if y1 != s2:
-            return _INF
-        return _jdouble(p)
-    h = (u2 - x1) % _P
-    i = 4 * h * h % _P
-    j = h * i % _P
-    r = 2 * (s2 - y1) % _P
-    v = x1 * i % _P
-    x3 = (r * r - j - 2 * v) % _P
-    y3 = (r * (v - x3) - 2 * y1 * j) % _P
-    z3 = 2 * h * z1 % _P
-    return (x3, y3, z3)
-
-
-def _jmul(k, p):
-    """k * p for any integer k and p on secp256k1, by double-and-add.
-
-    k reduces mod N, the order of every point on the curve. p becomes affine
-    once, and the bits of k are read from the top (Hankerson-Menezes-Vanstone,
-    Guide to ECC, alg. 3.27): each costs one doubling, each set bit one
-    mixed addition.
-    """
-    k %= _N
-    if not k or not p[2]:
-        return _INF
-    x, y = _to_affine(p)
-    acc = _INF
-    for bit in bin(k)[2:]:
-        acc = _jdouble(acc)
-        if bit == "1":
-            acc = _jadd_affine(acc, x, y)
-    return acc
-
-
-def _to_affine(p):
-    x, y, z = p
-    if not z:
-        return None
-    zi = pow(z, -1, _P)
-    zi2 = zi * zi % _P
-    return (x * zi2 % _P, y * zi2 * zi % _P)
-
-
-def _affine_sums(x1s, y1s, x2s, y2s):
-    """P + Q for affine points P = (x1s[j], y1s[j]) and Q = (x2s[j], y2s[j]) with distinct x, sharing one inversion.
-
-    The sums come back as two lists, of x and of y. The inverses of the x
-    differences come from one pow (_inverses). An equal x has no inverse,
-    and pow(0, -1, P) raises ValueError rather than give a wrong point.
-    """
-    p = _P
-    xs = []
-    ys = []
-    for x1, y1, x2, y2, inv in zip(x1s, y1s, x2s, y2s, _inverses([x2 - x1 for x1, x2 in zip(x1s, x2s)], p)):
-        lam = (y2 - y1) * inv % p
-        x3 = (lam * lam - x1 - x2) % p
-        xs.append(x3)
-        ys.append((lam * (x1 - x3) - y1) % p)
-    return xs, ys
-
-
-# The GLV endomorphism of secp256k1 (Gallant, Lambert and Vanstone, CRYPTO
-# 2001): lambda * (x, y) = (beta * x, y) for every point, with
-# lambda = 0x5363AD4CC05C30E0A5261C028812645A122E22EA20816678DF02967C1B23BD72,
-# lambda^3 = 1 mod N and beta^3 = 1 mod P. (_A1, _B1) and (_A2, _B2) are a
-# reduced basis of the lattice of (a, b) with a + b * lambda = 0 mod N, as
-# in libsecp256k1.
-_BETA = 0x7AE96A2B657C07106E64479EAC3434E99CF0497512F58995C1396C28719501EE
-_A1 = 0x3086D221A7D46BCDE86C90E49284EB15
-_B1 = -0xE4437ED6010E88286F547FA90ABFE4C3
-_A2 = 0x114CA50F7A8E2F3F657C1108D9D44CFD8
-_B2 = _A1
-
-
-def _split(k):
-    """(k1, k2) with k1 + lambda * k2 = k mod N, |k1| <= (|a1| + |a2|) / 2 and |k2| <= (|b1| + |b2|) / 2.
-
-    Babai rounding, as libsecp256k1's secp256k1_scalar_split_lambda, with
-    exact division in place of its 384-bit shifts. a1 * b2 - a2 * b1 = N,
-    so (k, 0) = t1 * (a1, b1) + t2 * (a2, b2) for t1 = b2 * k / N and
-    t2 = -b1 * k / N. Subtracting c1 * (a1, b1) + c2 * (a2, b2), c1 and c2
-    the integers nearest t1 and t2, keeps k mod N, since each basis vector
-    has a + b * lambda = 0 mod N, and leaves (t1 - c1) * (a1, b1) +
-    (t2 - c2) * (a2, b2) with both factors at most 1/2 in size. The bounds
-    are below 2^127.35 and 2^127.12.
-    """
-    c1 = (_B2 * k + _N // 2) // _N
-    c2 = (-_B1 * k + _N // 2) // _N
-    return k - c1 * _A1 - c2 * _A2, -c1 * _B1 - c2 * _B2
-
-
-# Signed windows of _WINDOW bits: a digit above _HALF becomes digit - 2^_WINDOW
-# and carries one into the next window.
-_WINDOW = 13
-_HALF = 1 << _WINDOW - 1
-_MASK = (1 << _WINDOW) - 1
-# A table slot x * 2^256 + y splits into x = slot >> 256 and y = slot & _LOW.
-_LOW = (1 << 256) - 1
-
-
-_BASE_TABLE_FILE = os.path.join(os.path.dirname(__file__), "secp256k1_base_table.bin")
-_BASE_TABLE_SHA256 = "10c786bdfb5ff5fb7c37b6f8deb122c7ed1d1b8e78828726571908871b31224f"
-
-
-@functools.cache
-def _base_table():
-    """Row w holds the affine d * B, B = 2^(_WINDOW * w) * G, at index d - 1, as x * 2^256 + y.
-
-    Rows 0..8 hold d = 1.._HALF and the top row, row 9, d = 1..1301: a half
-    of _split is below 1301.27 * 2^117 in size, and its signed digits in
-    windows 0..8 round the rest to at most 1,301 at weight 2^117, with no
-    carry beyond it. The points are read from _BASE_TABLE_FILE, which holds
-    them row by row as x || y, each a 32-byte big-endian integer, so each
-    64-byte slot read as one integer is x * 2^256 + y. One integer per
-    point keeps 3.8 MiB under tracemalloc for the 38,165 points, half what
-    (x, y) tuples would.
-
-    The file is read one row (256 KiB) at a time: each row feeds one
-    running SHA-256 and is decoded straight into its list, so no copy of
-    the whole file is held beside the points. The digest of the whole file
-    is checked before anything is returned, so a damaged, short or long
-    file raises CryptoError and nothing is cached: a wrong point would give
-    wrong keys without any error. Reading, checking and decoding take about
-    10 ms, with a tracemalloc peak 0.4 MiB above what the table keeps.
-
-    Read on the first fixed-base multiplication, not at import, so a
-    process that never multiplies by G never reads the file.
-    """
-    digest = hashlib.sha256()
-    rows = []
-    with open(_BASE_TABLE_FILE, "rb") as f:
-        while row := f.read(64 * _HALF):
-            digest.update(row)
-            # struct rejects a row that ends inside a slot; such a file fails the check below
-            if not len(row) % 64:
-                slots = map(itemgetter(0), struct.iter_unpack("64s", row))
-                rows.append(list(map(int.from_bytes, slots, repeat("big"))))
-    if digest.hexdigest() != _BASE_TABLE_SHA256:
-        raise CryptoError(f"{_BASE_TABLE_FILE} is not the secp256k1 base table: its SHA-256 differs")
-    return rows
-
-
-def _jmul_base(k):
-    """k * G for 0 <= k < N, as k1 * G + phi(k2 * G) for (k1, k2) = _split(k) and phi(x, y) = (beta * x, y).
-
-    Each half sums the table points of its size's nonzero signed digits in
-    its own Jacobian accumulator, with at most 9 mixed additions; a negative
-    half negates y, and phi(X, Y, Z) = (beta * X, Y, Z) makes the second
-    one lambda * k2 * G. One _jadd joins them, equal x included. With its
-    affine conversion it takes about 146 µs, against 164 for 11-bit windows
-    over the whole scalar (best of 7 over 200 random keys, on a 2-core
-    x86-64 host).
-    """
-    table = _base_table()
-    acc = []
-    for h in _split(k):
-        j = _INF
-        m = abs(h)
-        for row in table:
-            if not m:
-                break
-            d = m & _MASK
-            m >>= _WINDOW
-            if d > _HALF:
-                m += 1
-                v = row[_MASK - d]
-                j = _jadd_affine(j, v >> 256, _P - (v & _LOW))
-            elif d:
-                v = row[d - 1]
-                j = _jadd_affine(j, v >> 256, v & _LOW)
-        acc.append(j if h >= 0 else (j[0], _P - j[1], j[2]))
-    x2, y2, z2 = acc[1]
-    return _jadd(acc[0], (_BETA * x2 % _P, y2, z2))
-
-
-# The most keys one _base_mul_tree call multiplies. Its 5 inversions are
-# already a small part of 256 keys' additions, so larger chunks would gain
-# little time and cost memory in proportion.
-_BATCH_CHUNK = 256
-
-
-def _base_mul_batch(ks):
-    """Affine k * G for every k in the list ks, 1 <= k < N, by _base_mul_tree on _BATCH_CHUNK keys at a time."""
-    out = []
-    for start in range(0, len(ks), _BATCH_CHUNK):
-        out += _base_mul_tree(ks[start : start + _BATCH_CHUNK])
-    return out
-
-
-def _base_mul_tree(ks):
-    """Affine k * G for every k in the list ks, 1 <= k < N, as k1 * G + phi(k2 * G), each half summed by a balanced tree.
-
-    _split gives each key two halves, and a half h's leaves are the table
-    points of |h|'s signed digits in _base_table()'s 10 windows. A zero
-    digit takes its window's point for digit 1 as a stand-in and marks its
-    key, so every half has 10 leaves. Each level is one list per position,
-    of x and of y, over the 2 * len(ks) halves, and adds each half's
-    position j to its position j + h, h being half the positions, with one
-    _affine_sums call for the whole level, which shares one inversion across
-    the level's additions; an odd last position waits for a later level. 10
-    leaves take 4 levels. A negative half negates its root's y. One more
-    call joins each unmarked key's roots A = k1 * G and B = k2 * G as
-    A + phi(B), phi(x, y) = (beta * x, y), so a key costs at most 19
-    additions and a call 5 inversions. A marked key, one with a zero digit
-    or a zero half such as k2 for k = 1, is then recomputed by _jmul_base:
-    0.32% of 200,000 random keys. The first level holds every half's
-    points at once, so _base_mul_batch calls it on _BATCH_CHUNK keys at a
-    time. Per key it takes about 190 µs at 1 key, 99 at 5, 77 at 17 and 71
-    at 256 (best of 9 over 512 random keys, alternating runs, on the host
-    of _jmul_base's timing).
-
-    Within a half no two addends share x, so no branch handles equal x. A
-    node sums the signed digits d_w * 8192^w of a set of windows, 1 <= |d_w|
-    <= 4096, a stand-in's digit 1 included, so it is below 2^131, far below
-    N, in size. Two sibling nodes L and R cover disjoint sets of windows, so
-    L - R and L + R are such sums too, with some digits negated, and the
-    term of their highest window, at least 8192^w in size, exceeds all
-    lower ones together, at most 4096 * (8192^w - 1) / 8191: the sum is
-    nonzero, so L is not +-R mod N.
-
-    The join adds only unmarked keys, whose halves are both nonzero, and
-    meets equal x only if k1 = +-lambda * k2 mod N. With the minus sign
-    k = 0 mod N. With the plus sign (k1, -k2) is a nonzero vector of
-    _split's lattice, whose reduced basis makes (a1, b1), of length
-    2^127.86, its shortest vector, while _split's bounds keep (k1, k2)
-    below 2^127.74. Were it ever to happen, _affine_sums would raise, and
-    every key of the call would take the single path, _jmul_base, whose
-    _jadd handles equal x.
-    """
-    width, half, mask, low, p = _WINDOW, _HALF, _MASK, _LOW, _P
-    n = len(ks)
-    splits = [_split(k) for k in ks]
-    todo = [abs(k1) for k1, _ in splits] + [abs(k2) for _, k2 in splits]
-    marked = set()
-    # half i's table point in window w is (xs[w][i], ys[w][i]); key i's halves are i and n + i
-    xs = []
-    ys = []
-    for row in _base_table():
-        cx = []
-        cy = []
-        for i, k in enumerate(todo):
-            d = k & mask
-            if d > half:
-                todo[i] = (k >> width) + 1
-                v = row[mask - d]
-                cx.append(v >> 256)
-                cy.append(p - (v & low))
-            else:
-                todo[i] = k >> width
-                if d:
-                    v = row[d - 1]
-                else:
-                    v = row[0]
-                    marked.add(i % n)
-                cx.append(v >> 256)
-                cy.append(v & low)
-        xs.append(cx)
-        ys.append(cy)
-    # every column holds one point per half
-    m = len(todo)
-    while len(xs) > 1:
-        h = len(xs) // 2
-        x1s = []
-        y1s = []
-        x2s = []
-        y2s = []
-        for j in range(h):
-            x1s += xs[j]
-            y1s += ys[j]
-            x2s += xs[j + h]
-            y2s += ys[j + h]
-        sx, sy = _affine_sums(x1s, y1s, x2s, y2s)
-        xs[: 2 * h] = [sx[j * m : (j + 1) * m] for j in range(h)]
-        ys[: 2 * h] = [sy[j * m : (j + 1) * m] for j in range(h)]
-    # A becomes k1 * G and B phi(k2 * G)
-    (ax,) = xs
-    (ay,) = ys
-    joined = [i for i in range(n) if i not in marked]
-    for i in joined:
-        k1, k2 = splits[i]
-        j = n + i
-        ax[j] = _BETA * ax[j] % p
-        if k1 < 0:
-            ay[i] = p - ay[i]
-        if k2 < 0:
-            ay[j] = p - ay[j]
-    try:
-        sx, sy = _affine_sums(
-            [ax[i] for i in joined], [ay[i] for i in joined], [ax[n + i] for i in joined], [ay[n + i] for i in joined]
-        )
-    except ValueError:
-        return [_to_affine(_jmul_base(k)) for k in ks]
-    for i, x, y in zip(joined, sx, sy):
-        ax[i] = x
-        ay[i] = y
-    for i in marked:
-        ax[i], ay[i] = _to_affine(_jmul_base(ks[i]))
-    return list(zip(ax[:n], ay[:n]))
 
 
 def _point_on_curve(x, y):
@@ -594,15 +194,10 @@ def keypair_from_scalar(k: int) -> KeyPair:
     return _keypair(k, _base_point(k))
 
 
-def _point_bytes(x: int, y: int) -> bytes:
-    """The 64-byte encoding x || y of the affine point (x, y)."""
-    return x.to_bytes(32, "big") + y.to_bytes(32, "big")
-
-
 def _base_point(k: int) -> bytes:
     """k * G for 1 <= k < N as 64 bytes, read from the memo when this scope computed it."""
     point = _memo.points.get(k)
-    return _point_bytes(*_to_affine(_jmul_base(k))) if point is None else point
+    return _base_mul(k) if point is None else point
 
 
 def _draw_scalar(rng: Random) -> int:
@@ -613,21 +208,6 @@ def _draw_scalar(rng: Random) -> int:
 def keypair_gen(rng: Random) -> KeyPair:
     """Draw a fresh key pair from the injected random source."""
     return keypair_from_scalar(_draw_scalar(rng))
-
-
-def keypairs_gen(rng: Random, count: int) -> list[KeyPair]:
-    """`count` key pairs, equal to `count` calls of keypair_gen on the same rng.
-
-    The scalars are drawn first, in order; the public keys then come from one
-    batched multiplication. Per key it costs more than keypair_gen at one
-    key, as much at 2 and less from 3 on: 230 against 160 µs at 1 key, 160
-    against 159 at 2, 132 against 160 at 3, 110 against 160 at 6, 89
-    against 156 at 22 and 83 against 156 at 60 (best of alternating runs,
-    with the table loaded, on a 2-core x86-64 host). onions_wrap's batch has
-    the same crossover, at about 2 scalars.
-    """
-    ks = [_draw_scalar(rng) for _ in range(count)]
-    return [_keypair(k, _point_bytes(x, y)) for k, (x, y) in zip(ks, _base_mul_batch(ks))]
 
 
 def _keypair(k: int, pub: bytes) -> KeyPair:
@@ -656,14 +236,11 @@ class _Memo:
     # the 64-byte pubkey of each point E = e * G of a key this module drew,
     # the key pair's own bytes, to e, for _shared_x
     scalars: dict[bytes, int] = field(default_factory=dict)
-    # each such e to those bytes, and onions_wrap's batched points, for
-    # _base_point: sign() names its signer and pubkey_of_privkey() answers a
-    # revealed key through it
+    # each such e to those bytes, for _base_point: sign() names its signer
+    # and pubkey_of_privkey() answers a revealed key through it
     points: dict[int, bytes] = field(default_factory=dict)
     # (digest, signature) to the signer's address, for recover_signer
     signers: dict[tuple[bytes, Signature], bytes] = field(default_factory=dict)
-    # (privkey, digest) bytes to the signature sign or presign made, for sign
-    signatures: dict[tuple[bytes, bytes], Signature] = field(default_factory=dict)
     # a wrapped layer's _layer_key to its recipient's scalar q and its ECDH x
     layers: dict[bytes, tuple[int, int]] = field(default_factory=dict)
     # scope_cache's results: one dict per cached function, from its arguments to its result
@@ -673,7 +250,7 @@ class _Memo:
 class _RecordsNothing(dict):
     """Every field of _UNSCOPED: every lookup misses and every write is dropped.
 
-    All six fields are this one dict, so each method that would store an
+    All five fields are this one dict, so each method that would store an
     entry drops it; the others only read or remove, and it stays empty.
     """
 
@@ -766,59 +343,26 @@ def sign(privkey: bytes, digest: bytes) -> Signature:
     """
     z = _check_digest(digest)
     d = _scalar_of(privkey)
-    key = bytes(privkey), bytes(digest)
-    sig = _memo.signatures.get(key)
+    sig = None
     counter = 0
     while sig is None:
         k = _nonce(privkey, digest, counter)
         counter += 1
         if k:
-            sig = _signature(d, z, pow(k, -1, _N), *_to_affine(_jmul_base(k)))
-    _memo.signatures[key] = sig
-    _memo.signers[key[1], sig] = address_of_pubkey(pubkey_of_privkey(privkey))
+            point = _base_mul(k)
+            r = int.from_bytes(point[:32], "big")
+            s = pow(k, -1, _N) * (z + r * d) % _N
+            # keep r below the group order so the recovery id is a single parity bit
+            if 0 < r < _N and s:
+                sig = Signature(point[63] & 1, r, s)
+    _memo.signers[bytes(digest), sig] = address_of_pubkey(pubkey_of_privkey(privkey))
     return sig
-
-
-def presign(pairs: Sequence[tuple[bytes, bytes]]) -> None:
-    """Record sign(privkey, digest) for each (privkey, digest) pair in the current scope, for sign() to return.
-
-    Every first nonce's k * G comes from one batch and every k^-1 from one
-    inversion, so a pair costs a batched key where sign() alone costs a
-    single k * G and a pow. Each signature is sign()'s, from its first
-    nonce. A pair that sign() would reject, or whose first nonce it would
-    redraw, is left for sign() to handle. Outside any scope, under
-    _UNSCOPED, it computes and records nothing.
-    """
-    if _memo is _UNSCOPED:
-        return
-    todo = {}
-    for privkey, digest in pairs:
-        key = bytes(privkey), bytes(digest)
-        d = int.from_bytes(privkey, "big")
-        if len(digest) == DIGEST_SIZE and 1 <= d < _N and key not in _memo.signatures:
-            k = _nonce(privkey, digest, 0)
-            if k:
-                todo[key] = d, int.from_bytes(digest, "big"), k
-    ks = [k for _, _, k in todo.values()]
-    for (key, (d, z, _)), k_inv, (rx, ry) in zip(todo.items(), _inverses(ks, _N), _base_mul_batch(ks)):
-        sig = _signature(d, z, k_inv, rx, ry)
-        if sig is not None:
-            _memo.signatures[key] = sig
 
 
 def _nonce(privkey: bytes, digest: bytes, counter: int) -> int:
     """sign()'s nonce for (privkey, digest) at the given attempt, in [0, N)."""
     seed = _hmac.new(privkey, digest + counter.to_bytes(4, "big"), hashlib.sha256).digest()
     return int.from_bytes(seed, "big") % _N
-
-
-def _signature(d: int, z: int, k_inv: int, rx: int, ry: int) -> Signature | None:
-    """The signature of digest z by scalar d with the nonce k whose k^-1 mod N is k_inv and k * G = (rx, ry); None if k must be redrawn."""
-    # keep r below the group order so the recovery id is a single parity bit
-    if not 0 < rx < _N:
-        return None
-    s = k_inv * (z + rx * d) % _N
-    return Signature(ry & 1, rx, s) if s else None
 
 
 def _inverses(values: Sequence[int], m: int) -> list[int]:
@@ -871,17 +415,6 @@ def signed_by(digest: bytes, sig_bytes: bytes, address: bytes) -> bool:
 # r^-1 * ((z + r*d)*G - z*G) = d*G for every digest z. The memo also serves
 # every courier and contract that re-recovers the same few signatures of a
 # service. A failed recovery raises and so is never stored.
-#
-# The memo's signatures hold each signature sign() made or presign()
-# computed, under its (privkey, digest) bytes. This is exact: the signature
-# is a pure function of those bytes, and presign keeps only one whose first
-# nonce sign() would accept. A recruitment presigns what it can predict:
-# the sender's supplementary authorisation and each candidate's acceptance
-# at the index it will be invited with, in one batch; then the n
-# countersignatures, in another. sign() returns a recorded signature
-# without a multiplication, so a signature re-made after a lost message
-# costs nothing either, and it records the signer whether it computed the
-# signature or not.
 
 
 def _recover_address(digest: bytes, sig: Signature) -> bytes:
@@ -897,14 +430,10 @@ def _recover_address(digest: bytes, sig: Signature) -> bytes:
     r_inv = pow(sig.r, -1, _N)
     z = int.from_bytes(digest, "big")
     # Q = r^-1 * (s*R - z*G) = (-z*r^-1)*G + (s*r^-1)*R  (SEC 1 v2.0, 4.1.6)
-    q = _jadd(_jmul_base(-z * r_inv % _N), _jmul(sig.s * r_inv % _N, (x, y, 1)))
-    aff = _to_affine(q)
-    if aff is None:
+    q = _mul_add(-z * r_inv % _N, sig.s * r_inv % _N, x.to_bytes(32, "big") + y.to_bytes(32, "big"))
+    if not q:
         raise VerificationError("recovered point at infinity")
-    qx, qy = aff
-    if not _point_on_curve(qx, qy):
-        raise VerificationError("recovered point off curve")
-    return address_of_pubkey(_point_bytes(qx, qy))
+    return address_of_pubkey(q)
 
 
 # ---------------------------------------------------------------------------
@@ -924,6 +453,123 @@ def _draw_nonce(rng: Random) -> bytes:
     return rng.getrandbits(8 * _NONCE_SIZE).to_bytes(_NONCE_SIZE, "big")
 
 
+@functools.cache
+def _libcrypto(*names: str) -> list:
+    """The functions `names` of the libcrypto that hashlib's _hashlib
+    extension has already mapped, bound with ctypes, so no second copy of
+    OpenSSL is loaded. A missing extension or library raises CryptoError,
+    and so does a missing function, naming each one missing; nothing is
+    cached then."""
+    import ctypes
+
+    try:
+        import _hashlib
+
+        lib = ctypes.CDLL(_hashlib.__file__)
+    except (ImportError, OSError) as exc:
+        raise CryptoError(f"tidsim needs OpenSSL's libcrypto through hashlib's _hashlib: {exc}") from None
+    missing = [name for name in names if not hasattr(lib, name)]
+    if missing:
+        raise CryptoError(f"hashlib's libcrypto lacks {', '.join(missing)}")
+    return [getattr(lib, name) for name in names]
+
+
+def _failed(name: str):
+    raise CryptoError(f"OpenSSL {name} failed")
+
+
+_NID_SECP256K1 = 714  # NID_secp256k1, OpenSSL's obj_mac.h
+_UNCOMPRESSED = 4  # POINT_CONVERSION_UNCOMPRESSED: 0x04 || x || y, and one 0x00 byte for infinity
+
+
+@functools.cache
+def _ec():
+    """secp256k1's k * G and a * G + b * P, bound with ctypes on the first
+    multiplication to OpenSSL's EC interface in _libcrypto().
+
+    A point crosses as 64 bytes x || y, OpenSSL's uncompressed encoding
+    without its 0x04 byte: EC_POINT_oct2point checks that a point given to
+    it lies on the curve, and the point at infinity, which encodes as one
+    byte, comes back as b"".
+
+    One EC_GROUP_precompute_mult gives the group a table of G's multiples,
+    in about 0.7 ms and 0.2 MiB; without it one k * G costs 280-530 µs.
+    Every EC_POINT_mul passes both a G term and a point term, with a zero
+    scalar for the one it does not need. OpenSSL sends a call with a lone
+    scalar to its constant-time Montgomery ladder (350-750 µs per key),
+    and a call with both to its wNAF path, which reads the table (about
+    70 µs per k * G, on a 2-core x86-64 host). The ladder hides a scalar
+    from whoever can time the call. Every key here is a simulated party's
+    and the simulator keeps no secret from a timing observer, so the
+    variable-time path is safe.
+
+    A libcrypto without secp256k1 or EC_GROUP_precompute_mult (deprecated
+    in OpenSSL 3, still exported by 3.0 and 3.5) raises CryptoError naming
+    what is missing. The group, its context, two points and three scalars
+    are process state, like _memo: the simulator is single-threaded."""
+    import ctypes
+
+    ptr, size, c_int, char_p = ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int, ctypes.c_char_p
+    signatures = {
+        "EC_GROUP_new_by_curve_name": (ptr, [c_int]),
+        "EC_GROUP_precompute_mult": (c_int, [ptr, ptr]),
+        "BN_CTX_new": (ptr, []),
+        "EC_POINT_new": (ptr, [ptr]),
+        "EC_GROUP_get0_generator": (ptr, [ptr]),
+        "BN_new": (ptr, []),
+        "BN_bin2bn": (ptr, [char_p, c_int, ptr]),
+        "EC_POINT_mul": (c_int, [ptr] * 6),
+        "EC_POINT_point2oct": (size, [ptr, ptr, c_int, char_p, size, ptr]),
+        "EC_POINT_oct2point": (c_int, [ptr, ptr, char_p, size, ptr]),
+    }
+    functions = _libcrypto(*signatures)
+    for f, (restype, argtypes) in zip(functions, signatures.values()):
+        f.restype, f.argtypes = restype, argtypes
+    group_new, precompute, ctx_new, point_new, generator, bn_new, bin2bn, mul, point2oct, oct2point = functions
+    group = group_new(_NID_SECP256K1)
+    if not group:
+        raise CryptoError("OpenSSL's libcrypto has no secp256k1 group")
+    # a context, the result, a given point, two scalars and a zero
+    ctx, out, given, u, v, zero = handles = [ctx_new(), point_new(group), point_new(group), bn_new(), bn_new(), bn_new()]
+    if not all(handles):
+        _failed("BN_CTX_new, EC_POINT_new or BN_new")
+    if precompute(group, ctx) != 1:
+        _failed("EC_GROUP_precompute_mult")
+    g = generator(group)
+    buffer = ctypes.create_string_buffer(65)
+
+    def combine(a: int, point: int, b: int) -> bytes:
+        """a * G + b * point, for b a BIGNUM."""
+        bin2bn(a.to_bytes(32, "big"), 32, u)
+        if mul(group, out, u, point, b, ctx) != 1:
+            _failed("EC_POINT_mul")
+        n = point2oct(group, out, _UNCOMPRESSED, buffer, 65, ctx)
+        if not n:
+            _failed("EC_POINT_point2oct")
+        return buffer.raw[1:n]
+
+    def base_mul(k: int) -> bytes:
+        return combine(k, g, zero)
+
+    def mul_add(a: int, b: int, point: bytes) -> bytes:
+        if oct2point(group, given, b"\x04" + point, 65, ctx) != 1:
+            _failed("EC_POINT_oct2point")
+        bin2bn(b.to_bytes(32, "big"), 32, v)
+        return combine(a, given, v)
+
+    return base_mul, mul_add
+
+
+def _base_mul(k: int) -> bytes:
+    """k * G as x || y, for 1 <= k < N."""
+    return _ec()[0](k)
+
+
+def _mul_add(a: int, b: int, point: bytes) -> bytes:
+    """a * G + b * point as x || y, or b"" at infinity, for 0 <= a, b < N and point x || y on secp256k1."""
+    return _ec()[1](a, b, point)
+
+
 _TAG_SIZE = 16
 _EVP_CTRL_GCM_GET_TAG = 0x10
 _EVP_CTRL_GCM_SET_TAG = 0x11
@@ -932,39 +578,36 @@ _EVP_CTRL_GCM_SET_TAG = 0x11
 @functools.cache
 def _gcm():
     """AES-256-GCM's seal and open, bound with ctypes on the first encryption
-    or decryption to OpenSSL's EVP interface in the libcrypto that hashlib's
-    _hashlib extension has already mapped, so no second copy of OpenSSL is
-    loaded. One encryption and one decryption context are each initialised
-    once with the cipher, so a call sets only the key and the IV. They are
-    process state, like _memo: the simulator is single-threaded. The
-    functions keep ctypes' default int arguments and result, which are
-    cheaper per call than declared argtypes, so every pointer is passed as
-    a c_void_p, bytes or ctypes object, never as a bare int."""
+    or decryption to OpenSSL's EVP interface in _libcrypto(). One encryption
+    and one decryption context are each initialised once with the cipher, so
+    a call sets only the key and the IV. They are process state, like _memo:
+    the simulator is single-threaded. The functions keep ctypes' default int
+    arguments and result, which are cheaper per call than declared argtypes
+    for calls of a few µs, so every pointer is passed as a c_void_p, bytes
+    or ctypes object, never as a bare int."""
     import ctypes
 
     ptr = ctypes.c_void_p
-    try:
-        import _hashlib
-
-        lib = ctypes.CDLL(_hashlib.__file__)
-        new_ctx, aes_256_gcm, ctrl = lib.EVP_CIPHER_CTX_new, lib.EVP_aes_256_gcm, lib.EVP_CIPHER_CTX_ctrl
-        enc_init, enc_update, enc_final = lib.EVP_EncryptInit_ex, lib.EVP_EncryptUpdate, lib.EVP_EncryptFinal_ex
-        dec_init, dec_update, dec_final = lib.EVP_DecryptInit_ex, lib.EVP_DecryptUpdate, lib.EVP_DecryptFinal_ex
-    except (ImportError, OSError, AttributeError) as exc:
-        raise CryptoError(f"AES-GCM needs OpenSSL's EVP interface through hashlib's _hashlib: {exc}") from None
-
-    def failed(name: str):
-        raise CryptoError(f"OpenSSL {name} failed")
-
+    new_ctx, aes_256_gcm, ctrl, enc_init, enc_update, enc_final, dec_init, dec_update, dec_final = _libcrypto(
+        "EVP_CIPHER_CTX_new",
+        "EVP_aes_256_gcm",
+        "EVP_CIPHER_CTX_ctrl",
+        "EVP_EncryptInit_ex",
+        "EVP_EncryptUpdate",
+        "EVP_EncryptFinal_ex",
+        "EVP_DecryptInit_ex",
+        "EVP_DecryptUpdate",
+        "EVP_DecryptFinal_ex",
+    )
     new_ctx.restype = aes_256_gcm.restype = ptr
     cipher, enc, dec = aes_256_gcm(), new_ctx(), new_ctx()
     if not (cipher and enc and dec):
-        failed("EVP_aes_256_gcm or EVP_CIPHER_CTX_new")
+        _failed("EVP_aes_256_gcm or EVP_CIPHER_CTX_new")
     cipher, enc, dec = ptr(cipher), ptr(enc), ptr(dec)
     if enc_init(enc, cipher, None, None, None) != 1:
-        failed("EVP_EncryptInit_ex")
+        _failed("EVP_EncryptInit_ex")
     if dec_init(dec, cipher, None, None, None) != 1:
-        failed("EVP_DecryptInit_ex")
+        _failed("EVP_DecryptInit_ex")
     buffer, byref = ctypes.create_string_buffer, ctypes.byref
     outl = byref(ctypes.c_int())
 
@@ -972,24 +615,24 @@ def _gcm():
         n = len(plaintext)
         out = buffer(n + _TAG_SIZE)
         if enc_init(enc, None, None, key, nonce) != 1:
-            failed("EVP_EncryptInit_ex")
+            _failed("EVP_EncryptInit_ex")
         if enc_update(enc, out, outl, plaintext, n) != 1:
-            failed("EVP_EncryptUpdate")
+            _failed("EVP_EncryptUpdate")
         if enc_final(enc, None, outl) != 1:
-            failed("EVP_EncryptFinal_ex")
+            _failed("EVP_EncryptFinal_ex")
         if ctrl(enc, _EVP_CTRL_GCM_GET_TAG, _TAG_SIZE, byref(out, n)) != 1:
-            failed("EVP_CIPHER_CTX_ctrl")
+            _failed("EVP_CIPHER_CTX_ctrl")
         return nonce + out.raw
 
     def open_(key: bytes, sealed: bytes, failure: str) -> bytes:
         n = len(sealed) - _NONCE_SIZE - _TAG_SIZE
         out = buffer(n)
         if dec_init(dec, None, None, key, sealed[:_NONCE_SIZE]) != 1:
-            failed("EVP_DecryptInit_ex")
+            _failed("EVP_DecryptInit_ex")
         if dec_update(dec, out, outl, sealed[_NONCE_SIZE:-_TAG_SIZE], n) != 1:
-            failed("EVP_DecryptUpdate")
+            _failed("EVP_DecryptUpdate")
         if ctrl(dec, _EVP_CTRL_GCM_SET_TAG, _TAG_SIZE, sealed[-_TAG_SIZE:]) != 1:
-            failed("EVP_CIPHER_CTX_ctrl")
+            _failed("EVP_CIPHER_CTX_ctrl")
         if dec_final(dec, None, outl) != 1:
             raise AuthenticationError(failure)
         return out.raw
@@ -1030,14 +673,12 @@ def sym_decrypt(key: bytes, blob: bytes) -> bytes:
 # this module computed it as e*G, so d*E = d*(e*G) = (d*e mod N)*G for
 # every d, and with N prime and d, e in [1, N) the product d*e mod N is
 # never 0. No scalar leaves the module and no caller can claim one for a
-# point; a foreign point only takes the slower _jmul.
+# point; a foreign point takes _mul_add, with a zero G term.
 def _shared_x(d: int, point: bytes) -> int:
     """The x of d * point, for 1 <= d < N and point x || y, 64 bytes, on secp256k1."""
     e = _memo.scalars.get(point)
-    if e is None:
-        x, y = int.from_bytes(point[:32], "big"), int.from_bytes(point[32:], "big")
-        return _to_affine(_jmul(d, (x, y, 1)))[0]
-    return int.from_bytes(_base_point(d * e % _N)[:32], "big")
+    product = _mul_add(0, d, point) if e is None else _base_point(d * e % _N)
+    return int.from_bytes(product[:32], "big")
 
 
 # One record per layer that ecies_encrypt wraps for a point Q = q * G of
@@ -1269,41 +910,6 @@ def onion_wrap(share: Share, layer_pubkeys: Sequence[bytes], rng: Random) -> Oni
     for pk in layer_pubkeys:
         payload = ecies_encrypt(pk, payload, rng)
     return Onion(len(layer_pubkeys), payload)
-
-
-def onions_wrap(shares: Sequence[Share], layer_pubkeys: Sequence[Sequence[bytes]], rng: Random) -> list[Onion]:
-    """onion_wrap of each share under its own key list, in order, on one rng.
-
-    Equal to that loop of onion_wrap calls, draw for draw and byte for byte,
-    and it raises what the loop raises after the same draws. Outside any
-    scope, under _UNSCOPED, it is that loop.
-
-    A service's wrap draws each layer's ephemeral scalar e and then its
-    nonce from one rng, so a copy of that rng names every e before the first
-    layer is sealed. One batched multiplication makes each e and each
-    product e * q for a recipient point Q = q * G of known scalar, and
-    records each k * G, as its 64 bytes, in the memo, where ecies_encrypt's
-    keypair_gen and _shared_x (e * Q as (e * q mod N) * G) read them back.
-    A hit is exact: every entry is k * G for its key k, so a mispredicted
-    draw costs a miss, never a wrong point, and a key the wrap rejects
-    costs only points nobody reads.
-    """
-    if len(shares) != len(layer_pubkeys):
-        raise ParameterError("need one wrapping-key list per share")
-    if _memo is not _UNSCOPED:
-        ahead = Random()
-        ahead.setstate(rng.getstate())
-        ks = []
-        for pubkeys in layer_pubkeys:
-            for pk in pubkeys:
-                e = _draw_scalar(ahead)
-                _draw_nonce(ahead)
-                ks.append(e)
-                q = _memo.scalars.get(pk)
-                if q is not None:
-                    ks.append(e * q % _N)
-        _memo.points.update(zip(ks, [_point_bytes(x, y) for x, y in _base_mul_batch(ks)]))
-    return [onion_wrap(share, pubkeys, rng) for share, pubkeys in zip(shares, layer_pubkeys)]
 
 
 def onion_peel(onion: Onion, privkey: bytes) -> Onion:

@@ -79,24 +79,6 @@ class TestSetupAndSelection:
         new = [r.function for r in runner.ledger.receipts[before:]]
         assert new == ["deploySwitch", "newService"]
 
-    def test_marketplace_draws_no_single_key(self, monkeypatch):
-        calls = []
-        single = crypto.keypair_gen
-
-        def counting(rng):
-            calls.append(rng)
-            return single(rng)
-
-        for module in (crypto, actors, scenario):
-            monkeypatch.setattr(module, "keypair_gen", counting, raising=False)
-        runner = ScenarioRunner(small_config(pool_size=40))
-        runner.build_marketplace()
-        assert calls == []
-        tick = runner.config.timeframe_tick
-        for mailman in runner.pool:
-            record = runner.agent.state["mailmen"][mailman.address.hex()]
-            assert record["timeframe_pubkeys"] == {str(tick): mailman.timeframe_keys[tick].pubkey.hex()}
-
     def test_pool_too_small(self):
         with pytest.raises(ConfigError):
             ScenarioConfig(seed=1, pool_size=3, l=2, t=2, n=4).validate()
@@ -337,16 +319,16 @@ class TestSignatureRecovery:
 
 
 @pytest.fixture
-def jmul_calls(monkeypatch):
-    """Every point that reaches the variable-base multiplication."""
+def mul_add_calls(monkeypatch):
+    """Every point that reaches the variable-base multiplication, a * G + b * P."""
     calls = []
-    real = crypto._jmul
+    real = crypto._mul_add
 
-    def counted(k, p):
-        calls.append(p)
-        return real(k, p)
+    def counted(a, b, point):
+        calls.append(point)
+        return real(a, b, point)
 
-    monkeypatch.setattr(crypto, "_jmul", counted)
+    monkeypatch.setattr(crypto, "_mul_add", counted)
     return calls
 
 
@@ -359,50 +341,11 @@ class TestSharedSecrets:
             ScenarioConfig(n=50, l=3, t=25, pool_size=54),
         ],
     )
-    def test_in_process_runs_make_no_variable_base_multiplication(self, jmul_calls, cfg):
+    def test_in_process_runs_make_no_variable_base_multiplication(self, mul_add_calls, cfg):
         # every point a run multiplies was drawn in its scope, so each ECDH
         # is one fixed-base multiplication by the product of two scalars
         assert run_scenario(cfg).status == "delivered_light"
-        assert jmul_calls == []
-
-    def test_wrapping_is_one_batched_multiplication(self, monkeypatch):
-        # n * l = 30 layers: 30 ephemeral keys and 30 products in one batch,
-        # and sealing the layers multiplies nothing more
-        wrapping = []
-        batching = []
-        batches = []
-        singles = []
-        real_wrap, real_batch, real_base = actors.onions_wrap, crypto._base_mul_batch, crypto._jmul_base
-
-        def traced_wrap(*args):
-            wrapping.append(True)
-            try:
-                return real_wrap(*args)
-            finally:
-                wrapping.pop()
-
-        def counted_batch(ks):
-            ks = list(ks)
-            if wrapping:
-                batches.append(len(ks))
-            batching.append(True)
-            try:
-                return real_batch(ks)
-            finally:
-                batching.pop()
-
-        def counted_base(k):
-            # a batch's recompute of a key whose digits held a stand-in is part of the batch
-            if wrapping and not batching:
-                singles.append(k)
-            return real_base(k)
-
-        monkeypatch.setattr(actors, "onions_wrap", traced_wrap)
-        monkeypatch.setattr(crypto, "_base_mul_batch", counted_batch)
-        monkeypatch.setattr(crypto, "_jmul_base", counted_base)
-        assert run_scenario(ScenarioConfig()).status == "delivered_light"
-        assert batches == [60]
-        assert singles == []
+        assert mul_add_calls == []
 
     @pytest.mark.parametrize(
         "cfg",
@@ -450,73 +393,40 @@ class TestSharedSecrets:
 
     def test_signing_multiplies_only_for_its_nonce(self, monkeypatch):
         # key generation recorded every signer's key pair, so no signature
-        # multiplies for its signer's address. Recruitment presigns the
-        # sender's authorisation and the n acceptances from one batch, and
-        # the sender its n countersignatures from another, so only the two
-        # signatures over earlier outputs, vrs_sm and vrs_st, take a single
-        # k*G, for their nonces
-        real_sign, real_presign = crypto.sign, crypto.presign
-        real_base, real_batch = crypto._jmul_base, crypto._base_mul_batch
-        signers = (real_sign.__code__, real_presign.__code__)
+        # multiplies for its signer's address: each takes one k*G, for its
+        # nonce
+        real_sign, real_base = crypto.sign, crypto._base_mul
         multiplied = []
-        presigned = []
         nonces = []
-        batches = []
-        batching = []
         addresses = []
 
         def counted_sign(privkey, digest):
             before = len(nonces)
             sig = real_sign(privkey, digest)
-            multiplied.append(len(nonces) > before)
+            multiplied.append(len(nonces) - before)
             return sig
 
-        def counted_presign(pairs):
-            presigned.append(len(pairs))
-            return real_presign(pairs)
-
-        def signing_frame():
-            """The innermost sign or presign frame calling the kernel, and whether it called it directly."""
-            caller = frame = sys._getframe(2)
-            while frame is not None and frame.f_code not in signers:
-                frame = frame.f_back
-            return frame, frame is caller
-
         def counted_base(k):
-            # a batch's recompute of a key whose digits held a stand-in is part of the batch
-            if not batching:
-                frame, direct = signing_frame()
-                if direct and frame.f_code is real_sign.__code__:
-                    nonces.append(k)
-                elif frame is not None:
+            # called straight from sign, for its nonce; from deeper in sign, for its signer's address
+            frame = sys._getframe(1)
+            if frame.f_code is real_sign.__code__:
+                nonces.append(k)
+            else:
+                while frame is not None and frame.f_code is not real_sign.__code__:
+                    frame = frame.f_back
+                if frame is not None:
                     addresses.append(k)
             return real_base(k)
 
-        def counted_batch(ks):
-            frame, direct = signing_frame()
-            if direct and frame.f_code is real_presign.__code__:
-                batches.append(len(ks))
-            elif frame is not None:
-                addresses.extend(ks)
-            batching.append(True)
-            try:
-                return real_batch(ks)
-            finally:
-                batching.pop()
-
         for module in list(sys.modules.values()):
-            if module.__name__.startswith("tidsim"):
-                for name, real, counted in (("sign", real_sign, counted_sign), ("presign", real_presign, counted_presign)):
-                    if getattr(module, name, None) is real:
-                        monkeypatch.setattr(module, name, counted)
-        monkeypatch.setattr(crypto, "_jmul_base", counted_base)
-        monkeypatch.setattr(crypto, "_base_mul_batch", counted_batch)
+            if module.__name__.startswith("tidsim") and getattr(module, "sign", None) is real_sign:
+                monkeypatch.setattr(module, "sign", counted_sign)
+        monkeypatch.setattr(crypto, "_base_mul", counted_base)
         cfg = ScenarioConfig()
         assert run_scenario(cfg).status == "delivered_light"
-        assert presigned == batches == [cfg.n + 1, cfg.n]
         # signed in order: vrs_sup, n acceptances, n countersignatures, vrs_sm, vrs_st
-        assert multiplied == [False] * (2 * cfg.n + 1) + [True, True]
-        assert len(nonces) == 2
+        assert multiplied == [1] * (2 * cfg.n + 3)
+        assert len(nonces) == 2 * cfg.n + 3
         assert addresses == []
 
     # Listed in the CI step that runs the golden traces under two hash seeds.
@@ -531,15 +441,15 @@ class TestSharedSecrets:
         ],
         ids=["default", "n16_light", "withhold_heavy", "strawman", "tamper"],
     )
-    def test_same_trace_without_the_memo(self, monkeypatch, jmul_calls, cfg):
+    def test_same_trace_without_the_memo(self, monkeypatch, mul_add_calls, cfg):
         with_memo = run_scenario(cfg).trace_hash()
-        jmul_calls.clear()
+        mul_add_calls.clear()
         # outside a scope crypto's memo records nothing, so the wrap
         # multiplies each layer's ephemeral key on its own
         monkeypatch.setattr(scenario, "scope", contextlib.nullcontext)
         assert run_scenario(cfg).trace_hash() == with_memo
         # the strawman sends each courier a bare share, so it makes no ECDH at all
-        assert bool(jmul_calls) == (cfg.mode != MODE_STRAWMAN)
+        assert bool(mul_add_calls) == (cfg.mode != MODE_STRAWMAN)
 
 
 class TestSharedBundle:

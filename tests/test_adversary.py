@@ -140,8 +140,8 @@ class TestBribery:
         cfg = briberable_config(2, 2, 4)
         bribe = int(1.05 * ETHER)
         multiplied = []
-        real = crypto._jmul
-        monkeypatch.setattr(crypto, "_jmul", lambda k, p: multiplied.append(p) or real(k, p))
+        real = crypto._mul_add
+        monkeypatch.setattr(crypto, "_mul_add", lambda a, b, p: multiplied.append(p) or real(a, b, p))
         with_memo = run_bribery(cfg, bribe, know_identities=know_identities)
         assert with_memo.key_recovered and multiplied == []
         # outside a scope crypto's memo records nothing, so every ECDH of

@@ -538,13 +538,13 @@ COLD_START = """
 import contextlib, io, json, sys
 from random import Random
 import tidsim, tidsim.cli
-from tidsim.crypto import _base_table, _gcm
+from tidsim.crypto import _ec, _gcm
 assert "ctypes" not in sys.modules
 seen = []
 def look():
     seen.append([
         "numpy" in sys.modules,
-        _base_table.cache_info().currsize,
+        _ec.cache_info().currsize,
         _gcm.cache_info().currsize,
         "cryptography" in sys.modules,
     ])
@@ -583,11 +583,12 @@ def _fresh_python(code, *args):
 
 def test_import_loads_numpy_and_base_table_on_first_use():
     """A fresh interpreter importing tidsim and its CLI loads no numpy and
-    no ctypes, reads no k * G table and binds no AES-GCM, nor does `tidsim
+    no ctypes, and binds neither secp256k1 nor AES-GCM, nor does `tidsim
     analyze` or an l sweep; the first Monte Carlo (the x sweep) loads numpy,
-    a key pair reads the table, and only the first encryption binds AES-GCM,
-    through the OpenSSL hashlib already maps. No step, a whole `tidsim run`
-    included, loads `cryptography`."""
+    a key pair binds secp256k1, and only the first encryption binds AES-GCM,
+    both through the OpenSSL hashlib already maps. No step, a whole `tidsim
+    run` included, loads `cryptography`. The test keeps the name it had
+    when a key pair read a k * G table."""
     assert json.loads(_fresh_python(COLD_START)) == [
         [False, 0, 0, False],  # import tidsim, tidsim.cli
         [False, 0, 0, False],  # analyze availability

@@ -8,14 +8,12 @@ interpolation path.
 import collections
 import contextlib
 import ctypes
-import functools
 import gc
 import hashlib
 import itertools
 import operator
 import re
 import sys
-import tracemalloc
 import weakref
 from dataclasses import fields
 from random import Random
@@ -37,24 +35,11 @@ from tidsim.crypto import (
     Signature,
     SMALL_TEST_PRIME,
     VerificationError,
-    _GX,
-    _GY,
-    _HALF,
-    _MASK,
     _N,
     _P,
-    _WINDOW,
-    _affine_sums,
-    _base_mul_batch,
-    _base_mul_tree,
-    _base_table,
-    _jadd,
-    _jadd_affine,
-    _jdouble,
-    _jmul,
-    _jmul_base,
+    _base_mul,
+    _mul_add,
     _recover_address,
-    _to_affine,
     address_of_pubkey,
     ecies_decrypt,
     ecies_encrypt,
@@ -64,12 +49,9 @@ from tidsim.crypto import (
     hash256,
     keypair_from_scalar,
     keypair_gen,
-    keypairs_gen,
     new_secret_key,
     onion_peel,
     onion_wrap,
-    onions_wrap,
-    presign,
     pubkey_of_privkey,
     recover_signer,
     sign,
@@ -169,33 +151,19 @@ class TestKeyPairs:
 
 @contextlib.contextmanager
 def counted_base_mults():
-    """Every fixed-base multiplication while the block runs: a single k*G as k, a batch as its list of keys.
-
-    A batch's recompute of a key whose digits held a stand-in is part of
-    the batch, so a single k*G made inside one is not listed.
-    """
+    """The k of every fixed-base multiplication k*G while the block runs."""
     calls = []
-    batching = []
-    real_base, real_batch = crypto._jmul_base, crypto._base_mul_batch
+    real = crypto._base_mul
 
     def base(k):
-        if not batching:
-            calls.append(k)
-        return real_base(k)
+        calls.append(k)
+        return real(k)
 
-    def batch(ks):
-        calls.append(list(ks))
-        batching.append(True)
-        try:
-            return real_batch(ks)
-        finally:
-            batching.pop()
-
-    crypto._jmul_base, crypto._base_mul_batch = base, batch
+    crypto._base_mul = base
     try:
         yield calls
     finally:
-        crypto._jmul_base, crypto._base_mul_batch = real_base, real_batch
+        crypto._base_mul = real
 
 
 class TestSignatures:
@@ -256,83 +224,28 @@ class TestSignatures:
         for r in (0, _N):
             assert not signed_by(digest, Signature(sig.v, r, sig.s).to_bytes(), signer.address)
 
-    @given(
-        seeds=st.lists(st.integers(0, 2**32), min_size=1, max_size=3),
-        digests=st.lists(st.binary(min_size=32, max_size=32), max_size=5),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_presign_then_sign_equals_sign(self, seeds, digests):
-        keys = [keypair_gen(Random(seed)) for seed in seeds]
-        # every key with every digest, each pair twice: duplicates are fine
-        pairs = [(kp.privkey, d) for kp in keys for d in digests] * 2
-        signers = [kp.address for kp in keys for _ in digests] * 2
-        expected = [sign(*pair) for pair in pairs]
-        with counted_base_mults() as mults:
-            # outside a scope it multiplies nothing and records nothing, so
-            # sign still makes each signature from its own k * G
-            presign(pairs)
-            assert mults == []
-            if pairs:
-                sign(*pairs[0])
-                assert crypto._nonce(*pairs[0], 0) in mults
-            with crypto.scope() as memo:
-                # keys drawn in the scope: sign names its signer by lookup
-                assert [keypair_gen(Random(seed)) for seed in seeds] == keys
-                mults.clear()
-                presign(pairs)
-                assert mults == [[crypto._nonce(*pair, 0) for pair in dict.fromkeys(pairs)]]
-                sigs = [sign(*pair) for pair in pairs]
-                assert len(mults) == 1
-                assert [memo.signers[d, sig] for (_, d), sig in zip(pairs, sigs)] == signers
-        assert sigs == expected
-        assert [_recover_address(d, sig) for (_, d), sig in zip(pairs, sigs)] == signers
-
-    def test_presign_leaves_a_redrawn_nonce_to_sign(self, monkeypatch):
-        # a first nonce of 0 is redrawn by sign, as one whose R has x >= N is
-        real = crypto._nonce
-
-        def nonce(privkey, digest, counter):
-            return 0 if counter == 0 and digest[0] % 2 == 0 else real(privkey, digest, counter)
-
-        monkeypatch.setattr(crypto, "_nonce", nonce)
+    def test_sign_redraws_a_rejected_nonce(self, monkeypatch):
+        # a nonce of 0 is redrawn, as is one whose R has x >= N
+        real_nonce, real_base = crypto._nonce, crypto._base_mul
         kp = keypair_gen(Random(9))
         digests = [bytes([i]) + hash256(bytes([i]))[1:] for i in range(6)]
-        pairs = [(kp.privkey, d) for d in digests]
-        expected = [sign(*pair) for pair in pairs]
-        with crypto.scope() as memo:
-            presign(pairs)
-            assert list(memo.signatures) == pairs[1::2]
-            sigs = [sign(*pair) for pair in pairs]
-        assert sigs == expected
+        first = [sign(kp.privkey, d) for d in digests]
+        # outside a scope sign records nothing, so each call below signs again
+
+        def nonce(privkey, digest, counter):
+            return 0 if counter == 0 and digest[0] % 2 == 0 else real_nonce(privkey, digest, counter)
+
+        monkeypatch.setattr(crypto, "_nonce", nonce)
+        sigs = [sign(kp.privkey, d) for d in digests]
         assert all(_recover_address(d, sig) == kp.address for d, sig in zip(digests, sigs))
         # the redrawn ones are not the signatures of a first nonce
-        monkeypatch.setattr(crypto, "_nonce", real)
-        first = [sign(*pair) for pair in pairs]
         assert [sig == first_sig for sig, first_sig in zip(sigs, first)] == [False, True] * 3
-        # nor does presign keep a first nonce whose R has x >= N
-        monkeypatch.setattr(crypto, "_base_mul_batch", lambda ks: [(_N, 0)] * len(ks))
-        with crypto.scope() as memo:
-            presign(pairs)
-            assert memo.signatures == {}
-            assert [sign(*pair) for pair in pairs] == first
-
-    def test_presign_skips_what_sign_rejects(self):
-        kp = keypair_gen(Random(10))
-        digest = hash256(b"a")
-        rejected = [(kp.privkey, digest[:31]), (bytes(32), digest), (_N.to_bytes(32, "big"), digest)]
-        errors = []
-        for privkey, d in rejected:
-            with pytest.raises(ParameterError) as exc:
-                sign(privkey, d)
-            errors.append(str(exc.value))
-        with crypto.scope() as memo:
-            presign([])
-            presign(rejected + [(kp.privkey, digest)])
-            assert list(memo.signatures) == [(kp.privkey, digest)]
-            for (privkey, d), error in zip(rejected, errors):
-                with pytest.raises(ParameterError, match=f"^{re.escape(error)}$"):
-                    sign(privkey, d)
-            assert list(memo.signatures) == [(kp.privkey, digest)]
+        monkeypatch.setattr(crypto, "_nonce", real_nonce)
+        rejected = real_base(real_nonce(kp.privkey, digests[0], 0))
+        first_nonce = real_nonce(kp.privkey, digests[0], 0)
+        x_at_n = _N.to_bytes(32, "big") + real_base(first_nonce)[32:]
+        monkeypatch.setattr(crypto, "_base_mul", lambda k: x_at_n if k == first_nonce else real_base(k))
+        assert sign(kp.privkey, digests[0]) == sigs[0]
 
 
 class TestSymmetric:
@@ -381,11 +294,24 @@ class TestEcies:
 
 @pytest.fixture
 def fresh_gcm():
-    """A cleared _gcm cache before and after the test, so the next seal or
-    open binds OpenSSL again."""
+    """Cleared _gcm and _libcrypto caches before and after the test, so the
+    next seal or open binds OpenSSL again."""
     crypto._gcm.cache_clear()
+    crypto._libcrypto.cache_clear()
     yield
     crypto._gcm.cache_clear()
+    crypto._libcrypto.cache_clear()
+
+
+@pytest.fixture
+def fresh_ec():
+    """Cleared _ec and _libcrypto caches before and after the test, so the
+    next multiplication binds OpenSSL again."""
+    crypto._ec.cache_clear()
+    crypto._libcrypto.cache_clear()
+    yield
+    crypto._ec.cache_clear()
+    crypto._libcrypto.cache_clear()
 
 
 class FakeEvp:
@@ -530,6 +456,83 @@ class TestAesGcm:
         monkeypatch.setattr(ctypes, "CDLL", lambda path: FakeEvp("EVP_DecryptFinal_ex"))
         with pytest.raises(AuthenticationError, match="^wrong key or tampered ciphertext$"):
             sym_decrypt(bytes(32), bytes(29))
+
+
+class FakeEc:
+    """A stand-in libcrypto for the secp256k1 binding: every call succeeds,
+    each pointer-returning one with a nonzero address and point2oct with
+    the 65 bytes of an uncompressed point, except the one named `failing`,
+    which returns 0."""
+
+    def __init__(self, failing):
+        for name in [
+            "EC_GROUP_new_by_curve_name",
+            "EC_GROUP_precompute_mult",
+            "BN_CTX_new",
+            "EC_POINT_new",
+            "EC_GROUP_get0_generator",
+            "BN_new",
+            "BN_bin2bn",
+            "EC_POINT_mul",
+            "EC_POINT_point2oct",
+            "EC_POINT_oct2point",
+        ]:
+            result = 0 if name == failing else 65 if name == "EC_POINT_point2oct" else 1
+            setattr(self, name, lambda *args, result=result: result)
+
+
+class TestEcBinding:
+    """The ctypes binding of OpenSSL's secp256k1 (crypto._ec): each failure
+    to bind or to compute raises CryptoError naming what failed."""
+
+    # one call of each operation: k * G, and a * G + b * P for a foreign point
+    @staticmethod
+    def multiply():
+        keypair_from_scalar(0xC0FFEE)
+        crypto._shared_x(0xBEEF, keypair_from_scalar(0xFACADE).pubkey)
+
+    def test_missing_hashlib_binding_raises_crypto_error(self, fresh_ec, monkeypatch):
+        monkeypatch.setitem(sys.modules, "_hashlib", None)
+        with pytest.raises(CryptoError, match="_hashlib") as info:
+            self.multiply()
+        assert type(info.value) is CryptoError
+
+    @pytest.mark.parametrize("missing", ["EC_GROUP_precompute_mult", "EC_POINT_mul"])
+    def test_missing_symbol_raises_crypto_error_naming_it(self, fresh_ec, monkeypatch, missing):
+        fake = FakeEc(None)
+        delattr(fake, missing)
+        monkeypatch.setattr(ctypes, "CDLL", lambda path: fake)
+        with pytest.raises(CryptoError, match=f"^hashlib's libcrypto lacks {missing}$") as info:
+            self.multiply()
+        assert type(info.value) is CryptoError
+
+    def test_no_secp256k1_group_raises_crypto_error(self, fresh_ec, monkeypatch):
+        monkeypatch.setattr(ctypes, "CDLL", lambda path: FakeEc("EC_GROUP_new_by_curve_name"))
+        with pytest.raises(CryptoError, match="^OpenSSL's libcrypto has no secp256k1 group$"):
+            self.multiply()
+
+    @pytest.mark.parametrize(
+        "failing",
+        [
+            "BN_CTX_new",
+            "EC_POINT_new",
+            "BN_new",
+            "EC_GROUP_precompute_mult",
+            "EC_POINT_mul",
+            "EC_POINT_point2oct",
+            "EC_POINT_oct2point",
+        ],
+    )
+    def test_failed_call_raises_crypto_error_naming_it(self, fresh_ec, monkeypatch, failing):
+        monkeypatch.setattr(ctypes, "CDLL", lambda path: FakeEc(failing))
+        with pytest.raises(CryptoError, match=failing) as info:
+            self.multiply()
+        assert type(info.value) is CryptoError
+
+    # oct2point checks that a point lies on the curve
+    def test_point_off_the_curve_raises(self):
+        with pytest.raises(CryptoError, match="EC_POINT_oct2point"):
+            _mul_add(1, 1, (1).to_bytes(32, "big") * 2)
 
 
 class TestSecretSharing:
@@ -720,6 +723,21 @@ class TestInputGuards:
                 lambda: sym_decrypt(bytes(33), bytes(29)), ParameterError, "symmetric key must be 32 bytes", id="sym_decrypt_key"
             ),
             pytest.param(
+                lambda: sign(bytes(31) + b"\x01", bytes(31)), ParameterError, "digest must be 32 bytes", id="sign_digest"
+            ),
+            pytest.param(
+                lambda: ecies_encrypt(b"\x01" * 63, b"x", Random(0)),
+                ParameterError, "pubkey must be 64 bytes", id="ecies_pubkey_size",
+            ),
+            pytest.param(
+                lambda: ecies_encrypt((1).to_bytes(32, "big") * 2, b"x", Random(0)),
+                ParameterError, "pubkey not on curve", id="ecies_pubkey_point",
+            ),
+            pytest.param(
+                lambda: onion_wrap(Share(1, 1), [], Random(0)),
+                ParameterError, "need at least one wrapping key", id="onion_wrap_keys",
+            ),
+            pytest.param(
                 lambda: ecies_decrypt(bytes(31) + b"\x01", bytes(64 + 27)),
                 AuthenticationError, "ciphertext too short", id="ecies_short",
             ),
@@ -804,91 +822,85 @@ class TestDeterminism:
         assert run(1234) != run(1235)
 
 
-G = (_GX, _GY, 1)
+# ---------------------------------------------------------------------------
+# Reference secp256k1 arithmetic in Jacobian coordinates, written here and
+# sharing no code with tidsim, which does its curve arithmetic in OpenSSL:
+# doubling and addition (Hankerson, Menezes and Vanstone, Guide to ECC,
+# 3.2) and plain right-to-left double-and-add.
+# ---------------------------------------------------------------------------
+
+G = (
+    0x79BE667EF9DCBBAC55A06295CE870B07029BFCDB2DCE28D959F2815B16F81798,
+    0x483ADA7726A3C4655DA4FBFC0E1108A8FD17B448A68554199C47D08FFB10D4B8,
+    1,
+)
+INFINITY = (0, 0, 0)
+
+
+def jdouble(p):
+    x1, y1, z1 = p
+    if not y1:
+        return INFINITY
+    yy = y1 * y1 % _P
+    s = 4 * x1 * yy % _P
+    m = 3 * x1 * x1 % _P
+    x3 = (m * m - 2 * s) % _P
+    y3 = (m * (s - x3) - 8 * yy * yy) % _P
+    z3 = 2 * y1 * z1 % _P
+    return (x3, y3, z3)
+
+
+def jadd(p, q):
+    if not p[2]:
+        return q
+    if not q[2]:
+        return p
+    x1, y1, z1 = p
+    x2, y2, z2 = q
+    z1z1 = z1 * z1 % _P
+    z2z2 = z2 * z2 % _P
+    u1 = x1 * z2z2 % _P
+    u2 = x2 * z1z1 % _P
+    s1 = y1 * z2 * z2z2 % _P
+    s2 = y2 * z1 * z1z1 % _P
+    if u1 == u2:
+        if s1 != s2:
+            return INFINITY
+        return jdouble(p)
+    h = (u2 - u1) % _P
+    i = 4 * h * h % _P
+    j = h * i % _P
+    r = 2 * (s2 - s1) % _P
+    v = u1 * i % _P
+    x3 = (r * r - j - 2 * v) % _P
+    y3 = (r * (v - x3) - 2 * s1 * j) % _P
+    z3 = 2 * h * z1 * z2 % _P
+    return (x3, y3, z3)
+
+
+def to_bytes(p):
+    """The 64 bytes x || y of the Jacobian point p, as tidsim carries points; b"" for infinity."""
+    x, y, z = p
+    if not z:
+        return b""
+    zi = pow(z, -1, _P)
+    return (x * zi * zi % _P).to_bytes(32, "big") + (y * zi * zi * zi % _P).to_bytes(32, "big")
+
+
+def point_of(pubkey):
+    """The Jacobian point of the 64 bytes x || y, with z = 1."""
+    return int.from_bytes(pubkey[:32], "big"), int.from_bytes(pubkey[32:64], "big"), 1
 
 
 def reference_mul(k, point):
-    """Plain right-to-left double-and-add, an oracle independent of _jmul's
-    left-to-right loop and of every table."""
-    acc = (0, 0, 0)
+    """k * point by plain right-to-left double-and-add, for k >= 0."""
+    acc = INFINITY
     while k:
         if k & 1:
-            acc = _jadd(acc, point)
-        point = _jdouble(point)
+            acc = jadd(acc, point)
+        point = jdouble(point)
         k >>= 1
     return acc
-
-
-# The largest size of a half of _split, and the rows of _base_table that cover it
-HALF_BOUND = max(abs(crypto._A1) + abs(crypto._A2), abs(crypto._B1) + abs(crypto._B2)) // 2
-ROWS = -(-HALF_BOUND.bit_length() // _WINDOW)
-
-
-def signed_digits(h):
-    """The signed _WINDOW-bit digits of a half's size h, lowest window first, as the kernels recode it: one per table row."""
-    digits = []
-    for _ in range(ROWS):
-        d = h & _MASK
-        h >>= _WINDOW
-        if d > _HALF:
-            d -= 1 << _WINDOW
-            h += 1
-        digits.append(d)
-    assert not h
-    return digits
-
-
-# The recoding is monotone in h, so the largest half has the largest top digit
-TOP = signed_digits(HALF_BOUND)[-1]
-
-
-def reference_base_table_bytes():
-    """The bytes of crypto's base table file, built from G.
-
-    One doubling chain from G passes through each row's powers of two
-    2^i * B, B = 2^(_WINDOW * w) * G, and _to_affine makes each of them
-    affine. Every other slot d = 2^m + e, 0 < e < 2^m, is e * B + 2^m * B,
-    with one _affine_sums per bit length m across all rows, so both summands
-    are built before the sum. The summands' x differ: equal x needs
-    (2^m -+ e) * 2^(_WINDOW * w) = 0 mod N, and N is a prime that divides
-    neither factor. Rows hold d = 1.._HALF, except the top one, which holds
-    d = 1..TOP, the top digit of the largest half of _split. With 13-bit
-    windows that is 9 rows of 4,096 points and a top row of 1,301, 38,165
-    points in all. Each point is written as x || y, 32-byte big-endian, row
-    by row, so a 64-byte slot read as one integer is the x * 2^256 + y that
-    _base_table keeps.
-
-    If _WINDOW or _split's basis ever changes, rewrite the file from the
-    repository root with
-        PYTHONPATH=src:tests python -c 'import hashlib, test_crypto as t;
-        data = t.reference_base_table_bytes();
-        open("src/tidsim/secp256k1_base_table.bin", "wb").write(data);
-        print(hashlib.sha256(data).hexdigest())'
-    and set crypto._BASE_TABLE_SHA256 to the hash it prints.
-    """
-    table = [[None] * _HALF for _ in range(ROWS - 1)] + [[None] * TOP]
-    chain = [G]
-    for _ in range(_WINDOW * ROWS - 1):
-        chain.append(_jdouble(chain[-1]))
-    powers = [_to_affine(p) for p in chain]
-    for w, row in enumerate(table):
-        for i in range(len(row).bit_length()):
-            row[(1 << i) - 1] = powers[_WINDOW * w + i]
-    for m in range(1, _WINDOW - 1):
-        low = 1 << m
-        wanted = [(w, d) for w, row in enumerate(table) for d in range(low + 1, min(2 * low, len(row) + 1))]
-        summands = [(table[w][d - low - 1], table[w][low - 1]) for w, d in wanted]
-        for (w, d), point in zip(wanted, sums_of(summands)):
-            table[w][d - 1] = point
-    return b"".join(x.to_bytes(32, "big") + y.to_bytes(32, "big") for row in table for x, y in row)
-
-
-def sums_of(pairs):
-    """P + Q for each pair (P, Q) of affine points, through _affine_sums' coordinate lists."""
-    xs, ys = _affine_sums(
-        [p[0] for p, _ in pairs], [p[1] for p, _ in pairs], [q[0] for _, q in pairs], [q[1] for _, q in pairs]
-    )
-    return list(zip(xs, ys))
 
 
 def reference_recover(digest, sig):
@@ -898,9 +910,8 @@ def reference_recover(digest, sig):
     if y & 1 != sig.v:
         y = _P - y
     z = int.from_bytes(digest, "big")
-    q = _jadd(reference_mul(sig.s, (x, y, 1)), reference_mul((-z) % _N, G))
-    qx, qy = _to_affine(reference_mul(pow(sig.r, -1, _N), q))
-    return address_of_pubkey(qx.to_bytes(32, "big") + qy.to_bytes(32, "big"))
+    q = jadd(reference_mul(sig.s, (x, y, 1)), reference_mul((-z) % _N, G))
+    return address_of_pubkey(to_bytes(reference_mul(pow(sig.r, -1, _N), q)))
 
 
 EDGE_SCALARS = [
@@ -921,19 +932,32 @@ EDGE_SCALARS = [
     int("1" * 40 + "0" * 9 + "1" * 60 + "01" * 20, 2),
 ]
 scalars = st.integers(min_value=1, max_value=_N - 1)
-# A cube root of unity mod N: _split writes each k as k1 + LAMBDA * k2. Its
-# multiples were also the special cases of an earlier variable-base kernel.
+# A cube root of unity mod N: LAMBDA * (x, y) = (beta * x, y) for every
+# point, the endomorphism that GLV multiplication (Gallant, Lambert and
+# Vanstone, CRYPTO 2001) splits a scalar through, k = k1 + LAMBDA * k2.
 LAMBDA = 0x5363AD4CC05C30E0A5261C028812645A122E22EA20816678DF02967C1B23BD72
+LAMBDA_MULTIPLES = [LAMBDA, _N - LAMBDA, 2 * LAMBDA, 3 * LAMBDA % _N, LAMBDA * LAMBDA % _N, LAMBDA + 1]
+# A reduced basis (A1, B1), (A2, B2) of the lattice of (a, b) with
+# a + b * LAMBDA = 0 mod N, as in libsecp256k1. Its Babai rounding gives
+# halves k1 and k2 below HALF_BOUND in size.
+A1, B1 = 0x3086D221A7D46BCDE86C90E49284EB15, -0xE4437ED6010E88286F547FA90ABFE4C3
+A2, B2 = 0x114CA50F7A8E2F3F657C1108D9D44CFD8, A1
+HALF_BOUND = max(abs(A1) + abs(A2), abs(B1) + abs(B2)) // 2
+# Signed WINDOW-bit windows over such a half, the recoding of the pure-Python
+# kernel this package once had, cover it in ROWS windows.
+WINDOW = 13
+HALF = 1 << WINDOW - 1
+ROWS = -(-HALF_BOUND.bit_length() // WINDOW)
 
 
 def from_halves(k1, k2):
-    """The scalar k1 + LAMBDA * k2 mod N, whose _split is (k1, k2) when the pair lies in _split's domain."""
+    """The scalar k1 + LAMBDA * k2 mod N."""
     return (k1 + LAMBDA * k2) % _N
 
 
 def from_digits(digits, top=0):
-    """The half whose signed _WINDOW-bit digits, lowest window first, are `digits`, under a top digit `top`."""
-    return sum(d << _WINDOW * w for w, d in enumerate(digits)) + (top << _WINDOW * (ROWS - 1))
+    """The half whose signed WINDOW-bit digits, lowest window first, are `digits`, under a top digit `top`."""
+    return sum(d << WINDOW * w for w, d in enumerate(digits)) + (top << WINDOW * (ROWS - 1))
 
 
 def every_window(d, width):
@@ -942,64 +966,31 @@ def every_window(d, width):
 
 
 def corner(s1, s2):
-    """The scalar whose halves are (1/2 - 2^-20) * (s1 * (a1, b1) + s2 * (a2, b2)), rounded down: next to a corner of _split's domain."""
-    k1 = (s1 * crypto._A1 + s2 * crypto._A2) * (2**19 - 1) >> 20
-    k2 = (s1 * crypto._B1 + s2 * crypto._B2) * (2**19 - 1) >> 20
+    """The scalar whose halves are (1/2 - 2^-20) * (s1 * (A1, B1) + s2 * (A2, B2)), rounded down: next to a corner of the rounding's domain."""
+    k1 = (s1 * A1 + s2 * A2) * (2**19 - 1) >> 20
+    k2 = (s1 * B1 + s2 * B2) * (2**19 - 1) >> 20
     return from_halves(k1, k2)
 
 
-# Halves below 2^126 in size always come back from _split: the square they
-# fill lies inside its domain. So a scalar built from two such halves
-# reaches the kernels with the digits it was built from.
-SMALL_TOP = 511
-# k1 * 2^13 and k2 * 2^13, or both * 2^26: the lowest one or two windows of
-# each half are zero
-low_windows_zero = (
-    st.sampled_from([_WINDOW, 2 * _WINDOW])
-    .flatmap(
-        lambda shift: st.builds(
-            lambda k1, k2: from_halves(k1 << shift, k2 << shift),
-            *[st.integers(1 - 2 ** (126 - shift), 2 ** (126 - shift) - 1)] * 2,
-        )
-    )
-    .filter(bool)
-)
-# Halves by their signed digits, each in -4095..4096 as the kernels recode
-# them: any window below the top may be zero, so a half has any number of
-# table points to sum, odd or even, or none, and the top digit is
-# 0..SMALL_TOP.
-small_halves = st.builds(
-    lambda digits, top, sign: sign * from_digits(digits, top),
-    st.lists(st.one_of(st.just(0), st.integers(1 - _HALF, _HALF)), min_size=ROWS - 1, max_size=ROWS - 1),
-    st.integers(0, SMALL_TOP),
-    st.sampled_from([1, -1]),
-)
-digit_scalars = st.builds(from_halves, small_halves, small_halves).filter(bool)
-# Digits _HALF + 1.._MASK become negative and carry into the next window;
-# _HALF does not. Each scalar repeats one digit in every window of its
-# halves below the top one; the corners of _split's domain hold its largest
-# halves, and the first of them the top row's largest digit, TOP.
+# The edges of the kernel this package once had, kept as scalars whose bit
+# patterns stress any multiplication: digits HALF + 1..2^WINDOW - 1 became
+# negative and carried into the next window, HALF did not. Each scalar
+# repeats one digit in every window of its halves below the top one; the
+# corners of the rounding's domain hold its largest halves.
 WINDOW_EDGE_SCALARS = [
     *(
         from_halves(s * from_digits([d] * (ROWS - 1)), from_digits([d] * (ROWS - 1), 1))
-        for d in (_HALF - 1, _HALF, _HALF + 1)
+        for d in (HALF - 1, HALF, HALF + 1)
         for s in (1, -1)
     ),
     *(corner(s1, s2) for s1, s2 in ((1, 1), (-1, 1), (-1, -1), (1, -1))),
 ]
-# The scalars whose halves are exactly (1, 0), (2^127, 0), (-1, 0), (0, 1),
-# (0, -1) and (0, 2): one zero half, some negative
+# The scalars whose halves are (1, 0), (2^127, 0), (-1, 0), (0, 1), (0, -1)
+# and (0, 2): one zero half, some negative
 SPLIT_EDGE_SCALARS = [1, 2**127, _N - 1, LAMBDA, _N - LAMBDA, 2 * LAMBDA % _N]
-DIGIT_EDGE_SCALARS = [
-    from_halves(from_digits([1] * (ROWS - 2) + [0], 3), 0),  # a zero in window 8 alone; a zero half
-    from_halves(from_digits([0] * (ROWS - 2) + [1]), -1),  # window 8's point alone; a negative half
-    from_halves(0, -from_digits([0] * (ROWS - 1), 5)),  # the top digit alone, negative
-    from_halves(from_digits([-1] * (ROWS - 1), SMALL_TOP), from_digits([_HALF] * (ROWS - 1), SMALL_TOP)),
-    from_halves(from_digits([_HALF, 0] * 4 + [_HALF]), from_digits([0, 1 - _HALF] * 4 + [7], 2)),  # 5 points each
-]
-# The edges of the 11-bit windows over the whole scalar, the recoding before
-# the halves: a top window of 7 with a carry, every window 1023, 1024 or
-# 1025, and where its last window met the group order.
+# The edges of 11-bit windows over the whole scalar: a top window of 7 with
+# a carry, every window 1023, 1024 or 1025, and where its last window met
+# the group order.
 ELEVEN_BIT_EDGE_SCALARS = [
     7 << 253 | 2047 << 242,
     *(every_window(d, 11) for d in (1023, 1024, 1025)),
@@ -1015,11 +1006,11 @@ BASE_EDGE_SCALARS = list(
     dict.fromkeys(
         [
             1,
-            # each power of two up to one window past _MASK, with its neighbours
-            *(k for i in range(4, _WINDOW + 1) for k in (2**i - 1, 2**i, 2**i + 1)),
+            # each power of two up to one window past 2^WINDOW - 1, with its neighbours
+            *(k for i in range(4, WINDOW + 1) for k in (2**i - 1, 2**i, 2**i + 1)),
             2**255,
             _N - 16,
-            # the edges of 9-bit and 11-bit windows, the widths before 13-bit halves
+            # the edges of 9-bit and 11-bit windows
             *(every_window(d, 9) for d in (1, 64, 65, 127, 255, 256, 257, 511)),
             *ELEVEN_BIT_EDGE_SCALARS,
             *WINDOW_EDGE_SCALARS,
@@ -1027,158 +1018,134 @@ BASE_EDGE_SCALARS = list(
         ]
     )
 )
+# The edges every curve check below runs at: both ends of the scalar range,
+# the halfway points and the multiples of LAMBDA
+CURVE_EDGE_SCALARS = [1, 2, _N - 1, _N - 2, 2**127, 2**128 - 1, _N // 2, *(k % _N for k in LAMBDA_MULTIPLES)]
+# Hypothesis draws small integers often, so half of the scalars are built
+# from two halves of either sign
+curve_scalars = st.one_of(scalars, st.builds(from_halves, *[st.integers(-(2**127), 2**127)] * 2).filter(bool))
+# A point of known scalar, for the variable-base checks
+C0FFEE = reference_mul(0xC0FFEE, G)
 
-def unpack(slot):
-    """The affine point (x, y) that a base-table slot x * 2^256 + y holds."""
-    return divmod(slot, 2**256)
+
+def in_scope(scoped):
+    """A fresh crypto.scope() if scoped, otherwise no scope."""
+    return crypto.scope() if scoped else contextlib.nullcontext()
 
 
 class TestScalarKernel:
-    # The two tests below keep the names they had when _jmul walked the wNAF
-    # of k; they check its plain double-and-add against the reference now.
+    """k * G, a * G + b * P, recovery and ECDH through OpenSSL (crypto._ec)
+    against the reference double-and-add above, at edge scalars and
+    Hypothesis ones, inside a scope and out. Several tests keep the names
+    they had when tidsim multiplied in pure Python: the wNAF, GLV and
+    signed-window kernels are gone, and each test checks OpenSSL now."""
+
+    # a * G + b * P with a zero G term: the variable-base product b * P
     @pytest.mark.parametrize("k", EDGE_SCALARS)
     def test_wnaf_matches_double_and_add_on_edge_scalars(self, k):
-        point = _jmul_base(0xC0FFEE)
-        assert _to_affine(_jmul(k, point)) == _to_affine(reference_mul(k, point))
+        assert _mul_add(0, k % _N, to_bytes(C0FFEE)) == to_bytes(reference_mul(k, C0FFEE))
 
     @given(k=scalars, base=scalars)
     @settings(max_examples=40, deadline=None)
     def test_wnaf_matches_double_and_add(self, k, base):
-        point = (*_to_affine(_jmul_base(base)), 1)
-        assert _to_affine(_jmul(k, point)) == _to_affine(reference_mul(k, point))
+        point = reference_mul(base, G)
+        assert _mul_add(0, k, to_bytes(point)) == to_bytes(reference_mul(k, point))
 
-    # The two tests below keep the names they had when _jmul split k through
-    # the GLV endomorphism; they check plain double-and-add against the
-    # reference now.
-    @pytest.mark.parametrize(
-        "k", [LAMBDA, _N - LAMBDA, 2 * LAMBDA, 3 * LAMBDA % _N, LAMBDA * LAMBDA % _N, LAMBDA + 1]
-    )
+    @pytest.mark.parametrize("k", LAMBDA_MULTIPLES)
     def test_glv_mult_on_multiples_of_lambda(self, k):
-        x, y = _to_affine(_jmul_base(0xC0FFEE))
-        z = 0xBEEF
-        for point in [(x, y, 1), (x * z * z % _P, y * z * z * z % _P, z)]:
-            assert _to_affine(_jmul(k, point)) == _to_affine(reference_mul(k, point))
+        assert _mul_add(0, k % _N, to_bytes(C0FFEE)) == to_bytes(reference_mul(k, C0FFEE))
 
-    @given(k=scalars, base=scalars, z=st.integers(min_value=2, max_value=_P - 1))
+    # a * G + b * P for any a, b and P
+    @given(a=st.integers(0, _N - 1), b=st.integers(0, _N - 1), base=scalars)
+    @example(a=0, b=1, base=1)
+    @example(a=1, b=0, base=1)
     @settings(max_examples=30, deadline=None)
-    def test_glv_mult_on_jacobian_points(self, k, base, z):
-        x, y = _to_affine(_jmul_base(base))
-        point = (x * z * z % _P, y * z * z * z % _P, z)
-        assert _to_affine(_jmul(k, point)) == _to_affine(reference_mul(k, (x, y, 1)))
+    def test_glv_mult_on_jacobian_points(self, a, b, base):
+        point = reference_mul(base, G)
+        expected = jadd(reference_mul(a, G), reference_mul(b, point))
+        assert _mul_add(a, b, to_bytes(point)) == to_bytes(expected)
 
     def test_infinity_and_zero_scalars_give_infinity(self):
-        x, y = _to_affine(_jmul_base(0xC0FFEE))
-        z = 0xBEEF
-        point = (x * z * z % _P, y * z * z * z % _P, z)
-        for k in (0, _N, 2 * _N, -_N):
-            assert _jmul(k, point) == (0, 0, 0)
-        for k in (1, 0xD15EA5E, _N - 1):
-            assert _jmul(k, (0, 0, 0)) == (0, 0, 0)
-            assert _jmul(k, (1, 1, 0)) == (0, 0, 0)
+        for point in (G, C0FFEE):
+            assert _mul_add(0, 0, to_bytes(point)) == b""
+        assert _mul_add(_N - 0xC0FFEE, 1, to_bytes(C0FFEE)) == b""
+        assert _mul_add(_N - 2 * 0xC0FFEE % _N, 2, to_bytes(C0FFEE)) == b""
 
     @pytest.mark.parametrize("k", BASE_EDGE_SCALARS)
     def test_signed_window_base_mult_on_edge_scalars(self, k):
-        assert _to_affine(_jmul_base(k)) == _to_affine(reference_mul(k, G))
+        assert _base_mul(k) == to_bytes(reference_mul(k, G))
 
     @given(k=scalars)
     @settings(max_examples=40, deadline=None)
     def test_signed_window_base_mult(self, k):
-        assert _to_affine(_jmul_base(k)) == _to_affine(reference_mul(k, G))
+        assert _base_mul(k) == to_bytes(reference_mul(k, G))
 
+    # a * G + P with a * G = P, and with a * G = -P
     def test_mixed_addition_doubles_and_cancels(self):
-        x, y = _to_affine(_jmul_base(0xC0FFEE))
-        z = 0xBEEF
-        for p in [(x, y, 1), (x * z * z % _P, y * z * z * z % _P, z)]:
-            assert _to_affine(_jadd_affine(p, x, y)) == _to_affine(_jdouble((x, y, 1)))
-            assert _jadd_affine(p, x, _P - y) == (0, 0, 0)
+        pub = to_bytes(C0FFEE)
+        assert _mul_add(0xC0FFEE, 1, pub) == to_bytes(jdouble(C0FFEE))
+        assert _mul_add(_N - 0xC0FFEE, 1, pub) == b""
 
-    @pytest.mark.parametrize(
-        "w, d",
-        [(0, 1), (0, 64), (0, 255), (0, 1024), (0, _HALF), (5, 33), (ROWS - 2, _HALF - 1), (ROWS - 1, 1), (ROWS - 1, TOP)],
-    )
-    def test_base_table_holds_affine_window_multiples(self, w, d):
-        table = _base_table()
-        assert [len(row) for row in table] == [_HALF] * (ROWS - 1) + [TOP]
-        assert unpack(table[w][d - 1]) == _to_affine(reference_mul(d << _WINDOW * w, G))
+    @pytest.mark.parametrize("scoped", [False, True], ids=["unscoped", "scoped"])
+    def test_base_mult_at_edge_scalars(self, scoped):
+        expected = [to_bytes(reference_mul(k, G)) for k in CURVE_EDGE_SCALARS]
+        with in_scope(scoped):
+            assert [keypair_from_scalar(k).pubkey for k in CURVE_EDGE_SCALARS] == expected
+            # in a scope the key pairs above recorded each k * G
+            assert [pubkey_of_privkey(k.to_bytes(32, "big")) for k in CURVE_EDGE_SCALARS] == expected
 
-    def test_first_and_last_base_table_rows_match_reference(self):
-        table = _base_table()
-        for w in (0, ROWS - 1):
-            for d, slot in enumerate(table[w], 1):
-                assert unpack(slot) == _to_affine(reference_mul(d << _WINDOW * w, G))
+    @pytest.mark.parametrize("scoped", [False, True], ids=["unscoped", "scoped"])
+    @given(k=curve_scalars)
+    @settings(max_examples=20, deadline=None)
+    def test_base_mult(self, scoped, k):
+        with in_scope(scoped):
+            assert keypair_from_scalar(k).pubkey == pubkey_of_privkey(k.to_bytes(32, "big")) == to_bytes(reference_mul(k, G))
 
-    def test_lambda_acts_as_beta_on_x(self):
-        for k in (1, 0xC0FFEE, _N - 1):
-            x, y = _to_affine(reference_mul(k, G))
-            assert _to_affine(reference_mul(LAMBDA, (x, y, 1))) == (crypto._BETA * x % _P, y)
+    @staticmethod
+    def recoveries_match(d, digest, scoped):
+        """A signature by d over digest recovers d's address, by the reference, by recover_signer and by the arithmetic."""
+        with in_scope(scoped):
+            kp = keypair_from_scalar(d)
+            sig = sign(kp.privkey, digest)
+            # in a scope sign recorded its signer and recover_signer reads it back
+            assert recover_signer(digest, sig) == reference_recover(digest, sig) == kp.address
+            assert _recover_address(digest, sig) == kp.address
 
-    @given(k=scalars)
-    @example(k=1)
-    @example(k=_N - 1)
-    @example(k=LAMBDA)
-    @settings(max_examples=200, deadline=None)
-    def test_split_halves_sum_to_k_within_their_bounds(self, k):
-        k1, k2 = crypto._split(k)
-        assert (k1 + LAMBDA * k2 - k) % _N == 0
-        assert 2 * abs(k1) <= abs(crypto._A1) + abs(crypto._A2)
-        assert 2 * abs(k2) <= abs(crypto._B1) + abs(crypto._B2)
-        assert max(abs(k1), abs(k2)) <= HALF_BOUND < 2**127.35
+    @pytest.mark.parametrize("scoped", [False, True], ids=["unscoped", "scoped"])
+    def test_recovery_at_edge_scalars(self, scoped):
+        for d in CURVE_EDGE_SCALARS:
+            self.recoveries_match(d, hash256(d.to_bytes(32, "big")), scoped)
 
-    def test_split_edge_scalars(self):
-        assert [crypto._split(k) for k in SPLIT_EDGE_SCALARS] == [(1, 0), (2**127, 0), (-1, 0), (0, 1), (0, -1), (0, 2)]
-        # the corner next to (a1 + a2, b1 + b2) / 2 holds the top row's largest digit
-        assert signed_digits(crypto._split(WINDOW_EDGE_SCALARS[6])[0])[-1] == TOP == 1301
-
-    @given(k1=small_halves, k2=small_halves)
-    @settings(max_examples=100, deadline=None)
-    def test_small_halves_come_back_from_split(self, k1, k2):
-        assert crypto._split(from_halves(k1, k2)) == (k1, k2)
-
-    # The join of k1 * G and phi(k2 * G) meets equal x only if
-    # k1 = lambda * k2 mod N for k != 0, which makes (k1, -k2) a nonzero
-    # vector of _split's lattice. The basis is reduced, so (a1, b1) is its
-    # shortest vector, and it is longer than any pair within _split's bounds.
-    def test_no_lattice_vector_fits_within_the_split_bounds(self):
-        a1, b1, a2, b2 = crypto._A1, crypto._B1, crypto._A2, crypto._B2
-        assert a1 * b2 - a2 * b1 == _N
-        assert (a1 + LAMBDA * b1) % _N == (a2 + LAMBDA * b2) % _N == 0
-        v1, v2 = a1 * a1 + b1 * b1, a2 * a2 + b2 * b2
-        assert v1 <= v2 and 2 * abs(a1 * a2 + b1 * b2) <= v1
-        bound1 = (abs(a1) + abs(a2)) // 2
-        bound2 = (abs(b1) + abs(b2)) // 2
-        assert bound1 * bound1 + bound2 * bound2 < v1
-
-    @given(
-        pairs=st.lists(
-            st.tuples(scalars, scalars).filter(lambda ab: (ab[0] - ab[1]) % _N and (ab[0] + ab[1]) % _N),
-            max_size=8,
-        )
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_affine_sums_match_jacobian_addition(self, pairs):
-        ps = [_to_affine(_jmul_base(a)) for a, _ in pairs]
-        qs = [_to_affine(_jmul_base(b)) for _, b in pairs]
-        xs, ys = _affine_sums([x for x, _ in ps], [y for _, y in ps], [x for x, _ in qs], [y for _, y in qs])
-        assert list(zip(xs, ys)) == [_to_affine(_jadd((*p, 1), (*q, 1))) for p, q in zip(ps, qs)]
-
-    def test_affine_sums_raise_on_equal_x(self):
-        x, y = _to_affine(_jmul_base(0xC0FFEE))
-        u, v = _to_affine(_jmul_base(0xBEEF))
-        with pytest.raises(ValueError):
-            _affine_sums([u, x], [v, y], [x, x], [y, _P - y])
-
-    # z = 0 mod N for the zero digest and for N itself: u1 * G is infinity and
-    # _jadd returns the variable-base product alone.
-    @given(d=scalars, digest=st.binary(min_size=32, max_size=32))
+    # z = 0 mod N for the zero digest and for N itself: the G term is zero
+    @given(d=curve_scalars, digest=st.binary(min_size=32, max_size=32))
     @example(d=0xC0FFEE, digest=bytes(32))
     @example(d=0xC0FFEE, digest=_N.to_bytes(32, "big"))
     @example(d=0xC0FFEE, digest=b"\xff" * 32)
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=20, deadline=None)
     def test_recovery_matches_three_multiplication_formula(self, d, digest):
-        kp = keypair_from_scalar(d)
-        sig = sign(kp.privkey, digest)
-        assert recover_signer(digest, sig) == reference_recover(digest, sig) == kp.address
-        assert _recover_address(digest, sig) == reference_recover(digest, sig)
+        for scoped in (False, True):
+            self.recoveries_match(d, digest, scoped)
+
+    @staticmethod
+    def ecdh_matches(d, e, scoped):
+        """_shared_x(d, e * G) is the x of the reference d * (e * G): a * G + b * P with a zero G term
+        outside a scope, (d * e mod N) * G inside one, where e * G was drawn."""
+        with in_scope(scoped) as memo:
+            pub = keypair_from_scalar(e).pubkey
+            assert (memo is not None and memo.scalars[pub] == e) == scoped
+            assert crypto._shared_x(d, pub).to_bytes(32, "big") == to_bytes(reference_mul(d, point_of(pub)))[:32]
+
+    @pytest.mark.parametrize("scoped", [False, True], ids=["unscoped", "scoped"])
+    def test_ecdh_at_edge_scalars(self, scoped):
+        for d in CURVE_EDGE_SCALARS:
+            for e in (1, _N - 1, LAMBDA, d):
+                self.ecdh_matches(d, e, scoped)
+
+    @pytest.mark.parametrize("scoped", [False, True], ids=["unscoped", "scoped"])
+    @given(d=curve_scalars, e=curve_scalars)
+    @settings(max_examples=20, deadline=None)
+    def test_ecdh(self, scoped, d, e):
+        self.ecdh_matches(d, e, scoped)
 
     @given(
         v=st.integers(min_value=0, max_value=1),
@@ -1209,16 +1176,26 @@ def memo():
 
 @pytest.fixture
 def kernel_calls(monkeypatch, memo):
-    """Every (digest, sig) that reached the recovery arithmetic, inside a fresh scope."""
+    """The (G scalar, point scalar, point) of every a * G + b * P, inside a fresh scope."""
     calls = []
-    real = crypto._recover_address
+    real = crypto._mul_add
 
-    def counted(digest, sig):
-        calls.append((digest, sig))
-        return real(digest, sig)
+    def counted(a, b, point):
+        calls.append((a, b, point))
+        return real(a, b, point)
 
-    monkeypatch.setattr(crypto, "_recover_address", counted)
+    monkeypatch.setattr(crypto, "_mul_add", counted)
     return calls
+
+
+def recovery(digest, sig):
+    """The a * G + b * P that recovers sig's signer over digest: (-z/r, s/r, R)."""
+    x = sig.r
+    y = pow((x * x * x + 7) % _P, (_P + 1) // 4, _P)
+    if y & 1 != sig.v:
+        y = _P - y
+    r_inv = pow(sig.r, -1, _N)
+    return -int.from_bytes(digest, "big") * r_inv % _N, sig.s * r_inv % _N, to_bytes((x, y, 1))
 
 
 class TestSignerMemo:
@@ -1234,7 +1211,7 @@ class TestSignerMemo:
         assert kernel_calls == []
         for digest, sig in finished:
             assert recover_signer(digest, sig) == kp.address
-        assert kernel_calls == finished
+        assert kernel_calls == [recovery(*p) for p in finished]
         assert len(memo.signers) == len(digests)
 
     def test_altered_digest_or_twin_gets_the_kernel_answer(self, kernel_calls):
@@ -1250,36 +1227,31 @@ class TestSignerMemo:
             for d, s in ((tampered, sig), (digest, twin)):
                 before = len(kernel_calls)
                 assert recover_signer(d, s) == reference_recover(d, s)
-                assert kernel_calls[before:] == [(d, s)]
+                assert kernel_calls[before:] == [recovery(d, s)]
             assert recover_signer(tampered, sig) != kp.address
             assert recover_signer(digest, twin) == kp.address
 
 
 @pytest.fixture
 def point_mults(monkeypatch, memo):
-    """Every affine point that reached the variable-base multiplication, inside a fresh scope."""
+    """The point of every variable-base multiplication a * G + b * P, inside a fresh scope."""
     calls = []
-    real = crypto._jmul
+    real = crypto._mul_add
 
-    def counted(k, p):
-        calls.append(_to_affine(p))
-        return real(k, p)
+    def counted(a, b, point):
+        calls.append(point)
+        return real(a, b, point)
 
-    monkeypatch.setattr(crypto, "_jmul", counted)
+    monkeypatch.setattr(crypto, "_mul_add", counted)
     return calls
 
 
-def point_of(pubkey):
-    return int.from_bytes(pubkey[:32], "big"), int.from_bytes(pubkey[32:64], "big")
-
-
 def memo_ecdh_matches_kernel(memo, d, e):
-    """_shared_x(d, e*G) through memo, the scope's, equals the _jmul and the double-and-add products."""
+    """_shared_x(d, e*G) through memo, the scope's, equals the variable-base and the double-and-add products."""
     pub = keypair_from_scalar(e).pubkey
-    x, y = point_of(pub)
     assert memo.scalars[pub] == e
-    sx = _to_affine(_jmul(d, (x, y, 1)))[0]
-    assert crypto._shared_x(d, pub) == sx == _to_affine(reference_mul(d, (x, y, 1)))[0]
+    sx = _mul_add(0, d, pub)[:32]
+    assert crypto._shared_x(d, pub).to_bytes(32, "big") == sx == to_bytes(reference_mul(d, point_of(pub)))[:32]
 
 
 HALF_N = (_N - 1) // 2
@@ -1310,7 +1282,8 @@ class TestScalarMemo:
             memo_ecdh_matches_kernel(memo, d, e)
 
     def test_every_key_is_recorded_in_draw_order(self, memo, point_mults):
-        pairs = keypairs_gen(Random(43), 300)
+        rng = Random(43)
+        pairs = [keypair_gen(rng) for _ in range(300)]
         newest = keypair_gen(Random(44))
         pairs.append(newest)
         scalars = [int.from_bytes(kp.privkey, "big") for kp in pairs]
@@ -1325,8 +1298,7 @@ class TestScalarMemo:
         assert pubkey_of_privkey(kp.privkey) == kp.pubkey
         assert len(base_mults) == 1
         # a scalar no key pair of the scope holds is multiplied
-        x, y = _to_affine(reference_mul(0xFACADE, G))
-        assert pubkey_of_privkey((0xFACADE).to_bytes(32, "big")) == x.to_bytes(32, "big") + y.to_bytes(32, "big")
+        assert pubkey_of_privkey((0xFACADE).to_bytes(32, "big")) == to_bytes(reference_mul(0xFACADE, G))
         assert base_mults[1:] == [0xFACADE]
 
     def test_unrecorded_or_evicted_point_takes_the_kernel_once(self, memo, point_mults):
@@ -1340,14 +1312,14 @@ class TestScalarMemo:
             assert pub not in memo.scalars
             before = len(point_mults)
             blob = ecies_encrypt(pub, b"share", rng)
-            assert point_mults[before:] == [point_of(pub)]
-            # the ephemeral point was drawn here, so opening the layer needs no _jmul
+            assert point_mults[before:] == [pub]
+            # the ephemeral point was drawn here, so opening the layer needs no variable-base multiplication
             assert ecies_decrypt(priv, blob) == b"share"
-            assert point_mults[before:] == [point_of(pub)]
+            assert point_mults[before:] == [pub]
         with crypto.scope():
             before = len(point_mults)
             assert ecies_decrypt(foreign_priv, blob) == b"share"
-            assert point_mults[before:] == [point_of(blob)]
+            assert point_mults[before:] == [blob[:64]]
 
     def test_ephemeral_point_swapped_for_a_recorded_one_fails(self, memo, point_mults):
         rng = Random(46)
@@ -1420,17 +1392,17 @@ class TestProductMemo:
         with crypto.scope() as memo:
             key = keypair_from_scalar(q)
             blob = ecies_encrypt(key.pubkey, b"share", Random(seed))
-            expected = _to_affine(reference_mul(q, (*point_of(blob), 1)))[0]
+            expected = int.from_bytes(to_bytes(reference_mul(q, point_of(blob)))[:32], "big")
             assert layer_record(memo, blob) == (q, expected)
             with pytest.MonkeyPatch.context() as mp:
-                for kernel in ("_jmul", "_jmul_base"):
+                for kernel in ("_mul_add", "_base_mul"):
                     mp.setattr(crypto, kernel, None)  # a multiplication would raise
                 assert ecies_decrypt(key.privkey, blob) == b"share"
                 assert ecies_decrypt(negation(key.privkey), blob) == b"share"
 
     def test_every_layer_is_recorded_in_wrap_order(self, memo, base_mults):
         rng = Random(48)
-        keys = keypairs_gen(rng, 4)
+        keys = [keypair_gen(rng) for _ in range(4)]
         blobs = [ecies_encrypt(keys[i % 4].pubkey, bytes([i % 256]), rng) for i in range(300)]
         assert list(memo.layers) == [blob[:64] + blob[-16:] for blob in blobs]
         recipients = [int.from_bytes(keys[i % 4].privkey, "big") for i in range(300)]
@@ -1487,7 +1459,8 @@ class TestProductMemo:
 
     def test_layers_sharing_an_ephemeral_point_keep_their_own_records(self, monkeypatch, base_mults):
         # equal rng states draw the same ephemeral key for both recipients
-        a, b = keypairs_gen(Random(55), 2)
+        rng = Random(55)
+        a, b = keypair_gen(rng), keypair_gen(rng)
         onions = [onion_wrap(Share(i, i), [kp.pubkey], Random(56)) for i, kp in ((1, a), (2, b))]
         assert onions[0].payload[:64] == onions[1].payload[:64]
         calls = []
@@ -1503,144 +1476,19 @@ class TestProductMemo:
         assert calls == [(a.privkey, onions[0].payload), (b.privkey, onions[1].payload)]
 
 
-RECIPIENT_KINDS = ("recorded", "never recorded")
-
-
-@functools.cache
-def wrap_recipients():
-    """The scalars of a memo and four recipient public keys of each kind.
-
-    The "recorded" keys are in the scalars, and the "never recorded" ones
-    were never in them.
-    """
-    rng = Random(51)
-    new = keypairs_gen(rng, 4)
-    scalars = {kp.pubkey: int.from_bytes(kp.privkey, "big") for kp in new}
-    foreign = [pubkey_of_privkey((0xFACADE + i).to_bytes(32, "big")) for i in range(4)]
-    pubkeys = {"recorded": [kp.pubkey for kp in new], "never recorded": foreign}
-    return scalars, pubkeys
-
-
-def wrap_from(scalars, wrap, seed):
-    """wrap(rng) in a fresh scope whose memo's scalars hold `scalars`: its
-    result or error, rng's state, the entries of every memo field but points
-    in order, then points."""
-    rng = Random(seed)
-    with crypto.scope() as memo:
-        memo.scalars.update(scalars)
-        try:
-            out = wrap(rng)
-        except ParameterError as exc:
-            out = str(exc)
-        recorded = entries(memo)
-        points = dict(recorded.pop("points"))
-    return out, rng.getstate(), recorded, points
-
-
-def onion_wrap_loop(shares, layer_pubkeys):
-    return lambda rng: [onion_wrap(s, pks, rng) for s, pks in zip(shares, layer_pubkeys)]
-
-
-def batched(shares, layer_pubkeys):
-    return lambda rng: onions_wrap(shares, layer_pubkeys, rng)
-
-
-layouts = st.integers(min_value=1, max_value=4).flatmap(
-    lambda l: st.lists(
-        st.lists(st.tuples(st.sampled_from(RECIPIENT_KINDS), st.integers(0, 3)), min_size=l, max_size=l),
-        min_size=1,
-        max_size=8,
-    )
-)
-
-
-def assert_wraps_alike(scalars, shares, layer_pubkeys, seed):
-    """onions_wrap returns, draws and records what the onion_wrap loop does,
-    and each points entry only its batch adds is k * G for its k; the
-    loop's outcome is returned."""
-    *expected, loop_points = wrap_from(scalars, onion_wrap_loop(shares, layer_pubkeys), seed)
-    *got, points = wrap_from(scalars, batched(shares, layer_pubkeys), seed)
-    assert got == expected
-    assert points.items() >= loop_points.items()
-    assert all(point_of(points[k]) == _to_affine(_jmul_base(k)) for k in points.keys() - loop_points.keys())
-    return expected[0]
-
-
-class TestOnionsWrap:
-    @given(layout=layouts, seed=st.integers(min_value=0, max_value=2**32))
-    @example(layout=[[("recorded", i) for i in range(4)]] * 8, seed=0)
-    @settings(max_examples=20, deadline=None)
-    def test_equals_the_onion_wrap_loop(self, layout, seed):
-        # same onions, same draws, and every memo field filled in the same order,
-        # whether a recipient is recorded or never recorded
-        scalars, pubkeys = wrap_recipients()
-        shares = [Share(i + 1, 1000 + i) for i in range(len(layout))]
-        layer_pubkeys = [[pubkeys[kind][i] for kind, i in layers] for layers in layout]
-        onions = assert_wraps_alike(scalars, shares, layer_pubkeys, seed)
-        assert all(isinstance(onion, Onion) for onion in onions)
-
-    @pytest.mark.parametrize(
-        "bad",
-        [b"\x01" * 63, (1).to_bytes(32, "big") * 2, None],
-        ids=["63_bytes", "off_curve", "no_keys"],
-    )
-    def test_raises_what_the_loop_raises_after_the_same_draws(self, bad):
-        scalars, pubkeys = wrap_recipients()
-        good = pubkeys["recorded"][:3]
-        third = [] if bad is None else [good[0], bad, good[1]]
-        shares = [Share(i, i) for i in (1, 2, 3, 4)]
-        layer_pubkeys = [good, good, third, good]
-        assert isinstance(assert_wraps_alike(scalars, shares, layer_pubkeys, 53), str)
-
-    def test_outside_a_scope_it_is_the_loop_and_records_nothing(self, monkeypatch):
-        _, pubkeys = wrap_recipients()
-        shares = [Share(i, i) for i in (1, 2, 3)]
-        layer_pubkeys = [pubkeys["recorded"][:3], pubkeys["never recorded"][:2], pubkeys["recorded"][1:]]
-        rng = Random(55)
-        expected = onion_wrap_loop(shares, layer_pubkeys)(rng)
-        state = rng.getstate()
-        monkeypatch.setattr(crypto, "_base_mul_batch", None)  # a batch would raise
-        rng = Random(55)
-        onions, costs = costed(lambda: onions_wrap(shares, layer_pubkeys, rng))
-        assert onions == expected
-        assert rng.getstate() == state
-        # nothing was recorded, so a repeat makes every multiplication again
-        assert costs["_jmul"] == 8
-        assert costed(lambda: onions_wrap(shares, layer_pubkeys, Random(55))) == (expected, costs)
-
-    def test_one_key_list_per_share(self):
-        rng = Random(54)
-        state = rng.getstate()
-        with pytest.raises(ParameterError, match="one wrapping-key list per share"):
-            onions_wrap([Share(1, 1)], [], rng)
-        assert rng.getstate() == state
-
-
-# the work a memo saves: multiplications, recoveries and cached_parts' runs
-COSTS = ("_jmul_base", "_base_mul_batch", "_jmul", "_recover_address", "decode_parts")
+# the work a memo saves: both kinds of multiplication, and cached_parts' runs
+COSTS = ("_base_mul", "_mul_add", "decode_parts")
 
 
 def costed(work):
-    """work()'s result and how many calls it made to each of COSTS, by name.
-
-    A batch's recompute of a key whose digits held a stand-in is part of
-    the batch, so a call made inside _base_mul_batch is not counted.
-    """
+    """work()'s result and how many calls it made to each of COSTS, by name."""
     counts = collections.Counter()
-    batching = []
     with pytest.MonkeyPatch.context() as mp:
         for name in COSTS:
 
             def counted(*args, name=name, real=getattr(crypto, name)):
-                if not batching:
-                    counts[name] += 1
-                if name != "_base_mul_batch":
-                    return real(*args)
-                batching.append(True)
-                try:
-                    return real(*args)
-                finally:
-                    batching.pop()
+                counts[name] += 1
+                return real(*args)
 
             mp.setattr(crypto, name, counted)
         return work(), counts
@@ -1651,17 +1499,16 @@ cached_parts = crypto.scope_cache(lambda data: crypto.decode_parts(data))
 
 
 def primitives(seed):
-    """Keys, a layer, a presigned signature, two onions and a cached
+    """Keys, a layer, a signature made twice, two onions and a cached
     decoding from one seed, with what opening, recovering and peeling them
     returns and the rng's final state: every entry point that records."""
     rng = Random(seed)
-    a = keypair_gen(rng)
-    (b,) = keypairs_gen(rng, 1)
+    a, b = keypair_gen(rng), keypair_gen(rng)
     blob = ecies_encrypt(b.pubkey, b"share", rng)
     digest = hash256(seed.to_bytes(4, "big"))
-    presign([(a.privkey, digest)])
     sig = sign(a.privkey, digest)
-    onions = onions_wrap([Share(1, 1), Share(2, 2)], [[a.pubkey, b.pubkey], [b.pubkey, a.pubkey]], rng)
+    assert sign(a.privkey, digest) == sig
+    onions = [onion_wrap(Share(i, i), keys, rng) for i, keys in ((1, [a.pubkey, b.pubkey]), (2, [b.pubkey, a.pubkey]))]
     peeled = peel_with_keys(onions, [b.privkey, a.privkey])
     opened = ecies_decrypt(b.privkey, blob)
     parts = cached_parts(encode_parts(blob, digest))
@@ -1760,7 +1607,7 @@ class TestScope:
                 first = costed(lambda: primitives(60))
                 assert costed(lambda: primitives(60)) == first
 
-    # outside any scope all six fields are one dict, so a write that any way
+    # outside any scope all five fields are one dict, so a write that any way
     # of storing kept would be read back through every field
     @pytest.mark.parametrize(
         "write",
@@ -1832,285 +1679,10 @@ class TestScope:
         assert calls[-1] == 1
 
 
-def near(center, count, seed):
-    """`count` scalars in [1, N) within 2^132 of center, drawn from a fixed seed."""
-    rng = Random(seed)
-    ks = (center + rng.randrange(-(2**132), 2**132) for _ in range(count))
-    return [k for k in ks if 1 <= k < _N]
-
-
-class TestBatchedBaseMult:
-    # 1,205 keys: a pool of 400 couriers' marketplace key generation
-    @pytest.mark.parametrize("count", [0, 1, 2, 17, 205, 600, 1205])
-    def test_equals_repeated_single_draws(self, count):
-        batch_rng, single_rng = Random(count), Random(count)
-        assert keypairs_gen(batch_rng, count) == [keypair_gen(single_rng) for _ in range(count)]
-        assert batch_rng.getstate() == single_rng.getstate()
-
-    def test_edge_scalars(self):
-        ks = [k for k in BASE_EDGE_SCALARS + DIGIT_EDGE_SCALARS if k < _N]
-        expected = [_to_affine(_jmul_base(k)) for k in ks]
-        assert _base_mul_batch(ks) == expected
-
-    @given(ks=st.lists(scalars, max_size=12))
-    @settings(max_examples=40, deadline=None)
-    def test_matches_single_key_mult(self, ks):
-        expected = [_to_affine(_jmul_base(k)) for k in ks]
-        assert _base_mul_batch(ks) == expected
-
-    # A batch mixes keys whose halves have any zero digits, or are zero, and
-    # repeats keys: each zero digit takes a stand-in point, and the batch
-    # recomputes each key that holds one and writes every point back to its
-    # own key.
-    @given(
-        ks=st.lists(
-            st.one_of(scalars, low_windows_zero, digit_scalars, st.sampled_from(WINDOW_EDGE_SCALARS)),
-            min_size=1,
-            max_size=40,
-        )
-    )
-    @example(ks=WINDOW_EDGE_SCALARS[:6])
-    @example(ks=WINDOW_EDGE_SCALARS[6:])
-    @example(ks=DIGIT_EDGE_SCALARS)
-    @example(ks=SPLIT_EDGE_SCALARS)
-    @example(ks=[0xC0FFEE << 2 * _WINDOW, 5, 0xC0FFEE << 2 * _WINDOW])
-    @settings(max_examples=40, deadline=None)
-    def test_window_edges_match_the_reference(self, ks):
-        expected = [_to_affine(reference_mul(k, G)) for k in ks]
-        assert _base_mul_batch(ks) == expected
-        assert [_to_affine(_jmul_base(k)) for k in ks] == expected
-
-    # one batch of each size, every half with at least one zero digit, some
-    # with a top digit of 0 or SMALL_TOP, some keys with a zero half
-    @pytest.mark.parametrize("count", [1, 2, 3, 40, 127, 300, 600])
-    def test_batch_sizes_match_the_reference(self, count):
-        rng = Random(count)
-
-        def half():
-            digits = [rng.randrange(1 - _HALF, _HALF + 1) for _ in range(ROWS - 1)]
-            for w in rng.sample(range(ROWS - 1), 1 + rng.randrange(3)):
-                digits[w] = 0
-            return rng.choice([1, -1]) * from_digits(digits, rng.choice([0, SMALL_TOP, rng.randrange(SMALL_TOP + 1)]))
-
-        ks = [from_halves(half(), half() if rng.randrange(8) else 0) for _ in range(count)]
-        ks[len(ks) // 2] = _N - 1
-        # reference_mul costs milliseconds a key, so the largest batch is
-        # checked against single k * G, which the tests above check against it
-        if count < 600:
-            expected = [_to_affine(reference_mul(k, G)) for k in ks]
-        else:
-            expected = [_to_affine(_jmul_base(k)) for k in ks]
-        assert _base_mul_batch(ks) == expected
-
-    # Every tree level adds equal-length columns, 2 * len(ks) points each,
-    # since a zero digit takes digit 1's point as a stand-in and marks its
-    # key; the join adds only the unmarked keys, and the single path
-    # recomputes each marked key once, and no other key.
-    def test_exactly_the_stand_in_keys_are_recomputed(self, monkeypatch):
-        rng = Random(2024)
-
-        def half(zero=None):
-            """A half whose signed digits are all nonzero, but for a zero in window `zero`, the top one included."""
-            digits = [rng.choice([-1, 1]) * rng.randrange(1, _HALF) for _ in range(ROWS - 1)]
-            top = rng.randrange(1, SMALL_TOP + 1)
-            if zero == ROWS - 1:
-                top = 0
-            elif zero is not None:
-                digits[zero] = 0
-            return rng.choice([1, -1]) * from_digits(digits, top)
-
-        dense = [from_halves(half(), half()) for _ in range(12)]
-        sparse = [from_halves(half(w), half()) for w in range(ROWS)]
-        sparse += [from_halves(half(), half(w)) for w in range(ROWS)]
-        zero_half = [1, LAMBDA, _N - 1]
-        ks = dense + sparse + zero_half
-        rng.shuffle(ks)
-        assert len(set(ks)) == len(ks)
-        stand_ins = [k for k in ks if any(0 in signed_digits(abs(h)) for h in crypto._split(k))]
-        assert sorted(stand_ins) == sorted(sparse + zero_half)
-        expected = [_to_affine(reference_mul(k, G)) for k in ks]
-        sizes = []
-        singles = []
-        real_sums, real_base = crypto._affine_sums, crypto._jmul_base
-
-        def counted_sums(x1s, y1s, x2s, y2s):
-            sizes.append(len(x1s))
-            return real_sums(x1s, y1s, x2s, y2s)
-
-        def counted_base(k):
-            singles.append(k)
-            return real_base(k)
-
-        monkeypatch.setattr(crypto, "_affine_sums", counted_sums)
-        monkeypatch.setattr(crypto, "_jmul_base", counted_base)
-        assert _base_mul_batch(ks) == expected
-        halves = 2 * len(ks)
-        assert sizes == [5 * halves, 2 * halves, halves, halves, len(ks) - len(stand_ins)]
-        assert sorted(singles) == sorted(stand_ins)
-
-    # The counts that make the split pay: 4 tree levels and one join per
-    # call, at most 9 additions per half and one join per key, against 6
-    # calls and about 23 additions for the full-length recoding.
-    def test_batch_makes_five_affine_sums_calls_and_at_most_19_additions_a_key(self, monkeypatch):
-        rng = Random(256)
-        ks = [rng.randrange(1, _N) for _ in range(256)]
-        expected = [_to_affine(_jmul_base(k)) for k in ks]
-        sizes = []
-        real = crypto._affine_sums
-
-        def counted(x1s, y1s, x2s, y2s):
-            sizes.append(len(x1s))
-            return real(x1s, y1s, x2s, y2s)
-
-        monkeypatch.setattr(crypto, "_affine_sums", counted)
-        assert _base_mul_batch(ks) == expected
-        assert len(sizes) == 5
-        assert sum(sizes) <= 19 * len(ks)
-
-    def test_single_mult_makes_at_most_18_mixed_additions_and_one_jadd(self, monkeypatch):
-        real_mixed, real_jadd = crypto._jadd_affine, crypto._jadd
-        for k in [Random(i).randrange(1, _N) for i in range(20)] + SPLIT_EDGE_SCALARS + WINDOW_EDGE_SCALARS:
-            mixed = []
-            jadds = []
-
-            def counted_mixed(p, x, y):
-                # an addition to the point at infinity only returns the table point
-                if p[2]:
-                    mixed.append(k)
-                return real_mixed(p, x, y)
-
-            def counted_jadd(p, q):
-                jadds.append(k)
-                return real_jadd(p, q)
-
-            monkeypatch.setattr(crypto, "_jadd_affine", counted_mixed)
-            monkeypatch.setattr(crypto, "_jadd", counted_jadd)
-            point = _jmul_base(k)
-            monkeypatch.undo()
-            assert _to_affine(point) == _to_affine(reference_mul(k, G))
-            assert len(mixed) <= 18
-            assert len(jadds) == 1
-
-    # No scalar puts k1 * G and phi(k2 * G) on one x (see
-    # test_no_lattice_vector_fits_within_the_split_bounds), so the join is
-    # made to raise as _affine_sums does on equal x: the call's keys then
-    # take the single path.
-    def test_join_on_equal_x_takes_the_single_path(self, monkeypatch):
-        ks = [0xC0FFEE, *SPLIT_EDGE_SCALARS, *WINDOW_EDGE_SCALARS]
-        expected = [_to_affine(reference_mul(k, G)) for k in ks]
-        calls = []
-        real = crypto._affine_sums
-
-        def join_raises(x1s, y1s, x2s, y2s):
-            calls.append(len(x1s))
-            if len(calls) == 5:
-                raise ValueError("base is not invertible for the given modulus")
-            return real(x1s, y1s, x2s, y2s)
-
-        singles = []
-        real_base = crypto._jmul_base
-
-        def counted_base(k):
-            singles.append(k)
-            return real_base(k)
-
-        monkeypatch.setattr(crypto, "_affine_sums", join_raises)
-        monkeypatch.setattr(crypto, "_jmul_base", counted_base)
-        assert _base_mul_batch(ks) == expected
-        assert len(calls) == 5
-        assert singles == ks
-
-    # the chunks give one call's points, and hold a fraction of its 6.7 MiB
-    def test_chunks_equal_one_call_and_bound_peak_memory(self):
-        rng = Random(1205)
-        ks = [rng.randrange(1, _N) for _ in range(1205)]
-        _base_table()  # read before tracing, so only the batch's own memory counts
-        tracemalloc.start()
-        try:
-            points = _base_mul_batch(ks)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert points == _base_mul_tree(ks)
-        assert peak < 3 * 2**20
-
-    # where the top window of the full-length recoding, after its carry, met the group order
-    @pytest.mark.parametrize("center", [2**255, _N - 2**255, 2**256 - _N, _N - 1])
-    def test_scalars_where_the_last_window_can_wrap(self, center):
-        ks = near(center, 40, center)
-        expected = [_to_affine(_jmul_base(k)) for k in ks]
-        assert _base_mul_batch(ks) == expected
-
-
-@pytest.fixture
-def table_copy(tmp_path):
-    """A copy of the base table file that _base_table reads in place of the shipped one."""
-    copy = tmp_path / "secp256k1_base_table.bin"
-    with open(crypto._BASE_TABLE_FILE, "rb") as f:
-        copy.write_bytes(f.read())
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(crypto, "_BASE_TABLE_FILE", str(copy))
-        _base_table.cache_clear()
-        yield copy
-    _base_table.cache_clear()
-
-
-class TestBaseTableFile:
-    def test_file_equals_a_fresh_build_from_g(self):
-        with open(crypto._BASE_TABLE_FILE, "rb") as f:
-            data = f.read()
-        assert data == reference_base_table_bytes()
-        assert hashlib.sha256(data).hexdigest() == crypto._BASE_TABLE_SHA256
-
-    # 13-bit windows over the halves of _split keep 38,165 points, 3.79 MiB
-    # measured, against 23,560 points and 2.34 MiB for 11-bit windows over
-    # the whole scalar: 1.45 MiB more for at most 19 additions per key in
-    # place of about 23
-    def test_table_keeps_under_4_5_mib(self):
-        # what the table keeps is the current size after loading; the load
-        # streams the file a row at a time, so its peak stays within 1 MiB of
-        # that (0.37 MiB measured, against 2.63 with the whole file read first)
-        _base_table.cache_clear()
-        tracemalloc.start()
-        try:
-            table = _base_table()
-            kept, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert sum(map(len, table)) == 38_165
-        assert kept < 4.5 * 2**20
-        assert peak < kept + 2**20
-
-    def test_intact_copy_loads(self, table_copy):
-        assert _to_affine(_jmul_base(0xC0FFEE)) == _to_affine(reference_mul(0xC0FFEE, G))
-
-    # a file that is not a whole number of 64-byte slots must fail the
-    # digest check too, not stop in struct
-    @pytest.mark.parametrize(
-        "damage",
-        [
-            lambda data: data[:1000] + bytes([data[1000] ^ 1]) + data[1001:],
-            lambda data: data[:-64],
-            lambda data: data[:-1],
-            lambda data: data + b"\0",
-            lambda data: data + data[:64],
-        ],
-        ids=["flipped_byte", "truncated", "one_byte_short", "one_byte_long", "extra_slot"],
-    )
-    def test_damaged_copy_raises(self, table_copy, damage):
-        intact = table_copy.read_bytes()
-        table_copy.write_bytes(damage(intact))
-        with pytest.raises(CryptoError, match=re.escape(str(table_copy))):
-            keypair_gen(Random(0))
-        # nothing was cached on failure: the next call reads the file again
-        table_copy.write_bytes(intact)
-        assert _to_affine(_jmul_base(0xC0FFEE)) == _to_affine(reference_mul(0xC0FFEE, G))
-
-
 class TestOpenSslOracle:
-    """The secp256k1 kernel against OpenSSL's, through `cryptography` (a test
-    extra), which shares no code with the kernel or with reference_mul: k * G
-    single and batched, signing, recovery, ECDH and an ECIES layer."""
+    """tidsim's secp256k1 against a second binding of OpenSSL's, through
+    `cryptography` (a test extra), which shares no code with crypto._ec or
+    with reference_mul: k * G, signing, recovery, ECDH and an ECIES layer."""
 
     @pytest.fixture(scope="class", autouse=True)
     def needs_cryptography(self):
@@ -2160,31 +1732,13 @@ class TestOpenSslOracle:
     def test_single_base_mult(self, k):
         assert keypair_from_scalar(k).pubkey == self.pubkey(self.key(k))
 
-    # batch sizes on both sides of _BATCH_CHUNK (256) and two chunks and one
-    # key; each smaller batch draws a prefix of the 513 scalars
-    def test_batched_base_mult_across_chunk_edges(self):
-        assert crypto._BATCH_CHUNK == 256
-        scalars_513 = [int.from_bytes(kp.privkey, "big") for kp in keypairs_gen(Random(30), 513)]
-        expected = [self.pubkey(self.key(k)) for k in scalars_513]
-        for size in (255, 256, 257, 513):
-            for scoped in (False, True):
-                with crypto.scope() if scoped else contextlib.nullcontext():
-                    pairs = keypairs_gen(Random(30), size)
-                    assert [kp.pubkey for kp in pairs] == expected[:size], (size, scoped)
-                    # in a scope every single k * G of those keys reads the batch's points
-                    assert [pubkey_of_privkey(kp.privkey) for kp in pairs] == expected[:size]
-
-    def test_sign_and_presign_verify(self):
+    def test_sign_verifies(self):
         rng = Random(31)
         keys = [self.key(rng.randrange(1, _N)) for _ in range(8)]
         pairs = [(key, rng.randbytes(32)) for key in keys for _ in range(5)]
         wire = [(key.private_numbers().private_value.to_bytes(32, "big"), digest) for key, digest in pairs]
-        with crypto.scope() as memo:
-            presign(wire[:30])
-            presigned = [memo.signatures[pair] for pair in wire[:30]]
-        assert len(presigned) == 30
         signed = [sign(privkey, digest) for privkey, digest in wire]
-        for (key, digest), sig in zip(pairs[:30] + pairs, presigned + signed):
+        for (key, digest), sig in zip(pairs, signed):
             assert self.verifies(key, digest, sig)
         # a changed digest fails, so the check above is not vacuous
         assert not self.verifies(pairs[0][0], bytes(32), signed[0])

@@ -770,7 +770,7 @@ class TestEndOfRun:
         # several strings and a second, caller-less copy of every receipt
         # record, and the memo an (x, y) tuple per key beside its pubkey bytes:
         # 2.88 MiB, against about 2.35 held once
-        crypto._base_table()  # loaded once per process, outside the window
+        crypto._ec()  # bound once per process, outside the window
         tracemalloc.start()
         try:
             ScenarioRunner(ScenarioConfig(seed=5, pool_size=400, n=4, l=2, t=2)).run().trace_hash()
