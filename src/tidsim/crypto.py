@@ -41,6 +41,7 @@ __all__ = [
     "encode_parts",
     "decode_parts",
     "keypair_gen",
+    "keypairs_gen",
     "keypair_from_scalar",
     "address_of_pubkey",
     "pubkey_of_privkey",
@@ -132,20 +133,12 @@ def decode_parts(data: bytes) -> list[bytes]:
 
 # ---------------------------------------------------------------------------
 # secp256k1 arithmetic runs in OpenSSL, in the libcrypto that hashlib's
-# _hashlib extension has already mapped (_ec, beside _gcm below). It takes
-# two operations, on the 64-byte points x || y that keys and layers carry:
-# k * G (_base_mul) for a key or a signature's nonce, and a * G + b * P
-# (_mul_add) for the recovery of a foreign signature and for an ECDH with a
-# point of unknown scalar.
-#
-# An ECDH d * E with E = e * G drawn in this process is (d * e mod N) * G,
-# one k * G instead of a * G + b * P (the argument is at _shared_x).
-# ecies_encrypt records each layer it wraps for an in-process point q * G
-# with q and the layer's ECDH x, so ecies_openers names exactly the keys
-# that open the layer and they open it without a multiplication (the
-# argument is at _layer_key). Each k * G this module computes for a key is
-# kept under k. Every such record is a field of one _Memo, which lives for
-# one scope().
+# _hashlib extension has already mapped (_ec, beside _gcm below), on the
+# 64-byte points x || y that keys and layers carry: k * G (_base_mul, and
+# keypairs_gen a column at a time) for a key or a signature's nonce, and
+# a * G + b * P (_mul_add) for the recovery of a foreign signature and for
+# an ECDH with a point of unknown scalar. What the memo (_Memo) saves of
+# both is argued at _shared_x, _layer_key and recover_signer.
 # ---------------------------------------------------------------------------
 
 _P = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEFFFFFC2F
@@ -153,7 +146,7 @@ _N = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEBAAEDCE6AF48A03BBFD25E8CD0364141
 
 
 def _point_on_curve(x, y):
-    return (y * y - (x * x * x + 7)) % _P == 0
+    return x < _P and y < _P and (y * y - (x * x * x + 7)) % _P == 0
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +201,12 @@ def _draw_scalar(rng: Random) -> int:
 def keypair_gen(rng: Random) -> KeyPair:
     """Draw a fresh key pair from the injected random source."""
     return keypair_from_scalar(_draw_scalar(rng))
+
+
+def keypairs_gen(rng: Random, count: int) -> list[KeyPair]:
+    """[keypair_gen(rng) for _ in range(count)], with k * G computed a column at a time (_ec)."""
+    ks = [_draw_scalar(rng) for _ in range(count)]
+    return list(map(_keypair, ks, _ec()[0](ks)))
 
 
 def _keypair(k: int, pub: bytes) -> KeyPair:
@@ -480,33 +479,21 @@ def _failed(name: str):
 
 _NID_SECP256K1 = 714  # NID_secp256k1, OpenSSL's obj_mac.h
 _UNCOMPRESSED = 4  # POINT_CONVERSION_UNCOMPRESSED: 0x04 || x || y, and one 0x00 byte for infinity
+_COLUMN = 32  # k * G results made affine by one EC_POINTs_make_affine, that is one field inversion
 
 
 @functools.cache
 def _ec():
-    """secp256k1's k * G and a * G + b * P, bound with ctypes on the first
-    multiplication to OpenSSL's EC interface in _libcrypto().
-
-    A point crosses as 64 bytes x || y, OpenSSL's uncompressed encoding
-    without its 0x04 byte: EC_POINT_oct2point checks that a point given to
-    it lies on the curve, and the point at infinity, which encodes as one
-    byte, comes back as b"".
-
-    One EC_GROUP_precompute_mult gives the group a table of G's multiples,
-    in about 0.7 ms and 0.2 MiB; without it one k * G costs 280-530 µs.
-    Every EC_POINT_mul passes both a G term and a point term, with a zero
-    scalar for the one it does not need. OpenSSL sends a call with a lone
-    scalar to its constant-time Montgomery ladder (350-750 µs per key),
-    and a call with both to its wNAF path, which reads the table (about
-    70 µs per k * G, on a 2-core x86-64 host). The ladder hides a scalar
-    from whoever can time the call. Every key here is a simulated party's
-    and the simulator keeps no secret from a timing observer, so the
-    variable-time path is safe.
-
-    A libcrypto without secp256k1 or EC_GROUP_precompute_mult (deprecated
-    in OpenSSL 3, still exported by 3.0 and 3.5) raises CryptoError naming
-    what is missing. The group, its context, two points and three scalars
-    are process state, like _memo: the simulator is single-threaded."""
+    """k * G for a sequence of scalars, and a * G + b * P, on secp256k1,
+    bound with ctypes to OpenSSL's EC interface in _libcrypto() on the first
+    multiplication. A point crosses as 64 bytes x || y, OpenSSL's encoding
+    without its 0x04 byte; oct2point checks a given point, and infinity
+    comes back as b"". k * G fills a column of _COLUMN points made affine
+    with one shared field inversion. A zero scalar pads each EC_POINT_mul
+    to two terms, which keeps OpenSSL on its wNAF path over the precomputed
+    multiples of G, off its constant-time ladder: the simulator keeps no
+    secret from a timing observer. What is missing raises CryptoError. The
+    handles are process state, like _memo: the simulator is single-threaded."""
     import ctypes
 
     ptr, size, c_int, char_p = ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int, ctypes.c_char_p
@@ -519,50 +506,63 @@ def _ec():
         "BN_new": (ptr, []),
         "BN_bin2bn": (ptr, [char_p, c_int, ptr]),
         "EC_POINT_mul": (c_int, [ptr] * 6),
+        "EC_POINTs_make_affine": (c_int, [ptr, size, ptr, ptr]),
         "EC_POINT_point2oct": (size, [ptr, ptr, c_int, char_p, size, ptr]),
         "EC_POINT_oct2point": (c_int, [ptr, ptr, char_p, size, ptr]),
     }
     functions = _libcrypto(*signatures)
     for f, (restype, argtypes) in zip(functions, signatures.values()):
         f.restype, f.argtypes = restype, argtypes
-    group_new, precompute, ctx_new, point_new, generator, bn_new, bin2bn, mul, point2oct, oct2point = functions
+    group_new, precompute, ctx_new, point_new, generator, bn_new, bin2bn, mul, make_affine, point2oct, oct2point = functions
     group = group_new(_NID_SECP256K1)
     if not group:
         raise CryptoError("OpenSSL's libcrypto has no secp256k1 group")
-    # a context, the result, a given point, two scalars and a zero
-    ctx, out, given, u, v, zero = handles = [ctx_new(), point_new(group), point_new(group), bn_new(), bn_new(), bn_new()]
+    # a context, a given point, two scalars, a zero and the column of results
+    handles = [ctx_new(), point_new(group), bn_new(), bn_new(), bn_new(), *(point_new(group) for _ in range(_COLUMN))]
+    ctx, given, u, v, zero, *column = handles
     if not all(handles):
         _failed("BN_CTX_new, EC_POINT_new or BN_new")
     if precompute(group, ctx) != 1:
         _failed("EC_GROUP_precompute_mult")
     g = generator(group)
+    column_array = (ptr * _COLUMN)(*column)
     buffer = ctypes.create_string_buffer(65)
 
-    def combine(a: int, point: int, b: int) -> bytes:
-        """a * G + b * point, for b a BIGNUM."""
+    def multiply(result: int, a: int, point: int, b: int) -> None:  # result = a * G + b * point, for b a BIGNUM
         bin2bn(a.to_bytes(32, "big"), 32, u)
-        if mul(group, out, u, point, b, ctx) != 1:
+        if mul(group, result, u, point, b, ctx) != 1:
             _failed("EC_POINT_mul")
-        n = point2oct(group, out, _UNCOMPRESSED, buffer, 65, ctx)
+
+    def read(point: int) -> bytes:
+        n = point2oct(group, point, _UNCOMPRESSED, buffer, 65, ctx)
         if not n:
             _failed("EC_POINT_point2oct")
         return buffer.raw[1:n]
 
-    def base_mul(k: int) -> bytes:
-        return combine(k, g, zero)
+    def base_muls(ks: Sequence[int]) -> list[bytes]:
+        points = []
+        for start in range(0, len(ks), _COLUMN):
+            used = column[: len(ks) - start]
+            for point, k in zip(used, ks[start : start + _COLUMN]):
+                multiply(point, k, g, zero)
+            if make_affine(group, len(used), column_array, ctx) != 1:
+                _failed("EC_POINTs_make_affine")
+            points += map(read, used)
+        return points
 
     def mul_add(a: int, b: int, point: bytes) -> bytes:
         if oct2point(group, given, b"\x04" + point, 65, ctx) != 1:
             _failed("EC_POINT_oct2point")
         bin2bn(b.to_bytes(32, "big"), 32, v)
-        return combine(a, given, v)
+        multiply(column[0], a, given, v)
+        return read(column[0])
 
-    return base_mul, mul_add
+    return base_muls, mul_add
 
 
 def _base_mul(k: int) -> bytes:
-    """k * G as x || y, for 1 <= k < N."""
-    return _ec()[0](k)
+    """k * G as x || y, for 1 <= k < N: a column of one."""
+    return _ec()[0]((k,))[0]
 
 
 def _mul_add(a: int, b: int, point: bytes) -> bytes:

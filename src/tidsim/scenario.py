@@ -47,7 +47,7 @@ from .crypto import (
     Share,
     encode_parts,
     hash256,
-    keypair_gen,
+    keypairs_gen,
     new_secret_key,
     scope,
     ss_restore,
@@ -336,9 +336,9 @@ class ScenarioRunner:
 
         # every key is drawn here, in order: operator, sender and its channel,
         # recipient and its channel, then each courier's account, channel and timeframe key
-        operator_kp, sender_kp, sender_channel, recipient_kp, recipient_channel, *courier_keys = [
-            keypair_gen(self.rng) for _ in range(5 + 3 * cfg.pool_size)
-        ]
+        operator_kp, sender_kp, sender_channel, recipient_kp, recipient_channel, *courier_keys = keypairs_gen(
+            self.rng, 5 + 3 * cfg.pool_size
+        )
         self.ledger.register_eoa(operator_kp.address)
         self.ledger.fund(operator_kp.address, fund)
 

@@ -49,6 +49,7 @@ from tidsim.crypto import (
     hash256,
     keypair_from_scalar,
     keypair_gen,
+    keypairs_gen,
     new_secret_key,
     onion_peel,
     onion_wrap,
@@ -61,7 +62,7 @@ from tidsim.crypto import (
     sym_decrypt,
     sym_encrypt,
 )
-from tidsim.scenario import ScenarioConfig, run_scenario
+from tidsim.scenario import ScenarioConfig, ScenarioRunner, run_scenario
 
 # SHA3-256 golden values, pinned from hashlib on first computation.
 SHA3_256_EMPTY = "a7ffc6f8bf1ed76651c14756a061d662f580ff4de43b49fa82d80a4b80f8434a"
@@ -474,11 +475,37 @@ class FakeEc:
             "BN_new",
             "BN_bin2bn",
             "EC_POINT_mul",
+            "EC_POINTs_make_affine",
             "EC_POINT_point2oct",
             "EC_POINT_oct2point",
         ]:
             result = 0 if name == failing else 65 if name == "EC_POINT_point2oct" else 1
             setattr(self, name, lambda *args, result=result: result)
+
+
+class CountedLib:
+    """A libcrypto `lib` whose functions each count their calls in `calls`, by name."""
+
+    def __init__(self, lib, calls):
+        self.lib, self.calls = lib, calls
+
+    def __getattr__(self, name):
+        return CountedFunction(getattr(self.lib, name), name, self.calls)
+
+
+class CountedFunction:
+    """A ctypes function `f` that counts its calls in `calls` under `name`;
+    its restype and argtypes are set on `f`."""
+
+    def __init__(self, f, name, calls):
+        vars(self).update(f=f, name=name, calls=calls)
+
+    def __setattr__(self, attr, value):
+        setattr(self.f, attr, value)
+
+    def __call__(self, *args):
+        self.calls[self.name] += 1
+        return self.f(*args)
 
 
 class TestEcBinding:
@@ -497,7 +524,7 @@ class TestEcBinding:
             self.multiply()
         assert type(info.value) is CryptoError
 
-    @pytest.mark.parametrize("missing", ["EC_GROUP_precompute_mult", "EC_POINT_mul"])
+    @pytest.mark.parametrize("missing", ["EC_GROUP_precompute_mult", "EC_POINT_mul", "EC_POINTs_make_affine"])
     def test_missing_symbol_raises_crypto_error_naming_it(self, fresh_ec, monkeypatch, missing):
         fake = FakeEc(None)
         delattr(fake, missing)
@@ -519,6 +546,7 @@ class TestEcBinding:
             "BN_new",
             "EC_GROUP_precompute_mult",
             "EC_POINT_mul",
+            "EC_POINTs_make_affine",
             "EC_POINT_point2oct",
             "EC_POINT_oct2point",
         ],
@@ -701,6 +729,16 @@ class TestOnions:
         assert wire.share() == Share(4, 9)
 
 
+# The 64 bytes (x + P) || y of a curve point (x, y) with x < 2^256 - P: a
+# non-canonical encoding, on the curve only once x is reduced mod P
+NONCANONICAL = next(
+    (x + _P).to_bytes(32, "big") + y.to_bytes(32, "big")
+    for x in itertools.count(1)
+    for y in [pow(x**3 + 7, (_P + 1) // 4, _P)]
+    if y * y % _P == x**3 + 7
+)
+
+
 class TestInputGuards:
     """Each input guard raises its own error, of its own type."""
 
@@ -734,6 +772,10 @@ class TestInputGuards:
                 ParameterError, "pubkey not on curve", id="ecies_pubkey_point",
             ),
             pytest.param(
+                lambda: ecies_encrypt(NONCANONICAL, b"x", Random(0)),
+                ParameterError, "pubkey not on curve", id="ecies_pubkey_noncanonical",
+            ),
+            pytest.param(
                 lambda: onion_wrap(Share(1, 1), [], Random(0)),
                 ParameterError, "need at least one wrapping key", id="onion_wrap_keys",
             ),
@@ -744,6 +786,10 @@ class TestInputGuards:
             pytest.param(
                 lambda: ecies_decrypt(bytes(31) + b"\x01", bytes(64 + 28)),
                 AuthenticationError, "ephemeral point off curve", id="ecies_point",
+            ),
+            pytest.param(
+                lambda: ecies_decrypt(bytes(31) + b"\x01", NONCANONICAL + bytes(28)),
+                AuthenticationError, "ephemeral point off curve", id="ecies_point_noncanonical",
             ),
             pytest.param(lambda: Share.from_bytes(bytes(71)), ParameterError, "share encoding must be 72 bytes", id="share"),
             pytest.param(
@@ -774,6 +820,13 @@ class TestInputGuards:
         with pytest.raises(error, match=re.escape(message)) as info:
             call()
         assert type(info.value) is error
+
+    def test_peel_skips_a_layer_with_a_noncanonical_point(self):
+        rng = Random(36)
+        kp = keypair_gen(rng)
+        onions = [onion_wrap(Share(i, i), [kp.pubkey], rng) for i in (1, 2)]
+        onions[0] = Onion(1, NONCANONICAL + onions[0].payload[64:])
+        assert peel_with_keys(onions, [kp.privkey]) == {2: Share(2, 2)}
 
     def test_key_pair_repr_hides_the_scalar(self):
         kp = keypair_from_scalar(0xC0FFEE)
@@ -1036,9 +1089,12 @@ def in_scope(scoped):
 class TestScalarKernel:
     """k * G, a * G + b * P, recovery and ECDH through OpenSSL (crypto._ec)
     against the reference double-and-add above, at edge scalars and
-    Hypothesis ones, inside a scope and out. Several tests keep the names
-    they had when tidsim multiplied in pure Python: the wNAF, GLV and
-    signed-window kernels are gone, and each test checks OpenSSL now."""
+    Hypothesis ones, inside a scope and out. By name: test_wnaf_* and
+    test_glv_mult_on_multiples_of_lambda check b * P,
+    test_glv_mult_on_jacobian_points a * G + b * P, test_signed_window_*
+    and test_base_mult* k * G, and test_keypairs_gen_* k * G a column at a
+    time, the edge scalars being those whose bit patterns stress a windowed
+    or split multiplication."""
 
     # a * G + b * P with a zero G term: the variable-base product b * P
     @pytest.mark.parametrize("k", EDGE_SCALARS)
@@ -1085,6 +1141,31 @@ class TestScalarKernel:
         pub = to_bytes(C0FFEE)
         assert _mul_add(0xC0FFEE, 1, pub) == to_bytes(jdouble(C0FFEE))
         assert _mul_add(_N - 0xC0FFEE, 1, pub) == b""
+
+    # an empty column, one point, one short of a column, one column, and
+    # one point past one and two columns
+    @pytest.mark.parametrize("count", [0, 1, 31, 32, 33, 65])
+    @pytest.mark.parametrize("scoped", [False, True], ids=["unscoped", "scoped"])
+    def test_keypairs_gen_equals_a_keypair_gen_loop(self, scoped, count):
+        loop_rng, column_rng = Random(count), Random(count)
+        with in_scope(scoped) as loop_memo:
+            expected = [keypair_gen(loop_rng) for _ in range(count)]
+        with in_scope(scoped) as column_memo:
+            assert keypairs_gen(column_rng, count) == expected
+        assert column_rng.getstate() == loop_rng.getstate()
+        if scoped:
+            assert entries(column_memo) == entries(loop_memo)
+
+    # the work, not the time: the marketplace's 5 + 3 * 400 keys take one
+    # EC_POINT_mul each and one EC_POINTs_make_affine per column of 32
+    def test_marketplace_keys_take_one_inversion_per_column(self, fresh_ec, monkeypatch):
+        calls = collections.Counter()
+        real = ctypes.CDLL
+        monkeypatch.setattr(ctypes, "CDLL", lambda path: CountedLib(real(path), calls))
+        with crypto.scope():
+            ScenarioRunner(ScenarioConfig(pool_size=400)).build_marketplace()
+        assert calls["EC_POINT_mul"] == 1205
+        assert calls["EC_POINTs_make_affine"] == -(-1205 // 32) == 38
 
     @pytest.mark.parametrize("scoped", [False, True], ids=["unscoped", "scoped"])
     def test_base_mult_at_edge_scalars(self, scoped):
@@ -1714,9 +1795,9 @@ class TestOpenSslOracle:
             return False
         return True
 
-    # both halves' edges: k2 = 0 (1, 2, 2^127), k1 = 0 (the multiples of
-    # LAMBDA), N - 1, and the corners of _split's domain, where an
-    # off-by-one in its rounding overflows the table's top row
+    # k * G where one GLV half is zero (1, 2, 2^127, the multiples of
+    # LAMBDA), where every signed window carries or both halves are at their
+    # largest, and at both ends of the scalar range
     @pytest.mark.parametrize("scoped", [False, True], ids=["unscoped", "scoped"])
     def test_single_base_mult_at_the_split_edges(self, scoped):
         ks = SPLIT_EDGE_SCALARS + WINDOW_EDGE_SCALARS + [2, _N - 2, 2**128 - 1, _N // 2]
@@ -1725,12 +1806,17 @@ class TestOpenSslOracle:
             assert [keypair_from_scalar(k).pubkey for k in ks] == expected
             assert [pubkey_of_privkey(k.to_bytes(32, "big")) for k in ks] == expected
 
-    # Hypothesis draws small integers often, and their k2 is 0, so half of
-    # the scalars are built from two halves of either sign
+    # Hypothesis draws small integers often, so half of the scalars are
+    # built from two GLV halves of either sign
     @given(k=st.one_of(scalars, st.builds(from_halves, *[st.integers(-(2**127), 2**127)] * 2).filter(bool)))
     @settings(max_examples=30, deadline=None)
     def test_single_base_mult(self, k):
         assert keypair_from_scalar(k).pubkey == self.pubkey(self.key(k))
+
+    # two full columns and one point
+    def test_keypairs_gen(self):
+        kps = keypairs_gen(Random(35), 65)
+        assert [kp.pubkey for kp in kps] == [self.pubkey(self.key(int.from_bytes(kp.privkey, "big"))) for kp in kps]
 
     def test_sign_verifies(self):
         rng = Random(31)
